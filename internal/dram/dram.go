@@ -71,31 +71,39 @@ type Module struct {
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
 	env   *sim.Env
 	model RetentionModel
-	rng   *xrand.Rand
 
 	data []byte
-	// logRetention[i] is the per-byte retention multiplier in log space.
-	// Byte granularity (rather than bit) keeps 1 GB modules tractable and
-	// loses nothing: the attack statistics operate on error fractions far
-	// above the within-byte correlation this introduces.
+	// logRetention[c] holds the per-byte retention multipliers, in log
+	// space, of retention chunk c: bytes [c·retChunk, (c+1)·retChunk). Byte
+	// granularity (rather than bit) keeps 1 GB modules tractable and loses
+	// nothing: the attack statistics operate on error fractions far above
+	// the within-byte correlation this introduces.
 	//
-	// The slice is filled lazily by ensureRetentionTo, and only as far as
-	// resolution actually reads: the module's rng serves this fill and
-	// nothing else, and FillNormFloat32 carries its rejection-sampling
-	// state inside the Rand, so a prefix grown across several calls is
-	// draw-for-draw identical to one eager whole-module fill. Most
-	// simulated SoCs only ever see zero-length DRAM outages and never pay
-	// for any of it; the Volt Boot flow reads only the dump region and
-	// pays for the prefix below it.
-	//voltvet:nosnap lazily drawn pure function of the module rng; the snapshot rewinds the rng and retFilled watermark, so later fills are draw-identical
-	logRetention []float32
-	// retFilled is how many leading logRetention entries have been drawn.
-	retFilled int
-	// minLogRet/maxLogRet bound the logRetention values drawn so far.
-	// They certify module-wide facts — an outage too short to decay any
-	// byte, or one that outlives every byte — only once retFilled covers
-	// the whole module.
+	// The table is write-once. Chunk c is drawn — allocated and filled by
+	// FillNormFloat32 from the module's retention stream at retCkpt[c] —
+	// the first time a resolution reads one of its bytes, and never
+	// changes afterwards: the values are a pure function of the module
+	// seed, identical to one eager in-order fill of the whole module. Most
+	// simulated SoCs only ever see zero-length DRAM outages and never draw
+	// any of it. The Volt Boot flow draws only the chunks its dump region
+	// and the payload's write-allocate line fills read; the chunks below
+	// are skipped, not drawn (see ensureRetention).
+	//voltvet:nosnap write-once table, a pure function of the module seed drawn from its own stream checkpoints; a restore has nothing to rewind
+	logRetention [][]float32
+	// retCkpt[c] is the retention stream's position (xoshiro state plus
+	// the polar method's spare carry) at the first byte of chunk c, known
+	// for every chunk up to the furthest one drawn or skipped.
+	//voltvet:nosnap write-once stream checkpoints, pure functions of the module seed; a restore has nothing to rewind
+	retCkpt []xrand.State
+	// retDrawn counts drawn chunks, and minLogRet/maxLogRet bound the
+	// values drawn so far. The bounds certify module-wide facts — an
+	// outage too short to decay any byte, or one that outlives every byte —
+	// only once every chunk is drawn.
+	//voltvet:nosnap grows with the write-once table it counts; a restore has nothing to rewind
+	retDrawn int
+	//voltvet:nosnap bound over the write-once table; a restore has nothing to rewind
 	minLogRet float32
+	//voltvet:nosnap bound over the write-once table; a restore has nothing to rewind
 	maxLogRet float32
 
 	powered bool
@@ -118,7 +126,9 @@ type Module struct {
 	// overwriting (markRange) — decay decided against a value that is
 	// about to be overwritten is unobservable. The attack's hot loop
 	// (power cycle, boot a payload, dump regions the payload just wrote)
-	// then never touches logRetention at all. resolved == nil means no
+	// reads logRetention only where a line fill or a dump read lands on a
+	// byte no write has retired — the payload's write-allocate line fills
+	// of the dump region are the main case. resolved == nil means no
 	// outage is pending and every byte is materialized.
 	resolved   []uint64 // per-byte bitmap, 1 = materialized
 	unresolved int      // count of zero bits in resolved
@@ -150,51 +160,63 @@ func NewModule(env *sim.Env, name string, size int, model RetentionModel, seed u
 		panic("dram: module size must be positive")
 	}
 	m := &Module{
-		name:    name,
-		env:     env,
-		model:   model,
-		rng:     xrand.Derive(seed, "dram:"+name),
-		data:    make([]byte, size),
-		powered: true,
+		name:         name,
+		env:          env,
+		model:        model,
+		data:         make([]byte, size),
+		logRetention: make([][]float32, (size+retChunk-1)>>retChunkShift),
+		retCkpt:      []xrand.State{xrand.Derive(seed, "dram:"+name).State()},
+		minLogRet:    float32(math.Inf(1)),
+		maxLogRet:    float32(math.Inf(-1)),
+		powered:      true,
 	}
 	m.fillGround(m.data, 0)
 	return m
 }
 
-// retChunk is the granularity the retention fill grows by: coarse enough
-// that a burst of nearby line resolutions pays one draw batch, fine
-// enough that a dump region at 2 MB doesn't drag in the whole module.
-const retChunk = 256 * 1024
+// retChunk is the granularity of the retention table: coarse enough that
+// a burst of nearby line resolutions pays one draw batch, fine enough that
+// a dump region at 2 MB doesn't drag in the whole module.
+const (
+	retChunkShift = 18
+	retChunk      = 1 << retChunkShift // 256 KiB
+)
 
-// ensureRetention draws the per-byte retention multipliers for the whole
-// module — the eager fill resolveAll and the module-wide certificates
-// need.
-func (m *Module) ensureRetention() { m.ensureRetentionTo(len(m.data)) }
-
-// ensureRetentionTo draws retention multipliers for at least the first n
-// bytes. The draws consume the module's dedicated rng stream strictly in
-// byte order, so a prefix grown across several calls is bit-identical to
-// the eager whole-module fill — deferral only skips the suffix no
-// resolution ever reads.
+// ensureRetention draws every retention chunk overlapping bytes
+// [off, off+n) that is not drawn yet.
+//
 //voltvet:hotpath
-func (m *Module) ensureRetentionTo(n int) {
-	if n > len(m.data) {
-		n = len(m.data)
+func (m *Module) ensureRetention(off, n int) {
+	for c, last := off>>retChunkShift, (off+n-1)>>retChunkShift; c <= last; c++ {
+		if m.logRetention[c] == nil {
+			m.drawRetChunk(c)
+		}
 	}
-	if m.logRetention != nil && m.retFilled >= n {
-		return
+}
+
+// drawRetChunk draws chunk c. The stream runs through the chunks in byte
+// order, so reaching chunk c's checkpoint first advances past every chunk
+// between the furthest checkpoint and c with SkipNormFloat32 — the exact
+// stream position a fill would leave, with no Log or Sqrt per value —
+// recording each chunk's checkpoint so a skipped chunk can still be drawn
+// later. The draw itself starts from c's checkpoint and records c+1's.
+//
+//voltvet:hotpath
+func (m *Module) drawRetChunk(c int) {
+	var r xrand.Rand
+	if k := len(m.retCkpt) - 1; k < c {
+		r.SetState(m.retCkpt[k])
+		for ; k < c; k++ {
+			r.SkipNormFloat32(m.retChunkLen(k))
+			m.retCkpt = append(m.retCkpt, r.State())
+		}
 	}
-	if m.logRetention == nil {
-		m.logRetention = make([]float32, len(m.data))
-		m.minLogRet = float32(math.Inf(1))
-		m.maxLogRet = float32(math.Inf(-1))
+	r.SetState(m.retCkpt[c])
+	chunk := make([]float32, m.retChunkLen(c))
+	r.FillNormFloat32(chunk, m.model.RetentionSigma)
+	if c+1 == len(m.retCkpt) && c+1 < len(m.logRetention) {
+		m.retCkpt = append(m.retCkpt, r.State())
 	}
-	target := (n + retChunk - 1) &^ (retChunk - 1)
-	if target > len(m.data) {
-		target = len(m.data)
-	}
-	chunk := m.logRetention[m.retFilled:target]
-	m.rng.FillNormFloat32(chunk, m.model.RetentionSigma)
 	for _, lr := range chunk {
 		if lr < m.minLogRet {
 			m.minLogRet = lr
@@ -203,7 +225,15 @@ func (m *Module) ensureRetentionTo(n int) {
 			m.maxLogRet = lr
 		}
 	}
-	m.retFilled = target
+	m.logRetention[c] = chunk
+	m.retDrawn++
+}
+
+// retChunkLen is the byte count of chunk c (the last may be short).
+//
+//voltvet:hotpath
+func (m *Module) retChunkLen(c int) int {
+	return min(retChunk, len(m.data)-(c<<retChunkShift))
 }
 
 // fillGround writes the ground pattern for byte offsets [off, off+len(dst))
@@ -309,11 +339,11 @@ func (m *Module) PowerOn() {
 		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
-	if m.retFilled == len(m.data) && float64(m.minLogRet) > logEl+band {
-		// The retention fill is complete and certifies that even the
+	if m.retDrawn == len(m.logRetention) && float64(m.minLogRet) > logEl+band {
+		// The retention table is complete and certifies that even the
 		// leakiest byte outlives the outage: nothing decays, no deferral
-		// needed. (Without a full fill the same conclusion is reached
-		// lazily — see resolveSlow — without forcing the fill here.)
+		// needed. (Without a full table the same conclusion is reached
+		// lazily — see resolveSlow — without forcing the draws here.)
 		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
@@ -392,12 +422,12 @@ func (m *Module) resolveSlow(off, n int) {
 	// materialization rewrites bytes in place, and a per-decayed-byte mark
 	// would cost more than restoring a few extra clean pages.
 	m.markSnapRange(off, n)
-	// Draw retention values only as far as this resolution reads. The
-	// module-wide certificates need the complete fill; with a partial one
+	// Draw only the retention chunks this resolution reads. The
+	// module-wide certificates need the complete table; with a partial one
 	// the per-byte predicate below decides each byte identically, just
 	// without the wholesale shortcuts.
-	m.ensureRetentionTo(off + n)
-	full := m.retFilled == len(m.data)
+	m.ensureRetention(off, n)
+	full := m.retDrawn == len(m.logRetention)
 	if full && m.minLogRet >= o.su {
 		// Even the leakiest byte outlives the outage: every unresolved byte
 		// already holds its surviving value. Drop the deferral wholesale.
@@ -412,7 +442,7 @@ func (m *Module) resolveSlow(off, n int) {
 		}
 		decays := fullDecay
 		if !fullDecay {
-			lr := m.logRetention[i]
+			lr := m.logRetention[i>>retChunkShift][i&(retChunk-1)]
 			decays = lr < o.su && !(lr >= o.sl && o.elapsed < o.median*math.Exp(float64(lr)))
 		}
 		if decays {

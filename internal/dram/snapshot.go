@@ -4,22 +4,18 @@ package dram
 // (see internal/sram/snapshot.go for the sweep-loop rationale). Capture
 // copies the byte array once and arms a dirty-page bitmap; restore copies
 // back only pages a write or a deferred-decay materialization touched
-// since, then rewinds the power/outage scalars and the rng.
+// since, then rewinds the power/outage scalars.
 //
-// The lazy retention fill makes the rng rewind sufficient on its own:
-// logRetention values are drawn strictly in byte order from the module's
-// dedicated stream, so rewinding retFilled and the rng state means any
-// post-restore refill re-draws bit-identical values over the same prefix
-// — entries beyond the captured retFilled keep stale values that the
-// refill overwrites with the exact same numbers before anything reads
-// them. The buffer itself is therefore never copied.
+// The retention table is neither captured nor rewound: every chunk is a
+// pure function of the module seed (see Module.logRetention), so a chunk
+// drawn after the capture holds exactly the values a fresh board would
+// draw, and a restored trial reuses it instead of drawing it again.
 
 import (
 	"fmt"
 	"math/bits"
 
 	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 // snapPageBytes is the dirty-tracking granularity: coarse because trial
@@ -31,11 +27,6 @@ const snapPageBytes = 4096
 type ModuleSnapshot struct {
 	mod  *Module
 	data []byte
-
-	retFilled int
-	minLogRet float32
-	maxLogRet float32
-	rng       xrand.State
 
 	powered  bool
 	offSince sim.Time
@@ -76,10 +67,6 @@ func (m *Module) CaptureSnapshot() *ModuleSnapshot {
 	s := &ModuleSnapshot{
 		mod:        m,
 		data:       make([]byte, len(m.data)),
-		retFilled:  m.retFilled,
-		minLogRet:  m.minLogRet,
-		maxLogRet:  m.maxLogRet,
-		rng:        m.rng.State(),
 		powered:    m.powered,
 		offSince:   m.offSince,
 		offTempK:   m.offTempK,
@@ -121,10 +108,6 @@ func (m *Module) RestoreSnapshot(s *ModuleSnapshot) {
 		m.armSnapDirty()
 		m.snapOwner = s
 	}
-	m.retFilled = s.retFilled
-	m.minLogRet = s.minLogRet
-	m.maxLogRet = s.maxLogRet
-	m.rng.SetState(s.rng)
 	m.powered = s.powered
 	m.offSince = s.offSince
 	m.offTempK = s.offTempK

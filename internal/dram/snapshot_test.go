@@ -7,9 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestModuleSnapshotRestore checks the dirty-page rewind, the retention
-// rng-stream rewind (two outages replayed from the same snapshot must
-// decay identically), and the scalar/outage state restore.
+// TestModuleSnapshotRestore checks the dirty-page rewind, that the
+// write-once retention table survives a restore unchanged (two outages
+// replayed from the same snapshot must decay identically), and the
+// scalar/outage state restore.
 func TestModuleSnapshotRestore(t *testing.T) {
 	env := sim.NewQuietEnv()
 	env.SetTemperatureC(-30)
@@ -43,7 +44,7 @@ func TestModuleSnapshotRestore(t *testing.T) {
 
 	second := outage()
 	if !bytes.Equal(first, second) {
-		t.Error("replayed outage decayed differently: retention rng was not rewound")
+		t.Error("replayed outage decayed differently across a restore")
 	}
 }
 

@@ -69,17 +69,28 @@ type glitchRig struct {
 	snap *board.Snapshot
 }
 
+// glitchBootROM assembles the rig's demo image and the secure-boot ROM
+// that verifies it — pure functions of the fixed memory map, so callers
+// that need only the ROM layout skip the board build.
+func glitchBootROM() ([]uint32, *glitch.BootROM, error) {
+	image, err := glitch.BuildDemoImage(glitchImageBase, glitchProofAddr)
+	if err != nil {
+		return nil, nil, err
+	}
+	rom, err := glitch.BuildBootROM(soc.ROMBase, image, glitchImageBase, glitchStatusAddr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return image, rom, nil
+}
+
 func newGlitchRig(seed uint64) (*glitchRig, error) {
 	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}
 	s := b.SoC
-	image, err := glitch.BuildDemoImage(glitchImageBase, glitchProofAddr)
-	if err != nil {
-		return nil, err
-	}
-	rom, err := glitch.BuildBootROM(soc.ROMBase, image, glitchImageBase, glitchStatusAddr)
+	image, rom, err := glitchBootROM()
 	if err != nil {
 		return nil, err
 	}
@@ -318,13 +329,13 @@ func GlitchSearchCtx(ctx context.Context, seed uint64,
 			c.Hang++
 		}
 	}
-	rig, err := newGlitchRig(seed)
+	_, rom, err := glitchBootROM()
 	if err != nil {
 		return nil, err
 	}
 	return &GlitchSearchResult{
-		Board:     rig.b.SoC.Spec.Board,
-		TriggerPC: rig.rom.HashDonePC,
+		Board:     soc.BCM2711().Board,
+		TriggerPC: rom.HashDonePC,
 		Trials:    trials,
 		Cells:     cells,
 	}, nil

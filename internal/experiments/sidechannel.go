@@ -45,13 +45,20 @@ type scaRig struct {
 	budget uint64
 }
 
+// buildSCAVictim assembles the AES victim at the scenario's memory map.
+// Its layout (run length, round starts, leak samples) is a pure function
+// of that map, so reporting code reads it without building a board.
+func buildSCAVictim() (*trace.AESVictim, error) {
+	return trace.BuildAESVictim(soc.PayloadBase, scaStateAddr, scaKeyAddr, scaSBoxAddr, scaOutAddr, scaRounds)
+}
+
 func newSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
 	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}
 	s := b.SoC
-	v, err := trace.BuildAESVictim(soc.PayloadBase, scaStateAddr, scaKeyAddr, scaSBoxAddr, scaOutAddr, scaRounds)
+	v, err := buildSCAVictim()
 	if err != nil {
 		return nil, err
 	}
@@ -170,18 +177,18 @@ func captureTraceSet(ctx context.Context, seed uint64, n, window int, sigma floa
 	if err != nil {
 		return nil, err
 	}
-	rig, err := newSCARig(seed, key, window)
+	v, err := buildSCAVictim()
 	if err != nil {
 		return nil, err
 	}
 	set := &SCATraceSet{
-		Board:           rig.b.SoC.Spec.Board,
+		Board:           soc.BCM2711().Board,
 		Key:             key,
 		NoiseSigma:      sigma,
 		SamplesPerTrace: len(outs[0].t),
-		RunLength:       rig.v.RunLength(),
-		Rounds:          rig.v.Rounds,
-		QuietGap:        rig.v.QuietGap(),
+		RunLength:       v.RunLength(),
+		Rounds:          v.Rounds,
+		QuietGap:        v.QuietGap(),
 		Traces:          make([][]float32, n),
 		Pts:             make([][]byte, n),
 	}
@@ -190,11 +197,11 @@ func captureTraceSet(ctx context.Context, seed uint64, n, window int, sigma floa
 		pt := o.pt
 		set.Pts[i] = pt[:]
 	}
-	for r := 0; r < rig.v.Rounds; r++ {
-		set.RoundStarts = append(set.RoundStarts, rig.v.RoundStart(r))
+	for r := 0; r < v.Rounds; r++ {
+		set.RoundStarts = append(set.RoundStarts, v.RoundStart(r))
 	}
 	for b := 0; b < 16; b++ {
-		set.LeakSamples = append(set.LeakSamples, rig.v.LeakSample(0, b))
+		set.LeakSamples = append(set.LeakSamples, v.LeakSample(0, b))
 	}
 	return set, nil
 }

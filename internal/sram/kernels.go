@@ -21,6 +21,14 @@ package sram
 // kernels_test.go enforces it differentially across seeds, temperatures
 // and power paths. The scalar kernels are retained as the executable
 // specification; production code always takes the word path.
+//
+// The word path also defers the most common event, a whole-array mode-2
+// resample (a first power-up, or a power cycle that decays every cell):
+// pend records the stream position and jumps the rng past the draws,
+// and materialize replays them on the first read. Arrays overwritten
+// whole before any read (the BCM2711 L2 data RAMs, clobbered by the
+// VideoCore at boot) or never read at all (glitch rigs) never pay for
+// the draws.
 
 import (
 	"math"
@@ -209,7 +217,7 @@ func (s *biasSampler) sample(h3 uint64) bool {
 // and the preferred-value bits — pure hashing of each cell's third hash,
 // with no cross-iteration dependency and no rng draws. The result is a
 // function of only (cellState, ig, biasedMin), all fixed for an array's
-// lifetime, which is what lets mode2Memo cache it.
+// lifetime.
 //voltvet:hotpath
 func mode2PhaseA(cellState, ig uint64, biasedMin int) (biasedMask, prefBits uint64) {
 	igk := ig
@@ -224,29 +232,6 @@ func mode2PhaseA(cellState, ig uint64, biasedMin int) (biasedMask, prefBits uint
 		prefBits |= (h3 >> 63) << k
 	}
 	return biasedMask, prefBits
-}
-
-// mode2Memo returns the per-word phase-A masks, building them on first
-// use. The masks depend only on the array's cell seed and the model's
-// neutral fraction — both frozen at construction — so the memo never
-// invalidates; repeated power events (every rail bounce during board
-// construction and boot, plus the attack's power cycle) skip the Mix64
-// hashing entirely and pay only phase B's draws.
-//voltvet:hotpath
-func (a *Array) mode2Memo(biasedMin int) (biased, pref []uint64) {
-	if a.m2Biased == nil {
-		nw := len(a.bits)
-		a.m2Biased = make([]uint64, nw)
-		a.m2Pref = make([]uint64, nw)
-		gamma := uint64(cellHashGamma)
-		batchStep := gamma * 64 // wraps mod 2⁶⁴ like 64 incremental adds
-		ig := uint64(0)
-		for w := range a.bits {
-			a.m2Biased[w], a.m2Pref[w] = mode2PhaseA(a.cellSeed, ig, biasedMin)
-			ig += batchStep
-		}
-	}
-	return a.m2Biased, a.m2Pref
 }
 
 // mode2Batch64 computes the packed power-up word for one full 64-cell
@@ -273,6 +258,55 @@ func mode2Batch64(rng *xrand.Rand, biasedMask, prefBits, thrInt uint64) uint64 {
 		coinMask |= (d & 1) << k
 	}
 	return (biasedMask & (prefBits ^ flipMask)) | (^biasedMask & coinMask)
+}
+
+// pend defers a whole-array mode-2 resample: it records the rng stream
+// position the resample's draws start at and jumps the rng past them —
+// one Uint64 per cell, exactly what mode2Batch64 consumes — so every
+// later draw lands where the eager kernel would have left the stream.
+// The bits stay stale until materialize replays the draws. Callers
+// guarantee the mode-2 batch conditions (mode 2, no imprint overlay, no
+// partial tail word) and mark the snapshot pages.
+//
+//voltvet:hotpath
+func (a *Array) pend() {
+	a.pending = true
+	a.pendFrom = a.rng.State()
+	a.rng.Jump(uint64(a.n))
+}
+
+// materialize draws a pending resample: it replays the recorded stream
+// position into a stack generator and assembles every word through the
+// two-phase batch kernel — same hashes, same draws, same order as the
+// scalar reference, so the bits are identical. The array's own rng is
+// not touched; pend already moved it.
+//
+// When the armed owner snapshot holds this same pending resample, the
+// result is written through into it: the snapshot's logical content is
+// unchanged, and a sweep that restores it per trial materializes once
+// instead of once per trial. Otherwise every page is marked dirty, since
+// the snapshot's copy of the words is not what the array now holds.
+//
+//voltvet:hotpath
+func (a *Array) materialize() {
+	sampler := a.newBiasSampler()
+	var rng xrand.Rand
+	rng.SetState(a.pendFrom)
+	gamma := uint64(cellHashGamma)
+	batchStep := gamma * 64 // wraps mod 2⁶⁴ like 64 incremental adds
+	ig := uint64(0)
+	for w := range a.bits {
+		biased, pref := mode2PhaseA(a.cellSeed, ig, sampler.biasedMin)
+		ig += batchStep
+		a.bits[w] = mode2Batch64(&rng, biased, pref, sampler.thrInt)
+	}
+	a.pending = false
+	if s := a.snapOwner; a.snapDirty != nil && s != nil && s.pending && s.pendFrom == a.pendFrom {
+		copy(s.bits, a.bits)
+		s.pending = false
+		return
+	}
+	a.markSnapAll()
 }
 
 // resolveDecayWords is the word-batched decay kernel. Per 64-cell batch
@@ -352,17 +386,18 @@ func (a *Array) resolveDecayWords() {
 		// Full-decay fast path: both survival gates are degenerate — the
 		// Volt Boot power cycle itself (rail at 0 V, outage far beyond any
 		// cell's retention) — so every cell decays and no survival hash is
-		// ever consulted. Resample whole words through the memoized batch
-		// kernel; the rng draw order (one per cell, ascending) and every
-		// sampled value match the generic loop bit-for-bit.
-		biased, pref := a.mode2Memo(biasedMin)
-		for w := range a.bits {
-			a.bits[w] = mode2Batch64(rng, biased[w], pref[w], thrInt)
-		}
-		lost = a.n
+		// ever consulted. The result is a whole-array mode-2 resample that
+		// ignores the old contents, so it is deferred (pend) exactly like a
+		// first power-up; a pending resample it replaces was never read.
+		a.pend()
 		a.env.Logf("sram", "%s: %d/%d cells decayed over %s at %.2fV held",
-			a.name, lost, a.n, sim.Time(elapsed), a.heldVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
+			a.name, a.n, a.n, sim.Time(elapsed), a.heldVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 		return
+	}
+	if a.pending {
+		// A partial decay reads the surviving cells: draw the pending
+		// resample first.
+		a.materialize()
 	}
 	for w := range a.bits {
 		base := w << 6
@@ -457,12 +492,9 @@ func (a *Array) powerUpAllWords() {
 	if mode == 2 && !hasAging && a.n&63 == 0 {
 		// The dominant regime (every stock retention model sets a
 		// fractional BiasNoise, and fingerprint power-ups have no imprint
-		// overlay): assemble whole words through the memoized batch
-		// kernel. Same hashes, same draws, same order — bit-identical.
-		biased, pref := a.mode2Memo(biasedMin)
-		for w := range a.bits {
-			a.bits[w] = mode2Batch64(rng, biased[w], pref[w], thrInt)
-		}
+		// overlay): defer the whole-word resample until something reads
+		// the array (pend).
+		a.pend()
 		a.env.Logf("sram", "%s: power-up into fingerprint state (%d bits)", a.name, a.n) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 		return
 	}

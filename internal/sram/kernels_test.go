@@ -26,8 +26,18 @@ func diffPair(t *testing.T, bits int, seed uint64, tempC float64) (ref, vec *Arr
 	return ref, vec, refEnv, vecEnv
 }
 
+// mustEqualStream checks the rng stream positions agree without reading
+// either array, so a pending resample on vec stays pending.
+func mustEqualStream(t *testing.T, stage string, ref, vec *Array) {
+	t.Helper()
+	if rs, vs := ref.rng.State(), vec.rng.State(); rs != vs {
+		t.Fatalf("%s: rng stream position diverged: ref=%+v vec=%+v", stage, rs, vs)
+	}
+}
+
 func mustEqualState(t *testing.T, stage string, ref, vec *Array) {
 	t.Helper()
+	mustEqualStream(t, stage, ref, vec)
 	if !bytes.Equal(ref.Snapshot(), vec.Snapshot()) {
 		t.Fatalf("%s: word kernel diverged from scalar reference", stage)
 	}
@@ -176,6 +186,186 @@ func TestWordKernelsMatchScalarWithImprint(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------------
+// Deferred resamples. The word kernels turn a whole-array mode-2 power
+// event into pend (record the stream position, jump the rng) and draw
+// the bits on first read (materialize). The sequences below end a
+// pending resample in every way the simulator can — a read, a partial
+// or whole-array write, Fill, a partial decay, aging, a second full
+// decay, a snapshot restore — and compare against the scalar reference,
+// which always draws eagerly. 64·64 bits is the smallest array that
+// pends (full words only).
+
+const pendBits = 64 * 64
+
+func mustPend(t *testing.T, stage string, vec *Array, want bool) {
+	t.Helper()
+	if vec.pending != want {
+		t.Fatalf("%s: pending = %v, want %v", stage, vec.pending, want)
+	}
+}
+
+func cyclePair(ref, vec *Array, re, ve *sim.Env, off sim.Time) {
+	for _, p := range []struct {
+		a *Array
+		e *sim.Env
+	}{{ref, re}, {vec, ve}} {
+		p.a.SetRail(0)
+		p.e.Advance(off)
+		p.a.SetRail(0.8)
+	}
+}
+
+func TestPendingBackToBackFullDecays(t *testing.T) {
+	for _, seed := range []uint64{2, 0x5EED, 0xFACADE} {
+		ref, vec, re, ve := diffPair(t, pendBits, seed, 25)
+		ref.SetRail(0.8)
+		vec.SetRail(0.8)
+		mustPend(t, "first power-up", vec, true)
+		mustEqualStream(t, "first power-up", ref, vec)
+		for cycle := 0; cycle < 3; cycle++ {
+			cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+			mustPend(t, "unread full decay", vec, true)
+			mustEqualStream(t, "unread full decay", ref, vec)
+		}
+		mustEqualState(t, "read after three unread full decays", ref, vec)
+		mustPend(t, "after read", vec, false)
+	}
+}
+
+func TestPendingWholeArrayOverwrite(t *testing.T) {
+	ref, vec, re, ve := diffPair(t, pendBits, 0xC0DE, 25)
+	ref.SetRail(0.8)
+	vec.SetRail(0.8)
+	buf := make([]byte, pendBits/8)
+	for i := range buf {
+		buf[i] = byte(7*i + 3)
+	}
+	ref.WriteBytes(0, buf)
+	vec.WriteBytes(0, buf)
+	mustPend(t, "whole-array WriteBytes", vec, false)
+	mustEqualState(t, "whole-array WriteBytes", ref, vec)
+
+	cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+	ref.Fill(0x5A)
+	vec.Fill(0x5A)
+	mustPend(t, "Fill", vec, false)
+	mustEqualState(t, "Fill", ref, vec)
+
+	// A write short of the whole array reads the surviving cells around
+	// it, so it must draw first.
+	cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+	ref.WriteBytes(0, buf[:len(buf)-1])
+	vec.WriteBytes(0, buf[:len(buf)-1])
+	mustPend(t, "partial WriteBytes", vec, false)
+	mustEqualState(t, "partial WriteBytes", ref, vec)
+}
+
+func TestPendingPartialDecayAndAging(t *testing.T) {
+	for _, seed := range []uint64{4, 0xBEEF} {
+		// −110 °C / 20 ms decays only part of the array: the kernel reads
+		// the survivors, so the pending fingerprint is drawn first.
+		ref, vec, re, ve := diffPair(t, pendBits, seed, -110)
+		ref.SetRail(0.8)
+		vec.SetRail(0.8)
+		cyclePair(ref, vec, re, ve, 20*sim.Millisecond)
+		mustPend(t, "partial decay", vec, false)
+		mustEqualState(t, "partial decay", ref, vec)
+
+		// Aging reads the held values; a later full decay stays eager
+		// because the imprint overlay decides cells.
+		ref, vec, re, ve = diffPair(t, pendBits, seed, 25)
+		ref.SetRail(0.8)
+		vec.SetRail(0.8)
+		ref.Age(10, DefaultImprintModel())
+		vec.Age(10, DefaultImprintModel())
+		mustEqualState(t, "aged pending fingerprint", ref, vec)
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		mustPend(t, "imprinted full decay", vec, false)
+		mustEqualState(t, "imprinted full decay", ref, vec)
+	}
+}
+
+func TestPendingPeek(t *testing.T) {
+	ref, vec, _, _ := diffPair(t, pendBits, 0x7E57, 25)
+	ref.SetRail(0.8)
+	vec.SetRail(0.8)
+	for _, off := range []int{0, 8, 13, pendBits/8 - 16} {
+		if got, want := vec.PeekUint64(off), ref.ReadUint64(off); got != want {
+			t.Fatalf("PeekUint64(%d) on a pending array = %#x, want %#x", off, got, want)
+		}
+	}
+	mustPend(t, "after peek", vec, false)
+}
+
+// TestPendingSnapshotSequences forks pending arrays the way sweeps do:
+// capture while pending, materialize, write, restore — several trials in
+// a row — and checks the write-through into the owner snapshot happens
+// exactly when the snapshot pends the same resample.
+func TestPendingSnapshotSequences(t *testing.T) {
+	const n = 1563 * 64 // several snapshot pages, partial last page
+	for _, seed := range []uint64{9, 0x5EED} {
+		ref, vec, re, ve := diffPair(t, n, seed, 25)
+		ref.SetRail(0.8)
+		vec.SetRail(0.8)
+		sr, sv := ref.CaptureSnapshot(), vec.CaptureSnapshot()
+		if !sv.pending {
+			t.Fatal("snapshot of a pending array did not carry the pending resample")
+		}
+		restore := func(stage string) {
+			t.Helper()
+			ref.RestoreSnapshot(sr)
+			vec.RestoreSnapshot(sv)
+			mustEqualState(t, stage, ref, vec)
+		}
+
+		// Trial 1: capture → materialize → write → restore. The read
+		// writes the drawn words through into the owner snapshot.
+		mustEqualState(t, "trial 1 read", ref, vec)
+		if sv.pending {
+			t.Fatal("materialize did not write through into the owner snapshot")
+		}
+		ref.WriteUint64(640, 0xDEADBEEF)
+		vec.WriteUint64(640, 0xDEADBEEF)
+		restore("trial 1 restore")
+
+		// Trial 2: a full decay re-pends before any read; restoring must
+		// bring back the captured (now materialized) fingerprint.
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		mustPend(t, "trial 2 full decay", vec, true)
+		restore("trial 2 restore")
+
+		// A second snapshot captured while pending, then a different
+		// resample drawn before the read: no write-through, since the
+		// snapshot pends another stream position.
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		sr, sv = ref.CaptureSnapshot(), vec.CaptureSnapshot()
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		mustEqualState(t, "read of a newer resample", ref, vec)
+		if !sv.pending {
+			t.Fatal("materialize wrote a different resample through into the snapshot")
+		}
+		restore("restore of the still-pending snapshot")
+		restore("second restore of the same snapshot")
+	}
+}
+
+// TestMaterializeZeroAlloc: drawing a deferred resample replays into a
+// stack generator and allocates nothing, on both the write-through and
+// the mark-dirty branch.
+func TestMaterializeZeroAlloc(t *testing.T) {
+	a := NewArray(sim.NewQuietEnv(), "alloc", 64*1024*8, DefaultRetentionModel(), 3)
+	a.SetRail(0.8)
+	a.CaptureSnapshot()
+	allocs := testing.AllocsPerRun(10, func() {
+		a.pending = true
+		_ = a.ReadUint64(0)
+	})
+	if allocs != 0 {
+		t.Fatalf("materialize allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestFractionOnesTailBits(t *testing.T) {
 	// n deliberately not a multiple of 64: the popcount must mask the tail.
 	env := sim.NewEnv()
@@ -279,12 +469,14 @@ func benchResolveDecay(b *testing.B, tempC float64, scalar bool) {
 		a.SetRail(0)
 		env.Advance(20 * sim.Millisecond)
 		a.SetRail(0.8)
+		_ = a.ReadUint64(0) // draws a deferred full-decay resample
 	}
 }
 
 // BenchmarkResolveDecay measures the decay kernel over a 64 KB array.
 // The −110 °C case is the mixed-survival regime (every hash gate hit);
-// the 25 °C case is total loss (power-up sampling dominates).
+// the 25 °C case is total loss (power-up sampling dominates), which the
+// word kernel defers until the read that follows each cycle.
 func BenchmarkResolveDecay(b *testing.B) {
 	b.Run("cold-110C", func(b *testing.B) { benchResolveDecay(b, -110, false) })
 	b.Run("room25C", func(b *testing.B) { benchResolveDecay(b, 25, false) })
@@ -301,10 +493,12 @@ func benchPowerUpAll(b *testing.B, scalar bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.powerUpAll()
+		_ = a.ReadUint64(0) // draws the deferred fingerprint
 	}
 }
 
-// BenchmarkPowerUpAll measures the fingerprint kernel over a 64 KB array.
+// BenchmarkPowerUpAll measures the fingerprint kernel over a 64 KB array,
+// read back once so the deferred draws are timed, not just the jump.
 func BenchmarkPowerUpAll(b *testing.B)       { benchPowerUpAll(b, false) }
 func BenchmarkPowerUpAllScalar(b *testing.B) { benchPowerUpAll(b, true) }
 

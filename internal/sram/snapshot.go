@@ -19,11 +19,14 @@ package sram
 // stream position, same imprint overlay — so a trial run from a restored
 // snapshot consumes the identical draw sequence and produces the
 // identical bytes as a trial run on a freshly built board that executed
-// the same prefix. The only fields deliberately NOT restored are the
-// derived-state generation counter (gen stays monotonic and is bumped by
-// the restore, so consumers' cached stamps can never alias across a
-// rewind) and the phase-A memo (m2Biased/m2Pref are immutable functions
-// of the cell seed).
+// the same prefix. "Same contents" includes a pending power-up resample
+// (see kernels.go): the snapshot carries the pending flag and stream
+// position rather than forcing the draws, and materialization writes
+// the drawn words through into the owner snapshot that pends the same
+// resample, so a sweep pays for the draws once, not once per trial. The
+// only field deliberately NOT restored is the derived-state generation
+// counter: gen stays monotonic and is bumped by the restore, so
+// consumers' cached stamps can never alias across a rewind.
 
 import (
 	"fmt"
@@ -55,6 +58,12 @@ type ArraySnapshot struct {
 	heldVolts   float64
 	everPowered bool
 	rng         xrand.State
+	// pending/pendFrom carry a deferred power-up resample instead of its
+	// bits (which are then stale). materialize may later write the drawn
+	// bits through into bits and clear pending; the logical content the
+	// snapshot captured never changes.
+	pending  bool
+	pendFrom xrand.State
 
 	// imprinted/value are deep copies of the aging overlay's bitsets,
 	// nil when the array had no overlay at capture time.
@@ -123,6 +132,8 @@ func (a *Array) CaptureSnapshot() *ArraySnapshot {
 		heldVolts:   a.heldVolts,
 		everPowered: a.everPowered,
 		rng:         a.rng.State(),
+		pending:     a.pending,
+		pendFrom:    a.pendFrom,
 	}
 	copy(s.bits, a.bits)
 	if a.imprint != nil {
@@ -172,6 +183,8 @@ func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 	a.heldVolts = s.heldVolts
 	a.everPowered = s.everPowered
 	a.rng.SetState(s.rng)
+	a.pending = s.pending
+	a.pendFrom = s.pendFrom
 	if s.imprinted != nil {
 		copy(a.imprint.imprinted, s.imprinted)
 		copy(a.imprint.value, s.value)

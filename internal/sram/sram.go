@@ -23,13 +23,15 @@
 //     held a 0 or a 1, which is what makes partial cold-boot images of
 //     SRAM so much harder to post-process than DRAM images.
 //
-// Two engineering choices keep megabyte-scale arrays (an SoC's L2) cheap:
-// decay is integrated lazily per unpowered interval rather than ticked,
-// and per-cell silicon properties (DRV, retention multiplier, power-up
-// bias) are derived on demand from a per-cell hash instead of being
-// stored, so an array costs one bit of memory per cell. The hash-derived
-// normals use an Irwin–Hall (sum of four uniforms) approximation, which
-// is accurate to ±3.4σ — plenty for population statistics.
+// Three engineering choices keep megabyte-scale arrays (an SoC's L2)
+// cheap: decay is integrated lazily per unpowered interval rather than
+// ticked; a power event that resamples the whole array is deferred until
+// something reads it (see kernels.go); and per-cell silicon properties
+// (DRV, retention multiplier, power-up bias) are derived on demand from a
+// per-cell hash instead of being stored, so an array costs one bit of
+// memory per cell. The hash-derived normals use an Irwin–Hall (sum of
+// four uniforms) approximation, which is accurate to ±3.4σ — plenty for
+// population statistics.
 package sram
 
 import (
@@ -157,6 +159,13 @@ type Array struct {
 	gen uint64
 	// imprint is the lazily allocated aging overlay (see imprint.go).
 	imprint *imprintState
+	// pending marks contents that are a deferred full power-up resample:
+	// the power event recorded the rng stream position its draws start
+	// at in pendFrom and jumped the rng past them, leaving bits stale.
+	// The first reader replays the draws (materialize); a whole-array
+	// overwrite drops the resample unread. See kernels.go.
+	pending  bool
+	pendFrom xrand.State
 	// snapDirty, when non-nil, is the armed copy-on-write page table:
 	// one bit per snapPageWords-word page, set by every write path that
 	// can change the page since the owning snapshot was captured (see
@@ -164,16 +173,6 @@ type Array struct {
 	// against. Derived state, not physics.
 	snapDirty []uint64
 	snapOwner *ArraySnapshot
-	// m2Biased/m2Pref memoize phase A of the mode-2 batch kernel: the
-	// per-word biased-cell and preferred-value masks, pure functions of
-	// cellSeed and the neutral fraction (see mode2PhaseA). Built lazily
-	// on the first batched power event and immutable afterwards, so every
-	// later power-up or full-decay resample pays only the rng draws.
-	// Derived state, not physics.
-	//voltvet:nosnap lazily built pure function of cellSeed; immutable once built (see mode2PhaseA)
-	m2Biased []uint64
-	//voltvet:nosnap lazily built pure function of cellSeed; immutable once built (see mode2PhaseA)
-	m2Pref   []uint64
 	// scalarKernels forces the per-bit reference kernels instead of the
 	// word-vectorized ones. Both produce bit-identical state and consume
 	// the rng stream identically; the flag exists so the differential
@@ -304,10 +303,18 @@ func (a *Array) bit(i int) bool {
 	return a.bits[i>>6]>>(uint(i)&63)&1 == 1
 }
 
+// checkAccess panics on an unpowered array and materializes a pending
+// resample, so every architectural reader and partial writer sees the
+// bits the power event drew. The pending test is the whole cost on the
+// step path.
+//
 //voltvet:hotpath
 func (a *Array) checkAccess(op string) {
 	if !a.Powered() {
 		panic(fmt.Sprintf("sram: %s on unpowered array %s (rail %.2fV)", op, a.name, a.railVolts))
+	}
+	if a.pending {
+		a.materialize()
 	}
 }
 
@@ -339,8 +346,16 @@ func (a *Array) storeByte(j int, v byte) {
 // WriteBytes stores b starting at byte offset off. Spans that cover full
 // 64-bit words are stored word-at-a-time; only the unaligned head and
 // tail go through the byte path.
+//
+// A write covering the whole array (the Broadcom VideoCore's L2 clobber)
+// drops a pending power-up resample without drawing it: nothing can read
+// the fingerprint it would have produced.
+//
 //voltvet:hotpath
 func (a *Array) WriteBytes(off int, b []byte) {
+	if off == 0 && len(b)*8 == a.n && a.Powered() {
+		a.pending = false
+	}
 	a.checkAccess("WriteBytes")
 	if off < 0 || (off+len(b))*8 > a.n {
 		panic(fmt.Sprintf("sram: WriteBytes out of range on %s: off=%d len=%d size=%dB", a.name, off, len(b), a.Bytes()))
@@ -417,6 +432,9 @@ func (a *Array) WriteUint64(off int, v uint64) {
 //
 //voltvet:hotpath
 func (a *Array) PeekUint64(off int) uint64 {
+	if a.pending {
+		a.materialize()
+	}
 	w := off >> 3
 	shift := 8 * uint(off&7)
 	if shift == 0 {
@@ -525,8 +543,12 @@ func (a *Array) ReadBytesInto(off int, dst []byte) {
 }
 
 // Fill writes the byte pattern v across the whole array by splatting it
-// into a packed word and storing words directly — no scratch buffer.
+// into a packed word and storing words directly — no scratch buffer. Like
+// a whole-array WriteBytes it drops a pending resample unread.
 func (a *Array) Fill(v byte) {
+	if a.Powered() {
+		a.pending = false
+	}
 	a.checkAccess("Fill")
 	a.gen++
 	a.markSnapAll()

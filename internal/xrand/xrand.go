@@ -90,6 +90,8 @@ type State struct {
 }
 
 // State captures the generator's current stream position.
+//
+//voltvet:hotpath
 func (r *Rand) State() State {
 	return State{S: r.s, HaveSpare: r.haveSpare, Spare: r.spare}
 }

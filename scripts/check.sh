@@ -46,8 +46,17 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 go test -run 'TestSCACPARecoversKey' -count=1 ./internal/experiments/
 
+echo "==> exact skip paths: differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention)"
+go test -count=1 -run 'TestJump|TestSkipNormFloat32' ./internal/xrand/
+go test -count=1 -run 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
+go test -count=1 -run 'TestRetentionChunks|TestLazyModule|TestPartialTable|TestModuleSnapshot' ./internal/dram/
+
+echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
+go test -count=1 -run 'TestCatalogDigests' ./internal/registry/
+
 echo "==> benchmark smoke (1 iteration)"
 go test -run '^$' -bench 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' -benchtime 1x ./internal/sram/ ./internal/analysis/
+go test -run '^$' -bench 'RandJump' -benchtime 1x ./internal/xrand/
 go test -run '^$' -bench 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' -benchtime 1x ./internal/soc/ ./internal/cache/ ./internal/kernel/
 go test -run '^$' -bench 'CPUStepGlitchDisarmed' -benchtime 1x ./internal/glitch/
 go test -run '^$' -bench 'CPUStepTraceDisarmed|CPUStepTraceArmed' -benchtime 1x ./internal/trace/
@@ -58,5 +67,6 @@ go test -run 'StepSteadyStateZeroAlloc' -count=1 ./internal/soc/
 go test -run 'StepGlitchDisarmedZeroAlloc' -count=1 ./internal/glitch/
 go test -run 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc' -count=1 ./internal/trace/
 go test -run 'AccessHitPathAllocFree|LineTransferAllocFree' -count=1 ./internal/cache/
+go test -run 'MaterializeZeroAlloc' -count=1 ./internal/sram/
 
 echo "OK"
