@@ -170,16 +170,26 @@ type Cache struct {
 	//voltvet:nosnap reusable fill/writeback buffer; holds no architectural content between calls
 	scratch []byte
 
-	// contentGen counts every event that can change what a fetch through
-	// this cache observes: fills, evictions, writes, maintenance ops, and
-	// enable toggles. The SoC's predecoded i-stream keys its entries on
-	// this counter (plus its own mutation counter), so any such event
-	// invalidates all predecoded instructions served through this cache.
-	// LRU touches do not bump it — they change replacement order, not
-	// content — which is what lets straight-line loops keep their
-	// predecode entries hot. Monotonic, derived state, never stored in
-	// SRAM.
+	// contentGen counts every event that can change what a predecoded
+	// fetch through this cache observes: fills, evictions, maintenance
+	// ops, enable toggles, and data writes into a line that served a
+	// predecoded fetch in the current generation (see fetchMark). The
+	// SoC's predecoded i-stream keys its entries on this counter (plus its
+	// own mutation counter), so any such event invalidates all predecoded
+	// instructions served through this cache. LRU touches do not bump it —
+	// they change replacement order, not content — which is what lets
+	// straight-line loops keep their predecode entries hot. Monotonic,
+	// derived state, never stored in SRAM.
 	contentGen uint64
+	// fetchMark[way·sets+set] == contentGen+1 marks a line that served a
+	// predecoded fetch since the last contentGen bump (MarkFetched). A
+	// predecode entry stays valid only while contentGen does not move, so
+	// a data write into an unmarked line cannot reach the content of any
+	// valid entry and leaves the generation alone; a write into a marked
+	// line bumps it. Any bump clears every mark at once, so the stamps
+	// never need resetting.
+	//voltvet:nosnap epoch stamps against contentGen; RestoreAux's contentGen bump clears every mark at once
+	fetchMark []uint64
 
 	// Single-entry way memo: the (tag, set) → way resolution of the most
 	// recent hit, stamped with the tag RAM's content generation. While the
@@ -218,6 +228,7 @@ func New(env *sim.Env, cfg Config, model sram.RetentionModel, seed uint64, backi
 		lockedWays: make([]bool, cfg.Ways),
 		lastUse:    make([][]uint64, cfg.Ways),
 		scratch:    make([]byte, cfg.LineBytes),
+		fetchMark:  make([]uint64, cfg.Ways*sets),
 		memoWay:    -1,
 	}
 	for w := range c.lastUse {
@@ -362,6 +373,26 @@ func (c *Cache) ResidentWaySet(addr uint64) (way, set int, ok bool) {
 	return w, s, w >= 0
 }
 
+// MarkFetched records that the line at (way, set) served a fetch the
+// predecoded i-stream cached: until the next content-generation bump, a
+// data write into it bumps the generation (see fetchMark).
+//
+//voltvet:hotpath
+func (c *Cache) MarkFetched(way, set int) {
+	c.fetchMark[way*c.sets+set] = c.contentGen + 1
+}
+
+// dataWritten accounts for a data write into (way, set): it bumps the
+// content generation only if the line served a predecoded fetch in the
+// current generation.
+//
+//voltvet:hotpath
+func (c *Cache) dataWritten(way, set int) {
+	if c.fetchMark[way*c.sets+set] == c.contentGen+1 {
+		c.contentGen++
+	}
+}
+
 //voltvet:hotpath
 func (c *Cache) lineAddr(tag uint64, set int) uint64 {
 	return (tag*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineBytes)
@@ -445,7 +476,7 @@ func (c *Cache) Access(addr uint64, size int, write bool, wdata uint64, secure b
 	if write {
 		c.dataRAM[w].WriteUintN(base, size, wdata)
 		c.markDirty(w, set)
-		c.contentGen++
+		c.dataWritten(w, set)
 		return 0, nil
 	}
 	return c.dataRAM[w].ReadUintN(base, size), nil
@@ -505,7 +536,7 @@ func (c *Cache) accessECC(w, set, base, size int, write bool, wdata uint64) (uin
 			arr.WriteUintN(wordBase+i, 4, uint64(ECCEncodeWord(dec)))
 		}
 		c.markDirty(w, set)
-		c.contentGen++
+		c.dataWritten(w, set)
 		return 0, nil
 	}
 	var v uint64
@@ -667,7 +698,7 @@ func (c *Cache) writeLineFast(addr uint64, buf []byte) error {
 		c.dataRAM[w].WriteBytes(set*c.cfg.LineBytes, buf)
 	}
 	c.setTagEntry(w, set, c.tagEntry(w, set)|tagDirtyBit)
-	c.contentGen++
+	c.dataWritten(w, set)
 	return nil
 }
 

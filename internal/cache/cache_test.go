@@ -674,3 +674,75 @@ func TestInlineECCWritebackDecodes(t *testing.T) {
 		t.Fatalf("writeback = %#x, want plain 0xFEEDFACE", v)
 	}
 }
+
+// TestDataWritesBumpOnlyFetchedLines pins the content-generation contract
+// the predecoded i-stream relies on: a data write — a store, an ECC
+// store, or a full-line writeback from an inner cache — bumps the
+// generation only if its line served a predecoded fetch (MarkFetched)
+// since the last bump, and every bump, RestoreAux's included, clears all
+// marks at once. Fills bump unconditionally.
+func TestDataWritesBumpOnlyFetchedLines(t *testing.T) {
+	for _, ecc := range []bool{false, true} {
+		cfg := paperL1D()
+		cfg.InlineECC = ecc
+		c, _, _ := newTestCache(t, cfg)
+		const code, data = 0x1000, 0x8000
+		for _, a := range []uint64{code, data} {
+			if _, err := c.Access(a, 8, false, 0, false); err != nil { // fill both lines
+				t.Fatal(err)
+			}
+		}
+		way, set, ok := c.ResidentWaySet(code)
+		if !ok {
+			t.Fatal("code line not resident after its fill")
+		}
+		line := make([]byte, cfg.LineBytes)
+		writes := []struct {
+			name  string
+			write func(addr uint64) error
+		}{
+			{"store", func(a uint64) error { _, err := c.Access(a, 4, true, 0xD503201F, false); return err }},
+			{"line writeback", func(a uint64) error { return c.WriteLine(a, line) }},
+		}
+		for _, w := range writes {
+			c.MarkFetched(way, set)
+			g := c.ContentGen()
+			if err := w.write(data); err != nil {
+				t.Fatal(err)
+			}
+			if c.ContentGen() != g {
+				t.Errorf("ecc=%v: %s into a line nobody fetched from bumped the generation", ecc, w.name)
+			}
+			if err := w.write(code); err != nil {
+				t.Fatal(err)
+			}
+			if c.ContentGen() != g+1 {
+				t.Errorf("ecc=%v: %s into a fetched line moved the generation by %d, want 1", ecc, w.name, c.ContentGen()-g)
+			}
+			// The bump cleared the mark: the next write leaves it alone.
+			if err := w.write(code); err != nil {
+				t.Fatal(err)
+			}
+			if c.ContentGen() != g+1 {
+				t.Errorf("ecc=%v: %s after a bump still sees the old mark", ecc, w.name)
+			}
+		}
+		snap := c.CaptureAux()
+		c.MarkFetched(way, set)
+		c.RestoreAux(snap)
+		g := c.ContentGen()
+		if _, err := c.Access(code, 8, true, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if c.ContentGen() != g {
+			t.Errorf("ecc=%v: a mark survived RestoreAux", ecc)
+		}
+		g = c.ContentGen()
+		if _, err := c.Access(0x20000, 8, true, 0, false); err != nil { // write miss: fill
+			t.Fatal(err)
+		}
+		if c.ContentGen() == g {
+			t.Errorf("ecc=%v: a write-allocate fill left the generation alone", ecc)
+		}
+	}
+}

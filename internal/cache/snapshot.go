@@ -7,10 +7,11 @@ package cache
 // replays bit-identically: LRU timestamps (they decide eviction order),
 // the enable and way-lock configuration, and the hit/miss statistics.
 //
-// The way memo and contentGen are deliberately NOT captured: both are
-// derived state. contentGen stays monotonic — RestoreAux bumps it, so
-// predecode stamps issued after the capture can never falsely validate
-// after the rewind — and the memo is simply dropped (its re-resolution
+// The way memo, contentGen and the fetch marks are deliberately NOT
+// captured: all three are derived state. contentGen stays monotonic —
+// RestoreAux bumps it, so predecode stamps issued after the capture can
+// never falsely validate after the rewind, and the same bump clears
+// every fetch mark — and the memo is simply dropped (its re-resolution
 // is invisible to replacement order, stats, and contents).
 
 // AuxSnapshot is the captured non-SRAM state of one Cache.

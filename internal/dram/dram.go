@@ -81,13 +81,17 @@ type Module struct {
 	//
 	// The table is write-once. Chunk c is drawn — allocated and filled by
 	// FillNormFloat32 from the module's retention stream at retCkpt[c] —
-	// the first time a resolution reads one of its bytes, and never
-	// changes afterwards: the values are a pure function of the module
-	// seed, identical to one eager in-order fill of the whole module. Most
-	// simulated SoCs only ever see zero-length DRAM outages and never draw
-	// any of it. The Volt Boot flow draws only the chunks its dump region
-	// and the payload's write-allocate line fills read; the chunks below
-	// are skipped, not drawn (see ensureRetention).
+	// the first time a resolution reads the retention of one of its
+	// bytes, and never changes afterwards: the values are a pure function
+	// of the module seed, identical to one eager in-order fill of the
+	// whole module. A resolution reads a byte's retention only when the
+	// byte differs from its ground value (decay toward ground leaves a
+	// ground byte unchanged), so most simulated SoCs never draw any of
+	// it: their outages are zero-length, or, as in the Volt Boot flow,
+	// every byte the post-outage code reads before writing it — the
+	// payload's write-allocate line fills of the never-written dump
+	// region — already holds its ground value. Chunks below a drawn one
+	// are skipped, not drawn (see drawRetChunk).
 	//voltvet:nosnap write-once table, a pure function of the module seed drawn from its own stream checkpoints; a restore has nothing to rewind
 	logRetention [][]float32
 	// retCkpt[c] is the retention stream's position (xoshiro state plus
@@ -127,9 +131,10 @@ type Module struct {
 	// about to be overwritten is unobservable. The attack's hot loop
 	// (power cycle, boot a payload, dump regions the payload just wrote)
 	// reads logRetention only where a line fill or a dump read lands on a
-	// byte no write has retired — the payload's write-allocate line fills
-	// of the dump region are the main case. resolved == nil means no
-	// outage is pending and every byte is materialized.
+	// non-ground byte no write has retired: the payload's write-allocate
+	// line fills of the dump region find it at ground and read none.
+	// resolved == nil means no outage is pending and every byte is
+	// materialized.
 	resolved   []uint64 // per-byte bitmap, 1 = materialized
 	unresolved int      // count of zero bits in resolved
 	outage     pendingOutage
@@ -181,18 +186,6 @@ const (
 	retChunkShift = 18
 	retChunk      = 1 << retChunkShift // 256 KiB
 )
-
-// ensureRetention draws every retention chunk overlapping bytes
-// [off, off+n) that is not drawn yet.
-//
-//voltvet:hotpath
-func (m *Module) ensureRetention(off, n int) {
-	for c, last := off>>retChunkShift, (off+n-1)>>retChunkShift; c <= last; c++ {
-		if m.logRetention[c] == nil {
-			m.drawRetChunk(c)
-		}
-	}
-}
 
 // drawRetChunk draws chunk c. The stream runs through the chunks in byte
 // order, so reaching chunk c's checkpoint first advances past every chunk
@@ -411,7 +404,9 @@ func (m *Module) resolveRange(off, n int) {
 
 // resolveSlow decides decay for every unresolved byte of [off, off+n)
 // against the pending outage, exactly as the eager walk would have: the
-// two float32 threshold compares, then the exact in-band recheck. The
+// two float32 threshold compares, then the exact in-band recheck. A byte
+// already at its ground value resolves without a decision — decayed or
+// not, it reads the same — so its retention is never read. The
 // module-wide retention bounds collapse the two extreme outages first —
 // a no-decay outage drops the whole deferral, a total-decay one (the
 // Volt Boot power cycle) restores ground without touching logRetention.
@@ -422,11 +417,9 @@ func (m *Module) resolveSlow(off, n int) {
 	// materialization rewrites bytes in place, and a per-decayed-byte mark
 	// would cost more than restoring a few extra clean pages.
 	m.markSnapRange(off, n)
-	// Draw only the retention chunks this resolution reads. The
-	// module-wide certificates need the complete table; with a partial one
-	// the per-byte predicate below decides each byte identically, just
+	// The module-wide certificates need the complete table; with a partial
+	// one the per-byte predicate below decides each byte identically, just
 	// without the wholesale shortcuts.
-	m.ensureRetention(off, n)
 	full := m.retDrawn == len(m.logRetention)
 	if full && m.minLogRet >= o.su {
 		// Even the leakiest byte outlives the outage: every unresolved byte
@@ -440,13 +433,20 @@ func (m *Module) resolveSlow(off, n int) {
 		if m.resolved[w]&bit != 0 {
 			continue
 		}
-		decays := fullDecay
-		if !fullDecay {
-			lr := m.logRetention[i>>retChunkShift][i&(retChunk-1)]
-			decays = lr < o.su && !(lr >= o.sl && o.elapsed < o.median*math.Exp(float64(lr)))
-		}
-		if decays {
-			m.data[i] = m.groundByte(i)
+		if g := m.groundByte(i); m.data[i] != g {
+			decays := fullDecay
+			if !fullDecay {
+				// Draw only the retention chunks a decision reads.
+				c := i >> retChunkShift
+				if m.logRetention[c] == nil {
+					m.drawRetChunk(c)
+				}
+				lr := m.logRetention[c][i&(retChunk-1)]
+				decays = lr < o.su && !(lr >= o.sl && o.elapsed < o.median*math.Exp(float64(lr)))
+			}
+			if decays {
+				m.data[i] = g
+			}
 		}
 		m.resolved[w] |= bit
 		m.unresolved--

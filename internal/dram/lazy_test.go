@@ -9,14 +9,74 @@ import (
 	"repro/internal/xrand"
 )
 
-// Differential oracles for the write-once retention table: chunks drawn
-// on demand, in any order, with the chunks below a read skipped rather
-// than drawn, must reproduce one eager in-order fill of the whole module
-// value for value, and a module that draws on demand must decay exactly
-// like one that drew its whole table first.
+// Differential oracles for the write-once retention table and deferred
+// decay resolution: chunks drawn on demand, in any order, with the chunks
+// below a read skipped rather than drawn, must reproduce one eager
+// in-order fill of the whole module value for value, and a module that
+// draws on demand must decay exactly like one that drew its whole table
+// first and like refModule, the plain per-byte reference.
 
 // lazyTestSize spans six full chunks plus a short final one.
 const lazyTestSize = 6*retChunk + 12345
+
+// ensureRetention draws every retention chunk overlapping bytes
+// [off, off+n) that is not drawn yet: the eager reference's whole-table
+// fill, and the tests' way to draw one chunk ahead of any resolution.
+func (m *Module) ensureRetention(off, n int) {
+	for c, last := off>>retChunkShift, (off+n-1)>>retChunkShift; c <= last; c++ {
+		if m.logRetention[c] == nil {
+			m.drawRetChunk(c)
+		}
+	}
+}
+
+// refModule is the plain reference for Module's decay: the whole
+// retention table drawn in one in-order fill, and every outage applied to
+// every byte at PowerOn with the original predicate, elapsed ≥
+// median·exp(lr) — no deferral, no certificates, no ground shortcut.
+type refModule struct {
+	env      *sim.Env
+	model    RetentionModel
+	data     []byte
+	logRet   []float32
+	offSince sim.Time
+	offTempK float64
+}
+
+// powerCycler is what the oracles take through an outage: a Module or
+// the reference.
+type powerCycler interface {
+	PowerOff()
+	PowerOn()
+}
+
+func newRefModule(env *sim.Env, name string, size int, model RetentionModel, seed uint64) *refModule {
+	r := &refModule{env: env, model: model, data: make([]byte, size), logRet: make([]float32, size)}
+	xrand.Derive(seed, "dram:"+name).FillNormFloat32(r.logRet, model.RetentionSigma)
+	for i := range r.data {
+		r.data[i] = r.ground(i)
+	}
+	return r
+}
+
+func (r *refModule) ground(i int) byte {
+	if (i/r.model.GroundBlockBytes)%2 == 1 {
+		return 0xFF
+	}
+	return 0x00
+}
+
+func (r *refModule) PowerOff() { r.offSince, r.offTempK = r.env.Now(), r.env.TemperatureK() }
+
+func (r *refModule) PowerOn() {
+	elapsed := float64(r.env.Now() - r.offSince)
+	median := float64(r.model.MedianRetentionAt(r.offTempK))
+	for i, lr := range r.logRet {
+		if !(elapsed < median*math.Exp(float64(lr))) {
+			r.data[i] = r.ground(i)
+		}
+	}
+}
 
 func TestRetentionChunksMatchEagerFill(t *testing.T) {
 	for _, seed := range []uint64{1, 0x5EED} {
@@ -38,12 +98,55 @@ func TestRetentionChunksMatchEagerFill(t *testing.T) {
 	}
 }
 
+// groundHeavyFill returns module contents with half the retention chunks
+// left at ground and the other half random, a quarter of their bytes
+// reset to the ground value: the mix that exercises resolution's
+// ground-byte shortcut, which an all-random fill almost never reaches.
+func groundHeavyFill(m *Module, seed uint64) []byte {
+	b := make([]byte, m.Size())
+	m.fillGround(b, 0)
+	r := xrand.New(seed)
+	for c := 1; c<<retChunkShift < len(b); c += 2 {
+		lo, hi := c<<retChunkShift, min((c+1)<<retChunkShift, len(b))
+		r.Bytes(b[lo:hi])
+		for i := lo; i < hi; i++ {
+			if r.Intn(4) == 0 {
+				b[i] = m.groundByte(i)
+			}
+		}
+	}
+	return b
+}
+
 // TestLazyModuleMatchesEager drives two same-seed modules — one drawing
-// retention chunks as reads reach them, one that drew the whole table at
-// construction — through outages from zero length to total loss, reads
-// at random offsets, writes, snapshot restores and a back-to-back outage,
-// and compares every read byte for byte.
+// retention chunks as resolutions read them, one that drew the whole
+// table at construction — and the plain reference through outages from
+// zero length to total loss, reads at random offsets, writes, snapshot
+// restores and a back-to-back outage, and compares every read byte for
+// byte. It runs over two inputs: all-random contents, and ground-heavy
+// contents whose ground bytes resolve without reading their retention.
 func TestLazyModuleMatchesEager(t *testing.T) {
+	inputs := []struct {
+		name string
+		fill func(m *Module, seed uint64) []byte
+	}{
+		{"random", func(m *Module, seed uint64) []byte {
+			b := make([]byte, m.Size())
+			xrand.New(seed).Bytes(b)
+			return b
+		}},
+		{"ground-heavy", groundHeavyFill},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			for _, seed := range []uint64{3, 0x5EED} {
+				checkLazyMatchesEager(t, seed, in.fill)
+			}
+		})
+	}
+}
+
+func checkLazyMatchesEager(t *testing.T, seed uint64, fillFn func(m *Module, seed uint64) []byte) {
 	outages := []struct {
 		tempC float64
 		off   sim.Time
@@ -55,66 +158,124 @@ func TestLazyModuleMatchesEager(t *testing.T) {
 		{-30, 25 * sim.Second},
 		{25, 3600 * sim.Second}, // total loss
 	}
-	for _, seed := range []uint64{3, 0x5EED} {
-		envL, envE := sim.NewQuietEnv(), sim.NewQuietEnv()
-		lazy := NewModule(envL, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
-		eager := NewModule(envE, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
-		eager.ensureRetention(0, lazyTestSize)
+	envL, envE, envR := sim.NewQuietEnv(), sim.NewQuietEnv(), sim.NewQuietEnv()
+	lazy := NewModule(envL, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
+	eager := NewModule(envE, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
+	eager.ensureRetention(0, lazyTestSize)
+	ref := newRefModule(envR, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
 
-		fill := make([]byte, lazyTestSize)
-		xrand.New(seed).Bytes(fill)
-		lazy.Write(0, fill)
-		eager.Write(0, fill)
-		snapL, snapE := lazy.CaptureSnapshot(), eager.CaptureSnapshot()
-		t0 := envL.Now()
+	fill := fillFn(lazy, seed)
+	lazy.Write(0, fill)
+	eager.Write(0, fill)
+	copy(ref.data, fill)
+	snapL, snapE, snapR := lazy.CaptureSnapshot(), eager.CaptureSnapshot(), bytes.Clone(ref.data)
+	t0 := envL.Now()
 
-		rng := xrand.New(seed ^ 0xA11CE)
-		compare := func(stage string, off, n int) {
-			t.Helper()
-			if got, want := lazy.Read(off, n), eager.Read(off, n); !bytes.Equal(got, want) {
-				t.Fatalf("seed %#x, %s: Read(%d, %d) differs from the eager-table module", seed, stage, off, n)
-			}
+	rng := xrand.New(seed ^ 0xA11CE)
+	compare := func(stage string, off, n int) {
+		t.Helper()
+		want := ref.data[off : off+n]
+		if got := lazy.Read(off, n); !bytes.Equal(got, want) {
+			t.Fatalf("seed %#x, %s: Read(%d, %d) differs from the plain reference", seed, stage, off, n)
 		}
-		outage := func(tempC float64, off sim.Time) {
-			for _, p := range []struct {
-				m *Module
-				e *sim.Env
-			}{{lazy, envL}, {eager, envE}} {
-				p.e.SetTemperatureC(tempC)
-				p.m.PowerOff()
-				p.e.Advance(off)
-				p.m.PowerOn()
-			}
+		if got := eager.Read(off, n); !bytes.Equal(got, want) {
+			t.Fatalf("seed %#x, %s: eager-table Read(%d, %d) differs from the plain reference", seed, stage, off, n)
 		}
-		for _, o := range outages {
-			outage(o.tempC, o.off)
-			stage := "outage " + o.off.String()
-			for k := 0; k < 48; k++ {
-				off := rng.Intn(lazyTestSize)
-				n := min(1+rng.Intn(3000), lazyTestSize-off)
-				if k%5 == 4 {
-					// Interleaved writes retire bytes before anything reads them.
-					b := make([]byte, n)
-					rng.Bytes(b)
-					lazy.Write(off, b)
-					eager.Write(off, b)
-					continue
-				}
-				compare(stage, off, n)
-			}
-			compare(stage+" full read", 0, lazyTestSize)
-			lazy.RestoreSnapshot(snapL)
-			eager.RestoreSnapshot(snapE)
-			envL.Rewind(t0, 25)
-			envE.Rewind(t0, 25)
-			compare(stage+" after restore", 0, lazyTestSize)
+	}
+	outage := func(tempC float64, off sim.Time) {
+		for _, p := range []struct {
+			m powerCycler
+			e *sim.Env
+		}{{lazy, envL}, {eager, envE}, {ref, envR}} {
+			p.e.SetTemperatureC(tempC)
+			p.m.PowerOff()
+			p.e.Advance(off)
+			p.m.PowerOn()
 		}
-		// Back to back: the second outage begins while the first one's
-		// resolution is still deferred, so PowerOff draws it all.
-		outage(25, 3*sim.Second)
-		compare("first of two outages", lazyTestSize-100, 100)
-		outage(25, 2*sim.Second)
-		compare("second of two outages", 0, lazyTestSize)
+	}
+	for _, o := range outages {
+		outage(o.tempC, o.off)
+		stage := "outage " + o.off.String()
+		for k := 0; k < 48; k++ {
+			off := rng.Intn(lazyTestSize)
+			n := min(1+rng.Intn(3000), lazyTestSize-off)
+			if k%5 == 4 {
+				// Interleaved writes retire bytes before anything reads them.
+				b := make([]byte, n)
+				rng.Bytes(b)
+				lazy.Write(off, b)
+				eager.Write(off, b)
+				copy(ref.data[off:], b)
+				continue
+			}
+			compare(stage, off, n)
+		}
+		compare(stage+" full read", 0, lazyTestSize)
+		lazy.RestoreSnapshot(snapL)
+		eager.RestoreSnapshot(snapE)
+		copy(ref.data, snapR)
+		for _, e := range []*sim.Env{envL, envE, envR} {
+			e.Rewind(t0, 25)
+		}
+		compare(stage+" after restore", 0, lazyTestSize)
+	}
+	// Back to back: the second outage begins while the first one's
+	// resolution is still deferred, so PowerOff resolves it all.
+	outage(25, 3*sim.Second)
+	compare("first of two outages", lazyTestSize-100, 100)
+	outage(25, 2*sim.Second)
+	compare("second of two outages", 0, lazyTestSize)
+}
+
+// TestGroundBytesDrawNoRetention pins where resolution reads retention:
+// only for bytes that differ from their ground value. Resolving a module
+// still at ground draws no chunk; non-ground bytes inside one chunk draw
+// that chunk alone, skipping (not drawing) the chunks below it, and
+// decay exactly as in the plain reference.
+func TestGroundBytesDrawNoRetention(t *testing.T) {
+	const seed = 0x5EED
+	env := sim.NewQuietEnv()
+	lazy := NewModule(env, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
+	ref := newRefModule(env, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
+	ground := bytes.Clone(ref.data)
+	outage := func() {
+		lazy.PowerOff()
+		ref.PowerOff()
+		env.Advance(3 * sim.Second) // about half of all bytes decay
+		lazy.PowerOn()
+		ref.PowerOn()
+	}
+
+	outage()
+	if got := lazy.Read(0, lazyTestSize); !bytes.Equal(got, ground) {
+		t.Fatal("a module at ground read back something else after an outage")
+	}
+	if lazy.retDrawn != 0 {
+		t.Fatalf("resolving an all-ground module drew %d retention chunks, want 0", lazy.retDrawn)
+	}
+
+	// Non-ground bytes in chunk c, written before the outage: those whose
+	// retention falls short decay, the rest survive.
+	const c = 4
+	off := c<<retChunkShift + 1000
+	pattern := bytes.Repeat([]byte{0x5A}, 256)
+	lazy.Write(off, pattern)
+	copy(ref.data[off:], pattern)
+	outage()
+	got, want := lazy.Read(0, lazyTestSize), ref.data
+	if !bytes.Equal(got, want) {
+		t.Fatal("resolution differs from the plain reference")
+	}
+	if bytes.Equal(want[off:off+len(pattern)], pattern) || bytes.Equal(want, ground) {
+		t.Fatal("the outage decayed all or none of the pattern; test is vacuous")
+	}
+	if lazy.retDrawn != 1 || lazy.logRetention[c] == nil {
+		t.Fatalf("drew %d chunks (chunk %d drawn: %v), want exactly chunk %d",
+			lazy.retDrawn, c, lazy.logRetention[c] != nil, c)
+	}
+	if len(lazy.retCkpt) != c+2 {
+		t.Fatalf("%d stream checkpoints after drawing chunk %d, want %d (chunks below skipped)",
+			len(lazy.retCkpt), c, c+2)
 	}
 }
 

@@ -45,8 +45,10 @@ func BenchmarkFigure8OSScenario(b *testing.B) {
 // BenchmarkTable4ArraySweep times the per-array extraction-accuracy
 // sweep: four array sizes, three reps each, every rep a fresh board
 // running the full workload + attack. The heaviest experiment in the
-// suite; it exercises the SRAM physics kernels, the DRAM retention
-// model and the analysis-side element matching together.
+// suite; it exercises the SRAM physics kernels, the dump payload's
+// L2-predecoded extraction loop and the analysis-side element matching
+// together. It draws no DRAM retention: every byte the post-cycle code
+// reads before writing it is still at its ground value.
 func BenchmarkTable4ArraySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Table4(testSeed); err != nil {

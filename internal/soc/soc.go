@@ -699,12 +699,17 @@ func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, 
 			if way, set, ok = c.L1I.ResidentWaySet(addr); !ok {
 				return // fetch raced a maintenance op; skip caching
 			}
+			c.L1I.MarkFetched(way, set)
 			mode = predecL1I
 		case s.L2 != nil && s.L2.Enabled():
 			var ok bool
 			if way, set, ok = s.L2.ResidentWaySet(addr); !ok {
 				return
 			}
+			// From here on a data write into this line (a store, or an L1D
+			// writeback) bumps the L2's content generation and retires the
+			// entry; writes into lines no entry was fetched from do not.
+			s.L2.MarkFetched(way, set)
 			mode = predecL2
 		default:
 			mode = predecDRAM
@@ -738,13 +743,16 @@ func (s *SoC) predecGen(c *Core, mode uint8) uint64 {
 	switch mode {
 	case predecL1I:
 		// Resident-line hits: only L1I content events (fills, evictions,
-		// writes, maintenance, enable toggles) or SoC-level mutations can
-		// change the outcome. Data-side store traffic does not — exactly
-		// like real hardware, where stale i-lines persist until IC IALLU.
+		// maintenance, enable toggles) or SoC-level mutations can change
+		// the outcome. Data-side store traffic does not — exactly like
+		// real hardware, where stale i-lines persist until IC IALLU.
 		return c.L1I.ContentGen() + s.mutGen
 	case predecL2:
 		// L1I's counter is included because re-enabling the L1I reroutes
-		// fetches away from the L2.
+		// fetches away from the L2. The L2's counter moves on stores only
+		// when they land in a line an entry was fetched from (see
+		// installPredec), so a payload streaming stores into data lines
+		// keeps its predecoded loop.
 		return c.L1I.ContentGen() + s.L2.ContentGen() + s.mutGen
 	case predecDRAM:
 		// Routing only: the instruction word itself is re-read and compared

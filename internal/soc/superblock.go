@@ -91,7 +91,8 @@ func sbTerminal(op isa.Op) bool {
 //     (iRAM stores).
 //   - predecL2: additionally the L2 content gen, which *loads* can move
 //     too — a data-side miss can fill the L2 — as can the writebacks of
-//     DC ZVA / DC CIVAC.
+//     DC ZVA / DC CIVAC. Stores move it only when they land in a line
+//     some predecode entry was fetched from (cache.MarkFetched).
 //
 // Stores, maintenance ops and MSR are flagged for every non-ROM mode
 // rather than split per counter: they are rare in hot loops, and one
@@ -220,11 +221,14 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 		// argument assumes happen between quanta, never inside a block.
 		// The injector detaches when its shot completes, so only the
 		// armed window pays for single-stepping. An attached trace probe
-		// single-steps for the same reason: each retired instruction
-		// must emit exactly one power sample, with fetch traffic landing
-		// on the bus probe per instruction, not batched per block. Both
-		// hooks detach when disarmed, so untraced runs keep the
-		// superblock fast path.
+		// single-steps too, so each retired instruction emits its one
+		// power sample on the per-instruction path. Fetch traffic reaches
+		// the bus probe only on predecode misses: FetchDecoded's hit path
+		// never calls TraceSink.BusAccess, so which fetches hit the
+		// predecoded i-stream shapes the trace. The SCA capture's unarmed
+		// warm-up pass relies on this to keep cold-miss fetches out of
+		// the measured trace (DESIGN.md §12). Both hooks detach when
+		// disarmed, so untraced runs keep the superblock fast path.
 		if cpu.Fault != nil || cpu.Sink != nil {
 			if err := cpu.Step(); err != nil {
 				return n, err

@@ -46,10 +46,13 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 go test -run 'TestSCACPARecoversKey' -count=1 ./internal/experiments/
 
-echo "==> exact skip paths: differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention)"
+echo "==> exact skip paths: differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode)"
 go test -count=1 -run 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 go test -count=1 -run 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
-go test -count=1 -run 'TestRetentionChunks|TestLazyModule|TestPartialTable|TestModuleSnapshot' ./internal/dram/
+go test -count=1 -run 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
+go test -count=1 -run 'TestDataWritesBumpOnlyFetchedLines' ./internal/cache/
+go test -count=1 -run 'TestSelfModifyingCodeThroughL2' ./internal/soc/
+go test -count=1 -run 'TestDumpPayloadFetchPathsAgree' ./internal/core/
 
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 go test -count=1 -run 'TestCatalogDigests' ./internal/registry/
@@ -60,7 +63,7 @@ go test -run '^$' -bench 'RandJump' -benchtime 1x ./internal/xrand/
 go test -run '^$' -bench 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' -benchtime 1x ./internal/soc/ ./internal/cache/ ./internal/kernel/
 go test -run '^$' -bench 'CPUStepGlitchDisarmed' -benchtime 1x ./internal/glitch/
 go test -run '^$' -bench 'CPUStepTraceDisarmed|CPUStepTraceArmed' -benchtime 1x ./internal/trace/
-go test -run '^$' -bench 'Figure7ColdBoot|Figure8OSScenario' -benchtime 1x ./internal/experiments/
+go test -run '^$' -bench 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep' -benchtime 1x ./internal/experiments/
 
 echo "==> allocation-free fast-path gates"
 go test -run 'StepSteadyStateZeroAlloc' -count=1 ./internal/soc/
