@@ -1,10 +1,9 @@
-# Development entry points. `make check` is the full gate that CI (and
-# scripts/check.sh) runs; the individual targets exist for fast local
-# iteration.
+# Development entry points. `make check` runs scripts/check.sh, the full
+# CI gate; the individual targets exist for fast local iteration.
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench-smoke bench check
+.PHONY: all build vet lint test race bench check
 
 all: check
 
@@ -32,13 +31,9 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# One-iteration smoke over the hot-path micro-benchmarks: catches
-# benchmark bit-rot without paying for a full measurement run.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes' -benchtime 1x ./internal/sram/ ./internal/analysis/
-
 # Full measurement run (slow): every table and figure as a benchmark.
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-check: vet lint build race bench-smoke
+check:
+	sh scripts/check.sh

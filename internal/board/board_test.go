@@ -103,7 +103,7 @@ func TestVoltBootRetentionAtBoardLevel(t *testing.T) {
 	core := b.SoC.Cores[0]
 	core.L1D.Arrays()[0].Fill(0xC5)
 	before := core.L1D.DumpWay(0)
-	regBefore := core.RegFile.Array().Snapshot()
+	regBefore := core.CPU.Regs.Snapshot()
 
 	psu := power.NewBenchSupply(env, "bench", 0, 3.5)
 	if err := b.AttachProbe("TP15", psu); err != nil {
@@ -116,7 +116,7 @@ func TestVoltBootRetentionAtBoardLevel(t *testing.T) {
 	if hd := analysis.FractionalHD(before, core.L1D.DumpWay(0)); hd != 0 {
 		t.Fatalf("probed L1D lost data: HD %v", hd)
 	}
-	if hd := analysis.FractionalHD(regBefore, core.RegFile.Array().Snapshot()); hd != 0 {
+	if hd := analysis.FractionalHD(regBefore, core.CPU.Regs.Snapshot()); hd != 0 {
 		t.Fatalf("probed register file lost data: HD %v", hd)
 	}
 }

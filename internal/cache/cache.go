@@ -60,6 +60,7 @@ type Config struct {
 // InlineECC cache: the word XOR-folded with a parity-derived mask,
 // standing in for the undocumented data+ECC interleaving. It is an
 // involution-free bijection per word; ECCDecodeWord inverts it.
+//
 //voltvet:hotpath
 func ECCEncodeWord(w uint32) uint32 {
 	return w ^ eccMask(w)
@@ -69,12 +70,14 @@ func ECCEncodeWord(w uint32) uint32 {
 // number of times in the mask, so the XOR-fold of a stored word equals
 // the fold of the original — the mask can be re-derived from the stored
 // image directly.
+//
 //voltvet:hotpath
 func ECCDecodeWord(stored uint32) uint32 {
 	return stored ^ eccMask(stored)
 }
 
 // eccMask derives the per-word scramble from parity folds of the word.
+//
 //voltvet:hotpath
 func eccMask(w uint32) uint32 {
 	p := w ^ w>>16
@@ -87,6 +90,7 @@ func eccMask(w uint32) uint32 {
 }
 
 // Sets returns the number of sets implied by the geometry.
+//
 //voltvet:hotpath
 func (c Config) Sets() int { return c.SizeBytes / c.Ways / c.LineBytes }
 
@@ -254,6 +258,7 @@ func (c *Cache) Arrays() []*sram.Array {
 }
 
 // Enabled reports whether the cache allocates.
+//
 //voltvet:hotpath
 func (c *Cache) Enabled() bool { return c.enabled }
 
@@ -267,6 +272,7 @@ func (c *Cache) SetEnabled(on bool) {
 
 // ContentGen returns the monotonic content-generation counter. See the
 // field comment; consumers treat any change as "refetch everything".
+//
 //voltvet:hotpath
 func (c *Cache) ContentGen() uint64 { return c.contentGen }
 
@@ -315,6 +321,7 @@ func (c *Cache) lookup(tag uint64, set int) int {
 
 // victim picks the way to replace in set, honouring locks. Invalid ways
 // win first; otherwise the least recently used unlocked way.
+//
 //voltvet:hotpath
 func (c *Cache) victim(set int) (int, error) {
 	for w := 0; w < c.cfg.Ways; w++ {
@@ -366,6 +373,7 @@ func (c *Cache) TouchFetchHit(way, set int) {
 // ResidentWaySet probes, without side effects, whether addr is resident
 // and in which (way, set). The predecoded i-stream keys its entries on
 // the answer.
+//
 //voltvet:hotpath
 func (c *Cache) ResidentWaySet(addr uint64) (way, set int, ok bool) {
 	tag, s, _ := c.index(addr)
@@ -400,6 +408,7 @@ func (c *Cache) lineAddr(tag uint64, set int) uint64 {
 
 // fill brings the line containing addr into (tag,set) and returns the
 // way. Dirty victims are written back first.
+//
 //voltvet:hotpath
 func (c *Cache) fill(tag uint64, set int, secure bool) (int, error) {
 	w, err := c.victim(set)
@@ -552,6 +561,7 @@ func (c *Cache) accessECC(w, set, base, size int, write bool, wdata uint64) (uin
 }
 
 // eccEncodeLine scrambles a line buffer in place for InlineECC storage.
+//
 //voltvet:hotpath
 func eccEncodeLine(buf []byte) {
 	for i := 0; i+4 <= len(buf); i += 4 {
@@ -562,6 +572,7 @@ func eccEncodeLine(buf []byte) {
 }
 
 // eccDecodeLine unscrambles a line buffer in place (writebacks).
+//
 //voltvet:hotpath
 func eccDecodeLine(buf []byte) {
 	for i := 0; i+4 <= len(buf); i += 4 {
@@ -604,6 +615,7 @@ func (c *Cache) bypass(addr uint64, size int, write bool, wdata uint64) (uint64,
 // identical: the same line is resident afterwards with the same content,
 // and collapsing eight consecutive LRU touches of one (way, set) into one
 // preserves the relative recency order that victim selection depends on.
+//
 //voltvet:hotpath
 func (c *Cache) ReadLine(addr uint64, buf []byte) error {
 	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
@@ -651,6 +663,7 @@ func (c *Cache) readLineFast(addr uint64, buf []byte) error {
 // line goes through a single allocate-and-overwrite instead of eight
 // read-modify-write Accesses; the fill-on-write-miss is kept so the
 // victim choice and writeback sequence match the word loop exactly.
+//
 //voltvet:hotpath
 func (c *Cache) WriteLine(addr uint64, buf []byte) error {
 	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
@@ -730,6 +743,7 @@ func (c *Cache) CleanInvalidateAll() error {
 
 // InvalidateAll clears every valid bit without writing anything back
 // (IC IALLU semantics for i-caches). Data RAM contents are untouched.
+//
 //voltvet:hotpath
 func (c *Cache) InvalidateAll() {
 	c.contentGen++
@@ -745,6 +759,7 @@ func (c *Cache) InvalidateAll() {
 
 // CleanInvalidateVA cleans and invalidates the single line containing
 // addr, if present (DC CIVAC).
+//
 //voltvet:hotpath
 func (c *Cache) CleanInvalidateVA(addr uint64) error {
 	tag, set, _ := c.index(addr)
@@ -771,6 +786,7 @@ func (c *Cache) CleanInvalidateVA(addr uint64) error {
 // ZeroLineVA implements DC ZVA: allocate the line containing addr and
 // write zeros into its data RAM. This is the only maintenance operation
 // that modifies data RAM contents (§5.2.4) — and it is d-cache only.
+//
 //voltvet:hotpath
 func (c *Cache) ZeroLineVA(addr uint64, secure bool) error {
 	if !c.enabled {
@@ -829,6 +845,7 @@ type LineInfo struct {
 }
 
 // Line returns the tag metadata for (way, set).
+//
 //voltvet:hotpath
 func (c *Cache) Line(way, set int) LineInfo {
 	return ParseTagEntry(c.tagEntry(way, set), set, c.cfg)
@@ -838,6 +855,7 @@ func (c *Cache) Line(way, set int) LineInfo {
 // line metadata for the given set and cache geometry — the attacker-side
 // post-processing that turns a tag dump into the *addresses* of the
 // stolen lines.
+//
 //voltvet:hotpath
 func ParseTagEntry(e uint64, set int, cfg Config) LineInfo {
 	li := LineInfo{
@@ -856,6 +874,7 @@ func ParseTagEntry(e uint64, set int, cfg Config) LineInfo {
 // exactly as the RAMINDEX debug operation does: no hit/miss logic, no
 // valid-bit check. wordIndex counts 64-bit words from the start of the
 // way (set·wordsPerLine + wordInLine).
+//
 //voltvet:hotpath
 func (c *Cache) RAMIndexData(way, wordIndex int) (uint64, error) {
 	if way < 0 || way >= c.cfg.Ways {
@@ -868,6 +887,7 @@ func (c *Cache) RAMIndexData(way, wordIndex int) (uint64, error) {
 }
 
 // RAMIndexTag reads the raw tag entry for (way, set) via the debug path.
+//
 //voltvet:hotpath
 func (c *Cache) RAMIndexTag(way, set int) (uint64, error) {
 	if way < 0 || way >= c.cfg.Ways || set < 0 || set >= c.sets {
@@ -879,6 +899,7 @@ func (c *Cache) RAMIndexTag(way, set int) (uint64, error) {
 // SecureLineAt reports whether the line holding the data-RAM word at
 // wordIndex of way is a valid secure (NS=0) allocation — used by the
 // TrustZone countermeasure to veto RAMINDEX reads.
+//
 //voltvet:hotpath
 func (c *Cache) SecureLineAt(way, wordIndex int) bool {
 	set := wordIndex * 8 / c.cfg.LineBytes

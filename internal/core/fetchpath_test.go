@@ -64,10 +64,10 @@ func captureDumpRun(t *testing.T, b *board.Board) dumpRunState {
 		var x [31]uint64
 		var v [32][2]uint64
 		for i := range x {
-			x[i] = c.RegFile.ReadX(i)
+			x[i] = c.CPU.X(i)
 		}
 		for i := range v {
-			v[i] = c.RegFile.ReadV(i)
+			v[i] = c.CPU.V(i)
 		}
 		st.regs = append(st.regs, x)
 		st.vregs = append(st.vregs, v)
@@ -117,7 +117,7 @@ func TestDumpPayloadFetchPathsAgree(t *testing.T) {
 	ref := bootDumpPayload(t, spec)
 	s := ref.SoC
 	for _, c := range s.Cores {
-		cpu := isa.NewCPU(c.ID, c.RegFile, plainBus{s}, s)
+		cpu := isa.NewCPU(c.ID, c.CPU.Regs, plainBus{s}, s)
 		cpu.RestoreState(c.CPU.CaptureState())
 		c.CPU = cpu
 		for !cpu.Halted {

@@ -56,6 +56,7 @@ func DefaultRetentionModel() RetentionModel {
 
 // MedianRetentionAt returns the median retention time at the given
 // absolute temperature.
+//
 //voltvet:hotpath
 func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 	if kelvin <= 0 {
@@ -67,7 +68,7 @@ func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 
 // Module is one DRAM device (or rank): a byte array with decay physics.
 type Module struct {
-	name  string
+	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
 	env   *sim.Env
 	model RetentionModel
@@ -259,6 +260,7 @@ func (m *Module) Name() string { return m.name }
 func (m *Module) Size() int { return len(m.data) }
 
 // Powered reports whether the module is receiving power (and refresh).
+//
 //voltvet:hotpath
 func (m *Module) Powered() bool { return m.powered }
 
@@ -268,6 +270,7 @@ func (m *Module) Powered() bool { return m.powered }
 func (m *Module) Gen() uint64 { return m.gen }
 
 // groundByte is the value byte i decays toward.
+//
 //voltvet:hotpath
 func (m *Module) groundByte(i int) byte {
 	if (i/m.model.GroundBlockBytes)%2 == 1 {
@@ -278,6 +281,7 @@ func (m *Module) groundByte(i int) byte {
 
 // PowerOff stops power and refresh at the current simulation time and
 // temperature. Subsequent PowerOn resolves decay over the interval.
+//
 //voltvet:hotpath
 func (m *Module) PowerOff() {
 	if !m.powered {
@@ -308,6 +312,7 @@ func (m *Module) PowerOff() {
 // the per-byte Exp loop. The module-wide retention bounds captured at
 // construction short-circuit the common attack case (a millisecond-scale
 // cycle that no DRAM byte can lose) to O(1).
+//
 //voltvet:hotpath
 func (m *Module) PowerOn() {
 	if m.powered {
@@ -369,6 +374,7 @@ func (m *Module) PowerOn() {
 }
 
 // dropPending releases the deferral state once every byte is materialized.
+//
 //voltvet:hotpath
 func (m *Module) dropPending() {
 	m.resolved = nil
@@ -377,6 +383,7 @@ func (m *Module) dropPending() {
 
 // resolveAll materializes every still-unresolved byte (the eager walk the
 // deferral postponed), used before a new outage begins.
+//
 //voltvet:hotpath
 func (m *Module) resolveAll() {
 	if m.resolved != nil {
@@ -410,6 +417,7 @@ func (m *Module) resolveRange(off, n int) {
 // module-wide retention bounds collapse the two extreme outages first —
 // a no-decay outage drops the whole deferral, a total-decay one (the
 // Volt Boot power cycle) restores ground without touching logRetention.
+//
 //voltvet:hotpath
 func (m *Module) resolveSlow(off, n int) {
 	o := &m.outage
@@ -501,6 +509,7 @@ func (m *Module) markRange(off, n int) {
 // threshold has no finite satisfying value; returning +Inf (respectively
 // NaN→+Inf) makes lr >= s false for every finite lr, matching the float64
 // comparison's outcome.
+//
 //voltvet:hotpath
 func leastFloat32Satisfying(t float64, orEqual bool) float32 {
 	sat := func(s float32) bool { //voltvet:ignore VV-HOT003 non-escaping predicate closure: the search helper only invokes it, so it stays on the stack
@@ -548,6 +557,7 @@ func (m *Module) Write(off int, b []byte) {
 // WriteUintN stores the low size bytes of v little-endian at offset off,
 // 1 ≤ size ≤ 8 — the allocation-free subword store the SoC uses when no
 // cache sits between the core and the module.
+//
 //voltvet:hotpath
 func (m *Module) WriteUintN(off, size int, v uint64) {
 	m.check("WriteUintN", off, size)
@@ -564,6 +574,7 @@ func (m *Module) WriteUintN(off, size int, v uint64) {
 
 // ReadUintN loads size bytes little-endian from offset off, 1 ≤ size ≤ 8,
 // without allocating.
+//
 //voltvet:hotpath
 func (m *Module) ReadUintN(off, size int) uint64 {
 	m.check("ReadUintN", off, size)
@@ -588,6 +599,7 @@ func (m *Module) Read(off, n int) []byte {
 }
 
 // ReadLine implements the cache.Backing contract for line fills.
+//
 //voltvet:hotpath
 func (m *Module) ReadLine(addr uint64, buf []byte) error {
 	if !m.powered {
@@ -602,6 +614,7 @@ func (m *Module) ReadLine(addr uint64, buf []byte) error {
 }
 
 // WriteLine implements the cache.Backing contract for writebacks.
+//
 //voltvet:hotpath
 func (m *Module) WriteLine(addr uint64, buf []byte) error {
 	if !m.powered {

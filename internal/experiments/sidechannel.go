@@ -365,8 +365,8 @@ type SCACPAResult struct {
 	Window     int    `json:"window"`
 	// AttackWindow is the correlated prefix: the captured window
 	// clamped to the victim's round-0 extent.
-	AttackWindow int     `json:"attack_window"`
-	NoiseSigma   float64 `json:"noise_sigma"`
+	AttackWindow int            `json:"attack_window"`
+	NoiseSigma   float64        `json:"noise_sigma"`
 	TrueKey      string         `json:"true_key"`
 	RecoveredKey string         `json:"recovered_key"`
 	Recovered    bool           `json:"recovered"`

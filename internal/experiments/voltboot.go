@@ -426,7 +426,7 @@ func Section72(seed uint64, spec soc.DeviceSpec) (*Section72Result, error) {
 		return nil, err
 	}
 	// Also plant a marker in an X register to confirm firmware clobbers it.
-	b.SoC.Cores[0].CPU.Regs.WriteX(17, 0x5EC4E7)
+	b.SoC.Cores[0].CPU.SetX(17, 0x5EC4E7)
 	ext, err := core.VoltBootRegisters(b, core.DefaultAttackConfig())
 	if err != nil {
 		return nil, err
@@ -452,7 +452,7 @@ func Section72(seed uint64, spec soc.DeviceSpec) (*Section72Result, error) {
 		}
 		res.RegistersIntact = append(res.RegistersIntact, intact)
 	}
-	res.XRegsClobbered = b.SoC.Cores[0].CPU.Regs.ReadX(17) != 0x5EC4E7
+	res.XRegsClobbered = b.SoC.Cores[0].CPU.X(17) != 0x5EC4E7
 	return res, nil
 }
 

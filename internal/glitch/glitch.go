@@ -100,6 +100,7 @@ type Pulse struct {
 // design guardband absorbs the sag), 1 at or below 55 % (every path
 // misses timing), linear between — the monotone ramp the glitching
 // literature measures between "no effect" and "reset/crash" depths.
+//
 //voltvet:hotpath
 func FaultProbability(volts, nominal float64) float64 {
 	hi := 0.92 * nominal
@@ -176,11 +177,12 @@ func New(dom *power.Domain, cpu *isa.CPU) *Glitcher {
 }
 
 // Arm programs one shot: trigger, pulse, and the seed for this shot's
-// fault draws. The glitcher attaches itself to the CPU (one nil check
-// per instruction while armed; the SoC's superblock dispatcher also
-// falls back to per-instruction stepping so the pulse edges land
-// between exact instructions). It detaches again when the pulse closes,
-// on Finish, or on Disarm.
+// fault draws. The glitcher attaches itself to the CPU's hooks
+// (isa.CPU.AttachFault), which makes the SoC's superblock dispatcher
+// single-step the core so the pulse edges land between exact
+// instructions. It detaches again when the pulse closes, on Finish, or
+// on Disarm; a trace capturer attached to the same core stays attached
+// either way.
 func (g *Glitcher) Arm(t Trigger, p Pulse, seed uint64) {
 	if p.Width == 0 {
 		p.Width = 1
@@ -194,12 +196,13 @@ func (g *Glitcher) Arm(t Trigger, p Pulse, seed uint64) {
 	g.armInstret = g.cpu.Instret
 	g.trigInstret = 0
 	g.faults = g.faults[:0]
-	g.cpu.Fault = g
+	g.cpu.AttachFault(g)
 }
 
 // Disarm cancels the shot: if the pulse is open it closes (the clock
 // advances by the pulse width, the rail re-resolves), and the glitcher
 // detaches from the CPU.
+//
 //voltvet:hotpath
 func (g *Glitcher) Disarm() {
 	if g.inPulse {
@@ -209,9 +212,7 @@ func (g *Glitcher) Disarm() {
 	// at the trailing edge goes through here too, and callers score the
 	// trial (Finish, Fired) after that.
 	g.armed = false
-	if g.cpu.Fault == g {
-		g.cpu.Fault = nil
-	}
+	g.cpu.DetachFault(g) //voltvet:ignore VV-HOT004 runs once per shot, at the pulse's trailing edge, not per instruction; a pointer boxes into the interface without allocating
 }
 
 // Finish ends a trial: like Disarm, but also reports whether the
@@ -237,6 +238,7 @@ func (g *Glitcher) Faults() []FaultRecord { return g.faults }
 // closePulse ends the voltage pulse: the simulation clock advances by
 // the pulse width (instructions ≈ nanoseconds) and the rail re-resolves
 // to its sources.
+//
 //voltvet:hotpath
 func (g *Glitcher) closePulse() {
 	g.inPulse = false
@@ -246,6 +248,7 @@ func (g *Glitcher) closePulse() {
 // triggerHit evaluates the trigger against the pre-instruction CPU
 // state (PC at the instruction about to execute, Instret counting its
 // retired predecessors).
+//
 //voltvet:hotpath
 func (g *Glitcher) triggerHit(c *isa.CPU) bool {
 	switch g.trig.Kind {
@@ -263,6 +266,7 @@ func (g *Glitcher) triggerHit(c *isa.CPU) bool {
 // OnInstr implements isa.FaultInjector: the per-instruction state
 // machine. Instruction i (counted from the trigger instruction as 0) is
 // inside the pulse iff Offset <= i < Offset+Width.
+//
 //voltvet:hotpath
 func (g *Glitcher) OnInstr(c *isa.CPU, in isa.Instr) isa.FaultDecision {
 	if !g.armed {
@@ -314,6 +318,7 @@ func (g *Glitcher) OnInstr(c *isa.CPU, in isa.Instr) isa.FaultDecision {
 // available, corrupt only for ops with a GPR destination, wrong-branch
 // only for branches — illegal picks degrade to skip, the mode every
 // timing violation can produce.
+//
 //voltvet:hotpath
 func decide(op isa.Op, u uint64) isa.FaultDecision {
 	d := isa.FaultDecision{Bit: uint8(u>>8) & 63}

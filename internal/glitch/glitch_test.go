@@ -12,6 +12,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/soc"
 	"repro/internal/sram"
+	"repro/internal/trace"
 )
 
 const (
@@ -370,7 +371,7 @@ func TestPulseRailExcursion(t *testing.T) {
 	b := newBench(t, 0x5EED, true)
 	nominal := b.s.CoreDom.NominalVolts()
 	floor := sram.DefaultRetentionModel().RetentionThreshold()
-	regfile := b.s.Cores[0].RegFile.Array()
+	regfile := b.s.Cores[0].CPU.Regs
 	// Glitch the very first fetch so the pulse is open immediately.
 	b.g.Arm(glitch.Trigger{Kind: glitch.TriggerFetchAddr, Addr: b.rom.Entry},
 		glitch.Pulse{Offset: 0, Width: 64, Depth: nominal}, 1)
@@ -406,4 +407,164 @@ func TestFaultProbabilityRamp(t *testing.T) {
 			t.Errorf("FaultProbability(%.3f) = %.4f, want %.4f", c.volts, got, c.want)
 		}
 	}
+}
+
+// TestRestoreBeforeArmDetachesGlitcher: restoring a snapshot taken
+// before Arm resets the glitcher to its disarmed baseline. It must not
+// report a pending shot, and the restored run must execute unglitched.
+func TestRestoreBeforeArmDetachesGlitcher(t *testing.T) {
+	b := newBench(t, 0x5EED, true)
+	snap := b.s.CaptureSnapshot()
+	b.g.Arm(glitch.Trigger{Kind: glitch.TriggerFetchAddr, Addr: b.rom.BranchPC}, fullDepth, 1)
+	b.s.RestoreSnapshot(snap)
+	if b.g.Armed() {
+		t.Error("glitcher still reports Armed after restoring a snapshot taken before Arm")
+	}
+	if err := b.boot(t); err != nil {
+		t.Fatal(err)
+	}
+	if b.g.Fired() || len(b.g.Faults()) != 0 || b.bypassed() {
+		t.Fatalf("restored-disarmed glitcher acted on the run: fired=%v faults=%v", b.g.Fired(), b.g.Faults())
+	}
+}
+
+// sharedCoreRun is what an armed glitcher and capturer on one core
+// leave behind.
+type sharedCoreRun struct {
+	trialRecord
+	Samples []float32
+}
+
+// finishShared runs the bench to completion and records the trial.
+func finishShared(t *testing.T, b *bench, c *trace.Capturer) sharedCoreRun {
+	t.Helper()
+	if err := b.boot(t); err != nil {
+		t.Fatal(err)
+	}
+	return sharedCoreRun{
+		trialRecord: trialRecord{
+			Halted:  b.cpu.Halted,
+			Code:    b.cpu.HaltCode,
+			Status:  b.readU64(testStatusAddr),
+			Proof:   b.readU64(testProofAddr),
+			Instret: b.cpu.Instret,
+			Faults:  append([]glitch.FaultRecord(nil), b.g.Faults()...),
+		},
+		Samples: append([]float32(nil), c.Samples()...),
+	}
+}
+
+// TestGlitcherAndCapturerShareCore arms a glitcher and a trace capturer
+// on the same core, where they share one hook. It pins the order the
+// hooked execution body keeps: the capturer records one sample per
+// committed instruction and none per faulted one; disarming either
+// observer leaves the other attached; and a snapshot taken with both
+// attached restores both.
+func TestGlitcherAndCapturerShareCore(t *testing.T) {
+	pulse := glitch.Pulse{Offset: 0, Width: 12, Depth: 0.5}
+	setup := func(t *testing.T) (*bench, *trace.Capturer, glitch.Trigger) {
+		b := newBench(t, 0x5EED, true)
+		c, err := trace.New(b.s, 0, int(testRunBudget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, c, glitch.Trigger{Kind: glitch.TriggerFetchAddr, Addr: b.rom.HashDonePC}
+	}
+
+	t.Run("faulted instructions emit no sample", func(t *testing.T) {
+		b, c, trig := setup(t)
+		start := b.cpu.Instret
+		c.Arm()
+		b.g.Arm(trig, pulse, 3)
+		run := finishShared(t, b, c)
+		c.Disarm()
+		b.g.Finish()
+		if len(run.Faults) == 0 {
+			t.Fatal("the pulse injected no fault; the faulted path went unexercised")
+		}
+		if want := int(run.Instret-start) - len(run.Faults); len(run.Samples) != want {
+			t.Fatalf("captured %d samples; %d instructions retired with %d faulted, want %d",
+				len(run.Samples), run.Instret-start, len(run.Faults), want)
+		}
+	})
+
+	t.Run("disarming the glitcher keeps the capturer", func(t *testing.T) {
+		b, c, trig := setup(t)
+		start := b.cpu.Instret
+		c.Arm()
+		b.g.Arm(trig, pulse, 3)
+		b.g.Disarm()
+		run := finishShared(t, b, c)
+		if !c.Armed() || len(run.Faults) != 0 {
+			t.Fatalf("capturer armed=%v, faults %v after disarming the glitcher", c.Armed(), run.Faults)
+		}
+		if got, want := len(run.Samples), int(run.Instret-start); got != want || got == 0 {
+			t.Fatalf("captured %d samples over %d retired instructions", got, want)
+		}
+	})
+
+	t.Run("disarming the capturer keeps the glitcher", func(t *testing.T) {
+		b, c, trig := setup(t)
+		c.Arm()
+		b.g.Arm(trig, pulse, 3)
+		c.Disarm()
+		run := finishShared(t, b, c)
+		if !b.g.Fired() || len(run.Faults) == 0 {
+			t.Fatalf("glitcher fired=%v with %d faults after disarming the capturer", b.g.Fired(), len(run.Faults))
+		}
+		if len(run.Samples) != 0 {
+			t.Fatalf("disarmed capturer recorded %d samples", len(run.Samples))
+		}
+	})
+
+	t.Run("a snapshot restores both", func(t *testing.T) {
+		b, c, trig := setup(t)
+		c.Arm()
+		b.g.Arm(trig, pulse, 3)
+		for !b.g.Fired() {
+			if err := b.cpu.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ { // into the pulse
+			if err := b.cpu.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cursor := len(c.Samples())
+		faults := len(b.g.Faults())
+		snap := b.s.CaptureSnapshot()
+		first := finishShared(t, b, c)
+		c.Disarm()
+		b.g.Finish()
+
+		// Restores retire the predecoded i-stream except mask-ROM
+		// entries, and a predecode hit emits no fetch traffic (DESIGN.md
+		// §12), so the first run's samples differ from any replay's; the
+		// replays must agree with each other, and the architectural
+		// outcome with the first run.
+		var replays [2]sharedCoreRun
+		for i := range replays {
+			b.s.RestoreSnapshot(snap)
+			if !c.Armed() || len(c.Samples()) != cursor {
+				t.Fatalf("restore left capturer armed=%v at cursor %d, want armed at %d", c.Armed(), len(c.Samples()), cursor)
+			}
+			if !b.g.Armed() || !b.g.Fired() || len(b.g.Faults()) != faults {
+				t.Fatalf("restore left glitcher armed=%v fired=%v with %d faults, want armed, fired, %d",
+					b.g.Armed(), b.g.Fired(), len(b.g.Faults()), faults)
+			}
+			replays[i] = finishShared(t, b, c)
+			c.Disarm()
+			b.g.Finish()
+		}
+		if !reflect.DeepEqual(first.trialRecord, replays[0].trialRecord) {
+			t.Fatalf("replay from the shared snapshot diverged:\n  first:  %+v\n  replay: %+v", first.trialRecord, replays[0].trialRecord)
+		}
+		if !reflect.DeepEqual(replays[0], replays[1]) {
+			t.Fatal("two replays from the shared snapshot captured different traces")
+		}
+		if len(first.Faults) <= faults {
+			t.Fatal("no fault landed after the snapshot; the replay did not exercise the pulse")
+		}
+	})
 }

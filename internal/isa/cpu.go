@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sram"
+)
 
 // Bus is the CPU's memory port. In an SoC the bus routes accesses through
 // the L1 caches, L2, and on to DRAM or iRAM; the core index lets shared
@@ -52,40 +56,6 @@ type SysOps interface {
 	Barrier(core int)
 }
 
-// RegBacking is the storage behind the architectural register file. The
-// SoC backs it with an SRAM array in the core power domain so that
-// register contents obey the same retention physics as caches — the
-// mechanism behind the §7.2 vector-register attack.
-type RegBacking interface {
-	ReadX(i int) uint64
-	WriteX(i int, v uint64)
-	ReadV(i int) [2]uint64
-	WriteV(i int, v [2]uint64)
-}
-
-// PlainRegs is a RegBacking held in ordinary memory, for tests and tools
-// that do not need retention physics.
-type PlainRegs struct {
-	X [31]uint64
-	V [32][2]uint64
-}
-
-// ReadX implements RegBacking.
-//voltvet:hotpath
-func (p *PlainRegs) ReadX(i int) uint64 { return p.X[i] }
-
-// WriteX implements RegBacking.
-//voltvet:hotpath
-func (p *PlainRegs) WriteX(i int, v uint64) { p.X[i] = v }
-
-// ReadV implements RegBacking.
-//voltvet:hotpath
-func (p *PlainRegs) ReadV(i int) [2]uint64 { return p.V[i] }
-
-// WriteV implements RegBacking.
-//voltvet:hotpath
-func (p *PlainRegs) WriteV(i int, v [2]uint64) { p.V[i] = v }
-
 // Flags is the NZCV condition flag set.
 type Flags struct {
 	N, Z, C, V bool
@@ -101,30 +71,26 @@ type CPU struct {
 	// at EL3, matching the paper's requirement for RAMINDEX access.
 	EL int
 
-	PC      uint64
-	Flags   Flags
-	Regs    RegBacking
+	PC    uint64
+	Flags Flags
+	// Regs is the core's register file: an SRAM array in the core power
+	// domain, so register contents obey the same retention physics as
+	// the caches (the mechanism behind the §7.2 vector-register attack).
+	// Layout: X0–X30 at 8·i, V0–V31 at regVBase+16·i (see RegFileBytes).
+	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC's allArrays
+	Regs    *sram.Array
 	BusPort Bus
 	Sys     SysOps
 	// decBus is BusPort's DecodedBus view when it has one, captured once
 	// at construction so Step avoids a per-instruction type assertion.
 	decBus DecodedBus
 
-	// Fault, when non-nil, is consulted before every instruction and may
-	// replace its execution with an injected fault (see FaultInjector).
-	// Nil for a CPU with no glitcher attached: the hot path pays exactly
-	// one nil check.
-	Fault FaultInjector
-
-	// Sink, when non-nil, receives one power sample per retired
-	// instruction (see TraceSink) — the hot half of the power-trace
-	// capture tap. Nil for a CPU with no capturer armed: like Fault,
-	// the disarmed cost is one nil check. Probe is the matching cold
-	// half — the capturer's snapshot handle — and the two are always
-	// attached and detached together.
-	//voltvet:nosnap tap binding rebound by RestoreState from the live capturer (nil when disarmed); not recorded state
-	Sink  *TraceSink
-	Probe TraceProbe
+	// Hooks is the one instrumentation seam the step path tests (see
+	// hooks.go): it points at hooks while a fault injector or a trace
+	// sink is attached and is nil otherwise. Only the Attach/Detach
+	// methods and RestoreState change either.
+	Hooks *Hooks
+	hooks Hooks
 
 	// Halted is set by HLT; HaltCode carries its immediate.
 	Halted   bool
@@ -144,9 +110,22 @@ type CPU struct {
 	NSLocked bool
 }
 
-// NewCPU builds a core with the given backing stores. A bus that also
-// implements DecodedBus gets its predecoded fetch path used by Step.
-func NewCPU(id int, regs RegBacking, bus Bus, sys SysOps) *CPU {
+// Register-file layout inside the register SRAM array: the 31
+// general-purpose registers first, then the 32 128-bit vector registers.
+const (
+	regVBase = 256 // 31×8 = 248 bytes of X registers, padded to 256
+	// RegFileBytes is the smallest register array NewCPU accepts:
+	// 256 + 32×16 = 768 bytes.
+	RegFileBytes = regVBase + 32*16
+)
+
+// NewCPU builds a core over the register array regs (at least
+// RegFileBytes bytes). A bus that also implements DecodedBus gets its
+// predecoded fetch path used by Step.
+func NewCPU(id int, regs *sram.Array, bus Bus, sys SysOps) *CPU {
+	if regs.Bytes() < RegFileBytes {
+		panic("isa: register array too small")
+	}
 	c := &CPU{ID: id, EL: 3, Regs: regs, BusPort: bus, Sys: sys}
 	if db, ok := bus.(DecodedBus); ok {
 		c.decBus = db
@@ -155,7 +134,7 @@ func NewCPU(id int, regs RegBacking, bus Bus, sys SysOps) *CPU {
 }
 
 // Reset prepares the core to run from entry at EL3 with cleared flags.
-// It does NOT clear the register backing store: register SRAM has no
+// It does NOT clear the register file: register SRAM has no
 // reset hardware (§5.2.4) — whatever the cells hold, the core boots with.
 func (c *CPU) Reset(entry uint64) {
 	c.PC = entry
@@ -168,35 +147,60 @@ func (c *CPU) Reset(entry uint64) {
 }
 
 // X reads general-purpose register i (XZR reads as zero).
+//
 //voltvet:hotpath
 func (c *CPU) X(i int) uint64 {
 	if i == XZR {
 		return 0
 	}
-	return c.Regs.ReadX(i) //voltvet:ignore VV-HOT006 pluggable regfile seam (PlainRegs vs the SoC-owned file); kept for probe instrumentation
+	return c.Regs.ReadUint64(8 * i)
 }
 
 // SetX writes general-purpose register i (writes to XZR are discarded).
+// The write itself lives in writeX so SetX stays inlinable.
+//
 //voltvet:hotpath
 func (c *CPU) SetX(i int, v uint64) {
 	if i == XZR {
 		return
 	}
-	c.Regs.WriteX(i, v) //voltvet:ignore VV-HOT006 pluggable regfile seam (PlainRegs vs the SoC-owned file); kept for probe instrumentation
+	c.writeX(i, v)
+}
+
+// writeX stores a GPR writeback, first feeding an attached trace sink
+// the flop toggles — tapped before the cells are overwritten, so the
+// dying value is one cell peek away.
+//
+//voltvet:hotpath
+func (c *CPU) writeX(i int, v uint64) {
+	if h := c.Hooks; h != nil && h.Sink != nil {
+		h.Sink.RegWrite(c.Regs.PeekUint64(8*i), v)
+	}
+	c.Regs.WriteUint64(8*i, v)
 }
 
 // Secure reports whether the core is in the TrustZone secure state
 // (SCR_NS == 0 and not locked out of it).
+//
 //voltvet:hotpath
 func (c *CPU) Secure() bool { return !c.NSLocked && c.scrNS == 0 }
 
 // V reads vector register i.
+//
 //voltvet:hotpath
-func (c *CPU) V(i int) [2]uint64 { return c.Regs.ReadV(i) } //voltvet:ignore VV-HOT006 pluggable regfile seam (PlainRegs vs the SoC-owned file); kept for probe instrumentation
+func (c *CPU) V(i int) [2]uint64 {
+	base := regVBase + 16*i
+	return [2]uint64{c.Regs.ReadUint64(base), c.Regs.ReadUint64(base + 8)}
+}
 
 // SetV writes vector register i.
+//
 //voltvet:hotpath
-func (c *CPU) SetV(i int, v [2]uint64) { c.Regs.WriteV(i, v) } //voltvet:ignore VV-HOT006 pluggable regfile seam (PlainRegs vs the SoC-owned file); kept for probe instrumentation
+func (c *CPU) SetV(i int, v [2]uint64) {
+	base := regVBase + 16*i
+	c.Regs.WriteUint64(base, v[0])
+	c.Regs.WriteUint64(base+8, v[1])
+}
 
 // UndefinedError reports execution of an undecodable word — e.g. a core
 // branching into uninitialized SRAM.
@@ -291,13 +295,8 @@ func (c *CPU) Step() error {
 //
 //voltvet:hotpath
 func (c *CPU) ExecDecoded(in Instr, word uint32) error {
-	if c.Fault != nil {
-		if d := c.Fault.OnInstr(c, in); d.Kind != FaultNone { //voltvet:ignore VV-HOT006 per-instruction fault hook; a direct glitch dependency would cycle the import graph
-			return c.execFaulted(in, word, d)
-		}
-	}
-	if c.Sink != nil {
-		return c.execProbed(in, word)
+	if c.Hooks != nil {
+		return c.execHooked(in, word)
 	}
 	return c.exec(in, word)
 }

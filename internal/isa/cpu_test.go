@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/sram"
 )
 
 // flatBus is a simple flat-memory Bus + SysOps for CPU unit tests.
@@ -96,12 +99,21 @@ func (b *flatBus) loadWords(addr uint64, words []uint32) {
 	}
 }
 
+// plainRegs is a powered, zeroed register array for CPUs that need no
+// retention physics.
+func plainRegs() *sram.Array {
+	a := sram.NewArray(sim.NewEnv(), "test.regfile", RegFileBytes*8, sram.DefaultRetentionModel(), 0)
+	a.SetRail(1.0)
+	a.Fill(0)
+	return a
+}
+
 func newTestCPU(t testing.TB, words []uint32) *CPU {
 	t.Helper()
 	bus := newFlatBus(1 << 20)
 	base := uint64(0x80000)
 	bus.loadWords(base, words)
-	cpu := NewCPU(0, &PlainRegs{}, bus, bus)
+	cpu := NewCPU(0, plainRegs(), bus, bus)
 	cpu.Reset(base)
 	return cpu
 }
@@ -324,7 +336,7 @@ func TestSysRegs(t *testing.T) {
     `)
 	bus := newFlatBus(1 << 20)
 	bus.loadWords(0x80000, words)
-	cpu := NewCPU(2, &PlainRegs{}, bus, bus)
+	cpu := NewCPU(2, plainRegs(), bus, bus)
 	cpu.Reset(0x80000)
 	if _, err := cpu.Run(100); err != nil {
 		t.Fatal(err)
@@ -359,7 +371,7 @@ func TestRAMIndexPath(t *testing.T) {
 		}
 		return 0xCAFEBABE, false
 	}
-	cpu := NewCPU(0, &PlainRegs{}, bus, bus)
+	cpu := NewCPU(0, plainRegs(), bus, bus)
 	cpu.Reset(0x80000)
 	if _, err := cpu.Run(100); err != nil {
 		t.Fatal(err)
@@ -386,7 +398,7 @@ func TestRAMIndexFaultSetsStatus(t *testing.T) {
 	bus := newFlatBus(1 << 20)
 	bus.loadWords(0x80000, words)
 	// default ramindexF faults
-	cpu := NewCPU(0, &PlainRegs{}, bus, bus)
+	cpu := NewCPU(0, plainRegs(), bus, bus)
 	cpu.Reset(0x80000)
 	if _, err := cpu.Run(100); err != nil {
 		t.Fatal(err)
@@ -406,7 +418,7 @@ func TestCacheMaintenanceOps(t *testing.T) {
     `)
 	bus := newFlatBus(1 << 20)
 	bus.loadWords(0x80000, words)
-	cpu := NewCPU(0, &PlainRegs{}, bus, bus)
+	cpu := NewCPU(0, plainRegs(), bus, bus)
 	cpu.Reset(0x80000)
 	if _, err := cpu.Run(100); err != nil {
 		t.Fatal(err)
@@ -430,7 +442,7 @@ func TestSCRNSRequiresEL3(t *testing.T) {
     `)
 	bus := newFlatBus(1 << 20)
 	bus.loadWords(0x80000, words)
-	cpu := NewCPU(0, &PlainRegs{}, bus, bus)
+	cpu := NewCPU(0, plainRegs(), bus, bus)
 	cpu.Reset(0x80000)
 	cpu.EL = 1
 	if _, err := cpu.Run(100); err == nil {
@@ -487,11 +499,10 @@ func TestMemoryFaultPropagates(t *testing.T) {
 
 func TestResetPreservesRegisterBacking(t *testing.T) {
 	// The paper's §7.2 mechanism: reset must not clear register SRAM.
-	regs := &PlainRegs{}
-	regs.WriteV(7, [2]uint64{0xAAAA, 0xBBBB})
 	bus := newFlatBus(1 << 20)
 	bus.loadWords(0, []uint32{Instr{Op: OpHLT}.Encode()})
-	cpu := NewCPU(0, regs, bus, bus)
+	cpu := NewCPU(0, plainRegs(), bus, bus)
+	cpu.SetV(7, [2]uint64{0xAAAA, 0xBBBB})
 	cpu.Reset(0)
 	if v := cpu.V(7); v[0] != 0xAAAA || v[1] != 0xBBBB {
 		t.Fatalf("Reset clobbered vector register backing: %v", v)

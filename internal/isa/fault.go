@@ -14,9 +14,9 @@ package isa
 //   - FaultWrongBranch: a branch resolves to the opposite decision (the
 //     condition evaluation misses timing).
 //
-// The injector is consulted through a single nil check, so a CPU with
-// no injector attached pays one predictable branch on the hot path and
-// nothing else — the disarmed glitcher is free.
+// The injector rides CPU.Hooks (see hooks.go), so a CPU with nothing
+// attached pays one predictable branch on the hot path and nothing
+// else — the disarmed glitcher is free.
 
 // FaultKind classifies one injected fault.
 type FaultKind uint8
@@ -79,6 +79,7 @@ type FaultInjector interface {
 
 // HasGPRDest reports whether op writes a general-purpose destination
 // register (Rd) — the ops FaultCorrupt can visibly disturb.
+//
 //voltvet:hotpath
 func HasGPRDest(op Op) bool {
 	switch op {
@@ -93,6 +94,7 @@ func HasGPRDest(op Op) bool {
 
 // IsBranch reports whether op can redirect the PC — the ops
 // FaultWrongBranch can invert.
+//
 //voltvet:hotpath
 func IsBranch(op Op) bool {
 	switch op {
@@ -106,6 +108,7 @@ func IsBranch(op Op) bool {
 // path retires exactly one instruction (PC advances, Instret++), so a
 // faulted stream stays architecturally well-formed — the corruption is
 // in the results, not the pipeline model.
+//
 //voltvet:hotpath
 func (c *CPU) execFaulted(in Instr, word uint32, d FaultDecision) error {
 	switch d.Kind {

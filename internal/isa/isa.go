@@ -136,6 +136,7 @@ var sysregNames = map[uint32]string{
 }
 
 // SysRegName returns the assembler name of a system register id.
+//
 //voltvet:hotpath
 func SysRegName(id uint32) string {
 	if s, ok := sysregNames[id]; ok {
@@ -194,6 +195,7 @@ func RAMIndexRequest(ramID uint64, way, wordIndex int) uint64 {
 }
 
 // UnpackRAMIndex splits a RAMINDEX request word.
+//
 //voltvet:hotpath
 func UnpackRAMIndex(req uint64) (ramID uint64, way, wordIndex int) {
 	return req >> RAMIndexIDShift,
@@ -304,6 +306,7 @@ func (in Instr) Encode() uint32 {
 }
 
 // accessSize returns the memory access width in bytes for a load/store op.
+//
 //voltvet:hotpath
 func accessSize(op Op) int {
 	switch op {
@@ -330,6 +333,7 @@ func signExtend(v uint32, bits uint) int64 {
 // with Op == OpInvalid; the CPU raises an undefined-instruction error when
 // executing one, which is exactly what happens when a core branches into
 // retained-but-random SRAM.
+//
 //voltvet:hotpath
 func Decode(word uint32) Instr {
 	op := Op(word >> opShift & opMask)

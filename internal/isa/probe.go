@@ -3,15 +3,15 @@ package isa
 import "math/bits"
 
 // TraceSink is the sample buffer an armed power-trace capturer shares
-// with the hardware it taps: the core's retire path, the register
-// file's writeback path, and the SoC interconnect all write switching
-// activity straight into the sink's fields. It is a concrete struct —
-// not an interface — deliberately: the armed emit path runs once per
-// retired instruction, and direct, inlinable field arithmetic is what
-// keeps the armed step overhead inside its budget. The capturer in
-// internal/trace owns the sink and attaches a pointer to it at each
-// tap point on Arm; a detached (nil) sink costs each tap one nil
-// check, the same discipline as the fault hook.
+// with the hardware it taps: the core's retire and GPR writeback paths
+// and the SoC interconnect all write switching activity straight into
+// the sink's fields. It is a concrete struct — not an interface —
+// deliberately: the armed emit path runs once per retired instruction,
+// and direct, inlinable field arithmetic is what keeps the armed step
+// overhead inside its budget. The capturer in internal/trace owns the
+// sink and attaches it with CPU.AttachTrace on Arm; every tap reaches
+// it through CPU.Hooks, so a core with nothing attached costs each tap
+// one nil check.
 //
 // All activity terms are integer popcounts accumulated exactly; the
 // single float32 rounding happens in Retire, in one fixed order, which
@@ -88,20 +88,11 @@ func (s *TraceSink) Retire() {
 // internal/trace.
 type TraceProbe interface {
 	// CaptureState returns an opaque snapshot of the probe's internal
-	// state (arm flag, sample cursor, recorded samples); RestoreState
-	// rewinds to it and rebinds the probe's sink attachments.
+	// state (arm flag, sample cursor, recorded samples).
 	CaptureState() any
-	RestoreState(st any)
-}
-
-// execProbed is exec with the retire tap. Faulting instructions emit
-// no sample — the trace records work the core actually committed.
-//
-//voltvet:hotpath
-func (c *CPU) execProbed(in Instr, word uint32) error {
-	err := c.exec(in, word)
-	if err == nil {
-		c.Sink.Retire()
-	}
-	return err
+	// RestoreState rewinds to a state from CaptureState and returns the
+	// sink the core must feed: the probe's sink if that state was armed,
+	// nil if not. A nil argument resets the probe to its disarmed
+	// baseline.
+	RestoreState(st any) *TraceSink
 }

@@ -2,7 +2,8 @@ package isa
 
 // CPUState is the architectural flop state of one core — everything a
 // snapshot must rewind that does not live in the SRAM-backed register
-// file (registers ride along with the regfile array's own snapshot).
+// file (registers ride along with the Regs array's own snapshot) — plus
+// the hooks attached at capture time.
 type CPUState struct {
 	EL        int
 	PC        uint64
@@ -52,16 +53,19 @@ func (c *CPU) CaptureState() CPUState {
 		SCRNS:     c.scrNS,
 		NSLocked:  c.NSLocked,
 	}
-	if c.Fault != nil {
-		st.Fault = &faultSnap{inj: c.Fault, st: c.Fault.CaptureState()}
+	if f := c.hooks.Fault; f != nil {
+		st.Fault = &faultSnap{inj: f, st: f.CaptureState()}
 	}
-	if c.Probe != nil {
-		st.Probe = &probeSnap{probe: c.Probe, st: c.Probe.CaptureState()}
+	if p := c.hooks.Probe; p != nil {
+		st.Probe = &probeSnap{probe: p, st: p.CaptureState()}
 	}
 	return st
 }
 
-// RestoreState rewinds the core's flop state to st.
+// RestoreState rewinds the core's flop state to st and re-attaches the
+// hooks attached at capture time. A hook attached now but absent from
+// st is reset to its disarmed baseline (RestoreState(nil)) before it is
+// detached, so no observer is left believing it is armed.
 func (c *CPU) RestoreState(st CPUState) {
 	c.EL = st.EL
 	c.PC = st.PC
@@ -74,18 +78,19 @@ func (c *CPU) RestoreState(st CPUState) {
 	c.scrNS = st.SCRNS
 	c.NSLocked = st.NSLocked
 	if st.Fault != nil {
-		c.Fault = st.Fault.inj
-		c.Fault.RestoreState(st.Fault.st)
-	} else {
-		c.Fault = nil
+		c.hooks.Fault = st.Fault.inj
+		c.hooks.Fault.RestoreState(st.Fault.st)
+	} else if c.hooks.Fault != nil {
+		c.hooks.Fault.RestoreState(nil)
+		c.hooks.Fault = nil
 	}
 	if st.Probe != nil {
-		// RestoreState rebinds the capturer's sink attachments (this
-		// core's Sink included) to match the captured arm state.
-		c.Probe = st.Probe.probe
-		c.Probe.RestoreState(st.Probe.st)
-	} else {
-		c.Probe = nil
-		c.Sink = nil
+		c.hooks.Probe = st.Probe.probe
+		c.hooks.Sink = c.hooks.Probe.RestoreState(st.Probe.st)
+	} else if c.hooks.Probe != nil {
+		c.hooks.Probe.RestoreState(nil)
+		c.hooks.Probe = nil
+		c.hooks.Sink = nil
 	}
+	c.rehook()
 }

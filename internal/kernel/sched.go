@@ -68,10 +68,10 @@ func (sc *Scheduler) Processes() []*Process { return sc.procs }
 func (sc *Scheduler) saveContext(p *Process) {
 	cpu := sc.soc.Cores[sc.core].CPU
 	for i := 0; i < 31; i++ {
-		p.savedX[i] = cpu.Regs.ReadX(i)
+		p.savedX[i] = cpu.X(i)
 	}
 	for i := 0; i < 32; i++ {
-		p.savedV[i] = cpu.Regs.ReadV(i)
+		p.savedV[i] = cpu.V(i)
 	}
 	p.savedPC = cpu.PC
 	p.savedFlags = cpu.Flags
@@ -83,10 +83,10 @@ func (sc *Scheduler) saveContext(p *Process) {
 func (sc *Scheduler) restoreContext(p *Process) {
 	cpu := sc.soc.Cores[sc.core].CPU
 	for i := 0; i < 31; i++ {
-		cpu.Regs.WriteX(i, p.savedX[i])
+		cpu.SetX(i, p.savedX[i])
 	}
 	for i := 0; i < 32; i++ {
-		cpu.Regs.WriteV(i, p.savedV[i])
+		cpu.SetV(i, p.savedV[i])
 	}
 	cpu.PC = p.savedPC
 	cpu.Flags = p.savedFlags

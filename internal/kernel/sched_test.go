@@ -111,7 +111,7 @@ func TestRegisterFileHoldsCurrentProcessAtCut(t *testing.T) {
 		want = 0xBBBBBBBBBBBBBBBB
 	}
 	// Physically inspect the register SRAM (what Volt Boot would dump).
-	got := s.Cores[0].RegFile.ReadV(0)
+	got := s.Cores[0].CPU.V(0)
 	if got[0] != want {
 		t.Fatalf("register file V0 = %#x, want %#x (process %d on-core)", got[0], want, current)
 	}

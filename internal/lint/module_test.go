@@ -105,7 +105,7 @@ var formerHotpathChain = []string{
 	"(*repro/internal/isa.CPU).ExecDecoded",
 	"(*repro/internal/isa.CPU).Step",
 	"(*repro/internal/isa.CPU).exec",
-	"(*repro/internal/isa.CPU).execProbed",
+	"(*repro/internal/isa.CPU).execHooked",
 	"(*repro/internal/isa.TraceSink).BusAccess",
 	"(*repro/internal/isa.TraceSink).RegWrite",
 	"(*repro/internal/isa.TraceSink).Retire",
@@ -117,8 +117,8 @@ var formerHotpathChain = []string{
 	"(*repro/internal/soc.SoC).predecGen",
 	"(*repro/internal/soc.SoC).runSuperblock",
 	"(*repro/internal/soc.SoC).updateHistoryBuffers",
-	"(*repro/internal/soc.RegFile).ReadX",
-	"(*repro/internal/soc.RegFile).WriteX",
+	"(*repro/internal/isa.CPU).X",
+	"(*repro/internal/isa.CPU).writeX",
 	"(*repro/internal/cache.Cache).Access",
 	"(*repro/internal/cache.Cache).TouchFetchHit",
 	"(*repro/internal/cache.Cache).accessECC",

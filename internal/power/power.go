@@ -62,7 +62,7 @@ type Load interface {
 // behaviour that matches how an attached probe at nominal voltage simply
 // takes over when the regulator output collapses.
 type Domain struct {
-	name    string
+	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
 	env     *sim.Env
 	nominal float64
@@ -70,9 +70,9 @@ type Domain struct {
 	// experience the disconnect current surge (§6).
 	suppliesCores bool
 	//voltvet:nosnap rail fan-out wiring assembled at board build; each load restores its own electrical state
-	loads         []Load
-	sources       []Source
-	volts         float64
+	loads   []Load
+	sources []Source
+	volts   float64
 	// ActiveDrawAmps is the domain's demand while the system runs
 	// (§6: 400–600 mA through TP15 on a busy Pi 4); RetentionDrawAmps is
 	// the SRAM-only leakage once everything else is down (§6: ~8 mA).
@@ -110,6 +110,7 @@ func (d *Domain) sourcesUpExcept(skip Source) bool {
 func (d *Domain) Name() string { return d.name }
 
 // NominalVolts returns the domain's nominal operating voltage.
+//
 //voltvet:hotpath
 func (d *Domain) NominalVolts() float64 { return d.nominal }
 
@@ -117,6 +118,7 @@ func (d *Domain) NominalVolts() float64 { return d.nominal }
 func (d *Domain) SuppliesCores() bool { return d.suppliesCores }
 
 // Volts returns the instantaneous rail voltage.
+//
 //voltvet:hotpath
 func (d *Domain) Volts() float64 { return d.volts }
 
@@ -169,6 +171,7 @@ func (d *Domain) RemoveSource(s Source) {
 // Reresolve recomputes the rail voltage from the currently offered source
 // voltages and pushes it to every load. Call after any source changes
 // state.
+//
 //voltvet:hotpath
 func (d *Domain) Reresolve() {
 	best := 0.0
@@ -207,6 +210,7 @@ func (d *Domain) Droop(sagVolts float64, duration sim.Time) {
 // steps instructions inside the pulse and closes it with PulseEnd.
 // Loads see the falling edge at once, so SRAM decay bookkeeping on the
 // glitched domain covers exactly the pulse window.
+//
 //voltvet:hotpath
 func (d *Domain) PulseDown(sagVolts float64) {
 	if sagVolts < 0 {
@@ -219,6 +223,7 @@ func (d *Domain) PulseDown(sagVolts float64) {
 // PulseEnd closes a glitch pulse opened by PulseDown: the clock advances
 // by the pulse width and the rail re-resolves to whatever its sources
 // offer, pushing the rising edge to every load.
+//
 //voltvet:hotpath
 func (d *Domain) PulseEnd(width sim.Time) {
 	d.env.Advance(width)
@@ -239,6 +244,7 @@ type Regulator struct {
 }
 
 // OfferedVolts implements Source.
+//
 //voltvet:hotpath
 func (r *Regulator) OfferedVolts() float64 {
 	if r.enabled && r.pmic.inputPresent {
@@ -266,14 +272,14 @@ func (r *Regulator) SetEnabled(on bool) {
 // PMIC is the external power-management IC: a set of regulator channels
 // fed from one input supply (battery or USB).
 type PMIC struct {
-	name         string
+	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
 	env          *sim.Env
 	inputPresent bool
 	//voltvet:nosnap restored element-wise through the channel pointers; the slice itself is wiring
-	channels     []*Regulator
+	channels []*Regulator
 	//voltvet:nosnap channel-to-domain wiring built at board assembly; never changes afterwards
-	domains      map[*Regulator]*Domain
+	domains map[*Regulator]*Domain
 }
 
 // NewPMIC creates a PMIC with no channels; input power starts absent.
@@ -419,6 +425,7 @@ func NewBenchSupply(env *sim.Env, name string, volts, maxAmps float64) *BenchSup
 }
 
 // OfferedVolts implements Source.
+//
 //voltvet:hotpath
 func (b *BenchSupply) OfferedVolts() float64 {
 	if b.attached {

@@ -47,10 +47,10 @@ type PearsonAcc struct {
 	// n is the trace count; sx/sxx are per-sample trace sums; sh/shh
 	// are per-guess hypothesis sums; shx is the [256][W] cross-sum,
 	// flattened guess-major.
-	n        float64
-	sx, sxx  []float64
-	sh, shh  [256]float64
-	shx      []float64
+	n       float64
+	sx, sxx []float64
+	sh, shh [256]float64
+	shx     []float64
 }
 
 // NewPearsonAcc builds an accumulator over a window of w samples.

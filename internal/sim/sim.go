@@ -48,6 +48,7 @@ func (t Time) String() string {
 }
 
 // CelsiusToKelvin converts a temperature in degrees Celsius to Kelvin.
+//
 //voltvet:hotpath
 func CelsiusToKelvin(c float64) float64 { return c + 273.15 }
 
@@ -77,11 +78,13 @@ func NewQuietEnv() *Env {
 }
 
 // Now returns the current simulation time.
+//
 //voltvet:hotpath
 func (e *Env) Now() Time { return e.now }
 
 // Advance moves the clock forward by d. It panics on negative durations:
 // simulated time never runs backwards.
+//
 //voltvet:hotpath
 func (e *Env) Advance(d Time) {
 	if d < 0 {
@@ -102,10 +105,12 @@ func (e *Env) Rewind(now Time, tempC float64) {
 }
 
 // TemperatureC returns the ambient temperature in degrees Celsius.
+//
 //voltvet:hotpath
 func (e *Env) TemperatureC() float64 { return e.tempC }
 
 // TemperatureK returns the ambient temperature in Kelvin.
+//
 //voltvet:hotpath
 func (e *Env) TemperatureK() float64 { return CelsiusToKelvin(e.tempC) }
 
@@ -134,6 +139,7 @@ func (e *Env) SetLog(l *EventLog) { e.log = l }
 // is attached the call returns before any formatting or event allocation
 // happens; callers assembling expensive arguments should additionally
 // gate on LogEnabled.
+//
 //voltvet:hotpath
 func (e *Env) Logf(subsystem, format string, args ...any) {
 	if e.log == nil {
@@ -163,6 +169,7 @@ type EventLog struct {
 func NewEventLog() *EventLog { return &EventLog{} }
 
 // Add appends an event.
+//
 //voltvet:hotpath
 func (l *EventLog) Add(at Time, subsystem, message string) {
 	l.events = append(l.events, Event{At: at, Subsystem: subsystem, Message: message})

@@ -49,14 +49,13 @@ type Options struct {
 	TCGReset bool
 }
 
-// Core bundles one CPU with its private caches, register file and
-// microarchitectural buffers.
+// Core bundles one CPU (which owns its register-file SRAM array, Regs)
+// with its private caches and microarchitectural buffers.
 type Core struct {
-	ID      int
-	CPU     *isa.CPU
-	L1I     *cache.Cache
-	L1D     *cache.Cache
-	RegFile *RegFile
+	ID  int
+	CPU *isa.CPU
+	L1I *cache.Cache
+	L1D *cache.Cache
 	// TLB and BTB are small SRAM-backed history buffers in the core
 	// power domain, readable via RAMINDEX like every other internal RAM.
 	// TLB entries record recently translated page numbers; BTB entries
@@ -189,12 +188,6 @@ type SoC struct {
 	// barriers counts DSB/ISB executions (the §6.1 payload requirement).
 	barriers uint64
 
-	// traceSink, when non-nil, receives every bus access's switching
-	// activity — the memory-traffic half of power-trace capture. Nil
-	// when no capturer is armed: the access hot path pays one nil check.
-	//voltvet:nosnap tap binding owned by the armed trace.Capturer, which snapshots its own capture state
-	traceSink *isa.TraceSink
-
 	// mutGen counts SoC-level events that can mutate instruction memory
 	// behind the predecode cache's back: boots (ROM scratchpad, MBIST,
 	// VideoCore, payload load), orderly shutdowns, JTAG and CPU iRAM
@@ -207,18 +200,6 @@ type SoC struct {
 var _ isa.Bus = (*SoC)(nil)
 var _ isa.DecodedBus = (*SoC)(nil)
 var _ isa.SysOps = (*SoC)(nil)
-
-// SetTraceSink attaches (or, with nil, detaches) the power-trace sink
-// that observes every access reaching the SoC interconnect: data loads
-// and stores, instruction fetches that miss the predecode cache, and
-// cache-maintenance traffic. The tap is strictly read-only — it leaves
-// cache state, history buffers, and memory contents untouched — and
-// allocation-free: it sits inside the //voltvet:hotpath access choke
-// point. Predecode hits never reach the interconnect and so never
-// reach the sink; a cached i-stream burns no bus power, which is
-// exactly the sample model internal/trace documents. One sink at a
-// time: trace capture owns the slot while armed.
-func (s *SoC) SetTraceSink(sink *isa.TraceSink) { s.traceSink = sink }
 
 // New builds an SoC from its spec. All SRAM arrays are created and
 // attached to the appropriate power domains; everything starts unpowered
@@ -277,12 +258,11 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 		if err != nil {
 			return nil, err
 		}
-		regArr := sram.NewArray(env, fmt.Sprintf("core%d.regfile", i), regfileBytes*8, model, coreSeed+2)
-		rf := NewRegFile(regArr)
-		core := &Core{ID: i, L1I: l1i, L1D: l1d, RegFile: rf}
+		regArr := sram.NewArray(env, fmt.Sprintf("core%d.regfile", i), isa.RegFileBytes*8, model, coreSeed+2)
+		core := &Core{ID: i, L1I: l1i, L1D: l1d}
 		core.TLB = sram.NewArray(env, fmt.Sprintf("core%d.tlb", i), tlbEntries*64, model, coreSeed+3)
 		core.BTB = sram.NewArray(env, fmt.Sprintf("core%d.btb", i), btbEntries*64, model, coreSeed+4)
-		core.CPU = isa.NewCPU(i, rf, s, s)
+		core.CPU = isa.NewCPU(i, regArr, s, s)
 		s.Cores = append(s.Cores, core)
 
 		dom := s.CoreDom
@@ -472,7 +452,7 @@ func (s *SoC) Boot(img *BootImage) error {
 	junk := xrand.Derive(s.seed+uint64(s.bootCount), "firmware-regs")
 	for _, core := range s.Cores {
 		for i := 0; i < 31; i++ {
-			core.CPU.Regs.WriteX(i, junk.Uint64())
+			core.CPU.SetX(i, junk.Uint64())
 		}
 		core.CPU.Reset(entry)
 		core.CPU.NSLocked = s.Opts.TrustZone && !secureWorld
@@ -533,7 +513,7 @@ func (s *SoC) allArrays() []*sram.Array {
 	for _, c := range s.Cores {
 		out = append(out, c.L1D.Arrays()...)
 		out = append(out, c.L1I.Arrays()...)
-		out = append(out, c.RegFile.Array(), c.TLB, c.BTB)
+		out = append(out, c.CPU.Regs, c.TLB, c.BTB)
 	}
 	if s.L2 != nil {
 		out = append(out, s.L2.Arrays()...)
@@ -591,8 +571,8 @@ func (s *SoC) OrderlyShutdown() {
 				arr.Fill(0)
 			}
 		}
-		if c.RegFile.Array().Powered() {
-			c.RegFile.Array().Fill(0)
+		if c.CPU.Regs.Powered() {
+			c.CPU.Regs.Fill(0)
 		}
 	}
 	if s.IRAM != nil && s.IRAM.Powered() {
@@ -627,6 +607,7 @@ func (s *SoC) writeDRAMDirect(addr uint64, w uint32) error {
 
 // FetchInstr implements isa.Bus: instruction fetches go through the
 // core's L1I for cacheable memory.
+//
 //voltvet:hotpath
 func (s *SoC) FetchInstr(core int, addr uint64) (uint32, error) {
 	v, err := s.access(core, addr, 4, false, 0, true)
@@ -787,6 +768,7 @@ func (s *SoC) Store(core int, addr uint64, size int, v uint64) error {
 }
 
 // Load128 implements isa.Bus.
+//
 //voltvet:hotpath
 func (s *SoC) Load128(core int, addr uint64) ([2]uint64, error) {
 	lo, err := s.access(core, addr, 8, false, 0, false)
@@ -798,6 +780,7 @@ func (s *SoC) Load128(core int, addr uint64) ([2]uint64, error) {
 }
 
 // Store128 implements isa.Bus.
+//
 //voltvet:hotpath
 func (s *SoC) Store128(core int, addr uint64, v [2]uint64) error {
 	if _, err := s.access(core, addr, 8, true, v[0], false); err != nil {
@@ -813,8 +796,12 @@ func (s *SoC) access(core int, addr uint64, size int, write bool, wdata uint64, 
 		return 0, fmt.Errorf("soc: core %d out of range", core)
 	}
 	c := s.Cores[core]
-	if s.traceSink != nil {
-		s.traceSink.BusAccess(addr, size, write, wdata)
+	if h := c.CPU.Hooks; h != nil && h.Sink != nil {
+		// The power-trace bus tap: the issuing core's sink sees every
+		// access reaching the interconnect — data loads and stores,
+		// fetches that miss the predecoded i-stream, maintenance traffic
+		// — without touching cache, history or memory state.
+		h.Sink.BusAccess(addr, size, write, wdata)
 	}
 	if s.inDRAM(addr) || s.inIRAM(addr) {
 		s.updateHistoryBuffers(c, addr, ifetch)
@@ -902,6 +889,7 @@ func (s *SoC) updateHistoryBuffers(c *Core, addr uint64, ifetch bool) {
 // --- isa.SysOps ----------------------------------------------------------
 
 // DCZVA implements isa.SysOps.
+//
 //voltvet:hotpath
 func (s *SoC) DCZVA(core int, addr uint64) error {
 	if !s.inDRAM(addr) {
@@ -912,6 +900,7 @@ func (s *SoC) DCZVA(core int, addr uint64) error {
 }
 
 // DCCIVAC implements isa.SysOps.
+//
 //voltvet:hotpath
 func (s *SoC) DCCIVAC(core int, addr uint64) error {
 	if !s.inDRAM(addr) {
@@ -921,6 +910,7 @@ func (s *SoC) DCCIVAC(core int, addr uint64) error {
 }
 
 // ICIALLU implements isa.SysOps.
+//
 //voltvet:hotpath
 func (s *SoC) ICIALLU(core int) {
 	s.Cores[core].L1I.InvalidateAll()
@@ -928,6 +918,7 @@ func (s *SoC) ICIALLU(core int) {
 
 // Barrier implements isa.SysOps (DSB/ISB). The interpreter is in-order;
 // the count documents that payloads issue the barriers §6.1 requires.
+//
 //voltvet:hotpath
 func (s *SoC) Barrier(core int) { s.barriers++ }
 
@@ -938,6 +929,7 @@ func (s *SoC) BarrierCount() uint64 { return s.barriers }
 // cache-internal RAMs (§2.1, §6.1). Requires EL3; with the TrustZone
 // countermeasure, valid secure lines are unreadable from the non-secure
 // state.
+//
 //voltvet:hotpath
 func (s *SoC) RAMIndexRead(core int, req uint64, el int) (uint64, bool) {
 	if el < 3 {

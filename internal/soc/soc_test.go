@@ -138,16 +138,16 @@ func TestBootClobbersXRegsButNotVRegs(t *testing.T) {
 	s, _ := poweredSoC(t, BCM2711(), Options{})
 	core := s.Cores[0]
 	// Victim state: distinctive values in X and V registers.
-	core.CPU.Regs.WriteX(5, 0x1111111111111111)
-	core.CPU.Regs.WriteV(7, [2]uint64{0xAAAAAAAAAAAAAAAA, 0xFFFFFFFFFFFFFFFF})
+	core.CPU.SetX(5, 0x1111111111111111)
+	core.CPU.SetV(7, [2]uint64{0xAAAAAAAAAAAAAAAA, 0xFFFFFFFFFFFFFFFF})
 	words := mustAsm(t, PayloadBase, "HLT #0\n")
 	if err := s.Boot(&BootImage{Words: words}); err != nil {
 		t.Fatal(err)
 	}
-	if core.CPU.Regs.ReadX(5) == 0x1111111111111111 {
+	if core.CPU.X(5) == 0x1111111111111111 {
 		t.Fatal("boot firmware must clobber general-purpose registers")
 	}
-	v := core.CPU.Regs.ReadV(7)
+	v := core.CPU.V(7)
 	if v[0] != 0xAAAAAAAAAAAAAAAA || v[1] != 0xFFFFFFFFFFFFFFFF {
 		t.Fatalf("boot firmware must NOT touch vector registers, got %#x", v)
 	}
@@ -403,14 +403,14 @@ func TestOrderlyShutdownPurges(t *testing.T) {
 	s, _ := poweredSoC(t, BCM2711(), Options{})
 	core := s.Cores[0]
 	core.L1D.Arrays()[0].Fill(0xEE)
-	core.RegFile.WriteV(3, [2]uint64{0xDEAD, 0xBEEF})
+	core.CPU.SetV(3, [2]uint64{0xDEAD, 0xBEEF})
 	s.OrderlyShutdown()
 	for _, b := range core.L1D.DumpWay(0) {
 		if b != 0 {
 			t.Fatal("d-cache not purged")
 		}
 	}
-	if v := core.RegFile.ReadV(3); v[0] != 0 || v[1] != 0 {
+	if v := core.CPU.V(3); v[0] != 0 || v[1] != 0 {
 		t.Fatal("registers not purged")
 	}
 }

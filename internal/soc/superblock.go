@@ -215,21 +215,19 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 	}
 	var n uint64
 	for !cpu.Halted && n < maxInstr {
-		// An attached fault injector (an armed glitcher) must observe
-		// every instruction on the per-instruction path: the pulse edges
-		// it drives are rail events, which the superblock soundness
-		// argument assumes happen between quanta, never inside a block.
-		// The injector detaches when its shot completes, so only the
-		// armed window pays for single-stepping. An attached trace probe
-		// single-steps too, so each retired instruction emits its one
-		// power sample on the per-instruction path. Fetch traffic reaches
-		// the bus probe only on predecode misses: FetchDecoded's hit path
-		// never calls TraceSink.BusAccess, so which fetches hit the
-		// predecoded i-stream shapes the trace. The SCA capture's unarmed
-		// warm-up pass relies on this to keep cold-miss fetches out of
-		// the measured trace (DESIGN.md §12). Both hooks detach when
-		// disarmed, so untraced runs keep the superblock fast path.
-		if cpu.Fault != nil || cpu.Sink != nil {
+		// A hooked core (cpu.Hooks set: an armed glitcher or capturer)
+		// single-steps, so every instruction runs through the hooked
+		// body. The glitcher's pulse edges are rail events, which the
+		// superblock soundness argument assumes happen between quanta,
+		// never inside a block; the capturer emits one sample per
+		// retired instruction. Fetch traffic reaches the bus tap only on
+		// predecode misses: FetchDecoded's hit path never calls
+		// TraceSink.BusAccess, so which fetches hit the predecoded
+		// i-stream shapes the trace. The SCA capture's unarmed warm-up
+		// pass relies on this to keep cold-miss fetches out of the
+		// measured trace (DESIGN.md §12). Hooks clears when both
+		// observers disarm, so unobserved runs keep the fast path.
+		if cpu.Hooks != nil {
 			if err := cpu.Step(); err != nil {
 				return n, err
 			}

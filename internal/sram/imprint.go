@@ -113,6 +113,7 @@ func (a *Array) ImprintedFraction() float64 {
 
 // imprintPowerUp returns (value, true) when cell i's power-up is decided
 // by its imprint rather than its native bias.
+//
 //voltvet:hotpath
 func (a *Array) imprintPowerUp(i int) (bool, bool) {
 	st := a.imprint

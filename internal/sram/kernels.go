@@ -48,6 +48,7 @@ const cellHashGamma = 0x9e3779b97f4a7c15
 // survives if either the held voltage was at or above its personal DRV,
 // or the unpowered interval was shorter than its personal retention time
 // at the excursion temperature.
+//
 //voltvet:hotpath
 func (a *Array) resolveDecay() {
 	if a.scalarKernels {
@@ -58,6 +59,7 @@ func (a *Array) resolveDecay() {
 }
 
 // powerUpAll samples a fresh power-up fingerprint for every cell.
+//
 //voltvet:hotpath
 func (a *Array) powerUpAll() {
 	if a.scalarKernels {
@@ -70,6 +72,7 @@ func (a *Array) powerUpAll() {
 // logDecayThreshold returns the survival threshold in log-retention
 // space: a cell survives on time iff elapsed < median·exp(logRet), i.e.
 // logRet > ln(elapsed/median). One Log call serves the whole array.
+//
 //voltvet:hotpath
 func (a *Array) logDecayThreshold(elapsed float64) float64 {
 	if elapsed <= 0 {
@@ -86,6 +89,7 @@ func (a *Array) logDecayThreshold(elapsed float64) float64 {
 // ihNormal's value is an exact function of: every partial sum in ihNormal
 // is an integer below 2⁵³, so float64(fieldSum16(h)) reproduces ihNormal's
 // internal sum bit-exactly.
+//
 //voltvet:hotpath
 func fieldSum16(h uint64) int {
 	return int(h&0xFFFF) + int(h>>16&0xFFFF) + int(h>>32&0xFFFF) + int(h>>48)
@@ -96,6 +100,7 @@ const maxFieldSum = 262140
 
 // maxSumWhere returns the largest s in [0, maxFieldSum] satisfying pred,
 // or −1 when none does. pred must be downward closed (true on a prefix).
+//
 //voltvet:hotpath
 func maxSumWhere(pred func(int) bool) int {
 	if !pred(0) {
@@ -115,6 +120,7 @@ func maxSumWhere(pred func(int) bool) int {
 
 // minIntWhere returns the smallest m in [0, hi] satisfying pred, or
 // hi+1 when none does. pred must be upward closed.
+//
 //voltvet:hotpath
 func minIntWhere(hi int, pred func(int) bool) int {
 	if !pred(hi) {
@@ -133,6 +139,7 @@ func minIntWhere(hi int, pred func(int) bool) int {
 }
 
 // minSumWhere is minIntWhere over the field-sum domain.
+//
 //voltvet:hotpath
 func minSumWhere(pred func(int) bool) int { return minIntWhere(maxFieldSum, pred) }
 
@@ -141,6 +148,7 @@ func minSumWhere(pred func(int) bool) int { return minIntWhere(maxFieldSum, pred
 // the division by 2²⁴ is exact for every 24-bit value, so the predicate
 // is monotone in the field and the binary search (evaluating the exact
 // scalar expression) yields a bit-identical integer compare.
+//
 //voltvet:hotpath
 func biasedThreshold(neutral float64) int {
 	return minIntWhere(1<<24-1, func(m int) bool {
@@ -218,6 +226,7 @@ func (s *biasSampler) sample(h3 uint64) bool {
 // with no cross-iteration dependency and no rng draws. The result is a
 // function of only (cellState, ig, biasedMin), all fixed for an array's
 // lifetime.
+//
 //voltvet:hotpath
 func mode2PhaseA(cellState, ig uint64, biasedMin int) (biasedMask, prefBits uint64) {
 	igk := ig
@@ -245,6 +254,7 @@ func mode2PhaseA(cellState, ig uint64, biasedMin int) (biasedMask, prefBits uint
 // cell — exactly the stream the scalar reference consumes — and every
 // per-cell predicate is the same integer compare the generic kernels
 // use, so the result is bit-identical.
+//
 //voltvet:hotpath
 func mode2Batch64(rng *xrand.Rand, biasedMask, prefBits, thrInt uint64) uint64 {
 	var flipMask, coinMask uint64
@@ -321,6 +331,7 @@ func (a *Array) materialize() {
 // integer compares per surviving cell — zero float work. When a model
 // carries a negative sigma (monotonicity flips) the kernel falls back to
 // evaluating the float gates per cell, still bit-identically.
+//
 //voltvet:hotpath
 func (a *Array) resolveDecayWords() {
 	elapsed := float64(a.env.Now() - a.belowSince)
@@ -476,6 +487,7 @@ func (a *Array) resolveDecayWords() {
 // powers up, so no survival hashes are needed at all: the kernel jumps
 // straight to each cell's third hash (bias/preference) and assembles
 // whole storage words.
+//
 //voltvet:hotpath
 func (a *Array) powerUpAllWords() {
 	var (
@@ -547,6 +559,7 @@ func (a *Array) powerUpAllWords() {
 
 // resolveDecayScalar is the original per-bit decay kernel, kept as the
 // reference the word kernels are differentially tested against.
+//
 //voltvet:hotpath
 func (a *Array) resolveDecayScalar() {
 	elapsed := float64(a.env.Now() - a.belowSince)
@@ -570,6 +583,7 @@ func (a *Array) resolveDecayScalar() {
 }
 
 // powerUpAllScalar is the original per-bit fingerprint kernel.
+//
 //voltvet:hotpath
 func (a *Array) powerUpAllScalar() {
 	for i := 0; i < a.n; i++ {
@@ -581,6 +595,7 @@ func (a *Array) powerUpAllScalar() {
 
 // powerUpCellWith samples the power-up value for cell i from its bias,
 // unless long-term imprinting (see imprint.go) decides it first.
+//
 //voltvet:hotpath
 func (a *Array) powerUpCellWith(i int, biased, preferred bool) {
 	if v, decided := a.imprintPowerUp(i); decided {

@@ -89,6 +89,7 @@ func (a *Array) markSnapPages(w0, w1 int) {
 // most of the array, so per-word tracking would cost more than it saves.
 // The final bitmap word is masked to the real page count: restore walks
 // set bits, and a phantom page past the array would walk off the end.
+//
 //voltvet:hotpath
 func (a *Array) markSnapAll() {
 	if a.snapDirty == nil {
@@ -104,6 +105,7 @@ func (a *Array) markSnapAll() {
 }
 
 // armSnapDirty (re)arms the dirty-page bitmap with all pages clean.
+//
 //voltvet:hotpath
 func (a *Array) armSnapDirty() {
 	npages := (len(a.bits) + snapPageWords - 1) >> snapPageShift

@@ -97,6 +97,7 @@ func DefaultRetentionModel() RetentionModel {
 
 // MedianRetentionAt returns the median intrinsic retention time at the
 // given temperature in Kelvin.
+//
 //voltvet:hotpath
 func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 	if kelvin <= 0 {
@@ -116,7 +117,7 @@ func (m RetentionModel) RetentionThreshold() float64 {
 // Cache data RAMs, tag RAMs, register files, and iRAMs are all Arrays of
 // different sizes.
 type Array struct {
-	name  string
+	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
 	env   *sim.Env
 	model RetentionModel
@@ -203,6 +204,7 @@ func NewArray(env *sim.Env, name string, n int, model RetentionModel, seed uint6
 
 // ihNormal converts a 64-bit hash into an approximately standard normal
 // variate via the Irwin–Hall sum of its four 16-bit fields.
+//
 //voltvet:hotpath
 func ihNormal(h uint64) float64 {
 	sum := float64(h&0xFFFF) + float64(h>>16&0xFFFF) + float64(h>>32&0xFFFF) + float64(h>>48)
@@ -211,6 +213,7 @@ func ihNormal(h uint64) float64 {
 }
 
 // cellStatics derives cell i's silicon-lottery properties from its hash.
+//
 //voltvet:hotpath
 func (a *Array) cellStatics(i int) (drv, logRetention float64, biased, preferred bool) {
 	st := a.cellSeed ^ uint64(i)*0x9e3779b97f4a7c15
@@ -243,6 +246,7 @@ func (a *Array) RailVolts() float64 { return a.railVolts }
 
 // Powered reports whether the rail is above the population retention
 // threshold (enough for every cell).
+//
 //voltvet:hotpath
 func (a *Array) Powered() bool {
 	return a.railVolts >= a.retThreshold
@@ -252,6 +256,7 @@ func (a *Array) Powered() bool {
 // simulation time. Crossing below the retention threshold starts the
 // decay clock; crossing back above resolves per-cell survival against
 // the lowest voltage seen during the excursion.
+//
 //voltvet:hotpath
 func (a *Array) SetRail(volts float64) {
 	if volts == a.railVolts && (a.everPowered || volts == 0) {
@@ -336,6 +341,7 @@ func (a *Array) ReadBit(i int) bool {
 // storeByte stores value v into byte slot j of the packed words. Byte j
 // of the array occupies bits [8j, 8j+8) which sit inside packed word j>>3
 // at shift 8·(j&7) — so byte access is O(1).
+//
 //voltvet:hotpath
 func (a *Array) storeByte(j int, v byte) {
 	shift := 8 * uint(j&7)
@@ -568,6 +574,7 @@ func (a *Array) Fill(v byte) {
 // resolution) that can change the array’s contents. A matching stamp
 // guarantees the content a consumer cached from this array is still
 // exactly what the array holds.
+//
 //voltvet:hotpath
 func (a *Array) Gen() uint64 { return a.gen }
 

@@ -18,12 +18,14 @@
 // order, which is what makes trace bytes reproducible across
 // architectures and GOMAXPROCS settings.
 //
-// Cost discipline matches the glitcher: a disarmed capturer costs the
-// CPU one nil check per instruction and the bus one nil check per
-// access. The armed emit path is direct field arithmetic on a shared
-// isa.TraceSink — no interface dispatch — and allocation-free (samples
-// land in a preallocated arena by cursor bump), pinned statically by
-// //voltvet:hotpath and dynamically by TestStepTraceArmedZeroAlloc.
+// Cost discipline matches the glitcher, with which the capturer shares
+// the core's one hook pointer (isa.CPU.Hooks): a core with nothing
+// attached pays one nil check per instruction, per GPR write and per
+// bus access. The armed emit path is direct field arithmetic on a
+// shared isa.TraceSink — no interface dispatch — and allocation-free
+// (samples land in a preallocated arena by cursor bump), pinned
+// statically by //voltvet:hotpath and dynamically by
+// TestStepTraceArmedZeroAlloc.
 // Capture state composes into isa.CPUState and therefore into
 // soc.Snapshot, so per-trial captures fork off copy-on-write snapshots
 // like glitched trials do.
@@ -57,14 +59,12 @@ const (
 // it is bound to. It owns an isa.TraceSink — the shared sample buffer
 // the retire, writeback, and bus taps write into directly — and
 // implements isa.TraceProbe so capture state composes into snapshots.
-// Arm attaches the sink at all three tap points; Disarm detaches it.
+// Arm attaches the sink to the core's hooks, which all three taps read;
+// Disarm detaches it. The bus tap counts only the bound core's
+// accesses, so an armed window should run no other core.
 type Capturer struct {
-	//voltvet:nosnap attach-time wiring rebound by RestoreState; not recorded state
-	soc  *soc.SoC
-	//voltvet:nosnap attach-time wiring rebound by RestoreState; not recorded state
-	cpu  *isa.CPU
-	//voltvet:nosnap attach-time wiring rebound by RestoreState; not recorded state
-	regs *soc.RegFile
+	//voltvet:nosnap attach-time wiring, not recorded state; restores hand the core its sink through isa.TraceProbe
+	cpu *isa.CPU
 	// coreDom/memDom are the rails the static-draw term reads at Arm.
 	//voltvet:nosnap rail bindings read at Arm; attach-time wiring, not trial state
 	coreDom, memDom *power.Domain
@@ -87,9 +87,7 @@ func New(s *soc.SoC, core int, samples int) (*Capturer, error) {
 		return nil, fmt.Errorf("trace: arena must hold at least one sample, got %d", samples)
 	}
 	c := &Capturer{
-		soc:     s,
 		cpu:     s.Cores[core].CPU,
-		regs:    s.Cores[core].RegFile,
 		coreDom: s.CoreDom,
 		memDom:  s.MemDom,
 	}
@@ -98,35 +96,28 @@ func New(s *soc.SoC, core int, samples int) (*Capturer, error) {
 }
 
 // Arm starts a capture: the arena cursor rewinds, the static-draw term
-// is resolved from the live rails, and the sink attaches to the retire,
-// writeback, and bus taps. While armed, the SoC dispatcher single-steps
-// the traced core (superblock batching would merge fetch traffic across
-// a block), so only armed windows pay the per-instruction path.
+// is resolved from the live rails, and the sink attaches to the core's
+// hooks (isa.CPU.AttachTrace), where the retire, writeback and bus taps
+// read it. While armed, the SoC dispatcher single-steps the traced core
+// (superblock batching would merge fetch traffic across a block), so
+// only armed windows pay the per-instruction path. A glitcher attached
+// to the same core stays attached.
 func (c *Capturer) Arm() {
 	c.armed = true
 	c.sink.N = 0
 	c.sink.BusAct = 0
 	c.sink.LastAddr = 0
 	c.sink.Static = staticDraw(c.coreDom.Volts(), c.memDom.Volts())
-	c.cpu.Probe = c
-	c.cpu.Sink = &c.sink
-	c.soc.SetTraceSink(&c.sink)
-	c.regs.SetTraceSink(&c.sink)
+	c.cpu.AttachTrace(c, &c.sink)
 }
 
-// Disarm stops the capture and detaches the sink from all taps. The
+// Disarm stops the capture and detaches the sink from the core. The
 // recorded samples stay readable through Samples until the next Arm.
 // Disarming a capturer another capturer has superseded leaves the
 // active one attached.
 func (c *Capturer) Disarm() {
 	c.armed = false
-	if c.cpu.Probe != c {
-		return
-	}
-	c.cpu.Probe = nil
-	c.cpu.Sink = nil
-	c.soc.SetTraceSink(nil)
-	c.regs.SetTraceSink(nil)
+	c.cpu.DetachTrace(c)
 }
 
 // staticDraw folds the two rail voltages into the per-sample static
@@ -175,19 +166,18 @@ func (c *Capturer) CaptureState() any {
 }
 
 // RestoreState implements isa.TraceProbe. A nil state resets the
-// capturer to its disarmed baseline. Restoring an armed state
-// re-attaches the sink at every tap point, so a trial forked from an
-// armed snapshot keeps capturing mid-trace; the captured static term
-// is restored verbatim rather than re-read from the rails, because it
-// is part of the trace the snapshot froze.
-func (c *Capturer) RestoreState(st any) {
+// capturer to its disarmed baseline. Restoring an armed state hands the
+// core the sink again, so a trial forked from an armed snapshot keeps
+// capturing mid-trace; the captured static term is restored verbatim
+// rather than re-read from the rails, because it is part of the trace
+// the snapshot froze.
+func (c *Capturer) RestoreState(st any) *isa.TraceSink {
 	if st == nil {
 		c.armed = false
 		c.sink.N = 0
 		c.sink.BusAct = 0
 		c.sink.LastAddr = 0
-		c.detach()
-		return
+		return nil
 	}
 	s := st.(*capState)
 	c.armed = s.armed
@@ -196,17 +186,8 @@ func (c *Capturer) RestoreState(st any) {
 	c.sink.BusAct = s.busAct
 	c.sink.LastAddr = s.lastAddr
 	c.sink.Static = s.static
-	if s.armed {
-		c.cpu.Sink = &c.sink
-		c.soc.SetTraceSink(&c.sink)
-		c.regs.SetTraceSink(&c.sink)
-	} else {
-		c.detach()
+	if !s.armed {
+		return nil
 	}
-}
-
-func (c *Capturer) detach() {
-	c.cpu.Sink = nil
-	c.soc.SetTraceSink(nil)
-	c.regs.SetTraceSink(nil)
+	return &c.sink
 }

@@ -183,8 +183,8 @@ func TestCaptureDeterministic(t *testing.T) {
 	}
 }
 
-// TestArmDisarmDetach: Disarm detaches both hooks; a foreign probe is
-// left alone.
+// TestArmDisarmDetach: Disarm detaches the probe and its sink; a
+// foreign probe is left alone.
 func TestArmDisarmDetach(t *testing.T) {
 	s, _ := victimSoC(t, 1, [16]byte{})
 	cpu := s.Cores[0].CPU
@@ -193,15 +193,15 @@ func TestArmDisarmDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Arm()
-	if cpu.Probe == nil {
-		t.Fatal("Arm did not attach the CPU probe")
+	if h := cpu.Hooks; h == nil || h.Probe != c || h.Sink == nil {
+		t.Fatal("Arm did not attach the probe and its sink")
 	}
 	if !c.Armed() {
 		t.Fatal("Armed() false after Arm")
 	}
 	c.Disarm()
-	if cpu.Probe != nil {
-		t.Fatal("Disarm left the CPU probe attached")
+	if cpu.Hooks != nil {
+		t.Fatal("Disarm left the capturer attached")
 	}
 	if c.Armed() {
 		t.Fatal("Armed() true after Disarm")
@@ -214,7 +214,7 @@ func TestArmDisarmDetach(t *testing.T) {
 	c.Arm()
 	c2.Arm() // takes over
 	c.Disarm()
-	if cpu.Probe != c2 {
+	if h := cpu.Hooks; h == nil || h.Probe != c2 {
 		t.Fatal("Disarm of a superseded capturer removed the active one")
 	}
 	c2.Disarm()
@@ -258,5 +258,28 @@ func TestCaptureSnapshotRestore(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("sample %d differs after snapshot restore: %g vs %g", i, first[i], second[i])
 		}
+	}
+}
+
+// TestRestoreBeforeArmDetachesCapturer: restoring a snapshot taken
+// before Arm resets the capturer to its disarmed baseline and detaches
+// it from every tap, so a later unarmed run feeds it nothing.
+func TestRestoreBeforeArmDetachesCapturer(t *testing.T) {
+	s, v := victimSoC(t, 2, [16]byte{})
+	c, err := trace.New(s, 0, v.RunLength())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s.CaptureSnapshot()
+	c.Arm()
+	s.RestoreSnapshot(snap)
+	if c.Armed() {
+		t.Error("capturer still reports Armed after restoring a snapshot taken before Arm")
+	}
+	if err := s.RunCore(0, uint64(v.RunLength())+8); err != nil {
+		t.Fatal(err)
+	}
+	if act, n := c.PendingActivity(), len(c.Samples()); act != 0 || n != 0 {
+		t.Fatalf("unarmed run fed the restored capturer: %d units of activity, %d samples", act, n)
 	}
 }

@@ -1,10 +1,20 @@
 #!/bin/sh
-# CI gate: vet, build, race-enabled tests (the parallel runner's
-# determinism tests raise GOMAXPROCS themselves, so a single-core CI
-# machine still exercises multi-worker execution), and a one-iteration
-# smoke over the hot-path micro-benchmarks. Equivalent to `make check`.
+# CI gate: gofmt, vet, voltvet, build, race-enabled tests (the parallel
+# runner's determinism tests raise GOMAXPROCS themselves, so a
+# single-core CI machine still exercises multi-worker execution), the
+# differential oracles, the catalog digests, a one-iteration smoke over
+# the micro-benchmarks and the allocation-free gates. `make check` runs
+# this script.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l (every Go file outside .bench_build/)"
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "error: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -46,13 +56,15 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 go test -run 'TestSCACPARecoversKey' -count=1 ./internal/experiments/
 
-echo "==> exact skip paths: differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths, hook restores)"
 go test -count=1 -run 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 go test -count=1 -run 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
 go test -count=1 -run 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
 go test -count=1 -run 'TestDataWritesBumpOnlyFetchedLines' ./internal/cache/
-go test -count=1 -run 'TestSelfModifyingCodeThroughL2' ./internal/soc/
+go test -count=1 -run 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc/
 go test -count=1 -run 'TestDumpPayloadFetchPathsAgree' ./internal/core/
+go test -count=1 -run 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
+go test -count=1 -run 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
 
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 go test -count=1 -run 'TestCatalogDigests' ./internal/registry/
