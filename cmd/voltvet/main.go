@@ -136,8 +136,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // selectAnalyzers resolves the -checks flag: empty means the full
 // suite; otherwise a comma-separated list of family aliases (det, map,
-// hot, snap, locks, err) or exact analyzer names. "hot" covers both the
-// per-function allocation checks and the inferred-closure checks.
+// hot, snap, locks, err) or exact analyzer names. "hot" is the hotpath
+// analyzer: the allocation and dispatch checks on the inferred closure.
 func selectAnalyzers(spec string) ([]*lint.Analyzer, error) {
 	all := lint.All()
 	if spec == "" {
@@ -146,7 +146,7 @@ func selectAnalyzers(spec string) ([]*lint.Analyzer, error) {
 	aliases := map[string][]string{
 		"det":   {"determinism"},
 		"map":   {"maporder"},
-		"hot":   {"hotpath", "hotclosure"},
+		"hot":   {"hotpath"},
 		"snap":  {"snapshot"},
 		"locks": {"locks"},
 		"err":   {"errcheck"},

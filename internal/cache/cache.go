@@ -60,8 +60,6 @@ type Config struct {
 // InlineECC cache: the word XOR-folded with a parity-derived mask,
 // standing in for the undocumented data+ECC interleaving. It is an
 // involution-free bijection per word; ECCDecodeWord inverts it.
-//
-//voltvet:hotpath
 func ECCEncodeWord(w uint32) uint32 {
 	return w ^ eccMask(w)
 }
@@ -70,15 +68,11 @@ func ECCEncodeWord(w uint32) uint32 {
 // number of times in the mask, so the XOR-fold of a stored word equals
 // the fold of the original — the mask can be re-derived from the stored
 // image directly.
-//
-//voltvet:hotpath
 func ECCDecodeWord(stored uint32) uint32 {
 	return stored ^ eccMask(stored)
 }
 
 // eccMask derives the per-word scramble from parity folds of the word.
-//
-//voltvet:hotpath
 func eccMask(w uint32) uint32 {
 	p := w ^ w>>16
 	p ^= p >> 8
@@ -90,8 +84,6 @@ func eccMask(w uint32) uint32 {
 }
 
 // Sets returns the number of sets implied by the geometry.
-//
-//voltvet:hotpath
 func (c Config) Sets() int { return c.SizeBytes / c.Ways / c.LineBytes }
 
 func (c Config) validate() error {
@@ -258,8 +250,6 @@ func (c *Cache) Arrays() []*sram.Array {
 }
 
 // Enabled reports whether the cache allocates.
-//
-//voltvet:hotpath
 func (c *Cache) Enabled() bool { return c.enabled }
 
 // SetEnabled turns allocation on or off. Disabling does not flush: that
@@ -272,8 +262,6 @@ func (c *Cache) SetEnabled(on bool) {
 
 // ContentGen returns the monotonic content-generation counter. See the
 // field comment; consumers treat any change as "refetch everything".
-//
-//voltvet:hotpath
 func (c *Cache) ContentGen() uint64 { return c.contentGen }
 
 // LockWay marks a way as non-evictable.
@@ -288,7 +276,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the event counters.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-//voltvet:hotpath
 func (c *Cache) index(addr uint64) (tag uint64, set int, off int) {
 	off = int(addr) & (c.cfg.LineBytes - 1)
 	set = int(addr/uint64(c.cfg.LineBytes)) & (c.sets - 1)
@@ -296,19 +283,15 @@ func (c *Cache) index(addr uint64) (tag uint64, set int, off int) {
 	return tag & tagMask, set, off
 }
 
-//voltvet:hotpath
 func (c *Cache) tagEntry(way, set int) uint64 {
 	return c.tagRAM.ReadUint64((way*c.sets + set) * 8)
 }
 
-//voltvet:hotpath
 func (c *Cache) setTagEntry(way, set int, v uint64) {
 	c.tagRAM.WriteUint64((way*c.sets+set)*8, v)
 }
 
 // lookup returns the hitting way for addr, or -1.
-//
-//voltvet:hotpath
 func (c *Cache) lookup(tag uint64, set int) int {
 	for w := 0; w < c.cfg.Ways; w++ {
 		e := c.tagEntry(w, set)
@@ -321,8 +304,6 @@ func (c *Cache) lookup(tag uint64, set int) int {
 
 // victim picks the way to replace in set, honouring locks. Invalid ways
 // win first; otherwise the least recently used unlocked way.
-//
-//voltvet:hotpath
 func (c *Cache) victim(set int) (int, error) {
 	for w := 0; w < c.cfg.Ways; w++ {
 		if c.lockedWays[w] {
@@ -351,8 +332,6 @@ func (c *Cache) victim(set int) (int, error) {
 }
 
 // touch records a use of (way, set) for LRU.
-//
-//voltvet:hotpath
 func (c *Cache) touch(way, set int) {
 	c.useTick++
 	c.lastUse[way][set] = c.useTick
@@ -363,8 +342,6 @@ func (c *Cache) touch(way, set int) {
 // the RAMs. The SoC's predecoded i-stream calls it on a predecode hit so
 // replacement order and event counters stay bit-identical to the full
 // fetch path it short-circuits.
-//
-//voltvet:hotpath
 func (c *Cache) TouchFetchHit(way, set int) {
 	c.stats.Hits++
 	c.touch(way, set)
@@ -373,8 +350,6 @@ func (c *Cache) TouchFetchHit(way, set int) {
 // ResidentWaySet probes, without side effects, whether addr is resident
 // and in which (way, set). The predecoded i-stream keys its entries on
 // the answer.
-//
-//voltvet:hotpath
 func (c *Cache) ResidentWaySet(addr uint64) (way, set int, ok bool) {
 	tag, s, _ := c.index(addr)
 	w := c.lookup(tag, s)
@@ -384,8 +359,6 @@ func (c *Cache) ResidentWaySet(addr uint64) (way, set int, ok bool) {
 // MarkFetched records that the line at (way, set) served a fetch the
 // predecoded i-stream cached: until the next content-generation bump, a
 // data write into it bumps the generation (see fetchMark).
-//
-//voltvet:hotpath
 func (c *Cache) MarkFetched(way, set int) {
 	c.fetchMark[way*c.sets+set] = c.contentGen + 1
 }
@@ -393,23 +366,18 @@ func (c *Cache) MarkFetched(way, set int) {
 // dataWritten accounts for a data write into (way, set): it bumps the
 // content generation only if the line served a predecoded fetch in the
 // current generation.
-//
-//voltvet:hotpath
 func (c *Cache) dataWritten(way, set int) {
 	if c.fetchMark[way*c.sets+set] == c.contentGen+1 {
 		c.contentGen++
 	}
 }
 
-//voltvet:hotpath
 func (c *Cache) lineAddr(tag uint64, set int) uint64 {
 	return (tag*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineBytes)
 }
 
 // fill brings the line containing addr into (tag,set) and returns the
 // way. Dirty victims are written back first.
-//
-//voltvet:hotpath
 func (c *Cache) fill(tag uint64, set int, secure bool) (int, error) {
 	w, err := c.victim(set)
 	if err != nil {
@@ -448,8 +416,6 @@ func (c *Cache) fill(tag uint64, set int, secure bool) (int, error) {
 // Access performs a read or write of size bytes (1–8, not crossing a
 // line) at addr. secure is the TrustZone state of the requestor, recorded
 // in the NS bit on allocation. Returns the loaded value for reads.
-//
-//voltvet:hotpath
 func (c *Cache) Access(addr uint64, size int, write bool, wdata uint64, secure bool) (uint64, error) {
 	tag, set, off := c.index(addr)
 	if off+size > c.cfg.LineBytes {
@@ -493,8 +459,6 @@ func (c *Cache) Access(addr uint64, size int, write bool, wdata uint64, secure b
 
 // memoStore records a freshly resolved (tag, set) → way mapping, stamped
 // against the tag RAM's current generation.
-//
-//voltvet:hotpath
 func (c *Cache) memoStore(tag uint64, set, way int) {
 	c.memoTag = tag
 	c.memoSet = int32(set)
@@ -506,8 +470,6 @@ func (c *Cache) memoStore(tag uint64, set, way int) {
 // dirty skip the redundant tag write: the stored entry would be
 // bit-identical, and skipping it keeps the tag RAM's generation — and
 // with it the way memo — stable across store streams to a dirty line.
-//
-//voltvet:hotpath
 func (c *Cache) markDirty(way, set int) {
 	e := c.tagEntry(way, set)
 	if e&tagDirtyBit != 0 {
@@ -525,8 +487,6 @@ func (c *Cache) markDirty(way, set int) {
 // the hardware decodes stored words on read and re-encodes on write, so
 // software sees plain data while the RAM holds the scrambled image.
 // Accesses operate on the 4-byte codeword(s) covering the request.
-//
-//voltvet:hotpath
 func (c *Cache) accessECC(w, set, base, size int, write bool, wdata uint64) (uint64, error) {
 	wordBase := base &^ 3
 	span := (base+size+3)&^3 - wordBase // 4, 8 or 12 bytes: ≤3 codewords
@@ -561,8 +521,6 @@ func (c *Cache) accessECC(w, set, base, size int, write bool, wdata uint64) (uin
 }
 
 // eccEncodeLine scrambles a line buffer in place for InlineECC storage.
-//
-//voltvet:hotpath
 func eccEncodeLine(buf []byte) {
 	for i := 0; i+4 <= len(buf); i += 4 {
 		word := uint32(buf[i]) | uint32(buf[i+1])<<8 | uint32(buf[i+2])<<16 | uint32(buf[i+3])<<24
@@ -572,8 +530,6 @@ func eccEncodeLine(buf []byte) {
 }
 
 // eccDecodeLine unscrambles a line buffer in place (writebacks).
-//
-//voltvet:hotpath
 func eccDecodeLine(buf []byte) {
 	for i := 0; i+4 <= len(buf); i += 4 {
 		word := uint32(buf[i]) | uint32(buf[i+1])<<8 | uint32(buf[i+2])<<16 | uint32(buf[i+3])<<24
@@ -584,8 +540,6 @@ func eccDecodeLine(buf []byte) {
 
 // bypass routes an access around the disabled cache: read-modify-write of
 // the backing line through the reusable scratch buffer.
-//
-//voltvet:hotpath
 func (c *Cache) bypass(addr uint64, size int, write bool, wdata uint64) (uint64, error) {
 	lineAddr := addr &^ uint64(c.cfg.LineBytes-1)
 	off := int(addr - lineAddr)
@@ -615,8 +569,6 @@ func (c *Cache) bypass(addr uint64, size int, write bool, wdata uint64) (uint64,
 // identical: the same line is resident afterwards with the same content,
 // and collapsing eight consecutive LRU touches of one (way, set) into one
 // preserves the relative recency order that victim selection depends on.
-//
-//voltvet:hotpath
 func (c *Cache) ReadLine(addr uint64, buf []byte) error {
 	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
 		return c.readLineFast(addr, buf)
@@ -634,7 +586,6 @@ func (c *Cache) ReadLine(addr uint64, buf []byte) error {
 	return nil
 }
 
-//voltvet:hotpath
 func (c *Cache) readLineFast(addr uint64, buf []byte) error {
 	if !c.enabled {
 		c.stats.Bypasses++
@@ -663,8 +614,6 @@ func (c *Cache) readLineFast(addr uint64, buf []byte) error {
 // line goes through a single allocate-and-overwrite instead of eight
 // read-modify-write Accesses; the fill-on-write-miss is kept so the
 // victim choice and writeback sequence match the word loop exactly.
-//
-//voltvet:hotpath
 func (c *Cache) WriteLine(addr uint64, buf []byte) error {
 	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
 		return c.writeLineFast(addr, buf)
@@ -681,7 +630,6 @@ func (c *Cache) WriteLine(addr uint64, buf []byte) error {
 	return nil
 }
 
-//voltvet:hotpath
 func (c *Cache) writeLineFast(addr uint64, buf []byte) error {
 	if !c.enabled {
 		// The word loop's bypass would read-modify-write the backing
@@ -743,8 +691,6 @@ func (c *Cache) CleanInvalidateAll() error {
 
 // InvalidateAll clears every valid bit without writing anything back
 // (IC IALLU semantics for i-caches). Data RAM contents are untouched.
-//
-//voltvet:hotpath
 func (c *Cache) InvalidateAll() {
 	c.contentGen++
 	for w := 0; w < c.cfg.Ways; w++ {
@@ -759,8 +705,6 @@ func (c *Cache) InvalidateAll() {
 
 // CleanInvalidateVA cleans and invalidates the single line containing
 // addr, if present (DC CIVAC).
-//
-//voltvet:hotpath
 func (c *Cache) CleanInvalidateVA(addr uint64) error {
 	tag, set, _ := c.index(addr)
 	w := c.lookup(tag, set)
@@ -786,8 +730,6 @@ func (c *Cache) CleanInvalidateVA(addr uint64) error {
 // ZeroLineVA implements DC ZVA: allocate the line containing addr and
 // write zeros into its data RAM. This is the only maintenance operation
 // that modifies data RAM contents (§5.2.4) — and it is d-cache only.
-//
-//voltvet:hotpath
 func (c *Cache) ZeroLineVA(addr uint64, secure bool) error {
 	if !c.enabled {
 		// Architecturally DC ZVA with the cache off zeroes memory
@@ -845,8 +787,6 @@ type LineInfo struct {
 }
 
 // Line returns the tag metadata for (way, set).
-//
-//voltvet:hotpath
 func (c *Cache) Line(way, set int) LineInfo {
 	return ParseTagEntry(c.tagEntry(way, set), set, c.cfg)
 }
@@ -855,8 +795,6 @@ func (c *Cache) Line(way, set int) LineInfo {
 // line metadata for the given set and cache geometry — the attacker-side
 // post-processing that turns a tag dump into the *addresses* of the
 // stolen lines.
-//
-//voltvet:hotpath
 func ParseTagEntry(e uint64, set int, cfg Config) LineInfo {
 	li := LineInfo{
 		Valid:     e&tagValidBit != 0,
@@ -874,8 +812,6 @@ func ParseTagEntry(e uint64, set int, cfg Config) LineInfo {
 // exactly as the RAMINDEX debug operation does: no hit/miss logic, no
 // valid-bit check. wordIndex counts 64-bit words from the start of the
 // way (set·wordsPerLine + wordInLine).
-//
-//voltvet:hotpath
 func (c *Cache) RAMIndexData(way, wordIndex int) (uint64, error) {
 	if way < 0 || way >= c.cfg.Ways {
 		return 0, fmt.Errorf("cache %s: RAMINDEX way %d out of range", c.cfg.Name, way)
@@ -887,8 +823,6 @@ func (c *Cache) RAMIndexData(way, wordIndex int) (uint64, error) {
 }
 
 // RAMIndexTag reads the raw tag entry for (way, set) via the debug path.
-//
-//voltvet:hotpath
 func (c *Cache) RAMIndexTag(way, set int) (uint64, error) {
 	if way < 0 || way >= c.cfg.Ways || set < 0 || set >= c.sets {
 		return 0, fmt.Errorf("cache %s: RAMINDEX tag (%d,%d) out of range", c.cfg.Name, way, set)
@@ -899,8 +833,6 @@ func (c *Cache) RAMIndexTag(way, set int) (uint64, error) {
 // SecureLineAt reports whether the line holding the data-RAM word at
 // wordIndex of way is a valid secure (NS=0) allocation — used by the
 // TrustZone countermeasure to veto RAMINDEX reads.
-//
-//voltvet:hotpath
 func (c *Cache) SecureLineAt(way, wordIndex int) bool {
 	set := wordIndex * 8 / c.cfg.LineBytes
 	if set >= c.sets {

@@ -56,8 +56,6 @@ func DefaultRetentionModel() RetentionModel {
 
 // MedianRetentionAt returns the median retention time at the given
 // absolute temperature.
-//
-//voltvet:hotpath
 func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 	if kelvin <= 0 {
 		panic("dram: non-positive absolute temperature")
@@ -194,8 +192,6 @@ const (
 // stream position a fill would leave, with no Log or Sqrt per value —
 // recording each chunk's checkpoint so a skipped chunk can still be drawn
 // later. The draw itself starts from c's checkpoint and records c+1's.
-//
-//voltvet:hotpath
 func (m *Module) drawRetChunk(c int) {
 	var r xrand.Rand
 	if k := len(m.retCkpt) - 1; k < c {
@@ -224,8 +220,6 @@ func (m *Module) drawRetChunk(c int) {
 }
 
 // retChunkLen is the byte count of chunk c (the last may be short).
-//
-//voltvet:hotpath
 func (m *Module) retChunkLen(c int) int {
 	return min(retChunk, len(m.data)-(c<<retChunkShift))
 }
@@ -260,8 +254,6 @@ func (m *Module) Name() string { return m.name }
 func (m *Module) Size() int { return len(m.data) }
 
 // Powered reports whether the module is receiving power (and refresh).
-//
-//voltvet:hotpath
 func (m *Module) Powered() bool { return m.powered }
 
 // Gen returns the monotonic content-generation counter: it advances on
@@ -270,8 +262,6 @@ func (m *Module) Powered() bool { return m.powered }
 func (m *Module) Gen() uint64 { return m.gen }
 
 // groundByte is the value byte i decays toward.
-//
-//voltvet:hotpath
 func (m *Module) groundByte(i int) byte {
 	if (i/m.model.GroundBlockBytes)%2 == 1 {
 		return 0xFF
@@ -281,8 +271,6 @@ func (m *Module) groundByte(i int) byte {
 
 // PowerOff stops power and refresh at the current simulation time and
 // temperature. Subsequent PowerOn resolves decay over the interval.
-//
-//voltvet:hotpath
 func (m *Module) PowerOff() {
 	if !m.powered {
 		return
@@ -312,8 +300,6 @@ func (m *Module) PowerOff() {
 // the per-byte Exp loop. The module-wide retention bounds captured at
 // construction short-circuit the common attack case (a millisecond-scale
 // cycle that no DRAM byte can lose) to O(1).
-//
-//voltvet:hotpath
 func (m *Module) PowerOn() {
 	if m.powered {
 		return
@@ -374,8 +360,6 @@ func (m *Module) PowerOn() {
 }
 
 // dropPending releases the deferral state once every byte is materialized.
-//
-//voltvet:hotpath
 func (m *Module) dropPending() {
 	m.resolved = nil
 	m.unresolved = 0
@@ -383,8 +367,6 @@ func (m *Module) dropPending() {
 
 // resolveAll materializes every still-unresolved byte (the eager walk the
 // deferral postponed), used before a new outage begins.
-//
-//voltvet:hotpath
 func (m *Module) resolveAll() {
 	if m.resolved != nil {
 		m.resolveSlow(0, len(m.data))
@@ -395,8 +377,6 @@ func (m *Module) resolveAll() {
 // read observes them. The fast path — no outage pending, or the covering
 // bitmap words fully set — is a handful of loads; only genuinely
 // unresolved neighborhoods fall through to the walk.
-//
-//voltvet:hotpath
 func (m *Module) resolveRange(off, n int) {
 	if m.resolved == nil || n <= 0 {
 		return
@@ -417,8 +397,6 @@ func (m *Module) resolveRange(off, n int) {
 // module-wide retention bounds collapse the two extreme outages first —
 // a no-decay outage drops the whole deferral, a total-decay one (the
 // Volt Boot power cycle) restores ground without touching logRetention.
-//
-//voltvet:hotpath
 func (m *Module) resolveSlow(off, n int) {
 	o := &m.outage
 	// Conservatively dirty the whole range for any armed snapshot: decay
@@ -468,8 +446,6 @@ func (m *Module) resolveSlow(off, n int) {
 // decay the pending outage would have resolved them to is dead state. A
 // full bitmap word (a 64-byte aligned line, or the middle of a larger
 // write) is retired with one store.
-//
-//voltvet:hotpath
 func (m *Module) markRange(off, n int) {
 	if m.resolved == nil || n <= 0 {
 		return
@@ -509,8 +485,6 @@ func (m *Module) markRange(off, n int) {
 // threshold has no finite satisfying value; returning +Inf (respectively
 // NaN→+Inf) makes lr >= s false for every finite lr, matching the float64
 // comparison's outcome.
-//
-//voltvet:hotpath
 func leastFloat32Satisfying(t float64, orEqual bool) float32 {
 	sat := func(s float32) bool { //voltvet:ignore VV-HOT003 non-escaping predicate closure: the search helper only invokes it, so it stays on the stack
 		if orEqual {
@@ -535,7 +509,6 @@ func leastFloat32Satisfying(t float64, orEqual bool) float32 {
 	return s
 }
 
-//voltvet:hotpath
 func (m *Module) check(op string, off, n int) {
 	if !m.powered {
 		panic(fmt.Sprintf("dram: %s on unpowered module %s", op, m.name))
@@ -557,8 +530,6 @@ func (m *Module) Write(off int, b []byte) {
 // WriteUintN stores the low size bytes of v little-endian at offset off,
 // 1 ≤ size ≤ 8 — the allocation-free subword store the SoC uses when no
 // cache sits between the core and the module.
-//
-//voltvet:hotpath
 func (m *Module) WriteUintN(off, size int, v uint64) {
 	m.check("WriteUintN", off, size)
 	if size < 1 || size > 8 {
@@ -574,8 +545,6 @@ func (m *Module) WriteUintN(off, size int, v uint64) {
 
 // ReadUintN loads size bytes little-endian from offset off, 1 ≤ size ≤ 8,
 // without allocating.
-//
-//voltvet:hotpath
 func (m *Module) ReadUintN(off, size int) uint64 {
 	m.check("ReadUintN", off, size)
 	if size < 1 || size > 8 {
@@ -599,8 +568,6 @@ func (m *Module) Read(off, n int) []byte {
 }
 
 // ReadLine implements the cache.Backing contract for line fills.
-//
-//voltvet:hotpath
 func (m *Module) ReadLine(addr uint64, buf []byte) error {
 	if !m.powered {
 		return fmt.Errorf("dram: %s is unpowered", m.name)
@@ -614,8 +581,6 @@ func (m *Module) ReadLine(addr uint64, buf []byte) error {
 }
 
 // WriteLine implements the cache.Backing contract for writebacks.
-//
-//voltvet:hotpath
 func (m *Module) WriteLine(addr uint64, buf []byte) error {
 	if !m.powered {
 		return fmt.Errorf("dram: %s is unpowered", m.name)

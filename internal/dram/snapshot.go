@@ -38,8 +38,6 @@ type ModuleSnapshot struct {
 }
 
 // markSnapRange records that bytes [off, off+n) may have changed.
-//
-//voltvet:hotpath
 func (m *Module) markSnapRange(off, n int) {
 	if m.snapDirty == nil || n <= 0 {
 		return

@@ -100,8 +100,6 @@ type Pulse struct {
 // design guardband absorbs the sag), 1 at or below 55 % (every path
 // misses timing), linear between — the monotone ramp the glitching
 // literature measures between "no effect" and "reset/crash" depths.
-//
-//voltvet:hotpath
 func FaultProbability(volts, nominal float64) float64 {
 	hi := 0.92 * nominal
 	lo := 0.55 * nominal
@@ -202,8 +200,6 @@ func (g *Glitcher) Arm(t Trigger, p Pulse, seed uint64) {
 // Disarm cancels the shot: if the pulse is open it closes (the clock
 // advances by the pulse width, the rail re-resolves), and the glitcher
 // detaches from the CPU.
-//
-//voltvet:hotpath
 func (g *Glitcher) Disarm() {
 	if g.inPulse {
 		g.closePulse()
@@ -238,8 +234,6 @@ func (g *Glitcher) Faults() []FaultRecord { return g.faults }
 // closePulse ends the voltage pulse: the simulation clock advances by
 // the pulse width (instructions ≈ nanoseconds) and the rail re-resolves
 // to its sources.
-//
-//voltvet:hotpath
 func (g *Glitcher) closePulse() {
 	g.inPulse = false
 	g.dom.PulseEnd(sim.Time(g.pulse.Width) * sim.Nanosecond)
@@ -248,8 +242,6 @@ func (g *Glitcher) closePulse() {
 // triggerHit evaluates the trigger against the pre-instruction CPU
 // state (PC at the instruction about to execute, Instret counting its
 // retired predecessors).
-//
-//voltvet:hotpath
 func (g *Glitcher) triggerHit(c *isa.CPU) bool {
 	switch g.trig.Kind {
 	case TriggerInstrCount:
@@ -266,8 +258,6 @@ func (g *Glitcher) triggerHit(c *isa.CPU) bool {
 // OnInstr implements isa.FaultInjector: the per-instruction state
 // machine. Instruction i (counted from the trigger instruction as 0) is
 // inside the pulse iff Offset <= i < Offset+Width.
-//
-//voltvet:hotpath
 func (g *Glitcher) OnInstr(c *isa.CPU, in isa.Instr) isa.FaultDecision {
 	if !g.armed {
 		return isa.FaultDecision{}
@@ -318,8 +308,6 @@ func (g *Glitcher) OnInstr(c *isa.CPU, in isa.Instr) isa.FaultDecision {
 // available, corrupt only for ops with a GPR destination, wrong-branch
 // only for branches — illegal picks degrade to skip, the mode every
 // timing violation can produce.
-//
-//voltvet:hotpath
 func decide(op isa.Op, u uint64) isa.FaultDecision {
 	d := isa.FaultDecision{Bit: uint8(u>>8) & 63}
 	switch u % 3 {

@@ -147,8 +147,6 @@ func (c *CPU) Reset(entry uint64) {
 }
 
 // X reads general-purpose register i (XZR reads as zero).
-//
-//voltvet:hotpath
 func (c *CPU) X(i int) uint64 {
 	if i == XZR {
 		return 0
@@ -158,8 +156,6 @@ func (c *CPU) X(i int) uint64 {
 
 // SetX writes general-purpose register i (writes to XZR are discarded).
 // The write itself lives in writeX so SetX stays inlinable.
-//
-//voltvet:hotpath
 func (c *CPU) SetX(i int, v uint64) {
 	if i == XZR {
 		return
@@ -170,8 +166,6 @@ func (c *CPU) SetX(i int, v uint64) {
 // writeX stores a GPR writeback, first feeding an attached trace sink
 // the flop toggles — tapped before the cells are overwritten, so the
 // dying value is one cell peek away.
-//
-//voltvet:hotpath
 func (c *CPU) writeX(i int, v uint64) {
 	if h := c.Hooks; h != nil && h.Sink != nil {
 		h.Sink.RegWrite(c.Regs.PeekUint64(8*i), v)
@@ -181,21 +175,15 @@ func (c *CPU) writeX(i int, v uint64) {
 
 // Secure reports whether the core is in the TrustZone secure state
 // (SCR_NS == 0 and not locked out of it).
-//
-//voltvet:hotpath
 func (c *CPU) Secure() bool { return !c.NSLocked && c.scrNS == 0 }
 
 // V reads vector register i.
-//
-//voltvet:hotpath
 func (c *CPU) V(i int) [2]uint64 {
 	base := regVBase + 16*i
 	return [2]uint64{c.Regs.ReadUint64(base), c.Regs.ReadUint64(base + 8)}
 }
 
 // SetV writes vector register i.
-//
-//voltvet:hotpath
 func (c *CPU) SetV(i int, v [2]uint64) {
 	base := regVBase + 16*i
 	c.Regs.WriteUint64(base, v[0])
@@ -213,7 +201,6 @@ func (e *UndefinedError) Error() string {
 	return fmt.Sprintf("isa: undefined instruction %#08x at PC %#x", e.Word, e.PC)
 }
 
-//voltvet:hotpath
 func (c *CPU) condHolds(cond Cond) bool {
 	f := c.Flags
 	switch cond {
@@ -238,7 +225,6 @@ func (c *CPU) condHolds(cond Cond) bool {
 	}
 }
 
-//voltvet:hotpath
 func (c *CPU) setFlagsAdd(a, b uint64) uint64 {
 	r := a + b
 	c.Flags.N = r>>63 == 1
@@ -248,7 +234,6 @@ func (c *CPU) setFlagsAdd(a, b uint64) uint64 {
 	return r
 }
 
-//voltvet:hotpath
 func (c *CPU) setFlagsSub(a, b uint64) uint64 {
 	r := a - b
 	c.Flags.N = r>>63 == 1
@@ -292,8 +277,6 @@ func (c *CPU) Step() error {
 // can drive the core without a per-instruction fetch call. The word
 // feeds the undefined-instruction diagnostics, exactly as in Step.
 // Callers are responsible for the Halted check Step performs.
-//
-//voltvet:hotpath
 func (c *CPU) ExecDecoded(in Instr, word uint32) error {
 	if c.Hooks != nil {
 		return c.execHooked(in, word)
@@ -302,8 +285,6 @@ func (c *CPU) ExecDecoded(in Instr, word uint32) error {
 }
 
 // exec is the fault-free execute-and-retire body behind ExecDecoded.
-//
-//voltvet:hotpath
 func (c *CPU) exec(in Instr, word uint32) error {
 	next := c.PC + 4
 
@@ -426,7 +407,6 @@ func (c *CPU) exec(in Instr, word uint32) error {
 	return nil
 }
 
-//voltvet:hotpath
 func (c *CPU) readSysReg(id uint32) uint64 {
 	switch id {
 	case SysCurrentEL:
@@ -449,7 +429,6 @@ func (c *CPU) readSysReg(id uint32) uint64 {
 	}
 }
 
-//voltvet:hotpath
 func (c *CPU) writeSysReg(id uint32, v uint64) error {
 	switch id {
 	case SysRAMINDEX:

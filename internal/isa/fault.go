@@ -79,8 +79,6 @@ type FaultInjector interface {
 
 // HasGPRDest reports whether op writes a general-purpose destination
 // register (Rd) — the ops FaultCorrupt can visibly disturb.
-//
-//voltvet:hotpath
 func HasGPRDest(op Op) bool {
 	switch op {
 	case OpMOVZ, OpMOVK, OpMOVN,
@@ -94,8 +92,6 @@ func HasGPRDest(op Op) bool {
 
 // IsBranch reports whether op can redirect the PC — the ops
 // FaultWrongBranch can invert.
-//
-//voltvet:hotpath
 func IsBranch(op Op) bool {
 	switch op {
 	case OpB, OpBL, OpBCond, OpCBZ, OpCBNZ, OpRET:
@@ -108,8 +104,6 @@ func IsBranch(op Op) bool {
 // path retires exactly one instruction (PC advances, Instret++), so a
 // faulted stream stays architecturally well-formed — the corruption is
 // in the results, not the pipeline model.
-//
-//voltvet:hotpath
 func (c *CPU) execFaulted(in Instr, word uint32, d FaultDecision) error {
 	switch d.Kind {
 	case FaultSkip:

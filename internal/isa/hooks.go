@@ -34,8 +34,6 @@ func (c *CPU) AttachFault(inj FaultInjector) {
 
 // DetachFault removes inj if it is the attached injector; an injector
 // that was superseded cannot detach its successor.
-//
-//voltvet:hotpath
 func (c *CPU) DetachFault(inj FaultInjector) {
 	if c.hooks.Fault == inj {
 		c.hooks.Fault = nil
@@ -62,8 +60,6 @@ func (c *CPU) DetachTrace(p TraceProbe) {
 
 // rehook points Hooks at hooks exactly while something on the step path
 // observes the core.
-//
-//voltvet:hotpath
 func (c *CPU) rehook() {
 	if c.hooks.Fault != nil || c.hooks.Sink != nil {
 		c.Hooks = &c.hooks
@@ -83,8 +79,6 @@ func (c *CPU) rehook() {
 // The injector may detach itself inside OnInstr (a one-shot glitcher
 // closing its pulse), which can clear c.Hooks; h still points at the
 // live hooks, so the sink is read as it stands after the decision.
-//
-//voltvet:hotpath
 func (c *CPU) execHooked(in Instr, word uint32) error {
 	h := c.Hooks
 	if h.Fault != nil {

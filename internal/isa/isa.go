@@ -136,8 +136,6 @@ var sysregNames = map[uint32]string{
 }
 
 // SysRegName returns the assembler name of a system register id.
-//
-//voltvet:hotpath
 func SysRegName(id uint32) string {
 	if s, ok := sysregNames[id]; ok {
 		return s
@@ -195,8 +193,6 @@ func RAMIndexRequest(ramID uint64, way, wordIndex int) uint64 {
 }
 
 // UnpackRAMIndex splits a RAMINDEX request word.
-//
-//voltvet:hotpath
 func UnpackRAMIndex(req uint64) (ramID uint64, way, wordIndex int) {
 	return req >> RAMIndexIDShift,
 		int(req >> RAMIndexWayShift & RAMIndexWayMask),
@@ -306,8 +302,6 @@ func (in Instr) Encode() uint32 {
 }
 
 // accessSize returns the memory access width in bytes for a load/store op.
-//
-//voltvet:hotpath
 func accessSize(op Op) int {
 	switch op {
 	case OpLDR, OpSTR:
@@ -323,7 +317,6 @@ func accessSize(op Op) int {
 	}
 }
 
-//voltvet:hotpath
 func signExtend(v uint32, bits uint) int64 {
 	shift := 64 - bits
 	return int64(uint64(v)<<shift) >> shift
@@ -333,8 +326,6 @@ func signExtend(v uint32, bits uint) int64 {
 // with Op == OpInvalid; the CPU raises an undefined-instruction error when
 // executing one, which is exactly what happens when a core branches into
 // retained-but-random SRAM.
-//
-//voltvet:hotpath
 func Decode(word uint32) Instr {
 	op := Op(word >> opShift & opMask)
 	in := Instr{Op: op}

@@ -39,8 +39,6 @@ type TraceSink struct {
 
 // RegWrite counts the flop toggles of a GPR writeback — the Hamming
 // distance between the dying and the incoming value.
-//
-//voltvet:hotpath
 func (s *TraceSink) RegWrite(old, next uint64) {
 	s.BusAct += bits.OnesCount64(old ^ next)
 }
@@ -48,8 +46,6 @@ func (s *TraceSink) RegWrite(old, next uint64) {
 // BusAccess counts interconnect activity: address-bus toggles against
 // the previous access, the Hamming weight of write data driven onto
 // the bus, and a per-byte transfer cost.
-//
-//voltvet:hotpath
 func (s *TraceSink) BusAccess(addr uint64, size int, write bool, wdata uint64) {
 	act := bits.OnesCount64(addr ^ s.LastAddr)
 	s.LastAddr = addr
@@ -61,8 +57,6 @@ func (s *TraceSink) BusAccess(addr uint64, size int, write bool, wdata uint64) {
 
 // Retire drains the accumulated activity into one sample — the sample
 // boundary is instruction retirement, one sample per core-clock cycle.
-//
-//voltvet:hotpath
 func (s *TraceSink) Retire() {
 	act := s.BusAct
 	s.BusAct = 0
@@ -83,9 +77,9 @@ func (s *TraceSink) Retire() {
 //
 // An attached capturer is architecturally invisible (same PC stream,
 // same Instret, same SRAM contents, to the bit), and the armed emit
-// path must stay allocation-free — it is pinned by voltvet
-// //voltvet:hotpath markers and a dynamic AllocsPerRun gate in
-// internal/trace.
+// path must stay allocation-free — it is pinned by voltvet's hot-path
+// checks (the TraceSink emit methods are in the closure of the
+// CPU.Step root) and a dynamic AllocsPerRun gate in internal/trace.
 type TraceProbe interface {
 	// CaptureState returns an opaque snapshot of the probe's internal
 	// state (arm flag, sample cursor, recorded samples).

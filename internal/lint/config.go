@@ -5,8 +5,9 @@ import "strings"
 // Config names the invariant model: which packages are bound by the
 // determinism contract and which form the service layer (lock hygiene
 // applies there, and deterministic packages may not import them).
-// Hot-path tagging is not configurable — it is the //voltvet:hotpath
-// directive, parsed by the shared directive grammar (directive.go).
+// The hot path is not configurable — it is inferred from the
+// //voltvet:hotpath root directives, parsed by the shared directive
+// grammar (directive.go).
 // Paths are module-path relative (e.g. "internal/sram"), so the same
 // config applies to the real module and to synthetic fixture modules
 // in tests.

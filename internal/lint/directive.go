@@ -12,16 +12,19 @@ import (
 //	voltvet:ignore VV-XXXNNN reason...   suppress one finding in place
 //	voltvet:nosnap reason...             waive one struct field from the
 //	                                     snapshot-completeness contract
-//	voltvet:hotpath [root]               allocation-free hot-path marker;
-//	                                     "root" seeds closure inference
+//	voltvet:hotpath root                 seed of the inferred hot path;
+//	                                     everything it reaches is held to
+//	                                     the hot-path checks
 //
 // (each spelled as a //-comment with no space after the slashes).
 // Every verb funnels through parseDirective so the malformed-directive
 // diagnostics stay consistent: a directive that parses but is missing
 // its operands — an ignore without an ID or reason, a nosnap without a
-// reason, a hotpath with an unknown argument, or an unknown verb
-// entirely — is reported as VV-IGN001 rather than silently doing
-// nothing. Silencing and waiving must stay auditable.
+// reason, a hotpath without exactly the root operand, or an unknown
+// verb entirely — is reported as VV-IGN001 rather than silently doing
+// nothing. Silencing and waiving must stay auditable, and a bare
+// hotpath marker would seed nothing, so it fails loud rather than look
+// like it puts a function on the hot path.
 const directivePrefix = "//voltvet:"
 
 type directiveKind int
@@ -40,8 +43,6 @@ type directive struct {
 	id string
 	// reason is the mandatory justification (ignore and nosnap).
 	reason string
-	// root marks a hot-path closure root (hotpath only).
-	root bool
 	// malformed carries the parse complaint; non-empty means the
 	// directive suppresses/waives/marks nothing and must be reported.
 	malformed string
@@ -76,12 +77,8 @@ func parseDirective(c *ast.Comment) (d directive, ok bool) {
 		d.reason = strings.Join(fields, " ")
 	case "hotpath":
 		d.kind = dirHotpath
-		switch {
-		case len(fields) == 0:
-		case len(fields) == 1 && fields[0] == "root":
-			d.root = true
-		default:
-			d.malformed = "malformed voltvet:hotpath directive: want \"voltvet:hotpath\" or \"voltvet:hotpath root\" (as a //-comment)"
+		if len(fields) != 1 || fields[0] != "root" {
+			d.malformed = "malformed voltvet:hotpath directive: want \"voltvet:hotpath root\" (as a //-comment); the rest of the hot path is inferred from the roots"
 			return d, true
 		}
 	default:

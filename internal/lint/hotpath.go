@@ -5,81 +5,56 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 )
 
-// hotpathAnalyzer enforces the zero-allocation contract on functions
-// tagged //voltvet:hotpath (the PR 2 predecode/step/cache-access path).
-// The runtime test TestStepSteadyStateZeroAlloc proves the contract
-// holds today for one instruction mix; this analyzer names the
-// constructs that would break it for any mix: fmt calls, string
-// concatenation, capturing closures, and concrete-to-interface
-// conversions, each of which heap-allocates on the live path.
+// hotpathAnalyzer checks the hot path, which is inferred rather than
+// annotated. Roots are tagged //voltvet:hotpath root (the step loop, the
+// superblock runner, the snapshot save/restore pair); the closure is
+// everything those roots can reach through the call graph, crossing
+// interface seams via class-hierarchy analysis. Every closure member is
+// held to two contracts:
 //
-// Error and panic paths are exempt: an expression consumed directly by
-// a return statement or a panic call only executes when the hot loop is
-// already leaving the fast path, which is exactly when allocation is
-// acceptable. (The dynamic test agrees — it measures the steady state.)
+//   - VV-HOT001..004, zero allocation: no fmt calls, string
+//     concatenation, capturing closures, or concrete-to-interface
+//     conversions on the live path, each of which heap-allocates. The
+//     runtime test TestStepSteadyStateZeroAlloc proves the contract for
+//     one instruction mix; these checks name the constructs that would
+//     break it for any mix.
+//   - VV-HOT006: an interface-dispatch call at a hot position. Dispatch
+//     does not allocate by itself, but it blocks inlining and hides the
+//     callee from static tools — the exact regression the TraceSink
+//     devirtualization fixed by hand. Devirtualize, or keep the seam
+//     deliberately with a voltvet:ignore and a reason.
+//
+// Error and panic paths are exempt from the allocation checks: an
+// expression consumed directly by a return statement or a panic call
+// only executes when the hot loop is already leaving the fast path,
+// which is exactly when allocation is acceptable. (The dynamic test
+// agrees — it measures the steady state.) Closure traversal is stricter:
+// a tail call (`return c.access(...)`) executes on every iteration, so
+// reachability follows return operands. Only panic arguments are cold
+// for reachability.
 func hotpathAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "hotpath",
-		Doc:  "allocation hygiene in functions marked //voltvet:hotpath",
-		IDs:  []string{"VV-HOT001", "VV-HOT002", "VV-HOT003", "VV-HOT004"},
+		Doc:  "allocation hygiene and interface dispatch on the closure of //voltvet:hotpath root seeds",
+		IDs:  []string{"VV-HOT001", "VV-HOT002", "VV-HOT003", "VV-HOT004", "VV-HOT006"},
 		Run:  runHotpath,
 	}
 }
 
-// hotClosureAnalyzer turns the hot-path annotation set from a
-// hand-maintained list into an inferred property. Roots are tagged
-// //voltvet:hotpath root (the step loop, the restore path); the closure
-// is everything those roots can reach through the call graph, crossing
-// interface seams via class-hierarchy analysis. Two findings fall out:
-//
-//   - VV-HOT005: a function the hot path reaches that does not carry
-//     the //voltvet:hotpath directive. Annotate it (bringing it under
-//     the allocation checks) or, for a callee that is genuinely cold
-//     (fault/diagnostic path), silence the finding at the declaration
-//     with a voltvet:ignore comment naming the reason.
-//   - VV-HOT006: an interface-dispatch call at a hot position. Dispatch
-//     does not allocate by itself, but it blocks inlining and hides the
-//     callee from static tools — the exact regression the TraceSink
-//     devirtualization fixed by hand in PR 9. Devirtualize, or keep the
-//     seam deliberately with a voltvet:ignore and a reason.
-//
-// Unlike the allocation checks, closure traversal treats return
-// operands as hot: a tail call (`return c.access(...)`) executes on
-// every iteration, so reachability must follow it even though an
-// allocation in the same position would be tolerated as a
-// leaving-the-fast-path cost. Only panic arguments are cold for
-// reachability.
-func hotClosureAnalyzer() *Analyzer {
-	return &Analyzer{
-		Name: "hotclosure",
-		Doc:  "inferred hot-path closure from //voltvet:hotpath root seeds",
-		IDs:  []string{"VV-HOT005", "VV-HOT006"},
-		Run:  runHotClosure,
-	}
-}
-
-// HotPath is the module's inferred hot-path structure. Positions are in
+// HotPath is the module's inferred hot-path structure. Names are in
 // types.Func.FullName form (e.g. "(*repro/internal/isa.CPU).Step").
 type HotPath struct {
-	// Marked holds every function carrying the //voltvet:hotpath
-	// directive (with or without the root argument).
-	Marked map[string]token.Position
 	// Roots are the closure seeds (//voltvet:hotpath root), sorted.
 	Roots []string
 	// Closure is every function reachable from the roots through static
 	// calls and class-hierarchy-resolved interface dispatch.
 	Closure map[string]token.Position
 
+	members  map[*types.Func]bool
 	findings []Diagnostic
-}
-
-// HotpathFuncs returns the annotated function set (marker directive
-// present), keyed by FullName. Exported so tests can pin the annotation
-// set against the dynamic zero-alloc gates.
-func HotpathFuncs(mod *Module, cfg *Config) map[string]token.Position {
-	return InferHotPath(mod, cfg).Marked
 }
 
 // InferHotPath computes (once per module+config) the hot-path closure.
@@ -97,46 +72,39 @@ func InferHotPath(mod *Module, cfg *Config) *HotPath {
 	return hp
 }
 
-// hotDirective returns the hotpath directive on a declaration, if any.
-// Malformed directives mark nothing (they are reported as VV-IGN001).
-func hotDirective(fd *ast.FuncDecl) (directive, bool) {
+// isHotRoot reports whether a declaration carries a root directive
+// (//voltvet:hotpath root). Malformed directives seed nothing (they are
+// reported as VV-IGN001).
+func isHotRoot(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
-		return directive{}, false
+		return false
 	}
 	for _, c := range fd.Doc.List {
 		if d, ok := parseDirective(c); ok && d.kind == dirHotpath && d.malformed == "" {
-			return d, true
+			return true
 		}
 	}
-	return directive{}, false
+	return false
 }
 
 func inferHotPath(mod *Module, cfg *Config) *HotPath {
 	g := mod.CallGraph()
 	hp := &HotPath{
-		Marked:  map[string]token.Position{},
 		Closure: map[string]token.Position{},
+		members: map[*types.Func]bool{},
 	}
 
 	var roots []*types.Func
-	marked := map[*types.Func]bool{}
 	for _, pkg := range mod.Sorted {
 		if cfg.IsExcluded(pkg.ImportPath) {
 			continue
 		}
 		for _, f := range pkg.Files {
 			for _, fd := range funcBodies(f) {
-				d, ok := hotDirective(fd)
-				if !ok {
+				if !isHotRoot(fd) {
 					continue
 				}
-				fn := DeclaredFunc(pkg, fd)
-				if fn == nil {
-					continue
-				}
-				marked[fn] = true
-				hp.Marked[fn.FullName()] = mod.Fset.Position(fd.Pos())
-				if d.root {
+				if fn := DeclaredFunc(pkg, fd); fn != nil {
 					roots = append(roots, fn)
 				}
 			}
@@ -147,44 +115,20 @@ func inferHotPath(mod *Module, cfg *Config) *HotPath {
 		hp.Roots = append(hp.Roots, r.FullName())
 	}
 
-	// Worklist BFS. Each entry remembers one caller for the diagnostic.
-	type edge struct {
-		fn  *types.Func
-		via *types.Func // nil for roots
-	}
-	var work []edge
-	inClosure := map[*types.Func]bool{}
-	for _, r := range roots {
-		work = append(work, edge{fn: r})
-	}
+	// Worklist BFS from the roots.
+	work := append([]*types.Func(nil), roots...)
 	for len(work) > 0 {
-		e := work[0]
+		fn := work[0]
 		work = work[1:]
-		fn := e.fn
 		fi := g.FuncInfo(fn)
-		if fi == nil || inClosure[fn] {
+		if fi == nil || hp.members[fn] {
 			continue
 		}
 		if cfg.IsExcluded(fi.Pkg.ImportPath) {
 			continue
 		}
-		inClosure[fn] = true
+		hp.members[fn] = true
 		hp.Closure[fn.FullName()] = mod.Fset.Position(fi.Decl.Pos())
-
-		if !marked[fn] {
-			via := "a hot-path root"
-			if e.via != nil {
-				via = e.via.FullName()
-			}
-			hp.findings = append(hp.findings, Diagnostic{
-				ID:       "VV-HOT005",
-				Analyzer: "hotclosure",
-				Pos:      mod.Fset.Position(fi.Decl.Name.Pos()),
-				Package:  fi.Pkg.ImportPath,
-				Message: fn.Name() + " is reachable on the hot path (called from " + via +
-					") but carries no //voltvet:hotpath directive; annotate it, or voltvet:ignore VV-HOT005 here if the call is genuinely cold",
-			})
-		}
 
 		// Walk this function's hot call sites.
 		for _, hc := range hotCallSites(fi) {
@@ -198,21 +142,19 @@ func inferHotPath(mod *Module, cfg *Config) *HotPath {
 					impls := g.Implementers(callee)
 					hp.findings = append(hp.findings, Diagnostic{
 						ID:       "VV-HOT006",
-						Analyzer: "hotclosure",
+						Analyzer: "hotpath",
 						Pos:      mod.Fset.Position(hc.Pos()),
 						Package:  fi.Pkg.ImportPath,
 						Message: "interface dispatch on the hot path in " + fn.Name() + ": call to " +
 							callee.Name() + " resolves dynamically (" + implSummary(impls) +
 							"); devirtualize it, or keep the seam with a voltvet:ignore naming why",
 					})
-					for _, impl := range impls {
-						work = append(work, edge{fn: impl, via: fn})
-					}
+					work = append(work, impls...)
 					continue
 				}
 			}
 			if g.FuncInfo(callee) != nil {
-				work = append(work, edge{fn: callee, via: fn})
+				work = append(work, callee)
 			}
 		}
 	}
@@ -226,20 +168,8 @@ func implSummary(impls []*types.Func) string {
 	case 1:
 		return "resolves to " + impls[0].FullName()
 	default:
-		return impls[0].FullName() + " and " + itoa(n-1) + " other implementation(s)"
+		return impls[0].FullName() + " and " + strconv.Itoa(n-1) + " other implementation(s)"
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }
 
 // hotCallSites returns the call expressions in fi's body that execute
@@ -275,26 +205,23 @@ func hotCallSites(fi *FnInfo) []*ast.CallExpr {
 	return out
 }
 
-// runHotClosure reports the precomputed closure findings that land in
-// the current package.
-func runHotClosure(pass *Pass) {
+// runHotpath reports the closure's VV-HOT006 findings that land in the
+// current package and runs the allocation checks on every function of
+// the package that is in the closure.
+func runHotpath(pass *Pass) {
 	hp := InferHotPath(pass.Module, pass.Cfg)
 	for _, d := range hp.findings {
-		if d.Package != pass.Pkg.ImportPath {
-			continue
+		if d.Package == pass.Pkg.ImportPath {
+			*pass.diags = append(*pass.diags, d)
 		}
-		*pass.diags = append(*pass.diags, d)
 	}
-}
-
-func runHotpath(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		for _, fd := range funcBodies(f) {
-			if _, ok := hotDirective(fd); !ok {
+			if !hp.members[DeclaredFunc(pass.Pkg, fd)] {
 				continue
 			}
-			hp := &hotpathWalker{pass: pass, info: pass.Pkg.Info, fn: fd}
-			hp.node(fd.Body, false)
+			h := &hotpathWalker{pass: pass, info: pass.Pkg.Info, fn: fd}
+			h.node(fd.Body, false)
 		}
 	}
 }

@@ -13,10 +13,11 @@ type ignoreKey struct {
 // statement).
 //
 // All verbs share one grammar (directive.go): an ignore without both an
-// ID and a reason, a nosnap without a reason, a hotpath with an unknown
-// argument, or an unknown verb outright suppresses/waives/marks nothing
-// and is itself reported as VV-IGN001, so silencing stays auditable —
-// a typo fails loud instead of silently widening the contract.
+// ID and a reason, a nosnap without a reason, a hotpath other than
+// "hotpath root", or an unknown verb outright suppresses/waives/seeds
+// nothing and is itself reported as VV-IGN001, so silencing stays
+// auditable — a typo fails loud instead of silently widening the
+// contract.
 func applyIgnores(mod *Module, diags []Diagnostic) []Diagnostic {
 	ignored := map[ignoreKey]map[string]bool{}
 	var malformed []Diagnostic

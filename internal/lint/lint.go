@@ -59,7 +59,6 @@ func All() []*Analyzer {
 		determinismAnalyzer(),
 		mapOrderAnalyzer(),
 		hotpathAnalyzer(),
-		hotClosureAnalyzer(),
 		snapshotAnalyzer(),
 		locksAnalyzer(),
 		errcheckAnalyzer(),

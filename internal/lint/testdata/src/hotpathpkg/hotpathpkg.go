@@ -1,7 +1,7 @@
-// Package hotpathpkg exercises the hot-path allocation analyzer:
-// functions tagged //voltvet:hotpath may not allocate on the live path,
-// while error and panic paths stay exempt, and untagged functions are
-// ignored entirely.
+// Package hotpathpkg exercises the hot-path allocation checks:
+// functions the //voltvet:hotpath root seeds reach may not allocate on
+// the live path, while error and panic paths stay exempt, and
+// functions no root reaches are ignored entirely.
 package hotpathpkg
 
 import (
@@ -18,7 +18,7 @@ func take(f func() int) int { return f() }
 // Step is the fixture hot function: every construct below defeats the
 // zero-alloc contract.
 //
-//voltvet:hotpath
+//voltvet:hotpath root
 func Step(name string, n int) (int, error) {
 	if n < 0 {
 		// Cold: the Sprintf feeds panic, the Errorf is a return operand.
@@ -34,14 +34,16 @@ func Step(name string, n int) (int, error) {
 	return total, nil
 }
 
-// Warm is identical but untagged; nothing is reported.
+// Warm allocates the same way but no root reaches it; nothing is
+// reported.
 func Warm(name string, n int) string {
-	return fmt.Sprintf("%s-%d", name, n)
+	label := fmt.Sprintf("%s-%d", name, n)
+	return label
 }
 
 // Fast shows the allocation-free shapes the analyzer accepts.
 //
-//voltvet:hotpath
+//voltvet:hotpath root
 func Fast(buf []byte, n int) (int, error) {
 	if n >= len(buf) {
 		return 0, errors.New("out of range")

@@ -110,16 +110,12 @@ func (d *Domain) sourcesUpExcept(skip Source) bool {
 func (d *Domain) Name() string { return d.name }
 
 // NominalVolts returns the domain's nominal operating voltage.
-//
-//voltvet:hotpath
 func (d *Domain) NominalVolts() float64 { return d.nominal }
 
 // SuppliesCores reports whether CPU cores draw from this domain.
 func (d *Domain) SuppliesCores() bool { return d.suppliesCores }
 
 // Volts returns the instantaneous rail voltage.
-//
-//voltvet:hotpath
 func (d *Domain) Volts() float64 { return d.volts }
 
 // Attach registers a load (an SRAM array, a register file) on the domain
@@ -171,8 +167,6 @@ func (d *Domain) RemoveSource(s Source) {
 // Reresolve recomputes the rail voltage from the currently offered source
 // voltages and pushes it to every load. Call after any source changes
 // state.
-//
-//voltvet:hotpath
 func (d *Domain) Reresolve() {
 	best := 0.0
 	for _, s := range d.sources {
@@ -186,7 +180,6 @@ func (d *Domain) Reresolve() {
 	d.setVolts(best)
 }
 
-//voltvet:hotpath
 func (d *Domain) setVolts(v float64) {
 	d.volts = v
 	for _, l := range d.loads {
@@ -210,8 +203,6 @@ func (d *Domain) Droop(sagVolts float64, duration sim.Time) {
 // steps instructions inside the pulse and closes it with PulseEnd.
 // Loads see the falling edge at once, so SRAM decay bookkeeping on the
 // glitched domain covers exactly the pulse window.
-//
-//voltvet:hotpath
 func (d *Domain) PulseDown(sagVolts float64) {
 	if sagVolts < 0 {
 		sagVolts = 0
@@ -223,8 +214,6 @@ func (d *Domain) PulseDown(sagVolts float64) {
 // PulseEnd closes a glitch pulse opened by PulseDown: the clock advances
 // by the pulse width and the rail re-resolves to whatever its sources
 // offer, pushing the rising edge to every load.
-//
-//voltvet:hotpath
 func (d *Domain) PulseEnd(width sim.Time) {
 	d.env.Advance(width)
 	d.Reresolve()
@@ -244,8 +233,6 @@ type Regulator struct {
 }
 
 // OfferedVolts implements Source.
-//
-//voltvet:hotpath
 func (r *Regulator) OfferedVolts() float64 {
 	if r.enabled && r.pmic.inputPresent {
 		return r.volts
@@ -425,8 +412,6 @@ func NewBenchSupply(env *sim.Env, name string, volts, maxAmps float64) *BenchSup
 }
 
 // OfferedVolts implements Source.
-//
-//voltvet:hotpath
 func (b *BenchSupply) OfferedVolts() float64 {
 	if b.attached {
 		return b.volts

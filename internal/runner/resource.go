@@ -7,11 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// MapWithResource is MapCtx for trial functions that share an expensive
-// per-worker resource — the snapshot fast path's entry point. Each
-// worker lazily builds one resource with mk on its first claimed trial
-// and reuses it for every subsequent trial it runs; with workers ≤ 1 a
-// single resource serves the whole serial loop.
+// MapWithResource is the package's one worker pool: MapCtx, with the
+// same cancellation, error and panic rules, for trial functions that
+// share an expensive per-worker resource — the snapshot fast path's
+// entry point. Each worker lazily builds one resource with mk on its
+// first claimed trial and reuses it for every subsequent trial it runs;
+// with workers ≤ 1 a single resource serves the whole serial loop.
 //
 // The canonical resource is a forked board: mk builds a fresh
 // board.Board, runs the sweep's shared prefix (boot, victim fill), and

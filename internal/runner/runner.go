@@ -27,8 +27,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/xrand"
 )
@@ -48,127 +46,20 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	return MapCtx(context.Background(), n, runtime.GOMAXPROCS(0), fn)
 }
 
-// MapWorkers is Map with an explicit worker count (useful for tests that
-// pin the fan-out). workers ≤ 1 runs serially on the calling goroutine.
-func MapWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, workers, fn)
-}
-
-// MapCtx is MapWorkers with cooperative cancellation: once ctx is
-// cancelled no new trial is dispatched, in-flight trials finish, and the
-// call returns (nil, ctx.Err()). Cancellation takes precedence over any
-// trial error, because which trials had run by the time the context fired
-// is scheduling-dependent — reporting ctx.Err() keeps the cancelled
-// outcome deterministic. On the success path MapCtx is byte-identical to
-// the pre-context Map/MapWorkers: index-ordered results, lowest-index
-// error selection, panic propagation. A Background (or otherwise
-// non-cancellable) context adds no per-trial overhead: the cancellation
-// probe is skipped entirely when ctx.Done() returns nil.
+// MapCtx is Map with an explicit worker count and cooperative
+// cancellation. workers ≤ 1 runs serially on the calling goroutine.
+// Once ctx is cancelled no new trial is dispatched, in-flight trials
+// finish, and the call returns (nil, ctx.Err()). Cancellation takes
+// precedence over any trial error, because which trials had run by the
+// time the context fired is scheduling-dependent — reporting ctx.Err()
+// keeps the cancelled outcome deterministic. On the success path the
+// results are index-ordered, the first error by index wins, and a trial
+// panic is propagated. A Background (or otherwise non-cancellable)
+// context adds no per-trial overhead: the cancellation probe is skipped
+// entirely when ctx.Done() returns nil. MapCtx is MapWithResource with
+// no resource.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	done := ctx.Done() // nil for Background/TODO: probes compile out below
-	if done != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	results := make([]T, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if done != nil {
-				select {
-				case <-done:
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			v, err := fn(i)
-			if err != nil {
-				return nil, fmt.Errorf("runner: trial %d: %w", i, err)
-			}
-			results[i] = v
-		}
-		return results, nil
-	}
-
-	var (
-		next     atomic.Int64 // work-stealing cursor
-		firstIdx atomic.Int64 // lowest failing index so far, -1 = none
-		errs     = make([]error, n)
-		panics   = make([]any, workers)
-		wg       sync.WaitGroup
-	)
-	firstIdx.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[worker] = r
-					firstIdx.Store(-2) // poison: stop handing out work
-				}
-			}()
-			for {
-				if done != nil {
-					select {
-					case <-done:
-						return // stop dispatching; MapCtx reports ctx.Err()
-					default:
-					}
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Once a failure at index f is known, indices above f
-				// cannot improve the outcome; keep running lower ones so
-				// the reported error is the deterministic lowest index.
-				if f := firstIdx.Load(); f == -2 || (f >= 0 && int64(i) > f) {
-					continue
-				}
-				v, err := fn(i)
-				if err != nil {
-					errs[i] = err
-					for {
-						f := firstIdx.Load()
-						if f == -2 || (f >= 0 && f < int64(i)) {
-							break
-						}
-						if firstIdx.CompareAndSwap(f, int64(i)) {
-							break
-						}
-					}
-					continue
-				}
-				results[i] = v
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	if done != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if f := firstIdx.Load(); f >= 0 {
-		return nil, fmt.Errorf("runner: trial %d: %w", f, errs[f])
-	}
-	return results, nil
-}
-
-// MapNoErr is Map for infallible trial functions.
-func MapNoErr[T any](n int, fn func(i int) T) []T {
-	out, _ := Map(n, func(i int) (T, error) { return fn(i), nil })
-	return out
+	return MapWithResource(ctx, n, workers,
+		func() (struct{}, error) { return struct{}{}, nil },
+		func(_ struct{}, i int) (T, error) { return fn(i) })
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestMapMatchesSerial is the package's core guarantee: for a pure trial
-// function, MapWorkers with any worker count returns exactly what the
+// function, MapCtx with any worker count returns exactly what the
 // serial loop returns, in the same order.
 func TestMapMatchesSerial(t *testing.T) {
 	const n = 257
@@ -19,12 +19,12 @@ func TestMapMatchesSerial(t *testing.T) {
 		// ordering bug cannot cancel out.
 		return SeedFor(42, "serial-vs-parallel", i), nil
 	}
-	want, err := MapWorkers(n, 1, fn)
+	want, err := MapCtx(context.Background(), n, 1, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 64, n + 5} {
-		got, err := MapWorkers(n, workers, fn)
+		got, err := MapCtx(context.Background(), n, workers, fn)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -46,7 +46,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 	const n = 100
 	failAt := map[int]bool{17: true, 18: true, 63: true, 99: true}
 	for _, workers := range []int{1, 2, 8} {
-		_, err := MapWorkers(n, workers, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), n, workers, func(i int) (int, error) {
 			if failAt[i] {
 				return 0, fmt.Errorf("boom at %d", i)
 			}
@@ -64,7 +64,7 @@ func TestMapFirstErrorByIndex(t *testing.T) {
 // TestMapErrorWrapped: the trial error must be reachable via errors.Is.
 func TestMapErrorWrapped(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	_, err := MapWorkers(10, 4, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), 10, 4, func(i int) (int, error) {
 		if i == 5 {
 			return 0, sentinel
 		}
@@ -89,7 +89,7 @@ func TestMapPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want \"trial panic\"", workers, r)
 				}
 			}()
-			_, _ = MapWorkers(20, workers, func(i int) (int, error) {
+			_, _ = MapCtx(context.Background(), 20, workers, func(i int) (int, error) {
 				if i == 7 {
 					panic("trial panic")
 				}
@@ -105,9 +105,9 @@ func TestMapEmptyAndSmall(t *testing.T) {
 	if err != nil || out != nil {
 		t.Fatalf("Map(0) = %v, %v; want nil, nil", out, err)
 	}
-	out, err = MapWorkers(1, 8, func(i int) (int, error) { return i + 100, nil })
+	out, err = MapCtx(context.Background(), 1, 8, func(i int) (int, error) { return i + 100, nil })
 	if err != nil || len(out) != 1 || out[0] != 100 {
-		t.Fatalf("MapWorkers(1, 8) = %v, %v", out, err)
+		t.Fatalf("MapCtx(context.Background(), 1, 8) = %v, %v", out, err)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestMapEmptyAndSmall(t *testing.T) {
 func TestMapRunsEveryIndexOnce(t *testing.T) {
 	const n = 500
 	var counts [n]atomic.Int32
-	_, err := MapWorkers(n, 8, func(i int) (struct{}, error) {
+	_, err := MapCtx(context.Background(), n, 8, func(i int) (struct{}, error) {
 		counts[i].Add(1)
 		return struct{}{}, nil
 	})
@@ -131,11 +131,11 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 }
 
 // TestMapCtxMatchesMap: with a background context, MapCtx is the same
-// function as MapWorkers — same results, same ordering, any worker count.
+// function as Map — same results, same ordering, any worker count.
 func TestMapCtxMatchesMap(t *testing.T) {
 	const n = 123
 	fn := func(i int) (uint64, error) { return SeedFor(7, "ctx-vs-plain", i), nil }
-	want, err := MapWorkers(n, 1, fn)
+	want, err := Map(n, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +220,6 @@ func TestMapCtxCancellationBeatsTrialError(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestMapNoErr covers the infallible wrapper.
-func TestMapNoErr(t *testing.T) {
-	out := MapNoErr(5, func(i int) int { return i * i })
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
 	}
 }
 

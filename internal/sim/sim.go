@@ -48,8 +48,6 @@ func (t Time) String() string {
 }
 
 // CelsiusToKelvin converts a temperature in degrees Celsius to Kelvin.
-//
-//voltvet:hotpath
 func CelsiusToKelvin(c float64) float64 { return c + 273.15 }
 
 // Env is the shared simulation environment: the clock and the ambient
@@ -78,14 +76,10 @@ func NewQuietEnv() *Env {
 }
 
 // Now returns the current simulation time.
-//
-//voltvet:hotpath
 func (e *Env) Now() Time { return e.now }
 
 // Advance moves the clock forward by d. It panics on negative durations:
 // simulated time never runs backwards.
-//
-//voltvet:hotpath
 func (e *Env) Advance(d Time) {
 	if d < 0 {
 		panic("sim: Advance with negative duration")
@@ -105,13 +99,9 @@ func (e *Env) Rewind(now Time, tempC float64) {
 }
 
 // TemperatureC returns the ambient temperature in degrees Celsius.
-//
-//voltvet:hotpath
 func (e *Env) TemperatureC() float64 { return e.tempC }
 
 // TemperatureK returns the ambient temperature in Kelvin.
-//
-//voltvet:hotpath
 func (e *Env) TemperatureK() float64 { return CelsiusToKelvin(e.tempC) }
 
 // SetTemperatureC sets the ambient temperature. The change is logged; the
@@ -139,8 +129,6 @@ func (e *Env) SetLog(l *EventLog) { e.log = l }
 // is attached the call returns before any formatting or event allocation
 // happens; callers assembling expensive arguments should additionally
 // gate on LogEnabled.
-//
-//voltvet:hotpath
 func (e *Env) Logf(subsystem, format string, args ...any) {
 	if e.log == nil {
 		return
@@ -169,8 +157,6 @@ type EventLog struct {
 func NewEventLog() *EventLog { return &EventLog{} }
 
 // Add appends an event.
-//
-//voltvet:hotpath
 func (l *EventLog) Add(at Time, subsystem, message string) {
 	l.events = append(l.events, Event{At: at, Subsystem: subsystem, Message: message})
 }

@@ -296,7 +296,6 @@ type dramLoad struct {
 
 func (d *dramLoad) Name() string { return d.mod.Name() }
 
-//voltvet:hotpath
 func (d *dramLoad) SetRail(v float64) {
 	if v >= d.minVolts {
 		d.mod.PowerOn()
@@ -314,7 +313,6 @@ type railWatcher struct {
 
 func (r *railWatcher) Name() string { return r.name }
 
-//voltvet:hotpath
 func (r *railWatcher) SetRail(float64) { *r.gen++ }
 
 // Powered reports whether the core domain is up.
@@ -583,16 +581,13 @@ func (s *SoC) OrderlyShutdown() {
 
 // --- address routing -----------------------------------------------------
 
-//voltvet:hotpath
 func (s *SoC) inDRAM(addr uint64) bool { return addr < uint64(s.Spec.DRAMBytes) }
 
-//voltvet:hotpath
 func (s *SoC) inIRAM(addr uint64) bool {
 	return s.IRAM != nil && addr >= s.Spec.IRAMBase &&
 		addr < s.Spec.IRAMBase+uint64(s.Spec.IRAMBytes)
 }
 
-//voltvet:hotpath
 func (s *SoC) inROM(addr uint64) bool {
 	return addr >= ROMBase && addr < ROMBase+uint64(len(s.rom))
 }
@@ -607,8 +602,6 @@ func (s *SoC) writeDRAMDirect(addr uint64, w uint32) error {
 
 // FetchInstr implements isa.Bus: instruction fetches go through the
 // core's L1I for cacheable memory.
-//
-//voltvet:hotpath
 func (s *SoC) FetchInstr(core int, addr uint64) (uint32, error) {
 	v, err := s.access(core, addr, 4, false, 0, true)
 	return uint32(v), err
@@ -622,8 +615,6 @@ func (s *SoC) FetchInstr(core int, addr uint64) (uint32, error) {
 // Decode. The generation stamp guarantees the hit is sound: if no
 // guarding counter moved since install, the same level would serve the
 // same word from the same (way, set) today.
-//
-//voltvet:hotpath
 func (s *SoC) FetchDecoded(core int, addr uint64) (isa.Instr, uint32, error) {
 	if core < 0 || core >= len(s.Cores) {
 		return isa.Instr{}, 0, fmt.Errorf("soc: core %d out of range", core)
@@ -667,8 +658,6 @@ func (s *SoC) FetchDecoded(core int, addr uint64) (isa.Instr, uint32, error) {
 // core's predecode table, classified by the level that served it. The
 // generation is sampled *after* the fetch, so a fill triggered by the
 // fetch itself guards the entry correctly.
-//
-//voltvet:hotpath
 func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, word uint32) {
 	mode := predecNone
 	var way, set int
@@ -718,8 +707,6 @@ func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, 
 // could change what a fetch in that mode observes or which level serves
 // it. Sums of monotonic counters are monotonic, so a stamp comparison
 // detects "anything moved".
-//
-//voltvet:hotpath
 func (s *SoC) predecGen(c *Core, mode uint8) uint64 {
 	switch mode {
 	case predecL1I:
@@ -753,23 +740,17 @@ func (s *SoC) predecGen(c *Core, mode uint8) uint64 {
 }
 
 // Load implements isa.Bus.
-//
-//voltvet:hotpath
 func (s *SoC) Load(core int, addr uint64, size int) (uint64, error) {
 	return s.access(core, addr, size, false, 0, false)
 }
 
 // Store implements isa.Bus.
-//
-//voltvet:hotpath
 func (s *SoC) Store(core int, addr uint64, size int, v uint64) error {
 	_, err := s.access(core, addr, size, true, v, false)
 	return err
 }
 
 // Load128 implements isa.Bus.
-//
-//voltvet:hotpath
 func (s *SoC) Load128(core int, addr uint64) ([2]uint64, error) {
 	lo, err := s.access(core, addr, 8, false, 0, false)
 	if err != nil {
@@ -780,8 +761,6 @@ func (s *SoC) Load128(core int, addr uint64) ([2]uint64, error) {
 }
 
 // Store128 implements isa.Bus.
-//
-//voltvet:hotpath
 func (s *SoC) Store128(core int, addr uint64, v [2]uint64) error {
 	if _, err := s.access(core, addr, 8, true, v[0], false); err != nil {
 		return err
@@ -790,7 +769,6 @@ func (s *SoC) Store128(core int, addr uint64, v [2]uint64) error {
 	return err
 }
 
-//voltvet:hotpath
 func (s *SoC) access(core int, addr uint64, size int, write bool, wdata uint64, ifetch bool) (uint64, error) {
 	if core < 0 || core >= len(s.Cores) {
 		return 0, fmt.Errorf("soc: core %d out of range", core)
@@ -863,8 +841,6 @@ func (s *SoC) access(core int, addr uint64, size int, write bool, wdata uint64, 
 // targets). Entry format: bit 0 = valid, bits [63:1] = page number or
 // target word address. These writes model the hardware's own bookkeeping,
 // which is why the buffers hold victim history when the attacker arrives.
-//
-//voltvet:hotpath
 func (s *SoC) updateHistoryBuffers(c *Core, addr uint64, ifetch bool) {
 	if c.TLB.Powered() {
 		page := addr >> 12
@@ -889,8 +865,6 @@ func (s *SoC) updateHistoryBuffers(c *Core, addr uint64, ifetch bool) {
 // --- isa.SysOps ----------------------------------------------------------
 
 // DCZVA implements isa.SysOps.
-//
-//voltvet:hotpath
 func (s *SoC) DCZVA(core int, addr uint64) error {
 	if !s.inDRAM(addr) {
 		return fmt.Errorf("soc: DC ZVA outside cacheable memory at %#x", addr)
@@ -900,8 +874,6 @@ func (s *SoC) DCZVA(core int, addr uint64) error {
 }
 
 // DCCIVAC implements isa.SysOps.
-//
-//voltvet:hotpath
 func (s *SoC) DCCIVAC(core int, addr uint64) error {
 	if !s.inDRAM(addr) {
 		return fmt.Errorf("soc: DC CIVAC outside cacheable memory at %#x", addr)
@@ -910,16 +882,12 @@ func (s *SoC) DCCIVAC(core int, addr uint64) error {
 }
 
 // ICIALLU implements isa.SysOps.
-//
-//voltvet:hotpath
 func (s *SoC) ICIALLU(core int) {
 	s.Cores[core].L1I.InvalidateAll()
 }
 
 // Barrier implements isa.SysOps (DSB/ISB). The interpreter is in-order;
 // the count documents that payloads issue the barriers §6.1 requires.
-//
-//voltvet:hotpath
 func (s *SoC) Barrier(core int) { s.barriers++ }
 
 // BarrierCount returns the number of barriers executed so far.
@@ -929,8 +897,6 @@ func (s *SoC) BarrierCount() uint64 { return s.barriers }
 // cache-internal RAMs (§2.1, §6.1). Requires EL3; with the TrustZone
 // countermeasure, valid secure lines are unreadable from the non-secure
 // state.
-//
-//voltvet:hotpath
 func (s *SoC) RAMIndexRead(core int, req uint64, el int) (uint64, bool) {
 	if el < 3 {
 		return 0, true

@@ -48,8 +48,6 @@ const cellHashGamma = 0x9e3779b97f4a7c15
 // survives if either the held voltage was at or above its personal DRV,
 // or the unpowered interval was shorter than its personal retention time
 // at the excursion temperature.
-//
-//voltvet:hotpath
 func (a *Array) resolveDecay() {
 	if a.scalarKernels {
 		a.resolveDecayScalar()
@@ -59,8 +57,6 @@ func (a *Array) resolveDecay() {
 }
 
 // powerUpAll samples a fresh power-up fingerprint for every cell.
-//
-//voltvet:hotpath
 func (a *Array) powerUpAll() {
 	if a.scalarKernels {
 		a.powerUpAllScalar()
@@ -72,8 +68,6 @@ func (a *Array) powerUpAll() {
 // logDecayThreshold returns the survival threshold in log-retention
 // space: a cell survives on time iff elapsed < median·exp(logRet), i.e.
 // logRet > ln(elapsed/median). One Log call serves the whole array.
-//
-//voltvet:hotpath
 func (a *Array) logDecayThreshold(elapsed float64) float64 {
 	if elapsed <= 0 {
 		return math.Inf(-1) // everything survives a zero gap
@@ -89,8 +83,6 @@ func (a *Array) logDecayThreshold(elapsed float64) float64 {
 // ihNormal's value is an exact function of: every partial sum in ihNormal
 // is an integer below 2⁵³, so float64(fieldSum16(h)) reproduces ihNormal's
 // internal sum bit-exactly.
-//
-//voltvet:hotpath
 func fieldSum16(h uint64) int {
 	return int(h&0xFFFF) + int(h>>16&0xFFFF) + int(h>>32&0xFFFF) + int(h>>48)
 }
@@ -100,8 +92,6 @@ const maxFieldSum = 262140
 
 // maxSumWhere returns the largest s in [0, maxFieldSum] satisfying pred,
 // or −1 when none does. pred must be downward closed (true on a prefix).
-//
-//voltvet:hotpath
 func maxSumWhere(pred func(int) bool) int {
 	if !pred(0) {
 		return -1
@@ -120,8 +110,6 @@ func maxSumWhere(pred func(int) bool) int {
 
 // minIntWhere returns the smallest m in [0, hi] satisfying pred, or
 // hi+1 when none does. pred must be upward closed.
-//
-//voltvet:hotpath
 func minIntWhere(hi int, pred func(int) bool) int {
 	if !pred(hi) {
 		return hi + 1
@@ -139,8 +127,6 @@ func minIntWhere(hi int, pred func(int) bool) int {
 }
 
 // minSumWhere is minIntWhere over the field-sum domain.
-//
-//voltvet:hotpath
 func minSumWhere(pred func(int) bool) int { return minIntWhere(maxFieldSum, pred) }
 
 // biasedThreshold precomputes the integer gate equivalent to the scalar
@@ -148,8 +134,6 @@ func minSumWhere(pred func(int) bool) int { return minIntWhere(maxFieldSum, pred
 // the division by 2²⁴ is exact for every 24-bit value, so the predicate
 // is monotone in the field and the binary search (evaluating the exact
 // scalar expression) yields a bit-identical integer compare.
-//
-//voltvet:hotpath
 func biasedThreshold(neutral float64) int {
 	return minIntWhere(1<<24-1, func(m int) bool {
 		return float64(m)/float64(1<<24) >= neutral
@@ -182,7 +166,6 @@ type biasSampler struct {
 	thrInt uint64
 }
 
-//voltvet:hotpath
 func (a *Array) newBiasSampler() biasSampler {
 	s := biasSampler{rng: a.rng, biasedMin: biasedThreshold(a.model.NeutralFraction)}
 	noise := a.model.BiasNoise
@@ -226,8 +209,6 @@ func (s *biasSampler) sample(h3 uint64) bool {
 // with no cross-iteration dependency and no rng draws. The result is a
 // function of only (cellState, ig, biasedMin), all fixed for an array's
 // lifetime.
-//
-//voltvet:hotpath
 func mode2PhaseA(cellState, ig uint64, biasedMin int) (biasedMask, prefBits uint64) {
 	igk := ig
 	for k := uint(0); k < 64; k++ {
@@ -254,8 +235,6 @@ func mode2PhaseA(cellState, ig uint64, biasedMin int) (biasedMask, prefBits uint
 // cell — exactly the stream the scalar reference consumes — and every
 // per-cell predicate is the same integer compare the generic kernels
 // use, so the result is bit-identical.
-//
-//voltvet:hotpath
 func mode2Batch64(rng *xrand.Rand, biasedMask, prefBits, thrInt uint64) uint64 {
 	var flipMask, coinMask uint64
 	for k := uint(0); k < 64; k++ {
@@ -277,8 +256,6 @@ func mode2Batch64(rng *xrand.Rand, biasedMask, prefBits, thrInt uint64) uint64 {
 // The bits stay stale until materialize replays the draws. Callers
 // guarantee the mode-2 batch conditions (mode 2, no imprint overlay, no
 // partial tail word) and mark the snapshot pages.
-//
-//voltvet:hotpath
 func (a *Array) pend() {
 	a.pending = true
 	a.pendFrom = a.rng.State()
@@ -296,8 +273,6 @@ func (a *Array) pend() {
 // unchanged, and a sweep that restores it per trial materializes once
 // instead of once per trial. Otherwise every page is marked dirty, since
 // the snapshot's copy of the words is not what the array now holds.
-//
-//voltvet:hotpath
 func (a *Array) materialize() {
 	sampler := a.newBiasSampler()
 	var rng xrand.Rand
@@ -331,8 +306,6 @@ func (a *Array) materialize() {
 // integer compares per surviving cell — zero float work. When a model
 // carries a negative sigma (monotonicity flips) the kernel falls back to
 // evaluating the float gates per cell, still bit-identically.
-//
-//voltvet:hotpath
 func (a *Array) resolveDecayWords() {
 	elapsed := float64(a.env.Now() - a.belowSince)
 	if elapsed <= 0 {
@@ -487,8 +460,6 @@ func (a *Array) resolveDecayWords() {
 // powers up, so no survival hashes are needed at all: the kernel jumps
 // straight to each cell's third hash (bias/preference) and assembles
 // whole storage words.
-//
-//voltvet:hotpath
 func (a *Array) powerUpAllWords() {
 	var (
 		sampler   = a.newBiasSampler()
@@ -559,8 +530,6 @@ func (a *Array) powerUpAllWords() {
 
 // resolveDecayScalar is the original per-bit decay kernel, kept as the
 // reference the word kernels are differentially tested against.
-//
-//voltvet:hotpath
 func (a *Array) resolveDecayScalar() {
 	elapsed := float64(a.env.Now() - a.belowSince)
 	logThreshold := a.logDecayThreshold(elapsed)
@@ -583,8 +552,6 @@ func (a *Array) resolveDecayScalar() {
 }
 
 // powerUpAllScalar is the original per-bit fingerprint kernel.
-//
-//voltvet:hotpath
 func (a *Array) powerUpAllScalar() {
 	for i := 0; i < a.n; i++ {
 		_, _, biased, preferred := a.cellStatics(i)
@@ -595,8 +562,6 @@ func (a *Array) powerUpAllScalar() {
 
 // powerUpCellWith samples the power-up value for cell i from its bias,
 // unless long-term imprinting (see imprint.go) decides it first.
-//
-//voltvet:hotpath
 func (a *Array) powerUpCellWith(i int, biased, preferred bool) {
 	if v, decided := a.imprintPowerUp(i); decided {
 		a.setBit(i, v)

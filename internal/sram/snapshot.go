@@ -74,8 +74,6 @@ type ArraySnapshot struct {
 // markSnapPages records that packed words [w0, w1] may have changed. The
 // nil check is the entire cost when no snapshot is armed, which keeps
 // the architectural write paths on their zero-allocation budget.
-//
-//voltvet:hotpath
 func (a *Array) markSnapPages(w0, w1 int) {
 	if a.snapDirty == nil {
 		return
@@ -89,8 +87,6 @@ func (a *Array) markSnapPages(w0, w1 int) {
 // most of the array, so per-word tracking would cost more than it saves.
 // The final bitmap word is masked to the real page count: restore walks
 // set bits, and a phantom page past the array would walk off the end.
-//
-//voltvet:hotpath
 func (a *Array) markSnapAll() {
 	if a.snapDirty == nil {
 		return
@@ -105,8 +101,6 @@ func (a *Array) markSnapAll() {
 }
 
 // armSnapDirty (re)arms the dirty-page bitmap with all pages clean.
-//
-//voltvet:hotpath
 func (a *Array) armSnapDirty() {
 	npages := (len(a.bits) + snapPageWords - 1) >> snapPageShift
 	if a.snapDirty == nil {

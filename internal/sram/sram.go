@@ -97,8 +97,6 @@ func DefaultRetentionModel() RetentionModel {
 
 // MedianRetentionAt returns the median intrinsic retention time at the
 // given temperature in Kelvin.
-//
-//voltvet:hotpath
 func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 	if kelvin <= 0 {
 		panic("sram: non-positive absolute temperature")
@@ -204,8 +202,6 @@ func NewArray(env *sim.Env, name string, n int, model RetentionModel, seed uint6
 
 // ihNormal converts a 64-bit hash into an approximately standard normal
 // variate via the Irwin–Hall sum of its four 16-bit fields.
-//
-//voltvet:hotpath
 func ihNormal(h uint64) float64 {
 	sum := float64(h&0xFFFF) + float64(h>>16&0xFFFF) + float64(h>>32&0xFFFF) + float64(h>>48)
 	// mean 2·65535, stddev √(4·(65536²−1)/12) ≈ 37837.2
@@ -213,8 +209,6 @@ func ihNormal(h uint64) float64 {
 }
 
 // cellStatics derives cell i's silicon-lottery properties from its hash.
-//
-//voltvet:hotpath
 func (a *Array) cellStatics(i int) (drv, logRetention float64, biased, preferred bool) {
 	st := a.cellSeed ^ uint64(i)*0x9e3779b97f4a7c15
 	h1 := xrand.SplitMix64(&st)
@@ -246,8 +240,6 @@ func (a *Array) RailVolts() float64 { return a.railVolts }
 
 // Powered reports whether the rail is above the population retention
 // threshold (enough for every cell).
-//
-//voltvet:hotpath
 func (a *Array) Powered() bool {
 	return a.railVolts >= a.retThreshold
 }
@@ -256,8 +248,6 @@ func (a *Array) Powered() bool {
 // simulation time. Crossing below the retention threshold starts the
 // decay clock; crossing back above resolves per-cell survival against
 // the lowest voltage seen during the excursion.
-//
-//voltvet:hotpath
 func (a *Array) SetRail(volts float64) {
 	if volts == a.railVolts && (a.everPowered || volts == 0) {
 		return
@@ -295,7 +285,6 @@ func (a *Array) SetRail(volts float64) {
 	}
 }
 
-//voltvet:hotpath
 func (a *Array) setBit(i int, v bool) {
 	if v {
 		a.bits[i>>6] |= 1 << (uint(i) & 63)
@@ -312,8 +301,6 @@ func (a *Array) bit(i int) bool {
 // resample, so every architectural reader and partial writer sees the
 // bits the power event drew. The pending test is the whole cost on the
 // step path.
-//
-//voltvet:hotpath
 func (a *Array) checkAccess(op string) {
 	if !a.Powered() {
 		panic(fmt.Sprintf("sram: %s on unpowered array %s (rail %.2fV)", op, a.name, a.railVolts))
@@ -341,8 +328,6 @@ func (a *Array) ReadBit(i int) bool {
 // storeByte stores value v into byte slot j of the packed words. Byte j
 // of the array occupies bits [8j, 8j+8) which sit inside packed word j>>3
 // at shift 8·(j&7) — so byte access is O(1).
-//
-//voltvet:hotpath
 func (a *Array) storeByte(j int, v byte) {
 	shift := 8 * uint(j&7)
 	w := &a.bits[j>>3]
@@ -356,8 +341,6 @@ func (a *Array) storeByte(j int, v byte) {
 // A write covering the whole array (the Broadcom VideoCore's L2 clobber)
 // drops a pending power-up resample without drawing it: nothing can read
 // the fingerprint it would have produced.
-//
-//voltvet:hotpath
 func (a *Array) WriteBytes(off int, b []byte) {
 	if off == 0 && len(b)*8 == a.n && a.Powered() {
 		a.pending = false
@@ -410,8 +393,6 @@ func (a *Array) ReadBytes(off, n int) []byte {
 // WriteUint64 stores a 64-bit little-endian word at byte offset off. It
 // is allocation-free: an aligned store is a single packed-word write, an
 // unaligned one touches the two straddled words.
-//
-//voltvet:hotpath
 func (a *Array) WriteUint64(off int, v uint64) {
 	a.checkAccess("WriteUint64")
 	if off < 0 || (off+8)*8 > a.n {
@@ -435,8 +416,6 @@ func (a *Array) WriteUint64(off int, v uint64) {
 // power-trace capturer) that must read cell contents at zero
 // architectural and near-zero runtime cost. off must be in range and
 // 8-byte aligned reads are the fast path, exactly as for ReadUint64.
-//
-//voltvet:hotpath
 func (a *Array) PeekUint64(off int) uint64 {
 	if a.pending {
 		a.materialize()
@@ -451,8 +430,6 @@ func (a *Array) PeekUint64(off int) uint64 {
 
 // ReadUint64 loads a 64-bit little-endian word from byte offset off
 // without allocating.
-//
-//voltvet:hotpath
 func (a *Array) ReadUint64(off int) uint64 {
 	a.checkAccess("ReadUint64")
 	if off < 0 || (off+8)*8 > a.n {
@@ -470,8 +447,6 @@ func (a *Array) ReadUint64(off int) uint64 {
 // off, for 1 ≤ size ≤ 8. Like WriteUint64 it operates directly on the
 // packed words — at most two are touched — so subword cache traffic
 // (byte/half/word stores, ECC-word updates) never needs a scratch slice.
-//
-//voltvet:hotpath
 func (a *Array) WriteUintN(off, size int, v uint64) {
 	a.checkAccess("WriteUintN")
 	if off < 0 || size < 1 || size > 8 || (off+size)*8 > a.n {
@@ -499,8 +474,6 @@ func (a *Array) WriteUintN(off, size int, v uint64) {
 
 // ReadUintN loads size bytes little-endian from byte offset off, for
 // 1 ≤ size ≤ 8, without allocating.
-//
-//voltvet:hotpath
 func (a *Array) ReadUintN(off, size int) uint64 {
 	a.checkAccess("ReadUintN")
 	if off < 0 || size < 1 || size > 8 || (off+size)*8 > a.n {
@@ -525,8 +498,6 @@ func (a *Array) ReadUintN(off, size int) uint64 {
 // ReadBytesInto copies len(dst) bytes starting at byte offset off into
 // dst — the allocation-free form of ReadBytes, used by the cache fill
 // and writeback paths to reuse a scratch line buffer.
-//
-//voltvet:hotpath
 func (a *Array) ReadBytesInto(off int, dst []byte) {
 	a.checkAccess("ReadBytesInto")
 	n := len(dst)
@@ -574,8 +545,6 @@ func (a *Array) Fill(v byte) {
 // resolution) that can change the array’s contents. A matching stamp
 // guarantees the content a consumer cached from this array is still
 // exactly what the array holds.
-//
-//voltvet:hotpath
 func (a *Array) Gen() uint64 { return a.gen }
 
 // Snapshot returns the full content of the array as bytes. It is the

@@ -22,7 +22,9 @@ import (
 // Every trace carries the same sample count and aux size; the encoder
 // rejects ragged inputs instead of padding, because a ragged set means
 // the capture rig misbehaved (the interpreter's fixed control flow
-// makes every trial the same length).
+// makes every trial the same length). A set holds at least one trace of
+// at least one sample, so the decoder can bound the header's counts by
+// the bytes actually present before it allocates anything.
 
 const (
 	setMagic   = "VBTR"
@@ -48,6 +50,9 @@ func EncodeSet(traces [][]float32, aux [][]byte) ([]byte, error) {
 		return nil, fmt.Errorf("trace: empty set")
 	}
 	nsamples := len(traces[0])
+	if nsamples == 0 {
+		return nil, fmt.Errorf("trace: traces hold no samples")
+	}
 	for i, t := range traces {
 		if len(t) != nsamples {
 			return nil, fmt.Errorf("trace: ragged set: trace %d has %d samples, trace 0 has %d", i, len(t), nsamples)
@@ -98,9 +103,14 @@ func DecodeSet(b []byte) (*Set, error) {
 	auxBytes := int(binary.LittleEndian.Uint16(b[6:]))
 	ntraces := int(binary.LittleEndian.Uint32(b[8:]))
 	nsamples := int(binary.LittleEndian.Uint32(b[12:]))
-	want := headerLen + ntraces*(auxBytes+4*nsamples)
-	if len(b) != want {
-		return nil, fmt.Errorf("trace: VBTR size %d, want %d for %d×%d (+%dB aux)", len(b), want, ntraces, nsamples, auxBytes)
+	if ntraces == 0 || nsamples == 0 {
+		return nil, fmt.Errorf("trace: VBTR set of %d×%d holds no samples", ntraces, nsamples)
+	}
+	// The counts come from untrusted bytes: check them against the body
+	// by division, which cannot overflow, before allocating anything.
+	body, row := uint64(len(b)-headerLen), uint64(auxBytes)+4*uint64(nsamples)
+	if body%row != 0 || body/row != uint64(ntraces) {
+		return nil, fmt.Errorf("trace: VBTR body of %d bytes does not hold %d×%d (+%dB aux)", body, ntraces, nsamples, auxBytes)
 	}
 	set := &Set{
 		Samples: make([][]float32, ntraces),

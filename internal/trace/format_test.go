@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/trace"
@@ -63,6 +64,9 @@ func TestEncodeSetRejectsRagged(t *testing.T) {
 	if _, err := trace.EncodeSet(nil, nil); err == nil {
 		t.Fatal("empty set encoded without error")
 	}
+	if _, err := trace.EncodeSet([][]float32{{}, {}}, nil); err == nil {
+		t.Fatal("zero-sample traces encoded without error")
+	}
 }
 
 func TestDecodeSetRejectsCorrupt(t *testing.T) {
@@ -75,6 +79,12 @@ func TestDecodeSetRejectsCorrupt(t *testing.T) {
 		"magic":     append([]byte("XXXX"), good[4:]...),
 		"truncated": good[:len(good)-1],
 		"padded":    append(append([]byte(nil), good...), 0),
+		// A bare header whose declared size, 2^30 traces of 4 aux bytes
+		// plus 2^32-1 samples, wraps to zero in a naive product.
+		"overflowing header": header(4, 1<<30, 1<<32-1),
+		// A bare header declaring 50M zero-sample traces: no body bytes
+		// are missing, yet the row tables alone would take gigabytes.
+		"zero-sample header": header(0, 50_000_000, 0),
 	}
 	for name, blob := range cases {
 		if _, err := trace.DecodeSet(blob); err == nil {
@@ -86,6 +96,44 @@ func TestDecodeSetRejectsCorrupt(t *testing.T) {
 	if _, err := trace.DecodeSet(bad); err == nil {
 		t.Error("future-version blob decoded without error")
 	}
+}
+
+// header returns a bare 16-byte VBTR header with the given counts.
+func header(auxBytes uint16, ntraces, nsamples uint32) []byte {
+	h := make([]byte, 16)
+	copy(h, "VBTR")
+	binary.LittleEndian.PutUint16(h[4:], 1)
+	binary.LittleEndian.PutUint16(h[6:], auxBytes)
+	binary.LittleEndian.PutUint32(h[8:], ntraces)
+	binary.LittleEndian.PutUint32(h[12:], nsamples)
+	return h
+}
+
+// FuzzDecodeSet feeds DecodeSet arbitrary bytes. It must never panic
+// (or allocate past what the input can justify), and any blob it
+// accepts must re-encode to exactly the same bytes: the format has one
+// encoding per set.
+func FuzzDecodeSet(f *testing.F) {
+	good, err := trace.EncodeSet([][]float32{{1, -2.5, 3}, {0, 4, 1e-9}}, [][]byte{{7, 8}, {9, 10}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(header(4, 1<<30, 1<<32-1))
+	f.Add(header(0, 50_000_000, 0))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		set, err := trace.DecodeSet(b)
+		if err != nil {
+			return
+		}
+		again, err := trace.EncodeSet(set.Samples, set.Aux)
+		if err != nil {
+			t.Fatalf("decoded set does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("re-encoding changed the bytes:\n in  %x\n out %x", b, again)
+		}
+	})
 }
 
 // TestVictimLayout pins the sample-index geometry the experiments

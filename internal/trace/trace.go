@@ -24,7 +24,8 @@
 // bus access. The armed emit path is direct field arithmetic on a
 // shared isa.TraceSink — no interface dispatch — and allocation-free
 // (samples land in a preallocated arena by cursor bump), pinned
-// statically by //voltvet:hotpath and dynamically by
+// statically by voltvet's hot-path checks (the emit path is in the
+// closure of the isa.CPU.Step root) and dynamically by
 // TestStepTraceArmedZeroAlloc.
 // Capture state composes into isa.CPUState and therefore into
 // soc.Snapshot, so per-trial captures fork off copy-on-write snapshots

@@ -112,8 +112,6 @@ func mulMod(a, b gf2Poly) gf2Poly {
 // every higher set bit k applies jumpPolys[k] in 256 engine steps, so a
 // power-of-two skip of any length costs about one microsecond. The
 // Marsaglia spare carry is left alone, as Uint64 leaves it.
-//
-//voltvet:hotpath
 func (r *Rand) Jump(n uint64) {
 	for i := n & 255; i > 0; i-- {
 		r.Uint64()
@@ -126,8 +124,6 @@ func (r *Rand) Jump(n uint64) {
 }
 
 // applyPoly replaces the state s with q(T)·s = Σ q_i·T^i·s.
-//
-//voltvet:hotpath
 func (r *Rand) applyPoly(q *gf2Poly) {
 	var acc [4]uint64
 	for i := 0; i < 256; i++ {
@@ -147,8 +143,6 @@ func (r *Rand) applyPoly(q *gf2Poly) {
 // the values. Only the polar method's accept/reject test runs per pair;
 // the one Log and Sqrt left are for a spare the last pair carries out,
 // since later draws read it.
-//
-//voltvet:hotpath
 func (r *Rand) SkipNormFloat32(n int) {
 	if n > 0 && r.haveSpare {
 		r.haveSpare = false

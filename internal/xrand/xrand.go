@@ -23,8 +23,6 @@ const GoldenGamma uint64 = 0x9e3779b97f4a7c15
 // SplitMix64 advances the given state by one step and returns the next
 // 64-bit output. It is used both as a stand-alone generator for cheap
 // one-off derivations and to seed Rand state.
-//
-//voltvet:hotpath
 func SplitMix64(state *uint64) uint64 {
 	*state += GoldenGamma
 	return Mix64(*state)
@@ -35,8 +33,6 @@ func SplitMix64(state *uint64) uint64 {
 // which lets vectorized code compute the k-th output of a stream as
 // Mix64(st + k·GoldenGamma) and skip outputs it does not need while
 // remaining bit-identical to the sequential construction.
-//
-//voltvet:hotpath
 func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -92,16 +88,12 @@ type State struct {
 }
 
 // State captures the generator's current stream position.
-//
-//voltvet:hotpath
 func (r *Rand) State() State {
 	return State{S: r.s, HaveSpare: r.haveSpare, Spare: r.spare}
 }
 
 // SetState rewinds (or fast-forwards) the generator to a previously
 // captured stream position.
-//
-//voltvet:hotpath
 func (r *Rand) SetState(st State) {
 	r.s = st.S
 	r.haveSpare = st.HaveSpare
@@ -113,8 +105,6 @@ func (r *Rand) SetState(st State) {
 // whole function under the inlining budget — every hot sampling kernel
 // (SRAM power-up, DRAM retention fill) then advances the state without a
 // call. The rotation is bit-identical to the shift-pair it replaced.
-//
-//voltvet:hotpath
 func (r *Rand) Uint64() uint64 {
 	s1 := r.s[1]
 	result := bits.RotateLeft64(s1*5, 7) * 9
@@ -150,20 +140,14 @@ func (r *Rand) Int63n(n int64) int64 {
 // multiplication by an exactly-representable power of two, so the result
 // is bit-identical to dividing by 2⁵³ while avoiding a hardware divide on
 // the simulator's hottest sampling path.
-//
-//voltvet:hotpath
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
 // Bool returns a fair coin flip.
-//
-//voltvet:hotpath
 func (r *Rand) Bool() bool { return r.Uint64()&1 == 1 }
 
 // Bernoulli returns true with probability p.
-//
-//voltvet:hotpath
 func (r *Rand) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
@@ -206,8 +190,6 @@ func (r *Rand) NormFloat64() float64 {
 // — but with the polar loop and the inlined xoshiro update living in one
 // function. DRAM retention fills draw tens of millions of normals; the
 // per-value method-call and spare-branch overhead was measurable there.
-//
-//voltvet:hotpath
 func (r *Rand) FillNormFloat32(dst []float32, scale float64) {
 	i := 0
 	if r.haveSpare && i < len(dst) {

@@ -2,9 +2,9 @@
 # CI gate: gofmt, vet, voltvet, build, race-enabled tests (the parallel
 # runner's determinism tests raise GOMAXPROCS themselves, so a
 # single-core CI machine still exercises multi-worker execution), the
-# differential oracles, the catalog digests, a one-iteration smoke over
-# the micro-benchmarks and the allocation-free gates. `make check` runs
-# this script.
+# differential oracles, the catalog digests, a short fuzz pass over the
+# byte decoders, a one-iteration smoke over the micro-benchmarks and the
+# allocation-free gates. `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -68,6 +68,12 @@ go test -count=1 -run 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
 
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 go test -count=1 -run 'TestCatalogDigests' ./internal/registry/
+
+echo "==> fuzz the byte decoders (10s per target)"
+# -fuzz takes one target per package, so each pattern is anchored.
+go test -run '^$' -fuzz '^FuzzDecodeSet$' -fuzztime 10s ./internal/trace/
+go test -run '^$' -fuzz '^FuzzDecodeDisassemble$' -fuzztime 10s ./internal/isa/
+go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/isa/
 
 echo "==> benchmark smoke (1 iteration)"
 go test -run '^$' -bench 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' -benchtime 1x ./internal/sram/ ./internal/analysis/
