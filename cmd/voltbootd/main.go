@@ -11,7 +11,7 @@
 //	voltbootd -store-dir /var/lib/voltboot -store-max-bytes 2147483648
 //
 // A fleet: give each process an identity and the full member list, and
-// multi-run sweeps shard across the ring with work-stealing:
+// multi-run sweeps shard across the ring, each run on its owner:
 //
 //	voltbootd -addr :8532 -id a -store-dir /tmp/vb-a \
 //	          -peers b=http://host2:8532,c=http://host3:8532

@@ -92,7 +92,7 @@ func startFleetReg(t testing.TB, n int, dirs []string, mkReg func() *registry.Re
 			}
 		}
 		node, err := fabric.New(fabric.Config{
-			Self: fn.id, Peers: peers, Fingerprint: reg.Fingerprint(), Streams: 2,
+			Self: fn.id, Peers: peers, Fingerprint: reg.Fingerprint(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -157,11 +157,13 @@ func submitWait(t testing.TB, baseURL, body string) (campaign.JobStatus, []byte,
 	return st, rbody, rresp
 }
 
-// TestFabricShardedSweepByteIdentical is the tentpole contract, run for
-// 3 and 5 peers under -race: a grid sweep fans out across the ring with
-// work-stealing, every shard is simulated exactly once somewhere, real
-// forwarding happened, and the reassembled body (and its ETag) is
-// byte-identical to a single standalone node running the same campaign.
+// TestFabricShardedSweepByteIdentical is the fleet's core contract, run
+// for 3 and 5 peers under -race: a grid sweep fans out across the ring
+// (one dispatch slot per member, each taking shards from one shared
+// queue and running them on their owners), every shard is simulated
+// exactly once somewhere, real forwarding happened, and the reassembled
+// body (and its ETag) is byte-identical to a single standalone node
+// running the same campaign.
 func TestFabricShardedSweepByteIdentical(t *testing.T) {
 	const runs = 24
 	body := sweepBody(runs)

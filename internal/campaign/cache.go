@@ -139,8 +139,9 @@ func (m *Manager) ServeRun(ctx context.Context, rs RunSpec, key string) (json.Ra
 		if m.store != nil {
 			val, ok, err := m.store.Get(key)
 			if err == nil && ok {
-				// Disk hit: promote into the memory tier. The store
-				// shares the slice; the record is immutable everywhere.
+				// Disk hit: promote into the memory tier. Get returned
+				// a fresh slice that only this tier holds; the record
+				// is immutable from here on.
 				m.completeEntry(key, e, json.RawMessage(val), nil)
 				return json.RawMessage(val), TierDisk, nil
 			}

@@ -23,9 +23,10 @@
 //
 //   - *Horizontal fan-out.* With a SweepExecutor configured (the fabric
 //     layer, internal/fabric), a multi-run job splits into per-run
-//     shards routed across the peer ring by consistent hashing, executed
-//     with work-stealing, and reassembled index-ordered — the result
-//     body is byte-identical to a single-node run.
+//     shards routed across the peer ring by consistent hashing,
+//     dispatched from one shared queue with one slot per ring member,
+//     and reassembled index-ordered — the result body is byte-identical
+//     to a single-node run.
 //
 //   - *Cooperative cancellation.* Each job owns a context that Cancel
 //     fires. The context threads through registry.Experiment.Run into

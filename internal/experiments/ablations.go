@@ -34,19 +34,14 @@ type ProbeSweepResult struct {
 	Rows      []ProbeSweepRow
 }
 
-// ProbeCurrentSweep measures extraction accuracy across probe current
+// ProbeCurrentSweepCtx measures extraction accuracy across probe current
 // limits. The ten cells share everything up to the probe's current
 // limit — same-seed board, victim fill, victim run — so each worker runs
 // that prefix once, captures a copy-on-write snapshot, and restores it
 // per cell; only the Volt Boot tail re-runs. Rows come back in sweep
 // order regardless of scheduling, bit-identical to fresh-board cells.
-func ProbeCurrentSweep(seed uint64) (*ProbeSweepResult, error) {
-	return ProbeCurrentSweepCtx(context.Background(), seed)
-}
-
-// ProbeCurrentSweepCtx is ProbeCurrentSweep with cooperative
-// cancellation: the sweep stops dispatching current-limit cells once ctx
-// is cancelled and returns ctx.Err().
+// The sweep stops dispatching current-limit cells once ctx is cancelled
+// and returns ctx.Err().
 func ProbeCurrentSweepCtx(ctx context.Context, seed uint64) (*ProbeSweepResult, error) {
 	spec := soc.BCM2711()
 	limits := []float64{0.1, 0.25, 0.5, 1.0, 2.0, 2.4, 2.6, 3.0, 3.5, 4.0}

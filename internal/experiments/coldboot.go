@@ -38,7 +38,7 @@ type Table1Result struct {
 	FracHDToStartup float64
 }
 
-// Table1 runs the §3 cold boot experiment: populate the d-cache of every
+// Table1Ctx runs the §3 cold boot experiment: populate the d-cache of every
 // BCM2711 core with a known pattern, soak at each temperature, power
 // cycle for a few milliseconds with no probe, extract, and measure error.
 //
@@ -51,13 +51,8 @@ type Table1Result struct {
 // temperature order and the snapshot restore is bit-exact, so the
 // rendered table is byte-identical to the fresh-board-per-column code it
 // replaces (TestTable1DeterministicAcrossWorkers and the golden pin).
-func Table1(seed uint64) (*Table1Result, error) {
-	return Table1Ctx(context.Background(), seed)
-}
-
-// Table1Ctx is Table1 with cooperative cancellation: the temperature grid
-// stops dispatching columns once ctx is cancelled and the call returns
-// ctx.Err(). The success path is byte-identical to Table1.
+// The temperature grid stops dispatching columns once ctx is cancelled
+// and the call returns ctx.Err().
 func Table1Ctx(ctx context.Context, seed uint64) (*Table1Result, error) {
 	temps := []struct {
 		c    float64

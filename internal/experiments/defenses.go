@@ -94,18 +94,13 @@ type defenseScenario struct {
 	expectedFailure string
 }
 
-// Countermeasures runs the §8 survey: the undefended baseline plus each
+// CountermeasuresCtx runs the §8 survey: the undefended baseline plus each
 // proposed defense, reporting whether Volt Boot still works. Every
 // scenario attacks its own freshly built same-seed board, so the eight
 // rows are independent trials fanned across CPUs by runner.Map; the
-// survey order is fixed by the scenario table, not by scheduling.
-func Countermeasures(seed uint64) (*CountermeasuresResult, error) {
-	return CountermeasuresCtx(context.Background(), seed)
-}
-
-// CountermeasuresCtx is Countermeasures with cooperative cancellation:
-// the survey stops dispatching scenarios once ctx is cancelled and
-// returns ctx.Err().
+// survey order is fixed by the scenario table, not by scheduling. The
+// survey stops dispatching scenarios once ctx is cancelled and returns
+// ctx.Err().
 func CountermeasuresCtx(ctx context.Context, seed uint64) (*CountermeasuresResult, error) {
 	scenarios := []defenseScenario{
 		{name: "none (baseline)"},

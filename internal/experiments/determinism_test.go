@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"runtime"
@@ -12,8 +13,8 @@ import (
 // seed must render the same bytes whether the trial cells run on one
 // worker or many. These tests pin that contract.
 
-// table1GoldenSHA256 is the SHA-256 of Table1(testSeed).String(). The
-// value was captured on the pre-vectorization scalar tree (commit
+// table1GoldenSHA256 is the SHA-256 of Table1Ctx(ctx, testSeed).String().
+// The value was captured on the pre-vectorization scalar tree (commit
 // cfacbf8) and must survive both the word-vectorized decay kernels and
 // the parallel runner: the physics stream is part of the repo's
 // reproducibility contract. If a deliberate model change moves it,
@@ -98,7 +99,7 @@ func withGOMAXPROCS(t *testing.T, n int, f func()) {
 
 func table1Render(t *testing.T) string {
 	t.Helper()
-	res, err := Table1(testSeed)
+	res, err := Table1Ctx(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestCountermeasuresDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("eight full attack runs, twice")
 	}
 	render := func() string {
-		res, err := Countermeasures(testSeed)
+		res, err := CountermeasuresCtx(context.Background(), testSeed)
 		if err != nil {
 			t.Fatal(err)
 		}

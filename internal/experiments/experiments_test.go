@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ const testSeed = 0x5EED
 // Table 1's shape: ~50% error at every achievable temperature, and the
 // post-cycle state close to the startup fingerprint.
 func TestTable1Shape(t *testing.T) {
-	res, err := Table1(testSeed)
+	res, err := Table1Ctx(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestCountermeasuresShape(t *testing.T) {
-	res, err := Countermeasures(testSeed)
+	res, err := CountermeasuresCtx(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestCountermeasuresShape(t *testing.T) {
 }
 
 func TestProbeCurrentSweepShape(t *testing.T) {
-	res, err := ProbeCurrentSweep(testSeed)
+	res, err := ProbeCurrentSweepCtx(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +500,7 @@ func TestExtensionRenderersContainKeyFacts(t *testing.T) {
 }
 
 func TestPUFCloneShape(t *testing.T) {
-	res, err := PUFClone(testSeed)
+	res, err := PUFCloneCtx(context.Background(), testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

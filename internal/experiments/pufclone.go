@@ -43,20 +43,15 @@ func extractPowerUpWay0(b interface {
 	return ext.Dumps[0].L1D[0], nil
 }
 
-// PUFClone enrolls a chip's d-cache power-up fingerprint from three
+// PUFCloneCtx enrolls a chip's d-cache power-up fingerprint from three
 // attack extractions, then authenticates a fourth extraction of the same
 // chip and one from different silicon.
 //
 // The parallel unit is the chip, not the read: successive extractions of
 // one chip share its board and rng stream (each power cycle advances the
 // silicon's noise state), so they must stay serial, but the two chips are
-// independent silicon and fan out via runner.Map.
-func PUFClone(seed uint64) (*PUFCloneResult, error) {
-	return PUFCloneCtx(context.Background(), seed)
-}
-
-// PUFCloneCtx is PUFClone with cooperative cancellation: the per-chip
-// fan-out stops dispatching once ctx is cancelled and returns ctx.Err().
+// independent silicon and fan out via runner.Map. The per-chip fan-out
+// stops dispatching once ctx is cancelled and returns ctx.Err().
 func PUFCloneCtx(ctx context.Context, seed uint64) (*PUFCloneResult, error) {
 	collect := func(chipSeed uint64, reads int) ([][]byte, error) {
 		b, env, err := newTrialBoard(soc.BCM2711(), soc.Options{}, chipSeed)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -86,9 +87,6 @@ type Config struct {
 	// time.Now). Injectable so backoff behavior is testable without
 	// real sleeps.
 	Now func() time.Time
-	// Streams is the executor count per peer in a sweep (default 1):
-	// how many shards one peer is asked to work on concurrently.
-	Streams int
 }
 
 // peerState is the node's live view of one remote member.
@@ -112,9 +110,9 @@ type NodeStats struct {
 	// Handbacks counts shards a peer refused (draining/down) that were
 	// re-executed locally.
 	Handbacks uint64 `json:"handbacks"`
-	// Steals counts shards dispatched by an executor stream other than
-	// their owner's, because that stream ran dry first. The shard still
-	// runs on its owner; only the waiting slot moved.
+	// Steals is always 0: sweeps dispatch from one shared queue, so no
+	// shard is taken from another member's backlog. The field stays
+	// until the benchmark drops the fabric.steals metric that reads it.
 	Steals uint64 `json:"steals"`
 }
 
@@ -164,9 +162,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.RetryMax < cfg.RetryAfter {
 		cfg.RetryMax = cfg.RetryAfter
-	}
-	if cfg.Streams <= 0 {
-		cfg.Streams = 1
 	}
 	n := &Node{
 		cfg:    cfg,
@@ -473,112 +468,68 @@ func (n *Node) Drain(ctx context.Context) error {
 	return mgr.Drain(ctx)
 }
 
-// ExecuteSweep implements campaign.SweepExecutor: shards queue on their
-// ring owners, one executor loop per (peer × stream) drains its own
-// queue and steals from the tail of the longest backlog when it runs
-// dry, and every completion reports through done. Stealing transfers
-// the waiting slot, never the placement: a stolen shard still runs on
-// its assigned owner (the thief issues the forward an owner stream
-// would have issued), because the owner is where the result is — or
-// will be — cached. Local takeover happens only through the handback
-// path: a shard whose owner refuses it (draining, down, incompatible)
-// is executed locally — placement degrades, bytes never change.
+// ExecuteSweep implements campaign.SweepExecutor. Every shard is placed
+// on its executor first: its ring owner, or the next routable member
+// clockwise. Then one dispatch slot per routable member (self included)
+// takes shards in index order from one shared cursor and runs each on
+// its placed executor, so a sweep has as many shards in flight as the
+// ring has members, whichever members own them. Placement is where the
+// result is — or will be — cached, so a slot never re-homes a shard.
+// Local takeover happens only through the handback path: a shard whose
+// owner refuses it (draining, down, incompatible) is executed locally —
+// placement degrades, bytes never change. Every completion reports
+// through done.
 func (n *Node) ExecuteSweep(ctx context.Context, shards []campaign.Shard,
 	local campaign.LocalRunFunc, started func(i int, peer string), done func(i int, res campaign.ShardResult)) error {
 
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Partition by owner. Queue keys are executor IDs; every routable
-	// peer gets an executor even with an empty queue (it will steal).
-	sched := &sweepQueues{queues: make(map[string][]campaign.Shard)}
-	execIDs := []string{n.cfg.Self}
+	owners := make([]string, len(shards))
+	for i, sh := range shards {
+		owners[i] = n.executorFor(sh.Key)
+	}
+	slots := 1
 	n.mu.Lock()
 	ringPeers := append([]string(nil), n.ring.Peers()...)
 	n.mu.Unlock()
 	for _, id := range ringPeers {
 		if id != n.cfg.Self && n.routable(id) {
-			execIDs = append(execIDs, id)
+			slots++
 		}
-	}
-	for _, sh := range shards {
-		owner := n.executorFor(sh.Key)
-		sched.queues[owner] = append(sched.queues[owner], sh)
 	}
 
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, id := range execIDs {
-		for s := 0; s < n.cfg.Streams; s++ {
-			wg.Add(1)
-			go func(id string) {
-				defer wg.Done()
-				for {
-					sh, owner, stolen, ok := sched.next(id)
-					if !ok {
-						return
-					}
-					if stolen {
-						n.bumpSteals()
-					}
-					if sctx.Err() != nil {
-						// The sweep is cancelled; unrun shards still get
-						// their mandatory completion callback.
-						done(sh.Index, campaign.ShardResult{Err: context.Canceled})
-						continue
-					}
-					started(sh.Index, owner)
-					res := n.runShard(sctx, owner, sh, local)
-					done(sh.Index, res)
-					if res.Err != nil && !errors.Is(res.Err, context.Canceled) {
-						// First real failure: stop dispatching new shards,
-						// matching the sequential path's early exit.
-						cancel()
-					}
+	for s := 0; s < slots; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= len(shards) {
+					return
 				}
-			}(id)
-		}
+				sh := shards[i]
+				if sctx.Err() != nil {
+					// The sweep is cancelled; unrun shards still get
+					// their mandatory completion callback.
+					done(sh.Index, campaign.ShardResult{Err: context.Canceled})
+					continue
+				}
+				started(sh.Index, owners[i])
+				res := n.runShard(sctx, owners[i], sh, local)
+				done(sh.Index, res)
+				if res.Err != nil && !errors.Is(res.Err, context.Canceled) {
+					// First real failure: stop dispatching new shards,
+					// matching the sequential path's early exit.
+					cancel()
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// sweepQueues is the work-stealing state of one sweep.
-type sweepQueues struct {
-	mu     sync.Mutex
-	queues map[string][]campaign.Shard
-}
-
-// next pops from id's own queue, or steals one shard from the tail of
-// the longest other queue. A stolen shard keeps its original owner
-// (second return value): the thief contributes a dispatch slot, it
-// does not re-home the shard. ok=false when every queue is empty — the
-// sweep is fully dispatched.
-func (q *sweepQueues) next(id string) (campaign.Shard, string, bool, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.queues[id]; len(own) > 0 {
-		sh := own[0]
-		q.queues[id] = own[1:]
-		return sh, id, false, true
-	}
-	victim, max := "", 0
-	for p, queue := range q.queues {
-		if p != id && len(queue) > max {
-			victim, max = p, len(queue)
-		}
-	}
-	if max == 0 {
-		return campaign.Shard{}, "", false, false
-	}
-	sh := q.queues[victim][max-1]
-	q.queues[victim] = q.queues[victim][:max-1]
-	return sh, victim, true, true
-}
-
-func (n *Node) bumpSteals() {
-	n.mu.Lock()
-	n.stats.Steals++
-	n.mu.Unlock()
 }
 
 // runShard executes one shard on its assigned owner: locally for self,

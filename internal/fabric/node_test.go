@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -111,12 +113,12 @@ func TestDrainCoversForwardedRuns(t *testing.T) {
 	}
 }
 
-// TestWorkStealingDrainsQueues: a sweep over a single-member ring whose
-// queues are all local still executes every shard exactly once, in any
-// interleaving, and reassembles index-ordered results.
+// TestWorkStealingDrainsQueues: a sweep over a single-member ring drains
+// the shared queue: every shard executes exactly once, on self, and
+// reports its own index-ordered record.
 func TestWorkStealingDrainsQueues(t *testing.T) {
 	reg, _ := gateRegistry()
-	node, err := New(Config{Self: "solo", Streams: 4, Fingerprint: reg.Fingerprint()})
+	node, err := New(Config{Self: "solo", Fingerprint: reg.Fingerprint()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,33 +215,93 @@ func TestSweepFailureCancelsRemaining(t *testing.T) {
 	}
 }
 
-// TestStealPreservesOwner pins the slot-transfer semantics that keep
-// placement stable: a thief that drains another executor's backlog
-// dispatches those shards to their original owner — it contributes
-// concurrency, it does not re-home work. (Re-homing would let a fast
-// local loop strip every remote queue before the first forward
-// returned, defeating cache placement entirely.)
+// TestStealPreservesOwner: a sweep whose shards all belong to one peer
+// keeps both its placement and its concurrency. With self, "a" and "b"
+// in the ring there are three dispatch slots, so three forwards to "a"
+// must be in flight at once, and every shard must still run on "a" —
+// a slot that re-homed its shard to itself would defeat cache placement,
+// and a pool that ran one shard at a time would leave a skewed sweep
+// serial.
 func TestStealPreservesOwner(t *testing.T) {
-	q := &sweepQueues{queues: map[string][]campaign.Shard{
-		"a": {{Index: 0}, {Index: 1}, {Index: 2}},
-		"b": nil,
-	}}
+	const slots, shardsN = 3, 6
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	full := make(chan struct{})
+	var fill sync.Once
+	var mu sync.Mutex
+	inflight, peak := 0, 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ForwardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		inflight++
+		if inflight > peak {
+			peak = inflight
+		}
+		if inflight == slots {
+			fill.Do(func() { close(full) })
+		}
+		mu.Unlock()
+		select {
+		case <-full:
+		case <-deadline.Done():
+		}
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		w.Header().Set("X-Cache", string(campaign.TierMiss))
+		fmt.Fprintf(w, `{"seed":%d}`, req.Seed)
+	}))
+	defer srv.Close()
 
-	sh, owner, stolen, ok := q.next("a")
-	if !ok || stolen || owner != "a" || sh.Index != 0 {
-		t.Fatalf("own pop: sh=%+v owner=%q stolen=%v ok=%v", sh, owner, stolen, ok)
+	node, err := New(Config{Self: "self", Peers: []Peer{{ID: "a", Addr: srv.URL}, {ID: "b", Addr: srv.URL}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// b's queue is dry: it steals from a's tail but the shard stays a's.
-	sh, owner, stolen, ok = q.next("b")
-	if !ok || !stolen || owner != "a" || sh.Index != 2 {
-		t.Fatalf("steal: sh=%+v owner=%q stolen=%v ok=%v", sh, owner, stolen, ok)
+	var shards []campaign.Shard
+	for i := 0; len(shards) < shardsN; i++ {
+		if key := fmt.Sprintf("%064d", i); node.Owner(key) == "a" {
+			n := len(shards)
+			shards = append(shards, campaign.Shard{
+				Index: n, Run: campaign.RunSpec{Experiment: "x", Seed: uint64(n)}, Key: key,
+			})
+		}
 	}
-	sh, owner, stolen, ok = q.next("b")
-	if !ok || !stolen || owner != "a" || sh.Index != 1 {
-		t.Fatalf("second steal: sh=%+v owner=%q stolen=%v ok=%v", sh, owner, stolen, ok)
+	local := campaign.LocalRunFunc(func(context.Context, campaign.RunSpec, string) (json.RawMessage, campaign.Tier, error) {
+		t.Error("a shard owned by a reachable peer ran locally")
+		return json.RawMessage(`{}`), campaign.TierMiss, nil
+	})
+	var doneMu sync.Mutex
+	doneN := make(map[int]int)
+	err = node.ExecuteSweep(context.Background(), shards, local,
+		func(i int, peer string) {
+			if peer != "a" {
+				t.Errorf("shard %d started on %q, want its owner a", i, peer)
+			}
+		},
+		func(i int, res campaign.ShardResult) {
+			doneMu.Lock()
+			doneN[i]++
+			doneMu.Unlock()
+			if want := fmt.Sprintf(`{"seed":%d}`, i); res.Err != nil || string(res.Rec) != want {
+				t.Errorf("shard %d: rec=%s err=%v, want %s", i, res.Rec, res.Err, want)
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, ok := q.next("b"); ok {
-		t.Fatal("queues should be dry")
+	for i := 0; i < shardsN; i++ {
+		if doneN[i] != 1 {
+			t.Errorf("shard %d completed %d times", i, doneN[i])
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak != slots {
+		t.Fatalf("peak forwards in flight = %d, want %d (one per ring member)", peak, slots)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package fabric turns N voltbootd processes into one result-serving
 // fleet: a consistent-hash ring routes every content-addressed run key
-// to an owner peer, multi-run sweeps split into per-trial shards
-// executed with work-stealing across the ring, and a minimal
+// to an owner peer, multi-run sweeps split into per-trial shards that
+// one shared queue dispatches to their owners, and a minimal
 // readiness/drain protocol lets a peer leave without dropping in-flight
 // forwarded work.
 //

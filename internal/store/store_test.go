@@ -204,6 +204,90 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// FuzzStoreReplay feeds arbitrary bytes to Open as the only segment.
+// Whatever the bytes, Open succeeds and truncates the file to the
+// valid prefix it reports, and that prefix is stable: a second Open
+// recovers nothing, indexes every key the first one did with the same
+// bytes, and serves a record appended in between.
+func FuzzStoreReplay(f *testing.F) {
+	dir := f.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var recLen []int
+	for i := 0; i < 3; i++ {
+		k := testKey(i)
+		v := testVal(k, 20+i)
+		if err := s.Put(k, v); err != nil {
+			f.Fatal(err)
+		}
+		recLen = append(recLen, headerSize+len(k)+len(v))
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	badMid := bytes.Clone(valid)
+	badMid[recLen[0]+headerSize+len(testKey(1))] ^= 0x01 // first value byte of record 2
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
+	f.Add(badMid)
+	f.Add([]byte(magic))
+
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		dir := t.TempDir()
+		path := segPath(dir, 1)
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		if got, want := fileSize(t, path), int64(len(seg))-s.Stats().RecoveredBytes; got != want {
+			t.Fatalf("segment is %d bytes after Open, want %d", got, want)
+		}
+		want := make(map[string][]byte, len(s.index)+1)
+		for k := range s.index {
+			v, ok, err := s.Get(k)
+			if err != nil || !ok {
+				t.Fatalf("Get(%q): ok=%v err=%v", k, ok, err)
+			}
+			want[k] = v
+		}
+		var put string
+		for i := 0; put == ""; i++ {
+			if k := testKey(i); !s.Contains(k) {
+				put = k
+			}
+		}
+		want[put] = testVal(put, 33)
+		if err := s.Put(put, want[put]); err != nil {
+			t.Fatalf("Put after replay: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2 := mustOpen(t, Options{Dir: dir})
+		st := s2.Stats()
+		if st.RecoveredBytes != 0 || st.Records != len(want) {
+			t.Fatalf("reopen: recovered %d bytes, %d records; want 0 and %d", st.RecoveredBytes, st.Records, len(want))
+		}
+		for k, v := range want {
+			got, ok, err := s2.Get(k)
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("reopen: Get(%q) ok=%v err=%v, bytes equal=%v", k, ok, err, bytes.Equal(got, v))
+			}
+		}
+	})
+}
+
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)
@@ -219,8 +303,8 @@ func fileSize(t *testing.T, path string) int64 {
 func TestSegmentEviction(t *testing.T) {
 	dir := t.TempDir()
 	// 180-byte records, 512-byte segments → 2 records per segment,
-	// ~8 segments under the 4 KiB cap. Hot map off: reads go to disk.
-	s := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, MaxBytes: 4096, HotBytes: -1})
+	// ~8 segments under the 4 KiB cap.
+	s := mustOpen(t, Options{Dir: dir, SegmentBytes: 512, MaxBytes: 4096})
 	var keys []string
 	protected := testKey(2) // lives in segment 2; segment 1 is never touched
 	for i := 0; ; i++ {
@@ -283,7 +367,7 @@ func TestSegmentEviction(t *testing.T) {
 // while Puts force continuous segment eviction; run under -race in CI.
 // Every read must return either a miss or the exact bytes for its key.
 func TestEvictionUnderConcurrentRead(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 1024, MaxBytes: 8192, HotBytes: 2048})
+	s := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 1024, MaxBytes: 8192})
 	const keySpace = 300
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -326,47 +410,82 @@ func TestEvictionUnderConcurrentRead(t *testing.T) {
 	}
 }
 
-// TestHotMapBounded: the hot map respects its byte cap and hits skip
-// the disk entirely.
+// TestHotMapBounded: the store keeps no values in memory. Every hit is
+// a disk read into a fresh slice, so HotHits stays 0, and neither the
+// slice handed to Put nor one returned by Get aliases what the next Get
+// returns.
 func TestHotMapBounded(t *testing.T) {
-	s := mustOpen(t, Options{Dir: t.TempDir(), HotBytes: 1000})
-	for i := 0; i < 50; i++ {
+	s := mustOpen(t, Options{Dir: t.TempDir()})
+	const keys, reads = 50, 3
+	for i := 0; i < keys; i++ {
 		k := testKey(i)
-		if err := s.Put(k, testVal(k, 100)); err != nil {
+		v := testVal(k, 100)
+		if err := s.Put(k, v); err != nil {
 			t.Fatal(err)
+		}
+		v[0] ^= 0xff // the caller reuses its buffer after Put
+	}
+	for r := 0; r < reads; r++ {
+		for i := 0; i < keys; i++ {
+			k := testKey(i)
+			v, ok, err := s.Get(k)
+			if err != nil || !ok {
+				t.Fatalf("Get(%s): ok=%v err=%v", k, ok, err)
+			}
+			if !bytes.Equal(v, testVal(k, 100)) {
+				t.Fatalf("Get(%s) read %d: bytes differ from what was put", k, r)
+			}
+			v[0] ^= 0xff // the caller owns what Get returned
 		}
 	}
 	st := s.Stats()
-	if st.HotBytes > 1000 {
-		t.Fatalf("hot map %d bytes over its 1000-byte cap", st.HotBytes)
-	}
-	if st.HotItems == 0 {
-		t.Fatal("hot map empty")
-	}
-	// A fresh Get of a hot key is a hot hit, not a disk read.
-	k := testKey(49) // most recently put → resident
-	before := s.Stats().HotHits
-	if _, ok, _ := s.Get(k); !ok {
-		t.Fatal("hot key missing")
-	}
-	if s.Stats().HotHits != before+1 {
-		t.Fatal("hot-resident Get did not count as a hot hit")
+	if st.HotHits != 0 || st.DiskHits != keys*reads || st.Gets != keys*reads {
+		t.Fatalf("hot_hits=%d disk_hits=%d gets=%d, want 0, %d, %d",
+			st.HotHits, st.DiskHits, st.Gets, keys*reads, keys*reads)
 	}
 }
 
 // TestNonSegmentFilesIgnored: stray files in the directory don't break
-// Open.
+// Open, and a name that parses to a segment number without being that
+// segment's file name is not a segment: Open reads each real segment
+// once and never looks for a file that is not there.
 func TestNonSegmentFilesIgnored(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "seg-bogus.vbs"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := mustOpen(t, Options{Dir: dir})
-	if err := s.Put(testKey(1), []byte("v")); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		stray   []string
+		withSeg bool // a real seg-0000000001.vbs holding one record
+	}{
+		{"other-files", []string{"README", "seg-bogus.vbs"}, false},
+		{"unpadded-alone", []string{"seg-1.vbs"}, false},
+		{"padded-twin", []string{"seg-01.vbs"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var realSize int64
+			if tc.withSeg {
+				s := mustOpen(t, Options{Dir: dir})
+				if err := s.Put(testKey(0), testVal(testKey(0), 40)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				realSize = fileSize(t, segPath(dir, 1))
+			}
+			for _, name := range tc.stray {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := mustOpen(t, Options{Dir: dir})
+			st := s.Stats()
+			if st.Segments != 1 || st.DiskBytes != realSize {
+				t.Fatalf("segments=%d disk_bytes=%d, want 1 and %d", st.Segments, st.DiskBytes, realSize)
+			}
+			if err := s.Put(testKey(1), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

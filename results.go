@@ -1,6 +1,8 @@
 package voltboot
 
 import (
+	"context"
+
 	"repro/internal/aes"
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -69,7 +71,9 @@ type (
 )
 
 // Table1 reproduces Table 1 (cold boot on SRAM is ineffective).
-func Table1(seed uint64) (*Table1Result, error) { return experiments.Table1(seed) }
+func Table1(seed uint64) (*Table1Result, error) {
+	return experiments.Table1Ctx(context.Background(), seed)
+}
 
 // Figure3 reproduces Figure 3 (cold-booted d-cache is power-on noise).
 func Figure3(seed uint64) (*Figure3Result, error) { return experiments.Figure3(seed) }
@@ -116,12 +120,12 @@ func Figure10(seed uint64) (*Figure10Result, error) { return experiments.Figure1
 
 // Countermeasures reproduces the §8 defense survey.
 func Countermeasures(seed uint64) (*CountermeasuresResult, error) {
-	return experiments.Countermeasures(seed)
+	return experiments.CountermeasuresCtx(context.Background(), seed)
 }
 
 // ProbeCurrentSweep runs Ablation A.
 func ProbeCurrentSweep(seed uint64) (*ProbeSweepResult, error) {
-	return experiments.ProbeCurrentSweep(seed)
+	return experiments.ProbeCurrentSweepCtx(context.Background(), seed)
 }
 
 // RetentionSweep runs Ablation B.
@@ -161,7 +165,7 @@ func ContextSwitchLeak(seed uint64) (*ContextSwitchResult, error) {
 
 // PUFClone runs Ablation H (cloning an SRAM PUF via cache extraction).
 func PUFClone(seed uint64) (*PUFCloneResult, error) {
-	return experiments.PUFClone(seed)
+	return experiments.PUFCloneCtx(context.Background(), seed)
 }
 
 // MCUAttack runs the microcontroller extension (SRAM-as-main-memory).

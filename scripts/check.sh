@@ -74,6 +74,7 @@ echo "==> fuzz the byte decoders (10s per target)"
 go test -run '^$' -fuzz '^FuzzDecodeSet$' -fuzztime 10s ./internal/trace/
 go test -run '^$' -fuzz '^FuzzDecodeDisassemble$' -fuzztime 10s ./internal/isa/
 go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/isa/
+go test -run '^$' -fuzz '^FuzzStoreReplay$' -fuzztime 10s ./internal/store/
 
 echo "==> benchmark smoke (1 iteration)"
 go test -run '^$' -bench 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' -benchtime 1x ./internal/sram/ ./internal/analysis/
