@@ -3,8 +3,9 @@
 # runner's determinism tests raise GOMAXPROCS themselves, so a
 # single-core CI machine still exercises multi-worker execution), the
 # differential oracles, the catalog digests, a short fuzz pass over the
-# byte decoders, a one-iteration smoke over the micro-benchmarks and the
-# allocation-free gates. `make check` runs this script.
+# byte decoders and the CPA attack, a one-iteration smoke over the
+# micro-benchmarks and the allocation-free gates. `make check` runs this
+# script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -56,7 +57,7 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 go test -run 'TestSCACPARecoversKey' -count=1 ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths, hook restores)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths, hook restores, transformed CPA sums)"
 go test -count=1 -run 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 go test -count=1 -run 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
 go test -count=1 -run 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
@@ -65,6 +66,7 @@ go test -count=1 -run 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./
 go test -count=1 -run 'TestDumpPayloadFetchPathsAgree' ./internal/core/
 go test -count=1 -run 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
 go test -count=1 -run 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
+go test -count=1 -run 'TestCPAMatchesReference' ./internal/sca/
 
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 go test -count=1 -run 'TestCatalogDigests' ./internal/registry/
@@ -75,6 +77,7 @@ go test -run '^$' -fuzz '^FuzzDecodeSet$' -fuzztime 10s ./internal/trace/
 go test -run '^$' -fuzz '^FuzzDecodeDisassemble$' -fuzztime 10s ./internal/isa/
 go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/isa/
 go test -run '^$' -fuzz '^FuzzStoreReplay$' -fuzztime 10s ./internal/store/
+go test -run '^$' -fuzz '^FuzzAttack$' -fuzztime 10s ./internal/sca/
 
 echo "==> benchmark smoke (1 iteration)"
 go test -run '^$' -bench 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' -benchtime 1x ./internal/sram/ ./internal/analysis/
@@ -82,6 +85,7 @@ go test -run '^$' -bench 'RandJump' -benchtime 1x ./internal/xrand/
 go test -run '^$' -bench 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' -benchtime 1x ./internal/soc/ ./internal/cache/ ./internal/kernel/
 go test -run '^$' -bench 'CPUStepGlitchDisarmed' -benchtime 1x ./internal/glitch/
 go test -run '^$' -bench 'CPUStepTraceDisarmed|CPUStepTraceArmed' -benchtime 1x ./internal/trace/
+go test -run '^$' -bench 'CPACorrelate' -benchtime 1x ./internal/sca/
 go test -run '^$' -bench 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep' -benchtime 1x ./internal/experiments/
 
 echo "==> allocation-free fast-path gates"
