@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // End-to-end experiment benchmarks for the execution fast path. These
 // run the same entry points the golden determinism tests pin, so any
@@ -67,6 +70,24 @@ func BenchmarkTable4ArraySweep(b *testing.B) {
 func BenchmarkGlitchSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := GlitchSearch(testSeed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceCapture1000 times trace-capture at fault-sca's shape:
+// 1000 traces, a 256-sample window and noise sigma 1. Each trial is a
+// snapshot restore and one armed run that stops when the window is
+// full, 256 of the victim's 1,491 instructions. Building each worker's
+// rig accounts for most of the allocation.
+func BenchmarkTraceCapture1000(b *testing.B) {
+	key, err := ParseSCAKey(SCADefaultKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TraceCaptureCtx(context.Background(), testSeed, 1000, 256, 1, key); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 
@@ -37,7 +38,6 @@ const SCADefaultKey = "2b7e151628aed2a6abf7158809cf4f3c"
 // and a snapshot every trial forks from.
 type scaRig struct {
 	b    *board.Board
-	v    *trace.AESVictim
 	cap  *trace.Capturer
 	snap *board.Snapshot
 	// budget bounds one victim run (RunLength plus slack; the victim
@@ -68,42 +68,43 @@ func newSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
 	if err := v.StageData(s, key); err != nil {
 		return nil, err
 	}
+	// Boot leaves the core reset at the victim's entry with the boot
+	// firmware's values in its registers (reset clears no register
+	// SRAM). Scrub them before the snapshot, so every trial forks from
+	// a dead core and a capture's first Hamming distances count from 0.
+	cpu := s.Cores[0].CPU
+	for i := 0; i < isa.XZR; i++ {
+		cpu.SetX(i, 0)
+	}
 	cap, err := trace.New(s, 0, arena)
 	if err != nil {
 		return nil, err
 	}
-	rig := &scaRig{b: b, v: v, cap: cap, budget: uint64(v.RunLength()) + 64}
+	rig := &scaRig{b: b, cap: cap, budget: uint64(v.RunLength()) + 64}
 	rig.snap = b.CaptureSnapshot()
 	return rig, nil
 }
 
-// capture forks the snapshot, stages one plaintext, and runs the
-// victim twice: an unarmed warm-up pass, then the measured pass. The
-// warm-up fills the predecode stream and the caches, so the measured
-// trace carries no cold-miss fetch traffic in its quiet gaps — the
-// trial-to-trial-identical equivalent of an attacker discarding the
-// first capture. The victim never writes its state buffer (output goes
-// to a separate buffer), so the staged plaintext survives the warm-up
-// byte for byte. The returned trace carries deterministic Gaussian
-// noise of the given sigma (one derived rng stream per trial covers
-// plaintext and noise).
+// capture forks the snapshot, stages one plaintext and runs the armed
+// victim once, until it halts or the arena is full. The bus tap sees no
+// instruction fetches, so the trace depends only on the committed
+// instructions and their data, not on what the predecode table or the
+// caches hold after a restore. The returned trace carries
+// deterministic Gaussian noise of the given sigma (one derived rng
+// stream per trial covers plaintext and noise).
 func (r *scaRig) capture(pt [16]byte, sigma float64, rng *xrand.Rand) ([]float32, error) {
 	r.b.RestoreSnapshot(r.snap)
 	r.b.SoC.WriteDRAM(int(scaStateAddr), pt[:])
-	if err := r.b.SoC.RunCore(0, r.budget); err != nil {
-		return nil, err
-	}
-	cpu := r.b.SoC.Cores[0].CPU
-	cpu.Reset(r.v.Entry)
-	// Reset leaves the register SRAM as-is (no reset hardware), so the
-	// warm-up run's values — functions of this trial's plaintext —
-	// would leak into the measured trace's first Hamming distances.
-	// Scrub them: the attacker's capture starts from a dead core.
-	for i := 0; i < isa.XZR; i++ {
-		cpu.SetX(i, 0)
-	}
 	r.cap.Arm()
-	err := r.b.SoC.RunCore(0, r.budget)
+	var err error
+	if window := uint64(r.cap.Capacity()); window < r.budget {
+		// One committed instruction is one sample, so the arena is full
+		// after window instructions; the rest of the run would record
+		// nothing.
+		_, err = r.b.SoC.RunCoreQuantum(0, window)
+	} else {
+		err = r.b.SoC.RunCore(0, r.budget)
+	}
 	r.cap.Disarm()
 	if err != nil {
 		return nil, err
@@ -154,6 +155,9 @@ func captureTraceSet(ctx context.Context, seed uint64, n, window int, sigma floa
 	}
 	if window <= 0 {
 		return nil, fmt.Errorf("sca capture: samples window must be positive, got %d", window)
+	}
+	if math.IsNaN(sigma) || math.IsInf(sigma, 0) || sigma < 0 {
+		return nil, fmt.Errorf("sca capture: noise-sigma must be finite and non-negative, got %g", sigma)
 	}
 	type cap struct {
 		t  []float32

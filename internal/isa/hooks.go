@@ -7,7 +7,8 @@ package isa
 //
 //   - retire: ExecDecoded runs exec, or execHooked when Hooks is set;
 //   - writeback: writeX feeds Sink the flop toggles of each GPR write;
-//   - bus: the SoC's access path feeds the issuing core's Sink.
+//   - bus: the SoC's access path feeds the issuing core's Sink its
+//     loads and stores; instruction fetches stay off the tap.
 //
 // The SoC's superblock dispatcher single-steps a core whose Hooks is
 // set, so every hooked instruction runs through execHooked.

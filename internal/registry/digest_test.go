@@ -27,6 +27,18 @@ const catalogDigestSeed = 0x5EED
 // full-precision corr and margin moved by up to 1.5e-4. Its rendered
 // text, its trace artifact and every byte's guess, peak sample and rank
 // did not move.
+//
+// trace-capture, sca-spa and sca-cpa were re-pinned when instruction
+// fetches left the power-trace bus tap and the capture dropped its
+// unarmed warm-up pass. Before, a fetch reached the tap only when it
+// missed the predecode table, so each capture's first 21 samples carried
+// fetch traffic: the pointer preamble, whose fetches missed the table
+// even after the warm-up pass, and the first state load, whose address
+// toggles counted from the last fetch address. Only samples 0–20 moved,
+// by the same amount in every trace, because the victim's fetch
+// addresses never depend on data: trace-capture's per-trace means fell
+// by about 0.08 units, sca-spa's burst 0 now starts at sample 10
+// instead of 0, and sca-cpa's text and cpa_keyrank.json did not move.
 var catalogDigests = map[string]string{
 	"table1":                    "9a95b9c511f3feaa3256fa97d94e0cb1e116bca31cad9f9dcfe6714edf702b14",
 	"figure3":                   "d87a00e1a0f05fdba46976d7d5163980dd06a171864ad783bbfb02c4a36fed4d",
@@ -56,9 +68,9 @@ var catalogDigests = map[string]string{
 	"glitchboot-check-skip":     "ed34a8cd93db9bf3b4e2d8c1c874e7dd97433916a073c3f6561ebdc06bfe9d8a",
 	"glitchboot-verify-bypass":  "65aa44730b7dabb67765f9ff1dbe3569a35b55a83379537879684d4d49f810c7",
 	"glitch-search":             "0b85790e61c4427ce4324d62a077a80d50b4ac3ff88ccb1fe3871789c46409cf",
-	"trace-capture":             "f178d419bdce04e4ad87ad444593443a7a3e68148152748014c8abfa77c50921",
-	"sca-spa":                   "f52aecfad56839dc9b380374064a55d3e4581a956253393d488eaaedbe85b986",
-	"sca-cpa":                   "fcaea2b2bd1748f66d9311f6baa53d4fba9aedee2030ea1eb6d831deb347ca53",
+	"trace-capture":             "b074b5244cdca20954feb06afd2807e95f16e633ebde6bbbe668fd63d2a1f457",
+	"sca-spa":                   "e04eb891512698a0b68387ac3cec10711442be68c2917b33ecab92d22ca5212d",
+	"sca-cpa":                   "5adbb40990619e0b75c9b7fa6f55a6ac730c3cb4b6cd1657f6699400feac38b5",
 }
 
 // catalogDigestSlow names the experiments that take more than about one

@@ -3,6 +3,7 @@ package soc
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -19,13 +20,17 @@ import (
 //     goes through FetchInstr and Decode (the plain reference);
 //  2. predecode: cpu.Step through the predecoded i-stream;
 //  3. superblock: RunCoreQuantum over random quantum sizes;
-//  4. hooked: an attached fault injector that never faults, dispatched
-//     one instruction at a time through RunCoreQuantum.
+//  4. hooked: an attached fault injector that never faults and an armed
+//     trace sink, dispatched one instruction at a time through
+//     RunCoreQuantum.
 //
-// Stepped paths are compared with the reference after every instruction,
-// the superblock path at every quantum boundary: PC, flags, Instret, halt
-// state, barrier count, every cache's statistics and every SRAM array's
-// bytes. An array whose generation moved on neither side since the last
+// The reference carries an armed trace sink too. Stepped paths are
+// compared with the reference after every instruction, the superblock
+// path at every quantum boundary: PC, flags, Instret, halt state,
+// barrier count, every cache's statistics and every SRAM array's bytes,
+// and for the hooked path the power-trace samples as well: a sample may
+// not depend on whether its fetch went through the predecode table. An
+// array whose generation moved on neither side since the last
 // comparison holds what it held then, so only moved arrays are re-read.
 // Each program ends with a comparison of the DRAM cells.
 
@@ -61,6 +66,13 @@ func (f *noFault) RestoreState(st any) {
 		f.seen = st.(uint64)
 	}
 }
+
+// sinkProbe attaches a bare trace sink to a core. It has no capture
+// state of its own; the oracle never restores a snapshot.
+type sinkProbe struct{ sink isa.TraceSink }
+
+func (p *sinkProbe) CaptureState() any               { return nil }
+func (p *sinkProbe) RestoreState(any) *isa.TraceSink { return nil }
 
 // progGen writes one random program.
 type progGen struct {
@@ -239,6 +251,18 @@ type oracleSide struct {
 	cpu  *isa.CPU
 	arrs []*sram.Array
 	bufs [][]byte
+	// sink is the armed trace sink on core 0, nil on untraced sides.
+	sink *isa.TraceSink
+}
+
+// armTrace attaches an armed trace sink with an arena of n samples to
+// the side's core 0.
+func (o *oracleSide) armTrace(n int) {
+	p := &sinkProbe{}
+	p.sink.Static = 0.62
+	p.sink.Buf = make([]float32, n)
+	o.cpu.AttachTrace(p, &p.sink)
+	o.sink = &p.sink
 }
 
 func newOracleSide(t *testing.T, words []uint32, caches bool) *oracleSide {
@@ -292,6 +316,19 @@ func (p *oraclePair) compare(t *testing.T, prog int) {
 				prog, p.name, r.Instret, gotCaches[i].Config().Name, gotCaches[i].Stats(), refCaches[i].Stats())
 		}
 	}
+	if rs, gs := p.ref.sink, p.got.sink; rs != nil && gs != nil {
+		// Earlier samples were compared when they were recorded.
+		last := func(s *isa.TraceSink) float32 {
+			if s.N == 0 {
+				return 0
+			}
+			return s.Buf[s.N-1]
+		}
+		if rs.N != gs.N || rs.LastAddr != gs.LastAddr || math.Float32bits(last(rs)) != math.Float32bits(last(gs)) {
+			t.Fatalf("program %d, %s path at instret %d: %d samples, last %g, last bus address %#x; reference %d, %g, %#x",
+				prog, p.name, r.Instret, gs.N, last(gs), gs.LastAddr, rs.N, last(rs), rs.LastAddr)
+		}
+	}
 	for i, ra := range p.ref.arrs {
 		ga := p.got.arrs[i]
 		if ra.Gen() == p.refGen[i] && ga.Gen() == p.gotGen[i] {
@@ -333,11 +370,13 @@ func TestDispatchPathsAgree(t *testing.T) {
 				plain := isa.NewCPU(0, ref.cpu.Regs, oracleBus{ref.s}, ref.s)
 				plain.RestoreState(ref.cpu.CaptureState())
 				ref.s.Cores[0].CPU, ref.cpu = plain, plain
+				ref.armTrace(maxInstr)
 				pre := newOracleSide(t, words, caches)
 				sb := newOracleSide(t, words, caches)
 				hooked := newOracleSide(t, words, caches)
 				inj := &noFault{}
 				hooked.cpu.AttachFault(inj)
+				hooked.armTrace(maxInstr)
 				start := hooked.cpu.Instret
 
 				pairs := []*oraclePair{
@@ -374,8 +413,9 @@ func TestDispatchPathsAgree(t *testing.T) {
 					}
 					sbPair.compare(t, prog)
 				}
-				if retired := hooked.cpu.Instret - start; inj.seen != retired {
-					t.Fatalf("program %d: injector consulted on %d instructions, core retired %d", prog, inj.seen, retired)
+				if retired := hooked.cpu.Instret - start; inj.seen != retired || uint64(hooked.sink.N) != retired {
+					t.Fatalf("program %d: injector consulted on %d instructions, %d samples, core retired %d",
+						prog, inj.seen, hooked.sink.N, retired)
 				}
 				want := ref.s.DRAM.Read(0, ref.s.DRAM.Size())
 				for _, side := range []*oracleSide{pre, sb, hooked} {

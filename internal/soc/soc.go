@@ -774,11 +774,12 @@ func (s *SoC) access(core int, addr uint64, size int, write bool, wdata uint64, 
 		return 0, fmt.Errorf("soc: core %d out of range", core)
 	}
 	c := s.Cores[core]
-	if h := c.CPU.Hooks; h != nil && h.Sink != nil {
-		// The power-trace bus tap: the issuing core's sink sees every
-		// access reaching the interconnect — data loads and stores,
-		// fetches that miss the predecoded i-stream, maintenance traffic
-		// — without touching cache, history or memory state.
+	if h := c.CPU.Hooks; h != nil && h.Sink != nil && !ifetch {
+		// The power-trace bus tap: the issuing core's sink sees its
+		// data-side traffic, loads and stores, without touching cache,
+		// history or memory state. Instruction fetches stay off it: a
+		// predecode hit never reaches this path, so counting the misses
+		// would make a trace depend on derived state (DESIGN.md §6).
 		h.Sink.BusAccess(addr, size, write, wdata)
 	}
 	if s.inDRAM(addr) || s.inIRAM(addr) {

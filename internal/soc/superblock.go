@@ -217,16 +217,12 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 	for !cpu.Halted && n < maxInstr {
 		// A hooked core (cpu.Hooks set: an armed glitcher or capturer)
 		// single-steps, so every instruction runs through the hooked
-		// body. The glitcher's pulse edges are rail events, which the
-		// superblock soundness argument assumes happen between quanta,
-		// never inside a block; the capturer emits one sample per
-		// retired instruction. Fetch traffic reaches the bus tap only on
-		// predecode misses: FetchDecoded's hit path never calls
-		// TraceSink.BusAccess, so which fetches hit the predecoded
-		// i-stream shapes the trace. The SCA capture's unarmed warm-up
-		// pass relies on this to keep cold-miss fetches out of the
-		// measured trace (DESIGN.md §12). Hooks clears when both
-		// observers disarm, so unobserved runs keep the fast path.
+		// body. The reason is the glitcher: its pulse edges are rail
+		// events, which the superblock soundness argument assumes
+		// happen between quanta, never inside a block. A capture alone
+		// does not need it, because the bus tap sees no fetches, but
+		// running one inside blocks is unmeasured. Hooks clears when
+		// both observers disarm, so unobserved runs keep the fast path.
 		if cpu.Hooks != nil {
 			if err := cpu.Step(); err != nil {
 				return n, err

@@ -8,15 +8,22 @@
 // current is proportional to the toggled capacitance of the cycle:
 // the Hamming distance of the destination-register writeback (flop
 // toggles), the Hamming weight of data driven onto the interconnect,
-// the toggles on the address bus between consecutive accesses (which
-// subsumes cache-line-to-line traffic — line index bits are address
-// bits), and a per-byte transfer cost. Static draw is the
-// voltage-proportional leakage of the core and memory domains, read
-// from the rails at Arm time so undervolted captures sit on a visibly
-// lower baseline. All activity terms are integer popcounts accumulated
-// exactly; the single float32 rounding per term happens in one fixed
-// order, which is what makes trace bytes reproducible across
-// architectures and GOMAXPROCS settings.
+// the toggles on the address bus between consecutive data accesses
+// (which subsumes cache-line-to-line traffic — line index bits are
+// address bits), and a per-byte transfer cost. Instruction fetches are
+// not counted. The simulator serves most of them from its predecode
+// table without a bus access, so counting the rest would make a sample
+// depend on interpreter state rather than on the committed instructions
+// and their data. With data-independent control flow, as in the AES
+// victim, the fetch term would be the same in every trial and leak
+// nothing; data-dependent control flow still shows in which
+// instructions commit. Static draw is the voltage-proportional leakage
+// of the core and memory domains, read from the rails at Arm time so
+// undervolted captures sit on a visibly lower baseline. All activity
+// terms are integer popcounts accumulated exactly; the single float32
+// rounding per term happens in one fixed order, which is what makes
+// trace bytes reproducible across architectures and GOMAXPROCS
+// settings.
 //
 // Cost discipline matches the glitcher, with which the capturer shares
 // the core's one hook pointer (isa.CPU.Hooks): a core with nothing
@@ -61,7 +68,7 @@ const (
 // the retire, writeback, and bus taps write into directly — and
 // implements isa.TraceProbe so capture state composes into snapshots.
 // Arm attaches the sink to the core's hooks, which all three taps read;
-// Disarm detaches it. The bus tap counts only the bound core's
+// Disarm detaches it. The bus tap counts only the bound core's data
 // accesses, so an armed window should run no other core.
 type Capturer struct {
 	//voltvet:nosnap attach-time wiring, not recorded state; restores hand the core its sink through isa.TraceProbe
@@ -99,10 +106,10 @@ func New(s *soc.SoC, core int, samples int) (*Capturer, error) {
 // Arm starts a capture: the arena cursor rewinds, the static-draw term
 // is resolved from the live rails, and the sink attaches to the core's
 // hooks (isa.CPU.AttachTrace), where the retire, writeback and bus taps
-// read it. While armed, the SoC dispatcher single-steps the traced core
-// (superblock batching would merge fetch traffic across a block), so
-// only armed windows pay the per-instruction path. A glitcher attached
-// to the same core stays attached.
+// read it. While armed, the SoC dispatcher single-steps the traced core,
+// as it does a glitched one, so only armed windows pay the
+// per-instruction path. A glitcher attached to the same core stays
+// attached.
 func (c *Capturer) Arm() {
 	c.armed = true
 	c.sink.N = 0

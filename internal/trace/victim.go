@@ -62,8 +62,8 @@ type AESVictim struct {
 	// here before running. KeyAddr holds the expanded round keys,
 	// SBoxAddr the 256-byte S-box table (see StageData), and OutAddr
 	// the 16-byte output buffer each round overwrites. The victim only
-	// ever *reads* StateAddr, so a warm-up run leaves the staged
-	// plaintext intact (and its cache line clean) for the measured run.
+	// ever *reads* StateAddr, so a run leaves the staged plaintext
+	// intact.
 	StateAddr, KeyAddr, SBoxAddr, OutAddr uint64
 }
 

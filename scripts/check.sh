@@ -2,10 +2,11 @@
 # CI gate: gofmt, vet, voltvet, build, race-enabled tests (the parallel
 # runner's determinism tests raise GOMAXPROCS themselves, so a
 # single-core CI machine still exercises multi-worker execution), the
-# differential oracles, the catalog digests, a short fuzz pass over the
-# byte decoders and the CPA attack, a one-iteration smoke over the
-# micro-benchmarks and the allocation-free gates. `make check` runs this
-# script.
+# differential oracles (among them, that a power trace ignores predecode,
+# superblock and cache state and that a capture stops when its window is
+# full), the catalog digests, a short fuzz pass over the byte decoders
+# and the CPA attack, a one-iteration smoke over the micro-benchmarks
+# and the allocation-free gates. `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -57,7 +58,7 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 go test -run 'TestSCACPARecoversKey' -count=1 ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths, hook restores, transformed CPA sums)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths and their traces, hook restores, captures against derived state and the window stop, transformed CPA sums)"
 go test -count=1 -run 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 go test -count=1 -run 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
 go test -count=1 -run 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
@@ -66,6 +67,7 @@ go test -count=1 -run 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./
 go test -count=1 -run 'TestDumpPayloadFetchPathsAgree' ./internal/core/
 go test -count=1 -run 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
 go test -count=1 -run 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
+go test -count=1 -run 'TestCaptureIgnoresDerivedState|TestCaptureStopsAtWindow' ./internal/experiments/
 go test -count=1 -run 'TestCPAMatchesReference' ./internal/sca/
 
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
@@ -86,7 +88,7 @@ go test -run '^$' -bench 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' 
 go test -run '^$' -bench 'CPUStepGlitchDisarmed' -benchtime 1x ./internal/glitch/
 go test -run '^$' -bench 'CPUStepTraceDisarmed|CPUStepTraceArmed' -benchtime 1x ./internal/trace/
 go test -run '^$' -bench 'CPACorrelate' -benchtime 1x ./internal/sca/
-go test -run '^$' -bench 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep' -benchtime 1x ./internal/experiments/
+go test -run '^$' -bench 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep|TraceCapture1000' -benchtime 1x ./internal/experiments/
 
 echo "==> allocation-free fast-path gates"
 go test -run 'StepSteadyStateZeroAlloc' -count=1 ./internal/soc/
