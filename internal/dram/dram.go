@@ -114,14 +114,6 @@ type Module struct {
 	offSince sim.Time
 	offTempK float64
 
-	// gen counts every event that can change the module's observable
-	// contents: writes, writebacks, and power transitions. Consumers that
-	// cache derived views of DRAM can use it as a coarse "anything moved"
-	// signal. (The SoC's predecoded i-stream deliberately does NOT key on
-	// it — uncached store loops would thrash the table — and re-verifies
-	// the fetched word instead.) Plain derived state, not physics.
-	gen uint64
-
 	// Lazy outage resolution. PowerOn after a non-trivial outage does not
 	// walk the array: it records the outage's decay thresholds here and
 	// marks every byte unresolved. A byte materializes its post-outage
@@ -256,11 +248,6 @@ func (m *Module) Size() int { return len(m.data) }
 // Powered reports whether the module is receiving power (and refresh).
 func (m *Module) Powered() bool { return m.powered }
 
-// Gen returns the monotonic content-generation counter: it advances on
-// every write, writeback, and power transition. Consumers (the SoC's
-// predecode cache) treat any change as "refetch everything".
-func (m *Module) Gen() uint64 { return m.gen }
-
 // groundByte is the value byte i decays toward.
 func (m *Module) groundByte(i int) byte {
 	if (i/m.model.GroundBlockBytes)%2 == 1 {
@@ -281,7 +268,6 @@ func (m *Module) PowerOff() {
 	// were current when it began.
 	m.resolveAll()
 	m.powered = false
-	m.gen++
 	m.offSince = m.env.Now()
 	m.offTempK = m.env.TemperatureK()
 	m.env.Logf("dram", "%s power off at %.1f°C", m.name, m.env.TemperatureC()) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
@@ -305,7 +291,6 @@ func (m *Module) PowerOn() {
 		return
 	}
 	m.powered = true
-	m.gen++
 	elapsed := float64(m.env.Now() - m.offSince)
 	median := float64(m.model.MedianRetentionAt(m.offTempK))
 	// Degenerate medians fall out of the float semantics: median 0 gives
@@ -521,7 +506,6 @@ func (m *Module) check(op string, off, n int) {
 // Write stores b at offset off.
 func (m *Module) Write(off int, b []byte) {
 	m.check("Write", off, len(b))
-	m.gen++
 	m.markRange(off, len(b))
 	m.markSnapRange(off, len(b))
 	copy(m.data[off:], b)
@@ -535,7 +519,6 @@ func (m *Module) WriteUintN(off, size int, v uint64) {
 	if size < 1 || size > 8 {
 		panic(fmt.Sprintf("dram: WriteUintN size %d out of range on %s", size, m.name))
 	}
-	m.gen++
 	m.markRange(off, size)
 	m.markSnapRange(off, size)
 	for i := 0; i < size; i++ {
@@ -588,7 +571,6 @@ func (m *Module) WriteLine(addr uint64, buf []byte) error {
 	if addr+uint64(len(buf)) > uint64(len(m.data)) {
 		return fmt.Errorf("dram: %s write at %#x+%d out of range", m.name, addr, len(buf))
 	}
-	m.gen++
 	m.markRange(int(addr), len(buf))
 	m.markSnapRange(int(addr), len(buf))
 	copy(m.data[addr:], buf)

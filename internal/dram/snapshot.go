@@ -81,8 +81,7 @@ func (m *Module) CaptureSnapshot() *ModuleSnapshot {
 }
 
 // RestoreSnapshot rewinds the module to the captured state: dirty data
-// pages only when s owns the armed bitmap, a full copy otherwise. The
-// generation counter is bumped, never rewound.
+// pages only when s owns the armed bitmap, a full copy otherwise.
 func (m *Module) RestoreSnapshot(s *ModuleSnapshot) {
 	if s.mod != m {
 		panic(fmt.Sprintf("dram: RestoreSnapshot of %s onto %s", s.mod.name, m.name))
@@ -119,5 +118,4 @@ func (m *Module) RestoreSnapshot(s *ModuleSnapshot) {
 		}
 		copy(m.resolved, s.resolved)
 	}
-	m.gen++
 }

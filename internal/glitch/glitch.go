@@ -19,11 +19,10 @@
 //
 // Determinism: the glitcher owns a private xrand stream seeded at Arm —
 // the simulation's env carries no RNG — so a trial is a pure function
-// of (board seed, trigger, pulse, glitch seed). CaptureState/
-// RestoreState compose the whole machine (trigger arming, pulse
-// position, RNG position, fault log) into isa.CPUState and therefore
-// into soc.Snapshot: glitched trials fork from copy-on-write snapshots
-// like everything else.
+// of (board seed, trigger, pulse, glitch seed). The glitcher is not
+// snapshot state: a trial restores its copy-on-write snapshot, arms,
+// runs and finishes, and soc.Snapshot refuses to capture or restore
+// while the glitcher is attached to its core.
 package glitch
 
 import (
@@ -135,9 +134,7 @@ func (r FaultRecord) String() string {
 // and injects the resulting instruction faults into one CPU. Zero value
 // is not usable; use New.
 type Glitcher struct {
-	//voltvet:nosnap attach-time wiring, not trial state; glitcherState carries everything a trial mutates
 	dom *power.Domain
-	//voltvet:nosnap attach-time wiring, not trial state; glitcherState carries everything a trial mutates
 	cpu *isa.CPU
 	rng *xrand.Rand
 
@@ -327,59 +324,6 @@ func decide(op isa.Op, u uint64) isa.FaultDecision {
 		}
 	}
 	return d
-}
-
-// glitcherState is the opaque snapshot of a Glitcher.
-type glitcherState struct {
-	rng     xrand.State
-	trig    Trigger
-	pulse   Pulse
-	armed   bool
-	fired   bool
-	inPulse bool
-
-	armInstret  uint64
-	trigInstret uint64
-	faults      []FaultRecord
-}
-
-// CaptureState implements isa.FaultInjector.
-func (g *Glitcher) CaptureState() any {
-	st := &glitcherState{
-		rng:         g.rng.State(),
-		trig:        g.trig,
-		pulse:       g.pulse,
-		armed:       g.armed,
-		fired:       g.fired,
-		inPulse:     g.inPulse,
-		armInstret:  g.armInstret,
-		trigInstret: g.trigInstret,
-	}
-	st.faults = append(st.faults, g.faults...)
-	return st
-}
-
-// RestoreState implements isa.FaultInjector. A nil state resets the
-// glitcher to its disarmed baseline (it does NOT touch the rail — the
-// domain snapshot owns the electrical rewind).
-func (g *Glitcher) RestoreState(st any) {
-	if st == nil {
-		g.armed = false
-		g.fired = false
-		g.inPulse = false
-		g.faults = g.faults[:0]
-		return
-	}
-	s := st.(*glitcherState)
-	g.rng.SetState(s.rng)
-	g.trig = s.trig
-	g.pulse = s.pulse
-	g.armed = s.armed
-	g.fired = s.fired
-	g.inPulse = s.inPulse
-	g.armInstret = s.armInstret
-	g.trigInstret = s.trigInstret
-	g.faults = append(g.faults[:0], s.faults...)
 }
 
 var _ isa.FaultInjector = (*Glitcher)(nil)

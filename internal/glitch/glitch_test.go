@@ -3,7 +3,9 @@ package glitch_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/glitch"
@@ -276,50 +278,47 @@ func TestGlitchDeterminism(t *testing.T) {
 	}
 }
 
-// TestSnapshotComposesGlitcher: capturing mid-run with an armed
-// glitcher and restoring replays the identical glitched boot — the
-// trigger arming, pulse position, RNG stream, and fault log all ride
-// soc.Snapshot through isa.CPUState.
+// TestSnapshotComposesGlitcher: a glitcher is not snapshot state.
+// Capturing with one armed panics and names the core; a snapshot taken
+// before Arm replays the identical glitched boot for every trial that
+// restores it, arms, boots and finishes.
 func TestSnapshotComposesGlitcher(t *testing.T) {
 	b := newBench(t, 0x5EED, true)
 	trig := glitch.Trigger{Kind: glitch.TriggerFetchAddr, Addr: b.rom.CheckPC}
 	b.g.Arm(trig, fullDepth, 7)
-	// Run into the hash loop: armed, trigger not yet fired. The budget
-	// expiring mid-program is the point, so a RunawayError is expected.
-	if err := b.s.RunCore(0, 40); err != nil && !isRunaway(err) {
-		t.Fatal(err)
-	}
-	if !b.g.Armed() || b.g.Fired() {
-		t.Fatalf("armed=%v fired=%v mid-run, want armed and unfired", b.g.Armed(), b.g.Fired())
-	}
-	snap := b.s.CaptureSnapshot()
+	mustPanicNamingCore0(t, "CaptureSnapshot with an armed glitcher", func() { b.s.CaptureSnapshot() })
+	b.g.Finish()
 
-	finish := func() trialRecord {
-		err := b.boot(t)
-		return trialRecord{
-			Err:     err != nil,
-			Halted:  b.cpu.Halted,
-			Code:    b.cpu.HaltCode,
-			Status:  b.readU64(testStatusAddr),
-			Proof:   b.readU64(testProofAddr),
-			Instret: b.cpu.Instret,
-			Faults:  append([]glitch.FaultRecord(nil), b.g.Faults()...),
+	snap := b.s.CaptureSnapshot()
+	var trials [3]trialRecord
+	for i := range trials {
+		b.s.RestoreSnapshot(snap)
+		trials[i] = runTrial(t, b, trig, fullDepth, 7)
+	}
+	for i, r := range trials[1:] {
+		if !reflect.DeepEqual(trials[0], r) {
+			t.Fatalf("trial %d from the snapshot diverged:\n  first: %+v\n  trial: %+v", i+1, trials[0], r)
 		}
 	}
-	r1 := finish()
-	b.g.Finish()
-	b.s.RestoreSnapshot(snap)
-	if !b.g.Armed() || b.g.Fired() {
-		t.Fatalf("restore did not rewind glitcher arming (armed=%v fired=%v)", b.g.Armed(), b.g.Fired())
+	if len(trials[0].Faults) == 0 {
+		t.Fatal("the trials injected no faults; the test did not exercise the pulse")
 	}
-	r2 := finish()
-	b.g.Finish()
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("snapshot replay diverged:\n  first:  %+v\n  replay: %+v", r1, r2)
-	}
-	if len(r1.Faults) == 0 {
-		t.Fatal("replayed trial injected no faults; the test did not exercise the pulse")
-	}
+}
+
+// mustPanicNamingCore0 fails unless f panics with a message naming
+// core 0.
+func mustPanicNamingCore0(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "core 0") {
+			t.Fatalf("%s panicked with %q, which does not name core 0", what, msg)
+		}
+	}()
+	f()
 }
 
 // TestCrossDomainSRAMUnaffected is the power-domain separation
@@ -409,22 +408,32 @@ func TestFaultProbabilityRamp(t *testing.T) {
 	}
 }
 
-// TestRestoreBeforeArmDetachesGlitcher: restoring a snapshot taken
-// before Arm resets the glitcher to its disarmed baseline. It must not
-// report a pending shot, and the restored run must execute unglitched.
+// TestRestoreBeforeArmDetachesGlitcher: restoring a snapshot while a
+// glitcher is armed panics before it rewinds anything, and the glitcher
+// stays armed. Once Finish detaches it, the restore succeeds and the
+// restored boot runs unglitched.
 func TestRestoreBeforeArmDetachesGlitcher(t *testing.T) {
 	b := newBench(t, 0x5EED, true)
 	snap := b.s.CaptureSnapshot()
 	b.g.Arm(glitch.Trigger{Kind: glitch.TriggerFetchAddr, Addr: b.rom.BranchPC}, fullDepth, 1)
-	b.s.RestoreSnapshot(snap)
-	if b.g.Armed() {
-		t.Error("glitcher still reports Armed after restoring a snapshot taken before Arm")
+	if err := b.s.RunCore(0, 40); err != nil && !isRunaway(err) {
+		t.Fatal(err)
 	}
+	pc, instret := b.cpu.PC, b.cpu.Instret
+	mustPanicNamingCore0(t, "RestoreSnapshot with an armed glitcher", func() { b.s.RestoreSnapshot(snap) })
+	if !b.g.Armed() {
+		t.Error("a refused restore disarmed the glitcher")
+	}
+	if b.cpu.PC != pc || b.cpu.Instret != instret {
+		t.Errorf("a refused restore moved the core from PC %#x instret %d to %#x, %d", pc, instret, b.cpu.PC, b.cpu.Instret)
+	}
+	b.g.Finish()
+	b.s.RestoreSnapshot(snap)
 	if err := b.boot(t); err != nil {
 		t.Fatal(err)
 	}
 	if b.g.Fired() || len(b.g.Faults()) != 0 || b.bypassed() {
-		t.Fatalf("restored-disarmed glitcher acted on the run: fired=%v faults=%v", b.g.Fired(), b.g.Faults())
+		t.Fatalf("a finished glitcher acted on the restored run: fired=%v faults=%v", b.g.Fired(), b.g.Faults())
 	}
 }
 
@@ -458,8 +467,8 @@ func finishShared(t *testing.T, b *bench, c *trace.Capturer) sharedCoreRun {
 // on the same core, where they share one hook. It pins the order the
 // hooked execution body keeps: the capturer records one sample per
 // committed instruction and none per faulted one; disarming either
-// observer leaves the other attached; and a snapshot taken with both
-// attached restores both.
+// observer leaves the other attached; and trials that restore a
+// snapshot taken before arming, then arm both, replay the first run.
 func TestGlitcherAndCapturerShareCore(t *testing.T) {
 	pulse := glitch.Pulse{Offset: 0, Width: 12, Depth: 0.5}
 	setup := func(t *testing.T) (*bench, *trace.Capturer, glitch.Trigger) {
@@ -519,24 +528,16 @@ func TestGlitcherAndCapturerShareCore(t *testing.T) {
 
 	t.Run("a snapshot restores both", func(t *testing.T) {
 		b, c, trig := setup(t)
-		c.Arm()
-		b.g.Arm(trig, pulse, 3)
-		for !b.g.Fired() {
-			if err := b.cpu.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 4; i++ { // into the pulse
-			if err := b.cpu.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cursor := len(c.Samples())
-		faults := len(b.g.Faults())
 		snap := b.s.CaptureSnapshot()
-		first := finishShared(t, b, c)
-		c.Disarm()
-		b.g.Finish()
+		trial := func() sharedCoreRun {
+			c.Arm()
+			b.g.Arm(trig, pulse, 3)
+			run := finishShared(t, b, c)
+			c.Disarm()
+			b.g.Finish()
+			return run
+		}
+		first := trial()
 
 		// Restores retire the predecoded i-stream except mask-ROM
 		// entries, but fetches never reach the bus tap (DESIGN.md §12),
@@ -545,16 +546,7 @@ func TestGlitcherAndCapturerShareCore(t *testing.T) {
 		var replays [2]sharedCoreRun
 		for i := range replays {
 			b.s.RestoreSnapshot(snap)
-			if !c.Armed() || len(c.Samples()) != cursor {
-				t.Fatalf("restore left capturer armed=%v at cursor %d, want armed at %d", c.Armed(), len(c.Samples()), cursor)
-			}
-			if !b.g.Armed() || !b.g.Fired() || len(b.g.Faults()) != faults {
-				t.Fatalf("restore left glitcher armed=%v fired=%v with %d faults, want armed, fired, %d",
-					b.g.Armed(), b.g.Fired(), len(b.g.Faults()), faults)
-			}
-			replays[i] = finishShared(t, b, c)
-			c.Disarm()
-			b.g.Finish()
+			replays[i] = trial()
 		}
 		for i, r := range replays {
 			if !reflect.DeepEqual(first.trialRecord, r.trialRecord) {
@@ -564,8 +556,9 @@ func TestGlitcherAndCapturerShareCore(t *testing.T) {
 				t.Fatalf("replay %d from the shared snapshot captured a different trace than the first run", i)
 			}
 		}
-		if len(first.Faults) <= faults {
-			t.Fatal("no fault landed after the snapshot; the replay did not exercise the pulse")
+		if len(first.Faults) == 0 || len(first.Samples) == 0 {
+			t.Fatalf("first run injected %d faults and recorded %d samples; the replays exercised neither observer",
+				len(first.Faults), len(first.Samples))
 		}
 	})
 }

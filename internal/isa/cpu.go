@@ -88,8 +88,10 @@ type CPU struct {
 	// Hooks is the one instrumentation seam the step path tests (see
 	// hooks.go): it points at hooks while a fault injector or a trace
 	// sink is attached and is nil otherwise. Only the Attach/Detach
-	// methods and RestoreState change either.
+	// methods change either.
+	//voltvet:nosnap observers are not machine state; the SoC refuses to capture or restore a snapshot while any core has hooks attached
 	Hooks *Hooks
+	//voltvet:nosnap observers are not machine state; the SoC refuses to capture or restore a snapshot while any core has hooks attached
 	hooks Hooks
 
 	// Halted is set by HLT; HaltCode carries its immediate.

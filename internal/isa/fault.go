@@ -59,22 +59,14 @@ type FaultDecision struct {
 }
 
 // FaultInjector decides, per instruction, whether execution faults.
-// Implementations must be deterministic functions of their own captured
-// state: CaptureState/RestoreState compose the injector into CPUState
-// (and so into soc.Snapshot), letting glitched trials fork from
-// copy-on-write snapshots like everything else.
+// An injector is not snapshot state: a glitched trial restores its
+// snapshot, then attaches the injector (see Hooks).
 type FaultInjector interface {
 	// OnInstr is called before in executes, with the CPU's architectural
 	// state still pre-instruction (PC at in, Instret counting retired
 	// predecessors). It may mutate external state (e.g. drive a power
 	// domain) but not the CPU.
 	OnInstr(c *CPU, in Instr) FaultDecision
-	// CaptureState returns an opaque rewindable copy of the injector's
-	// internal state.
-	CaptureState() any
-	// RestoreState rewinds to a state from CaptureState. A nil argument
-	// resets the injector to its disarmed baseline.
-	RestoreState(st any)
 }
 
 // HasGPRDest reports whether op writes a general-purpose destination

@@ -1,9 +1,9 @@
 package isa
 
 // Hooks are the observers attached to one core: the voltage glitcher's
-// fault injector and the power-trace capturer's sink and probe. They
-// share one seam. CPU.Hooks is nil unless a fault injector or a sink is
-// attached, and every tap tests that one pointer:
+// fault injector and the power-trace capturer's sink. They share one
+// seam. CPU.Hooks is nil unless a fault injector or a sink is attached,
+// and every tap tests that one pointer:
 //
 //   - retire: ExecDecoded runs exec, or execHooked when Hooks is set;
 //   - writeback: writeX feeds Sink the flop toggles of each GPR write;
@@ -13,9 +13,9 @@ package isa
 // The SoC's superblock dispatcher single-steps a core whose Hooks is
 // set, so every hooked instruction runs through execHooked.
 //
-// A probe without a sink (a capturer restored disarmed) leaves Hooks
-// nil: it rides along in snapshots but observes nothing, so it must not
-// cost the step path anything.
+// Observers are not machine state. A trial restores its snapshot first
+// and arms its observers after; the SoC refuses to capture or restore a
+// snapshot while any core has one attached.
 type Hooks struct {
 	// Fault, when set, is consulted before every instruction and may
 	// replace its execution with an injected fault (see FaultInjector).
@@ -23,8 +23,6 @@ type Hooks struct {
 	// Sink receives the switching activity and one sample per committed
 	// instruction (see TraceSink).
 	Sink *TraceSink
-	// Probe is the sink owner's snapshot handle (see TraceProbe).
-	Probe TraceProbe
 }
 
 // AttachFault makes inj the core's fault injector, replacing any other.
@@ -42,18 +40,17 @@ func (c *CPU) DetachFault(inj FaultInjector) {
 	}
 }
 
-// AttachTrace makes p the core's trace probe and sink the buffer its
-// taps write into, replacing any other capturer.
-func (c *CPU) AttachTrace(p TraceProbe, sink *TraceSink) {
-	c.hooks.Probe = p
+// AttachTrace makes sink the buffer the core's taps write into,
+// replacing any other.
+func (c *CPU) AttachTrace(sink *TraceSink) {
 	c.hooks.Sink = sink
 	c.rehook()
 }
 
-// DetachTrace removes p and its sink if p is the attached probe.
-func (c *CPU) DetachTrace(p TraceProbe) {
-	if c.hooks.Probe == p {
-		c.hooks.Probe = nil
+// DetachTrace removes sink if it is the attached one; a sink that was
+// superseded cannot detach its successor.
+func (c *CPU) DetachTrace(sink *TraceSink) {
+	if c.hooks.Sink == sink {
 		c.hooks.Sink = nil
 		c.rehook()
 	}

@@ -66,27 +66,3 @@ func (s *TraceSink) Retire() {
 		s.N++
 	}
 }
-
-// TraceProbe is the snapshot-composition handle of an attached trace
-// capturer, the read-only sibling of FaultInjector. The hot sample
-// path does not go through this interface — emission is direct field
-// arithmetic on the shared TraceSink — but the capturer attaches
-// itself here so its arena cursor and recorded samples ride along with
-// CPUState and therefore with soc.Snapshot, letting traced trials fork
-// from copy-on-write snapshots like glitched ones.
-//
-// An attached capturer is architecturally invisible (same PC stream,
-// same Instret, same SRAM contents, to the bit), and the armed emit
-// path must stay allocation-free — it is pinned by voltvet's hot-path
-// checks (the TraceSink emit methods are in the closure of the
-// CPU.Step root) and a dynamic AllocsPerRun gate in internal/trace.
-type TraceProbe interface {
-	// CaptureState returns an opaque snapshot of the probe's internal
-	// state (arm flag, sample cursor, recorded samples).
-	CaptureState() any
-	// RestoreState rewinds to a state from CaptureState and returns the
-	// sink the core must feed: the probe's sink if that state was armed,
-	// nil if not. A nil argument resets the probe to its disarmed
-	// baseline.
-	RestoreState(st any) *TraceSink
-}

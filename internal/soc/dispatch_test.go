@@ -59,20 +59,6 @@ func (f *noFault) OnInstr(*isa.CPU, isa.Instr) isa.FaultDecision {
 	f.seen++
 	return isa.FaultDecision{}
 }
-func (f *noFault) CaptureState() any { return f.seen }
-func (f *noFault) RestoreState(st any) {
-	f.seen = 0
-	if st != nil {
-		f.seen = st.(uint64)
-	}
-}
-
-// sinkProbe attaches a bare trace sink to a core. It has no capture
-// state of its own; the oracle never restores a snapshot.
-type sinkProbe struct{ sink isa.TraceSink }
-
-func (p *sinkProbe) CaptureState() any               { return nil }
-func (p *sinkProbe) RestoreState(any) *isa.TraceSink { return nil }
 
 // progGen writes one random program.
 type progGen struct {
@@ -258,21 +244,28 @@ type oracleSide struct {
 // armTrace attaches an armed trace sink with an arena of n samples to
 // the side's core 0.
 func (o *oracleSide) armTrace(n int) {
-	p := &sinkProbe{}
-	p.sink.Static = 0.62
-	p.sink.Buf = make([]float32, n)
-	o.cpu.AttachTrace(p, &p.sink)
-	o.sink = &p.sink
+	o.sink = &isa.TraceSink{Static: 0.62, Buf: make([]float32, n)}
+	o.cpu.AttachTrace(o.sink)
 }
 
-func newOracleSide(t *testing.T, words []uint32, caches bool) *oracleSide {
+// oracleMode is one cache configuration the oracle runs programs under:
+// l1 enables the L1s at boot, and l2 keeps the L2 on after it.
+type oracleMode struct {
+	name   string
+	l1, l2 bool
+}
+
+func newOracleSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
 	t.Helper()
 	s, _ := poweredSoC(t, BCM2711(), Options{})
-	if err := s.Boot(&BootImage{Words: words, EnableCaches: caches}); err != nil {
+	if err := s.Boot(&BootImage{Words: words, EnableCaches: m.l1}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Cores[0].L1I.Enabled() != caches || !s.L2.Enabled() {
-		t.Fatalf("L1I enabled = %v, L2 enabled = %v; want %v, true", s.Cores[0].L1I.Enabled(), s.L2.Enabled(), caches)
+	if !m.l2 {
+		s.L2.SetEnabled(false)
+	}
+	if s.Cores[0].L1I.Enabled() != m.l1 || s.L2.Enabled() != m.l2 {
+		t.Fatalf("L1I enabled = %v, L2 enabled = %v; want %v, %v", s.Cores[0].L1I.Enabled(), s.L2.Enabled(), m.l1, m.l2)
 	}
 	o := &oracleSide{s: s, cpu: s.Cores[0].CPU, arrs: s.allArrays()}
 	for _, a := range o.arrs {
@@ -345,35 +338,36 @@ func (p *oraclePair) compare(t *testing.T, prog int) {
 }
 
 // TestDispatchPathsAgree runs random programs down the four dispatch
-// paths, with the L1s on (fetches served by the L1I) and with only the
-// L2 on (the extraction payloads' configuration), and requires every
-// path to match the plain reference at every comparison point.
+// paths, with the L1s on (fetches served by the L1I), with only the L2
+// on (the extraction payloads' configuration) and with both off (every
+// fetch read from DRAM), and requires every path to match the plain
+// reference at every comparison point.
 func TestDispatchPathsAgree(t *testing.T) {
 	const (
 		blocks   = 24
 		maxInstr = 200_000
 	)
-	programs := 6 // about 28k instructions over both modes
+	programs := 6 // about 49k instructions over the three modes
 	if testing.Short() {
 		programs = 1 // keeps the -race -short pass fast; the full run is tier-1
 	}
 	r := xrand.New(0x0AC1E)
-	for _, caches := range []bool{true, false} {
-		mode := "L2-only"
-		if caches {
-			mode = "L1I"
-		}
-		t.Run(mode, func(t *testing.T) {
+	for _, mode := range []oracleMode{
+		{name: "L1I", l1: true, l2: true},
+		{name: "L2-only", l2: true},
+		{name: "uncached"},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
 			for prog := 0; prog < programs; prog++ {
 				words := mustAsm(t, PayloadBase, randomProgram(r, blocks))
-				ref := newOracleSide(t, words, caches)
+				ref := newOracleSide(t, words, mode)
 				plain := isa.NewCPU(0, ref.cpu.Regs, oracleBus{ref.s}, ref.s)
 				plain.RestoreState(ref.cpu.CaptureState())
 				ref.s.Cores[0].CPU, ref.cpu = plain, plain
 				ref.armTrace(maxInstr)
-				pre := newOracleSide(t, words, caches)
-				sb := newOracleSide(t, words, caches)
-				hooked := newOracleSide(t, words, caches)
+				pre := newOracleSide(t, words, mode)
+				sb := newOracleSide(t, words, mode)
+				hooked := newOracleSide(t, words, mode)
 				inj := &noFault{}
 				hooked.cpu.AttachFault(inj)
 				hooked.armTrace(maxInstr)

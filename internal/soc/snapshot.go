@@ -8,12 +8,18 @@
 // simulation clock — and RestoreSnapshot rewinds all of it in O(dirty
 // pages).
 //
+// A snapshot holds machine state only. Observers — a glitcher or a
+// trace capturer attached through isa.CPU.Hooks — are not part of it:
+// both calls panic while any core has one attached, before touching any
+// state. A trial restores first, then arms its observers, runs, and
+// disarms them before the next restore.
+//
 // Determinism contract: a restored SoC is bit-identical to the SoC at
 // capture time, including every rng stream position, so the trial tail
 // replays exactly as it would on a freshly built board that ran the same
 // prefix — the golden-pinned experiments exercise this equivalence on
 // every run. The derived-state exceptions are the generation counters
-// (mutGen and every array/cache/dram gen stay monotonic and are bumped
+// (mutGen and every array and cache gen stay monotonic and are bumped
 // by the restore, wholesale retiring predecode entries, superblocks, the
 // cache way memos, and the TLB write memo — all of which rebuild with no
 // architectural side effects) and the predecode/superblock tables
@@ -22,6 +28,8 @@
 package soc
 
 import (
+	"fmt"
+
 	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/isa"
@@ -66,9 +74,21 @@ func (s *SoC) snapCaches() []*cache.Cache {
 	return out
 }
 
+// refuseObservers panics, naming the core, if any core has a glitcher
+// or capturer attached.
+func (s *SoC) refuseObservers(op string) {
+	for i, c := range s.Cores {
+		if c.CPU.Hooks != nil {
+			panic(fmt.Sprintf("soc: %s with an observer attached to core %d; disarm it first", op, i))
+		}
+	}
+}
+
 // CaptureSnapshot records the SoC's complete state and arms dirty-page
-// tracking on every array and on DRAM.
+// tracking on every array and on DRAM. It panics if a core has an
+// observer attached.
 func (s *SoC) CaptureSnapshot() *Snapshot {
+	s.refuseObservers("CaptureSnapshot")
 	snap := &Snapshot{
 		soc:         s,
 		now:         s.Env.Now(),
@@ -95,11 +115,13 @@ func (s *SoC) CaptureSnapshot() *Snapshot {
 }
 
 // RestoreSnapshot rewinds the SoC to the captured state in O(dirty
-// pages) and retires every generation-stamped derived view.
+// pages) and retires every generation-stamped derived view. It panics
+// if a core has an observer attached.
 func (s *SoC) RestoreSnapshot(snap *Snapshot) {
 	if snap.soc != s {
 		panic("soc: RestoreSnapshot onto a different SoC")
 	}
+	s.refuseObservers("RestoreSnapshot")
 	s.Env.Rewind(snap.now, snap.tempC)
 	// Silent electrical rewind first: the array restores below bring the
 	// load-side state (rail volts, decay clocks) back themselves, so the

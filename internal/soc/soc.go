@@ -106,12 +106,12 @@ const predecEntries = 4096
 
 // Predecode entry service modes: which level answered the install-time
 // fetch, and therefore which generation counters guard the entry.
+// Uncached DRAM and iRAM fetches install no entry: across the catalog,
+// no such entry was ever hit.
 const (
 	predecNone = uint8(iota) // empty slot
 	predecL1I                // enabled L1I hit at (way, set)
 	predecL2                 // L1I off, enabled L2 hit at (way, set)
-	predecDRAM               // caches off: straight DRAM read
-	predecIRAM               // iRAM fetch
 	predecROM                // mask ROM fetch (immutable)
 )
 
@@ -190,10 +190,11 @@ type SoC struct {
 
 	// mutGen counts SoC-level events that can mutate instruction memory
 	// behind the predecode cache's back: boots (ROM scratchpad, MBIST,
-	// VideoCore, payload load), orderly shutdowns, JTAG and CPU iRAM
-	// writes, and every rail change on the core or memory domain (power
-	// cycles scramble SRAM-resident code). It feeds predecGen for every
-	// mode, so any such event invalidates all predecoded instructions.
+	// VideoCore, payload load), orderly shutdowns, snapshot restores, and
+	// every rail change on the core or memory domain (power cycles
+	// scramble SRAM-resident code). It feeds predecGen for the L1I and L2
+	// modes, so any such event invalidates every predecoded instruction
+	// but the mask-ROM ones.
 	mutGen uint64
 }
 
@@ -622,28 +623,17 @@ func (s *SoC) FetchDecoded(core int, addr uint64) (isa.Instr, uint32, error) {
 	c := s.Cores[core]
 	e := &c.predec[(addr>>2)&(predecEntries-1)]
 	if e.mode != predecNone && e.addr == addr && e.gen == s.predecGen(c, e.mode) {
-		// predecDRAM entries are content-verified instead of generation-
-		// guarded: uncached payloads store to DRAM on every loop iteration,
-		// so keying on the module's write counter would thrash the table.
-		// Re-reading the 4-byte word is side-effect-free and exactly as
-		// sound — if the word (and the routing generations) match, the full
-		// path would fetch, decode, and observe precisely this instruction.
-		if e.mode != predecDRAM ||
-			(s.DRAM.Powered() && s.DRAM.ReadUintN(int(addr), 4) == uint64(e.word)) {
-			switch e.mode {
-			case predecL1I:
-				s.updateHistoryBuffers(c, addr, true)
-				c.L1I.TouchFetchHit(int(e.way), int(e.set))
-			case predecL2:
-				s.updateHistoryBuffers(c, addr, true)
-				s.L2.TouchFetchHit(int(e.way), int(e.set))
-			case predecDRAM, predecIRAM:
-				s.updateHistoryBuffers(c, addr, true)
-			case predecROM:
-				// ROM fetches have no history-buffer or cache side effects.
-			}
-			return e.in, e.word, nil
+		switch e.mode {
+		case predecL1I:
+			s.updateHistoryBuffers(c, addr, true)
+			c.L1I.TouchFetchHit(int(e.way), int(e.set))
+		case predecL2:
+			s.updateHistoryBuffers(c, addr, true)
+			s.L2.TouchFetchHit(int(e.way), int(e.set))
+		case predecROM:
+			// ROM fetches have no history-buffer or cache side effects.
 		}
+		return e.in, e.word, nil
 	}
 	word, err := s.FetchInstr(core, addr)
 	if err != nil {
@@ -657,7 +647,8 @@ func (s *SoC) FetchDecoded(core int, addr uint64) (isa.Instr, uint32, error) {
 // installPredec records a freshly fetched-and-decoded instruction in the
 // core's predecode table, classified by the level that served it. The
 // generation is sampled *after* the fetch, so a fill triggered by the
-// fetch itself guards the entry correctly.
+// fetch itself guards the entry correctly. Uncached DRAM, iRAM and
+// unmapped fetches install nothing.
 func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, word uint32) {
 	mode := predecNone
 	var way, set int
@@ -682,10 +673,8 @@ func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, 
 			s.L2.MarkFetched(way, set)
 			mode = predecL2
 		default:
-			mode = predecDRAM
+			return
 		}
-	case s.inIRAM(addr):
-		mode = predecIRAM
 	case s.inROM(addr):
 		mode = predecROM
 	default:
@@ -722,17 +711,6 @@ func (s *SoC) predecGen(c *Core, mode uint8) uint64 {
 		// installPredec), so a payload streaming stores into data lines
 		// keeps its predecoded loop.
 		return c.L1I.ContentGen() + s.L2.ContentGen() + s.mutGen
-	case predecDRAM:
-		// Routing only: the instruction word itself is re-read and compared
-		// on every hit (see FetchDecoded), so DRAM's write counter stays out
-		// of the stamp and store-heavy uncached loops keep their entries.
-		g := c.L1I.ContentGen() + s.mutGen
-		if s.L2 != nil {
-			g += s.L2.ContentGen()
-		}
-		return g
-	case predecIRAM:
-		return s.mutGen
 	case predecROM:
 		return 0 // mask ROM is immutable
 	}
@@ -814,7 +792,6 @@ func (s *SoC) access(core int, addr uint64, size int, write bool, wdata uint64, 
 			return 0, fmt.Errorf("soc: iRAM access at %#x size %d out of range", addr, size)
 		}
 		if write {
-			s.mutGen++ // stores can overwrite iRAM-resident code
 			s.IRAM.WriteUintN(off, size, wdata)
 			return 0, nil
 		}
@@ -986,7 +963,6 @@ func (s *SoC) JTAGWriteIRAM(off int, data []byte) error {
 	if off < 0 || off+len(data) > s.Spec.IRAMBytes {
 		return fmt.Errorf("soc: JTAG write %d+%d out of %d-byte iRAM", off, len(data), s.Spec.IRAMBytes)
 	}
-	s.mutGen++ // debug-port writes can overwrite iRAM-resident code
 	s.IRAM.WriteBytes(off, data)
 	return nil
 }

@@ -86,9 +86,9 @@ func sbTerminal(op isa.Op) bool {
 //
 // Per mode (see predecGen):
 //   - predecROM: gen is constantly 0; nothing to re-validate.
-//   - predecIRAM: mutGen only — bumped by stores landing in iRAM.
-//   - predecL1I: L1I content gen (ICIALLU, cache-enable MSRs) + mutGen
-//     (iRAM stores).
+//   - predecL1I: L1I content gen (ICIALLU, cache-enable MSRs) + mutGen,
+//     which no instruction inside a block moves (its events happen
+//     between quanta).
 //   - predecL2: additionally the L2 content gen, which *loads* can move
 //     too — a data-side miss can fill the L2 — as can the writebacks of
 //     DC ZVA / DC CIVAC. Stores move it only when they land in a line
@@ -113,14 +113,13 @@ func sbRecheck(op isa.Op, mode uint8) bool {
 
 // buildSuperblock (re)captures the block starting at pc from the core's
 // currently-valid predecode entries. It never fetches: a PC whose
-// predecode entry is missing, stale, or DRAM-served (those are content-
-// verified per instruction, not generation-guarded) leaves the slot
-// empty and the caller falls back to cpu.Step, which installs entries
-// for the next attempt.
+// predecode entry is missing or stale leaves the slot empty and the
+// caller falls back to cpu.Step, which installs entries for the next
+// attempt (uncached DRAM and iRAM fetches never get one).
 func (s *SoC) buildSuperblock(c *Core, b *sblock, pc uint64) {
 	b.n = 0
 	e := &c.predec[(pc>>2)&(predecEntries-1)]
-	if e.mode == predecNone || e.mode == predecDRAM || e.addr != pc {
+	if e.mode == predecNone || e.addr != pc {
 		return
 	}
 	mode := e.mode
@@ -174,8 +173,6 @@ func (s *SoC) runSuperblock(c *Core, b *sblock, limit uint64) (uint64, error) {
 		case predecL2:
 			s.updateHistoryBuffers(c, addr, true)
 			s.L2.TouchFetchHit(int(e.way), int(e.set))
-		case predecIRAM:
-			s.updateHistoryBuffers(c, addr, true)
 		case predecROM:
 			// ROM fetches have no history-buffer or cache side effects.
 		}

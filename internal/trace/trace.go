@@ -34,9 +34,9 @@
 // statically by voltvet's hot-path checks (the emit path is in the
 // closure of the isa.CPU.Step root) and dynamically by
 // TestStepTraceArmedZeroAlloc.
-// Capture state composes into isa.CPUState and therefore into
-// soc.Snapshot, so per-trial captures fork off copy-on-write snapshots
-// like glitched trials do.
+// A capture is not snapshot state: each trial restores its
+// copy-on-write snapshot first and arms after, and soc.Snapshot refuses
+// to capture or restore while the capturer is attached to its core.
 package trace
 
 import (
@@ -65,16 +65,13 @@ const (
 
 // Capturer records one power trace per Arm/Disarm cycle from the core
 // it is bound to. It owns an isa.TraceSink — the shared sample buffer
-// the retire, writeback, and bus taps write into directly — and
-// implements isa.TraceProbe so capture state composes into snapshots.
-// Arm attaches the sink to the core's hooks, which all three taps read;
-// Disarm detaches it. The bus tap counts only the bound core's data
-// accesses, so an armed window should run no other core.
+// the retire, writeback, and bus taps write into directly. Arm attaches
+// the sink to the core's hooks, which all three taps read; Disarm
+// detaches it. The bus tap counts only the bound core's data accesses,
+// so an armed window should run no other core.
 type Capturer struct {
-	//voltvet:nosnap attach-time wiring, not recorded state; restores hand the core its sink through isa.TraceProbe
 	cpu *isa.CPU
 	// coreDom/memDom are the rails the static-draw term reads at Arm.
-	//voltvet:nosnap rail bindings read at Arm; attach-time wiring, not trial state
 	coreDom, memDom *power.Domain
 
 	armed bool
@@ -82,8 +79,6 @@ type Capturer struct {
 	// in the capturer by value; the taps hold a pointer while armed.
 	sink isa.TraceSink
 }
-
-var _ isa.TraceProbe = (*Capturer)(nil)
 
 // New binds a capturer to core `core` of s with an arena of `samples`
 // samples. The capturer starts disarmed and costs nothing until Arm.
@@ -116,7 +111,7 @@ func (c *Capturer) Arm() {
 	c.sink.BusAct = 0
 	c.sink.LastAddr = 0
 	c.sink.Static = staticDraw(c.coreDom.Volts(), c.memDom.Volts())
-	c.cpu.AttachTrace(c, &c.sink)
+	c.cpu.AttachTrace(&c.sink)
 }
 
 // Disarm stops the capture and detaches the sink from the core. The
@@ -125,7 +120,7 @@ func (c *Capturer) Arm() {
 // active one attached.
 func (c *Capturer) Disarm() {
 	c.armed = false
-	c.cpu.DetachTrace(c)
+	c.cpu.DetachTrace(&c.sink)
 }
 
 // staticDraw folds the two rail voltages into the per-sample static
@@ -149,53 +144,3 @@ func (c *Capturer) Samples() []float32 { return c.sink.Buf[:c.sink.N] }
 
 // Capacity returns the arena size in samples.
 func (c *Capturer) Capacity() int { return len(c.sink.Buf) }
-
-// capState is the capturer's snapshot payload: everything a restore
-// must rewind for a traced trial to fork deterministically.
-type capState struct {
-	armed    bool
-	n        int
-	busAct   int
-	lastAddr uint64
-	static   float32
-	samples  []float32
-}
-
-// CaptureState implements isa.TraceProbe.
-func (c *Capturer) CaptureState() any {
-	return &capState{
-		armed:    c.armed,
-		n:        c.sink.N,
-		busAct:   c.sink.BusAct,
-		lastAddr: c.sink.LastAddr,
-		static:   c.sink.Static,
-		samples:  append([]float32(nil), c.sink.Buf[:c.sink.N]...),
-	}
-}
-
-// RestoreState implements isa.TraceProbe. A nil state resets the
-// capturer to its disarmed baseline. Restoring an armed state hands the
-// core the sink again, so a trial forked from an armed snapshot keeps
-// capturing mid-trace; the captured static term is restored verbatim
-// rather than re-read from the rails, because it is part of the trace
-// the snapshot froze.
-func (c *Capturer) RestoreState(st any) *isa.TraceSink {
-	if st == nil {
-		c.armed = false
-		c.sink.N = 0
-		c.sink.BusAct = 0
-		c.sink.LastAddr = 0
-		return nil
-	}
-	s := st.(*capState)
-	c.armed = s.armed
-	c.sink.N = s.n
-	copy(c.sink.Buf, s.samples)
-	c.sink.BusAct = s.busAct
-	c.sink.LastAddr = s.lastAddr
-	c.sink.Static = s.static
-	if !s.armed {
-		return nil
-	}
-	return &c.sink
-}

@@ -1,6 +1,9 @@
 package trace_test
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/aes"
@@ -183,8 +186,8 @@ func TestCaptureDeterministic(t *testing.T) {
 	}
 }
 
-// TestArmDisarmDetach: Disarm detaches the probe and its sink; a
-// foreign probe is left alone.
+// TestArmDisarmDetach: Disarm detaches the capturer's sink; a foreign
+// sink is left alone.
 func TestArmDisarmDetach(t *testing.T) {
 	s, _ := victimSoC(t, 1, [16]byte{})
 	cpu := s.Cores[0].CPU
@@ -193,9 +196,10 @@ func TestArmDisarmDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Arm()
-	if h := cpu.Hooks; h == nil || h.Probe != c || h.Sink == nil {
-		t.Fatal("Arm did not attach the probe and its sink")
+	if h := cpu.Hooks; h == nil || h.Sink == nil {
+		t.Fatal("Arm did not attach the sink")
 	}
+	own := cpu.Hooks.Sink
 	if !c.Armed() {
 		t.Fatal("Armed() false after Arm")
 	}
@@ -214,15 +218,16 @@ func TestArmDisarmDetach(t *testing.T) {
 	c.Arm()
 	c2.Arm() // takes over
 	c.Disarm()
-	if h := cpu.Hooks; h == nil || h.Probe != c2 {
+	if h := cpu.Hooks; h == nil || h.Sink == nil || h.Sink == own {
 		t.Fatal("Disarm of a superseded capturer removed the active one")
 	}
 	c2.Disarm()
 }
 
-// TestCaptureSnapshotRestore: a snapshot taken mid-capture restores the
-// capture cursor along with the machine, so a restored run re-records
-// the same tail it recorded the first time.
+// TestCaptureSnapshotRestore: a capture is not snapshot state.
+// Capturing with an armed capturer panics and names the core; a
+// snapshot taken before Arm replays the identical trace for every trial
+// that restores it, arms, runs and disarms.
 func TestCaptureSnapshotRestore(t *testing.T) {
 	s, v := victimSoC(t, 2, [16]byte{1, 2, 3})
 	c, err := trace.New(s, 0, v.RunLength())
@@ -230,56 +235,82 @@ func TestCaptureSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Arm()
-	cpu := s.Cores[0].CPU
-	for i := 0; i < 40; i++ {
-		if err := cpu.Step(); err != nil {
+	mustPanicNamingCore0(t, "CaptureSnapshot with an armed capturer", func() { s.CaptureSnapshot() })
+	c.Disarm()
+
+	snap := s.CaptureSnapshot()
+	var traces [3][]float32
+	for i := range traces {
+		s.RestoreSnapshot(snap)
+		c.Arm()
+		if err := s.RunCore(0, uint64(v.RunLength())+8); err != nil {
 			t.Fatal(err)
 		}
+		c.Disarm()
+		traces[i] = append([]float32(nil), c.Samples()...)
 	}
-	st := s.CaptureSnapshot()
-	finish := func() []float32 {
-		if err := s.RunCore(0, uint64(v.RunLength())); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float32, len(c.Samples()))
-		copy(out, c.Samples())
-		return out
+	if len(traces[0]) != v.RunLength() {
+		t.Fatalf("captured %d samples, victim retired %d", len(traces[0]), v.RunLength())
 	}
-	first := finish()
-	s.RestoreSnapshot(st)
-	if got := len(c.Samples()); got != 40 {
-		t.Fatalf("restore rewound capture cursor to %d, want 40", got)
-	}
-	second := finish()
-	if len(first) != len(second) {
-		t.Fatalf("restored run captured %d samples, first run %d", len(second), len(first))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("sample %d differs after snapshot restore: %g vs %g", i, first[i], second[i])
+	for i, tr := range traces[1:] {
+		if !slices.Equal(tr, traces[0]) {
+			t.Fatalf("trial %d from the snapshot captured a different trace than the first", i+1)
 		}
 	}
 }
 
-// TestRestoreBeforeArmDetachesCapturer: restoring a snapshot taken
-// before Arm resets the capturer to its disarmed baseline and detaches
-// it from every tap, so a later unarmed run feeds it nothing.
+// TestRestoreBeforeArmDetachesCapturer: restoring a snapshot while a
+// capturer is armed panics before it rewinds anything, and the capturer
+// stays armed and attached. Once Disarm detaches it, the restore
+// succeeds and the restored run feeds it nothing.
 func TestRestoreBeforeArmDetachesCapturer(t *testing.T) {
 	s, v := victimSoC(t, 2, [16]byte{})
 	c, err := trace.New(s, 0, v.RunLength())
 	if err != nil {
 		t.Fatal(err)
 	}
+	cpu := s.Cores[0].CPU
 	snap := s.CaptureSnapshot()
 	c.Arm()
-	s.RestoreSnapshot(snap)
-	if c.Armed() {
-		t.Error("capturer still reports Armed after restoring a snapshot taken before Arm")
+	for i := 0; i < 40; i++ {
+		if err := cpu.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	pc, instret := cpu.PC, cpu.Instret
+	mustPanicNamingCore0(t, "RestoreSnapshot with an armed capturer", func() { s.RestoreSnapshot(snap) })
+	if !c.Armed() || cpu.Hooks == nil || cpu.Hooks.Sink == nil {
+		t.Error("a refused restore disarmed or detached the capturer")
+	}
+	if cpu.PC != pc || cpu.Instret != instret {
+		t.Errorf("a refused restore moved the core from PC %#x instret %d to %#x, %d", pc, instret, cpu.PC, cpu.Instret)
+	}
+	c.Disarm()
+	n, act := len(c.Samples()), c.PendingActivity()
+	if n != 40 {
+		t.Fatalf("captured %d samples over 40 steps", n)
+	}
+	s.RestoreSnapshot(snap)
 	if err := s.RunCore(0, uint64(v.RunLength())+8); err != nil {
 		t.Fatal(err)
 	}
-	if act, n := c.PendingActivity(), len(c.Samples()); act != 0 || n != 0 {
-		t.Fatalf("unarmed run fed the restored capturer: %d units of activity, %d samples", act, n)
+	if gotAct, gotN := c.PendingActivity(), len(c.Samples()); gotAct != act || gotN != n {
+		t.Fatalf("unarmed run fed the disarmed capturer: activity %d -> %d, samples %d -> %d", act, gotAct, n, gotN)
 	}
+}
+
+// mustPanicNamingCore0 fails unless f panics with a message naming
+// core 0.
+func mustPanicNamingCore0(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "core 0") {
+			t.Fatalf("%s panicked with %q, which does not name core 0", what, msg)
+		}
+	}()
+	f()
 }

@@ -6,9 +6,52 @@
 # superblock and cache state and that a capture stops when its window is
 # full), the catalog digests, a short fuzz pass over the byte decoders
 # and the CPA attack, a one-iteration smoke over the micro-benchmarks
-# and the allocation-free gates. `make check` runs this script.
+# and the allocation-free gates. Each stage that names its tests or
+# benchmarks first checks that every name still matches one, so a
+# rename cannot leave a stage running nothing. `make check` runs this
+# script.
 set -eu
 cd "$(dirname "$0")/.."
+
+# require_named KIND PATTERN PKG... fails unless every |-separated name
+# in PATTERN matches a KIND function (Test or Benchmark) that
+# `go test -list` reports for the packages. Without it, renaming a test
+# leaves its -run or -bench stage matching nothing, and the stage passes.
+require_named() {
+	rn_kind=$1
+	rn_pattern=$2
+	shift 2
+	rn_listed=$(go test -list '.*' "$@")
+	rn_names=$(printf '%s\n' "$rn_listed" | grep "^$rn_kind" || true)
+	rn_ifs=$IFS
+	IFS='|'
+	for rn_name in $rn_pattern; do
+		IFS=$rn_ifs
+		if ! printf '%s\n' "$rn_names" | grep -Eq -- "$rn_name"; then
+			echo "error: '$rn_name' matches no $rn_kind function in $*" >&2
+			exit 1
+		fi
+	done
+	IFS=$rn_ifs
+}
+
+# run_named PATTERN PKG... runs the named tests once, after checking
+# that every name matches one.
+run_named() {
+	require_named Test "$@"
+	rn_run=$1
+	shift
+	go test -count=1 -run "$rn_run" "$@"
+}
+
+# bench_named PATTERN PKG... runs one iteration of the named benchmarks,
+# after checking that every name matches one.
+bench_named() {
+	require_named Benchmark "$@"
+	rn_bench=$1
+	shift
+	go test -run '^$' -bench "$rn_bench" -benchtime 1x "$@"
+}
 
 echo "==> gofmt -l (every Go file outside .bench_build/)"
 unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
@@ -47,31 +90,32 @@ go test -race -count=1 ./internal/store/
 
 echo "==> fabric: N-node harness under -race (sharded sweeps, restart, drain handback)"
 go test -race -count=1 ./internal/fabric/
+require_named Test 'TestFabric' ./internal/api/
 go test -race -count=1 -run 'TestFabric' ./internal/api/
 
-echo "==> glitch engine: full -race pass (triggers, faults, snapshot compose, cross-domain isolation)"
+echo "==> glitch engine: full -race pass (triggers, faults, snapshots refused while armed, cross-domain isolation)"
 go test -race -count=1 ./internal/glitch/
 
 echo "==> side-channel toolkit: full -race pass (trace capture, SPA, CPA)"
 go test -race -count=1 ./internal/trace/ ./internal/sca/
 
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
-go test -run 'TestSCACPARecoversKey' -count=1 ./internal/experiments/
+run_named 'TestSCACPARecoversKey' ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths and their traces, hook restores, captures against derived state and the window stop, transformed CPA sums)"
-go test -count=1 -run 'TestJump|TestSkipNormFloat32' ./internal/xrand/
-go test -count=1 -run 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
-go test -count=1 -run 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
-go test -count=1 -run 'TestDataWritesBumpOnlyFetchedLines' ./internal/cache/
-go test -count=1 -run 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc/
-go test -count=1 -run 'TestDumpPayloadFetchPathsAgree' ./internal/core/
-go test -count=1 -run 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
-go test -count=1 -run 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
-go test -count=1 -run 'TestCaptureIgnoresDerivedState|TestCaptureStopsAtWindow' ./internal/experiments/
-go test -count=1 -run 'TestCPAMatchesReference' ./internal/sca/
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths and their traces, restores refused while observers are attached, captures against derived state and the window stop, transformed CPA sums)"
+run_named 'TestJump|TestSkipNormFloat32' ./internal/xrand/
+run_named 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
+run_named 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
+run_named 'TestDataWritesBumpOnlyFetchedLines' ./internal/cache/
+run_named 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc/
+run_named 'TestDumpPayloadFetchPathsAgree' ./internal/core/
+run_named 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
+run_named 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
+run_named 'TestCaptureIgnoresDerivedState|TestCaptureStopsAtWindow' ./internal/experiments/
+run_named 'TestCPAMatchesReference' ./internal/sca/
 
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
-go test -count=1 -run 'TestCatalogDigests' ./internal/registry/
+run_named 'TestCatalogDigests' ./internal/registry/
 
 echo "==> fuzz the byte decoders (10s per target)"
 # -fuzz takes one target per package, so each pattern is anchored.
@@ -82,19 +126,19 @@ go test -run '^$' -fuzz '^FuzzStoreReplay$' -fuzztime 10s ./internal/store/
 go test -run '^$' -fuzz '^FuzzAttack$' -fuzztime 10s ./internal/sca/
 
 echo "==> benchmark smoke (1 iteration)"
-go test -run '^$' -bench 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' -benchtime 1x ./internal/sram/ ./internal/analysis/
-go test -run '^$' -bench 'RandJump' -benchtime 1x ./internal/xrand/
-go test -run '^$' -bench 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' -benchtime 1x ./internal/soc/ ./internal/cache/ ./internal/kernel/
-go test -run '^$' -bench 'CPUStepGlitchDisarmed' -benchtime 1x ./internal/glitch/
-go test -run '^$' -bench 'CPUStepTraceDisarmed|CPUStepTraceArmed' -benchtime 1x ./internal/trace/
-go test -run '^$' -bench 'CPACorrelate' -benchtime 1x ./internal/sca/
-go test -run '^$' -bench 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep|TraceCapture1000' -benchtime 1x ./internal/experiments/
+bench_named 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' ./internal/sram/ ./internal/analysis/
+bench_named 'RandJump' ./internal/xrand/
+bench_named 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' ./internal/soc/ ./internal/cache/ ./internal/kernel/
+bench_named 'CPUStepGlitchDisarmed' ./internal/glitch/
+bench_named 'CPUStepTraceDisarmed|CPUStepTraceArmed' ./internal/trace/
+bench_named 'CPACorrelate' ./internal/sca/
+bench_named 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep|TraceCapture1000' ./internal/experiments/
 
 echo "==> allocation-free fast-path gates"
-go test -run 'StepSteadyStateZeroAlloc' -count=1 ./internal/soc/
-go test -run 'StepGlitchDisarmedZeroAlloc' -count=1 ./internal/glitch/
-go test -run 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc' -count=1 ./internal/trace/
-go test -run 'AccessHitPathAllocFree|LineTransferAllocFree' -count=1 ./internal/cache/
-go test -run 'MaterializeZeroAlloc' -count=1 ./internal/sram/
+run_named 'StepSteadyStateZeroAlloc' ./internal/soc/
+run_named 'StepGlitchDisarmedZeroAlloc' ./internal/glitch/
+run_named 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc' ./internal/trace/
+run_named 'AccessHitPathAllocFree|LineTransferAllocFree' ./internal/cache/
+run_named 'MaterializeZeroAlloc' ./internal/sram/
 
 echo "OK"
