@@ -136,10 +136,10 @@ type Cache struct {
 
 	// dataRAM[w] holds sets×LineBytes bytes for way w; the per-way split
 	// mirrors how the paper dumps and reports "WAY0"/"WAY1" images.
-	//voltvet:nosnap sram.Arrays with their own snapshot pairs, enumerated by the SoC capture (allArrays)
+	//voltvet:nosnap sram.Arrays with their own snapshot pairs, enumerated by the SoC array list
 	dataRAM []*sram.Array
 	// tagRAM holds one 64-bit entry per (way, set): way-major layout.
-	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC capture (allArrays)
+	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC array list
 	tagRAM *sram.Array
 
 	// enabled gates allocation: a disabled cache bypasses to backing
@@ -155,6 +155,16 @@ type Cache struct {
 	// is irrelevant to the attack, so it lives in plain memory.
 	lastUse [][]uint64
 	useTick uint64
+	// snapFloor is one past the tick of the snapshot the cache tracks
+	// (snapOwner), or 0 when it tracks none. Ticks only grow between a
+	// capture or restore and the next one, so an entry whose lastUse is
+	// below the floor has not been touched since then: touch logs its
+	// flat index (way·sets+set) in touched the first time it moves it,
+	// and RestoreAux rewinds only the logged entries. Without a snapshot
+	// no entry is below 0, and touch logs nothing.
+	snapFloor uint64
+	touched   []int32
+	snapOwner *AuxSnapshot
 
 	// scratch is a reusable LineBytes buffer for fills, writebacks and
 	// bypasses, so the hot path never calls make. Like lastUse it is
@@ -167,9 +177,9 @@ type Cache struct {
 	scratch []byte
 
 	// contentGen counts every event that can change what a predecoded
-	// fetch through this cache observes: fills, evictions, maintenance
-	// ops, enable toggles, and data writes into a line that served a
-	// predecoded fetch in the current generation (see fetchMark). The
+	// fetch through this cache observes: maintenance ops, enable toggles,
+	// and fills and data writes into a line that served a predecoded
+	// fetch in the current generation (see fetchMark). The
 	// SoC's predecoded i-stream keys its entries on this counter (plus its
 	// own mutation counter), so any such event invalidates all predecoded
 	// instructions served through this cache. LRU touches do not bump it —
@@ -180,10 +190,11 @@ type Cache struct {
 	// fetchMark[way·sets+set] == contentGen+1 marks a line that served a
 	// predecoded fetch since the last contentGen bump (MarkFetched). A
 	// predecode entry stays valid only while contentGen does not move, so
-	// a data write into an unmarked line cannot reach the content of any
-	// valid entry and leaves the generation alone; a write into a marked
-	// line bumps it. Any bump clears every mark at once, so the stamps
-	// never need resetting.
+	// a data write into an unmarked line, or a fill that replaces one,
+	// cannot reach the content or residency of any valid entry and leaves
+	// the generation alone; a write into a marked line, or a fill that
+	// evicts one, bumps it. Any bump clears every mark at once, so the
+	// stamps never need resetting.
 	//voltvet:nosnap epoch stamps against contentGen; RestoreAux's contentGen bump clears every mark at once
 	fetchMark []uint64
 
@@ -331,10 +342,15 @@ func (c *Cache) victim(set int) (int, error) {
 	return best, nil
 }
 
-// touch records a use of (way, set) for LRU.
+// touch records a use of (way, set) for LRU, logging the entry for the
+// tracked snapshot's restore if this is its first touch since.
 func (c *Cache) touch(way, set int) {
 	c.useTick++
-	c.lastUse[way][set] = c.useTick
+	lu := &c.lastUse[way][set]
+	if *lu < c.snapFloor {
+		c.touched = append(c.touched, int32(way*c.sets+set))
+	}
+	*lu = c.useTick
 }
 
 // TouchFetchHit replays the microarchitectural side effects of a hit at
@@ -363,9 +379,9 @@ func (c *Cache) MarkFetched(way, set int) {
 	c.fetchMark[way*c.sets+set] = c.contentGen + 1
 }
 
-// dataWritten accounts for a data write into (way, set): it bumps the
-// content generation only if the line served a predecoded fetch in the
-// current generation.
+// dataWritten accounts for a data write or a fill into (way, set): it
+// bumps the content generation only if the line there served a
+// predecoded fetch in the current generation.
 func (c *Cache) dataWritten(way, set int) {
 	if c.fetchMark[way*c.sets+set] == c.contentGen+1 {
 		c.contentGen++
@@ -409,7 +425,7 @@ func (c *Cache) fill(tag uint64, set int, secure bool) (int, error) {
 		entry |= tagNSBit
 	}
 	c.setTagEntry(w, set, entry)
-	c.contentGen++
+	c.dataWritten(w, set)
 	return w, nil
 }
 

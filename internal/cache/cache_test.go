@@ -680,7 +680,9 @@ func TestInlineECCWritebackDecodes(t *testing.T) {
 // store, or a full-line writeback from an inner cache — bumps the
 // generation only if its line served a predecoded fetch (MarkFetched)
 // since the last bump, and every bump, RestoreAux's included, clears all
-// marks at once. Fills bump unconditionally.
+// marks at once. A fill follows the same rule for the line it replaces:
+// a fill into an unmarked slot leaves the generation alone, and a fill
+// that evicts a marked line bumps it by one.
 func TestDataWritesBumpOnlyFetchedLines(t *testing.T) {
 	for _, ecc := range []bool{false, true} {
 		cfg := paperL1D()
@@ -737,12 +739,24 @@ func TestDataWritesBumpOnlyFetchedLines(t *testing.T) {
 		if c.ContentGen() != g {
 			t.Errorf("ecc=%v: a mark survived RestoreAux", ecc)
 		}
+		// The code line's set now holds it and one invalid way; the way
+		// stride is 16 KiB, so code+16K and code+32K alias the set.
+		c.MarkFetched(way, set)
 		g = c.ContentGen()
-		if _, err := c.Access(0x20000, 8, true, 0, false); err != nil { // write miss: fill
+		if _, err := c.Access(code+0x4000, 8, true, 0, false); err != nil { // write miss: fill
 			t.Fatal(err)
 		}
-		if c.ContentGen() == g {
-			t.Errorf("ecc=%v: a write-allocate fill left the generation alone", ecc)
+		if c.ContentGen() != g {
+			t.Errorf("ecc=%v: a fill into an unmarked slot moved the generation by %d, want 0", ecc, c.ContentGen()-g)
+		}
+		if _, err := c.Access(code+0x8000, 8, false, 0, false); err != nil { // read miss: evicts the code line
+			t.Fatal(err)
+		}
+		if _, _, ok := c.ResidentWaySet(code); ok {
+			t.Fatalf("ecc=%v: the code line is still resident; the fill evicted another", ecc)
+		}
+		if c.ContentGen() != g+1 {
+			t.Errorf("ecc=%v: a fill that evicted a fetched line moved the generation by %d, want 1", ecc, c.ContentGen()-g)
 		}
 	}
 }

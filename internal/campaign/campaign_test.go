@@ -602,3 +602,37 @@ func TestRunTimeoutOffByDefault(t *testing.T) {
 		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
 	}
 }
+
+// TestManagerServesAfterOutOfRangeJob: over the real catalog, a float
+// parameter the physics cannot take never takes the service down. A
+// non-finite value fails Submit before a job exists; an out-of-range
+// finite one (a temperature below absolute zero) fails its job, and the
+// manager then serves the next job as usual.
+func TestManagerServesAfterOutOfRangeJob(t *testing.T) {
+	m := New(Config{Registry: registry.Default(), Workers: 1, QueueDepth: 4})
+	defer m.Drain(context.Background())
+
+	if _, err := m.Submit(Spec{Runs: []RunSpec{{
+		Experiment: "ablationB-retention-sweep", Seed: 1, Params: map[string]string{"temps": "NaN"},
+	}}}); err == nil {
+		t.Fatal("Submit with temps=NaN succeeded, want a validation error")
+	}
+
+	bad, err := m.Submit(Spec{Runs: []RunSpec{{
+		Experiment: "ablationB-retention-sweep", Seed: 1, Params: map[string]string{"temps": "-300"},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, m, bad.ID, terminal); st.State != StateFailed || !strings.Contains(st.Error, "absolute zero") {
+		t.Fatalf("temps=-300 job ended %s (%q), want failed on the range check", st.State, st.Error)
+	}
+
+	good, err := m.Submit(Spec{Runs: []RunSpec{{Experiment: "table2", Seed: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, m, good.ID, terminal); st.State != StateDone {
+		t.Fatalf("the next job ended %s (%q), want done", st.State, st.Error)
+	}
+}

@@ -13,6 +13,12 @@
 //     decays in blocks toward all-0 or all-1), which makes partial images
 //     correctable — unlike bistable SRAM (§5.1, §9.2).
 //
+// A Module stores only the 4 KiB pages something has written: an absent
+// page reads as its ground pattern, so a freshly powered module costs
+// one page table, however large it is, and a simulated SoC pays memory
+// and time for the pages its code and data touch. Pages are shared
+// copy-on-write with snapshots (see snapshot.go).
+//
 // A Module may be wrapped in a Scrambler, modelling the DDR3/DDR4
 // session-key scrambling that modern memory controllers apply (§2.2,
 // §9.1): the array then stores data XORed with a keystream derived from a
@@ -21,6 +27,7 @@
 package dram
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -64,14 +71,30 @@ func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 	return sim.Time(float64(m.MedianRetention300K) * scale)
 }
 
-// Module is one DRAM device (or rank): a byte array with decay physics.
+// Module is one DRAM device (or rank): a byte array with decay physics,
+// held as a table of the pages written so far.
 type Module struct {
 	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
 	env   *sim.Env
 	model RetentionModel
+	size  int
 
-	data []byte
+	// pages[p] holds bytes [p·pageBytes, (p+1)·pageBytes); nil means
+	// every byte of the page holds its ground value. The first write to
+	// an absent page allocates it.
+	pages []*page
+	// owned has bit p set when this module allocated or copied pages[p]
+	// since the last capture or restore: no snapshot shares the page, so
+	// writes land in place. A present page with a clear bit is shared
+	// with a snapshot, and its first write copies it. Restores put back
+	// exactly the owned pages.
+	owned []uint64
+	// spare holds the page buffers restores released, for the next copy
+	// or allocation to reuse: a trial that writes the same pages as the
+	// last one then allocates nothing.
+	//voltvet:nosnap free list of released page buffers; holds no module content
+	spare []*page
 	// logRetention[c] holds the per-byte retention multipliers, in log
 	// space, of retention chunk c: bytes [c·retChunk, (c+1)·retChunk). Byte
 	// granularity (rather than bit) keeps 1 GB modules tractable and loses
@@ -130,12 +153,23 @@ type Module struct {
 	unresolved int      // count of zero bits in resolved
 	outage     pendingOutage
 
-	// snapDirty, when non-nil, is the armed copy-on-write page table over
-	// data (see snapshot.go); snapOwner is the snapshot it tracks against.
-	// Derived state, not physics.
-	snapDirty []uint64
+	// snapOwner is the snapshot whose page table the unowned pages share
+	// (see snapshot.go).
 	snapOwner *ModuleSnapshot
 }
+
+// pageBytes is the page-table granularity: allocation and copy-on-write
+// sharing both work in whole pages. Trial writes (payload loads, staged
+// victim data, dump regions) are contiguous runs, so a trial touches few
+// pages.
+const (
+	pageShift = 12
+	pageBytes = 1 << pageShift
+	pageMask  = pageBytes - 1
+)
+
+// page is one page of module bytes.
+type page [pageBytes]byte
 
 // pendingOutage is a power-off interval whose per-byte decay resolution
 // has been deferred. su/sl are the float32-space survival thresholds
@@ -155,19 +189,20 @@ func NewModule(env *sim.Env, name string, size int, model RetentionModel, seed u
 	if size <= 0 {
 		panic("dram: module size must be positive")
 	}
-	m := &Module{
+	npages := (size + pageMask) >> pageShift
+	return &Module{
 		name:         name,
 		env:          env,
 		model:        model,
-		data:         make([]byte, size),
+		size:         size,
+		pages:        make([]*page, npages),
+		owned:        make([]uint64, (npages+63)/64),
 		logRetention: make([][]float32, (size+retChunk-1)>>retChunkShift),
 		retCkpt:      []xrand.State{xrand.Derive(seed, "dram:"+name).State()},
 		minLogRet:    float32(math.Inf(1)),
 		maxLogRet:    float32(math.Inf(-1)),
 		powered:      true,
 	}
-	m.fillGround(m.data, 0)
-	return m
 }
 
 // retChunk is the granularity of the retention table: coarse enough that
@@ -213,7 +248,7 @@ func (m *Module) drawRetChunk(c int) {
 
 // retChunkLen is the byte count of chunk c (the last may be short).
 func (m *Module) retChunkLen(c int) int {
-	return min(retChunk, len(m.data)-(c<<retChunkShift))
+	return min(retChunk, m.size-(c<<retChunkShift))
 }
 
 // fillGround writes the ground pattern for byte offsets [off, off+len(dst))
@@ -239,11 +274,58 @@ func (m *Module) fillGround(dst []byte, off int) {
 	}
 }
 
+// writable returns page p ready for an in-place write: an owned page as
+// it is, otherwise a private copy of the shared page (or of the ground
+// pattern, for an absent one) that the module now owns.
+func (m *Module) writable(p int) *page {
+	if m.owned[p>>6]&(1<<(uint(p)&63)) != 0 {
+		return m.pages[p]
+	}
+	var pg *page
+	if n := len(m.spare); n > 0 {
+		pg, m.spare = m.spare[n-1], m.spare[:n-1]
+	} else {
+		pg = new(page)
+	}
+	if src := m.pages[p]; src != nil {
+		*pg = *src
+	} else {
+		m.fillGround(pg[:], p<<pageShift)
+	}
+	m.pages[p] = pg
+	m.owned[p>>6] |= 1 << (uint(p) & 63)
+	return pg
+}
+
+// readInto copies bytes [off, off+len(dst)) into dst, page by page.
+func (m *Module) readInto(off int, dst []byte) {
+	for len(dst) > 0 {
+		n := min(len(dst), pageBytes-off&pageMask)
+		if pg := m.pages[off>>pageShift]; pg != nil {
+			copy(dst[:n], pg[off&pageMask:])
+		} else {
+			m.fillGround(dst[:n], off)
+		}
+		dst = dst[n:]
+		off += n
+	}
+}
+
+// writeFrom copies b into bytes [off, off+len(b)), page by page.
+func (m *Module) writeFrom(off int, b []byte) {
+	for len(b) > 0 {
+		n := min(len(b), pageBytes-off&pageMask)
+		copy(m.writable(off >> pageShift)[off&pageMask:], b[:n])
+		b = b[n:]
+		off += n
+	}
+}
+
 // Name returns the module name.
 func (m *Module) Name() string { return m.name }
 
 // Size returns the module capacity in bytes.
-func (m *Module) Size() int { return len(m.data) }
+func (m *Module) Size() int { return m.size }
 
 // Powered reports whether the module is receiving power (and refresh).
 func (m *Module) Powered() bool { return m.powered }
@@ -305,7 +387,7 @@ func (m *Module) PowerOn() {
 		// even the lazy retention fill. The original per-byte loop and the
 		// minLogRet short-circuit both reach this same conclusion, since
 		// every finite lr exceeds −∞.
-		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
+		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, m.size) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	if m.retDrawn == len(m.logRetention) && float64(m.minLogRet) > logEl+band {
@@ -313,7 +395,7 @@ func (m *Module) PowerOn() {
 		// leakiest byte outlives the outage: nothing decays, no deferral
 		// needed. (Without a full table the same conclusion is reached
 		// lazily — see resolveSlow — without forcing the draws here.)
-		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
+		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, m.size) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	// Defer the walk: record the outage's survival thresholds and mark
@@ -331,17 +413,15 @@ func (m *Module) PowerOn() {
 		elapsed: elapsed,
 		median:  median,
 	}
-	words := (len(m.data) + 63) / 64
+	words := (m.size + 63) / 64
 	if m.resolved == nil {
 		m.resolved = make([]uint64, words)
 	} else {
-		for i := range m.resolved {
-			m.resolved[i] = 0
-		}
+		clear(m.resolved)
 	}
-	m.unresolved = len(m.data)
+	m.unresolved = m.size
 	m.env.Logf("dram", "%s power on after %s outage: decay resolution deferred (%d bytes)",
-		m.name, sim.Time(elapsed), len(m.data)) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
+		m.name, sim.Time(elapsed), m.size) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 }
 
 // dropPending releases the deferral state once every byte is materialized.
@@ -354,7 +434,7 @@ func (m *Module) dropPending() {
 // deferral postponed), used before a new outage begins.
 func (m *Module) resolveAll() {
 	if m.resolved != nil {
-		m.resolveSlow(0, len(m.data))
+		m.resolveSlow(0, m.size)
 	}
 }
 
@@ -378,16 +458,14 @@ func (m *Module) resolveRange(off, n int) {
 // against the pending outage, exactly as the eager walk would have: the
 // two float32 threshold compares, then the exact in-band recheck. A byte
 // already at its ground value resolves without a decision — decayed or
-// not, it reads the same — so its retention is never read. The
-// module-wide retention bounds collapse the two extreme outages first —
-// a no-decay outage drops the whole deferral, a total-decay one (the
-// Volt Boot power cycle) restores ground without touching logRetention.
+// not, it reads the same — so its retention is never read, and an absent
+// page resolves whole. The module-wide retention bounds collapse the two
+// extreme outages first — a no-decay outage drops the whole deferral, a
+// total-decay one (the Volt Boot power cycle) restores ground without
+// touching logRetention. Only a byte that actually decays writes, so
+// only the pages holding one are copied away from a snapshot.
 func (m *Module) resolveSlow(off, n int) {
 	o := &m.outage
-	// Conservatively dirty the whole range for any armed snapshot: decay
-	// materialization rewrites bytes in place, and a per-decayed-byte mark
-	// would cost more than restoring a few extra clean pages.
-	m.markSnapRange(off, n)
 	// The module-wide certificates need the complete table; with a partial
 	// one the per-byte predicate below decides each byte identically, just
 	// without the wholesale shortcuts.
@@ -399,28 +477,39 @@ func (m *Module) resolveSlow(off, n int) {
 		return
 	}
 	fullDecay := full && !(m.maxLogRet >= o.sl) // maxLogRet strictly below the band
-	for i := off; i < off+n; i++ {
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		if m.resolved[w]&bit != 0 {
+	for i, end := off, off+n; i < end; {
+		p := i >> pageShift
+		pend := min(end, (p+1)<<pageShift)
+		pg := m.pages[p]
+		if pg == nil {
+			m.setResolved(i, pend)
+			i = pend
 			continue
 		}
-		if g := m.groundByte(i); m.data[i] != g {
-			decays := fullDecay
-			if !fullDecay {
-				// Draw only the retention chunks a decision reads.
-				c := i >> retChunkShift
-				if m.logRetention[c] == nil {
-					m.drawRetChunk(c)
+		for ; i < pend; i++ {
+			w, bit := i>>6, uint64(1)<<uint(i&63)
+			if m.resolved[w]&bit != 0 {
+				continue
+			}
+			if g := m.groundByte(i); pg[i&pageMask] != g {
+				decays := fullDecay
+				if !fullDecay {
+					// Draw only the retention chunks a decision reads.
+					c := i >> retChunkShift
+					if m.logRetention[c] == nil {
+						m.drawRetChunk(c)
+					}
+					lr := m.logRetention[c][i&(retChunk-1)]
+					decays = lr < o.su && !(lr >= o.sl && o.elapsed < o.median*math.Exp(float64(lr)))
 				}
-				lr := m.logRetention[c][i&(retChunk-1)]
-				decays = lr < o.su && !(lr >= o.sl && o.elapsed < o.median*math.Exp(float64(lr)))
+				if decays {
+					pg = m.writable(p)
+					pg[i&pageMask] = g
+				}
 			}
-			if decays {
-				m.data[i] = g
-			}
+			m.resolved[w] |= bit
+			m.unresolved--
 		}
-		m.resolved[w] |= bit
-		m.unresolved--
 	}
 	if m.unresolved == 0 {
 		m.dropPending()
@@ -428,15 +517,21 @@ func (m *Module) resolveSlow(off, n int) {
 }
 
 // markRange records that bytes [off, off+n) were overwritten: whatever
-// decay the pending outage would have resolved them to is dead state. A
-// full bitmap word (a 64-byte aligned line, or the middle of a larger
-// write) is retired with one store.
+// decay the pending outage would have resolved them to is dead state.
 func (m *Module) markRange(off, n int) {
 	if m.resolved == nil || n <= 0 {
 		return
 	}
-	end := off + n
-	i := off
+	m.setResolved(off, off+n)
+	if m.unresolved == 0 {
+		m.dropPending()
+	}
+}
+
+// setResolved marks bytes [i, end) materialized. A full bitmap word (a
+// 64-byte aligned line, or the middle of a larger range) is retired with
+// one store.
+func (m *Module) setResolved(i, end int) {
 	for ; i < end && i&63 != 0; i++ { // head: reach word alignment
 		w, bit := i>>6, uint64(1)<<uint(i&63)
 		if m.resolved[w]&bit == 0 {
@@ -456,9 +551,6 @@ func (m *Module) markRange(off, n int) {
 			m.resolved[w] |= bit
 			m.unresolved--
 		}
-	}
-	if m.unresolved == 0 {
-		m.dropPending()
 	}
 }
 
@@ -498,8 +590,8 @@ func (m *Module) check(op string, off, n int) {
 	if !m.powered {
 		panic(fmt.Sprintf("dram: %s on unpowered module %s", op, m.name))
 	}
-	if off < 0 || n < 0 || off+n > len(m.data) {
-		panic(fmt.Sprintf("dram: %s out of range on %s: off=%d n=%d size=%d", op, m.name, off, n, len(m.data)))
+	if off < 0 || n < 0 || off+n > m.size {
+		panic(fmt.Sprintf("dram: %s out of range on %s: off=%d n=%d size=%d", op, m.name, off, n, m.size))
 	}
 }
 
@@ -507,8 +599,7 @@ func (m *Module) check(op string, off, n int) {
 func (m *Module) Write(off int, b []byte) {
 	m.check("Write", off, len(b))
 	m.markRange(off, len(b))
-	m.markSnapRange(off, len(b))
-	copy(m.data[off:], b)
+	m.writeFrom(off, b)
 }
 
 // WriteUintN stores the low size bytes of v little-endian at offset off,
@@ -520,10 +611,9 @@ func (m *Module) WriteUintN(off, size int, v uint64) {
 		panic(fmt.Sprintf("dram: WriteUintN size %d out of range on %s", size, m.name))
 	}
 	m.markRange(off, size)
-	m.markSnapRange(off, size)
-	for i := 0; i < size; i++ {
-		m.data[off+i] = byte(v >> (8 * uint(i)))
-	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	m.writeFrom(off, b[:size])
 }
 
 // ReadUintN loads size bytes little-endian from offset off, 1 ≤ size ≤ 8,
@@ -534,11 +624,9 @@ func (m *Module) ReadUintN(off, size int) uint64 {
 		panic(fmt.Sprintf("dram: ReadUintN size %d out of range on %s", size, m.name))
 	}
 	m.resolveRange(off, size)
-	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(m.data[off+i]) << (8 * uint(i))
-	}
-	return v
+	var b [8]byte
+	m.readInto(off, b[:size])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Read returns n bytes from offset off.
@@ -546,7 +634,7 @@ func (m *Module) Read(off, n int) []byte {
 	m.check("Read", off, n)
 	m.resolveRange(off, n)
 	out := make([]byte, n)
-	copy(out, m.data[off:off+n])
+	m.readInto(off, out)
 	return out
 }
 
@@ -555,11 +643,11 @@ func (m *Module) ReadLine(addr uint64, buf []byte) error {
 	if !m.powered {
 		return fmt.Errorf("dram: %s is unpowered", m.name)
 	}
-	if addr+uint64(len(buf)) > uint64(len(m.data)) {
+	if addr+uint64(len(buf)) > uint64(m.size) {
 		return fmt.Errorf("dram: %s read at %#x+%d out of range", m.name, addr, len(buf))
 	}
 	m.resolveRange(int(addr), len(buf))
-	copy(buf, m.data[addr:])
+	m.readInto(int(addr), buf)
 	return nil
 }
 
@@ -568,12 +656,11 @@ func (m *Module) WriteLine(addr uint64, buf []byte) error {
 	if !m.powered {
 		return fmt.Errorf("dram: %s is unpowered", m.name)
 	}
-	if addr+uint64(len(buf)) > uint64(len(m.data)) {
+	if addr+uint64(len(buf)) > uint64(m.size) {
 		return fmt.Errorf("dram: %s write at %#x+%d out of range", m.name, addr, len(buf))
 	}
 	m.markRange(int(addr), len(buf))
-	m.markSnapRange(int(addr), len(buf))
-	copy(m.data[addr:], buf)
+	m.writeFrom(int(addr), buf)
 	return nil
 }
 

@@ -118,13 +118,43 @@ func groundHeavyFill(m *Module, seed uint64) []byte {
 	return b
 }
 
+// sparseFill returns module contents at ground except for a few short
+// random runs: the shape of a fault-campaign rig, which leaves most
+// pages absent.
+func sparseFill(m *Module, seed uint64) []byte {
+	b := make([]byte, m.Size())
+	m.fillGround(b, 0)
+	r := xrand.New(seed)
+	for k := 0; k < 12; k++ {
+		off := r.Intn(len(b) - 600)
+		r.Bytes(b[off : off+1+r.Intn(600)])
+	}
+	return b
+}
+
+// presentPages counts the module's allocated pages.
+func (m *Module) presentPages() int {
+	n := 0
+	for _, pg := range m.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLazyModuleMatchesEager drives two same-seed modules — one drawing
 // retention chunks as resolutions read them, one that drew the whole
-// table at construction — and the plain reference through outages from
-// zero length to total loss, reads at random offsets, writes, snapshot
-// restores and a back-to-back outage, and compares every read byte for
-// byte. It runs over two inputs: all-random contents, and ground-heavy
-// contents whose ground bytes resolve without reading their retention.
+// table at construction — and the plain reference, a flat byte image,
+// through outages from zero length to total loss, reads at random
+// offsets, writes, snapshot restores and a back-to-back outage, and
+// compares every read byte for byte. A page-table phase (checkPages)
+// adds sparse and ground-valued writes, a whole-module zero write (the
+// TCG reset wipe), reads across page boundaries, two snapshots restored
+// in turn, and restores of snapshots the module is not tracking. It runs
+// over three inputs: all-random contents, ground-heavy contents whose
+// ground bytes resolve without reading their retention, and sparse
+// contents that leave most pages absent.
 func TestLazyModuleMatchesEager(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -136,6 +166,7 @@ func TestLazyModuleMatchesEager(t *testing.T) {
 			return b
 		}},
 		{"ground-heavy", groundHeavyFill},
+		{"sparse", sparseFill},
 	}
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
@@ -164,10 +195,26 @@ func checkLazyMatchesEager(t *testing.T, seed uint64, fillFn func(m *Module, see
 	eager.ensureRetention(0, lazyTestSize)
 	ref := newRefModule(envR, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
 
+	// Write the fill page by page, skipping the pages it leaves at
+	// ground: those stay absent, and reads must not allocate them.
 	fill := fillFn(lazy, seed)
-	lazy.Write(0, fill)
-	eager.Write(0, fill)
-	copy(ref.data, fill)
+	written := 0
+	for off := 0; off < lazyTestSize; off += pageBytes {
+		pg := fill[off:min(off+pageBytes, lazyTestSize)]
+		if bytes.Equal(pg, ref.data[off:off+len(pg)]) {
+			continue
+		}
+		lazy.Write(off, pg)
+		eager.Write(off, pg)
+		copy(ref.data[off:], pg)
+		written++
+	}
+	if !bytes.Equal(lazy.Read(0, lazyTestSize), ref.data) {
+		t.Fatalf("seed %#x: the fill reads back differently", seed)
+	}
+	if got := lazy.presentPages(); got != written {
+		t.Fatalf("seed %#x: %d pages present after reading the whole module, want the %d written", seed, got, written)
+	}
 	snapL, snapE, snapR := lazy.CaptureSnapshot(), eager.CaptureSnapshot(), bytes.Clone(ref.data)
 	t0 := envL.Now()
 
@@ -219,12 +266,91 @@ func checkLazyMatchesEager(t *testing.T, seed uint64, fillFn func(m *Module, see
 		}
 		compare(stage+" after restore", 0, lazyTestSize)
 	}
+	checkPages(t, seed, rng, []*Module{lazy, eager}, ref, snapL, snapE, snapR, compare, outage)
 	// Back to back: the second outage begins while the first one's
 	// resolution is still deferred, so PowerOff resolves it all.
 	outage(25, 3*sim.Second)
 	compare("first of two outages", lazyTestSize-100, 100)
 	outage(25, 2*sim.Second)
 	compare("second of two outages", 0, lazyTestSize)
+}
+
+// checkPages is the page-table phase of checkLazyMatchesEager. It starts
+// from snapshot A (snapL/snapE/snapR, tracked by both modules), and
+// every step is applied to both modules and the flat reference:
+//
+//   - sparse writes, a third of them ground values, some into absent
+//     pages;
+//   - a capture of snapshot B, then writes that copy shared pages;
+//   - reads straddling page boundaries, where absent, owned and shared
+//     pages meet;
+//   - restores of A and B in turn: the first of each is a restore of a
+//     snapshot the module is not tracking, the last a tracked one;
+//   - the TCG wipe, a zero write over the whole module, then a restore;
+//   - a deferred-decay outage whose materialization copies the pages it
+//     decays, then a tracked and an untracked restore.
+func checkPages(t *testing.T, seed uint64, rng *xrand.Rand, mods []*Module, ref *refModule,
+	snapL, snapE *ModuleSnapshot, snapR []byte,
+	compare func(stage string, off, n int), outage func(tempC float64, off sim.Time)) {
+	t.Helper()
+	write := func(off int, b []byte) {
+		for _, m := range mods {
+			m.Write(off, b)
+		}
+		copy(ref.data[off:], b)
+	}
+	sparse := func() {
+		for k := 0; k < 24; k++ {
+			off := rng.Intn(lazyTestSize - 200)
+			b := make([]byte, 1+rng.Intn(200))
+			if k%3 == 0 {
+				mods[0].fillGround(b, off)
+			} else {
+				rng.Bytes(b)
+			}
+			write(off, b)
+		}
+	}
+	boundaries := func(stage string) {
+		for p := 1; p < lazyTestSize/pageBytes; p += 1 + rng.Intn(7) {
+			compare(stage, p*pageBytes-1-rng.Intn(100), 2+rng.Intn(200))
+		}
+	}
+	snaps := [2][]*ModuleSnapshot{{snapL, snapE}, {}}
+	images := [2][]byte{snapR, nil}
+	restore := func(k int, stage string) {
+		for i, m := range mods {
+			m.RestoreSnapshot(snaps[k][i])
+		}
+		copy(ref.data, images[k])
+		compare(stage, 0, lazyTestSize)
+	}
+
+	restore(0, "restore of A")
+	sparse()
+	boundaries("sparse writes")
+	for _, m := range mods {
+		snaps[1] = append(snaps[1], m.CaptureSnapshot())
+	}
+	images[1] = bytes.Clone(ref.data)
+	sparse()
+	boundaries("writes after capturing B")
+	restore(0, "untracked restore of A")
+	sparse()
+	restore(1, "untracked restore of B")
+	sparse()
+	boundaries("writes after restoring B")
+	restore(1, "tracked restore of B")
+
+	write(0, make([]byte, lazyTestSize))
+	compare("TCG wipe", 0, lazyTestSize)
+	restore(1, "restore after the wipe")
+
+	outage(25, 500*sim.Millisecond)
+	boundaries("deferred decay")
+	compare("deferred decay", 0, lazyTestSize)
+	restore(1, "tracked restore after an outage")
+	restore(0, "untracked restore after an outage")
 }
 
 // TestGroundBytesDrawNoRetention pins where resolution reads retention:

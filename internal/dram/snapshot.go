@@ -2,9 +2,14 @@ package dram
 
 // Copy-on-write snapshots for DRAM, the companion of sram's ArraySnapshot
 // (see internal/sram/snapshot.go for the sweep-loop rationale). Capture
-// copies the byte array once and arms a dirty-page bitmap; restore copies
-// back only pages a write or a deferred-decay materialization touched
-// since, then rewinds the power/outage scalars.
+// copies the page table, not the pages: every present page becomes
+// shared between the module and the snapshot, and the module's first
+// write to a shared page copies it (Module.writable). Restore puts back
+// the table entries of the pages the module owns — exactly those written,
+// or decayed by a deferred-decay materialization, since the capture or
+// the last restore — then rewinds the power/outage scalars. Restoring a
+// snapshot the module is not tracking copies the whole table instead,
+// which is still one pointer per page.
 //
 // The retention table is neither captured nor rewound: every chunk is a
 // pure function of the module seed (see Module.logRetention), so a chunk
@@ -18,15 +23,12 @@ import (
 	"repro/internal/sim"
 )
 
-// snapPageBytes is the dirty-tracking granularity: coarse because trial
-// writes (payload load, dump regions) are contiguous multi-KB runs.
-const snapPageBytes = 4096
-
 // ModuleSnapshot is the captured state of one Module, bound to the
-// module it came from.
+// module it came from. Its pages are shared with the module and never
+// written.
 type ModuleSnapshot struct {
-	mod  *Module
-	data []byte
+	mod   *Module
+	pages []*page
 
 	powered  bool
 	offSince sim.Time
@@ -37,72 +39,44 @@ type ModuleSnapshot struct {
 	outage     pendingOutage
 }
 
-// markSnapRange records that bytes [off, off+n) may have changed.
-func (m *Module) markSnapRange(off, n int) {
-	if m.snapDirty == nil || n <= 0 {
-		return
-	}
-	for p := off / snapPageBytes; p <= (off+n-1)/snapPageBytes; p++ {
-		m.snapDirty[p>>6] |= 1 << (uint(p) & 63)
-	}
-}
-
-// armSnapDirty (re)arms the dirty-page bitmap with all pages clean.
-func (m *Module) armSnapDirty() {
-	npages := (len(m.data) + snapPageBytes - 1) / snapPageBytes
-	if m.snapDirty == nil {
-		m.snapDirty = make([]uint64, (npages+63)/64)
-		return
-	}
-	for i := range m.snapDirty {
-		m.snapDirty[i] = 0
-	}
-}
-
-// CaptureSnapshot records the module's complete observable state and
-// arms dirty-page tracking for O(dirty) restores.
+// CaptureSnapshot records the module's complete observable state. Every
+// page becomes shared with the snapshot until the module next writes it.
 func (m *Module) CaptureSnapshot() *ModuleSnapshot {
 	s := &ModuleSnapshot{
 		mod:        m,
-		data:       make([]byte, len(m.data)),
+		pages:      append([]*page(nil), m.pages...),
 		powered:    m.powered,
 		offSince:   m.offSince,
 		offTempK:   m.offTempK,
 		unresolved: m.unresolved,
 		outage:     m.outage,
 	}
-	copy(s.data, m.data)
 	if m.resolved != nil {
 		s.resolved = append([]uint64(nil), m.resolved...)
 	}
-	m.armSnapDirty()
+	clear(m.owned)
 	m.snapOwner = s
 	return s
 }
 
-// RestoreSnapshot rewinds the module to the captured state: dirty data
-// pages only when s owns the armed bitmap, a full copy otherwise.
+// RestoreSnapshot rewinds the module to the captured state: the owned
+// pages only when the module tracks s, the whole page table otherwise.
+// Either way the owned pages go to the spare list, since nothing else
+// references them.
 func (m *Module) RestoreSnapshot(s *ModuleSnapshot) {
 	if s.mod != m {
 		panic(fmt.Sprintf("dram: RestoreSnapshot of %s onto %s", s.mod.name, m.name))
 	}
-	if m.snapDirty != nil && m.snapOwner == s {
-		n := len(m.data)
-		for i, word := range m.snapDirty {
-			for ; word != 0; word &= word - 1 {
-				p := i<<6 + bits.TrailingZeros64(word)
-				b0 := p * snapPageBytes
-				b1 := b0 + snapPageBytes
-				if b1 > n {
-					b1 = n
-				}
-				copy(m.data[b0:b1], s.data[b0:b1])
-			}
-			m.snapDirty[i] = 0
+	for i, word := range m.owned {
+		for ; word != 0; word &= word - 1 {
+			p := i<<6 + bits.TrailingZeros64(word)
+			m.spare = append(m.spare, m.pages[p])
+			m.pages[p] = s.pages[p]
 		}
-	} else {
-		copy(m.data, s.data)
-		m.armSnapDirty()
+		m.owned[i] = 0
+	}
+	if m.snapOwner != s {
+		copy(m.pages, s.pages)
 		m.snapOwner = s
 	}
 	m.powered = s.powered

@@ -77,7 +77,7 @@ type CPU struct {
 	// domain, so register contents obey the same retention physics as
 	// the caches (the mechanism behind the §7.2 vector-register attack).
 	// Layout: X0–X30 at 8·i, V0–V31 at regVBase+16·i (see RegFileBytes).
-	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC's allArrays
+	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC array list
 	Regs    *sram.Array
 	BusPort Bus
 	Sys     SysOps

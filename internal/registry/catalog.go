@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -208,8 +209,16 @@ func Default() *Registry {
 				if err != nil {
 					return nil, err
 				}
+				for _, c := range temps {
+					if c <= -273.15 {
+						return nil, fmt.Errorf("registry: temperature %g °C is at or below absolute zero", c)
+					}
+				}
 				offs := make([]sim.Time, len(offMs))
 				for i, ms := range offMs {
+					if ms < 0 || ms*float64(sim.Millisecond) >= math.MaxInt64 {
+						return nil, fmt.Errorf("registry: off-time %g ms is negative or beyond the simulation clock", ms)
+					}
 					offs[i] = sim.Time(ms * float64(sim.Millisecond))
 				}
 				r, err := experiments.RetentionSweepGridCtx(ctx, req.Seed, temps, offs)
@@ -325,6 +334,11 @@ func Default() *Registry {
 				depths, err := ParseFloatList(req.Params["depths"])
 				if err != nil {
 					return nil, err
+				}
+				for _, d := range depths {
+					if d < 0 {
+						return nil, fmt.Errorf("registry: pulse depth %g V is negative", d)
+					}
 				}
 				trials, err := strconv.ParseUint(req.Params["trials"], 0, 32)
 				if err != nil {

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +33,9 @@ const (
 	// Uint64Kind is a non-negative integer, decimal or 0x-hex.
 	// Canonical form: decimal.
 	Uint64Kind Kind = "uint64"
-	// FloatListKind is a comma-separated list of floats.
-	// Canonical form: strconv 'g' formatting, single commas, no spaces.
+	// FloatListKind is a comma-separated list of finite floats; NaN and
+	// ±Inf are rejected. Canonical form: strconv 'g' formatting, single
+	// commas, no spaces.
 	FloatListKind Kind = "float-list"
 	// StringListKind is a comma-separated list of enum tokens.
 	// Canonical form: tokens as declared, single commas, no spaces.
@@ -227,7 +229,7 @@ func SplitList(v string) []string {
 	return out
 }
 
-// ParseFloatList parses a comma-separated float list.
+// ParseFloatList parses a comma-separated list of finite floats.
 func ParseFloatList(v string) ([]float64, error) {
 	toks := SplitList(v)
 	if len(toks) == 0 {
@@ -238,6 +240,9 @@ func ParseFloatList(v string) ([]float64, error) {
 		f, err := strconv.ParseFloat(tok, 64)
 		if err != nil {
 			return nil, fmt.Errorf("not a float: %q", tok)
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("not a finite float: %q", tok)
 		}
 		out[i] = f
 	}

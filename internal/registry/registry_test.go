@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -257,5 +258,56 @@ func TestRunTraceCapture(t *testing.T) {
 	}
 	if ArtifactContentType(a.Kind) != "application/octet-stream" {
 		t.Errorf("trace content type = %q", ArtifactContentType(a.Kind))
+	}
+}
+
+// TestFloatParamsRejectNonFinite: every float-list parameter of every
+// catalog experiment refuses NaN and ±Inf at Resolve, so a campaign
+// submission fails before a job exists instead of reaching the
+// simulator.
+func TestFloatParamsRejectNonFinite(t *testing.T) {
+	n := 0
+	for _, e := range Default().Experiments() {
+		for _, ps := range e.Params {
+			if ps.Kind != FloatListKind {
+				continue
+			}
+			n++
+			for _, v := range []string{"NaN", "+Inf", "-Inf", "1,NaN"} {
+				if _, _, err := e.Resolve(map[string]string{ps.Name: v}); err == nil {
+					t.Errorf("%s: Resolve(%s=%s) succeeded, want error", e.Name, ps.Name, v)
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("the catalog has no float-list parameter; test is vacuous")
+	}
+}
+
+// TestRunRejectsOutOfRangeFloats: finite values that the physics cannot
+// take — a temperature at or below absolute zero, a negative or
+// clock-overflowing off-time, a negative pulse depth — resolve, but Run
+// refuses them before building a board. The context is cancelled, so
+// only the range check can produce the error.
+func TestRunRejectsOutOfRangeFloats(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct{ exp, param, value string }{
+		{"ablationB-retention-sweep", "temps", "-300"},
+		{"ablationB-retention-sweep", "temps", "25,-273.15"},
+		{"ablationB-retention-sweep", "offtimes-ms", "-5"},
+		{"ablationB-retention-sweep", "offtimes-ms", "1e300"},
+		{"glitch-search", "depths", "0.1,-0.05"},
+	} {
+		e, _ := Default().Lookup(c.exp)
+		resolved, _, err := e.Resolve(map[string]string{c.param: c.value})
+		if err != nil {
+			t.Fatalf("%s: Resolve(%s=%s): %v", c.exp, c.param, c.value, err)
+		}
+		_, err = e.Run(ctx, Request{Seed: 1, Params: resolved})
+		if err == nil || errors.Is(err, context.Canceled) {
+			t.Errorf("%s with %s=%s: Run returned %v, want a range error", c.exp, c.param, c.value, err)
+		}
 	}
 }

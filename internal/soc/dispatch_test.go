@@ -37,7 +37,8 @@ import (
 // Register roles in generated programs. Random instructions write only
 // X0–X9. X10–X12 hold data bases, X13 a maintenance address, X17 the
 // pool, X14–X16, X18 and X19 a self-modifying loop's pointer, patch and
-// counter, X20 and X21 the other loops' counters.
+// counter, X20 and X21 the other loops' counters, and X22–X25 an
+// aliasing loop's pass counter, pointer, walk counter and stride.
 const (
 	oracleScratch = 10 // X0–X9
 	oracleData    = 0x100000
@@ -60,11 +61,12 @@ func (f *noFault) OnInstr(*isa.CPU, isa.Instr) isa.FaultDecision {
 	return isa.FaultDecision{}
 }
 
-// progGen writes one random program.
+// progGen writes one random program. alias adds aliasing loops.
 type progGen struct {
 	r      *xrand.Rand
 	b      strings.Builder
 	labels int
+	alias  bool
 }
 
 func (g *progGen) line(format string, args ...any) {
@@ -139,6 +141,10 @@ func (g *progGen) offset(op string) int {
 
 // block emits one random construct; depth bounds loop nesting.
 func (g *progGen) block(depth int) {
+	if g.alias && depth == 0 && g.r.Intn(5) == 0 {
+		g.aliasLoop()
+		return
+	}
 	switch k := g.r.Intn(10); {
 	case k < 4:
 		for n := 1 + g.r.Intn(4); n > 0; n-- {
@@ -213,9 +219,40 @@ func (g *progGen) smcLoop() {
 	g.line("CBNZ X19, %s", top)
 }
 
-// randomProgram returns a terminating program of roughly n blocks.
-func randomProgram(r *xrand.Rand, n int) string {
-	g := &progGen{r: r}
+// aliasLoop emits a loop whose passes each walk 18 lines that share an
+// L2 set with the loop's first line (the L2's way stride is 64 KiB),
+// loading from some and storing to others. The walk runs from the next
+// line on, so the 16-way set evicts the loop's first line, fetched and
+// predecoded on this pass, and the next pass's fetch of it misses: an
+// L2 fill that evicts a line a predecode entry was fetched from must
+// retire the entry, and fills into other slots must not disturb it.
+func (g *progGen) aliasLoop() {
+	top, walk := g.label(), g.label()
+	g.line("MOVZ X22, #%d", 2+g.r.Intn(3))
+	g.line("MOVZ X25, #1, LSL #16")
+	fmt.Fprintf(&g.b, "%s:\n", top)
+	g.line("LDIMM X23, %s", top)
+	g.line("MOVZ X24, #18")
+	for i := 0; i < 16; i++ { // 64 bytes: the walk starts on a later line
+		g.line("NOP")
+	}
+	fmt.Fprintf(&g.b, "%s:\n", walk)
+	g.line("ADD X23, X23, X25")
+	if g.r.Bool() {
+		g.line("LDR X%d, [X23, #0]", g.dst())
+	} else {
+		g.line("STR X%d, [X23, #0]", g.src())
+	}
+	g.line("SUBI X24, X24, #1")
+	g.line("CBNZ X24, %s", walk)
+	g.line("SUBI X22, X22, #1")
+	g.line("CBNZ X22, %s", top)
+}
+
+// randomProgram returns a terminating program of roughly n blocks, with
+// aliasing loops among them if alias is set.
+func randomProgram(r *xrand.Rand, n int, alias bool) string {
+	g := &progGen{r: r, alias: alias}
 	g.line("LDIMM X10, #%#x", oracleData)
 	g.line("LDIMM X11, #%#x", oracleDataB)
 	g.line("LDIMM X12, #%#x", oracleDataC)
@@ -249,10 +286,12 @@ func (o *oracleSide) armTrace(n int) {
 }
 
 // oracleMode is one cache configuration the oracle runs programs under:
-// l1 enables the L1s at boot, and l2 keeps the L2 on after it.
+// l1 enables the L1s at boot, l2 keeps the L2 on after it, and alias
+// adds aliasing loops to the programs.
 type oracleMode struct {
 	name   string
 	l1, l2 bool
+	alias  bool
 }
 
 func newOracleSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
@@ -267,7 +306,7 @@ func newOracleSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
 	if s.Cores[0].L1I.Enabled() != m.l1 || s.L2.Enabled() != m.l2 {
 		t.Fatalf("L1I enabled = %v, L2 enabled = %v; want %v, %v", s.Cores[0].L1I.Enabled(), s.L2.Enabled(), m.l1, m.l2)
 	}
-	o := &oracleSide{s: s, cpu: s.Cores[0].CPU, arrs: s.allArrays()}
+	o := &oracleSide{s: s, cpu: s.Cores[0].CPU, arrs: s.arrays}
 	for _, a := range o.arrs {
 		o.bufs = append(o.bufs, make([]byte, a.Bytes()))
 	}
@@ -302,7 +341,7 @@ func (p *oraclePair) compare(t *testing.T, prog int) {
 		t.Fatalf("program %d, %s path at instret %d: %d barriers, reference %d",
 			prog, p.name, r.Instret, p.got.s.BarrierCount(), p.ref.s.BarrierCount())
 	}
-	refCaches, gotCaches := p.ref.s.snapCaches(), p.got.s.snapCaches()
+	refCaches, gotCaches := p.ref.s.caches, p.got.s.caches
 	for i := range refCaches {
 		if refCaches[i].Stats() != gotCaches[i].Stats() {
 			t.Fatalf("program %d, %s path at instret %d: %s stats %+v, reference %+v",
@@ -339,9 +378,10 @@ func (p *oraclePair) compare(t *testing.T, prog int) {
 
 // TestDispatchPathsAgree runs random programs down the four dispatch
 // paths, with the L1s on (fetches served by the L1I), with only the L2
-// on (the extraction payloads' configuration) and with both off (every
-// fetch read from DRAM), and requires every path to match the plain
-// reference at every comparison point.
+// on (the extraction payloads' configuration, whose programs add
+// aliasing loops that make L2 fills evict fetched lines) and with both
+// off (every fetch read from DRAM), and requires every path to match the
+// plain reference at every comparison point.
 func TestDispatchPathsAgree(t *testing.T) {
 	const (
 		blocks   = 24
@@ -354,12 +394,12 @@ func TestDispatchPathsAgree(t *testing.T) {
 	r := xrand.New(0x0AC1E)
 	for _, mode := range []oracleMode{
 		{name: "L1I", l1: true, l2: true},
-		{name: "L2-only", l2: true},
+		{name: "L2-only", l2: true, alias: true},
 		{name: "uncached"},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			for prog := 0; prog < programs; prog++ {
-				words := mustAsm(t, PayloadBase, randomProgram(r, blocks))
+				words := mustAsm(t, PayloadBase, randomProgram(r, blocks, mode.alias))
 				ref := newOracleSide(t, words, mode)
 				plain := isa.NewCPU(0, ref.cpu.Regs, oracleBus{ref.s}, ref.s)
 				plain.RestoreState(ref.cpu.CaptureState())

@@ -47,9 +47,9 @@ type Snapshot struct {
 	now   sim.Time
 	tempC float64
 
-	arrays []*sram.ArraySnapshot // parallel to allArrays()
+	arrays []*sram.ArraySnapshot // parallel to SoC.arrays
 	dram   *dram.ModuleSnapshot
-	caches []*cache.AuxSnapshot // parallel to snapCaches()
+	caches []*cache.AuxSnapshot // parallel to SoC.caches
 
 	cpus      []isa.CPUState
 	lastFetch []uint64
@@ -59,19 +59,6 @@ type Snapshot struct {
 	bootCount   int
 	orderlyDown bool
 	barriers    uint64
-}
-
-// snapCaches enumerates the cache levels in a fixed order, mirroring
-// allArrays' determinism.
-func (s *SoC) snapCaches() []*cache.Cache {
-	var out []*cache.Cache
-	for _, c := range s.Cores {
-		out = append(out, c.L1D, c.L1I)
-	}
-	if s.L2 != nil {
-		out = append(out, s.L2)
-	}
-	return out
 }
 
 // refuseObservers panics, naming the core, if any core has a glitcher
@@ -101,11 +88,13 @@ func (s *SoC) CaptureSnapshot() *Snapshot {
 		orderlyDown: s.orderlyDown,
 		barriers:    s.barriers,
 	}
-	for _, a := range s.allArrays() {
-		snap.arrays = append(snap.arrays, a.CaptureSnapshot())
+	snap.arrays = make([]*sram.ArraySnapshot, len(s.arrays))
+	for i, a := range s.arrays {
+		snap.arrays[i] = a.CaptureSnapshot()
 	}
-	for _, c := range s.snapCaches() {
-		snap.caches = append(snap.caches, c.CaptureAux())
+	snap.caches = make([]*cache.AuxSnapshot, len(s.caches))
+	for i, c := range s.caches {
+		snap.caches[i] = c.CaptureAux()
 	}
 	for _, c := range s.Cores {
 		snap.cpus = append(snap.cpus, c.CPU.CaptureState())
@@ -129,11 +118,11 @@ func (s *SoC) RestoreSnapshot(snap *Snapshot) {
 	s.CoreDom.RestoreSnapshot(snap.coreDom)
 	s.MemDom.RestoreSnapshot(snap.memDom)
 	s.IODom.RestoreSnapshot(snap.ioDom)
-	for i, a := range s.allArrays() {
+	for i, a := range s.arrays {
 		a.RestoreSnapshot(snap.arrays[i])
 	}
 	s.DRAM.RestoreSnapshot(snap.dram)
-	for i, c := range s.snapCaches() {
+	for i, c := range s.caches {
 		c.RestoreAux(snap.caches[i])
 	}
 	for i, c := range s.Cores {

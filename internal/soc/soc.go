@@ -164,9 +164,10 @@ type SoC struct {
 	//voltvet:nosnap restored element-wise through the core pointers (CPU state, lastFetch); the slice itself is wiring
 	Cores []*Core
 	// L2 is the shared second-level cache.
+	//voltvet:nosnap a cache with its own CaptureAux/RestoreAux pair and arrays, enumerated by the SoC cache and array lists
 	L2 *cache.Cache
 	// IRAM is the on-chip RAM (nil unless the spec has one).
-	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by allArrays
+	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC array list
 	IRAM *sram.Array
 	// DRAM is main memory.
 	DRAM *dram.Module
@@ -187,6 +188,12 @@ type SoC struct {
 	orderlyDown bool
 	// barriers counts DSB/ISB executions (the §6.1 payload requirement).
 	barriers uint64
+
+	// arrays lists every on-chip SRAM array and caches every cache level,
+	// each in a fixed order; New builds both once for the boot resets and
+	// the snapshot pair.
+	arrays []*sram.Array
+	caches []*cache.Cache
 
 	// mutGen counts SoC-level events that can mutate instruction memory
 	// behind the predecode cache's back: boots (ROM scratchpad, MBIST,
@@ -285,6 +292,19 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 	s.rom = make([]byte, 64*1024)
 	xrand.Derive(seed, "bootrom").Bytes(s.rom)
 
+	for _, c := range s.Cores {
+		s.arrays = append(s.arrays, c.L1D.Arrays()...)
+		s.arrays = append(s.arrays, c.L1I.Arrays()...)
+		s.arrays = append(s.arrays, c.CPU.Regs, c.TLB, c.BTB)
+		s.caches = append(s.caches, c.L1D, c.L1I)
+	}
+	if s.L2 != nil {
+		s.arrays = append(s.arrays, s.L2.Arrays()...)
+		s.caches = append(s.caches, s.L2)
+	}
+	if s.IRAM != nil {
+		s.arrays = append(s.arrays, s.IRAM)
+	}
 	return s, nil
 }
 
@@ -352,7 +372,7 @@ func (s *SoC) Boot(img *BootImage) error {
 		// again during reset. An external probe holds the *pin*, but the
 		// gate sits behind it, so contents are lost regardless.
 		s.Env.Logf("boot", "power-toggle reset of all on-chip SRAM")
-		for _, a := range s.allArrays() {
+		for _, a := range s.arrays {
 			restore := a.RailVolts()
 			a.SetRail(0)
 			s.Env.Advance(1 * sim.Millisecond)
@@ -361,7 +381,7 @@ func (s *SoC) Boot(img *BootImage) error {
 	}
 	if s.Opts.MBISTReset {
 		s.Env.Logf("boot", "MBIST zeroization of all on-chip SRAM")
-		for _, a := range s.allArrays() {
+		for _, a := range s.arrays {
 			if a.Powered() {
 				a.Fill(0)
 			}
@@ -504,23 +524,6 @@ func (s *SoC) ProgramROM(words []uint32) error {
 		}
 	}
 	return nil
-}
-
-// allArrays enumerates every on-chip SRAM array.
-func (s *SoC) allArrays() []*sram.Array {
-	var out []*sram.Array
-	for _, c := range s.Cores {
-		out = append(out, c.L1D.Arrays()...)
-		out = append(out, c.L1I.Arrays()...)
-		out = append(out, c.CPU.Regs, c.TLB, c.BTB)
-	}
-	if s.L2 != nil {
-		out = append(out, s.L2.Arrays()...)
-	}
-	if s.IRAM != nil {
-		out = append(out, s.IRAM)
-	}
-	return out
 }
 
 // RunCore executes core id until it halts or maxInstr retire, through
@@ -668,8 +671,9 @@ func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, 
 				return
 			}
 			// From here on a data write into this line (a store, or an L1D
-			// writeback) bumps the L2's content generation and retires the
-			// entry; writes into lines no entry was fetched from do not.
+			// writeback), or a fill that evicts it, bumps the L2's content
+			// generation and retires the entry; writes into and fills of
+			// slots no entry was fetched from do not.
 			s.L2.MarkFetched(way, set)
 			mode = predecL2
 		default:
@@ -706,10 +710,10 @@ func (s *SoC) predecGen(c *Core, mode uint8) uint64 {
 		return c.L1I.ContentGen() + s.mutGen
 	case predecL2:
 		// L1I's counter is included because re-enabling the L1I reroutes
-		// fetches away from the L2. The L2's counter moves on stores only
-		// when they land in a line an entry was fetched from (see
-		// installPredec), so a payload streaming stores into data lines
-		// keeps its predecoded loop.
+		// fetches away from the L2. The L2's counter moves on stores and
+		// fills only when they land in or evict a line an entry was
+		// fetched from (see installPredec), so a payload streaming loads
+		// and stores through data lines keeps its predecoded loop.
 		return c.L1I.ContentGen() + s.L2.ContentGen() + s.mutGen
 	case predecROM:
 		return 0 // mask ROM is immutable
@@ -967,8 +971,13 @@ func (s *SoC) JTAGWriteIRAM(off int, data []byte) error {
 	return nil
 }
 
-// ReadDRAM reads main memory coherently — through the shared L2 when one
-// is present, so dirty lines a payload just wrote are visible. This is
+// ReadDRAM reads main memory through the shared L2 when one is present,
+// and from the module otherwise. It sees the L2's lines, dirty ones
+// included, but not the cores' L1Ds: a line a core stored to and still
+// holds dirty in its L1D reads as the older copy in the L2 or the
+// module, so a caller that needs a core's stores cleans that core's L1D
+// first. With the L2 enabled, each read allocates and touches L2 lines
+// as a load does. This is
 // the experiment harness's view of what a payload exfiltrated; real
 // attackers pull the same bytes over UART/SD. For the *physical* cell
 // contents (cold boot experiments) read s.DRAM directly.
@@ -998,8 +1007,13 @@ func (s *SoC) ReadDRAM(off, n int) []byte {
 	return out
 }
 
-// WriteDRAM writes main memory coherently (used by the harness to stage
-// victim data).
+// WriteDRAM writes main memory through the shared L2 when one is
+// present (allocating the written lines dirty while it is enabled), and
+// to the module otherwise (used by the harness to stage victim data). It
+// neither
+// updates nor invalidates the cores' L1Ds: a core holding one of the
+// written lines keeps reading its stale copy until the line leaves its
+// L1D.
 func (s *SoC) WriteDRAM(off int, b []byte) {
 	if s.L2 == nil {
 		s.DRAM.Write(off, b)

@@ -91,8 +91,9 @@ func sbTerminal(op isa.Op) bool {
 //     between quanta).
 //   - predecL2: additionally the L2 content gen, which *loads* can move
 //     too — a data-side miss can fill the L2 — as can the writebacks of
-//     DC ZVA / DC CIVAC. Stores move it only when they land in a line
-//     some predecode entry was fetched from (cache.MarkFetched).
+//     DC ZVA / DC CIVAC. Stores and fills move it only when they land in
+//     or evict a line some predecode entry was fetched from
+//     (cache.MarkFetched).
 //
 // Stores, maintenance ops and MSR are flagged for every non-ROM mode
 // rather than split per counter: they are rare in hot loops, and one

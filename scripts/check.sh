@@ -44,6 +44,14 @@ run_named() {
 	go test -count=1 -run "$rn_run" "$@"
 }
 
+# fuzz_named NAME PKG fuzzes one target for 10s, after checking that
+# the name matches one (-fuzz takes one target per package, so the
+# pattern is anchored).
+fuzz_named() {
+	require_named Fuzz "$1" "$2"
+	go test -run '^$' -fuzz "^$1\$" -fuzztime 10s "$2"
+}
+
 # bench_named PATTERN PKG... runs one iteration of the named benchmarks,
 # after checking that every name matches one.
 bench_named() {
@@ -102,11 +110,11 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 run_named 'TestSCACPARecoversKey' ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention, L2 predecode, the four dispatch paths and their traces, restores refused while observers are attached, captures against derived state and the window stop, transformed CPA sums)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the four dispatch paths and their traces, restores refused while observers are attached, captures against derived state and the window stop, transformed CPA sums)"
 run_named 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 run_named 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
 run_named 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
-run_named 'TestDataWritesBumpOnlyFetchedLines' ./internal/cache/
+run_named 'TestDataWritesBumpOnlyFetchedLines|TestRestoreAuxMatchesFullCopy' ./internal/cache/
 run_named 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc/
 run_named 'TestDumpPayloadFetchPathsAgree' ./internal/core/
 run_named 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
@@ -117,22 +125,23 @@ run_named 'TestCPAMatchesReference' ./internal/sca/
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 run_named 'TestCatalogDigests' ./internal/registry/
 
-echo "==> fuzz the byte decoders (10s per target)"
-# -fuzz takes one target per package, so each pattern is anchored.
-go test -run '^$' -fuzz '^FuzzDecodeSet$' -fuzztime 10s ./internal/trace/
-go test -run '^$' -fuzz '^FuzzDecodeDisassemble$' -fuzztime 10s ./internal/isa/
-go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/isa/
-go test -run '^$' -fuzz '^FuzzStoreReplay$' -fuzztime 10s ./internal/store/
-go test -run '^$' -fuzz '^FuzzAttack$' -fuzztime 10s ./internal/sca/
+echo "==> fuzz the byte decoders, the CPA attack and parameter canonicalization (10s per target)"
+fuzz_named FuzzDecodeSet ./internal/trace/
+fuzz_named FuzzDecodeDisassemble ./internal/isa/
+fuzz_named FuzzAssemble ./internal/isa/
+fuzz_named FuzzStoreReplay ./internal/store/
+fuzz_named FuzzAttack ./internal/sca/
+fuzz_named FuzzResolve ./internal/registry/
 
 echo "==> benchmark smoke (1 iteration)"
 bench_named 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' ./internal/sram/ ./internal/analysis/
 bench_named 'RandJump' ./internal/xrand/
+bench_named 'ModuleCaptureWriteRestore' ./internal/dram/
 bench_named 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' ./internal/soc/ ./internal/cache/ ./internal/kernel/
 bench_named 'CPUStepGlitchDisarmed' ./internal/glitch/
 bench_named 'CPUStepTraceDisarmed|CPUStepTraceArmed' ./internal/trace/
 bench_named 'CPACorrelate' ./internal/sca/
-bench_named 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep|TraceCapture1000' ./internal/experiments/
+bench_named 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep|TraceCapture1000|GlitchSearch' ./internal/experiments/
 
 echo "==> allocation-free fast-path gates"
 run_named 'StepSteadyStateZeroAlloc' ./internal/soc/
