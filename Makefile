@@ -16,7 +16,7 @@ vet:
 # voltvet is the repo's own stdlib-only analyzer suite (cmd/voltvet):
 # determinism boundary, map-order hazards, hot-path allocation hygiene,
 # service-layer lock discipline, dropped errors. Exits non-zero on any
-# finding not grandfathered in lint.baseline.
+# finding; accepted exceptions carry an inline //voltvet:ignore reason.
 lint:
 	$(GO) run ./cmd/voltvet ./...
 

@@ -12,15 +12,14 @@
 // Flags:
 //
 //	-C dir             analyze the module containing dir (default ".")
-//	-baseline file     baseline path (default <module root>/lint.baseline)
-//	-write-baseline    rewrite the baseline to grandfather current findings
 //	-checks fams       comma-separated check families (det, map, hot, snap,
 //	                   locks, err; analyzer names also accepted; default all)
 //	-format f          output format: text (default) or json
 //	-list              print the diagnostic catalog and exit
-//	-v                 also print baselined findings
 //
-// Exit status is 1 when any non-baselined diagnostic is found.
+// Exit status is 1 when any diagnostic is found. A reviewed exception is
+// silenced in place with //voltvet:ignore ID reason (or, for a snapshot
+// field, //voltvet:nosnap reason); there is no other suppression.
 package main
 
 import (
@@ -49,12 +48,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("voltvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "analyze the module containing this directory")
-	baselinePath := fs.String("baseline", "", "baseline file (default <module root>/lint.baseline)")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the baseline to grandfather current findings")
 	checks := fs.String("checks", "", "comma-separated check families to run (det, map, hot, snap, locks, err; default all)")
 	format := fs.String("format", "text", "output format: text or json")
 	list := fs.Bool("list", false, "print the diagnostic catalog and exit")
-	verbose := fs.Bool("v", false, "also print baselined findings")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -91,44 +87,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	diags := lint.Run(mod, cfg, analyzers)
 	diags = filterByPatterns(diags, mod.Path, patterns)
 
-	if *baselinePath == "" {
-		*baselinePath = filepath.Join(mod.Root, "lint.baseline")
-	}
-	if *writeBaseline {
-		if err := os.WriteFile(*baselinePath, []byte(lint.FormatBaseline(diags)), 0o644); err != nil {
-			outln(stderr, "voltvet:", err)
-			return 2
-		}
-		outf(stdout, "voltvet: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return 0
-	}
-	base, err := lint.ParseBaseline(*baselinePath)
-	if err != nil {
-		outln(stderr, "voltvet:", err)
-		return 2
-	}
-	fresh, baselined := base.Filter(diags)
 	if *format == "json" {
-		writeJSON(stdout, mod.Root, diags, baselined)
-		if len(fresh) > 0 {
-			return 1
+		writeJSON(stdout, mod.Root, diags)
+	} else {
+		for _, d := range diags {
+			outln(stdout, d)
 		}
-		return 0
-	}
-	if *verbose {
-		for _, d := range baselined {
-			outf(stdout, "%s [baselined]\n", d)
+		if len(diags) > 0 {
+			outf(stderr, "voltvet: %d finding(s)\n", len(diags))
 		}
 	}
-	for _, d := range fresh {
-		outln(stdout, d)
-	}
-	if len(fresh) > 0 {
-		outf(stderr, "voltvet: %d finding(s)", len(fresh))
-		if len(baselined) > 0 {
-			outf(stderr, " (+%d baselined)", len(baselined))
-		}
-		outln(stderr)
+	if len(diags) > 0 {
 		return 1
 	}
 	return 0
@@ -181,41 +150,29 @@ func selectAnalyzers(spec string) ([]*lint.Analyzer, error) {
 
 // jsonFinding is the machine-readable shape of one diagnostic. The
 // field set is a stability contract for CI consumers: id and
-// file:line:col locate the finding, suppressed distinguishes fresh
-// findings ("") from grandfathered ones ("baseline"). Findings silenced
-// by an inline voltvet:ignore never appear — they are dropped before
-// reporting.
+// file:line:col locate the finding. Findings silenced by an inline
+// voltvet:ignore never appear — they are dropped before reporting.
 type jsonFinding struct {
-	ID         string `json:"id"`
-	Analyzer   string `json:"analyzer"`
-	File       string `json:"file"` // module-root relative
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Package    string `json:"package"`
-	Message    string `json:"message"`
-	Suppressed string `json:"suppressed"`
+	ID       string `json:"id"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"` // module-root relative
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Package  string `json:"package"`
+	Message  string `json:"message"`
 }
 
-func writeJSON(w io.Writer, root string, diags, baselined []lint.Diagnostic) {
-	isBase := map[lint.Diagnostic]bool{}
-	for _, d := range baselined {
-		isBase[d] = true
-	}
+func writeJSON(w io.Writer, root string, diags []lint.Diagnostic) {
 	out := []jsonFinding{}
 	for _, d := range diags {
-		suppressed := ""
-		if isBase[d] {
-			suppressed = "baseline"
-		}
 		out = append(out, jsonFinding{
-			ID:         d.ID,
-			Analyzer:   d.Analyzer,
-			File:       strings.TrimPrefix(strings.TrimPrefix(d.Pos.Filename, root), string(filepath.Separator)),
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Package:    d.Package,
-			Message:    d.Message,
-			Suppressed: suppressed,
+			ID:       d.ID,
+			Analyzer: d.Analyzer,
+			File:     strings.TrimPrefix(strings.TrimPrefix(d.Pos.Filename, root), string(filepath.Separator)),
+			Line:     d.Pos.Line,
+			Col:      d.Pos.Column,
+			Package:  d.Package,
+			Message:  d.Message,
 		})
 	}
 	enc := json.NewEncoder(w)

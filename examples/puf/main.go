@@ -23,7 +23,7 @@ import (
 
 func makeHarness(seed uint64) (*puf.Harness, *sram.Array) {
 	env := sim.NewEnv()
-	arr := sram.NewArray(env, "puf-block", 1<<14, sram.DefaultRetentionModel(), seed)
+	arr := sram.NewArray(env, "puf-block", 1<<14, seed)
 	arr.SetRail(0.8)
 	return puf.NewHarness(env, arr, 0.8, 100*sim.Millisecond), arr
 }

@@ -368,6 +368,41 @@ func TestFabricFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFabricRingRoute pins the probe route: /v1/ring answers 404 on a
+// server without a fabric, and on a fleet member it serves the member's
+// status — which is what a peer's start-up Refresh reads, so Refresh
+// over real peers succeeds and leaves every peer ready.
+func TestFabricRingRoute(t *testing.T) {
+	ts, _, _ := newTestServer(t, 1, 4)
+	if resp, _ := get(t, ts.URL+"/v1/ring"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/ring without a fabric: status %d, want 404", resp.StatusCode)
+	}
+
+	fleet := startFleet(t, 2, nil)
+	resp, body := get(t, fleet[0].ts.URL+"/v1/ring")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/ring on a fleet member: status %d, body %s", resp.StatusCode, body)
+	}
+	var st fabric.Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Self != fleet[0].id || st.Fingerprint != fleet[0].node.Fingerprint() ||
+		len(st.Peers) != 1 || st.Peers[0].ID != fleet[1].id || st.Peers[0].State != "ready" {
+		t.Fatalf("unexpected ring status: %+v", st)
+	}
+	for _, fn := range fleet {
+		if err := fn.node.Refresh(context.Background()); err != nil {
+			t.Fatalf("%s: Refresh over live peers: %v", fn.id, err)
+		}
+		for _, p := range fn.node.Status().Peers {
+			if p.State != "ready" {
+				t.Fatalf("%s: peer %s reads %s after Refresh", fn.id, p.ID, p.State)
+			}
+		}
+	}
+}
+
 // BenchmarkFabricSweepCached measures the fabric's serving overhead: a
 // 3-node fleet answering a fully warm 6-run sweep over HTTP, every
 // shard forwarded to its owner and served from that peer's memory tier.

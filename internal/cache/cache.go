@@ -119,7 +119,8 @@ const (
 	tagMask     = 1<<52 - 1
 )
 
-// Stats counts cache events since the last ResetStats.
+// Stats counts cache events since the cache was built (a snapshot
+// restore rewinds them with the rest of the cache state).
 type Stats struct {
 	Hits       uint64
 	Misses     uint64
@@ -222,7 +223,7 @@ type Cache struct {
 
 // New builds a cache and its SRAM arrays. The arrays are registered as
 // loads on a power domain by the caller (typically soc.Device wiring).
-func New(env *sim.Env, cfg Config, model sram.RetentionModel, seed uint64, backing Backing) (*Cache, error) {
+func New(env *sim.Env, cfg Config, seed uint64, backing Backing) (*Cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -243,9 +244,9 @@ func New(env *sim.Env, cfg Config, model sram.RetentionModel, seed uint64, backi
 	}
 	for w := range c.dataRAM {
 		c.dataRAM[w] = sram.NewArray(env, fmt.Sprintf("%s.data.w%d", cfg.Name, w),
-			sets*cfg.LineBytes*8, model, seed)
+			sets*cfg.LineBytes*8, seed)
 	}
-	c.tagRAM = sram.NewArray(env, cfg.Name+".tag", cfg.Ways*sets*64, model, seed)
+	c.tagRAM = sram.NewArray(env, cfg.Name+".tag", cfg.Ways*sets*64, seed)
 	return c, nil
 }
 
@@ -283,9 +284,6 @@ func (c *Cache) WayLocked(w int) bool { return c.lockedWays[w] }
 
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the event counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) index(addr uint64) (tag uint64, set int, off int) {
 	off = int(addr) & (c.cfg.LineBytes - 1)
@@ -577,32 +575,15 @@ func (c *Cache) bypass(addr uint64, size int, write bool, wdata uint64) (uint64,
 }
 
 // ReadLine implements Backing, letting this cache serve as the next level
-// for an inner cache (L1 → L2). When the inner line matches this cache's
-// own geometry — the common case; every modelled device uses 64-byte
-// lines at every level — the transfer happens at line granularity: one
-// lookup, one fill or hit, one LRU touch, one bulk data-RAM copy, instead
-// of eight recursive 8-byte Accesses. The architectural outcome is
-// identical: the same line is resident afterwards with the same content,
-// and collapsing eight consecutive LRU touches of one (way, set) into one
-// preserves the relative recency order that victim selection depends on.
+// for an inner cache (L1 → L2). The transfer happens at line granularity
+// — one lookup, one fill or hit, one LRU touch, one bulk data-RAM copy —
+// so the inner line must match this cache's own geometry: every modelled
+// device uses 64-byte lines at every level, and a transfer of another
+// size or alignment is an error.
 func (c *Cache) ReadLine(addr uint64, buf []byte) error {
-	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
-		return c.readLineFast(addr, buf)
+	if len(buf) != c.cfg.LineBytes || addr&uint64(c.cfg.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: %s: ReadLine of %d bytes at %#x; lines are %d bytes, aligned", c.cfg.Name, len(buf), addr, c.cfg.LineBytes)
 	}
-	// Inner line size or alignment differs; fall back to the word loop.
-	for i := 0; i < len(buf); i += 8 {
-		v, err := c.Access(addr+uint64(i), 8, false, 0, false)
-		if err != nil {
-			return err
-		}
-		for k := 0; k < 8 && i+k < len(buf); k++ {
-			buf[i+k] = byte(v >> (8 * k))
-		}
-	}
-	return nil
-}
-
-func (c *Cache) readLineFast(addr uint64, buf []byte) error {
 	if !c.enabled {
 		c.stats.Bypasses++
 		return c.backing.ReadLine(addr, buf) //voltvet:ignore VV-HOT006 deliberate backing seam: the next level is an L2 cache or DRAM, decided at wiring time; the dynamic zero-alloc gate covers both
@@ -626,30 +607,16 @@ func (c *Cache) readLineFast(addr uint64, buf []byte) error {
 	return nil
 }
 
-// WriteLine implements Backing. Like ReadLine, a geometry-matched full
-// line goes through a single allocate-and-overwrite instead of eight
-// read-modify-write Accesses; the fill-on-write-miss is kept so the
-// victim choice and writeback sequence match the word loop exactly.
+// WriteLine implements Backing. Like ReadLine it moves one whole,
+// aligned line: a single allocate-and-overwrite, with the fill on a
+// write miss kept so the victim choice and writeback sequence are those
+// of any other write miss.
 func (c *Cache) WriteLine(addr uint64, buf []byte) error {
-	if len(buf) == c.cfg.LineBytes && addr&uint64(c.cfg.LineBytes-1) == 0 {
-		return c.writeLineFast(addr, buf)
+	if len(buf) != c.cfg.LineBytes || addr&uint64(c.cfg.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: %s: WriteLine of %d bytes at %#x; lines are %d bytes, aligned", c.cfg.Name, len(buf), addr, c.cfg.LineBytes)
 	}
-	for i := 0; i < len(buf); i += 8 {
-		var v uint64
-		for k := 0; k < 8 && i+k < len(buf); k++ {
-			v |= uint64(buf[i+k]) << (8 * k)
-		}
-		if _, err := c.Access(addr+uint64(i), 8, true, v, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Cache) writeLineFast(addr uint64, buf []byte) error {
 	if !c.enabled {
-		// The word loop's bypass would read-modify-write the backing
-		// line; a full-line overwrite makes the read redundant.
+		// A full-line overwrite needs no read of the backing line.
 		c.stats.Bypasses++
 		return c.backing.WriteLine(addr, buf) //voltvet:ignore VV-HOT006 deliberate backing seam: the next level is an L2 cache or DRAM, decided at wiring time; the dynamic zero-alloc gate covers both
 	}

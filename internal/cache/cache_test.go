@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
-	"repro/internal/sram"
 )
 
 // flatBacking is a simple memory backing for cache tests.
@@ -49,7 +48,7 @@ func newTestCache(t testing.TB, cfg Config) (*Cache, *flatBacking, *sim.Env) {
 	t.Helper()
 	env := sim.NewEnv()
 	back := newFlatBacking(cfg.LineBytes)
-	c, err := New(env, cfg, sram.DefaultRetentionModel(), 42, back)
+	c, err := New(env, cfg, 42, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "pow2", SizeBytes: 3 * 64 * 2, Ways: 2, LineBytes: 64},
 	}
 	for _, cfg := range bad {
-		if _, err := New(env, cfg, sram.DefaultRetentionModel(), 1, newFlatBacking(64)); err == nil {
+		if _, err := New(env, cfg, 1, newFlatBacking(64)); err == nil {
 			t.Errorf("config %q should be rejected", cfg.Name)
 		}
 	}
@@ -402,11 +401,11 @@ func TestCacheAsBackingForInnerCache(t *testing.T) {
 	env := sim.NewEnv()
 	mem := newFlatBacking(64)
 	l2, err := New(env, Config{Name: "L2", SizeBytes: 64 * 1024, Ways: 4, LineBytes: 64},
-		sram.DefaultRetentionModel(), 7, mem)
+		7, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1, err := New(env, paperL1D(), sram.DefaultRetentionModel(), 8, l2)
+	l1, err := New(env, paperL1D(), 8, l2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +428,48 @@ func TestCacheAsBackingForInnerCache(t *testing.T) {
 	}
 	if v != 0xFEED {
 		t.Fatalf("L2 readback = %#x", v)
+	}
+}
+
+// TestLineTransferGeometryRejected: as a backing, a cache moves only
+// whole lines of its own size at line-aligned addresses. A 32-byte or a
+// misaligned transfer is an error that touches neither the cache nor
+// its backing, and an inner cache with shorter lines gets that error on
+// its first miss.
+func TestLineTransferGeometryRejected(t *testing.T) {
+	c, back, _ := newTestCache(t, paperL1D())
+	for _, tc := range []struct {
+		name string
+		addr uint64
+		n    int
+	}{
+		{"32-byte line", 0x1000, 32},
+		{"misaligned line", 0x1020, 64},
+	} {
+		buf := make([]byte, tc.n)
+		if err := c.ReadLine(tc.addr, buf); err == nil {
+			t.Errorf("%s: ReadLine succeeded", tc.name)
+		}
+		if err := c.WriteLine(tc.addr, buf); err == nil {
+			t.Errorf("%s: WriteLine succeeded", tc.name)
+		}
+	}
+	if st := c.Stats(); st != (Stats{}) || back.readCount != 0 || back.writeCount != 0 {
+		t.Fatalf("rejected transfers touched the cache or its backing: stats %+v, backing reads %d writes %d",
+			st, back.readCount, back.writeCount)
+	}
+
+	inner, err := New(sim.NewEnv(), Config{Name: "L1-32", SizeBytes: 8 * 1024, Ways: 2, LineBytes: 32}, 5, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range inner.Arrays() {
+		a.SetRail(0.8)
+	}
+	inner.InvalidateAll()
+	inner.SetEnabled(true)
+	if _, err := inner.Access(0x2000, 8, false, 0, false); err == nil {
+		t.Fatal("a 32-byte-line inner cache filled through a 64-byte-line cache")
 	}
 }
 

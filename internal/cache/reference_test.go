@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/sram"
 	"repro/internal/xrand"
 )
 
@@ -50,7 +49,7 @@ func TestCacheMatchesReferenceModelUnderFuzz(t *testing.T) {
 			env := sim.NewEnv()
 			back := newFlatBacking(64)
 			c, err := New(env, Config{Name: "fuzz", SizeBytes: 4 * 1024, Ways: 2, LineBytes: 64},
-				sram.DefaultRetentionModel(), seed, back)
+				seed, back)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +141,7 @@ func TestDisabledCacheMatchesReference(t *testing.T) {
 	env := sim.NewEnv()
 	back := newFlatBacking(64)
 	c, err := New(env, Config{Name: "byp", SizeBytes: 2 * 1024, Ways: 2, LineBytes: 64},
-		sram.DefaultRetentionModel(), 9, back)
+		9, back)
 	if err != nil {
 		t.Fatal(err)
 	}

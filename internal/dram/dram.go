@@ -36,39 +36,30 @@ import (
 	"repro/internal/xrand"
 )
 
-// RetentionModel holds the decay constants for a DRAM die.
-type RetentionModel struct {
+// The retention calibration of a DRAM die, matched to the cold boot
+// literature: a few seconds of median retention at room temperature,
+// minutes below −50 °C.
+const (
 	// MedianRetention300K is the median time an unrefreshed, unpowered
 	// cell holds its charge at 300 K.
-	MedianRetention300K sim.Time
+	MedianRetention300K = 3 * sim.Second
 	// ActivationK is the Arrhenius Eₐ/k term in Kelvin.
-	ActivationK float64
+	ActivationK = 5000
 	// RetentionSigma is the lognormal shape of per-cell retention.
-	RetentionSigma float64
+	RetentionSigma = 1.0
 	// GroundBlockBytes is the size of the alternating true-/anti-cell
 	// regions: even blocks decay toward 0x00, odd blocks toward 0xFF.
-	GroundBlockBytes int
-}
-
-// DefaultRetentionModel is calibrated to the cold boot literature: a few
-// seconds of median retention at room temperature, minutes below −50 °C.
-func DefaultRetentionModel() RetentionModel {
-	return RetentionModel{
-		MedianRetention300K: 3 * sim.Second,
-		ActivationK:         5000,
-		RetentionSigma:      1.0,
-		GroundBlockBytes:    64 * 1024,
-	}
-}
+	GroundBlockBytes = 64 * 1024
+)
 
 // MedianRetentionAt returns the median retention time at the given
 // absolute temperature.
-func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
+func MedianRetentionAt(kelvin float64) sim.Time {
 	if kelvin <= 0 {
 		panic("dram: non-positive absolute temperature")
 	}
-	scale := math.Exp(m.ActivationK * (1/kelvin - 1.0/300.0))
-	return sim.Time(float64(m.MedianRetention300K) * scale)
+	scale := math.Exp(ActivationK * (1/kelvin - 1.0/300.0))
+	return sim.Time(float64(MedianRetention300K) * scale)
 }
 
 // Module is one DRAM device (or rank): a byte array with decay physics,
@@ -76,9 +67,8 @@ func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
 type Module struct {
 	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
-	env   *sim.Env
-	model RetentionModel
-	size  int
+	env  *sim.Env
+	size int
 
 	// pages[p] holds bytes [p·pageBytes, (p+1)·pageBytes); nil means
 	// every byte of the page holds its ground value. The first write to
@@ -185,7 +175,7 @@ type pendingOutage struct {
 // NewModule creates a DRAM module of size bytes. It starts powered with
 // ground-state contents (a freshly powered DRAM reads as its ground
 // pattern).
-func NewModule(env *sim.Env, name string, size int, model RetentionModel, seed uint64) *Module {
+func NewModule(env *sim.Env, name string, size int, seed uint64) *Module {
 	if size <= 0 {
 		panic("dram: module size must be positive")
 	}
@@ -193,7 +183,6 @@ func NewModule(env *sim.Env, name string, size int, model RetentionModel, seed u
 	return &Module{
 		name:         name,
 		env:          env,
-		model:        model,
 		size:         size,
 		pages:        make([]*page, npages),
 		owned:        make([]uint64, (npages+63)/64),
@@ -230,7 +219,7 @@ func (m *Module) drawRetChunk(c int) {
 	}
 	r.SetState(m.retCkpt[c])
 	chunk := make([]float32, m.retChunkLen(c))
-	r.FillNormFloat32(chunk, m.model.RetentionSigma)
+	r.FillNormFloat32(chunk, RetentionSigma)
 	if c+1 == len(m.retCkpt) && c+1 < len(m.logRetention) {
 		m.retCkpt = append(m.retCkpt, r.State())
 	}
@@ -254,7 +243,7 @@ func (m *Module) retChunkLen(c int) int {
 // fillGround writes the ground pattern for byte offsets [off, off+len(dst))
 // into dst, one block at a time instead of a per-byte block-index division.
 func (m *Module) fillGround(dst []byte, off int) {
-	g := m.model.GroundBlockBytes
+	const g = GroundBlockBytes
 	for len(dst) > 0 {
 		n := g - off%g // bytes left in the current block
 		if n > len(dst) {
@@ -332,7 +321,7 @@ func (m *Module) Powered() bool { return m.powered }
 
 // groundByte is the value byte i decays toward.
 func (m *Module) groundByte(i int) byte {
-	if (i/m.model.GroundBlockBytes)%2 == 1 {
+	if (i/GroundBlockBytes)%2 == 1 {
 		return 0xFF
 	}
 	return 0x00
@@ -374,7 +363,7 @@ func (m *Module) PowerOn() {
 	}
 	m.powered = true
 	elapsed := float64(m.env.Now() - m.offSince)
-	median := float64(m.model.MedianRetentionAt(m.offTempK))
+	median := float64(MedianRetentionAt(m.offTempK))
 	// Degenerate medians fall out of the float semantics: median 0 gives
 	// logEl = +Inf (everything decays, as the original comparison against
 	// retention 0 did) or NaN when elapsed is also 0 (all comparisons

@@ -10,7 +10,7 @@ import (
 
 func TestReadAfterWrite(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<16, DefaultRetentionModel(), 1)
+	m := NewModule(env, "ddr", 1<<16, 1)
 	data := []byte{1, 2, 3, 4, 5}
 	m.Write(1000, data)
 	if !bytes.Equal(m.Read(1000, 5), data) {
@@ -20,14 +20,13 @@ func TestReadAfterWrite(t *testing.T) {
 
 func TestGroundStatePattern(t *testing.T) {
 	env := sim.NewEnv()
-	model := DefaultRetentionModel()
-	model.GroundBlockBytes = 1024
-	m := NewModule(env, "ddr", 4096, model, 2)
-	if m.Read(0, 1)[0] != 0x00 || m.Read(1024, 1)[0] != 0xFF ||
-		m.Read(2048, 1)[0] != 0x00 || m.Read(3072, 1)[0] != 0xFF {
+	const g = GroundBlockBytes
+	m := NewModule(env, "ddr", 4*g, 2)
+	if m.Read(0, 1)[0] != 0x00 || m.Read(g, 1)[0] != 0xFF ||
+		m.Read(2*g, 1)[0] != 0x00 || m.Read(3*g, 1)[0] != 0xFF {
 		t.Fatal("ground blocks must alternate 0x00/0xFF")
 	}
-	if m.DecayDirectionKnown(0) != 0x00 || m.DecayDirectionKnown(1024) != 0xFF {
+	if m.DecayDirectionKnown(0) != 0x00 || m.DecayDirectionKnown(g) != 0xFF {
 		t.Fatal("DecayDirectionKnown wrong")
 	}
 }
@@ -36,9 +35,7 @@ func decayFraction(t *testing.T, tempC float64, off sim.Time) float64 {
 	t.Helper()
 	env := sim.NewEnv()
 	env.SetTemperatureC(tempC)
-	model := DefaultRetentionModel()
-	model.GroundBlockBytes = 1 << 20 // single all-zero ground block
-	m := NewModule(env, "ddr", 1<<16, model, 3)
+	m := NewModule(env, "ddr", GroundBlockBytes, 3) // one all-zero ground block
 	pattern := make([]byte, m.Size())
 	for i := range pattern {
 		pattern[i] = 0xA5
@@ -91,9 +88,7 @@ func TestDecayMonotoneInTime(t *testing.T) {
 
 func TestDecayIsUnidirectional(t *testing.T) {
 	env := sim.NewEnv()
-	model := DefaultRetentionModel()
-	model.GroundBlockBytes = 1 << 20
-	m := NewModule(env, "ddr", 1<<14, model, 4)
+	m := NewModule(env, "ddr", 1<<14, 4) // inside the all-zero ground block 0
 	pattern := make([]byte, m.Size())
 	for i := range pattern {
 		pattern[i] = 0xFF
@@ -111,9 +106,8 @@ func TestDecayIsUnidirectional(t *testing.T) {
 }
 
 func TestMedianRetentionCalibration(t *testing.T) {
-	model := DefaultRetentionModel()
-	room := model.MedianRetentionAt(sim.CelsiusToKelvin(25))
-	cold := model.MedianRetentionAt(sim.CelsiusToKelvin(-50))
+	room := MedianRetentionAt(sim.CelsiusToKelvin(25))
+	cold := MedianRetentionAt(sim.CelsiusToKelvin(-50))
 	if room < sim.Second || room > 10*sim.Second {
 		t.Fatalf("room median = %v, want seconds", room)
 	}
@@ -127,7 +121,7 @@ func TestMedianRetentionCalibration(t *testing.T) {
 
 func TestUnpoweredAccessPanics(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1024, DefaultRetentionModel(), 5)
+	m := NewModule(env, "ddr", 1024, 5)
 	m.PowerOff()
 	defer func() {
 		if recover() == nil {
@@ -139,7 +133,7 @@ func TestUnpoweredAccessPanics(t *testing.T) {
 
 func TestLineInterface(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 4096, DefaultRetentionModel(), 6)
+	m := NewModule(env, "ddr", 4096, 6)
 	line := make([]byte, 64)
 	for i := range line {
 		line[i] = byte(i)
@@ -165,7 +159,7 @@ func TestLineInterface(t *testing.T) {
 
 func TestScramblerRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<14, DefaultRetentionModel(), 7)
+	m := NewModule(env, "ddr", 1<<14, 7)
 	s := NewScrambler(m)
 	s.NewBootKey(1234)
 	secret := []byte("the quick brown fox jumps over the lazy dog")
@@ -177,7 +171,7 @@ func TestScramblerRoundTrip(t *testing.T) {
 
 func TestScramblerHidesPlaintextInCells(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<14, DefaultRetentionModel(), 8)
+	m := NewModule(env, "ddr", 1<<14, 8)
 	s := NewScrambler(m)
 	s.NewBootKey(99)
 	secret := bytes.Repeat([]byte{0xAA}, 256)
@@ -200,7 +194,7 @@ func TestScramblerHidesPlaintextInCells(t *testing.T) {
 
 func TestScramblerRekeyDefeatsOldImage(t *testing.T) {
 	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<14, DefaultRetentionModel(), 9)
+	m := NewModule(env, "ddr", 1<<14, 9)
 	s := NewScrambler(m)
 	s.NewBootKey(1)
 	secret := []byte("disk encryption key material....")
@@ -216,7 +210,7 @@ func TestScramblerRekeyDefeatsOldImage(t *testing.T) {
 
 func BenchmarkPowerCycle1MB(b *testing.B) {
 	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<20, DefaultRetentionModel(), 1)
+	m := NewModule(env, "ddr", 1<<20, 1)
 	for i := 0; i < b.N; i++ {
 		m.PowerOff()
 		env.Advance(10 * sim.Second)

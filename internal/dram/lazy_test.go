@@ -36,7 +36,6 @@ func (m *Module) ensureRetention(off, n int) {
 // median·exp(lr) — no deferral, no certificates, no ground shortcut.
 type refModule struct {
 	env      *sim.Env
-	model    RetentionModel
 	data     []byte
 	logRet   []float32
 	offSince sim.Time
@@ -50,9 +49,9 @@ type powerCycler interface {
 	PowerOn()
 }
 
-func newRefModule(env *sim.Env, name string, size int, model RetentionModel, seed uint64) *refModule {
-	r := &refModule{env: env, model: model, data: make([]byte, size), logRet: make([]float32, size)}
-	xrand.Derive(seed, "dram:"+name).FillNormFloat32(r.logRet, model.RetentionSigma)
+func newRefModule(env *sim.Env, name string, size int, seed uint64) *refModule {
+	r := &refModule{env: env, data: make([]byte, size), logRet: make([]float32, size)}
+	xrand.Derive(seed, "dram:"+name).FillNormFloat32(r.logRet, RetentionSigma)
 	for i := range r.data {
 		r.data[i] = r.ground(i)
 	}
@@ -60,7 +59,7 @@ func newRefModule(env *sim.Env, name string, size int, model RetentionModel, see
 }
 
 func (r *refModule) ground(i int) byte {
-	if (i/r.model.GroundBlockBytes)%2 == 1 {
+	if (i/GroundBlockBytes)%2 == 1 {
 		return 0xFF
 	}
 	return 0x00
@@ -70,7 +69,7 @@ func (r *refModule) PowerOff() { r.offSince, r.offTempK = r.env.Now(), r.env.Tem
 
 func (r *refModule) PowerOn() {
 	elapsed := float64(r.env.Now() - r.offSince)
-	median := float64(r.model.MedianRetentionAt(r.offTempK))
+	median := float64(MedianRetentionAt(r.offTempK))
 	for i, lr := range r.logRet {
 		if !(elapsed < median*math.Exp(float64(lr))) {
 			r.data[i] = r.ground(i)
@@ -80,8 +79,7 @@ func (r *refModule) PowerOn() {
 
 func TestRetentionChunksMatchEagerFill(t *testing.T) {
 	for _, seed := range []uint64{1, 0x5EED} {
-		model := DefaultRetentionModel()
-		m := NewModule(sim.NewQuietEnv(), "lazy", lazyTestSize, model, seed)
+		m := NewModule(sim.NewQuietEnv(), "lazy", lazyTestSize, seed)
 		for _, c := range xrand.New(seed).Perm(len(m.logRetention)) {
 			m.ensureRetention(c<<retChunkShift, 1)
 		}
@@ -89,7 +87,7 @@ func TestRetentionChunksMatchEagerFill(t *testing.T) {
 			t.Fatalf("drew %d of %d chunks", m.retDrawn, len(m.logRetention))
 		}
 		want := make([]float32, lazyTestSize)
-		xrand.Derive(seed, "dram:lazy").FillNormFloat32(want, model.RetentionSigma)
+		xrand.Derive(seed, "dram:lazy").FillNormFloat32(want, RetentionSigma)
 		for i, w := range want {
 			if got := m.logRetention[i>>retChunkShift][i&(retChunk-1)]; got != w {
 				t.Fatalf("seed %#x: logRetention[%d] = %v, want %v", seed, i, got, w)
@@ -190,10 +188,10 @@ func checkLazyMatchesEager(t *testing.T, seed uint64, fillFn func(m *Module, see
 		{25, 3600 * sim.Second}, // total loss
 	}
 	envL, envE, envR := sim.NewQuietEnv(), sim.NewQuietEnv(), sim.NewQuietEnv()
-	lazy := NewModule(envL, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
-	eager := NewModule(envE, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
+	lazy := NewModule(envL, "dimm", lazyTestSize, seed)
+	eager := NewModule(envE, "dimm", lazyTestSize, seed)
 	eager.ensureRetention(0, lazyTestSize)
-	ref := newRefModule(envR, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
+	ref := newRefModule(envR, "dimm", lazyTestSize, seed)
 
 	// Write the fill page by page, skipping the pages it leaves at
 	// ground: those stay absent, and reads must not allocate them.
@@ -361,8 +359,8 @@ func checkPages(t *testing.T, seed uint64, rng *xrand.Rand, mods []*Module, ref 
 func TestGroundBytesDrawNoRetention(t *testing.T) {
 	const seed = 0x5EED
 	env := sim.NewQuietEnv()
-	lazy := NewModule(env, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
-	ref := newRefModule(env, "dimm", lazyTestSize, DefaultRetentionModel(), seed)
+	lazy := NewModule(env, "dimm", lazyTestSize, seed)
+	ref := newRefModule(env, "dimm", lazyTestSize, seed)
 	ground := bytes.Clone(ref.data)
 	outage := func() {
 		lazy.PowerOff()
@@ -412,10 +410,9 @@ func TestGroundBytesDrawNoRetention(t *testing.T) {
 // must still decay that byte.
 func TestPartialTableCertifiesNothing(t *testing.T) {
 	const seed = 0x5EED
-	model := DefaultRetentionModel()
 	envL, envE := sim.NewQuietEnv(), sim.NewQuietEnv()
-	lazy := NewModule(envL, "dimm", lazyTestSize, model, seed)
-	eager := NewModule(envE, "dimm", lazyTestSize, model, seed)
+	lazy := NewModule(envL, "dimm", lazyTestSize, seed)
+	eager := NewModule(envE, "dimm", lazyTestSize, seed)
 	eager.ensureRetention(0, lazyTestSize)
 
 	// The chunk whose minimum sits furthest above the module minimum.
@@ -433,7 +430,7 @@ func TestPartialTableCertifiesNothing(t *testing.T) {
 		t.Fatal("every chunk holds the module minimum; test is vacuous")
 	}
 	logEl := (float64(eager.minLogRet) + float64(bestMin)) / 2
-	median := float64(model.MedianRetentionAt(sim.CelsiusToKelvin(25)))
+	median := float64(MedianRetentionAt(sim.CelsiusToKelvin(25)))
 	off := sim.Time(median * math.Exp(logEl))
 
 	fill := bytes.Repeat([]byte{0x5A}, lazyTestSize)

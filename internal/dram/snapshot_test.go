@@ -14,7 +14,7 @@ import (
 func TestModuleSnapshotRestore(t *testing.T) {
 	env := sim.NewQuietEnv()
 	env.SetTemperatureC(-30)
-	m := NewModule(env, "snaptest", 64*1024, DefaultRetentionModel(), 0x5eed)
+	m := NewModule(env, "snaptest", 64*1024, 0x5eed)
 	m.Write(0x1000, bytes.Repeat([]byte{0xA5}, 4096))
 	m.Write(0x9000, bytes.Repeat([]byte{0x3C}, 100))
 
@@ -52,7 +52,7 @@ func TestModuleSnapshotRestore(t *testing.T) {
 // capture are rewound via the owned-page path.
 func TestModuleSnapshotRestoreAfterWrites(t *testing.T) {
 	env := sim.NewQuietEnv()
-	m := NewModule(env, "snaptest", 64*1024, DefaultRetentionModel(), 0xfeed)
+	m := NewModule(env, "snaptest", 64*1024, 0xfeed)
 	m.Write(0, bytes.Repeat([]byte{0x77}, 64*1024))
 
 	snap := m.CaptureSnapshot()
@@ -78,7 +78,7 @@ func BenchmarkModuleCaptureWriteRestore(b *testing.B) {
 	staged := bytes.Repeat([]byte{0x7E}, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := NewModule(env, "bench", 4<<20, DefaultRetentionModel(), 0x5EED)
+		m := NewModule(env, "bench", 4<<20, 0x5EED)
 		m.Write(0x80000, payload)
 		snap := m.CaptureSnapshot()
 		for trial := 0; trial < 8; trial++ {

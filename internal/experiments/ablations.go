@@ -154,7 +154,7 @@ func RetentionSweepGridCtx(ctx context.Context, seed uint64, temps []float64, of
 	}
 	mk := func() (*fork, error) {
 		env := sim.NewQuietEnv()
-		arr := sram.NewArray(env, "sweep", 64*1024*8, sram.DefaultRetentionModel(), seed)
+		arr := sram.NewArray(env, "sweep", 64*1024*8, seed)
 		arr.SetRail(0.8)
 		arr.Fill(0xA5)
 		return &fork{env: env, arr: arr, before: arr.Snapshot(), snap: arr.CaptureSnapshot(), t0: env.Now()}, nil

@@ -38,12 +38,12 @@ func ImprintBaseline(seed uint64) *ImprintResult {
 	res := &ImprintResult{}
 	for _, years := range []float64{0, 1, 2, 5, 10, 20} {
 		env := sim.NewEnv()
-		arr := sram.NewArray(env, "aged", 1<<14, sram.DefaultRetentionModel(), seed)
+		arr := sram.NewArray(env, "aged", 1<<14, seed)
 		arr.SetRail(0.8)
 		arr.Fill(0xC3)
 		data := arr.Snapshot()
 		if years > 0 {
-			arr.Age(years, sram.DefaultImprintModel())
+			arr.Age(years)
 		}
 		arr.SetRail(0)
 		env.Advance(sim.Second)
@@ -55,7 +55,7 @@ func ImprintBaseline(seed uint64) *ImprintResult {
 	}
 	// Volt Boot on the same silicon: hold the rail across the cycle.
 	env := sim.NewEnv()
-	arr := sram.NewArray(env, "held", 1<<14, sram.DefaultRetentionModel(), seed)
+	arr := sram.NewArray(env, "held", 1<<14, seed)
 	arr.SetRail(0.8)
 	arr.Fill(0xC3)
 	data := arr.Snapshot()

@@ -66,8 +66,6 @@ type Config struct {
 	// static configuration: every node must be started with the same
 	// ID set or ownership disagrees.
 	Peers []Peer
-	// Replicas is the virtual-node count per peer (default 64).
-	Replicas int
 	// Fingerprint is the registry catalog fingerprint
 	// (registry.Registry.Fingerprint). Nodes refuse to exchange work
 	// across different fingerprints.
@@ -189,17 +187,6 @@ func (n *Node) Attach(mgr *campaign.Manager) {
 	n.mu.Unlock()
 }
 
-// AddPeer registers a remote member before the node serves traffic.
-func (n *Node) AddPeer(p Peer) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.addPeerLocked(p); err != nil {
-		return err
-	}
-	n.rebuildRingLocked()
-	return nil
-}
-
 func (n *Node) addPeerLocked(p Peer) error {
 	if p.ID == "" || p.Addr == "" {
 		return fmt.Errorf("fabric: peer needs id and addr (got %+v)", p)
@@ -220,7 +207,7 @@ func (n *Node) rebuildRingLocked() {
 	for id := range n.peers {
 		ids = append(ids, id)
 	}
-	n.ring = NewRing(n.cfg.Replicas, ids...)
+	n.ring = NewRing(ids...)
 }
 
 // Fingerprint returns the catalog fingerprint this node was built with.

@@ -367,3 +367,95 @@ func TestBackoffWindowCap(t *testing.T) {
 		t.Errorf("backoffWindow(failures=1000) = %v, want cap %v", got, max)
 	}
 }
+
+// ringPeer serves a /v1/ring document carrying fingerprint, as a peer's
+// API does.
+func ringPeer(t *testing.T, fingerprint string) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/ring" {
+			http.NotFound(w, r)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(Status{Self: "peer", State: "ready", Fingerprint: fingerprint})
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// peerStates maps each remote member to its /v1/ring state.
+func peerStates(n *Node) map[string]string {
+	out := map[string]string{}
+	for _, p := range n.Status().Peers {
+		out[p.ID] = p.State
+	}
+	return out
+}
+
+// TestRefreshProbesPeers pins the start-up probe: a peer serving the
+// same catalog fingerprint reads ready; one serving another reads
+// incompatible, Refresh reports it, and executorFor never picks it; an
+// unreachable peer makes Refresh fail but stays ready, not down, so the
+// first sweep still routes to it (see probe).
+func TestRefreshProbesPeers(t *testing.T) {
+	const fp = "catalog-fp"
+	match := ringPeer(t, fp)
+	other := ringPeer(t, "another-catalog")
+	gone := httptest.NewServer(http.NotFoundHandler())
+	goneURL := gone.URL
+	gone.Close()
+	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return now }
+
+	node, err := New(Config{Self: "self", Fingerprint: fp, Now: clock,
+		Peers: []Peer{{ID: "match", Addr: match.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Refresh(context.Background()); err != nil {
+		t.Fatalf("Refresh against a matching peer: %v", err)
+	}
+	if got := peerStates(node)["match"]; got != "ready" {
+		t.Fatalf("matching peer reads %q, want ready", got)
+	}
+
+	node, err = New(Config{Self: "self", Fingerprint: fp, Now: clock,
+		Peers: []Peer{{ID: "match", Addr: match.URL}, {ID: "gone", Addr: goneURL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Refresh(context.Background()); err == nil {
+		t.Fatal("Refresh reported no error for an unreachable peer")
+	}
+	if st := peerStates(node); st["gone"] != "ready" || st["match"] != "ready" {
+		t.Fatalf("after an unreachable probe: states %v, want both ready", st)
+	}
+	if !node.routable("gone") {
+		t.Fatal("unreachable peer was marked down by the probe")
+	}
+
+	node, err = New(Config{Self: "self", Fingerprint: fp, Now: clock,
+		Peers: []Peer{{ID: "match", Addr: match.URL}, {ID: "other", Addr: other.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Refresh(context.Background()); err == nil {
+		t.Fatal("Refresh reported no error for a fingerprint mismatch")
+	}
+	if st := peerStates(node); st["other"] != "incompatible" || st["match"] != "ready" {
+		t.Fatalf("after a mismatched probe: states %v, want other incompatible, match ready", st)
+	}
+	owned := 0
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("%064d", i)
+		if node.Owner(key) == "other" {
+			owned++
+		}
+		if got := node.executorFor(key); got == "other" {
+			t.Fatalf("executorFor(%s) chose the incompatible peer", key)
+		}
+	}
+	if owned == 0 {
+		t.Fatal("the incompatible peer owns none of the keys; the executor check is vacuous")
+	}
+}

@@ -16,10 +16,10 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per peer. 64 points per
-// peer keeps the expected per-peer load imbalance within a few percent
-// for small fleets without making ring rebuilds noticeable.
-const defaultReplicas = 64
+// replicas is the virtual-node count per peer. 64 points per peer keeps
+// the expected per-peer load imbalance within a few percent for small
+// fleets without making ring rebuilds noticeable.
+const replicas = 64
 
 // point is one virtual node on the ring.
 type point struct {
@@ -31,19 +31,14 @@ type point struct {
 // that agrees on the member list computes identical ownership — there
 // is no coordination step.
 type Ring struct {
-	replicas int
-	points   []point
-	peers    []string // sorted member IDs
+	points []point
+	peers  []string // sorted member IDs
 }
 
 // NewRing builds a ring over the given peer IDs (duplicates ignored).
-// replicas ≤ 0 selects the default.
-func NewRing(replicas int, peers ...string) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+func NewRing(peers ...string) *Ring {
 	seen := make(map[string]bool, len(peers))
-	r := &Ring{replicas: replicas}
+	r := &Ring{}
 	for _, p := range peers {
 		if p == "" || seen[p] {
 			continue
@@ -116,7 +111,7 @@ func (r *Ring) Without(peer string) *Ring {
 			rest = append(rest, p)
 		}
 	}
-	return NewRing(r.replicas, rest...)
+	return NewRing(rest...)
 }
 
 // fnv64 is FNV-1a over s with a murmur3-style finalizer, inlined to

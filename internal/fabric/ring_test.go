@@ -22,8 +22,8 @@ func keys(n int) []string {
 // order) agree on every owner — the property that lets peers route
 // without coordinating.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing(0, "alpha", "beta", "gamma")
-	b := NewRing(0, "gamma", "alpha", "beta", "alpha") // dup ignored
+	a := NewRing("alpha", "beta", "gamma")
+	b := NewRing("gamma", "alpha", "beta", "alpha") // dup ignored
 	for _, k := range keys(1000) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("rings disagree on %s: %s vs %s", k, a.Owner(k), b.Owner(k))
@@ -42,7 +42,7 @@ func TestRingBalance(t *testing.T) {
 		for i := range peers {
 			peers[i] = fmt.Sprintf("peer-%d", i)
 		}
-		r := NewRing(0, peers...)
+		r := NewRing(peers...)
 		counts := map[string]int{}
 		const total = 10000
 		for _, k := range keys(total) {
@@ -60,7 +60,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingSuccessors: successors are distinct, start at the owner, and
 // cover the whole fleet when asked.
 func TestRingSuccessors(t *testing.T) {
-	r := NewRing(0, "a", "b", "c", "d")
+	r := NewRing("a", "b", "c", "d")
 	for _, k := range keys(100) {
 		succ := r.Successors(k, 4)
 		if len(succ) != 4 {
@@ -91,7 +91,7 @@ func TestRingWithoutMovesFewKeys(t *testing.T) {
 	for i := range peers {
 		peers[i] = fmt.Sprintf("peer-%d", i)
 	}
-	r := NewRing(0, peers...)
+	r := NewRing(peers...)
 	smaller := r.Without("peer-2")
 	const total = 10000
 	moved := 0

@@ -167,7 +167,7 @@ func New(dom *power.Domain, cpu *isa.CPU) *Glitcher {
 		dom:   dom,
 		cpu:   cpu,
 		rng:   xrand.New(0),
-		floor: sram.DefaultRetentionModel().RetentionThreshold(),
+		floor: sram.RetentionThreshold,
 	}
 }
 

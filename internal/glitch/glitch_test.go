@@ -369,7 +369,7 @@ func TestCrossDomainSRAMUnaffected(t *testing.T) {
 func TestPulseRailExcursion(t *testing.T) {
 	b := newBench(t, 0x5EED, true)
 	nominal := b.s.CoreDom.NominalVolts()
-	floor := sram.DefaultRetentionModel().RetentionThreshold()
+	floor := sram.RetentionThreshold
 	regfile := b.s.Cores[0].CPU.Regs
 	// Glitch the very first fetch so the pulse is open immediately.
 	b.g.Arm(glitch.Trigger{Kind: glitch.TriggerFetchAddr, Addr: b.rom.Entry},

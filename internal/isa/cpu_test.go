@@ -102,7 +102,7 @@ func (b *flatBus) loadWords(addr uint64, words []uint32) {
 // plainRegs is a powered, zeroed register array for CPUs that need no
 // retention physics.
 func plainRegs() *sram.Array {
-	a := sram.NewArray(sim.NewEnv(), "test.regfile", RegFileBytes*8, sram.DefaultRetentionModel(), 0)
+	a := sram.NewArray(sim.NewEnv(), "test.regfile", RegFileBytes*8, 0)
 	a.SetRail(1.0)
 	a.Fill(0)
 	return a

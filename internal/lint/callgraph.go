@@ -182,7 +182,8 @@ func (g *CallGraph) scanBody(fn *types.Func, fi *FnInfo) {
 				markChainWrite(info, fi, n.X, writePlain)
 			}
 		case *ast.CallExpr:
-			if isBuiltin(info, n, "copy") && len(n.Args) == 2 {
+			// copy(dst, src) writes dst; clear(x) zeroes x.
+			if (isBuiltin(info, n, "copy") && len(n.Args) == 2) || (isBuiltin(info, n, "clear") && len(n.Args) == 1) {
 				markChainWrite(info, fi, n.Args[0], writePlain)
 				return true
 			}

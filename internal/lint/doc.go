@@ -48,7 +48,7 @@
 //	//voltvet:ignore VV-XXXNNN reason the finding is acceptable
 //
 // on the flagged line or the line directly above it; the reason is
-// mandatory. Grandfathered findings can instead be listed in a
-// lint.baseline file at the module root (see ParseBaseline), letting the
-// gate stay strict for new code while old findings are burned down.
+// mandatory. A snapshot field that needs no capture or restore carries
+// //voltvet:nosnap reason on its declaration instead. There is no other
+// suppression: the gate passes only with zero findings.
 package lint

@@ -8,7 +8,7 @@ import (
 )
 
 // Diagnostic is one finding. ID is stable across releases (it is what
-// baselines and ignore comments key on); Message is for humans.
+// ignore comments key on); Message is for humans.
 type Diagnostic struct {
 	ID       string
 	Analyzer string
@@ -67,9 +67,7 @@ func All() []*Analyzer {
 
 // Run executes every analyzer over every package of the module and
 // returns the surviving diagnostics, sorted by position. Findings
-// silenced by //voltvet:ignore comments are dropped here; baseline
-// filtering is a separate, later step (see Baseline.Filter) so callers
-// can distinguish "ignored in code" from "grandfathered".
+// silenced by //voltvet:ignore comments are dropped here.
 func Run(mod *Module, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 	if cfg.ModulePath == "" {
 		cfg.ModulePath = mod.Path

@@ -35,21 +35,13 @@ func loadRepoModule(t *testing.T) *Module {
 }
 
 // TestModuleClean is the gate the CI script relies on: the repository
-// itself must produce zero non-baselined diagnostics under the default
-// configuration. If this fails, either fix the violation or — for a
-// deliberate, reviewed exception — add a //voltvet:ignore with a reason
-// or a lint.baseline entry.
+// itself must produce zero diagnostics under the default configuration.
+// If this fails, either fix the violation or — for a deliberate, reviewed
+// exception — add a //voltvet:ignore with a reason.
 func TestModuleClean(t *testing.T) {
 	mod := loadRepoModule(t)
 	cfg := DefaultConfig()
-	diags := Run(mod, cfg, All())
-
-	base, err := ParseBaseline(filepath.Join(mod.Root, "lint.baseline"))
-	if err != nil {
-		t.Fatalf("parsing lint.baseline: %v", err)
-	}
-	fresh, _ := base.Filter(diags)
-	for _, d := range fresh {
+	for _, d := range Run(mod, cfg, All()) {
 		t.Errorf("%s: %s %s (%s)", d.Pos, d.ID, d.Message, d.Package)
 	}
 }

@@ -4,7 +4,10 @@
 // one it never captured (VV-SNAP003), and carries a stale waiver
 // (VV-SNAP004) — plus the shapes that must stay clean: a covered field,
 // a generation counter, a constructor-only field, a waived scratch
-// field, and coverage through a helper the pair calls.
+// field, and coverage through a helper the pair calls. The clear builtin
+// counts as a write like copy does: a restore that zeroes a captured
+// field with it covers the field, and a clear outside the pair makes a
+// field mutable.
 package snappkg
 
 // DevSnapshot is the captured state of a Dev.
@@ -36,11 +39,16 @@ type Dev struct {
 	// the field stays under the contract and the typo itself is flagged.
 	//voltvet:nosnup rebuilt per use // want "VV-IGN001"
 	typoed int // want "VV-SNAP001"
+	// touched logs the slots Tick wrote; both halves of the pair zero it
+	// with clear, which is its restore write.
+	touched []bool
+	// wiped is mutated only by a clear in Wipe, outside the pair.
+	wiped []int // want "VV-SNAP001"
 }
 
 // NewDev builds a Dev; these writes are constructor initialization.
 func NewDev(seed int) *Dev {
-	d := &Dev{}
+	d := &Dev{touched: make([]bool, 4), wiped: make([]int, 4)}
 	d.ctorOnly = seed
 	d.stale = seed
 	return d
@@ -56,7 +64,13 @@ func (d *Dev) Tick() {
 	d.gen++
 	d.scratch++
 	d.typoed++
+	d.touched[slot(d.covered)] = true
 }
+
+// Wipe zeroes wiped: a mutation no snapshot pair covers.
+func (d *Dev) Wipe() { clear(d.wiped) }
+
+func slot(n int) int { return n & 3 }
 
 func (d *Dev) captureDeep(s *DevSnapshot) { s.deep = d.deep }
 
@@ -66,6 +80,7 @@ func (d *Dev) restoreDeep(s *DevSnapshot) { d.deep = s.deep }
 func (d *Dev) CaptureSnapshot() DevSnapshot {
 	s := DevSnapshot{covered: d.covered, capOnly: d.capOnly}
 	d.captureDeep(&s)
+	clear(d.touched)
 	return s
 }
 
@@ -75,5 +90,6 @@ func (d *Dev) RestoreSnapshot(s DevSnapshot) {
 	d.covered = s.covered
 	d.restoreDeep(&s)
 	d.restOnly = 0
+	clear(d.touched)
 	d.gen++
 }

@@ -11,7 +11,7 @@ import (
 func newHarness(t testing.TB, seed uint64, bits int) *Harness {
 	t.Helper()
 	env := sim.NewEnv()
-	arr := sram.NewArray(env, "puf", bits, sram.DefaultRetentionModel(), seed)
+	arr := sram.NewArray(env, "puf", bits, seed)
 	arr.SetRail(0.8)
 	return NewHarness(env, arr, 0.8, 100*sim.Millisecond)
 }

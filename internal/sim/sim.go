@@ -117,18 +117,9 @@ func (e *Env) SetTemperatureC(c float64) {
 // environment.
 func (e *Env) Log() *EventLog { return e.log }
 
-// LogEnabled reports whether a log sink is attached. Callers assembling
-// expensive log arguments (joins, renders) should gate on it; plain
-// Logf calls are already free when disabled.
-func (e *Env) LogEnabled() bool { return e.log != nil }
-
-// SetLog attaches (or, with nil, detaches) the event log sink.
-func (e *Env) SetLog(l *EventLog) { e.log = l }
-
 // Logf records a formatted event attributed to a subsystem. When no sink
 // is attached the call returns before any formatting or event allocation
-// happens; callers assembling expensive arguments should additionally
-// gate on LogEnabled.
+// happens.
 func (e *Env) Logf(subsystem, format string, args ...any) {
 	if e.log == nil {
 		return

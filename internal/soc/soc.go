@@ -227,13 +227,12 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 	s.CoreDom.Attach(&railWatcher{name: spec.CoreDomainName + ".predec-watch", gen: &s.mutGen})
 	s.MemDom.Attach(&railWatcher{name: spec.MemDomainName + ".predec-watch", gen: &s.mutGen})
 
-	model := sram.DefaultRetentionModel()
-	s.DRAM = dram.NewModule(env, spec.SoCName+".dram", spec.DRAMBytes, dram.DefaultRetentionModel(), seed)
+	s.DRAM = dram.NewModule(env, spec.SoCName+".dram", spec.DRAMBytes, seed)
 	s.DRAM.PowerOff() // until the memory domain comes up
 	s.MemDom.Attach(&dramLoad{mod: s.DRAM, minVolts: spec.MemVolts * 0.9})
 
 	if spec.L2.Ways > 0 {
-		l2, err := cache.New(env, spec.L2, model, seed, s.DRAM)
+		l2, err := cache.New(env, spec.L2, seed, s.DRAM)
 		if err != nil {
 			return nil, err
 		}
@@ -244,7 +243,7 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 	}
 
 	if spec.IRAMBytes > 0 {
-		s.IRAM = sram.NewArray(env, spec.SoCName+".iram", spec.IRAMBytes*8, model, seed)
+		s.IRAM = sram.NewArray(env, spec.SoCName+".iram", spec.IRAMBytes*8, seed)
 		s.MemDom.Attach(s.IRAM)
 	}
 
@@ -258,18 +257,18 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 		l1iCfg := spec.L1I
 		l1iCfg.Name = fmt.Sprintf("core%d.%s", i, spec.L1I.Name)
 		coreSeed := seed + uint64(i)*0x1000
-		l1d, err := cache.New(env, l1dCfg, model, coreSeed, l1Backing)
+		l1d, err := cache.New(env, l1dCfg, coreSeed, l1Backing)
 		if err != nil {
 			return nil, err
 		}
-		l1i, err := cache.New(env, l1iCfg, model, coreSeed+1, l1Backing)
+		l1i, err := cache.New(env, l1iCfg, coreSeed+1, l1Backing)
 		if err != nil {
 			return nil, err
 		}
-		regArr := sram.NewArray(env, fmt.Sprintf("core%d.regfile", i), isa.RegFileBytes*8, model, coreSeed+2)
+		regArr := sram.NewArray(env, fmt.Sprintf("core%d.regfile", i), isa.RegFileBytes*8, coreSeed+2)
 		core := &Core{ID: i, L1I: l1i, L1D: l1d}
-		core.TLB = sram.NewArray(env, fmt.Sprintf("core%d.tlb", i), tlbEntries*64, model, coreSeed+3)
-		core.BTB = sram.NewArray(env, fmt.Sprintf("core%d.btb", i), btbEntries*64, model, coreSeed+4)
+		core.TLB = sram.NewArray(env, fmt.Sprintf("core%d.tlb", i), tlbEntries*64, coreSeed+3)
+		core.BTB = sram.NewArray(env, fmt.Sprintf("core%d.btb", i), btbEntries*64, coreSeed+4)
 		core.CPU = isa.NewCPU(i, regArr, s, s)
 		s.Cores = append(s.Cores, core)
 

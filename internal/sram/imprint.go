@@ -14,29 +14,24 @@ import (
 // error-free readout. The reproduction's Ablation D quantifies exactly
 // that trade-off.
 
-// ImprintModel holds the aging constants.
-type ImprintModel struct {
-	// TauYears is the exponential time constant of imprint onset: after
-	// t years of constant data, a cell has become imprinted with
-	// probability 1 − exp(−t/TauYears).
-	TauYears float64
-	// RevealProb is the probability an imprinted cell powers up into the
-	// value it held (rather than its native fingerprint behaviour).
-	RevealProb float64
-}
-
-// DefaultImprintModel is calibrated to the aging literature's "modest
+// The aging calibration, matched to the aging literature's "modest
 // recovery after a decade": ≈70 % of cells imprinted after 10 years,
 // each revealing with 90 % probability, for ≈0.8 single-shot read
 // accuracy at 10 years and chance (0.5) at 0 years.
-func DefaultImprintModel() ImprintModel {
-	return ImprintModel{TauYears: 8, RevealProb: 0.90}
-}
+const (
+	// ImprintTauYears is the exponential time constant of imprint onset:
+	// after t years of constant data, a cell has become imprinted with
+	// probability 1 − exp(−t/ImprintTauYears).
+	ImprintTauYears = 8
+	// ImprintRevealProb is the probability an imprinted cell powers up
+	// into the value it held (rather than its native fingerprint
+	// behaviour).
+	ImprintRevealProb = 0.90
+)
 
 // imprintState is the per-cell aging overlay, lazily allocated: most
 // arrays never age.
 type imprintState struct {
-	model ImprintModel
 	// imprinted and value are bitsets over the array's cells.
 	imprinted []uint64
 	value     []uint64
@@ -44,10 +39,10 @@ type imprintState struct {
 
 // Age simulates the array holding its *current* contents untouched for
 // the given number of years: each not-yet-imprinted cell becomes
-// imprinted with the model's onset probability, capturing the currently
+// imprinted with the calibrated onset probability, capturing the currently
 // stored value. Aging accumulates across calls. The array must be
 // powered (cells only age under bias).
-func (a *Array) Age(years float64, model ImprintModel) {
+func (a *Array) Age(years float64) {
 	a.checkAccess("Age")
 	if years <= 0 {
 		return
@@ -55,12 +50,11 @@ func (a *Array) Age(years float64, model ImprintModel) {
 	if a.imprint == nil {
 		words := (a.n + 63) / 64
 		a.imprint = &imprintState{
-			model:     model,
 			imprinted: make([]uint64, words),
 			value:     make([]uint64, words),
 		}
 	}
-	p := 1 - math.Exp(-years/model.TauYears)
+	p := 1 - math.Exp(-years/ImprintTauYears)
 	st := a.imprint
 	for w := range st.imprinted {
 		base := w << 6
@@ -122,7 +116,7 @@ func (a *Array) imprintPowerUp(i int) (bool, bool) {
 	if st.imprinted[w]&m == 0 {
 		return false, false
 	}
-	if !a.rng.Bernoulli(st.model.RevealProb) {
+	if !a.rng.Bernoulli(ImprintRevealProb) {
 		return false, false
 	}
 	return st.value[w]&m != 0, true

@@ -11,12 +11,12 @@ import (
 func imprintAccuracy(t *testing.T, years float64, seed uint64) float64 {
 	t.Helper()
 	env := sim.NewEnv()
-	a := NewArray(env, "aged", 1<<14, DefaultRetentionModel(), seed)
+	a := NewArray(env, "aged", 1<<14, seed)
 	a.SetRail(0.8)
 	a.Fill(0xC3)
 	data := a.Snapshot()
 	if years > 0 {
-		a.Age(years, DefaultImprintModel())
+		a.Age(years)
 	}
 	a.SetRail(0)
 	env.Advance(500 * sim.Millisecond) // full decay at room temperature
@@ -60,12 +60,12 @@ func TestAgingMonotone(t *testing.T) {
 
 func TestAgeAccumulates(t *testing.T) {
 	env := sim.NewEnv()
-	a := NewArray(env, "aged", 1<<12, DefaultRetentionModel(), 4)
+	a := NewArray(env, "aged", 1<<12, 4)
 	a.SetRail(0.8)
 	a.Fill(0xFF)
-	a.Age(4, DefaultImprintModel())
+	a.Age(4)
 	f1 := a.ImprintedFraction()
-	a.Age(4, DefaultImprintModel())
+	a.Age(4)
 	f2 := a.ImprintedFraction()
 	if !(f2 > f1 && f1 > 0.2 && f2 < 1.0) {
 		t.Fatalf("imprint accumulation wrong: %v then %v", f1, f2)
@@ -74,9 +74,9 @@ func TestAgeAccumulates(t *testing.T) {
 
 func TestAgeZeroIsNoOp(t *testing.T) {
 	env := sim.NewEnv()
-	a := NewArray(env, "aged", 1024, DefaultRetentionModel(), 5)
+	a := NewArray(env, "aged", 1024, 5)
 	a.SetRail(0.8)
-	a.Age(0, DefaultImprintModel())
+	a.Age(0)
 	if a.ImprintedFraction() != 0 {
 		t.Fatal("Age(0) must not imprint")
 	}
@@ -84,23 +84,23 @@ func TestAgeZeroIsNoOp(t *testing.T) {
 
 func TestAgeUnpoweredPanics(t *testing.T) {
 	env := sim.NewEnv()
-	a := NewArray(env, "aged", 1024, DefaultRetentionModel(), 6)
+	a := NewArray(env, "aged", 1024, 6)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic aging an unpowered array")
 		}
 	}()
-	a.Age(1, DefaultImprintModel())
+	a.Age(1)
 }
 
 // Imprinting biases power-up toward OLD data; it must not affect powered
 // retention or Volt Boot-style held-rail retention.
 func TestImprintDoesNotAffectHeldRail(t *testing.T) {
 	env := sim.NewEnv()
-	a := NewArray(env, "aged", 1<<12, DefaultRetentionModel(), 7)
+	a := NewArray(env, "aged", 1<<12, 7)
 	a.SetRail(0.8)
 	a.Fill(0xAA)
-	a.Age(20, DefaultImprintModel())
+	a.Age(20)
 	a.Fill(0x55) // new data overwrites; imprint still remembers 0xAA
 	data := a.Snapshot()
 	env.Advance(10 * sim.Second) // held rail

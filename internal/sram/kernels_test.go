@@ -8,22 +8,30 @@ import (
 )
 
 // The determinism contract: the word-vectorized kernels must be
-// bit-for-bit identical to the scalar reference model for the same seed —
-// same resulting bits AND same rng stream consumption, so that everything
-// downstream of a power event stays aligned too. The tests drive a pair
-// of same-seed arrays (one forced scalar, one word-vectorized) through
-// identical power sequences and compare physical state after every event.
+// bit-for-bit identical to the per-bit reference model
+// (reference_test.go) for the same seed — same resulting bits AND same
+// rng stream consumption, so that everything downstream of a power event
+// stays aligned too. The tests drive a pair of same-seed arrays (ref
+// through refSetRail, vec through SetRail) through identical power
+// sequences and compare physical state after every event.
 
-// diffPair builds two identical arrays, forcing scalar kernels on ref.
+// diffPair builds two identical arrays; the caller drives ref's rail
+// through refSetRail (railPair does both).
 func diffPair(t *testing.T, bits int, seed uint64, tempC float64) (ref, vec *Array, refEnv, vecEnv *sim.Env) {
 	t.Helper()
 	refEnv, vecEnv = sim.NewEnv(), sim.NewEnv()
 	refEnv.SetTemperatureC(tempC)
 	vecEnv.SetTemperatureC(tempC)
-	ref = NewArray(refEnv, "diff", bits, DefaultRetentionModel(), seed)
-	vec = NewArray(vecEnv, "diff", bits, DefaultRetentionModel(), seed)
-	ref.SetScalarKernelsForTest(true)
+	ref = NewArray(refEnv, "diff", bits, seed)
+	vec = NewArray(vecEnv, "diff", bits, seed)
 	return ref, vec, refEnv, vecEnv
+}
+
+// railPair drives ref's rail through the reference kernels and vec's
+// through the word kernels.
+func railPair(ref, vec *Array, volts float64) {
+	refSetRail(ref, volts)
+	vec.SetRail(volts)
 }
 
 // mustEqualStream checks the rng stream positions agree without reading
@@ -58,8 +66,7 @@ func TestWordKernelsMatchScalarFirstPowerUp(t *testing.T) {
 	for _, seed := range []uint64{1, 0xDEADBEEF, 0xA57A105} {
 		for _, n := range diffSizes {
 			ref, vec, _, _ := diffPair(t, n, seed, 25)
-			ref.SetRail(0.8)
-			vec.SetRail(0.8)
+			railPair(ref, vec, 0.8)
 			mustEqualState(t, "first power-up", ref, vec)
 		}
 	}
@@ -69,19 +76,16 @@ func TestWordKernelsMatchScalarPowerCycle(t *testing.T) {
 	for _, seed := range []uint64{7, 0x5EED, 12345} {
 		for _, n := range diffSizes {
 			ref, vec, re, ve := diffPair(t, n, seed, 25)
-			ref.SetRail(0.8)
-			vec.SetRail(0.8)
+			railPair(ref, vec, 0.8)
 			ref.Fill(0xA5)
 			vec.Fill(0xA5)
 			// Three consecutive room-temperature cycles: any divergence in
 			// rng consumption would desynchronize the later cycles.
 			for cycle := 0; cycle < 3; cycle++ {
-				ref.SetRail(0)
-				vec.SetRail(0)
+				railPair(ref, vec, 0)
 				re.Advance(10 * sim.Millisecond)
 				ve.Advance(10 * sim.Millisecond)
-				ref.SetRail(0.8)
-				vec.SetRail(0.8)
+				railPair(ref, vec, 0.8)
 				mustEqualState(t, "power cycle", ref, vec)
 			}
 		}
@@ -94,16 +98,13 @@ func TestWordKernelsMatchScalarColdBoot(t *testing.T) {
 	for _, seed := range []uint64{3, 0xC01DB007, 999} {
 		for _, n := range diffSizes {
 			ref, vec, re, ve := diffPair(t, n, seed, -110)
-			ref.SetRail(0.8)
-			vec.SetRail(0.8)
+			railPair(ref, vec, 0.8)
 			ref.Fill(0x3C)
 			vec.Fill(0x3C)
-			ref.SetRail(0)
-			vec.SetRail(0)
+			railPair(ref, vec, 0)
 			re.Advance(20 * sim.Millisecond)
 			ve.Advance(20 * sim.Millisecond)
-			ref.SetRail(0.8)
-			vec.SetRail(0.8)
+			railPair(ref, vec, 0.8)
 			mustEqualState(t, "cold boot", ref, vec)
 		}
 	}
@@ -114,16 +115,13 @@ func TestWordKernelsMatchScalarHeldVoltage(t *testing.T) {
 	// the first hash alone for roughly half the population.
 	for _, seed := range []uint64{11, 0xBADCAFE, 31337} {
 		ref, vec, re, ve := diffPair(t, 1<<12, seed, 25)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
+		railPair(ref, vec, 0.8)
 		ref.Fill(0xFF)
 		vec.Fill(0xFF)
-		ref.SetRail(0.30)
-		vec.SetRail(0.30)
+		railPair(ref, vec, 0.30)
 		re.Advance(1 * sim.Second)
 		ve.Advance(1 * sim.Second)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
+		railPair(ref, vec, 0.8)
 		mustEqualState(t, "held voltage", ref, vec)
 	}
 }
@@ -133,19 +131,14 @@ func TestWordKernelsMatchScalarZeroGap(t *testing.T) {
 	// none and consumes no rng; the word kernel early-returns. The
 	// follow-up cycle proves the rng streams stayed aligned.
 	ref, vec, re, ve := diffPair(t, 2048, 42, 25)
-	ref.SetRail(0.8)
-	vec.SetRail(0.8)
-	ref.SetRail(0)
-	vec.SetRail(0)
-	ref.SetRail(0.8) // no time passed
-	vec.SetRail(0.8)
+	railPair(ref, vec, 0.8)
+	railPair(ref, vec, 0)
+	railPair(ref, vec, 0.8) // no time passed
 	mustEqualState(t, "zero gap", ref, vec)
-	ref.SetRail(0)
-	vec.SetRail(0)
+	railPair(ref, vec, 0)
 	re.Advance(50 * sim.Millisecond)
 	ve.Advance(50 * sim.Millisecond)
-	ref.SetRail(0.8)
-	vec.SetRail(0.8)
+	railPair(ref, vec, 0.8)
 	mustEqualState(t, "post-zero-gap cycle", ref, vec)
 }
 
@@ -154,34 +147,29 @@ func TestWordKernelsMatchScalarWithImprint(t *testing.T) {
 	// consumes reveal draws — the most delicate rng-alignment path.
 	for _, seed := range []uint64{5, 0x1312D00D, 77} {
 		ref, vec, re, ve := diffPair(t, 1<<12, seed, 25)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
+		railPair(ref, vec, 0.8)
 		ref.Fill(0x96)
 		vec.Fill(0x96)
-		ref.Age(10, DefaultImprintModel())
-		vec.Age(10, DefaultImprintModel())
+		ref.Age(10)
+		vec.Age(10)
 		if rf, vf := ref.ImprintedFraction(), vec.ImprintedFraction(); rf != vf {
 			t.Fatalf("imprint fractions differ: %v vs %v", rf, vf)
 		}
 		for cycle := 0; cycle < 2; cycle++ {
-			ref.SetRail(0)
-			vec.SetRail(0)
+			railPair(ref, vec, 0)
 			re.Advance(100 * sim.Millisecond)
 			ve.Advance(100 * sim.Millisecond)
-			ref.SetRail(0.8)
-			vec.SetRail(0.8)
+			railPair(ref, vec, 0.8)
 			mustEqualState(t, "imprinted power cycle", ref, vec)
 		}
 		// Incremental aging on top (exercises the fully-imprinted-word
 		// skip in Age) must also stay aligned.
-		ref.Age(25, DefaultImprintModel())
-		vec.Age(25, DefaultImprintModel())
-		ref.SetRail(0)
-		vec.SetRail(0)
+		ref.Age(25)
+		vec.Age(25)
+		railPair(ref, vec, 0)
 		re.Advance(100 * sim.Millisecond)
 		ve.Advance(100 * sim.Millisecond)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
+		railPair(ref, vec, 0.8)
 		mustEqualState(t, "re-aged power cycle", ref, vec)
 	}
 }
@@ -206,21 +194,18 @@ func mustPend(t *testing.T, stage string, vec *Array, want bool) {
 }
 
 func cyclePair(ref, vec *Array, re, ve *sim.Env, off sim.Time) {
-	for _, p := range []struct {
-		a *Array
-		e *sim.Env
-	}{{ref, re}, {vec, ve}} {
-		p.a.SetRail(0)
-		p.e.Advance(off)
-		p.a.SetRail(0.8)
-	}
+	refSetRail(ref, 0)
+	re.Advance(off)
+	refSetRail(ref, 0.8)
+	vec.SetRail(0)
+	ve.Advance(off)
+	vec.SetRail(0.8)
 }
 
 func TestPendingBackToBackFullDecays(t *testing.T) {
 	for _, seed := range []uint64{2, 0x5EED, 0xFACADE} {
 		ref, vec, re, ve := diffPair(t, pendBits, seed, 25)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
+		railPair(ref, vec, 0.8)
 		mustPend(t, "first power-up", vec, true)
 		mustEqualStream(t, "first power-up", ref, vec)
 		for cycle := 0; cycle < 3; cycle++ {
@@ -235,8 +220,7 @@ func TestPendingBackToBackFullDecays(t *testing.T) {
 
 func TestPendingWholeArrayOverwrite(t *testing.T) {
 	ref, vec, re, ve := diffPair(t, pendBits, 0xC0DE, 25)
-	ref.SetRail(0.8)
-	vec.SetRail(0.8)
+	railPair(ref, vec, 0.8)
 	buf := make([]byte, pendBits/8)
 	for i := range buf {
 		buf[i] = byte(7*i + 3)
@@ -266,8 +250,7 @@ func TestPendingPartialDecayAndAging(t *testing.T) {
 		// −110 °C / 20 ms decays only part of the array: the kernel reads
 		// the survivors, so the pending fingerprint is drawn first.
 		ref, vec, re, ve := diffPair(t, pendBits, seed, -110)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
+		railPair(ref, vec, 0.8)
 		cyclePair(ref, vec, re, ve, 20*sim.Millisecond)
 		mustPend(t, "partial decay", vec, false)
 		mustEqualState(t, "partial decay", ref, vec)
@@ -275,10 +258,9 @@ func TestPendingPartialDecayAndAging(t *testing.T) {
 		// Aging reads the held values; a later full decay stays eager
 		// because the imprint overlay decides cells.
 		ref, vec, re, ve = diffPair(t, pendBits, seed, 25)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
-		ref.Age(10, DefaultImprintModel())
-		vec.Age(10, DefaultImprintModel())
+		railPair(ref, vec, 0.8)
+		ref.Age(10)
+		vec.Age(10)
 		mustEqualState(t, "aged pending fingerprint", ref, vec)
 		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
 		mustPend(t, "imprinted full decay", vec, false)
@@ -286,10 +268,34 @@ func TestPendingPartialDecayAndAging(t *testing.T) {
 	}
 }
 
+// TestPendingFirstPowerUpAfterAgedRestore: a die rewound to a snapshot
+// taken before its first power-up keeps an aging overlay with no
+// imprinted cell, so its next first power-up still defers the whole
+// resample and matches the reference, which consults the overlay cell
+// by cell. A later decay cycle proves the streams stayed aligned.
+func TestPendingFirstPowerUpAfterAgedRestore(t *testing.T) {
+	for _, seed := range []uint64{8, 0xA6ED} {
+		ref, vec, re, ve := diffPair(t, pendBits, seed, 25)
+		sr, sv := ref.CaptureSnapshot(), vec.CaptureSnapshot()
+		railPair(ref, vec, 0.8)
+		ref.Age(10)
+		vec.Age(10)
+		ref.RestoreSnapshot(sr)
+		vec.RestoreSnapshot(sv)
+		if vec.imprint == nil || vec.ImprintedFraction() != 0 {
+			t.Fatal("restore before the first power-up must leave an empty overlay")
+		}
+		railPair(ref, vec, 0.8)
+		mustPend(t, "first power-up after an aged restore", vec, true)
+		mustEqualState(t, "first power-up after an aged restore", ref, vec)
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		mustEqualState(t, "power cycle after an aged restore", ref, vec)
+	}
+}
+
 func TestPendingPeek(t *testing.T) {
 	ref, vec, _, _ := diffPair(t, pendBits, 0x7E57, 25)
-	ref.SetRail(0.8)
-	vec.SetRail(0.8)
+	railPair(ref, vec, 0.8)
 	for _, off := range []int{0, 8, 13, pendBits/8 - 16} {
 		if got, want := vec.PeekUint64(off), ref.ReadUint64(off); got != want {
 			t.Fatalf("PeekUint64(%d) on a pending array = %#x, want %#x", off, got, want)
@@ -306,8 +312,7 @@ func TestPendingSnapshotSequences(t *testing.T) {
 	const n = 1563 * 64 // several snapshot pages, partial last page
 	for _, seed := range []uint64{9, 0x5EED} {
 		ref, vec, re, ve := diffPair(t, n, seed, 25)
-		ref.SetRail(0.8)
-		vec.SetRail(0.8)
+		railPair(ref, vec, 0.8)
 		sr, sv := ref.CaptureSnapshot(), vec.CaptureSnapshot()
 		if !sv.pending {
 			t.Fatal("snapshot of a pending array did not carry the pending resample")
@@ -354,7 +359,7 @@ func TestPendingSnapshotSequences(t *testing.T) {
 // stack generator and allocates nothing, on both the write-through and
 // the mark-dirty branch.
 func TestMaterializeZeroAlloc(t *testing.T) {
-	a := NewArray(sim.NewQuietEnv(), "alloc", 64*1024*8, DefaultRetentionModel(), 3)
+	a := NewArray(sim.NewQuietEnv(), "alloc", 64*1024*8, 3)
 	a.SetRail(0.8)
 	a.CaptureSnapshot()
 	allocs := testing.AllocsPerRun(10, func() {
@@ -369,7 +374,7 @@ func TestMaterializeZeroAlloc(t *testing.T) {
 func TestFractionOnesTailBits(t *testing.T) {
 	// n deliberately not a multiple of 64: the popcount must mask the tail.
 	env := sim.NewEnv()
-	a := NewArray(env, "tail", 100, DefaultRetentionModel(), 9)
+	a := NewArray(env, "tail", 100, 9)
 	a.SetRail(0.8)
 	for i := 0; i < 100; i++ {
 		a.WriteBit(i, i < 25)
@@ -383,7 +388,7 @@ func TestFillTailBytes(t *testing.T) {
 	// Bytes() = 12 for a 100-bit array: the word splat covers 8 bytes, the
 	// byte path the remaining 4; bits 96..99 must be untouched.
 	env := sim.NewEnv()
-	a := NewArray(env, "tail", 100, DefaultRetentionModel(), 10)
+	a := NewArray(env, "tail", 100, 10)
 	a.SetRail(0.8)
 	for i := 96; i < 100; i++ {
 		a.WriteBit(i, true)
@@ -410,7 +415,7 @@ func TestFillTailBytes(t *testing.T) {
 
 func TestUnalignedByteAndWordAccess(t *testing.T) {
 	env := sim.NewEnv()
-	a := NewArray(env, "unaligned", 4096, DefaultRetentionModel(), 11)
+	a := NewArray(env, "unaligned", 4096, 11)
 	a.SetRail(0.8)
 	a.Fill(0x00)
 	// Unaligned spans crossing multiple word boundaries.
@@ -453,22 +458,21 @@ func TestUnalignedByteAndWordAccess(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: the kernels the whole evaluation funnels through.
 
-func benchCycleArray(scalar bool) (*Array, *sim.Env) {
+func benchCycleArray() (*Array, *sim.Env) {
 	env := sim.NewEnv()
-	a := NewArray(env, "bench", 64*1024*8, DefaultRetentionModel(), 1)
-	a.scalarKernels = scalar
+	a := NewArray(env, "bench", 64*1024*8, 1)
 	a.SetRail(0.8)
 	return a, env
 }
 
-func benchResolveDecay(b *testing.B, tempC float64, scalar bool) {
-	a, env := benchCycleArray(scalar)
+func benchResolveDecay(b *testing.B, tempC float64, setRail func(*Array, float64)) {
+	a, env := benchCycleArray()
 	env.SetTemperatureC(tempC)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.SetRail(0)
+		setRail(a, 0)
 		env.Advance(20 * sim.Millisecond)
-		a.SetRail(0.8)
+		setRail(a, 0.8)
 		_ = a.ReadUint64(0) // draws a deferred full-decay resample
 	}
 }
@@ -478,33 +482,33 @@ func benchResolveDecay(b *testing.B, tempC float64, scalar bool) {
 // the 25 °C case is total loss (power-up sampling dominates), which the
 // word kernel defers until the read that follows each cycle.
 func BenchmarkResolveDecay(b *testing.B) {
-	b.Run("cold-110C", func(b *testing.B) { benchResolveDecay(b, -110, false) })
-	b.Run("room25C", func(b *testing.B) { benchResolveDecay(b, 25, false) })
+	b.Run("cold-110C", func(b *testing.B) { benchResolveDecay(b, -110, (*Array).SetRail) })
+	b.Run("room25C", func(b *testing.B) { benchResolveDecay(b, 25, (*Array).SetRail) })
 }
 
 // BenchmarkResolveDecayScalar is the per-bit reference for comparison.
 func BenchmarkResolveDecayScalar(b *testing.B) {
-	b.Run("cold-110C", func(b *testing.B) { benchResolveDecay(b, -110, true) })
-	b.Run("room25C", func(b *testing.B) { benchResolveDecay(b, 25, true) })
+	b.Run("cold-110C", func(b *testing.B) { benchResolveDecay(b, -110, refSetRail) })
+	b.Run("room25C", func(b *testing.B) { benchResolveDecay(b, 25, refSetRail) })
 }
 
-func benchPowerUpAll(b *testing.B, scalar bool) {
-	a, _ := benchCycleArray(scalar)
+func benchPowerUpAll(b *testing.B, powerUp func(*Array)) {
+	a, _ := benchCycleArray()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.powerUpAll()
+		powerUp(a)
 		_ = a.ReadUint64(0) // draws the deferred fingerprint
 	}
 }
 
 // BenchmarkPowerUpAll measures the fingerprint kernel over a 64 KB array,
 // read back once so the deferred draws are timed, not just the jump.
-func BenchmarkPowerUpAll(b *testing.B)       { benchPowerUpAll(b, false) }
-func BenchmarkPowerUpAllScalar(b *testing.B) { benchPowerUpAll(b, true) }
+func BenchmarkPowerUpAll(b *testing.B)       { benchPowerUpAll(b, (*Array).powerUpAll) }
+func BenchmarkPowerUpAllScalar(b *testing.B) { benchPowerUpAll(b, (*Array).powerUpAllScalar) }
 
 // BenchmarkFill measures the splat fill across a 64 KB array.
 func BenchmarkFill(b *testing.B) {
-	a, _ := benchCycleArray(false)
+	a, _ := benchCycleArray()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Fill(byte(i))
@@ -513,7 +517,7 @@ func BenchmarkFill(b *testing.B) {
 
 // BenchmarkWriteBytes4KB measures the aligned bulk-store path.
 func BenchmarkWriteBytes4KB(b *testing.B) {
-	a, _ := benchCycleArray(false)
+	a, _ := benchCycleArray()
 	buf := make([]byte, 4096)
 	for i := range buf {
 		buf[i] = byte(i)

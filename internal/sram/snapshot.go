@@ -107,9 +107,7 @@ func (a *Array) armSnapDirty() {
 		a.snapDirty = make([]uint64, (npages+63)/64)
 		return
 	}
-	for i := range a.snapDirty {
-		a.snapDirty[i] = 0
-	}
+	clear(a.snapDirty)
 }
 
 // CaptureSnapshot records the array's complete state — contents, rail
@@ -187,10 +185,8 @@ func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 	} else if a.imprint != nil {
 		// The overlay appeared after the capture: clear it back to the
 		// captured no-imprint state.
-		for i := range a.imprint.imprinted {
-			a.imprint.imprinted[i] = 0
-			a.imprint.value[i] = 0
-		}
+		clear(a.imprint.imprinted)
+		clear(a.imprint.value)
 	}
 	a.gen++
 }

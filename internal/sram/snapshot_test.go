@@ -16,7 +16,7 @@ const snapTestBits = 1563 * 64
 func newSnapTestArray(t *testing.T, seed uint64) (*sim.Env, *Array) {
 	t.Helper()
 	env := sim.NewQuietEnv()
-	arr := NewArray(env, "snaptest", snapTestBits, DefaultRetentionModel(), seed)
+	arr := NewArray(env, "snaptest", snapTestBits, seed)
 	arr.SetRail(0.8)
 	arr.Fill(0xA5)
 	return env, arr
@@ -108,7 +108,7 @@ func TestSnapshotRestoreNonOwner(t *testing.T) {
 // not O(array) — compare BenchmarkSnapshotRestoreFull.
 func BenchmarkSnapshotRestoreDirty(b *testing.B) {
 	env := sim.NewQuietEnv()
-	arr := NewArray(env, "bench", 1024*1024*8, DefaultRetentionModel(), 1)
+	arr := NewArray(env, "bench", 1024*1024*8, 1)
 	arr.SetRail(0.8)
 	arr.Fill(0xA5)
 	snap := arr.CaptureSnapshot()
@@ -125,7 +125,7 @@ func BenchmarkSnapshotRestoreDirty(b *testing.B) {
 // in memory traffic alone.
 func BenchmarkSnapshotRestoreFull(b *testing.B) {
 	env := sim.NewQuietEnv()
-	arr := NewArray(env, "bench", 1024*1024*8, DefaultRetentionModel(), 1)
+	arr := NewArray(env, "bench", 1024*1024*8, 1)
 	arr.SetRail(0.8)
 	arr.Fill(0xA5)
 	snap := arr.CaptureSnapshot()
@@ -142,7 +142,7 @@ func TestSnapshotClearsLateImprint(t *testing.T) {
 	env, arr := newSnapTestArray(t, 0x1234)
 	snap := arr.CaptureSnapshot()
 
-	arr.Age(5, DefaultImprintModel())
+	arr.Age(5)
 	arr.RestoreSnapshot(snap)
 
 	// An imprinted array biases its power-up fingerprint toward the aged
@@ -153,7 +153,7 @@ func TestSnapshotClearsLateImprint(t *testing.T) {
 	got := arr.Snapshot()
 
 	tenv := sim.NewQuietEnv()
-	twin := NewArray(tenv, "snaptest", snapTestBits, DefaultRetentionModel(), 0x1234)
+	twin := NewArray(tenv, "snaptest", snapTestBits, 0x1234)
 	twin.SetRail(0.8)
 	twin.Fill(0xA5)
 	twin.SetRail(0)

@@ -44,36 +44,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// RetentionModel is the set of physical constants governing cell decay and
-// power-up behaviour. The defaults (DefaultRetentionModel) are calibrated
-// against the paper's §3 measurements and the low-temperature SRAM
-// remanence literature it cites.
-type RetentionModel struct {
-	// NominalDRV is the mean data retention voltage in volts. A rail at or
-	// above a cell's DRV retains data indefinitely.
-	NominalDRV float64
-	// DRVSigma is the per-cell standard deviation of DRV (process
-	// variation), in volts.
-	DRVSigma float64
-	// MedianRetention300K is the median intrinsic retention time at 300 K
-	// once the rail is below DRV.
-	MedianRetention300K sim.Time
-	// ActivationK is the Arrhenius activation term Eₐ/k in Kelvin; the
-	// median retention scales as exp(ActivationK·(1/T − 1/300)).
-	ActivationK float64
-	// RetentionSigma is the lognormal shape parameter of per-cell
-	// retention times.
-	RetentionSigma float64
-	// NeutralFraction is the fraction of cells with no power-up
-	// preference; the remainder power up to a fixed preferred value with
-	// probability 1−BiasNoise.
-	NeutralFraction float64
-	// BiasNoise is the probability that a biased cell powers up against
-	// its preference.
-	BiasNoise float64
-}
-
-// DefaultRetentionModel returns constants calibrated so that
+// The retention calibration: the physical constants governing cell decay
+// and power-up behaviour, calibrated against the paper's §3 measurements
+// and the low-temperature SRAM remanence literature it cites so that
 //
 //   - at −110 °C the median retention is ≈60 ms (≈85 % of cells survive a
 //     20 ms power-off, matching the ~80 % reported by the remanence
@@ -83,32 +56,43 @@ type RetentionModel struct {
 //   - at room temperature the median is ≈10 µs,
 //   - two power-ups of the same array differ by ≈0.10 fractional HD
 //     (Table 1 caption).
-func DefaultRetentionModel() RetentionModel {
-	return RetentionModel{
-		NominalDRV:          0.30,
-		DRVSigma:            0.04,
-		MedianRetention300K: 10 * sim.Microsecond,
-		ActivationK:         3093,
-		RetentionSigma:      1.0,
-		NeutralFraction:     0.20,
-		BiasNoise:           0.02,
-	}
-}
-
-// MedianRetentionAt returns the median intrinsic retention time at the
-// given temperature in Kelvin.
-func (m RetentionModel) MedianRetentionAt(kelvin float64) sim.Time {
-	if kelvin <= 0 {
-		panic("sram: non-positive absolute temperature")
-	}
-	scale := math.Exp(m.ActivationK * (1/kelvin - 1.0/300.0))
-	return sim.Time(float64(m.MedianRetention300K) * scale)
-}
+const (
+	// NominalDRV is the mean data retention voltage in volts. A rail at or
+	// above a cell's DRV retains data indefinitely.
+	NominalDRV = 0.30
+	// DRVSigma is the per-cell standard deviation of DRV (process
+	// variation), in volts.
+	DRVSigma = 0.04
+	// MedianRetention300K is the median intrinsic retention time at 300 K
+	// once the rail is below DRV.
+	MedianRetention300K = 10 * sim.Microsecond
+	// ActivationK is the Arrhenius activation term Eₐ/k in Kelvin; the
+	// median retention scales as exp(ActivationK·(1/T − 1/300)).
+	ActivationK = 3093
+	// RetentionSigma is the lognormal shape parameter of per-cell
+	// retention times.
+	RetentionSigma = 1.0
+	// NeutralFraction is the fraction of cells with no power-up
+	// preference; the remainder power up to a fixed preferred value with
+	// probability 1−BiasNoise.
+	NeutralFraction = 0.20
+	// BiasNoise is the probability that a biased cell powers up against
+	// its preference.
+	BiasNoise = 0.02
+)
 
 // RetentionThreshold is the rail voltage above which every cell in the
 // population retains (mean DRV plus three sigma).
-func (m RetentionModel) RetentionThreshold() float64 {
-	return m.NominalDRV + 3*m.DRVSigma
+const RetentionThreshold = NominalDRV + 3*DRVSigma
+
+// MedianRetentionAt returns the median intrinsic retention time at the
+// given temperature in Kelvin.
+func MedianRetentionAt(kelvin float64) sim.Time {
+	if kelvin <= 0 {
+		panic("sram: non-positive absolute temperature")
+	}
+	scale := math.Exp(ActivationK * (1/kelvin - 1.0/300.0))
+	return sim.Time(float64(MedianRetention300K) * scale)
 }
 
 // Array is one physical SRAM macro: a set of bits sharing a supply rail.
@@ -117,8 +101,7 @@ func (m RetentionModel) RetentionThreshold() float64 {
 type Array struct {
 	name string
 	//voltvet:nosnap shared simulation clock; owned by the environment and rewound by the SoC snapshot (now/tempC)
-	env   *sim.Env
-	model RetentionModel
+	env *sim.Env
 	// rng drives the irreproducible noise (metastable power-up cells);
 	// cellSeed drives the reproducible silicon lottery.
 	rng      *xrand.Rand
@@ -127,12 +110,6 @@ type Array struct {
 	// bits is the current logical content, valid only when powered.
 	bits []uint64 // bit-packed, len = ceil(n/64)
 	n    int      // number of bits
-
-	// retThreshold caches model.RetentionThreshold() at construction so
-	// the per-access Powered()/checkAccess test is one float compare
-	// instead of a multiply-add per call. The model is immutable after
-	// NewArray, so the cache can never go stale.
-	retThreshold float64
 
 	// railVolts is the instantaneous rail voltage.
 	railVolts float64
@@ -172,58 +149,24 @@ type Array struct {
 	// against. Derived state, not physics.
 	snapDirty []uint64
 	snapOwner *ArraySnapshot
-	// scalarKernels forces the per-bit reference kernels instead of the
-	// word-vectorized ones. Both produce bit-identical state and consume
-	// the rng stream identically; the flag exists so the differential
-	// tests in kernels_test.go can exercise the reference path. See
-	// kernels.go.
-	scalarKernels bool
 }
 
 // NewArray builds an array of n bits named name. The per-cell silicon
 // properties are derived deterministically from seed, so the same seed
 // always yields the same chip. The array starts unpowered.
-func NewArray(env *sim.Env, name string, n int, model RetentionModel, seed uint64) *Array {
+func NewArray(env *sim.Env, name string, n int, seed uint64) *Array {
 	if n <= 0 {
 		panic("sram: array size must be positive")
 	}
 	derived := xrand.Derive(seed, "sram:"+name)
 	return &Array{
-		name:         name,
-		env:          env,
-		model:        model,
-		rng:          derived,
-		cellSeed:     derived.Uint64(),
-		bits:         make([]uint64, (n+63)/64),
-		n:            n,
-		retThreshold: model.RetentionThreshold(),
+		name:     name,
+		env:      env,
+		rng:      derived,
+		cellSeed: derived.Uint64(),
+		bits:     make([]uint64, (n+63)/64),
+		n:        n,
 	}
-}
-
-// ihNormal converts a 64-bit hash into an approximately standard normal
-// variate via the Irwin–Hall sum of its four 16-bit fields.
-func ihNormal(h uint64) float64 {
-	sum := float64(h&0xFFFF) + float64(h>>16&0xFFFF) + float64(h>>32&0xFFFF) + float64(h>>48)
-	// mean 2·65535, stddev √(4·(65536²−1)/12) ≈ 37837.2
-	return (sum - 131070.0) / 37837.2
-}
-
-// cellStatics derives cell i's silicon-lottery properties from its hash.
-func (a *Array) cellStatics(i int) (drv, logRetention float64, biased, preferred bool) {
-	st := a.cellSeed ^ uint64(i)*0x9e3779b97f4a7c15
-	h1 := xrand.SplitMix64(&st)
-	h2 := xrand.SplitMix64(&st)
-	drv = a.model.NominalDRV + a.model.DRVSigma*ihNormal(h1)
-	if drv < 0.05 {
-		drv = 0.05
-	}
-	logRetention = a.model.RetentionSigma * ihNormal(h2)
-	// Use untouched high-entropy bits of a third output for the discrete
-	// properties so they are independent of the normals above.
-	h3 := xrand.SplitMix64(&st)
-	biased = float64(h3&0xFFFFFF)/float64(1<<24) >= a.model.NeutralFraction
-	preferred = h3>>63 == 1
-	return drv, logRetention, biased, preferred
 }
 
 // Name returns the array's name.
@@ -241,7 +184,7 @@ func (a *Array) RailVolts() float64 { return a.railVolts }
 // Powered reports whether the rail is above the population retention
 // threshold (enough for every cell).
 func (a *Array) Powered() bool {
-	return a.railVolts >= a.retThreshold
+	return a.railVolts >= RetentionThreshold
 }
 
 // SetRail drives the array's supply rail to volts at the current
@@ -255,9 +198,8 @@ func (a *Array) SetRail(volts float64) {
 	prev := a.railVolts
 	a.railVolts = volts
 
-	threshold := a.retThreshold
-	wasUp := prev >= threshold
-	isUp := volts >= threshold
+	wasUp := prev >= RetentionThreshold
+	isUp := volts >= RetentionThreshold
 
 	switch {
 	case !a.everPowered && isUp:

@@ -12,7 +12,7 @@ const nominal = 0.8 // rail voltage used by tests, well above any DRV
 
 func newPoweredArray(t testing.TB, env *sim.Env, bits int, seed uint64) *Array {
 	t.Helper()
-	a := NewArray(env, "test", bits, DefaultRetentionModel(), seed)
+	a := NewArray(env, "test", bits, seed)
 	a.SetRail(nominal)
 	return a
 }
@@ -308,7 +308,7 @@ func TestDifferentSeedDifferentSilicon(t *testing.T) {
 
 func TestAccessUnpoweredPanics(t *testing.T) {
 	env := sim.NewEnv()
-	a := NewArray(env, "cold", 64, DefaultRetentionModel(), 1)
+	a := NewArray(env, "cold", 64, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic reading an unpowered array")
@@ -329,10 +329,9 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestMedianRetentionMonotoneInTemperature(t *testing.T) {
-	m := DefaultRetentionModel()
 	prev := sim.Time(math.MaxInt64)
 	for _, c := range []float64{-150, -110, -40, 0, 25, 85} {
-		med := m.MedianRetentionAt(sim.CelsiusToKelvin(c))
+		med := MedianRetentionAt(sim.CelsiusToKelvin(c))
 		if med >= prev {
 			t.Fatalf("median retention not strictly decreasing with temperature at %v°C", c)
 		}
@@ -341,9 +340,8 @@ func TestMedianRetentionMonotoneInTemperature(t *testing.T) {
 }
 
 func TestMedianRetentionCalibration(t *testing.T) {
-	m := DefaultRetentionModel()
 	at := func(c float64) float64 {
-		return float64(m.MedianRetentionAt(sim.CelsiusToKelvin(c)))
+		return float64(MedianRetentionAt(sim.CelsiusToKelvin(c)))
 	}
 	ms := float64(sim.Millisecond)
 	us := float64(sim.Microsecond)
@@ -355,6 +353,28 @@ func TestMedianRetentionCalibration(t *testing.T) {
 	}
 	if v := at(25); v > 50*us {
 		t.Fatalf("25°C median = %v ns, want ≲ tens of µs", v)
+	}
+}
+
+// TestDerivedConstantsMatchCalibration pins the thresholds derived from
+// the calibration to the float64 values the reference model computes at
+// run time: the retention threshold to NominalDRV + 3·DRVSigma, and the
+// kernels' two integer sampling gates to the reference's float
+// predicates (biasedMin is the least 24-bit field meeting
+// m/2²⁴ ≥ NeutralFraction; biasFlipBelow is ⌈BiasNoise·2⁵³⌉, the bound a
+// 53-bit draw must stay under for Float64() < BiasNoise).
+func TestDerivedConstantsMatchCalibration(t *testing.T) {
+	nominal, sigma := float64(NominalDRV), float64(DRVSigma)
+	if got, want := float64(RetentionThreshold), nominal+3*sigma; got != want {
+		t.Errorf("RetentionThreshold = %v, run-time NominalDRV+3*DRVSigma = %v", got, want)
+	}
+	neutral := float64(NeutralFraction)
+	if float64(biasedMin)/float64(1<<24) < neutral || float64(biasedMin-1)/float64(1<<24) >= neutral {
+		t.Errorf("biasedMin = %d is not the least m with m/2^24 >= %v", biasedMin, neutral)
+	}
+	noise := float64(BiasNoise)
+	if want := uint64(math.Ceil(noise * (1 << 53))); biasFlipBelow != want {
+		t.Errorf("biasFlipBelow = %d, want ceil(BiasNoise*2^53) = %d", uint64(biasFlipBelow), want)
 	}
 }
 
@@ -380,7 +400,7 @@ func TestSnapshotMatchesReadBytes(t *testing.T) {
 // keeps timing the resample kernel rather than the jump.
 func BenchmarkPowerCycle64KB(b *testing.B) {
 	env := sim.NewEnv()
-	a := NewArray(env, "bench", 64*1024*8, DefaultRetentionModel(), 1)
+	a := NewArray(env, "bench", 64*1024*8, 1)
 	a.SetRail(nominal)
 	for i := 0; i < b.N; i++ {
 		a.SetRail(0)
@@ -392,7 +412,7 @@ func BenchmarkPowerCycle64KB(b *testing.B) {
 
 func BenchmarkReadBytes4KB(b *testing.B) {
 	env := sim.NewEnv()
-	a := NewArray(env, "bench", 4*1024*8, DefaultRetentionModel(), 1)
+	a := NewArray(env, "bench", 4*1024*8, 1)
 	a.SetRail(nominal)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
