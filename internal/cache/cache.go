@@ -673,17 +673,13 @@ func (c *Cache) CleanInvalidateAll() error {
 }
 
 // InvalidateAll clears every valid bit without writing anything back
-// (IC IALLU semantics for i-caches). Data RAM contents are untouched.
+// (IC IALLU semantics for i-caches): each valid entry loses its valid and
+// dirty bits. Data RAM contents are untouched. The tag RAM applies the
+// transform to the pages it has drawn and records it on the pages of a
+// pending power-up resample, so a boot-time invalidate draws no tags.
 func (c *Cache) InvalidateAll() {
 	c.contentGen++
-	for w := 0; w < c.cfg.Ways; w++ {
-		for s := 0; s < c.sets; s++ {
-			e := c.tagEntry(w, s)
-			if e&tagValidBit != 0 {
-				c.setTagEntry(w, s, e&^(tagValidBit|tagDirtyBit))
-			}
-		}
-	}
+	c.tagRAM.InvalidateWords(tagValidBit, tagDirtyBit)
 }
 
 // CleanInvalidateVA cleans and invalidates the single line containing

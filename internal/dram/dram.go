@@ -240,23 +240,28 @@ func (m *Module) retChunkLen(c int) int {
 	return min(retChunk, m.size-(c<<retChunkShift))
 }
 
+// onesPage is a page of 0xFF bytes: fillGround copies the ground
+// pattern's 0xFF blocks from it.
+var onesPage = func() (p [pageBytes]byte) {
+	for i := range p {
+		p[i] = 0xFF
+	}
+	return p
+}()
+
 // fillGround writes the ground pattern for byte offsets [off, off+len(dst))
-// into dst, one block at a time instead of a per-byte block-index division.
+// into dst, one block at a time: clear for a 0x00 block, page-sized copies
+// from onesPage for a 0xFF block.
 func (m *Module) fillGround(dst []byte, off int) {
 	const g = GroundBlockBytes
 	for len(dst) > 0 {
-		n := g - off%g // bytes left in the current block
-		if n > len(dst) {
-			n = len(dst)
-		}
+		n := min(g-off%g, len(dst)) // bytes left in the current block
 		if (off/g)%2 == 1 {
-			for i := 0; i < n; i++ {
-				dst[i] = 0xFF
+			for b := dst[:n]; len(b) > 0; {
+				b = b[copy(b, onesPage[:]):]
 			}
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0x00
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		off += n

@@ -31,6 +31,27 @@ func TestGroundStatePattern(t *testing.T) {
 	}
 }
 
+// TestFillGroundMatchesGroundByte: the block-wise ground fill writes
+// exactly groundByte at every offset, for spans inside one block, spans
+// crossing a 64 KiB block boundary in either direction, and spans longer
+// than a page or a block, including dirty destinations it must overwrite.
+func TestFillGroundMatchesGroundByte(t *testing.T) {
+	const g = GroundBlockBytes
+	m := NewModule(sim.NewEnv(), "ddr", 4*g, 6)
+	for _, span := range []struct{ off, n int }{
+		{0, 1}, {17, pageBytes}, {g - 5, 10}, {2*g - 3000, 7000},
+		{g - pageBytes - 1, 3*pageBytes + 2}, {3, 2*g + 11}, {0, 4 * g},
+	} {
+		dst := bytes.Repeat([]byte{0x5A}, span.n)
+		m.fillGround(dst, span.off)
+		for i, b := range dst {
+			if want := m.groundByte(span.off + i); b != want {
+				t.Fatalf("fillGround(off=%d, n=%d): byte %d = %#x, want %#x", span.off, span.n, span.off+i, b, want)
+			}
+		}
+	}
+}
+
 func decayFraction(t *testing.T, tempC float64, off sim.Time) float64 {
 	t.Helper()
 	env := sim.NewEnv()

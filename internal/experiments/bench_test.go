@@ -63,14 +63,15 @@ func BenchmarkTable4ArraySweep(b *testing.B) {
 // BenchmarkGlitchSearch times the default Monte-Carlo glitch campaign:
 // 81 (offset × width × depth) cells × 6 trials, each trial a snapshot
 // restore + armed boot of the secure-boot ROM. In a CPU profile of 200
-// iterations on a 2-vCPU VM, the trials are 54% (armed stepping 39%,
+// iterations on a 2-vCPU VM, the trials are 53% (armed stepping 36%,
 // restores 13%, two thirds of that the SRAM arrays' dirty pages) and
-// the per-worker rig builds 33% (board construction 13%, mostly the
-// cache arrays; snapshot capture 13%, mostly copying SRAM words). DRAM
-// and the cache LRU clocks are under 2% each, since DRAM holds only
-// the pages something wrote and an LRU restore rewinds only the
-// entries a trial touched. Before, building, copying and restoring
-// whole DRAM images and LRU clocks took half the time.
+// the per-worker rig builds 35% (board construction 20%, mostly
+// allocating and zeroing the cache arrays' words, which the rigs never
+// draw; snapshot capture 11%, mostly copying SRAM words). DRAM and the
+// cache LRU clocks are under 3% each, since DRAM holds only the pages
+// something wrote, ground-filled at memory speed, and an LRU restore
+// rewinds only the entries a trial touched. Before, building, copying
+// and restoring whole DRAM images and LRU clocks took half the time.
 func BenchmarkGlitchSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := GlitchSearch(testSeed); err != nil {
@@ -83,7 +84,13 @@ func BenchmarkGlitchSearch(b *testing.B) {
 // 1000 traces, a 256-sample window and noise sigma 1. Each trial is a
 // snapshot restore and one armed run that stops when the window is
 // full, 256 of the victim's 1,491 instructions. Building each worker's
-// rig accounts for most of the allocation.
+// rig accounts for most of the allocation. In a CPU profile of 60
+// iterations on a 2-vCPU VM, the trials are 78% (fetch path 30%, exec
+// 21%, restores 6%, noise 7%) and the rig builds 18% (`SoC.Boot` 10%,
+// 8% of it the VideoCore's junk bytes; `board.New` 3%). SRAM draws are
+// 9%, 4% at build and 5% in the trials, since a rig draws only the tag
+// and data pages it touches (the boot's cache invalidates draw none);
+// drawing whole arrays, they were 30%, 25% under the boot's invalidates.
 func BenchmarkTraceCapture1000(b *testing.B) {
 	key, err := ParseSCAKey(SCADefaultKey)
 	if err != nil {

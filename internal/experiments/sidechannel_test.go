@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/isa"
+	"repro/internal/soc"
+	"repro/internal/sram"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -273,6 +275,46 @@ func sameSamples(a, b []float32) (int, bool) {
 		}
 	}
 	return 0, true
+}
+
+// rigDrawnBits totals the bits s's SRAM arrays have drawn from deferred
+// power-up resamples.
+func rigDrawnBits(s *soc.SoC) uint64 {
+	var arrs []*sram.Array
+	for _, c := range s.Cores {
+		arrs = append(arrs, c.L1D.Arrays()...)
+		arrs = append(arrs, c.L1I.Arrays()...)
+		arrs = append(arrs, c.CPU.Regs, c.TLB, c.BTB)
+	}
+	arrs = append(arrs, s.L2.Arrays()...)
+	var n uint64
+	for _, a := range arrs {
+		n += a.DrawnBits()
+	}
+	return n
+}
+
+// TestSCARigDrawsTouchedPages probes the SRAM bits an SCA rig draws while
+// it is built and runs its first trace at fault-sca's window. Drawing
+// whole arrays, the boot's cache invalidates alone drew all nine tag
+// RAMs and the rig drew 1.68 Mbit; drawing only the pages an access
+// covers, with the invalidates recorded on pending pages, it draws a
+// fifth of that.
+func TestSCARigDrawsTouchedPages(t *testing.T) {
+	rig, err := newSCARig(testSeed, mustKey(t), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := rigDrawnBits(rig.b.SoC)
+	if _, err := rig.capture(scaTestPlaintexts(3)[2], 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	total := rigDrawnBits(rig.b.SoC)
+	t.Logf("SCA rig drew %d bits: %d at build, %d in its first trace", total, built, total-built)
+	const limit = 400_000
+	if total > limit {
+		t.Fatalf("SCA rig drew %d bits, want at most %d", total, limit)
+	}
 }
 
 // TestCaptureIgnoresDerivedState: a captured trace is a function of the

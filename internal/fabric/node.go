@@ -248,25 +248,35 @@ func (n *Node) Status() Status {
 	return st
 }
 
-// Refresh probes every peer's /v1/ring, verifying reachability and
-// catalog fingerprint. Voltbootd calls it once at startup to surface
-// misconfiguration early; unreachable peers are reported, not marked
-// down (see probe). Routing self-heals lazily either way: a failed
-// forward marks the peer down and the shard runs locally.
+// Refresh probes every peer's /v1/ring concurrently under ctx, verifying
+// reachability and catalog fingerprint, so a peer that accepts but never
+// answers costs the others none of the budget. Voltbootd calls it once
+// at startup to surface misconfiguration early; unreachable peers are
+// reported, not marked down (see probe). Every failure is returned,
+// joined in peer-ID order. Routing self-heals lazily either way: a
+// failed forward marks the peer down and the shard runs locally.
 func (n *Node) Refresh(ctx context.Context) error {
 	n.mu.Lock()
 	peers := make([]*peerState, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-	var firstErr error
-	for _, p := range peers {
-		if err := n.probe(ctx, p); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("fabric: peer %s: %w", p.id, err)
+	for _, id := range n.ring.Peers() { // sorted IDs
+		if p, ok := n.peers[id]; ok {
+			peers = append(peers, p)
 		}
 	}
-	return firstErr
+	n.mu.Unlock()
+	errs := make([]error, len(peers))
+	var wg sync.WaitGroup
+	for i, p := range peers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := n.probe(ctx, p); err != nil {
+				errs[i] = fmt.Errorf("fabric: peer %s: %w", p.id, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // probe checks one peer's /v1/ring. Transport failures are reported but

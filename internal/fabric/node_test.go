@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,6 +392,86 @@ func peerStates(n *Node) map[string]string {
 		out[p.ID] = p.State
 	}
 	return out
+}
+
+// TestRefreshReportsEveryFailure: with two failing peers, Refresh names
+// both, in peer-ID order, so the start-up log reads the same on every
+// run instead of naming whichever failing peer map order visits first.
+func TestRefreshReportsEveryFailure(t *testing.T) {
+	const fp = "catalog-fp"
+	match := ringPeer(t, fp)
+	other := ringPeer(t, "another-catalog")
+	gone := httptest.NewServer(http.NotFoundHandler())
+	goneURL := gone.URL
+	gone.Close()
+	var first string
+	for run := 0; run < 20; run++ {
+		node, err := New(Config{Self: "self", Fingerprint: fp, Peers: []Peer{
+			{ID: "match", Addr: match.URL}, {ID: "gone", Addr: goneURL}, {ID: "bad-fp", Addr: other.URL}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = node.Refresh(context.Background())
+		if err == nil {
+			t.Fatal("Refresh reported no error for two failing peers")
+		}
+		msg := err.Error()
+		if run == 0 {
+			first = msg
+			bad, lost := strings.Index(msg, "fabric: peer bad-fp: "), strings.Index(msg, "fabric: peer gone: ")
+			if bad < 0 || lost < 0 || bad > lost || strings.Contains(msg, "peer match") {
+				t.Fatalf("Refresh error %q: want bad-fp then gone, and nothing about match", msg)
+			}
+		} else if msg != first {
+			t.Fatalf("run %d: Refresh error %q differs from run 0's %q", run, msg, first)
+		}
+	}
+}
+
+// TestRefreshHungPeerSparesOthers: peers that accept a probe but never
+// answer use up only their own probes. Every peer is contacted within
+// the caller's deadline, and a healthy peer marked down beforehand reads
+// ready once Refresh returns.
+func TestRefreshHungPeerSparesOthers(t *testing.T) {
+	const fp = "catalog-fp"
+	release := make(chan struct{})
+	var hits atomic.Int32
+	hung := func() *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	hungA, hungB := hung(), hung()
+	t.Cleanup(func() { close(release) }) // runs before the servers close
+	healthy := ringPeer(t, fp)
+	now := time.Unix(1_700_000_000, 0)
+	node, err := New(Config{Self: "self", Fingerprint: fp, Now: func() time.Time { return now },
+		Peers: []Peer{{ID: "a-hung", Addr: hungA.URL}, {ID: "b-hung", Addr: hungB.URL}, {ID: "c-healthy", Addr: healthy.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.markDown("c-healthy")
+	if got := peerStates(node)["c-healthy"]; got != "down" {
+		t.Fatalf("healthy peer reads %q before Refresh, want down", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	err = node.Refresh(ctx)
+	if err == nil || !strings.Contains(err.Error(), "peer a-hung") || !strings.Contains(err.Error(), "peer b-hung") {
+		t.Fatalf("Refresh error %v: want both hung peers named", err)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Fatalf("%d of 2 hung peers were contacted before the deadline", n)
+	}
+	if got := peerStates(node)["c-healthy"]; got != "ready" {
+		t.Fatalf("healthy peer reads %q after Refresh, want ready", got)
+	}
 }
 
 // TestRefreshProbesPeers pins the start-up probe: a peer serving the

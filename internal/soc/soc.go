@@ -683,15 +683,15 @@ func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, 
 	default:
 		return
 	}
-	*e = predecEntry{
-		addr: addr,
-		gen:  s.predecGen(c, mode),
-		in:   in,
-		word: word,
-		mode: mode,
-		way:  int32(way),
-		set:  int32(set),
-	}
+	// Field by field: a composite literal would be built in a temporary
+	// and block-copied into the table.
+	e.addr = addr
+	e.gen = s.predecGen(c, mode)
+	e.in = in
+	e.word = word
+	e.mode = mode
+	e.way = int32(way)
+	e.set = int32(set)
 }
 
 // predecGen returns the current generation guarding entries of the given

@@ -43,7 +43,7 @@ type imprintState struct {
 // stored value. Aging accumulates across calls. The array must be
 // powered (cells only age under bias).
 func (a *Array) Age(years float64) {
-	a.checkAccess("Age")
+	a.checkAccess("Age", 0, len(a.bits)-1)
 	if years <= 0 {
 		return
 	}

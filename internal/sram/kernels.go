@@ -21,10 +21,16 @@ package sram
 //
 // The kernels also defer the most common event, a whole-array resample
 // (a first power-up, or a power cycle that decays every cell): pend
-// records the stream position and jumps the rng past the draws, and
-// materialize replays them on the first read. Arrays overwritten whole
-// before any read (the BCM2711 L2 data RAMs, clobbered by the VideoCore
-// at boot) or never read at all (glitch rigs) never pay for the draws.
+// records the stream position, marks every snapshot page pending and
+// jumps the rng past the draws. A page is drawn when an access first
+// covers it: page p's draws start 4096·p Uint64s after the recorded
+// position (one per cell), so one jump reaches any page and a run of
+// pending pages is drawn in one pass. Arrays of at most two pages (the
+// register files) draw whole on first access, keeping the page test off
+// their step path. Arrays overwritten whole before any read (the BCM2711
+// L2 data RAMs, clobbered by the VideoCore at boot) or never read at all
+// (glitch rigs) never pay for the draws, and a fault-campaign rig draws
+// only the tag and data pages its trials touch.
 
 import (
 	"math"
@@ -161,48 +167,121 @@ func mode2Batch64(rng *xrand.Rand, biasedMask, prefBits uint64) uint64 {
 	return (biasedMask & (prefBits ^ flipMask)) | (^biasedMask & coinMask)
 }
 
+// wholeDrawPages is the largest array, in snapshot pages, that draws a
+// pending resample whole on first access. A register file is 96 words
+// (1.5 pages) and most runs never touch its upper page, but leaving it
+// pending would put a page test on every register access.
+const wholeDrawPages = 2
+
+// pageJumps[p] advances a generator over p pages' draws (4096·p) in one
+// polynomial application, so a reader walking a pending array page by
+// page, such as a RAMINDEX dump, pays one per page instead of one per set
+// bit of p. 256 pages covers an SoC's largest array, the L2 tag RAM;
+// pages past it take xrand.Jump.
+var pageJumps = xrand.JumpTable(snapPageWords*64, 256)
+
 // pend defers a whole-array resample: it records the rng stream position
-// the resample's draws start at and jumps the rng past them — one Uint64
-// per cell, exactly what mode2Batch64 consumes — so every later draw
-// lands where the eager kernel would have left the stream. The bits stay
-// stale until materialize replays the draws. Callers guarantee the batch
-// conditions (no imprinted cell, no partial tail word) and mark the
-// snapshot pages.
+// the resample's draws start at, marks every page pending and jumps the
+// rng past the draws — one Uint64 per cell, exactly what mode2Batch64
+// consumes — so every later draw lands where the eager kernel would have
+// left the stream. A recorded invalidate belongs to the resample it
+// replaces and is dropped. The bits stay stale until materialize draws
+// them. Callers guarantee the batch conditions (no imprinted cell, no
+// partial tail word) and mark the snapshot pages.
 func (a *Array) pend() {
 	a.pending = true
 	a.pendFrom = a.rng.State()
+	a.pendInval = invalMasks{}
+	setPageBits(a.pendPages, a.pages())
 	a.rng.Jump(uint64(a.n))
 }
 
-// materialize draws a pending resample: it replays the recorded stream
-// position into a stack generator and assembles every word through the
-// two-phase batch kernel — same hashes, same draws, same order as the
-// reference model, so the bits are identical. The array's own rng is
-// not touched; pend already moved it.
+// pagePending reports whether page p of a pending resample is undrawn.
+func (a *Array) pagePending(p int) bool {
+	return a.pendPages[p>>6]>>(uint(p)&63)&1 == 1
+}
+
+// materialize draws the pending pages covering packed words [w0, w1],
+// clamped to the array, or every pending page of an array of at most
+// wholeDrawPages pages. Each run of consecutive pending pages is drawn
+// in one pass; a whole-array reader therefore walks the stream once.
+// The resample stops pending with its last page.
+func (a *Array) materialize(w0, w1 int) {
+	np := a.pages()
+	p0, p1 := max(w0, 0)>>snapPageShift, min(w1>>snapPageShift, np-1)
+	if np <= wholeDrawPages {
+		p0, p1 = 0, np-1
+	}
+	drew := false
+	for p := p0; p <= p1; p++ {
+		if !a.pagePending(p) {
+			continue
+		}
+		q := p
+		for q < p1 && a.pagePending(q+1) {
+			q++
+		}
+		a.drawPages(p, q)
+		p, drew = q, true
+	}
+	if drew && !anySet(a.pendPages) {
+		a.pending = false
+		a.pendInval = invalMasks{}
+	}
+}
+
+// drawPages draws pending pages [p, q]: it replays the recorded stream
+// position into a stack generator, jumps it to page p's first draw and
+// assembles every word through the two-phase batch kernel — same hashes,
+// same draws, same order as the reference model, so the bits are
+// identical — then applies the recorded invalidate. The array's own rng
+// is not touched; pend already moved it.
 //
-// When the armed owner snapshot holds this same pending resample, the
-// result is written through into it: the snapshot's logical content is
-// unchanged, and a sweep that restores it per trial materializes once
-// instead of once per trial. Otherwise every page is marked dirty, since
-// the snapshot's copy of the words is not what the array now holds.
-func (a *Array) materialize() {
+// When the armed owner snapshot pends this same resample with the same
+// recorded invalidate, each drawn page it still pends is written through
+// into it: the snapshot's logical content is unchanged, and a sweep that
+// restores it per trial draws each page once instead of once per trial.
+// Every other drawn page is marked dirty, since the snapshot's copy of
+// its words is not what the array now holds.
+func (a *Array) drawPages(p, q int) {
 	var rng xrand.Rand
 	rng.SetState(a.pendFrom)
+	switch {
+	case p == 0: // the recorded position is page 0's first draw
+	case p < len(pageJumps):
+		rng.JumpBy(&pageJumps[p])
+	default:
+		rng.Jump(uint64(p) * snapPageWords * 64)
+	}
+	w0, w1 := p<<snapPageShift, min((q+1)<<snapPageShift, len(a.bits))
 	gamma := uint64(cellHashGamma)
 	batchStep := gamma * 64 // wraps mod 2⁶⁴ like 64 incremental adds
-	ig := uint64(0)
-	for w := range a.bits {
+	ig := uint64(w0) * batchStep
+	words := a.bits[w0:w1]
+	for w := range words {
 		biased, pref := mode2PhaseA(a.cellSeed, ig)
 		ig += batchStep
-		a.bits[w] = mode2Batch64(&rng, biased, pref)
+		words[w] = mode2Batch64(&rng, biased, pref)
 	}
-	a.pending = false
-	if s := a.snapOwner; a.snapDirty != nil && s != nil && s.pending && s.pendFrom == a.pendFrom {
-		copy(s.bits, a.bits)
-		s.pending = false
-		return
+	a.pendInval.apply(words)
+	a.drawn += uint64(len(words)) * 64
+	s := a.snapOwner
+	through := a.snapDirty != nil && s != nil && s.pending && s.pendFrom == a.pendFrom && s.pendInval == a.pendInval
+	for i := p; i <= q; i++ {
+		m := uint64(1) << (uint(i) & 63)
+		a.pendPages[i>>6] &^= m
+		pw0 := i << snapPageShift
+		if through && s.pendPages[i>>6]&m != 0 {
+			pw1 := min(pw0+snapPageWords, len(a.bits))
+			copy(s.bits[pw0:pw1], a.bits[pw0:pw1])
+			s.pendPages[i>>6] &^= m
+		} else {
+			a.markSnapPages(pw0, pw0)
+		}
 	}
-	a.markSnapAll()
+	if through {
+		s.pending = anySet(s.pendPages)
+	}
 }
 
 // resolveDecay decides, for every cell, whether its state survived the
@@ -280,7 +359,7 @@ func (a *Array) resolveDecay() {
 	if a.pending {
 		// A partial decay reads the surviving cells: draw the pending
 		// resample first.
-		a.materialize()
+		a.materialize(0, len(a.bits)-1)
 	}
 	for w := range a.bits {
 		base := w << 6

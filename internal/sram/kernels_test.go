@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/xrand"
 )
 
 // The determinism contract: the word-vectorized kernels must be
@@ -355,16 +356,205 @@ func TestPendingSnapshotSequences(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------------
+// Page-granular draws. A pending resample is drawn page by page, each
+// page reached by one jump from the recorded stream position; the oracles below
+// read random spans of pending arrays and compare every drawn page, word
+// for word, with the reference model's eager whole-array draw, and the
+// rng stream positions after every access.
+
+// mustMatchDrawnPages compares vec's drawn pages with ref word for word,
+// without drawing anything, and the rng stream positions.
+func mustMatchDrawnPages(t *testing.T, stage string, ref, vec *Array) {
+	t.Helper()
+	mustEqualStream(t, stage, ref, vec)
+	for p := 0; p < vec.pages(); p++ {
+		if vec.pending && vec.pagePending(p) {
+			continue
+		}
+		for w := p << snapPageShift; w < min((p+1)<<snapPageShift, len(vec.bits)); w++ {
+			if ref.bits[w] != vec.bits[w] {
+				t.Fatalf("%s: page %d word %d differs: ref=%#x vec=%#x", stage, p, w, ref.bits[w], vec.bits[w])
+			}
+		}
+	}
+}
+
+// pendingPages counts vec's undrawn pages.
+func pendingPages(vec *Array) int {
+	n := 0
+	for p := 0; p < vec.pages(); p++ {
+		if vec.pending && vec.pagePending(p) {
+			n++
+		}
+	}
+	return n
+}
+
+// readSpans reads k random spans, a PeekUint64 and a one-word write from
+// both arrays, comparing each result and the drawn pages after each.
+func readSpans(t *testing.T, stage string, ref, vec *Array, r *xrand.Rand, k int) {
+	t.Helper()
+	nb := len(vec.bits) * 8
+	for i := 0; i < k; i++ {
+		off := r.Intn(nb - 8)
+		n := 1 + r.Intn(min(3*snapPageWords*8, nb-off))
+		if !bytes.Equal(ref.ReadBytes(off, n), vec.ReadBytes(off, n)) {
+			t.Fatalf("%s: ReadBytes(%d, %d) differs", stage, off, n)
+		}
+		mustMatchDrawnPages(t, stage+" span", ref, vec)
+		off = r.Intn(nb - 8)
+		if got, want := vec.PeekUint64(off), ref.ReadUint64(off); got != want {
+			t.Fatalf("%s: PeekUint64(%d) = %#x, want %#x", stage, off, got, want)
+		}
+		mustMatchDrawnPages(t, stage+" peek", ref, vec)
+		off = r.Intn(nb-8) &^ 7
+		ref.WriteUint64(off, uint64(i))
+		vec.WriteUint64(off, uint64(i))
+		mustMatchDrawnPages(t, stage+" write", ref, vec)
+	}
+}
+
+// pageDrawWords are the oracle's array sizes in packed words: one page,
+// a page and a half (a register file), two pages, many pages with a
+// partial last page, and a last page past the page-jump table.
+var pageDrawWords = []int{64, 96, 128, 1563, len(pageJumps)*snapPageWords + 17}
+
+func TestPageDrawsMatchWholeArray(t *testing.T) {
+	for _, seed := range []uint64{1, 0x5EED, 0xC0FFEE, 0xDEADBEEF} {
+		for _, nw := range pageDrawWords {
+			ref, vec, re, ve := diffPair(t, nw*64, seed, 25)
+			r := xrand.New(seed ^ uint64(nw))
+			railPair(ref, vec, 0.8)
+			np := vec.pages()
+			vec.ReadUint64(8 * (nw - 1)) // last page only
+			mustMatchDrawnPages(t, "first read", ref, vec)
+			want := np - 1
+			if np <= wholeDrawPages {
+				want = 0 // drawn whole on first access
+			}
+			if got := pendingPages(vec); got != want {
+				t.Fatalf("%d words: %d pages pending after one read, want %d", nw, got, want)
+			}
+			readSpans(t, "first power-up", ref, vec, r, 6)
+
+			// A resample stacked on a partly drawn one: the new pend
+			// replaces every page, drawn or not.
+			cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+			mustPend(t, "stacked resample", vec, true)
+			if got := pendingPages(vec); got != np {
+				t.Fatalf("%d words: %d of %d pages pending after a full decay", nw, got, np)
+			}
+			readSpans(t, "stacked resample", ref, vec, r, 6)
+			mustEqualState(t, "whole read", ref, vec)
+			mustPend(t, "whole read", vec, false)
+		}
+	}
+}
+
+// eagerInvalidate is the tag loop InvalidateWords replaces: read every
+// word, and rewrite each valid one without its valid and dirty bits.
+func eagerInvalidate(a *Array, valid, dirty uint64) {
+	for w := range a.bits {
+		if e := a.ReadUint64(8 * w); e&valid != 0 {
+			a.WriteUint64(8*w, e&^(valid|dirty))
+		}
+	}
+}
+
+const (
+	tagValid = uint64(1) << 63
+	tagDirty = uint64(1) << 62
+)
+
+func TestDeferredInvalidateMatchesEagerLoop(t *testing.T) {
+	const nw = 1563
+	for _, seed := range []uint64{3, 0xBADCAFE, 0xFEED} {
+		r := xrand.New(seed)
+		invalidate := func(ref, vec *Array, valid, dirty uint64) {
+			eagerInvalidate(ref, valid, dirty)
+			vec.InvalidateWords(valid, dirty)
+		}
+
+		// Invalidate on a pending array, then on a partly drawn one.
+		ref, vec, re, ve := diffPair(t, nw*64, seed, 25)
+		railPair(ref, vec, 0.8)
+		genBefore := vec.Gen()
+		invalidate(ref, vec, tagValid, tagDirty)
+		if vec.Gen() == genBefore {
+			t.Fatal("InvalidateWords did not bump gen")
+		}
+		if got := pendingPages(vec); got != vec.pages() {
+			t.Fatalf("invalidate drew %d pages of a pending array", vec.pages()-got)
+		}
+		readSpans(t, "invalidated pending array", ref, vec, r, 4)
+		invalidate(ref, vec, tagValid, tagDirty) // idempotent on pending pages
+		readSpans(t, "invalidated partly drawn array", ref, vec, r, 4)
+
+		// A different transform draws every pending page first.
+		invalidate(ref, vec, 1, 2)
+		mustPend(t, "different transform", vec, false)
+		mustEqualState(t, "different transform", ref, vec)
+
+		// Invalidate, then a power cycle: the new resample drops the
+		// recorded transform.
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		invalidate(ref, vec, tagValid, tagDirty)
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		readSpans(t, "power cycle after invalidate", ref, vec, r, 4)
+		mustEqualState(t, "power cycle after invalidate", ref, vec)
+
+		// Restores to snapshots taken before and after an invalidate,
+		// with pages drawn in between: no page drawn under one transform
+		// may leak into a snapshot that pends the other.
+		cyclePair(ref, vec, re, ve, 10*sim.Millisecond)
+		sr0, sv0 := ref.CaptureSnapshot(), vec.CaptureSnapshot()
+		invalidate(ref, vec, tagValid, tagDirty)
+		sr1, sv1 := ref.CaptureSnapshot(), vec.CaptureSnapshot()
+		readSpans(t, "after the invalidate's snapshot", ref, vec, r, 4)
+		for trial := 0; trial < 3; trial++ {
+			ref.RestoreSnapshot(sr0)
+			vec.RestoreSnapshot(sv0)
+			readSpans(t, "restored before the invalidate", ref, vec, r, 3)
+			ref.RestoreSnapshot(sr1)
+			vec.RestoreSnapshot(sv1)
+			readSpans(t, "restored after the invalidate", ref, vec, r, 3)
+			ref.RestoreSnapshot(sr0)
+			vec.RestoreSnapshot(sv0)
+			invalidate(ref, vec, tagValid, tagDirty)
+			readSpans(t, "invalidated again after a restore", ref, vec, r, 3)
+		}
+		mustEqualState(t, "restore sequence", ref, vec)
+	}
+}
+
+// repend marks every page of a's current resample pending again, so a
+// test can draw the same pages repeatedly.
+func repend(a *Array) {
+	a.pending = true
+	setPageBits(a.pendPages, a.pages())
+}
+
 // TestMaterializeZeroAlloc: drawing a deferred resample replays into a
-// stack generator and allocates nothing, on both the write-through and
-// the mark-dirty branch.
+// stack generator and allocates nothing: a page of a many-page array
+// (reached by a Jump) and a whole small array, on both the write-through
+// and the mark-dirty branch, and a deferred invalidate on pending and
+// drawn pages.
 func TestMaterializeZeroAlloc(t *testing.T) {
-	a := NewArray(sim.NewQuietEnv(), "alloc", 64*1024*8, 3)
+	env := sim.NewQuietEnv()
+	a := NewArray(env, "alloc", 64*1024*8, 3)
+	small := NewArray(env, "regs", 96*64, 4)
 	a.SetRail(0.8)
+	small.SetRail(0.8)
 	a.CaptureSnapshot()
+	small.CaptureSnapshot()
 	allocs := testing.AllocsPerRun(10, func() {
-		a.pending = true
-		_ = a.ReadUint64(0)
+		repend(a)
+		a.InvalidateWords(1<<63, 1<<62)
+		_ = a.ReadUint64(77 * snapPageWords * 8)
+		a.InvalidateWords(1<<63, 1<<62)
+		repend(small)
+		_ = small.ReadUint64(0)
 	})
 	if allocs != 0 {
 		t.Fatalf("materialize allocated %.1f times per run, want 0", allocs)

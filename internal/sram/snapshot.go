@@ -20,13 +20,15 @@ package sram
 // snapshot consumes the identical draw sequence and produces the
 // identical bytes as a trial run on a freshly built board that executed
 // the same prefix. "Same contents" includes a pending power-up resample
-// (see kernels.go): the snapshot carries the pending flag and stream
-// position rather than forcing the draws, and materialization writes
-// the drawn words through into the owner snapshot that pends the same
-// resample, so a sweep pays for the draws once, not once per trial. The
-// only field deliberately NOT restored is the derived-state generation
-// counter: gen stays monotonic and is bumped by the restore, so
-// consumers' cached stamps can never alias across a rewind.
+// (see kernels.go): the snapshot carries the stream position, the
+// pending-page bitmap and the recorded invalidate rather than forcing
+// the draws, and each drawn page is written through into the owner
+// snapshot when it pends the same resample with the same invalidate and
+// still pends that page, so a sweep pays for each page's draws once, not
+// once per trial. The only field deliberately NOT restored is the
+// derived-state generation counter: gen stays monotonic and is bumped by
+// the restore, so consumers' cached stamps can never alias across a
+// rewind.
 
 import (
 	"fmt"
@@ -58,12 +60,15 @@ type ArraySnapshot struct {
 	heldVolts   float64
 	everPowered bool
 	rng         xrand.State
-	// pending/pendFrom carry a deferred power-up resample instead of its
-	// bits (which are then stale). materialize may later write the drawn
-	// bits through into bits and clear pending; the logical content the
-	// snapshot captured never changes.
-	pending  bool
-	pendFrom xrand.State
+	// pending/pendFrom/pendPages/pendInval carry a deferred power-up
+	// resample instead of the pending pages' bits (which are then stale).
+	// drawPages may later write drawn pages through into bits and clear
+	// their pendPages bits; the logical content the snapshot captured
+	// never changes.
+	pending   bool
+	pendFrom  xrand.State
+	pendPages []uint64
+	pendInval invalMasks
 
 	// imprinted/value are deep copies of the aging overlay's bitsets,
 	// nil when the array had no overlay at capture time.
@@ -83,28 +88,47 @@ func (a *Array) markSnapPages(w0, w1 int) {
 	}
 }
 
+// pagesOf returns the number of pages nw packed words span.
+func pagesOf(nw int) int { return (nw + snapPageWords - 1) >> snapPageShift }
+
+// pages returns the array's page count.
+func (a *Array) pages() int { return pagesOf(len(a.bits)) }
+
+// setPageBits sets the first np bits of the page bitmap bm. The final
+// word is masked to the real page count: the bitmaps' walkers follow set
+// bits, and a phantom page past the array would walk off the end.
+func setPageBits(bm []uint64, np int) {
+	for i := range bm {
+		bm[i] = ^uint64(0)
+	}
+	if tail := uint(np) & 63; tail != 0 {
+		bm[len(bm)-1] = 1<<tail - 1
+	}
+}
+
+// anySet reports whether any bit of the page bitmap bm is set.
+func anySet(bm []uint64) bool {
+	for _, w := range bm {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // markSnapAll dirties every page — the physics kernels and Fill rewrite
 // most of the array, so per-word tracking would cost more than it saves.
-// The final bitmap word is masked to the real page count: restore walks
-// set bits, and a phantom page past the array would walk off the end.
 func (a *Array) markSnapAll() {
 	if a.snapDirty == nil {
 		return
 	}
-	for i := range a.snapDirty {
-		a.snapDirty[i] = ^uint64(0)
-	}
-	npages := (len(a.bits) + snapPageWords - 1) >> snapPageShift
-	if tail := uint(npages) & 63; tail != 0 {
-		a.snapDirty[len(a.snapDirty)-1] = 1<<tail - 1
-	}
+	setPageBits(a.snapDirty, a.pages())
 }
 
 // armSnapDirty (re)arms the dirty-page bitmap with all pages clean.
 func (a *Array) armSnapDirty() {
-	npages := (len(a.bits) + snapPageWords - 1) >> snapPageShift
 	if a.snapDirty == nil {
-		a.snapDirty = make([]uint64, (npages+63)/64)
+		a.snapDirty = make([]uint64, (a.pages()+63)/64)
 		return
 	}
 	clear(a.snapDirty)
@@ -119,6 +143,7 @@ func (a *Array) CaptureSnapshot() *ArraySnapshot {
 	s := &ArraySnapshot{
 		arr:         a,
 		bits:        make([]uint64, len(a.bits)),
+		pendPages:   make([]uint64, len(a.pendPages)),
 		railVolts:   a.railVolts,
 		belowSince:  a.belowSince,
 		decayTempK:  a.decayTempK,
@@ -128,8 +153,10 @@ func (a *Array) CaptureSnapshot() *ArraySnapshot {
 		rng:         a.rng.State(),
 		pending:     a.pending,
 		pendFrom:    a.pendFrom,
+		pendInval:   a.pendInval,
 	}
 	copy(s.bits, a.bits)
+	copy(s.pendPages, a.pendPages)
 	if a.imprint != nil {
 		s.imprinted = append([]uint64(nil), a.imprint.imprinted...)
 		s.value = append([]uint64(nil), a.imprint.value...)
@@ -179,6 +206,8 @@ func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 	a.rng.SetState(s.rng)
 	a.pending = s.pending
 	a.pendFrom = s.pendFrom
+	a.pendInval = s.pendInval
+	copy(a.pendPages, s.pendPages)
 	if s.imprinted != nil {
 		copy(a.imprint.imprinted, s.imprinted)
 		copy(a.imprint.value, s.value)

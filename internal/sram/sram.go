@@ -25,11 +25,11 @@
 //
 // Three engineering choices keep megabyte-scale arrays (an SoC's L2)
 // cheap: decay is integrated lazily per unpowered interval rather than
-// ticked; a power event that resamples the whole array is deferred until
-// something reads it (see kernels.go); and per-cell silicon properties
-// (DRV, retention multiplier, power-up bias) are derived on demand from a
-// per-cell hash instead of being stored, so an array costs one bit of
-// memory per cell. The hash-derived normals use an Irwin–Hall (sum of
+// ticked; a power event that resamples the whole array is deferred, page
+// by page, until something reads it (see kernels.go); and per-cell
+// silicon properties (DRV, retention multiplier, power-up bias) are
+// derived on demand from a per-cell hash instead of being stored, so an
+// array costs one bit of memory per cell. The hash-derived normals use an Irwin–Hall (sum of
 // four uniforms) approximation, which is accurate to ±3.4σ — plenty for
 // population statistics.
 package sram
@@ -135,13 +135,22 @@ type Array struct {
 	gen uint64
 	// imprint is the lazily allocated aging overlay (see imprint.go).
 	imprint *imprintState
-	// pending marks contents that are a deferred full power-up resample:
-	// the power event recorded the rng stream position its draws start
-	// at in pendFrom and jumped the rng past them, leaving bits stale.
-	// The first reader replays the draws (materialize); a whole-array
-	// overwrite drops the resample unread. See kernels.go.
-	pending  bool
-	pendFrom xrand.State
+	// pending marks contents with pages of a deferred full power-up
+	// resample still undrawn: the power event recorded the rng stream
+	// position its draws start at in pendFrom and jumped the rng past
+	// them, leaving bits stale. pendPages has one bit per snapshot page
+	// still pending; the first access to a page draws it (materialize),
+	// and a whole-array overwrite drops the resample unread. pendInval is
+	// an invalidate recorded on the pending pages, applied as each page
+	// is drawn. See kernels.go.
+	pending   bool
+	pendFrom  xrand.State
+	pendPages []uint64
+	pendInval invalMasks
+	// drawn counts the bits drawn from deferred resamples: a work
+	// counter for probes, never rewound.
+	//voltvet:nosnap work counter: bits drawn since the array was built, monotonic across rewinds like the simulator's other counters
+	drawn uint64
 	// snapDirty, when non-nil, is the armed copy-on-write page table:
 	// one bit per snapPageWords-word page, set by every write path that
 	// can change the page since the owning snapshot was captured (see
@@ -159,13 +168,15 @@ func NewArray(env *sim.Env, name string, n int, seed uint64) *Array {
 		panic("sram: array size must be positive")
 	}
 	derived := xrand.Derive(seed, "sram:"+name)
+	nw := (n + 63) / 64
 	return &Array{
-		name:     name,
-		env:      env,
-		rng:      derived,
-		cellSeed: derived.Uint64(),
-		bits:     make([]uint64, (n+63)/64),
-		n:        n,
+		name:      name,
+		env:       env,
+		rng:       derived,
+		cellSeed:  derived.Uint64(),
+		bits:      make([]uint64, nw),
+		pendPages: make([]uint64, (pagesOf(nw)+63)/64),
+		n:         n,
 	}
 }
 
@@ -239,23 +250,55 @@ func (a *Array) bit(i int) bool {
 	return a.bits[i>>6]>>(uint(i)&63)&1 == 1
 }
 
-// checkAccess panics on an unpowered array and materializes a pending
-// resample, so every architectural reader and partial writer sees the
-// bits the power event drew. The pending test is the whole cost on the
-// step path.
-func (a *Array) checkAccess(op string) {
+// DrawnBits returns how many bits the array has drawn from deferred
+// power-up resamples since it was built (see kernels.go). Restores do
+// not rewind it.
+func (a *Array) DrawnBits() uint64 { return a.drawn }
+
+// panicUnpowered reports an access to an unpowered array: a programming
+// error, since real hardware cannot access one either.
+func (a *Array) panicUnpowered(op string) {
+	panic(fmt.Sprintf("sram: %s on unpowered array %s (rail %.2fV)", op, a.name, a.railVolts))
+}
+
+// checkAccess panics on an unpowered array and draws the pending pages
+// covering packed words [w0, w1], so every architectural reader and
+// partial writer sees the bits the power event drew. On an array with
+// nothing pending — every array once its resample is drawn, and every
+// register file after its first access — the pending test is the whole
+// cost on the step path.
+func (a *Array) checkAccess(op string, w0, w1 int) {
+	if a.pending || !a.Powered() {
+		a.accessSlow(op, w0, w1)
+	}
+}
+
+// accessSlow is checkAccess's slow path, kept out of line so that
+// checkAccess inlines into every accessor. An access within one drawn
+// page of a partly drawn array, the common case on a fault rig's tag
+// RAMs, costs one page test.
+func (a *Array) accessSlow(op string, w0, w1 int) {
 	if !a.Powered() {
-		panic(fmt.Sprintf("sram: %s on unpowered array %s (rail %.2fV)", op, a.name, a.railVolts))
+		a.panicUnpowered(op)
 	}
-	if a.pending {
-		a.materialize()
+	if p := w0 >> snapPageShift; p == w1>>snapPageShift && uint(w1) < uint(len(a.bits)) && !a.pagePending(p) {
+		return
 	}
+	a.materialize(w0, w1)
+}
+
+// dropPending discards a pending resample unread, for writers that
+// overwrite the whole array.
+func (a *Array) dropPending() {
+	a.pending = false
+	a.pendInval = invalMasks{}
+	clear(a.pendPages)
 }
 
 // WriteBit stores one bit. Accessing an unpowered array is a programming
 // error (real hardware cannot either) and panics.
 func (a *Array) WriteBit(i int, v bool) {
-	a.checkAccess("WriteBit")
+	a.checkAccess("WriteBit", i>>6, i>>6)
 	a.gen++
 	a.markSnapPages(i>>6, i>>6)
 	a.setBit(i, v)
@@ -263,7 +306,7 @@ func (a *Array) WriteBit(i int, v bool) {
 
 // ReadBit loads one bit.
 func (a *Array) ReadBit(i int) bool {
-	a.checkAccess("ReadBit")
+	a.checkAccess("ReadBit", i>>6, i>>6)
 	return a.bit(i)
 }
 
@@ -285,9 +328,9 @@ func (a *Array) storeByte(j int, v byte) {
 // the fingerprint it would have produced.
 func (a *Array) WriteBytes(off int, b []byte) {
 	if off == 0 && len(b)*8 == a.n && a.Powered() {
-		a.pending = false
+		a.dropPending()
 	}
-	a.checkAccess("WriteBytes")
+	a.checkAccess("WriteBytes", off>>3, (off+len(b)-1)>>3)
 	if off < 0 || (off+len(b))*8 > a.n {
 		panic(fmt.Sprintf("sram: WriteBytes out of range on %s: off=%d len=%d size=%dB", a.name, off, len(b), a.Bytes()))
 	}
@@ -311,7 +354,7 @@ func (a *Array) WriteBytes(off int, b []byte) {
 // ReadBytes returns n bytes starting at byte offset off. Like
 // WriteBytes, aligned spans are copied word-at-a-time.
 func (a *Array) ReadBytes(off, n int) []byte {
-	a.checkAccess("ReadBytes")
+	a.checkAccess("ReadBytes", off>>3, (off+n-1)>>3)
 	if off < 0 || n < 0 || (off+n)*8 > a.n {
 		panic(fmt.Sprintf("sram: ReadBytes out of range on %s: off=%d len=%d size=%dB", a.name, off, n, a.Bytes()))
 	}
@@ -336,7 +379,7 @@ func (a *Array) ReadBytes(off, n int) []byte {
 // is allocation-free: an aligned store is a single packed-word write, an
 // unaligned one touches the two straddled words.
 func (a *Array) WriteUint64(off int, v uint64) {
-	a.checkAccess("WriteUint64")
+	a.checkAccess("WriteUint64", off>>3, (off+7)>>3)
 	if off < 0 || (off+8)*8 > a.n {
 		panic(fmt.Sprintf("sram: WriteUint64 out of range on %s: off=%d size=%dB", a.name, off, a.Bytes()))
 	}
@@ -360,7 +403,7 @@ func (a *Array) WriteUint64(off int, v uint64) {
 // 8-byte aligned reads are the fast path, exactly as for ReadUint64.
 func (a *Array) PeekUint64(off int) uint64 {
 	if a.pending {
-		a.materialize()
+		a.materialize(off>>3, (off+7)>>3)
 	}
 	w := off >> 3
 	shift := 8 * uint(off&7)
@@ -373,7 +416,7 @@ func (a *Array) PeekUint64(off int) uint64 {
 // ReadUint64 loads a 64-bit little-endian word from byte offset off
 // without allocating.
 func (a *Array) ReadUint64(off int) uint64 {
-	a.checkAccess("ReadUint64")
+	a.checkAccess("ReadUint64", off>>3, (off+7)>>3)
 	if off < 0 || (off+8)*8 > a.n {
 		panic(fmt.Sprintf("sram: ReadUint64 out of range on %s: off=%d size=%dB", a.name, off, a.Bytes()))
 	}
@@ -390,7 +433,7 @@ func (a *Array) ReadUint64(off int) uint64 {
 // packed words — at most two are touched — so subword cache traffic
 // (byte/half/word stores, ECC-word updates) never needs a scratch slice.
 func (a *Array) WriteUintN(off, size int, v uint64) {
-	a.checkAccess("WriteUintN")
+	a.checkAccess("WriteUintN", off>>3, (off+size-1)>>3)
 	if off < 0 || size < 1 || size > 8 || (off+size)*8 > a.n {
 		panic(fmt.Sprintf("sram: WriteUintN out of range on %s: off=%d size=%d arr=%dB", a.name, off, size, a.Bytes()))
 	}
@@ -417,7 +460,7 @@ func (a *Array) WriteUintN(off, size int, v uint64) {
 // ReadUintN loads size bytes little-endian from byte offset off, for
 // 1 ≤ size ≤ 8, without allocating.
 func (a *Array) ReadUintN(off, size int) uint64 {
-	a.checkAccess("ReadUintN")
+	a.checkAccess("ReadUintN", off>>3, (off+size-1)>>3)
 	if off < 0 || size < 1 || size > 8 || (off+size)*8 > a.n {
 		panic(fmt.Sprintf("sram: ReadUintN out of range on %s: off=%d size=%d arr=%dB", a.name, off, size, a.Bytes()))
 	}
@@ -441,8 +484,8 @@ func (a *Array) ReadUintN(off, size int) uint64 {
 // dst — the allocation-free form of ReadBytes, used by the cache fill
 // and writeback paths to reuse a scratch line buffer.
 func (a *Array) ReadBytesInto(off int, dst []byte) {
-	a.checkAccess("ReadBytesInto")
 	n := len(dst)
+	a.checkAccess("ReadBytesInto", off>>3, (off+n-1)>>3)
 	if off < 0 || (off+n)*8 > a.n {
 		panic(fmt.Sprintf("sram: ReadBytesInto out of range on %s: off=%d len=%d size=%dB", a.name, off, n, a.Bytes()))
 	}
@@ -466,9 +509,9 @@ func (a *Array) ReadBytesInto(off int, dst []byte) {
 // a whole-array WriteBytes it drops a pending resample unread.
 func (a *Array) Fill(v byte) {
 	if a.Powered() {
-		a.pending = false
+		a.dropPending()
 	}
-	a.checkAccess("Fill")
+	a.checkAccess("Fill", 0, len(a.bits)-1)
 	a.gen++
 	a.markSnapAll()
 	splat := uint64(v) * 0x0101010101010101
@@ -479,6 +522,54 @@ func (a *Array) Fill(v byte) {
 	}
 	for j := nwords * 8; j < nbytes; j++ { // tail bytes of a non-multiple-of-8 array
 		a.storeByte(j, v)
+	}
+}
+
+// invalMasks is the one word transform an array can record on pending
+// pages: a word with a bit of valid set loses the bits of drop (valid
+// included, so a repeat is a no-op). The zero value changes nothing.
+type invalMasks struct{ valid, drop uint64 }
+
+// apply transforms words in place and reports whether any changed.
+func (x invalMasks) apply(words []uint64) bool {
+	changed := false
+	for i, w := range words {
+		if w&x.valid != 0 {
+			words[i] = w &^ x.drop
+			changed = true
+		}
+	}
+	return changed
+}
+
+// InvalidateWords clears the valid and dirty bits of every 64-bit word
+// that has a valid bit set: a cache's invalidate-all over its tag RAM.
+// A word that is not valid keeps its dirty bit, as the hardware's does.
+// Drawn pages change at once. Pages of a pending resample are not drawn:
+// the transform is recorded and applied as each page is drawn, so an
+// invalidate at boot costs nothing for the tag pages no trial reads. An
+// array already pending a different transform draws its pending pages
+// first.
+func (a *Array) InvalidateWords(valid, dirty uint64) {
+	if !a.Powered() {
+		a.panicUnpowered("InvalidateWords")
+	}
+	x := invalMasks{valid: valid, drop: valid | dirty}
+	if a.pending && a.pendInval != x && a.pendInval != (invalMasks{}) {
+		a.materialize(0, len(a.bits)-1)
+	}
+	if a.pending {
+		a.pendInval = x
+	}
+	a.gen++
+	for p, np := 0, a.pages(); p < np; p++ {
+		if a.pending && a.pagePending(p) {
+			continue
+		}
+		w0 := p << snapPageShift
+		if x.apply(a.bits[w0:min(w0+snapPageWords, len(a.bits))]) {
+			a.markSnapPages(w0, w0)
+		}
 	}
 }
 
@@ -513,7 +604,7 @@ func (a *Array) SnapshotInto(dst []byte) {
 // with a population-count per packed word (the trailing partial word, if
 // any, is masked to the live n bits).
 func (a *Array) FractionOnes() float64 {
-	a.checkAccess("FractionOnes")
+	a.checkAccess("FractionOnes", 0, len(a.bits)-1)
 	ones := 0
 	full := a.n >> 6
 	for w := 0; w < full; w++ {

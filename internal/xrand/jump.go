@@ -87,7 +87,7 @@ func deriveCharPoly() gf2Poly {
 
 // mulMod returns a·b mod P by Horner's rule over b's coefficients: per
 // step r ← r·x mod P, then r ← r + a where b has a one. It runs only at
-// start-up, squaring the jump table into place.
+// start-up, squaring the jump table into place, and in JumpTable.
 func mulMod(a, b gf2Poly) gf2Poly {
 	var r0, r1, r2, r3 uint64
 	p := &charPoly
@@ -122,6 +122,37 @@ func (r *Rand) Jump(n uint64) {
 		}
 	}
 }
+
+// A Jumper advances a generator by a fixed number of draws in one
+// polynomial application, however many bits the count has set, where
+// Jump applies one per set bit above bit 7. JumpTable builds them for a
+// stride that a caller jumps by many multiples of.
+type Jumper struct{ q gf2Poly }
+
+// JumpTable returns count Jumpers: element i advances i·stride draws.
+// Each costs one polynomial product to build.
+func JumpTable(stride uint64, count int) []Jumper {
+	var step gf2Poly
+	step[0] = 1 // x⁰
+	for k := 0; k < 64; k++ {
+		if stride>>uint(k)&1 == 1 {
+			step = mulMod(step, jumpPolys[k])
+		}
+	}
+	t := make([]Jumper, count)
+	if count > 0 {
+		t[0].q[0] = 1
+	}
+	for i := 1; i < count; i++ {
+		t[i].q = mulMod(t[i-1].q, step)
+	}
+	return t
+}
+
+// JumpBy advances the generator by j's draw count in 256 engine steps,
+// leaving the state that Jump, or that many Uint64 calls, would. Like
+// Jump it leaves the spare carry alone.
+func (r *Rand) JumpBy(j *Jumper) { r.applyPoly(&j.q) }
 
 // applyPoly replaces the state s with q(T)·s = Σ q_i·T^i·s.
 func (r *Rand) applyPoly(q *gf2Poly) {

@@ -32,6 +32,27 @@ func TestJumpMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestJumpTableMatchesJump: every entry of a jump table advances
+// exactly as Jump over the same count, for a small stride, SRAM's page
+// stride and a stride with many set bits.
+func TestJumpTableMatchesJump(t *testing.T) {
+	for _, stride := range []uint64{1, 4096, 0x5EED5} {
+		table := JumpTable(stride, 40)
+		for i := range table {
+			for _, seed := range []uint64{3, 0xFFFFFFFFFFFFFFFF} {
+				ref, got := New(seed), New(seed)
+				_ = ref.NormFloat64() // a carried spare must pass through untouched
+				_ = got.NormFloat64()
+				ref.Jump(uint64(i) * stride)
+				got.JumpBy(&table[i])
+				if ref.State() != got.State() {
+					t.Fatalf("stride %d entry %d: state %+v, want %+v", stride, i, got.State(), ref.State())
+				}
+			}
+		}
+	}
+}
+
 // TestJumpComposes checks jump lengths far beyond what a sequential
 // oracle can reach. Doubling pins every table entry to the one below it
 // through the state alone (T^(2^k) = T^(2^(k−1))·T^(2^(k−1))), which,

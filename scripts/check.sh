@@ -110,9 +110,9 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 run_named 'TestSCACPARecoversKey' ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the four dispatch paths and their traces, restores refused while observers are attached, captures against derived state and the window stop, transformed CPA sums)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the four dispatch paths and their traces, restores refused while observers are attached, captures against derived state and the window stop, transformed CPA sums)"
 run_named 'TestJump|TestSkipNormFloat32' ./internal/xrand/
-run_named 'TestWordKernels|TestPending|TestSnapshot' ./internal/sram/
+run_named 'TestWordKernels|TestPending|TestSnapshot|TestPageDrawsMatchWholeArray|TestDeferredInvalidateMatchesEagerLoop' ./internal/sram/
 run_named 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
 run_named 'TestDataWritesBumpOnlyFetchedLines|TestRestoreAuxMatchesFullCopy' ./internal/cache/
 run_named 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc/
