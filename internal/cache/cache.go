@@ -139,8 +139,9 @@ type Cache struct {
 	// mirrors how the paper dumps and reports "WAY0"/"WAY1" images.
 	//voltvet:nosnap sram.Arrays with their own snapshot pairs, enumerated by the SoC array list
 	dataRAM []*sram.Array
-	// tagRAM holds one 64-bit entry per (way, set): way-major layout.
-	//voltvet:nosnap an sram.Array with its own snapshot pair, enumerated by the SoC array list
+	// tagRAM holds one 64-bit entry per (way, set): way-major layout. An
+	// sram.Array with its own snapshot pair, enumerated by the SoC array
+	// list; the cache's pair reads only its generation (arraysGen).
 	tagRAM *sram.Array
 
 	// enabled gates allocation: a disabled cache bypasses to backing
@@ -196,8 +197,11 @@ type Cache struct {
 	// the generation alone; a write into a marked line, or a fill that
 	// evicts one, bumps it. Any bump clears every mark at once, so the
 	// stamps never need resetting.
-	//voltvet:nosnap epoch stamps against contentGen; RestoreAux's contentGen bump clears every mark at once
+	//voltvet:nosnap epoch stamps against contentGen; a restore that rewinds the cache's arrays bumps contentGen, which clears every mark at once, and one that does not leaves marks of unchanged lines
 	fetchMark []uint64
+	// syncGen is the sum of the arrays' generations as of the last
+	// capture or restore (see RestoreAux).
+	syncGen uint64
 
 	// Single-entry way memo: the (tag, set) → way resolution of the most
 	// recent hit, stamped with the tag RAM's content generation. While the
@@ -209,11 +213,11 @@ type Cache struct {
 	// its generation and retires the memo. Derived state: it resolves to
 	// exactly what lookup would return, so it is invisible to replacement
 	// order, stats and contents.
-	//voltvet:nosnap generation-stamped way memo; the restore's gen bump retires it without touching it
+	//voltvet:nosnap generation-stamped way memo; RestoreAux empties it (memoWay = -1)
 	memoTag uint64
-	//voltvet:nosnap generation-stamped way memo; the restore's gen bump retires it without touching it
+	//voltvet:nosnap generation-stamped way memo; RestoreAux empties it (memoWay = -1)
 	memoGen uint64
-	//voltvet:nosnap generation-stamped way memo; the restore's gen bump retires it without touching it
+	//voltvet:nosnap generation-stamped way memo; RestoreAux empties it (memoWay = -1)
 	memoSet int32
 	//voltvet:nosnap reset to empty (-1) by RestoreAux; the way memo never survives a rewind
 	memoWay int32 // -1 when empty

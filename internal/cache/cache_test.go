@@ -720,10 +720,12 @@ func TestInlineECCWritebackDecodes(t *testing.T) {
 // the predecoded i-stream relies on: a data write — a store, an ECC
 // store, or a full-line writeback from an inner cache — bumps the
 // generation only if its line served a predecoded fetch (MarkFetched)
-// since the last bump, and every bump, RestoreAux's included, clears all
-// marks at once. A fill follows the same rule for the line it replaces:
-// a fill into an unmarked slot leaves the generation alone, and a fill
-// that evicts a marked line bumps it by one.
+// since the last bump, and every bump clears all marks at once. A
+// RestoreAux bumps only if the cache's arrays moved since the capture
+// or the last restore, so one that rewinds nothing keeps the marks. A
+// fill follows the data-write rule for the line it replaces: a fill
+// into an unmarked slot leaves the generation alone, and a fill that
+// evicts a marked line bumps it by one.
 func TestDataWritesBumpOnlyFetchedLines(t *testing.T) {
 	for _, ecc := range []bool{false, true} {
 		cfg := paperL1D()
@@ -772,13 +774,34 @@ func TestDataWritesBumpOnlyFetchedLines(t *testing.T) {
 		}
 		snap := c.CaptureAux()
 		c.MarkFetched(way, set)
-		c.RestoreAux(snap)
 		g := c.ContentGen()
+		c.RestoreAux(snap)
+		if c.ContentGen() != g {
+			t.Errorf("ecc=%v: a restore that rewound nothing moved the generation by %d", ecc, c.ContentGen()-g)
+		}
+		if _, err := c.Access(code, 8, true, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		if c.ContentGen() != g+1 {
+			t.Errorf("ecc=%v: a restore that rewound nothing dropped a mark", ecc)
+		}
+		// A write into an unmarked line moves the arrays but not the
+		// generation; the next restore bumps it and clears every mark.
+		c.MarkFetched(way, set)
+		g = c.ContentGen()
+		if _, err := c.Access(data, 8, true, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		c.RestoreAux(snap)
+		if c.ContentGen() != g+1 {
+			t.Errorf("ecc=%v: a restore after a data write moved the generation by %d, want 1", ecc, c.ContentGen()-g)
+		}
+		g = c.ContentGen()
 		if _, err := c.Access(code, 8, true, 0, false); err != nil {
 			t.Fatal(err)
 		}
 		if c.ContentGen() != g {
-			t.Errorf("ecc=%v: a mark survived RestoreAux", ecc)
+			t.Errorf("ecc=%v: a mark survived a restore that bumped", ecc)
 		}
 		// The code line's set now holds it and one invalid way; the way
 		// stride is 16 KiB, so code+16K and code+32K alias the set.

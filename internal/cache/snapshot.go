@@ -14,11 +14,16 @@ package cache
 // cache is not tracking copies every timestamp and tracks that one.
 //
 // The way memo, contentGen and the fetch marks are deliberately NOT
-// captured: all three are derived state. contentGen stays monotonic —
-// RestoreAux bumps it, so predecode stamps issued after the capture can
-// never falsely validate after the rewind, and the same bump clears
-// every fetch mark — and the memo is simply dropped (its re-resolution
-// is invisible to replacement order, stats, and contents).
+// captured: all three are derived state. contentGen stays monotonic.
+// RestoreAux bumps it when the rewind can reach what a predecoded fetch
+// observes: when the enable bit changes back, or when one of the
+// cache's arrays moved its generation since the last capture or
+// restore (the SoC restores the arrays first, so an array its own
+// restore rewound has already bumped). The bump retires every predecode
+// stamp issued since and clears every fetch mark. Without it the marks
+// stay valid: they still describe lines whose content did not change.
+// The memo is simply dropped (its re-resolution is invisible to
+// replacement order, stats, and contents).
 
 // AuxSnapshot is the captured non-SRAM state of one Cache.
 type AuxSnapshot struct {
@@ -45,14 +50,19 @@ func (c *Cache) CaptureAux() *AuxSnapshot {
 		s.lastUse[w] = append([]uint64(nil), c.lastUse[w]...)
 	}
 	c.track(s)
+	c.syncGen = c.arraysGen()
 	return s
 }
 
 // RestoreAux rewinds the cache's plain-memory state to the captured
-// values, drops the way memo, and bumps the content generation.
+// values, drops the way memo, and bumps the content generation if the
+// enable bit or any of the cache's arrays moved.
 func (c *Cache) RestoreAux(s *AuxSnapshot) {
 	if s.c != c {
 		panic("cache: RestoreAux onto a different cache")
+	}
+	if c.enabled != s.enabled || c.arraysGen() != c.syncGen {
+		c.contentGen++
 	}
 	if c.snapOwner == s {
 		for _, i := range c.touched {
@@ -70,7 +80,17 @@ func (c *Cache) RestoreAux(s *AuxSnapshot) {
 	copy(c.lockedWays, s.lockedWays)
 	c.stats = s.stats
 	c.memoWay = -1
-	c.contentGen++
+	c.syncGen = c.arraysGen()
+}
+
+// arraysGen sums the generations of the cache's arrays. Each is
+// monotonic, so the sum moves exactly when one of them does.
+func (c *Cache) arraysGen() uint64 {
+	g := c.tagRAM.Gen()
+	for _, a := range c.dataRAM {
+		g += a.Gen()
+	}
+	return g
 }
 
 // track makes s the snapshot whose restore rewinds the touched log, and

@@ -82,15 +82,18 @@ func BenchmarkGlitchSearch(b *testing.B) {
 
 // BenchmarkTraceCapture1000 times trace-capture at fault-sca's shape:
 // 1000 traces, a 256-sample window and noise sigma 1. Each trial is a
-// snapshot restore and one armed run that stops when the window is
-// full, 256 of the victim's 1,491 instructions. Building each worker's
-// rig accounts for most of the allocation. In a CPU profile of 60
-// iterations on a 2-vCPU VM, the trials are 78% (fetch path 30%, exec
-// 21%, restores 6%, noise 7%) and the rig builds 18% (`SoC.Boot` 10%,
-// 8% of it the VideoCore's junk bytes; `board.New` 3%). SRAM draws are
-// 9%, 4% at build and 5% in the trials, since a rig draws only the tag
-// and data pages it touches (the boot's cache invalidates draw none);
-// drawing whole arrays, they were 30%, 25% under the boot's invalidates.
+// snapshot restore and one armed run, in superblocks, that stops when
+// the window is full, 256 of the victim's 1,491 instructions. The rig's
+// snapshot is taken after one unarmed victim run, and restores keep the
+// predecode entries and L1I lines no trial rewinds, so trials neither
+// refetch nor refill the victim's code. Building each worker's rig
+// accounts for most of the allocation. In CPU profiles of 2 × 150
+// iterations on a 2-vCPU VM, the trials are 61% (exec 29%, noise 10%,
+// restores 6%, fetch path 4%) and the rig builds 33%: SRAM page draws
+// 14%, all of them at build, since a rig draws only the tag and data
+// pages it touches and its warm-up run touches every page a trial does;
+// the VideoCore's junk bytes 8.5%; snapshot capture 3%; `board.New`
+// 2.5%.
 func BenchmarkTraceCapture1000(b *testing.B) {
 	key, err := ParseSCAKey(SCADefaultKey)
 	if err != nil {

@@ -35,7 +35,8 @@ const SCADefaultKey = "2b7e151628aed2a6abf7158809cf4f3c"
 
 // scaRig is one worker's capture bench: a powered board booted into
 // the AES victim with its tables staged, a trace capturer on core 0,
-// and a snapshot every trial forks from.
+// and a snapshot every trial forks from, taken after one unarmed victim
+// run so that trials start warm.
 type scaRig struct {
 	b    *board.Board
 	cap  *trace.Capturer
@@ -52,7 +53,38 @@ func buildSCAVictim() (*trace.AESVictim, error) {
 	return trace.BuildAESVictim(soc.PayloadBase, scaStateAddr, scaKeyAddr, scaSBoxAddr, scaOutAddr, scaRounds)
 }
 
+// newSCARig builds a rig whose snapshot is warm. After the cold build
+// it runs the victim once, unarmed, so that the snapshot holds the
+// victim's code lines in the L1I, its tables in the L1D, and its
+// predecode entries and superblocks, all of which restores keep (see
+// soc.SoC.RestoreSnapshot). A trace depends on none of them. It does
+// depend on the state line: SoC.WriteDRAM stages each trial's plaintext
+// through the L2 only, so a state line left in the L1D would serve the
+// warm-up's bytes. The warm-up therefore cleans and invalidates that one
+// line before the core is reset to the entry.
 func newSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
+	r, err := bootSCARig(seed, key, arena)
+	if err != nil {
+		return nil, err
+	}
+	s := r.b.SoC
+	cpu := s.Cores[0].CPU
+	entry := cpu.PC
+	if err := s.RunCore(0, r.budget); err != nil {
+		return nil, err
+	}
+	if err := s.Cores[0].L1D.CleanInvalidateVA(scaStateAddr); err != nil {
+		return nil, err
+	}
+	cpu.Reset(entry)
+	r.snapshot()
+	return r, nil
+}
+
+// bootSCARig builds a rig up to its snapshot, which it does not take: a
+// powered board booted into the AES victim with caches on and its
+// tables staged, core 0 reset at the victim's entry, never having run.
+func bootSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
 	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
@@ -68,28 +100,32 @@ func newSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
 	if err := v.StageData(s, key); err != nil {
 		return nil, err
 	}
-	// Boot leaves the core reset at the victim's entry with the boot
-	// firmware's values in its registers (reset clears no register
-	// SRAM). Scrub them before the snapshot, so every trial forks from
-	// a dead core and a capture's first Hamming distances count from 0.
-	cpu := s.Cores[0].CPU
-	for i := 0; i < isa.XZR; i++ {
-		cpu.SetX(i, 0)
-	}
 	cap, err := trace.New(s, 0, arena)
 	if err != nil {
 		return nil, err
 	}
-	rig := &scaRig{b: b, cap: cap, budget: uint64(v.RunLength()) + 64}
-	rig.snap = b.CaptureSnapshot()
-	return rig, nil
+	return &scaRig{b: b, cap: cap, budget: uint64(v.RunLength()) + 64}, nil
+}
+
+// snapshot takes the snapshot every trial forks from. The core's
+// registers hold the boot firmware's values, or the warm-up's (reset
+// clears no register SRAM), so it first scrubs X0–X30: every trial then
+// forks from a dead core, and a capture's first Hamming distances count
+// from 0.
+func (r *scaRig) snapshot() {
+	cpu := r.b.SoC.Cores[0].CPU
+	for i := 0; i < isa.XZR; i++ {
+		cpu.SetX(i, 0)
+	}
+	r.snap = r.b.CaptureSnapshot()
 }
 
 // capture forks the snapshot, stages one plaintext and runs the armed
 // victim once, until it halts or the arena is full. The bus tap sees no
 // instruction fetches, so the trace depends only on the committed
-// instructions and their data, not on what the predecode table or the
-// caches hold after a restore. The returned trace carries
+// instructions and their data, not on what the predecode table, the
+// superblocks or the caches hold after a restore; the armed core runs
+// in superblocks like an unarmed one. The returned trace carries
 // deterministic Gaussian noise of the given sigma (one derived rng
 // stream per trial covers plaintext and noise).
 func (r *scaRig) capture(pt [16]byte, sigma float64, rng *xrand.Rand) ([]float32, error) {

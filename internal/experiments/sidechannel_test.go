@@ -188,36 +188,9 @@ func TestArmedTracingDoesNotPerturbGoldens(t *testing.T) {
 // and decodes every instruction through FetchInstr.
 type plainBus struct{ isa.Bus }
 
-// captureTwoPass captures one trial the way the capture protocol did
-// while fetches that missed the predecode table reached the bus tap: an
-// unarmed run of the whole victim to warm the predecode table and the
-// caches, then Reset, the X0–X30 scrub and the armed run to the halt.
-func captureTwoPass(t *testing.T, r *scaRig, pt [16]byte) []float32 {
-	t.Helper()
-	s := r.b.SoC
-	cpu := s.Cores[0].CPU
-	r.b.RestoreSnapshot(r.snap)
-	entry := cpu.PC
-	s.WriteDRAM(int(scaStateAddr), pt[:])
-	if err := s.RunCore(0, r.budget); err != nil {
-		t.Fatal(err)
-	}
-	cpu.Reset(entry)
-	for i := 0; i < isa.XZR; i++ {
-		cpu.SetX(i, 0)
-	}
-	r.cap.Arm()
-	err := s.RunCore(0, r.budget)
-	r.cap.Disarm()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append([]float32(nil), r.cap.Samples()...)
-}
-
-// capturePlainFetch captures one trial from a cold restore with core 0
-// stepping over plainBus: no predecode table, no superblocks, every
-// fetch through FetchInstr.
+// capturePlainFetch captures one trial from a restore of the rig's
+// snapshot with core 0 stepping over plainBus: no predecode table, no
+// superblocks, every fetch through FetchInstr.
 func capturePlainFetch(t *testing.T, r *scaRig, pt [16]byte) []float32 {
 	t.Helper()
 	s := r.b.SoC
@@ -299,7 +272,8 @@ func rigDrawnBits(s *soc.SoC) uint64 {
 // whole arrays, the boot's cache invalidates alone drew all nine tag
 // RAMs and the rig drew 1.68 Mbit; drawing only the pages an access
 // covers, with the invalidates recorded on pending pages, it draws a
-// fifth of that.
+// fifth of that: 364,544 bits, all at build, because the warm-up run
+// draws every page a trace touches before the snapshot.
 func TestSCARigDrawsTouchedPages(t *testing.T) {
 	rig, err := newSCARig(testSeed, mustKey(t), 256)
 	if err != nil {
@@ -318,12 +292,16 @@ func TestSCARigDrawsTouchedPages(t *testing.T) {
 }
 
 // TestCaptureIgnoresDerivedState: a captured trace is a function of the
-// committed instructions and their data alone. One trial recorded three
-// ways must give bit-identical samples: (a) the rig's one-pass capture
-// from a cold restore, (b) the former two-pass protocol, whose warm-up
-// run leaves the predecode table and the caches warm, and (c) a core
-// with no predecode table at all. Predecode, superblock and cache state
-// differ across the three; the samples may not.
+// committed instructions and their data alone. Successive trials with
+// different plaintexts, each recorded three ways, must give
+// bit-identical samples: (a) the rig's capture from its warm snapshot,
+// whose predecode entries, superblocks and cache lines persist across
+// restores, (b) a capture from a cold snapshot of a core that has never
+// run, and (c) a core with no predecode table at all. Predecode,
+// superblock and cache state differ across the three; the samples may
+// not. A warm snapshot that kept the victim's state line in the L1D
+// would serve (a) and (c) the warm-up's bytes in every trial, and (b)
+// the plaintext.
 func TestCaptureIgnoresDerivedState(t *testing.T) {
 	key := mustKey(t)
 	v, err := buildSCAVictim()
@@ -334,6 +312,11 @@ func TestCaptureIgnoresDerivedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold, err := bootSCARig(testSeed, key, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.snapshot()
 	for i, pt := range scaTestPlaintexts(5) {
 		got, err := rig.capture(pt, 0, nil)
 		if err != nil {
@@ -342,18 +325,22 @@ func TestCaptureIgnoresDerivedState(t *testing.T) {
 		if len(got) != v.RunLength() {
 			t.Fatalf("plaintext %d: captured %d samples, victim runs %d instructions", i, len(got), v.RunLength())
 		}
+		coldSamples, err := cold.capture(pt, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, ref := range []struct {
 			name    string
 			samples []float32
 		}{
-			{"two-pass warm capture", captureTwoPass(t, rig, pt)},
+			{"cold-snapshot capture", coldSamples},
 			{"plain-fetch capture", capturePlainFetch(t, rig, pt)},
 		} {
 			if at, ok := sameSamples(got, ref.samples); !ok {
 				if at < 0 {
-					t.Fatalf("plaintext %d: %s has %d samples, one-pass capture %d", i, ref.name, len(ref.samples), len(got))
+					t.Fatalf("plaintext %d: %s has %d samples, warm capture %d", i, ref.name, len(ref.samples), len(got))
 				}
-				t.Fatalf("plaintext %d: %s differs from the one-pass capture at sample %d: %g vs %g",
+				t.Fatalf("plaintext %d: %s differs from the warm capture at sample %d: %g vs %g",
 					i, ref.name, at, ref.samples[at], got[at])
 			}
 		}

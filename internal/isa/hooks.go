@@ -10,8 +10,10 @@ package isa
 //   - bus: the SoC's access path feeds the issuing core's Sink its
 //     loads and stores; instruction fetches stay off the tap.
 //
-// The SoC's superblock dispatcher single-steps a core whose Hooks is
-// set, so every hooked instruction runs through execHooked.
+// Every hooked instruction runs through execHooked, whether a step or
+// the SoC's superblock dispatcher executes it. The dispatcher
+// single-steps a core with a fault injector, whose pulse edges must land
+// between instructions, and runs a core with only a sink in blocks.
 //
 // Observers are not machine state. A trial restores its snapshot first
 // and arms its observers after; the SoC refuses to capture or restore a

@@ -12,9 +12,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// The four-path dispatch oracle. Random well-formed programs run on four
-// identically built and booted SoCs, each dispatching core 0 a different
-// way:
+// The dispatch oracle. Random well-formed programs run on identically
+// built and booted SoCs, each dispatching core 0 a different way:
 //
 //  1. ref: a CPU over a bus that hides isa.DecodedBus, so every fetch
 //     goes through FetchInstr and Decode (the plain reference);
@@ -22,17 +21,32 @@ import (
 //  3. superblock: RunCoreQuantum over random quantum sizes;
 //  4. hooked: an attached fault injector that never faults and an armed
 //     trace sink, dispatched one instruction at a time through
-//     RunCoreQuantum.
+//     RunCoreQuantum;
+//  5. traced: an armed trace sink alone, dispatched through
+//     RunCoreQuantum over random quantum sizes, so in superblocks.
 //
-// The reference carries an armed trace sink too. Stepped paths are
-// compared with the reference after every instruction, the superblock
-// path at every quantum boundary: PC, flags, Instret, halt state,
-// barrier count, every cache's statistics and every SRAM array's bytes,
-// and for the hooked path the power-trace samples as well: a sample may
-// not depend on whether its fetch went through the predecode table. An
-// array whose generation moved on neither side since the last
-// comparison holds what it held then, so only moved arrays are re-read.
-// Each program ends with a comparison of the DRAM cells.
+// The reference carries an armed trace sink too. A second lane pairs a
+// glitched path with a plain reference of its own, both with a fault
+// injector that never faults but invalidates the L1I before every n-th
+// instruction, as a glitcher's pulse edge changes the machine between
+// two instructions; the glitched path runs RunCoreQuantum over random
+// quantum sizes, which must single-step it.
+//
+// Stepped paths are compared with their reference after every
+// instruction, the others at every quantum boundary: PC, flags, Instret,
+// halt state, barrier count, every cache's statistics and every SRAM
+// array's bytes, and for traced paths the power-trace samples as well: a
+// sample may not depend on whether its fetch went through the predecode
+// table or a superblock. An array whose generation moved on neither side
+// since the last comparison holds what it held then, so only moved
+// arrays are re-read.
+//
+// Every side captures a snapshot a few hundred instructions in, runs to
+// the halt, restores it and runs to the halt again, twice. A restore
+// keeps the predecode entries and superblocks of every cache line it did
+// not rewind; the plain references hold no such state, so any entry a
+// restore should have retired shows as a divergence. Each program ends
+// with a comparison of the DRAM cells.
 
 // Register roles in generated programs. Random instructions write only
 // X0–X9. X10–X12 hold data bases, X13 a maintenance address, X17 the
@@ -53,11 +67,22 @@ const (
 type oracleBus struct{ isa.Bus }
 
 // noFault is a fault injector that never faults. It counts the
-// instructions it was consulted on, which must be every one.
-type noFault struct{ seen uint64 }
+// instructions it was consulted on, which must be every one. With every
+// set, it invalidates its core's L1I before each every-th of them: a
+// change to the i-side between two instructions, like a glitcher's
+// pulse edge. A dispatcher that ran such a core in a superblock would
+// run the rest of the block from the lines the invalidate dropped.
+type noFault struct {
+	seen  uint64
+	s     *SoC
+	every uint64
+}
 
-func (f *noFault) OnInstr(*isa.CPU, isa.Instr) isa.FaultDecision {
+func (f *noFault) OnInstr(c *isa.CPU, _ isa.Instr) isa.FaultDecision {
 	f.seen++
+	if f.every != 0 && f.seen%f.every == 0 {
+		f.s.ICIALLU(c.ID)
+	}
 	return isa.FaultDecision{}
 }
 
@@ -225,7 +250,10 @@ func (g *progGen) smcLoop() {
 // line on, so the 16-way set evicts the loop's first line, fetched and
 // predecoded on this pass, and the next pass's fetch of it misses: an
 // L2 fill that evicts a line a predecode entry was fetched from must
-// retire the entry, and fills into other slots must not disturb it.
+// retire the entry, and fills into other slots must not disturb it. The
+// walk's addresses share the loop label's word alignment, so it loads
+// and stores words: a doubleword at a label 4 bytes before a line end
+// would cross the line, which the caches reject.
 func (g *progGen) aliasLoop() {
 	top, walk := g.label(), g.label()
 	g.line("MOVZ X22, #%d", 2+g.r.Intn(3))
@@ -239,9 +267,9 @@ func (g *progGen) aliasLoop() {
 	fmt.Fprintf(&g.b, "%s:\n", walk)
 	g.line("ADD X23, X23, X25")
 	if g.r.Bool() {
-		g.line("LDR X%d, [X23, #0]", g.dst())
+		g.line("LDRW X%d, [X23, #0]", g.dst())
 	} else {
-		g.line("STR X%d, [X23, #0]", g.src())
+		g.line("STRW X%d, [X23, #0]", g.src())
 	}
 	g.line("SUBI X24, X24, #1")
 	g.line("CBNZ X24, %s", walk)
@@ -274,8 +302,16 @@ type oracleSide struct {
 	cpu  *isa.CPU
 	arrs []*sram.Array
 	bufs [][]byte
-	// sink is the armed trace sink on core 0, nil on untraced sides.
+	// single makes a one-instruction advance go through RunCoreQuantum
+	// instead of cpu.Step.
+	single bool
+	// sink is the armed trace sink on core 0, nil on untraced sides;
+	// inj is core 0's fault injector, nil on sides without one.
 	sink *isa.TraceSink
+	inj  *noFault
+	// retired counts the instructions the side ran, across restores.
+	retired uint64
+	snap    *Snapshot
 }
 
 // armTrace attaches an armed trace sink with an arena of n samples to
@@ -283,6 +319,53 @@ type oracleSide struct {
 func (o *oracleSide) armTrace(n int) {
 	o.sink = &isa.TraceSink{Static: 0.62, Buf: make([]float32, n)}
 	o.cpu.AttachTrace(o.sink)
+}
+
+// attachFault attaches a never-faulting injector to the side's core 0
+// that invalidates the L1I before every every-th instruction, or never
+// when every is 0.
+func (o *oracleSide) attachFault(every uint64) {
+	o.inj = &noFault{s: o.s, every: every}
+	o.cpu.AttachFault(o.inj)
+}
+
+// fork captures a snapshot, or restores the one captured, with the
+// side's observers detached for the call as snapshots require.
+func (o *oracleSide) fork() {
+	if o.sink != nil {
+		o.cpu.DetachTrace(o.sink)
+	}
+	if o.inj != nil {
+		o.cpu.DetachFault(o.inj)
+	}
+	if o.snap == nil {
+		o.snap = o.s.CaptureSnapshot()
+	} else {
+		o.s.RestoreSnapshot(o.snap)
+	}
+	if o.inj != nil {
+		o.cpu.AttachFault(o.inj)
+	}
+	if o.sink != nil {
+		o.cpu.AttachTrace(o.sink)
+	}
+}
+
+// step advances the side by one instruction.
+func (o *oracleSide) step(t *testing.T, prog int, name string) {
+	t.Helper()
+	var err error
+	if o.single {
+		var n uint64
+		n, err = o.s.RunCoreQuantum(0, 1)
+		o.retired += n
+	} else {
+		err = o.cpu.Step()
+		o.retired++
+	}
+	if err != nil {
+		t.Fatalf("program %d, %s path: %v", prog, name, err)
+	}
 }
 
 // oracleMode is one cache configuration the oracle runs programs under:
@@ -310,6 +393,17 @@ func newOracleSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
 	for _, a := range o.arrs {
 		o.bufs = append(o.bufs, make([]byte, a.Bytes()))
 	}
+	return o
+}
+
+// newPlainSide is newOracleSide with core 0 replaced by a CPU over
+// oracleBus: a plain reference.
+func newPlainSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
+	t.Helper()
+	o := newOracleSide(t, words, m)
+	plain := isa.NewCPU(0, o.cpu.Regs, oracleBus{o.s}, o.s)
+	plain.RestoreState(o.cpu.CaptureState())
+	o.s.Cores[0].CPU, o.cpu = plain, plain
 	return o
 }
 
@@ -350,15 +444,9 @@ func (p *oraclePair) compare(t *testing.T, prog int) {
 	}
 	if rs, gs := p.ref.sink, p.got.sink; rs != nil && gs != nil {
 		// Earlier samples were compared when they were recorded.
-		last := func(s *isa.TraceSink) float32 {
-			if s.N == 0 {
-				return 0
-			}
-			return s.Buf[s.N-1]
-		}
-		if rs.N != gs.N || rs.LastAddr != gs.LastAddr || math.Float32bits(last(rs)) != math.Float32bits(last(gs)) {
-			t.Fatalf("program %d, %s path at instret %d: %d samples, last %g, last bus address %#x; reference %d, %g, %#x",
-				prog, p.name, r.Instret, gs.N, last(gs), gs.LastAddr, rs.N, last(rs), rs.LastAddr)
+		if rs.N != gs.N || rs.LastAddr != gs.LastAddr || lastSamplesDiffer(rs, gs) {
+			t.Fatalf("program %d, %s path at instret %d: %d samples, last bus address %#x; reference %d, %#x",
+				prog, p.name, r.Instret, gs.N, gs.LastAddr, rs.N, rs.LastAddr)
 		}
 	}
 	for i, ra := range p.ref.arrs {
@@ -376,18 +464,127 @@ func (p *oraclePair) compare(t *testing.T, prog int) {
 	}
 }
 
-// TestDispatchPathsAgree runs random programs down the four dispatch
-// paths, with the L1s on (fetches served by the L1I), with only the L2
-// on (the extraction payloads' configuration, whose programs add
-// aliasing loops that make L2 fills evict fetched lines) and with both
-// off (every fetch read from DRAM), and requires every path to match the
-// plain reference at every comparison point.
+// lastSamplesDiffer reports whether two sinks with equal counts
+// disagree on any of their last 48 samples, the longest quantum.
+func lastSamplesDiffer(a, b *isa.TraceSink) bool {
+	for i := max(a.N-48, 0); i < a.N; i++ {
+		if math.Float32bits(a.Buf[i]) != math.Float32bits(b.Buf[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// oracleLane is a plain reference and the paths compared with it:
+// stepped paths after every instruction, quantum paths at every quantum
+// boundary.
+type oracleLane struct {
+	ref     *oracleSide
+	stepped []*oraclePair
+	quantum []*oraclePair
+}
+
+// sides returns the lane's reference and paths.
+func (l *oracleLane) sides() []*oracleSide {
+	out := []*oracleSide{l.ref}
+	for _, p := range l.stepped {
+		out = append(out, p.got)
+	}
+	for _, p := range l.quantum {
+		out = append(out, p.got)
+	}
+	return out
+}
+
+func (l *oracleLane) compare(t *testing.T, prog int) {
+	t.Helper()
+	for _, p := range l.stepped {
+		p.compare(t, prog)
+	}
+	for _, p := range l.quantum {
+		p.compare(t, prog)
+	}
+}
+
+// run takes every side from a fresh boot to the halt three times: it
+// captures a snapshot of every side at the first quantum boundary at or
+// after instret capAt, and restores it after each halt but the last.
+// Quantum sizes are drawn from r.
+func (l *oracleLane) run(t *testing.T, prog int, r *xrand.Rand, capAt, maxInstr uint64) {
+	t.Helper()
+	ref := l.ref
+	start := ref.cpu.Instret // restores rewind Instret to past it
+	for pass := 0; pass < 3; pass++ {
+		if pass > 0 {
+			for _, side := range l.sides() {
+				side.fork()
+			}
+			l.compare(t, prog)
+		}
+		for !ref.cpu.Halted {
+			q := 1 + r.Intn(48)
+			if ref.snap == nil && ref.cpu.Instret < capAt {
+				q = min(q, int(capAt-ref.cpu.Instret))
+			}
+			k := 0
+			for ; k < q && !ref.cpu.Halted; k++ {
+				if ref.cpu.Instret-start >= maxInstr {
+					t.Fatalf("program %d did not halt within %d instructions", prog, maxInstr)
+				}
+				ref.step(t, prog, "reference")
+				for _, p := range l.stepped {
+					p.got.step(t, prog, p.name)
+					p.compare(t, prog)
+				}
+			}
+			for _, p := range l.quantum {
+				got := p.got
+				n, err := got.s.RunCoreQuantum(0, uint64(k))
+				got.retired += n
+				if err != nil {
+					t.Fatalf("program %d, %s path: %v", prog, p.name, err)
+				}
+				if n != uint64(k) {
+					t.Fatalf("program %d, %s path retired %d of a %d-instruction quantum", prog, p.name, n, k)
+				}
+				p.compare(t, prog)
+			}
+			if ref.snap == nil && ref.cpu.Instret >= capAt {
+				for _, side := range l.sides() {
+					side.fork()
+				}
+			}
+		}
+	}
+	for _, side := range l.sides() {
+		if side.inj != nil && side.inj.seen != side.retired {
+			t.Fatalf("program %d: injector consulted on %d instructions, core retired %d", prog, side.inj.seen, side.retired)
+		}
+		if side.sink != nil && uint64(side.sink.N) != side.retired {
+			t.Fatalf("program %d: %d samples, core retired %d", prog, side.sink.N, side.retired)
+		}
+	}
+	want := ref.s.DRAM.Read(0, ref.s.DRAM.Size())
+	for _, side := range l.sides()[1:] {
+		if !bytes.Equal(side.s.DRAM.Read(0, side.s.DRAM.Size()), want) {
+			t.Fatalf("program %d: DRAM cells differ from the reference", prog)
+		}
+	}
+}
+
+// TestDispatchPathsAgree runs random programs down every dispatch path,
+// across a snapshot restore, with the L1s on (fetches served by the
+// L1I), with only the L2 on (the extraction payloads' configuration,
+// whose programs add aliasing loops that make L2 fills evict fetched
+// lines) and with both off (every fetch read from DRAM), and requires
+// every path to match its plain reference at every comparison point.
 func TestDispatchPathsAgree(t *testing.T) {
 	const (
 		blocks   = 24
 		maxInstr = 200_000
+		arena    = 3 * maxInstr // three runs to the halt
 	)
-	programs := 6 // about 49k instructions over the three modes
+	programs := 6 // about 150k instructions per lane over the three modes
 	if testing.Short() {
 		programs = 1 // keeps the -race -short pass fast; the full run is tier-1
 	}
@@ -400,63 +597,38 @@ func TestDispatchPathsAgree(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			for prog := 0; prog < programs; prog++ {
 				words := mustAsm(t, PayloadBase, randomProgram(r, blocks, mode.alias))
-				ref := newOracleSide(t, words, mode)
-				plain := isa.NewCPU(0, ref.cpu.Regs, oracleBus{ref.s}, ref.s)
-				plain.RestoreState(ref.cpu.CaptureState())
-				ref.s.Cores[0].CPU, ref.cpu = plain, plain
-				ref.armTrace(maxInstr)
+				ref := newPlainSide(t, words, mode)
+				ref.armTrace(arena)
 				pre := newOracleSide(t, words, mode)
 				sb := newOracleSide(t, words, mode)
 				hooked := newOracleSide(t, words, mode)
-				inj := &noFault{}
-				hooked.cpu.AttachFault(inj)
-				hooked.armTrace(maxInstr)
-				start := hooked.cpu.Instret
+				hooked.single = true
+				hooked.attachFault(0)
+				hooked.armTrace(arena)
+				traced := newOracleSide(t, words, mode)
+				traced.armTrace(arena)
+				main := &oracleLane{
+					ref: ref,
+					stepped: []*oraclePair{
+						newOraclePair("predecode", ref, pre),
+						newOraclePair("hooked", ref, hooked),
+					},
+					quantum: []*oraclePair{
+						newOraclePair("superblock", ref, sb),
+						newOraclePair("traced", ref, traced),
+					},
+				}
+				main.run(t, prog, r, ref.cpu.Instret+50+uint64(r.Intn(500)), maxInstr)
 
-				pairs := []*oraclePair{
-					newOraclePair("predecode", ref, pre),
-					newOraclePair("hooked", ref, hooked),
-				}
-				sbPair := newOraclePair("superblock", ref, sb)
-				for !ref.cpu.Halted {
-					q := 1 + r.Intn(48)
-					k := 0
-					for ; k < q && !ref.cpu.Halted; k++ {
-						if ref.cpu.Instret >= maxInstr {
-							t.Fatalf("program %d did not halt within %d instructions", prog, maxInstr)
-						}
-						if err := ref.cpu.Step(); err != nil {
-							t.Fatalf("program %d, reference: %v", prog, err)
-						}
-						if err := pre.cpu.Step(); err != nil {
-							t.Fatalf("program %d, predecode path: %v", prog, err)
-						}
-						if _, err := hooked.s.RunCoreQuantum(0, 1); err != nil {
-							t.Fatalf("program %d, hooked path: %v", prog, err)
-						}
-						for _, p := range pairs {
-							p.compare(t, prog)
-						}
-					}
-					n, err := sb.s.RunCoreQuantum(0, uint64(k))
-					if err != nil {
-						t.Fatalf("program %d, superblock path: %v", prog, err)
-					}
-					if n != uint64(k) {
-						t.Fatalf("program %d, superblock path retired %d of a %d-instruction quantum", prog, n, k)
-					}
-					sbPair.compare(t, prog)
-				}
-				if retired := hooked.cpu.Instret - start; inj.seen != retired || uint64(hooked.sink.N) != retired {
-					t.Fatalf("program %d: injector consulted on %d instructions, %d samples, core retired %d",
-						prog, inj.seen, hooked.sink.N, retired)
-				}
-				want := ref.s.DRAM.Read(0, ref.s.DRAM.Size())
-				for _, side := range []*oracleSide{pre, sb, hooked} {
-					if !bytes.Equal(side.s.DRAM.Read(0, side.s.DRAM.Size()), want) {
-						t.Fatalf("program %d: DRAM cells differ from the reference", prog)
-					}
-				}
+				every := 5 + uint64(r.Intn(60))
+				gref := newPlainSide(t, words, mode)
+				gref.attachFault(every)
+				gref.armTrace(arena)
+				glitched := newOracleSide(t, words, mode)
+				glitched.attachFault(every)
+				glitched.armTrace(arena)
+				lane := &oracleLane{ref: gref, quantum: []*oraclePair{newOraclePair("glitched", gref, glitched)}}
+				lane.run(t, prog, r, gref.cpu.Instret+50+uint64(r.Intn(500)), maxInstr)
 			}
 		})
 	}

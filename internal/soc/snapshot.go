@@ -19,12 +19,16 @@
 // replays exactly as it would on a freshly built board that ran the same
 // prefix — the golden-pinned experiments exercise this equivalence on
 // every run. The derived-state exceptions are the generation counters
-// (mutGen and every array and cache gen stay monotonic and are bumped
-// by the restore, wholesale retiring predecode entries, superblocks, the
-// cache way memos, and the TLB write memo — all of which rebuild with no
-// architectural side effects) and the predecode/superblock tables
-// themselves, which are left in place precisely because the bumped
-// generations already invalidate every non-ROM entry.
+// and the views they guard: the predecode and superblock tables, the
+// cache way memos and the TLB write memo, none of which the restore
+// touches. The counters stay monotonic, and a restore retires only what
+// it rewound: an array bumps its generation only if its content moved
+// since the last capture or restore, a cache bumps its content
+// generation only if one of its arrays did or its enable bit changes
+// back, and mutGen is left alone. A trial that changed no cache line a
+// fetch reads therefore keeps every predecode entry and superblock, and
+// its successor starts warm; anything a stale entry could misread has
+// moved a generation, so it rebuilds with no architectural side effects.
 package soc
 
 import (
@@ -104,8 +108,8 @@ func (s *SoC) CaptureSnapshot() *Snapshot {
 }
 
 // RestoreSnapshot rewinds the SoC to the captured state in O(dirty
-// pages) and retires every generation-stamped derived view. It panics
-// if a core has an observer attached.
+// pages) and retires the generation-stamped derived views of what it
+// rewound. It panics if a core has an observer attached.
 func (s *SoC) RestoreSnapshot(snap *Snapshot) {
 	if snap.soc != s {
 		panic("soc: RestoreSnapshot onto a different SoC")
@@ -118,6 +122,8 @@ func (s *SoC) RestoreSnapshot(snap *Snapshot) {
 	s.CoreDom.RestoreSnapshot(snap.coreDom)
 	s.MemDom.RestoreSnapshot(snap.memDom)
 	s.IODom.RestoreSnapshot(snap.ioDom)
+	// Arrays first: a cache's restore reads its arrays' generations to
+	// tell whether the rewind reached its lines.
 	for i, a := range s.arrays {
 		a.RestoreSnapshot(snap.arrays[i])
 	}
@@ -128,18 +134,8 @@ func (s *SoC) RestoreSnapshot(snap *Snapshot) {
 	for i, c := range s.Cores {
 		c.CPU.RestoreState(snap.cpus[i])
 		c.lastFetch = snap.lastFetch[i]
-		// Poison the TLB write memo: its stamp predates the restore's gen
-		// bump, and the sentinel can never match a live generation, so the
-		// next translation rewrites its slot (with the identical word).
-		c.tlbLastPage = 0
-		c.tlbLastGen = ^uint64(0)
 	}
 	s.bootCount = snap.bootCount
 	s.orderlyDown = snap.orderlyDown
 	s.barriers = snap.barriers
-	// One bump retires every predecoded instruction and superblock on
-	// every core: predecGen folds mutGen into each non-ROM mode, and
-	// ROM-mode entries are immutable-content derived state that stays
-	// valid across any rewind.
-	s.mutGen++
 }

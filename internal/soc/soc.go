@@ -83,8 +83,9 @@ type Core struct {
 	// SoC.predecGen). Purely derived microarchitectural state — it holds
 	// no content a fetch could not re-derive, lives outside the SRAM
 	// retention physics, and is invalidated wholesale by generation
-	// bumps rather than being snooped.
-	predec [predecEntries]predecEntry
+	// bumps rather than being snooped. Allocated by the core's first
+	// FetchDecoded, so a core that never runs costs nothing.
+	predec *[predecEntries]predecEntry
 
 	// sblocks is the per-core superblock cache built over predec: straight-
 	// line runs executed as a unit with validation hoisted to block entry
@@ -197,11 +198,13 @@ type SoC struct {
 
 	// mutGen counts SoC-level events that can mutate instruction memory
 	// behind the predecode cache's back: boots (ROM scratchpad, MBIST,
-	// VideoCore, payload load), orderly shutdowns, snapshot restores, and
-	// every rail change on the core or memory domain (power cycles
-	// scramble SRAM-resident code). It feeds predecGen for the L1I and L2
-	// modes, so any such event invalidates every predecoded instruction
-	// but the mask-ROM ones.
+	// VideoCore, payload load), orderly shutdowns, and every rail change
+	// on the core or memory domain (power cycles scramble SRAM-resident
+	// code). It feeds predecGen for the L1I and L2 modes, so any such
+	// event invalidates every predecoded instruction but the mask-ROM
+	// ones. A snapshot restore does not bump it: a restore that rewinds a
+	// cache's arrays bumps that cache's content generation instead.
+	//voltvet:nosnap derived-state generation, monotonic across rewinds: boots, orderly shutdowns and rail watchers bump it, and a restore's rewound cache arrays retire entries through the caches' content generations
 	mutGen uint64
 }
 
@@ -403,13 +406,14 @@ func (s *SoC) Boot(img *BootImage) error {
 	// firmware out of the shared L2, clobbering whatever it held (§6.2).
 	if s.Spec.HasVideoCore && s.L2 != nil && s.MemDom.Volts() > 0 {
 		junk := xrand.Derive(s.seed+uint64(s.bootCount), "videocore")
+		buf := make([]byte, s.L2.WayBytes())
+		arrs := s.L2.Arrays()
 		for w := 0; w < s.Spec.L2.Ways; w++ {
-			buf := make([]byte, s.L2.WayBytes())
 			junk.Bytes(buf)
 			// The video core's working set lands in the data RAMs via
 			// ordinary allocation; writing the arrays directly models the
 			// net effect on retained contents.
-			s.L2.Arrays()[w].WriteBytes(0, buf)
+			arrs[w].WriteBytes(0, buf)
 		}
 		s.L2.InvalidateAll()
 		s.L2.SetEnabled(true)
@@ -511,6 +515,9 @@ func (s *SoC) ProgramROM(words []uint32) error {
 	// must drop stale entries by hand — a generation bump cannot retire
 	// them.
 	for _, c := range s.Cores {
+		if c.predec == nil {
+			continue // the core never fetched: no entries, and every block is empty
+		}
 		for i := range c.predec {
 			if c.predec[i].mode == predecROM {
 				c.predec[i] = predecEntry{}
@@ -623,6 +630,9 @@ func (s *SoC) FetchDecoded(core int, addr uint64) (isa.Instr, uint32, error) {
 		return isa.Instr{}, 0, fmt.Errorf("soc: core %d out of range", core)
 	}
 	c := s.Cores[core]
+	if c.predec == nil {
+		c.predec = new([predecEntries]predecEntry)
+	}
 	e := &c.predec[(addr>>2)&(predecEntries-1)]
 	if e.mode != predecNone && e.addr == addr && e.gen == s.predecGen(c, e.mode) {
 		switch e.mode {

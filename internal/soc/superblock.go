@@ -114,11 +114,15 @@ func sbRecheck(op isa.Op, mode uint8) bool {
 
 // buildSuperblock (re)captures the block starting at pc from the core's
 // currently-valid predecode entries. It never fetches: a PC whose
-// predecode entry is missing or stale leaves the slot empty and the
-// caller falls back to cpu.Step, which installs entries for the next
-// attempt (uncached DRAM and iRAM fetches never get one).
+// predecode entry is missing or stale, or a core with no predecode
+// table yet, leaves the slot empty and the caller falls back to
+// cpu.Step, which installs entries for the next attempt (uncached DRAM
+// and iRAM fetches never get one).
 func (s *SoC) buildSuperblock(c *Core, b *sblock, pc uint64) {
 	b.n = 0
+	if c.predec == nil {
+		return
+	}
 	e := &c.predec[(pc>>2)&(predecEntries-1)]
 	if e.mode == predecNone || e.addr != pc {
 		return
@@ -201,7 +205,8 @@ func (s *SoC) runSuperblock(c *Core, b *sblock, limit uint64) (uint64, error) {
 // predecode entries superblocks are built from) where it does not. It
 // returns the number of instructions retired. Architectural and
 // microarchitectural state evolve bit-identically to maxInstr calls of
-// cpu.Step.
+// cpu.Step, and so does an attached trace sink's record. A core with a
+// fault injector attached single-steps.
 func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 	if id < 0 || id >= len(s.Cores) {
 		return 0, fmt.Errorf("soc: core %d out of range", id)
@@ -213,15 +218,14 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 	}
 	var n uint64
 	for !cpu.Halted && n < maxInstr {
-		// A hooked core (cpu.Hooks set: an armed glitcher or capturer)
-		// single-steps, so every instruction runs through the hooked
-		// body. The reason is the glitcher: its pulse edges are rail
-		// events, which the superblock soundness argument assumes
-		// happen between quanta, never inside a block. A capture alone
-		// does not need it, because the bus tap sees no fetches, but
-		// running one inside blocks is unmeasured. Hooks clears when
-		// both observers disarm, so unobserved runs keep the fast path.
-		if cpu.Hooks != nil {
+		// A core with a fault injector single-steps: a glitcher's pulse
+		// edges are rail events, which the superblock soundness
+		// argument assumes happen between quanta, never inside a
+		// block. A trace sink alone runs blocks: ExecDecoded feeds it
+		// through the hooked body, writeX and the SoC's bus tap exactly
+		// as a step does, and the block loop's fetch replay, like a
+		// predecode hit, never reaches the tap.
+		if h := cpu.Hooks; h != nil && h.Fault != nil {
 			if err := cpu.Step(); err != nil {
 				return n, err
 			}

@@ -26,9 +26,11 @@ package sram
 // snapshot when it pends the same resample with the same invalidate and
 // still pends that page, so a sweep pays for each page's draws once, not
 // once per trial. The only field deliberately NOT restored is the
-// derived-state generation counter: gen stays monotonic and is bumped by
-// the restore, so consumers' cached stamps can never alias across a
-// rewind.
+// derived-state generation counter: gen stays monotonic, and a restore
+// that rewinds anything bumps it, so consumers' cached stamps can never
+// alias across a rewind. A restore that rewinds nothing leaves it
+// alone, so the stamps of a trial that did not touch the array stay
+// valid.
 
 import (
 	"fmt"
@@ -163,6 +165,7 @@ func (a *Array) CaptureSnapshot() *ArraySnapshot {
 	}
 	a.armSnapDirty()
 	a.snapOwner = s
+	a.syncGen = a.gen
 	return s
 }
 
@@ -170,17 +173,29 @@ func (a *Array) CaptureSnapshot() *ArraySnapshot {
 // snapshot the dirty bitmap is tracking against (the common sweep loop:
 // capture once, restore per trial), only dirty pages are copied back;
 // restoring an older snapshot falls back to a full copy and re-arms
-// tracking against s. The content generation is bumped, not rewound, so
-// stamps handed out after the capture can never falsely validate.
+// tracking against s.
+//
+// The content generation is bumped, not rewound, when the restore
+// copies a page, takes the full copy, or finds gen moved since the
+// last capture or restore, so stamps handed out after the capture can
+// never falsely validate. Otherwise the array's logical content is what
+// it was at the last capture or restore of s, and gen stays: every
+// event that changes logical content bumps gen or dirties a page (a
+// page draw changes none, and is written through or dirtied), and a
+// rail crossing down changes none until its decay resolves.
 //
 //voltvet:hotpath root
 func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 	if s.arr != a {
 		panic(fmt.Sprintf("sram: RestoreSnapshot of %s onto %s", s.arr.name, a.name))
 	}
+	rewound := a.gen != a.syncGen
 	if a.snapDirty != nil && a.snapOwner == s {
 		nw := len(a.bits)
 		for i, word := range a.snapDirty {
+			if word != 0 {
+				rewound = true
+			}
 			for ; word != 0; word &= word - 1 {
 				p := i<<6 + bits.TrailingZeros64(word)
 				w0 := p << snapPageShift
@@ -196,6 +211,7 @@ func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 		copy(a.bits, s.bits)
 		a.armSnapDirty()
 		a.snapOwner = s
+		rewound = true
 	}
 	a.railVolts = s.railVolts
 	a.belowSince = s.belowSince
@@ -217,5 +233,8 @@ func (a *Array) RestoreSnapshot(s *ArraySnapshot) {
 		clear(a.imprint.imprinted)
 		clear(a.imprint.value)
 	}
-	a.gen++
+	if rewound {
+		a.gen++
+	}
+	a.syncGen = a.gen
 }

@@ -163,3 +163,67 @@ func TestSnapshotClearsLateImprint(t *testing.T) {
 		t.Error("late imprint leaked through restore: fingerprint differs from never-aged twin")
 	}
 }
+
+// TestSnapshotRestoreRetiresOnlyRewound: a restore keeps the generation
+// only if the array's logical content is what it was at the last
+// capture or restore, so that no stamp a consumer took during the trial
+// can validate against rewound content. A pending array and a twin
+// each take one trial event and a restore, then a trial that does
+// nothing and a restore. Every restore must rewind the content; the
+// first must keep the generation exactly when the event left the twin's
+// content as captured, and the second always. The cases include an
+// invalidate recorded on pending pages, which changes content without
+// dirtying a page, and a page draw, which dirties none and changes no
+// content.
+func TestSnapshotRestoreRetiresOnlyRewound(t *testing.T) {
+	events := []struct {
+		name  string
+		keep  bool
+		apply func(env *sim.Env, a *Array)
+	}{
+		{"nothing", true, func(*sim.Env, *Array) {}},
+		{"page draw", true, func(_ *sim.Env, a *Array) { a.ReadUint64(8 * 700) }},
+		{"write", false, func(_ *sim.Env, a *Array) { a.WriteUint64(8*700, 0x5A5A) }},
+		{"invalidate on pending pages", false, func(_ *sim.Env, a *Array) { a.InvalidateWords(tagValid, tagDirty) }},
+		{"rail down", true, func(_ *sim.Env, a *Array) { a.SetRail(0) }},
+		{"power cycle", false, func(env *sim.Env, a *Array) {
+			a.SetRail(0)
+			env.Advance(10 * sim.Millisecond)
+			a.SetRail(0.8)
+		}},
+	}
+	for _, ev := range events {
+		env := sim.NewQuietEnv()
+		var arrs [3]*Array // the array, its twin, and an untouched copy
+		for i := range arrs {
+			arrs[i] = NewArray(env, "gen", 1563*64, 0x5EED)
+			arrs[i].SetRail(0.8)
+		}
+		a, twin := arrs[0], arrs[1]
+		want := arrs[2].Snapshot()
+		snap, twinSnap := a.CaptureSnapshot(), twin.CaptureSnapshot()
+		for trial, keep := range []bool{ev.keep, true} {
+			if trial == 0 {
+				ev.apply(env, a)
+				ev.apply(env, twin)
+			}
+			var during []byte
+			if twin.Powered() {
+				during = twin.Snapshot()
+			}
+			g := a.Gen()
+			a.RestoreSnapshot(snap)
+			twin.RestoreSnapshot(twinSnap)
+			if !bytes.Equal(a.Snapshot(), want) {
+				t.Fatalf("%s, trial %d: the restored array differs from its capture", ev.name, trial)
+			}
+			kept := a.Gen() == g
+			if kept && during != nil && !bytes.Equal(during, want) {
+				t.Fatalf("%s, trial %d: the restore rewound the content and kept the generation", ev.name, trial)
+			}
+			if kept != keep {
+				t.Fatalf("%s, trial %d: the restore kept the generation = %v, want %v", ev.name, trial, kept, keep)
+			}
+		}
+	}
+}

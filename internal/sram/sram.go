@@ -133,6 +133,10 @@ type Array struct {
 	// views of the array — e.g. the SoC's last-written-TLB-slot memo — use
 	// it as an "anything moved" signal. Derived state, not physics.
 	gen uint64
+	// syncGen is gen as of the last capture or restore. A restore whose
+	// array still holds that generation and copies no page rewinds
+	// nothing, so it leaves gen alone (see RestoreSnapshot).
+	syncGen uint64
 	// imprint is the lazily allocated aging overlay (see imprint.go).
 	imprint *imprintState
 	// pending marks contents with pages of a deferred full power-up

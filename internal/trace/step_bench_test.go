@@ -93,6 +93,31 @@ func BenchmarkCPUStepTraceArmed(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
+// BenchmarkRunQuantumTraceArmed is BenchmarkCPUStepTraceArmed
+// dispatched the way a capture runs, through RunCoreQuantum, which runs
+// a core with only a trace sink attached in superblocks. One op is one
+// retired instruction, so ns/op is ns per armed instruction.
+func BenchmarkRunQuantumTraceArmed(b *testing.B) {
+	const arena = 1 << 16
+	s, c := steppingBench(b, arena)
+	c.Arm()
+	defer c.Disarm()
+	if _, err := s.RunCoreQuantum(0, 256); err != nil { // form the blocks
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := min(b.N-done, arena)
+		c.Arm() // rewind the full arena
+		if _, err := s.RunCoreQuantum(0, uint64(n)); err != nil {
+			b.Fatal(err)
+		}
+		done += n
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+}
+
 // BenchmarkTraceCapture measures end-to-end capture throughput: one
 // full AES-victim trial (restore-free straight run) per iteration,
 // reported in samples per second.
@@ -156,5 +181,33 @@ func TestStepTraceArmedZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("armed-capturer Step allocates %.1f times per instruction, want 0", allocs)
+	}
+}
+
+// TestRunQuantumTraceArmedZeroAlloc pins the armed contract on the
+// block path: once the loop's superblocks are formed, RunCoreQuantum on
+// a core with an armed capturer allocates nothing, and records one
+// sample per instruction.
+func TestRunQuantumTraceArmedZeroAlloc(t *testing.T) {
+	s, c := steppingBench(t, 1<<16)
+	c.Arm()
+	defer c.Disarm()
+	if _, err := s.RunCoreQuantum(0, 256); err != nil { // form the blocks
+		t.Fatal(err)
+	}
+	var runErr error
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.RunCoreQuantum(0, 64); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("armed-capturer RunCoreQuantum allocates %.1f times per 64-instruction quantum, want 0", allocs)
+	}
+	if got, want := len(c.Samples()), 256+64*101; got != want {
+		t.Fatalf("captured %d samples over %d instructions", got, want)
 	}
 }

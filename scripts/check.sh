@@ -110,9 +110,9 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 run_named 'TestSCACPARecoversKey' ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the four dispatch paths and their traces, restores refused while observers are attached, captures against derived state and the window stop, transformed CPA sums)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, restores that keep the generation only when they rewound nothing, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the five dispatch paths, a glitched core and their traces across snapshot restores, restores refused while observers are attached, warm-snapshot captures against cold and plain-fetch ones and the window stop, transformed CPA sums)"
 run_named 'TestJump|TestSkipNormFloat32' ./internal/xrand/
-run_named 'TestWordKernels|TestPending|TestSnapshot|TestPageDrawsMatchWholeArray|TestDeferredInvalidateMatchesEagerLoop' ./internal/sram/
+run_named 'TestWordKernels|TestPending|TestSnapshot|TestSnapshotRestoreRetiresOnlyRewound|TestPageDrawsMatchWholeArray|TestDeferredInvalidateMatchesEagerLoop' ./internal/sram/
 run_named 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
 run_named 'TestDataWritesBumpOnlyFetchedLines|TestRestoreAuxMatchesFullCopy' ./internal/cache/
 run_named 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc/
@@ -139,14 +139,14 @@ bench_named 'RandJump' ./internal/xrand/
 bench_named 'ModuleCaptureWriteRestore' ./internal/dram/
 bench_named 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' ./internal/soc/ ./internal/cache/ ./internal/kernel/
 bench_named 'CPUStepGlitchDisarmed' ./internal/glitch/
-bench_named 'CPUStepTraceDisarmed|CPUStepTraceArmed' ./internal/trace/
+bench_named 'CPUStepTraceDisarmed|CPUStepTraceArmed|RunQuantumTraceArmed' ./internal/trace/
 bench_named 'CPACorrelate' ./internal/sca/
 bench_named 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep|TraceCapture1000|GlitchSearch' ./internal/experiments/
 
 echo "==> allocation-free fast-path gates"
 run_named 'StepSteadyStateZeroAlloc' ./internal/soc/
 run_named 'StepGlitchDisarmedZeroAlloc' ./internal/glitch/
-run_named 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc' ./internal/trace/
+run_named 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc|RunQuantumTraceArmedZeroAlloc' ./internal/trace/
 run_named 'AccessHitPathAllocFree|LineTransferAllocFree' ./internal/cache/
 run_named 'MaterializeZeroAlloc' ./internal/sram/
 
