@@ -63,7 +63,7 @@ func main() {
 		runFilter = flag.String("run", "", "only run experiments whose name contains this substring")
 		outDir    = flag.String("out", "", "directory for artifacts (text + PBM)")
 		seed      = flag.Uint64("seed", 0x5EED, "experiment seed")
-		skipSlow  = flag.Bool("skip-slow", false, "skip the multi-minute experiments")
+		skipSlow  = flag.Bool("skip-slow", false, "skip the experiments marked slow in the catalog")
 		jsonOut   = flag.Bool("json", false, "emit one JSON record per experiment instead of text")
 	)
 	flag.Parse()

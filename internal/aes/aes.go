@@ -29,7 +29,6 @@ const KeySize128 = 16
 const ScheduleSize128 = 176
 
 var sbox [256]byte
-var invSbox [256]byte
 
 func init() {
 	// Generate the S-box from the algebraic definition: multiplicative
@@ -50,7 +49,6 @@ func init() {
 		inv := inverse[x]
 		s := inv ^ rotl8(inv, 1) ^ rotl8(inv, 2) ^ rotl8(inv, 3) ^ rotl8(inv, 4) ^ 0x63
 		sbox[x] = s
-		invSbox[s] = byte(x)
 	}
 }
 
@@ -157,24 +155,12 @@ func (s *state) subBytes() {
 	}
 }
 
-func (s *state) invSubBytes() {
-	for i := range s {
-		s[i] = invSbox[s[i]]
-	}
-}
-
 // shiftRows rotates row r left by r; with column-major layout, row r is
 // bytes r, r+4, r+8, r+12.
 func (s *state) shiftRows() {
 	s[1], s[5], s[9], s[13] = s[5], s[9], s[13], s[1]
 	s[2], s[6], s[10], s[14] = s[10], s[14], s[2], s[6]
 	s[3], s[7], s[11], s[15] = s[15], s[3], s[7], s[11]
-}
-
-func (s *state) invShiftRows() {
-	s[5], s[9], s[13], s[1] = s[1], s[5], s[9], s[13]
-	s[10], s[14], s[2], s[6] = s[2], s[6], s[10], s[14]
-	s[15], s[3], s[7], s[11] = s[3], s[7], s[11], s[15]
 }
 
 func (s *state) mixColumns() {
@@ -184,16 +170,6 @@ func (s *state) mixColumns() {
 		s[4*c+1] = a0 ^ gmul(a1, 2) ^ gmul(a2, 3) ^ a3
 		s[4*c+2] = a0 ^ a1 ^ gmul(a2, 2) ^ gmul(a3, 3)
 		s[4*c+3] = gmul(a0, 3) ^ a1 ^ a2 ^ gmul(a3, 2)
-	}
-}
-
-func (s *state) invMixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c] = gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9)
-		s[4*c+1] = gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13)
-		s[4*c+2] = gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11)
-		s[4*c+3] = gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14)
 	}
 }
 
@@ -217,30 +193,6 @@ func EncryptBlock(schedule, dst, src []byte) error {
 	s.subBytes()
 	s.shiftRows()
 	s.addRoundKey(RoundKey(schedule, 10))
-	copy(dst, s[:])
-	return nil
-}
-
-// DecryptBlock decrypts one 16-byte block.
-func DecryptBlock(schedule, dst, src []byte) error {
-	if len(schedule) != ScheduleSize128 {
-		return errors.New("aes: bad schedule length")
-	}
-	if len(dst) < BlockSize || len(src) < BlockSize {
-		return errors.New("aes: short block")
-	}
-	var s state
-	copy(s[:], src[:16])
-	s.addRoundKey(RoundKey(schedule, 10))
-	s.invShiftRows()
-	s.invSubBytes()
-	for r := 9; r >= 1; r-- {
-		s.addRoundKey(RoundKey(schedule, r))
-		s.invMixColumns()
-		s.invShiftRows()
-		s.invSubBytes()
-	}
-	s.addRoundKey(RoundKey(schedule, 0))
 	copy(dst, s[:])
 	return nil
 }

@@ -227,62 +227,6 @@ func ShannonEntropy(data []byte) float64 {
 	return h
 }
 
-// ByteHistogramTop returns the k most frequent byte values with counts,
-// most frequent first — a quick fingerprint of an extracted image.
-func ByteHistogramTop(data []byte, k int) []ByteCount {
-	var hist [256]int
-	for _, b := range data {
-		hist[b]++
-	}
-	out := make([]ByteCount, 0, 256)
-	for v, c := range hist {
-		if c > 0 {
-			out = append(out, ByteCount{Value: byte(v), Count: c})
-		}
-	}
-	// insertion sort by count desc (256 entries max)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Count > out[j-1].Count; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// ByteCount pairs a byte value with its frequency.
-type ByteCount struct {
-	Value byte
-	Count int
-}
-
-// FlipDirections counts bit transitions from `before` to `after`:
-// ZeroToOne and OneToZero. The ratio distinguishes decay regimes — DRAM
-// decays unidirectionally toward its ground state (one counter dominates)
-// while bistable SRAM loses bits both ways in equal measure (§5.1), which
-// is what defeats error-correcting post-processing on SRAM images.
-func FlipDirections(before, after []byte) (zeroToOne, oneToZero int) {
-	if len(before) != len(after) {
-		panic("analysis: length mismatch")
-	}
-	i := 0
-	for ; i+8 <= len(before); i += 8 {
-		x := binary.LittleEndian.Uint64(before[i:])
-		y := binary.LittleEndian.Uint64(after[i:])
-		diff := x ^ y
-		zeroToOne += bits.OnesCount64(diff & y)
-		oneToZero += bits.OnesCount64(diff & x)
-	}
-	for ; i < len(before); i++ {
-		diff := before[i] ^ after[i]
-		zeroToOne += bits.OnesCount8(diff & after[i])
-		oneToZero += bits.OnesCount8(diff & before[i])
-	}
-	return zeroToOne, oneToZero
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

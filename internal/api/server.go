@@ -22,9 +22,9 @@
 // If-None-Match revalidation answers 304 without touching the body.
 //
 // POST bodies name runs either explicitly ("runs") or as a catalog sweep
-// ("match" + skip_slow). With "wait": true the request blocks until the
-// job finishes and the job is request-scoped: a client that disconnects
-// mid-wait cancels its job.
+// ("match" + skip_slow); a body over 1 MiB is refused with 413. With
+// "wait": true the request blocks until the job finishes and the job is
+// request-scoped: a client that disconnects mid-wait cancels its job.
 //
 // The fabric routes exist only when New is given a fabric.Node (404
 // otherwise): /v1/ring is the readiness/compatibility probe peers poll,
@@ -50,6 +50,11 @@ import (
 // DefaultSeed seeds runs that specify none — the same 0x5EED default as
 // cmd/experiments.
 const DefaultSeed uint64 = 0x5EED
+
+// maxBodyBytes caps a POST body. A job spec or a forwarded shard is a few
+// hundred bytes; the cap keeps one client from making the server buffer
+// one of any size.
+const maxBodyBytes = 1 << 20
 
 // Server is the http.Handler for the campaign service.
 type Server struct {
@@ -90,6 +95,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// bodies over maxBodyBytes. On error it returns the status to answer
+// with: 413 for an oversize body, 400 for any other bad body.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -140,10 +159,8 @@ type submitRun struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	defaultSeed := DefaultSeed
@@ -374,10 +391,8 @@ func (s *Server) handleFabricRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fabric.ForwardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad forward body: %w", err))
+	if status, err := decodeBody(w, r, &req); err != nil {
+		writeError(w, status, fmt.Errorf("bad forward body: %w", err))
 		return
 	}
 	rec, tier, err := s.node.ServeForwarded(r.Context(), req)

@@ -478,6 +478,63 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyCap: a job body over maxBodyBytes is refused with 413
+// before any job exists, and a normal body is still accepted.
+func TestSubmitBodyCap(t *testing.T) {
+	ts, mgr, _ := newTestServer(t, 1, 8)
+	run := `{"experiment":"echo"},`
+	body := `{"runs":[` + strings.Repeat(run, maxBodyBytes/len(run)) + `{"experiment":"echo"}]}`
+	if resp, _ := post(t, ts.URL+"/v1/jobs", body); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST of a %d-byte runs array → %d, want 413", len(body), resp.StatusCode)
+	}
+	if jobs := mgr.List(); len(jobs) != 0 {
+		t.Fatalf("the oversize body created %d jobs", len(jobs))
+	}
+	if resp, _ := post(t, ts.URL+"/v1/jobs", `{"runs":[{"experiment":"echo"}]}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal body → %d, want 202", resp.StatusCode)
+	}
+}
+
+// FuzzSubmitBody posts arbitrary bytes as a job body. Whatever the body,
+// the server answers 200, 202, 400, 413 or 429, never a 5xx, and does not
+// panic. The one server is built once, over a registry whose only
+// experiment is instant, so a body with "wait": true cannot hang.
+func FuzzSubmitBody(f *testing.F) {
+	reg := registry.New(&registry.Experiment{
+		Name: "echo", Doc: "test echo", ArtifactKinds: []string{"text"},
+		Params: []registry.ParamSpec{{Name: "tag", Kind: registry.StringListKind,
+			Default: "a", Enum: []string{"a", "b"}}},
+		Run: func(_ context.Context, req registry.Request) (*registry.Result, error) {
+			return &registry.Result{Text: fmt.Sprintf("echo seed=%d tag=%s\n", req.Seed, req.Params["tag"])}, nil
+		},
+	})
+	// A body just under the cap holds some 50,000 runs; retaining few
+	// finished jobs keeps the fuzzer's memory bounded.
+	mgr := campaign.New(campaign.Config{Registry: reg, Workers: 2, QueueDepth: 8, JobRetention: 16})
+	f.Cleanup(func() { _ = mgr.Drain(context.Background()) })
+	srv := New(mgr, reg, nil)
+	for _, body := range []string{
+		`{"seed":3,"runs":[{"experiment":"echo","params":{"tag":"b"}},{"experiment":"echo","seed":4}]}`,
+		`{"match":"ech","skip_slow":true}`,
+		`{"runs":[{"experiment":"echo"}],"match":"echo"}`,
+		`{"runs":[{"experiment":"echo"}],"bogus":1}`,
+		`{"wait":true,"runs":[{"experiment":"echo","seed":7}]}`,
+		`{"runs":[` + strings.Repeat(`{"experiment":"echo"},`, maxBodyBytes/21) + `{"experiment":"echo"}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest,
+			http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("POST /v1/jobs %.200q → %d %s", body, rec.Code, rec.Body)
+		}
+	})
+}
+
 // TestConcurrentClientsCacheConvergence is the PR's acceptance scenario,
 // run under -race in CI: 8 concurrent clients submit the same campaign;
 // all get byte-identical result bodies and at least 7 are served from

@@ -41,7 +41,7 @@ func New(env *sim.Env, spec soc.DeviceSpec, opts soc.Options, seed uint64) (*Boa
 	}
 	b := &Board{Env: env, SoC: chip, Pads: map[string]power.Pad{}}
 
-	b.PMIC = power.NewPMIC(env, spec.PMICName)
+	b.PMIC = power.NewPMIC(spec.PMICName)
 	// Channel topology per Figure 4: the high-fluctuation core domain
 	// rides a buck converter, the memory domain an LDO, I/O an LDO.
 	b.PMIC.AddChannel("BUCK1", power.Buck, 6, chip.CoreDom)
@@ -79,9 +79,6 @@ func (b *Board) PadByName(name string) (power.Pad, error) {
 	return p, nil
 }
 
-// MainConnected reports whether the main supply is plugged in.
-func (b *Board) MainConnected() bool { return b.mainConnected }
-
 // ConnectMain plugs in the main supply: the PMIC sequences every domain
 // up.
 func (b *Board) ConnectMain() {
@@ -89,7 +86,6 @@ func (b *Board) ConnectMain() {
 		return
 	}
 	b.mainConnected = true
-	b.Env.Logf("board", "%s: main power connected", b.Spec().Board)
 	b.PMIC.ConnectInput()
 }
 
@@ -103,7 +99,6 @@ func (b *Board) DisconnectMain() {
 		return
 	}
 	b.mainConnected = false
-	b.Env.Logf("board", "%s: main power disconnected", b.Spec().Board)
 	b.PMIC.DisconnectInput(power.Surge{
 		Amps:     b.Spec().DisconnectSurgeAmps,
 		Duration: 5 * sim.Microsecond,
@@ -145,7 +140,7 @@ func (b *Board) PowerNetwork() *power.Network {
 
 // Chamber is the TestEquity-style thermal chamber of §3: it soaks the
 // whole board at a set point. The simulation idealizes the hour-long
-// static soak into an instantaneous, logged temperature change.
+// static soak into an instantaneous temperature change.
 type Chamber struct {
 	env *sim.Env
 }
@@ -155,6 +150,5 @@ func NewChamber(env *sim.Env) *Chamber { return &Chamber{env: env} }
 
 // Soak sets the chamber (and thus the die) temperature.
 func (c *Chamber) Soak(celsius float64) {
-	c.env.Logf("chamber", "static soak at %.1f°C", celsius)
 	c.env.SetTemperatureC(celsius)
 }

@@ -44,7 +44,7 @@ func TestIdempotentConnects(t *testing.T) {
 	b.ConnectMain()
 	b.DisconnectMain()
 	b.DisconnectMain()
-	if b.MainConnected() {
+	if b.mainConnected {
 		t.Fatal("should be disconnected")
 	}
 }
@@ -83,14 +83,14 @@ func TestPadByNameUnknown(t *testing.T) {
 }
 
 func TestAttachProbeSetsNominalVoltage(t *testing.T) {
-	b, env := newBoard(t, soc.BCM2711())
+	b, _ := newBoard(t, soc.BCM2711())
 	b.ConnectMain()
-	psu := power.NewBenchSupply(env, "bench", 0, 3.5) // wrong voltage on purpose
+	psu := power.NewBenchSupply("bench", 0, 3.5) // wrong voltage on purpose
 	if err := b.AttachProbe("TP15", psu); err != nil {
 		t.Fatal(err)
 	}
-	if psu.Volts() != 0.8 {
-		t.Fatalf("probe volts = %v, want matched 0.8", psu.Volts())
+	if psu.OfferedVolts() != 0.8 {
+		t.Fatalf("probe volts = %v, want matched 0.8", psu.OfferedVolts())
 	}
 }
 
@@ -105,7 +105,7 @@ func TestVoltBootRetentionAtBoardLevel(t *testing.T) {
 	before := core.L1D.DumpWay(0)
 	regBefore := core.CPU.Regs.Snapshot()
 
-	psu := power.NewBenchSupply(env, "bench", 0, 3.5)
+	psu := power.NewBenchSupply("bench", 0, 3.5)
 	if err := b.AttachProbe("TP15", psu); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWeakProbeCorruptsCoreDomain(t *testing.T) {
 	core.L1D.Arrays()[0].Fill(0xC5)
 	before := core.L1D.DumpWay(0)
 
-	psu := power.NewBenchSupply(env, "weak", 0, 0.3) // « 2.5A surge
+	psu := power.NewBenchSupply("weak", 0, 0.3) // « 2.5A surge
 	if err := b.AttachProbe("TP15", psu); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestIMX53MemoryDomainProbeNeedsLittleCurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	psu := power.NewBenchSupply(env, "small", 0, 0.1)
+	psu := power.NewBenchSupply("small", 0, 0.1)
 	if err := b.AttachProbe("SH13", psu); err != nil {
 		t.Fatal(err)
 	}

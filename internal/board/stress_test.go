@@ -30,7 +30,7 @@ func TestPowerSequencingInvariants(t *testing.T) {
 		b.ConnectMain()
 
 		// The held domain: a strong probe attached for the whole run.
-		probe := power.NewBenchSupply(env, "hold", 0, 10)
+		probe := power.NewBenchSupply("hold", 0, 10)
 		if err := b.AttachProbe("TP15", probe); err != nil {
 			t.Fatal(err)
 		}
@@ -47,14 +47,12 @@ func TestPowerSequencingInvariants(t *testing.T) {
 		for step := 0; step < 60; step++ {
 			switch rng.Intn(4) {
 			case 0:
-				wasOn := b.MainConnected()
 				b.DisconnectMain()
-				_ = wasOn
 			case 1:
 				b.ConnectMain()
 			case 2:
 				d := sim.Time(rng.Intn(20)+1) * sim.Millisecond
-				if !b.MainConnected() {
+				if !b.mainConnected {
 					unheldDownFor += d
 				}
 				env.Advance(d)
@@ -62,7 +60,7 @@ func TestPowerSequencingInvariants(t *testing.T) {
 				// A second probe briefly parked on the memory-domain pad
 				// then removed again — must not corrupt anything by
 				// itself.
-				p2 := power.NewBenchSupply(env, "transient", 0, 10)
+				p2 := power.NewBenchSupply("transient", 0, 10)
 				if err := b.AttachProbe("C_MEM", p2); err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +102,7 @@ func TestProbeAttachDuringOutage(t *testing.T) {
 
 	b.DisconnectMain()
 	env.Advance(50 * sim.Millisecond) // data decays
-	probe := power.NewBenchSupply(env, "late", 0, 10)
+	probe := power.NewBenchSupply("late", 0, 10)
 	if err := b.AttachProbe("TP15", probe); err != nil {
 		t.Fatal(err)
 	}

@@ -283,9 +283,6 @@ func (c *Cache) ContentGen() uint64 { return c.contentGen }
 // LockWay marks a way as non-evictable.
 func (c *Cache) LockWay(w int, locked bool) { c.lockedWays[w] = locked }
 
-// WayLocked reports whether way w is locked.
-func (c *Cache) WayLocked(w int) bool { return c.lockedWays[w] }
-
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -647,32 +644,6 @@ func (c *Cache) WriteLine(addr uint64, buf []byte) error {
 	}
 	c.setTagEntry(w, set, c.tagEntry(w, set)|tagDirtyBit)
 	c.dataWritten(w, set)
-	return nil
-}
-
-// CleanInvalidateAll writes back every dirty line and clears all valid
-// bits. Data RAM contents are untouched — the paper's key observation.
-func (c *Cache) CleanInvalidateAll() error {
-	c.contentGen++
-	for w := 0; w < c.cfg.Ways; w++ {
-		for s := 0; s < c.sets; s++ {
-			e := c.tagEntry(w, s)
-			if e&tagValidBit == 0 {
-				continue
-			}
-			if e&tagDirtyBit != 0 {
-				c.dataRAM[w].ReadBytesInto(s*c.cfg.LineBytes, c.scratch)
-				if c.cfg.InlineECC {
-					eccDecodeLine(c.scratch)
-				}
-				if err := c.backing.WriteLine(c.lineAddr(e&tagMask, s), c.scratch); err != nil {
-					return err
-				}
-				c.stats.Writebacks++
-			}
-			c.setTagEntry(w, s, e&^(tagValidBit|tagDirtyBit))
-		}
-	}
 	return nil
 }
 

@@ -824,3 +824,31 @@ func TestDataWritesBumpOnlyFetchedLines(t *testing.T) {
 		}
 	}
 }
+
+// CleanInvalidateAll writes back every dirty line and clears all valid
+// bits. Data RAM contents are untouched — the paper's key observation.
+// The tests flush with it; the machine flushes line by line
+// (CleanInvalidateVA) or drops everything (InvalidateAll).
+func (c *Cache) CleanInvalidateAll() error {
+	c.contentGen++
+	for w := 0; w < c.cfg.Ways; w++ {
+		for s := 0; s < c.sets; s++ {
+			e := c.tagEntry(w, s)
+			if e&tagValidBit == 0 {
+				continue
+			}
+			if e&tagDirtyBit != 0 {
+				c.dataRAM[w].ReadBytesInto(s*c.cfg.LineBytes, c.scratch)
+				if c.cfg.InlineECC {
+					eccDecodeLine(c.scratch)
+				}
+				if err := c.backing.WriteLine(c.lineAddr(e&tagMask, s), c.scratch); err != nil {
+					return err
+				}
+				c.stats.Writebacks++
+			}
+			c.setTagEntry(w, s, e&^(tagValidBit|tagDirtyBit))
+		}
+	}
+	return nil
+}

@@ -105,7 +105,7 @@ func TestCacheMatchesReferenceModelUnderFuzz(t *testing.T) {
 				case 9: // toggle a way lock (never lock all ways)
 					w := rng.Intn(2)
 					other := 1 - w
-					if c.WayLocked(other) {
+					if c.lockedWays[other] {
 						c.LockWay(other, false)
 					}
 					c.LockWay(w, rng.Bool())

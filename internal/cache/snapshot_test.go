@@ -129,7 +129,7 @@ func TestRestoreAuxMatchesFullCopy(t *testing.T) {
 					}
 				}
 			case k < 77:
-				locked := !ref.c.WayLocked(0)
+				locked := !ref.c.lockedWays[0]
 				got.c.LockWay(0, locked)
 				ref.c.LockWay(0, locked)
 			case k < 82:

@@ -104,14 +104,12 @@ type IRAMExtraction struct {
 }
 
 type stepTracer struct {
-	env   *sim.Env
 	steps []Step
 }
 
 func (t *stepTracer) add(format string, args ...any) {
 	s := Step{N: len(t.steps) + 1, What: fmt.Sprintf(format, args...)}
 	t.steps = append(t.steps, s)
-	t.env.Logf("attack", "%s", s)
 }
 
 // powerCycle performs §6.1 steps 1–3 up to the reboot: identify the pad,
@@ -132,7 +130,7 @@ func powerCycle(b *board.Board, cfg AttackConfig, tr *stepTracer) (*power.BenchS
 		}
 		tr.add("identify target domain %s (%s) behind pad %s at %.2fV",
 			p.Domain.Name(), spec.PadDomain, pad, p.Domain.NominalVolts())
-		psu = power.NewBenchSupply(b.Env, "bench-psu", 0, cfg.Probe.MaxAmps)
+		psu = power.NewBenchSupply("bench-psu", 0, cfg.Probe.MaxAmps)
 		if err := b.AttachProbe(pad, psu); err != nil {
 			return nil, err
 		}
@@ -222,7 +220,7 @@ func VoltBootCachesWithTags(b *board.Board, cfg AttackConfig) (*CacheExtraction,
 }
 
 func voltBootCaches(b *board.Board, cfg AttackConfig, tags bool) (*CacheExtraction, error) {
-	tr := &stepTracer{env: b.Env}
+	tr := &stepTracer{}
 	psu, err := powerCycle(b, cfg, tr)
 	if err != nil {
 		return nil, err
@@ -241,7 +239,7 @@ func voltBootCaches(b *board.Board, cfg AttackConfig, tags bool) (*CacheExtracti
 // ColdBootCaches executes the §3 baseline: soak the board at tempC, power
 // cycle with NO probe for offTime, and run the same extraction payload.
 func ColdBootCaches(b *board.Board, tempC float64, offTime sim.Time, maxInstr uint64) (*CacheExtraction, error) {
-	tr := &stepTracer{env: b.Env}
+	tr := &stepTracer{}
 	chamber := board.NewChamber(b.Env)
 	chamber.Soak(tempC)
 	tr.add("static soak in thermal chamber at %.1f°C", tempC)
@@ -261,7 +259,7 @@ func ColdBootCaches(b *board.Board, tempC float64, offTime sim.Time, maxInstr ui
 // holding the core domain, then boot the register-dump payload (boot
 // firmware clobbers X registers but never the vector registers).
 func VoltBootRegisters(b *board.Board, cfg AttackConfig) (*RegisterExtraction, error) {
-	tr := &stepTracer{env: b.Env}
+	tr := &stepTracer{}
 	psu, err := powerCycle(b, cfg, tr)
 	if err != nil {
 		return nil, err
@@ -308,7 +306,7 @@ type TLBExtraction struct {
 // RAMINDEX — stealing the victim's page-access history out of
 // microarchitectural state.
 func VoltBootTLB(b *board.Board, cfg AttackConfig) (*TLBExtraction, error) {
-	tr := &stepTracer{env: b.Env}
+	tr := &stepTracer{}
 	psu, err := powerCycle(b, cfg, tr)
 	if err != nil {
 		return nil, err
@@ -354,7 +352,7 @@ func VoltBootIRAM(b *board.Board, cfg AttackConfig) (*IRAMExtraction, error) {
 	if !spec.HasJTAG || spec.IRAMBytes == 0 {
 		return nil, fmt.Errorf("core: %s has no JTAG-accessible iRAM", spec.Board)
 	}
-	tr := &stepTracer{env: b.Env}
+	tr := &stepTracer{}
 	psu, err := powerCycle(b, cfg, tr)
 	if err != nil {
 		return nil, err
@@ -393,7 +391,7 @@ type WarmRebootResult struct {
 // attacker's kernel simply reads memory — so the result exposes a DRAM
 // reader instead of running a dump program.
 func WarmReboot(b *board.Board, img *soc.BootImage) (*WarmRebootResult, error) {
-	tr := &stepTracer{env: b.Env}
+	tr := &stepTracer{}
 	tr.add("force warm reboot (reset pin/watchdog) — power never interrupted")
 	if err := b.SoC.Boot(img); err != nil {
 		return nil, fmt.Errorf("core: warm reboot boot: %w", err)

@@ -270,7 +270,7 @@ func TestAuthenticatedBootBlocksExtraction(t *testing.T) {
 
 func TestCacheDumpPayloadLayout(t *testing.T) {
 	spec := soc.BCM2711()
-	_, layout, err := CacheDumpPayload(spec)
+	_, layout, err := cacheDumpPayload(spec, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,12 +41,12 @@ func bootDumpPayload(t *testing.T, spec soc.DeviceSpec) *board.Board {
 	if err := RunVictim(b, victim, 10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	psu, err := powerCycle(b, DefaultAttackConfig(), &stepTracer{env: b.Env})
+	psu, err := powerCycle(b, DefaultAttackConfig(), &stepTracer{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(psu.Detach)
-	img, _, err := CacheDumpPayloadWithTags(spec)
+	img, _, err := cacheDumpPayload(spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,20 +77,12 @@ loop%s: ORR X13, X10, X12
     `, isa.RAMIndexRequest(ramID, way, 0), words, label, label)
 }
 
-// CacheDumpPayload builds the extraction payload for a device's L1
+// cacheDumpPayload builds the extraction payload for a device's L1
 // caches: every core that runs it dumps its own L1D and L1I data RAMs,
-// way by way, into its slice of the dump region.
-func CacheDumpPayload(spec soc.DeviceSpec) (*soc.BootImage, DumpLayout, error) {
-	return cacheDumpPayload(spec, false)
-}
-
-// CacheDumpPayloadWithTags additionally dumps the L1 tag RAMs, letting
-// the attacker reconstruct the memory address of every stolen line
-// (§5.2.4: invalidation flips state bits but tags, like data, persist).
-func CacheDumpPayloadWithTags(spec soc.DeviceSpec) (*soc.BootImage, DumpLayout, error) {
-	return cacheDumpPayload(spec, true)
-}
-
+// way by way, into its slice of the dump region. With tags it also dumps
+// the L1 tag RAMs, letting the attacker reconstruct the memory address of
+// every stolen line (§5.2.4: invalidation flips state bits but tags, like
+// data, persist).
 func cacheDumpPayload(spec soc.DeviceSpec, tags bool) (*soc.BootImage, DumpLayout, error) {
 	layout := DumpLayout{
 		L1DWayBytes: spec.L1D.SizeBytes / spec.L1D.Ways,

@@ -18,12 +18,6 @@
 // one page table, however large it is, and a simulated SoC pays memory
 // and time for the pages its code and data touch. Pages are shared
 // copy-on-write with snapshots (see snapshot.go).
-//
-// A Module may be wrapped in a Scrambler, modelling the DDR3/DDR4
-// session-key scrambling that modern memory controllers apply (§2.2,
-// §9.1): the array then stores data XORed with a keystream derived from a
-// per-boot key, so a physically extracted image is useless without the
-// key.
 package dram
 
 import (
@@ -346,7 +340,6 @@ func (m *Module) PowerOff() {
 	m.powered = false
 	m.offSince = m.env.Now()
 	m.offTempK = m.env.TemperatureK()
-	m.env.Logf("dram", "%s power off at %.1f°C", m.name, m.env.TemperatureC()) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 }
 
 // PowerOn restores power, resolving which bytes decayed to ground during
@@ -381,7 +374,6 @@ func (m *Module) PowerOn() {
 		// even the lazy retention fill. The original per-byte loop and the
 		// minLogRet short-circuit both reach this same conclusion, since
 		// every finite lr exceeds −∞.
-		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, m.size) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	if m.retDrawn == len(m.logRetention) && float64(m.minLogRet) > logEl+band {
@@ -389,7 +381,6 @@ func (m *Module) PowerOn() {
 		// leakiest byte outlives the outage: nothing decays, no deferral
 		// needed. (Without a full table the same conclusion is reached
 		// lazily — see resolveSlow — without forcing the draws here.)
-		m.env.Logf("dram", "%s power on: 0/%d bytes decayed to ground", m.name, m.size) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	// Defer the walk: record the outage's survival thresholds and mark
@@ -414,8 +405,6 @@ func (m *Module) PowerOn() {
 		clear(m.resolved)
 	}
 	m.unresolved = m.size
-	m.env.Logf("dram", "%s power on after %s outage: decay resolution deferred (%d bytes)",
-		m.name, sim.Time(elapsed), m.size) //voltvet:ignore VV-HOT004 diagnostic logging on a power transition, not the per-instruction steady state; campaigns attach no log
 }
 
 // dropPending releases the deferral state once every byte is materialized.
@@ -656,64 +645,4 @@ func (m *Module) WriteLine(addr uint64, buf []byte) error {
 	m.markRange(int(addr), len(buf))
 	m.writeFrom(int(addr), buf)
 	return nil
-}
-
-// DecayDirectionKnown reports, for byte offset i, the value the byte
-// decays toward — the side information a cold boot post-processor uses
-// for error correction.
-func (m *Module) DecayDirectionKnown(i int) byte { return m.groundByte(i) }
-
-// Scrambler wraps a Module with DDR-style data scrambling: every byte is
-// XORed with a keystream position derived from a per-boot session key.
-// Physically extracting the module's cells yields scrambled data.
-type Scrambler struct {
-	mod *Module
-	key uint64
-}
-
-// NewScrambler wraps mod. Call NewBootKey before use.
-func NewScrambler(mod *Module) *Scrambler { return &Scrambler{mod: mod} }
-
-// Module returns the underlying physical module (what a cold boot
-// attacker rips out and reads).
-func (s *Scrambler) Module() *Module { return s.mod }
-
-// NewBootKey draws a fresh session key, as the memory controller does at
-// every boot. Data scrambled under a previous key becomes unintelligible.
-func (s *Scrambler) NewBootKey(seed uint64) {
-	st := seed
-	s.key = xrand.SplitMix64(&st)
-	s.mod.env.Logf("dram", "%s: new scrambler session key", s.mod.name)
-}
-
-func (s *Scrambler) keystream(off, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		pos := uint64(off+i) / 8
-		st := s.key ^ pos
-		word := xrand.SplitMix64(&st)
-		out[i] = byte(word >> (8 * (uint64(off+i) % 8)))
-	}
-	return out
-}
-
-// Write scrambles b and stores it.
-func (s *Scrambler) Write(off int, b []byte) {
-	ks := s.keystream(off, len(b))
-	enc := make([]byte, len(b))
-	for i := range b {
-		enc[i] = b[i] ^ ks[i]
-	}
-	s.mod.Write(off, enc)
-}
-
-// Read returns descrambled data — what the CPU sees through the
-// controller.
-func (s *Scrambler) Read(off, n int) []byte {
-	enc := s.mod.Read(off, n)
-	ks := s.keystream(off, n)
-	for i := range enc {
-		enc[i] ^= ks[i]
-	}
-	return enc
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/xrand"
 )
 
 func TestReadAfterWrite(t *testing.T) {
@@ -26,8 +27,8 @@ func TestGroundStatePattern(t *testing.T) {
 		m.Read(2*g, 1)[0] != 0x00 || m.Read(3*g, 1)[0] != 0xFF {
 		t.Fatal("ground blocks must alternate 0x00/0xFF")
 	}
-	if m.DecayDirectionKnown(0) != 0x00 || m.DecayDirectionKnown(g) != 0xFF {
-		t.Fatal("DecayDirectionKnown wrong")
+	if m.groundByte(0) != 0x00 || m.groundByte(g) != 0xFF {
+		t.Fatal("groundByte wrong")
 	}
 }
 
@@ -276,4 +277,61 @@ func TestLeastFloat32SatisfyingExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Scrambler wraps a Module with DDR-style data scrambling, modelling the
+// DDR3/DDR4 session-key scrambling that modern memory controllers apply
+// (§2.2, §9.1): every byte is XORed with a keystream position derived
+// from a per-boot session key, so physically extracting the module's
+// cells yields scrambled data. No experiment scrambles; only the
+// TestScrambler* tests use it.
+type Scrambler struct {
+	mod *Module
+	key uint64
+}
+
+// NewScrambler wraps mod. Call NewBootKey before use.
+func NewScrambler(mod *Module) *Scrambler { return &Scrambler{mod: mod} }
+
+// Module returns the underlying physical module (what a cold boot
+// attacker rips out and reads).
+func (s *Scrambler) Module() *Module { return s.mod }
+
+// NewBootKey draws a fresh session key, as the memory controller does at
+// every boot. Data scrambled under a previous key becomes unintelligible.
+func (s *Scrambler) NewBootKey(seed uint64) {
+	st := seed
+	s.key = xrand.SplitMix64(&st)
+}
+
+func (s *Scrambler) keystream(off, n int) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		pos := uint64(off+i) / 8
+		st := s.key ^ pos
+		word := xrand.SplitMix64(&st)
+		out[i] = byte(word >> (8 * (uint64(off+i) % 8)))
+	}
+	return out
+}
+
+// Write scrambles b and stores it.
+func (s *Scrambler) Write(off int, b []byte) {
+	ks := s.keystream(off, len(b))
+	enc := make([]byte, len(b))
+	for i := range b {
+		enc[i] = b[i] ^ ks[i]
+	}
+	s.mod.Write(off, enc)
+}
+
+// Read returns descrambled data — what the CPU sees through the
+// controller.
+func (s *Scrambler) Read(off, n int) []byte {
+	enc := s.mod.Read(off, n)
+	ks := s.keystream(off, n)
+	for i := range enc {
+		enc[i] ^= ks[i]
+	}
+	return enc
 }

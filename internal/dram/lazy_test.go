@@ -79,7 +79,7 @@ func (r *refModule) PowerOn() {
 
 func TestRetentionChunksMatchEagerFill(t *testing.T) {
 	for _, seed := range []uint64{1, 0x5EED} {
-		m := NewModule(sim.NewQuietEnv(), "lazy", lazyTestSize, seed)
+		m := NewModule(sim.NewEnv(), "lazy", lazyTestSize, seed)
 		for _, c := range xrand.New(seed).Perm(len(m.logRetention)) {
 			m.ensureRetention(c<<retChunkShift, 1)
 		}
@@ -187,7 +187,7 @@ func checkLazyMatchesEager(t *testing.T, seed uint64, fillFn func(m *Module, see
 		{-30, 25 * sim.Second},
 		{25, 3600 * sim.Second}, // total loss
 	}
-	envL, envE, envR := sim.NewQuietEnv(), sim.NewQuietEnv(), sim.NewQuietEnv()
+	envL, envE, envR := sim.NewEnv(), sim.NewEnv(), sim.NewEnv()
 	lazy := NewModule(envL, "dimm", lazyTestSize, seed)
 	eager := NewModule(envE, "dimm", lazyTestSize, seed)
 	eager.ensureRetention(0, lazyTestSize)
@@ -358,7 +358,7 @@ func checkPages(t *testing.T, seed uint64, rng *xrand.Rand, mods []*Module, ref 
 // decay exactly as in the plain reference.
 func TestGroundBytesDrawNoRetention(t *testing.T) {
 	const seed = 0x5EED
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	lazy := NewModule(env, "dimm", lazyTestSize, seed)
 	ref := newRefModule(env, "dimm", lazyTestSize, seed)
 	ground := bytes.Clone(ref.data)
@@ -410,7 +410,7 @@ func TestGroundBytesDrawNoRetention(t *testing.T) {
 // must still decay that byte.
 func TestPartialTableCertifiesNothing(t *testing.T) {
 	const seed = 0x5EED
-	envL, envE := sim.NewQuietEnv(), sim.NewQuietEnv()
+	envL, envE := sim.NewEnv(), sim.NewEnv()
 	lazy := NewModule(envL, "dimm", lazyTestSize, seed)
 	eager := NewModule(envE, "dimm", lazyTestSize, seed)
 	eager.ensureRetention(0, lazyTestSize)

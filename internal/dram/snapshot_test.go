@@ -12,7 +12,7 @@ import (
 // replayed from the same snapshot must decay identically), and the
 // scalar/outage state restore.
 func TestModuleSnapshotRestore(t *testing.T) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	env.SetTemperatureC(-30)
 	m := NewModule(env, "snaptest", 64*1024, 0x5eed)
 	m.Write(0x1000, bytes.Repeat([]byte{0xA5}, 4096))
@@ -51,7 +51,7 @@ func TestModuleSnapshotRestore(t *testing.T) {
 // TestModuleSnapshotRestoreAfterWrites checks that plain writes after a
 // capture are rewound via the owned-page path.
 func TestModuleSnapshotRestoreAfterWrites(t *testing.T) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	m := NewModule(env, "snaptest", 64*1024, 0xfeed)
 	m.Write(0, bytes.Repeat([]byte{0x77}, 64*1024))
 
@@ -73,7 +73,7 @@ func TestModuleSnapshotRestoreAfterWrites(t *testing.T) {
 // restore. With the page table this costs what the writes touch, not
 // what the module holds.
 func BenchmarkModuleCaptureWriteRestore(b *testing.B) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	payload := bytes.Repeat([]byte{0x5A, 0xC3}, 512)
 	staged := bytes.Repeat([]byte{0x7E}, 16)
 	b.ReportAllocs()

@@ -51,7 +51,7 @@ func ProbeCurrentSweepCtx(ctx context.Context, seed uint64) (*ProbeSweepResult, 
 		snap  *board.Snapshot
 	}
 	mk := func() (*fork, error) {
-		b, _, err := newTrialBoard(spec, soc.Options{}, seed)
+		b, _, err := newBoard(spec, soc.Options{}, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +153,7 @@ func RetentionSweepGridCtx(ctx context.Context, seed uint64, temps []float64, of
 		t0     sim.Time
 	}
 	mk := func() (*fork, error) {
-		env := sim.NewQuietEnv()
+		env := sim.NewEnv()
 		arr := sram.NewArray(env, "sweep", 64*1024*8, seed)
 		arr.SetRail(0.8)
 		arr.Fill(0xA5)

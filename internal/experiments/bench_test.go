@@ -74,7 +74,7 @@ func BenchmarkTable4ArraySweep(b *testing.B) {
 // and restoring whole DRAM images and LRU clocks took half the time.
 func BenchmarkGlitchSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := GlitchSearch(testSeed); err != nil {
+		if _, err := glitchSearch(testSeed); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,7 +145,7 @@ func TestRetentionSweepDeterministicAcrossWorkers(t *testing.T) {
 // scheduling leave no fingerprint in the map.
 func TestGlitchSearchDeterministicAcrossWorkers(t *testing.T) {
 	render := func() string {
-		r, err := GlitchSearch(testSeed)
+		r, err := glitchSearch(testSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,6 +157,13 @@ func TestGlitchSearchDeterministicAcrossWorkers(t *testing.T) {
 	if serial != parallel {
 		t.Fatalf("GlitchSearch output depends on worker count:\n1 worker:\n%s\n4 workers:\n%s", serial, parallel)
 	}
+}
+
+// glitchSearch runs the default search grid, the one the catalog's
+// glitch-search entry runs with no parameters.
+func glitchSearch(seed uint64) (*GlitchSearchResult, error) {
+	return GlitchSearchCtx(context.Background(), seed,
+		GlitchSearchOffsets(), GlitchSearchWidths(), GlitchSearchDepths(), 6)
 }
 
 // TestCountermeasuresDeterministicAcrossWorkers: the §8 survey rows keep

@@ -34,33 +34,13 @@ func newBoard(spec soc.DeviceSpec, opts soc.Options, seed uint64) (*board.Board,
 	return b, env, nil
 }
 
-// newTrialBoard builds a powered board for one cell of a parallel
-// experiment grid. It differs from newBoard in exactly one way: the
-// environment is quiet (no event log sink), because trial cells run
-// fanned out across CPUs and nobody reads their logs — the per-excursion
-// decay messages of a megabyte-scale array would be pure allocation
-// overhead. No experiment output depends on the log, so the substitution
-// is invisible in every rendered table.
-func newTrialBoard(spec soc.DeviceSpec, opts soc.Options, seed uint64) (*board.Board, *sim.Env, error) {
-	env := sim.NewQuietEnv()
-	b, err := board.New(env, spec, opts, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	b.ConnectMain()
-	if boardHook != nil {
-		boardHook(b)
-	}
-	return b, env, nil
-}
-
 // pct formats a fraction as a percentage.
 func pct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }
 
 // newHeldSupply attaches an ideal bench supply to the named pad and
 // returns it; callers detach it when the hold should end.
 func newHeldSupply(b *board.Board, padName string) *power.BenchSupply {
-	psu := power.NewBenchSupply(b.Env, "hold-"+padName, 0, 10)
+	psu := power.NewBenchSupply("hold-"+padName, 0, 10)
 	if err := b.AttachProbe(padName, psu); err != nil {
 		panic(fmt.Sprintf("experiments: attaching supply to %s: %v", padName, err))
 	}

@@ -85,7 +85,7 @@ func glitchBootROM() ([]uint32, *glitch.BootROM, error) {
 }
 
 func newGlitchRig(seed uint64) (*glitchRig, error) {
-	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
+	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -259,12 +259,6 @@ type GlitchSearchResult struct {
 	// Trials is the per-cell trial count.
 	Trials int          `json:"trials_per_cell"`
 	Cells  []GlitchCell `json:"cells"`
-}
-
-// GlitchSearch runs the default search grid.
-func GlitchSearch(seed uint64) (*GlitchSearchResult, error) {
-	return GlitchSearchCtx(context.Background(), seed,
-		GlitchSearchOffsets(), GlitchSearchWidths(), GlitchSearchDepths(), 6)
 }
 
 // GlitchSearchOffsets is the default offset axis: instruction offsets

@@ -54,7 +54,7 @@ func extractPowerUpWay0(b interface {
 // stops dispatching once ctx is cancelled and returns ctx.Err().
 func PUFCloneCtx(ctx context.Context, seed uint64) (*PUFCloneResult, error) {
 	collect := func(chipSeed uint64, reads int) ([][]byte, error) {
-		b, env, err := newTrialBoard(soc.BCM2711(), soc.Options{}, chipSeed)
+		b, env, err := newBoard(soc.BCM2711(), soc.Options{}, chipSeed)
 		if err != nil {
 			return nil, err
 		}

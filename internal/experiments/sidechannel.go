@@ -85,7 +85,7 @@ func newSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
 // powered board booted into the AES victim with caches on and its
 // tables staged, core 0 reset at the victim's entry, never having run.
 func bootSCARig(seed uint64, key [16]byte, arena int) (*scaRig, error) {
-	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
+	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -13,10 +13,10 @@ import (
 	"repro/internal/soc"
 )
 
-// prepVictimBoard builds a quiet-env BCM2711 board and runs the shared
+// prepVictimBoard builds a BCM2711 board and runs the shared
 // sweep prefix: a pattern-fill victim followed by the victim run.
 func prepVictimBoard(seed uint64) (*board.Board, error) {
-	b, _, err := newTrialBoard(soc.BCM2711(), soc.Options{}, seed)
+	b, _, err := newBoard(soc.BCM2711(), soc.Options{}, seed)
 	if err != nil {
 		return nil, err
 	}

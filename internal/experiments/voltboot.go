@@ -31,14 +31,14 @@ type Figure7Result struct {
 }
 
 // Figure7 runs the §7.1.1 experiment on both Broadcom SoCs. The two
-// devices are fully independent trials — each builds its own quiet-env
-// board — so they fan out across CPUs; results come back in device
-// order, keeping the rendered panels byte-identical to the serial loop.
+// devices are fully independent trials — each builds its own board — so
+// they fan out across CPUs; results come back in device order, keeping
+// the rendered panels byte-identical to the serial loop.
 func Figure7(seed uint64) ([]*Figure7Result, error) {
 	specs := []soc.DeviceSpec{soc.BCM2711(), soc.BCM2837()}
 	return runner.Map(len(specs), func(si int) (*Figure7Result, error) {
 		spec := specs[si]
-		b, _, err := newTrialBoard(spec, soc.Options{}, seed)
+		b, _, err := newBoard(spec, soc.Options{}, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func Table4(seed uint64) (*Table4Result, error) {
 		rep := idx % res.Reps
 		n := sizeKB * 1024 / 8
 		repSeed := seed + uint64(sizeKB)*1000 + uint64(rep)
-		b, _, err := newTrialBoard(spec, soc.Options{}, repSeed)
+		b, _, err := newBoard(spec, soc.Options{}, repSeed)
 		if err != nil {
 			return tally{}, err
 		}

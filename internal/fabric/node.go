@@ -216,13 +216,6 @@ func (n *Node) Fingerprint() string { return n.cfg.Fingerprint }
 // Self returns this node's peer ID.
 func (n *Node) Self() string { return n.cfg.Self }
 
-// Owner returns the ring owner of key (ignoring liveness).
-func (n *Node) Owner(key string) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ring.Owner(key)
-}
-
 // Status snapshots the node for /v1/ring.
 func (n *Node) Status() Status {
 	n.mu.Lock()

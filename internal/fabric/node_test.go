@@ -265,7 +265,7 @@ func TestStealPreservesOwner(t *testing.T) {
 	}
 	var shards []campaign.Shard
 	for i := 0; len(shards) < shardsN; i++ {
-		if key := fmt.Sprintf("%064d", i); node.Owner(key) == "a" {
+		if key := fmt.Sprintf("%064d", i); node.ring.Owner(key) == "a" {
 			n := len(shards)
 			shards = append(shards, campaign.Shard{
 				Index: n, Run: campaign.RunSpec{Experiment: "x", Seed: uint64(n)}, Key: key,
@@ -530,7 +530,7 @@ func TestRefreshProbesPeers(t *testing.T) {
 	owned := 0
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("%064d", i)
-		if node.Owner(key) == "other" {
+		if node.ring.Owner(key) == "other" {
 			owned++
 		}
 		if got := node.executorFor(key); got == "other" {

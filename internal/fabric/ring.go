@@ -63,20 +63,6 @@ func NewRing(peers ...string) *Ring {
 // read-only.
 func (r *Ring) Peers() []string { return r.peers }
 
-// Owner returns the peer owning key — the first virtual node clockwise
-// from the key's hash. Empty string on an empty ring.
-func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := fnv64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].peer
-}
-
 // Successors returns up to n distinct peers clockwise from key's
 // position, starting with the owner — the fallback order when the owner
 // is draining or down.
@@ -99,19 +85,6 @@ func (r *Ring) Successors(key string, n int) []string {
 		}
 	}
 	return out
-}
-
-// Without returns a ring with one member removed — what the membership
-// looks like after a peer drains away. Only ~1/len(peers) of the key
-// space changes owner (the consistent-hashing property the tests pin).
-func (r *Ring) Without(peer string) *Ring {
-	rest := make([]string, 0, len(r.peers))
-	for _, p := range r.peers {
-		if p != peer {
-			rest = append(rest, p)
-		}
-	}
-	return NewRing(rest...)
 }
 
 // fnv64 is FNV-1a over s with a murmur3-style finalizer, inlined to

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -92,7 +93,7 @@ func TestRingWithoutMovesFewKeys(t *testing.T) {
 		peers[i] = fmt.Sprintf("peer-%d", i)
 	}
 	r := NewRing(peers...)
-	smaller := r.Without("peer-2")
+	smaller := NewRing(append(peers[:2:2], peers[3:]...)...) // peer-2 drains away
 	const total = 10000
 	moved := 0
 	for _, k := range keys(total) {
@@ -109,4 +110,19 @@ func TestRingWithoutMovesFewKeys(t *testing.T) {
 	if moved < total/(n*3) || moved > total*2/n {
 		t.Fatalf("removing 1 of %d peers moved %d of %d keys", n, moved, total)
 	}
+}
+
+// Owner returns the peer owning key — the first virtual node clockwise
+// from the key's hash. Empty string on an empty ring. The tests' oracle
+// for ownership; the node routes by Successors, which starts with it.
+func (r *Ring) Owner(key string) string {
+	if len(r.points) == 0 {
+		return ""
+	}
+	h := fnv64(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].peer
 }

@@ -218,12 +218,6 @@ func (g *Glitcher) Finish() bool {
 	return fired
 }
 
-// Armed reports whether a shot is pending or in flight.
-func (g *Glitcher) Armed() bool { return g.armed }
-
-// Fired reports whether the current/last shot's trigger matched.
-func (g *Glitcher) Fired() bool { return g.fired }
-
 // Faults returns the faults injected by the current/last shot, in
 // program order. The slice is reused by the next Arm.
 func (g *Glitcher) Faults() []FaultRecord { return g.faults }

@@ -25,8 +25,8 @@ func steppingBench(tb testing.TB) (*soc.SoC, *glitch.Glitcher) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	power.NewBenchSupply(env, "bench-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
-	power.NewBenchSupply(env, "bench-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
+	power.NewBenchSupply("bench-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
+	power.NewBenchSupply("bench-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
 	words, err := isa.Assemble(soc.PayloadBase, `
         LDIMM X1, #0x100000
 loop:   LDR X2, [X1]

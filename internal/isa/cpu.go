@@ -459,24 +459,6 @@ func (c *CPU) writeSysReg(id uint32, v uint64) error {
 	}
 }
 
-// Run executes until the core halts, faults, or maxInstr instructions
-// retire. It returns the number of instructions retired during this call
-// and the first error, if any. Exceeding maxInstr without halting returns
-// a RunawayError so experiment bugs surface instead of hanging.
-func (c *CPU) Run(maxInstr uint64) (uint64, error) {
-	var n uint64
-	for !c.Halted && n < maxInstr {
-		if err := c.Step(); err != nil {
-			return n, err
-		}
-		n++
-	}
-	if !c.Halted && n >= maxInstr {
-		return n, &RunawayError{PC: c.PC, Max: maxInstr}
-	}
-	return n, nil
-}
-
 // RunawayError reports a program that failed to halt within its budget.
 type RunawayError struct {
 	PC  uint64

@@ -537,3 +537,23 @@ loop:   SUBI X0, X0, #1
 		}
 	}
 }
+
+// Run executes until the core halts, faults, or maxInstr instructions
+// retire. It returns the number of instructions retired during this call
+// and the first error, if any. Exceeding maxInstr without halting returns
+// a RunawayError so program bugs surface instead of hanging. The tests
+// step bare CPUs with it; the machine runs cores through
+// soc.SoC.RunCore.
+func (c *CPU) Run(maxInstr uint64) (uint64, error) {
+	var n uint64
+	for !c.Halted && n < maxInstr {
+		if err := c.Step(); err != nil {
+			return n, err
+		}
+		n++
+	}
+	if !c.Halted && n >= maxInstr {
+		return n, &RunawayError{PC: c.PC, Max: maxInstr}
+	}
+	return n, nil
+}

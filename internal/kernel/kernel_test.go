@@ -16,8 +16,8 @@ func poweredSoC(t testing.TB) *soc.SoC {
 	if err != nil {
 		t.Fatal(err)
 	}
-	power.NewBenchSupply(env, "core", s.Spec.CoreVolts, 10).AttachTo(s.CoreDom)
-	power.NewBenchSupply(env, "mem", s.Spec.MemVolts, 10).AttachTo(s.MemDom)
+	power.NewBenchSupply("core", s.Spec.CoreVolts, 10).AttachTo(s.CoreDom)
+	power.NewBenchSupply("mem", s.Spec.MemVolts, 10).AttachTo(s.MemDom)
 	if err := s.Boot(nil); err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,6 @@ type Config struct {
 	// packages. Deterministic packages may not import them (VV-DET005),
 	// and the lock analyzer runs on them.
 	ServicePkgs []string
-	// DeterministicExtraImports are module-relative paths deterministic
-	// packages may import beyond stdlib and each other (shared pure
-	// infrastructure like the parallel runner). Used by the import-graph
-	// pin, not by any per-file analyzer.
-	DeterministicExtraImports []string
 	// ExcludePkgs are module-relative paths skipped entirely (the lint
 	// package itself, whose fixtures intentionally violate everything).
 	ExcludePkgs []string
@@ -52,8 +47,7 @@ func DefaultConfig() *Config {
 			"internal/campaign", "internal/api", "internal/registry",
 			"internal/store", "internal/fabric",
 		},
-		DeterministicExtraImports: nil,
-		ExcludePkgs:               []string{"internal/lint"},
+		ExcludePkgs: []string{"internal/lint"},
 	}
 }
 
@@ -95,15 +89,4 @@ func (c *Config) IsService(importPath string) bool {
 func (c *Config) IsExcluded(importPath string) bool {
 	r, ok := c.rel(importPath)
 	return ok && contains(c.ExcludePkgs, r)
-}
-
-// DeterministicImportAllowed reports whether a deterministic package may
-// import dep: stdlib (anything outside the module), another
-// deterministic package, or a listed extra.
-func (c *Config) DeterministicImportAllowed(dep string) bool {
-	r, ok := c.rel(dep)
-	if !ok {
-		return true // stdlib
-	}
-	return contains(c.DeterministicPkgs, r) || contains(c.DeterministicExtraImports, r)
 }

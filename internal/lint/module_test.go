@@ -86,6 +86,14 @@ func TestDeterministicImportGraph(t *testing.T) {
 	}
 }
 
+// DeterministicImportAllowed reports whether a deterministic package may
+// import dep: stdlib (anything outside the module) or another
+// deterministic package.
+func (c *Config) DeterministicImportAllowed(dep string) bool {
+	r, ok := c.rel(dep)
+	return !ok || contains(c.DeterministicPkgs, r)
+}
+
 // formerHotpathChain is the hand-maintained annotation list this repo
 // carried before closure inference, frozen as test data: the functions
 // accumulated by reading call chains off benchmarks and transcribing
@@ -230,19 +238,25 @@ func TestHotpathClosureGolden(t *testing.T) {
 		}
 		want[name] = true
 	}
+	for _, d := range goldenDiff(hp.Closure, want) {
+		t.Errorf("hot-path closure (roots %v) differs from testdata/hotpath_closure.txt: %s", hp.Roots, d)
+	}
+}
+
+// goldenDiff lists "+ name" for each name in got but not in want and
+// "- name" for each name in want but not in got, sorted by name.
+func goldenDiff[V any](got map[string]V, want map[string]bool) []string {
 	var diff []string
-	for name := range hp.Closure {
+	for name := range got {
 		if !want[name] {
 			diff = append(diff, "+ "+name)
 		}
 	}
 	for name := range want {
-		if _, ok := hp.Closure[name]; !ok {
+		if _, ok := got[name]; !ok {
 			diff = append(diff, "- "+name)
 		}
 	}
 	sort.Slice(diff, func(i, j int) bool { return diff[i][2:] < diff[j][2:] })
-	for _, d := range diff {
-		t.Errorf("hot-path closure (roots %v) differs from testdata/hotpath_closure.txt: %s", hp.Roots, d)
-	}
+	return diff
 }

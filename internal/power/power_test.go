@@ -21,7 +21,7 @@ func (r *railRecorder) SetRail(v float64) {
 func (r *railRecorder) Name() string { return r.name }
 
 func newRig(env *sim.Env) (*PMIC, *Domain, *Domain, *railRecorder, *railRecorder) {
-	pmic := NewPMIC(env, "TESTPMIC")
+	pmic := NewPMIC("TESTPMIC")
 	core := NewDomain(env, "VDD_CORE", 0.8, true)
 	mem := NewDomain(env, "VDD_MEM", 1.1, false)
 	pmic.AddChannel("BUCK1", Buck, 4, core)
@@ -52,7 +52,7 @@ func TestDisconnectCollapsesAllDomains(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, mem, _, _ := newRig(env)
 	pmic.ConnectInput()
-	pmic.DisconnectInput(DefaultSurge())
+	pmic.DisconnectInput(defaultSurge())
 	if core.Volts() != 0 || mem.Volts() != 0 {
 		t.Fatalf("rails after disconnect: core=%v mem=%v", core.Volts(), mem.Volts())
 	}
@@ -62,9 +62,9 @@ func TestProbeHoldsDomainThroughDisconnect(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, mem, coreLoad, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	probe.AttachTo(core)
-	pmic.DisconnectInput(DefaultSurge())
+	pmic.DisconnectInput(defaultSurge())
 	if core.Volts() != 0.8 {
 		t.Fatalf("probed core domain = %vV, want 0.8", core.Volts())
 	}
@@ -83,13 +83,13 @@ func TestWeakProbeDroopsDuringSurge(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, coreLoad, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "weak", 0.8, 0.5) // below the 2.5A surge
+	probe := NewBenchSupply("weak", 0.8, 0.5) // below the 2.5A surge
 	probe.AttachTo(core)
 	before := env.Now()
-	pmic.DisconnectInput(DefaultSurge())
+	pmic.DisconnectInput(defaultSurge())
 	// The load must have seen the deficit-proportional sag voltage
 	// (0.8V × 0.5A/2.5A = 0.16V) and then recovery.
-	wantSag := DefaultSurge().SagTo(0.8, 0.5)
+	wantSag := defaultSurge().SagTo(0.8, 0.5)
 	sawSag, sawRecover := false, false
 	for _, v := range coreLoad.history {
 		if v == wantSag {
@@ -102,7 +102,7 @@ func TestWeakProbeDroopsDuringSurge(t *testing.T) {
 	if !sawSag || !sawRecover {
 		t.Fatalf("weak probe droop not observed: history=%v", coreLoad.history)
 	}
-	if env.Now()-before != DefaultSurge().Duration {
+	if env.Now()-before != defaultSurge().Duration {
 		t.Fatalf("droop must advance the clock by the surge duration")
 	}
 	if core.Volts() != 0.8 {
@@ -114,9 +114,9 @@ func TestSurgeOnlyAffectsCoreDomains(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, _, mem, _, memLoad := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "weak", 1.1, 0.1) // tiny, but memory domain: no surge
+	probe := NewBenchSupply("weak", 1.1, 0.1) // tiny, but memory domain: no surge
 	probe.AttachTo(mem)
-	pmic.DisconnectInput(DefaultSurge())
+	pmic.DisconnectInput(defaultSurge())
 	if mem.Volts() != 1.1 {
 		t.Fatalf("probed memory domain = %v, want 1.1", mem.Volts())
 	}
@@ -131,14 +131,14 @@ func TestProbeDetachDropsRail(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, _, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	probe.AttachTo(core)
-	pmic.DisconnectInput(DefaultSurge())
+	pmic.DisconnectInput(defaultSurge())
 	probe.Detach()
 	if core.Volts() != 0 {
 		t.Fatalf("rail after detach = %v", core.Volts())
 	}
-	if probe.Attached() {
+	if probe.attached {
 		t.Fatal("probe should report detached")
 	}
 }
@@ -146,7 +146,7 @@ func TestProbeDetachDropsRail(t *testing.T) {
 func TestDoubleAttachPanics(t *testing.T) {
 	env := sim.NewEnv()
 	_, core, mem, _, _ := newRig(env)
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	probe.AttachTo(core)
 	defer func() {
 		if recover() == nil {
@@ -175,7 +175,7 @@ func TestReconnectRestoresRails(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, mem, _, _ := newRig(env)
 	pmic.ConnectInput()
-	pmic.DisconnectInput(DefaultSurge())
+	pmic.DisconnectInput(defaultSurge())
 	env.Advance(200 * sim.Millisecond)
 	pmic.ConnectInput()
 	if core.Volts() != 0.8 || mem.Volts() != 1.1 {
@@ -187,7 +187,7 @@ func TestDomainResolvesMaxOfSources(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, _, _ := newRig(env)
 	pmic.ConnectInput()
-	low := NewBenchSupply(env, "lowprobe", 0.5, 3)
+	low := NewBenchSupply("lowprobe", 0.5, 3)
 	low.AttachTo(core)
 	if core.Volts() != 0.8 {
 		t.Fatalf("regulator at 0.8 should win over 0.5 probe, got %v", core.Volts())
@@ -217,7 +217,7 @@ func TestRegulatorKindString(t *testing.T) {
 }
 
 func TestSagToProportionalModel(t *testing.T) {
-	s := DefaultSurge()
+	s := defaultSurge()
 	// At or above the surge demand: no sag at all.
 	if v := s.SagTo(0.8, 2.5); v != 0.8 {
 		t.Fatalf("SagTo at full current = %v", v)
@@ -248,7 +248,7 @@ func TestProbeCurrentDrawTelemetry(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, _, _, _ := newRig(env)
 	pmic.ConnectInput()
-	probe := NewBenchSupply(env, "bench", 0.8, 3.5)
+	probe := NewBenchSupply("bench", 0.8, 3.5)
 	if probe.CurrentDrawAmps() != 0 {
 		t.Fatal("detached probe should draw nothing")
 	}
@@ -257,7 +257,7 @@ func TestProbeCurrentDrawTelemetry(t *testing.T) {
 	if got := probe.CurrentDrawAmps(); got != core.ActiveDrawAmps {
 		t.Fatalf("active draw = %v, want %v", got, core.ActiveDrawAmps)
 	}
-	pmic.DisconnectInput(DefaultSurge())
+	pmic.DisconnectInput(defaultSurge())
 	// Retention state: ~8mA.
 	if got := probe.CurrentDrawAmps(); got != core.RetentionDrawAmps {
 		t.Fatalf("retention draw = %v, want %v", got, core.RetentionDrawAmps)
@@ -278,4 +278,16 @@ func TestDomainDrawDefaults(t *testing.T) {
 	if mem.ActiveDrawAmps >= core.ActiveDrawAmps {
 		t.Fatal("memory domain should draw less than the core domain")
 	}
+}
+
+// defaultSurge matches the paper's Raspberry Pi 4 observations.
+func defaultSurge() Surge {
+	return Surge{Amps: 2.5, Duration: 5 * sim.Microsecond, SagVolts: 0.05}
+}
+
+// SetEnabled switches the channel on or off (runtime power gating) and
+// re-resolves its domain. Only TestRegulatorGating gates a channel.
+func (r *Regulator) SetEnabled(on bool) {
+	r.enabled = on
+	r.pmic.reresolveAll()
 }

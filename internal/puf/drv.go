@@ -92,19 +92,3 @@ func (fp *DRVFingerprint) Distance(other *DRVFingerprint) (float64, error) {
 	}
 	return sum / float64(len(fp.LossStep)), nil
 }
-
-// MatchThreshold is the mean-step-distance below which two DRV
-// fingerprints are considered the same chip. Same-chip remeasurements
-// are near 0 (the DRV is deterministic per cell in the model; physical
-// noise would add fractions of a step); different chips differ by ≥1
-// step on most cells.
-const MatchThreshold = 0.5
-
-// SameChip reports whether the fingerprints match.
-func (fp *DRVFingerprint) SameChip(other *DRVFingerprint) (bool, error) {
-	d, err := fp.Distance(other)
-	if err != nil {
-		return false, err
-	}
-	return d < MatchThreshold, nil
-}

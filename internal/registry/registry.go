@@ -111,8 +111,8 @@ type Experiment struct {
 	Name string
 	// Doc is a one-line description.
 	Doc string
-	// Slow marks the multi-minute items that -skip-slow and quick
-	// campaigns leave out.
+	// Slow marks the items that -skip-slow and a sweep with skip_slow
+	// leave out.
 	Slow bool
 	// ArtifactKinds lists the output kinds ("text", "pbm").
 	ArtifactKinds []string

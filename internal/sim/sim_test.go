@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -74,55 +73,13 @@ func TestEnvTemperature(t *testing.T) {
 	if math.Abs(e.TemperatureK()-233.15) > 1e-9 {
 		t.Fatalf("TemperatureK = %v", e.TemperatureK())
 	}
-	if e.Log().Len() == 0 {
-		t.Fatal("temperature change should be logged")
-	}
 }
 
-func TestEventLogOrderingAndFilter(t *testing.T) {
-	l := NewEventLog()
-	l.Add(1, "pmic", "a")
-	l.Add(2, "probe", "b")
-	l.Add(3, "pmic", "c")
-	evs := l.Events()
-	if len(evs) != 3 || evs[0].Message != "a" || evs[2].Message != "c" {
-		t.Fatalf("unexpected events: %v", evs)
-	}
-	pmic := l.Filter("pmic")
-	if len(pmic) != 2 || pmic[1].Message != "c" {
-		t.Fatalf("Filter(pmic) = %v", pmic)
-	}
-	subs := l.Subsystems()
-	if len(subs) != 2 || subs[0] != "pmic" || subs[1] != "probe" {
-		t.Fatalf("Subsystems() = %v", subs)
-	}
-}
+// Seconds and Milliseconds serve only TestTimeConversions; the simulator
+// renders times with String.
 
-func TestEventLogEventsIsCopy(t *testing.T) {
-	l := NewEventLog()
-	l.Add(1, "x", "orig")
-	evs := l.Events()
-	evs[0].Message = "mutated"
-	if l.Events()[0].Message != "orig" {
-		t.Fatal("Events() must return a copy")
-	}
-}
+// Seconds returns the timestamp expressed in seconds.
+func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-func TestEnvLogf(t *testing.T) {
-	e := NewEnv()
-	e.Advance(7 * Microsecond)
-	e.Logf("attack", "step %d: %s", 2, "attach probe")
-	evs := e.Log().Events()
-	if len(evs) != 1 {
-		t.Fatalf("expected 1 event, got %d", len(evs))
-	}
-	if evs[0].At != 7*Microsecond {
-		t.Fatalf("event timestamp = %v", evs[0].At)
-	}
-	if !strings.Contains(evs[0].Message, "step 2: attach probe") {
-		t.Fatalf("event message = %q", evs[0].Message)
-	}
-	if !strings.Contains(e.Log().String(), "attach probe") {
-		t.Fatal("log String() should contain the message")
-	}
-}
+// Milliseconds returns the timestamp expressed in milliseconds.
+func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }

@@ -431,9 +431,9 @@ func (p *oraclePair) compare(t *testing.T, prog int) {
 		t.Fatalf("program %d, %s path: PC %#x flags %+v instret %d halted %v; reference %#x %+v %d %v",
 			prog, p.name, g.PC, g.Flags, g.Instret, g.Halted, r.PC, r.Flags, r.Instret, r.Halted)
 	}
-	if p.ref.s.BarrierCount() != p.got.s.BarrierCount() {
+	if p.ref.s.barriers != p.got.s.barriers {
 		t.Fatalf("program %d, %s path at instret %d: %d barriers, reference %d",
-			prog, p.name, r.Instret, p.got.s.BarrierCount(), p.ref.s.BarrierCount())
+			prog, p.name, r.Instret, p.got.s.barriers, p.ref.s.barriers)
 	}
 	refCaches, gotCaches := p.ref.s.caches, p.got.s.caches
 	for i := range refCaches {

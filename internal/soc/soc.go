@@ -367,13 +367,11 @@ func (s *SoC) Boot(img *BootImage) error {
 	}
 	s.bootCount++
 	s.mutGen++ // boots rewrite code memory in several ways; drop all predecode
-	s.Env.Logf("boot", "%s boot #%d", s.Spec.SoCName, s.bootCount)
 
 	if s.Opts.PowerToggleReset {
 		// The SoC gates each SRAM macro's internal supply off and on
 		// again during reset. An external probe holds the *pin*, but the
 		// gate sits behind it, so contents are lost regardless.
-		s.Env.Logf("boot", "power-toggle reset of all on-chip SRAM")
 		for _, a := range s.arrays {
 			restore := a.RailVolts()
 			a.SetRail(0)
@@ -382,7 +380,6 @@ func (s *SoC) Boot(img *BootImage) error {
 		}
 	}
 	if s.Opts.MBISTReset {
-		s.Env.Logf("boot", "MBIST zeroization of all on-chip SRAM")
 		for _, a := range s.arrays {
 			if a.Powered() {
 				a.Fill(0)
@@ -391,14 +388,12 @@ func (s *SoC) Boot(img *BootImage) error {
 	}
 
 	if img != nil && s.Opts.AuthenticatedBoot && img.Signature != s.SignImage(img) {
-		s.Env.Logf("boot", "authenticated boot REJECTED unsigned image")
 		return ErrUnsignedImage
 	}
 	// Secure-world entry always requires the OEM signature when TrustZone
 	// is enforced, independent of the full authenticated-boot policy.
 	secureWorld := img != nil && img.TrustedWorld
 	if secureWorld && s.Opts.TrustZone && img.Signature != s.SignImage(img) {
-		s.Env.Logf("boot", "secure-world entry REJECTED: unsigned image")
 		return ErrUnsignedImage
 	}
 
@@ -417,7 +412,6 @@ func (s *SoC) Boot(img *BootImage) error {
 		}
 		s.L2.InvalidateAll()
 		s.L2.SetEnabled(true)
-		s.Env.Logf("boot", "VideoCore init clobbered L2 (%d KB)", s.Spec.L2.SizeBytes/1024)
 	}
 
 	// Internal boot ROM scratchpad (i.MX53): parts of the iRAM are
@@ -429,15 +423,11 @@ func (s *SoC) Boot(img *BootImage) error {
 			scratch.Bytes(buf)
 			s.IRAM.WriteBytes(r.Start, buf)
 		}
-		if len(s.Spec.BootROMClobbers) > 0 {
-			s.Env.Logf("boot", "boot ROM scratchpad clobbered %d iRAM ranges", len(s.Spec.BootROMClobbers))
-		}
 	}
 
 	// TCG reset mitigation: wipe DRAM unless the previous power-down was
 	// orderly. Abrupt disconnects and forced warm reboots both trip it.
 	if s.Opts.TCGReset && !s.orderlyDown && s.DRAM.Powered() {
-		s.Env.Logf("boot", "TCG reset mitigation: wiping %d MB DRAM", s.Spec.DRAMBytes/(1<<20))
 		s.DRAM.Write(0, make([]byte, s.Spec.DRAMBytes))
 		if s.L2 != nil {
 			// The wipe goes through the memory system; stale L2 lines
@@ -488,7 +478,6 @@ func (s *SoC) Boot(img *BootImage) error {
 			core.L1I.SetEnabled(false)
 		}
 	}
-	s.Env.Logf("boot", "payload loaded at %#x entry %#x caches=%v", load, entry, img.EnableCaches)
 	return nil
 }
 
@@ -533,8 +522,8 @@ func (s *SoC) ProgramROM(words []uint32) error {
 }
 
 // RunCore executes core id until it halts or maxInstr retire, through
-// the superblock dispatcher. Like isa.CPU.Run it returns a RunawayError
-// if the budget is exhausted without a halt.
+// the superblock dispatcher. It returns an isa.RunawayError if the budget
+// is exhausted without a halt.
 func (s *SoC) RunCore(id int, maxInstr uint64) error {
 	if id < 0 || id >= len(s.Cores) {
 		return fmt.Errorf("soc: core %d out of range", id)
@@ -567,7 +556,6 @@ func (s *SoC) RunAllCores(maxInstr uint64) error {
 // precisely the path that skips this (§8 "purging residual memory").
 func (s *SoC) OrderlyShutdown() {
 	s.mutGen++ // the purge overwrites SRAM-resident code
-	s.Env.Logf("soc", "orderly shutdown: purging on-chip memories")
 	for _, c := range s.Cores {
 		for _, arr := range c.L1D.Arrays() {
 			if arr.Powered() {
@@ -881,9 +869,6 @@ func (s *SoC) ICIALLU(core int) {
 // the count documents that payloads issue the barriers §6.1 requires.
 func (s *SoC) Barrier(core int) { s.barriers++ }
 
-// BarrierCount returns the number of barriers executed so far.
-func (s *SoC) BarrierCount() uint64 { return s.barriers }
-
 // RAMIndexRead implements isa.SysOps: the CP15/RAMINDEX debug read of
 // cache-internal RAMs (§2.1, §6.1). Requires EL3; with the TrustZone
 // countermeasure, valid secure lines are unreadable from the non-secure
@@ -935,7 +920,6 @@ func (s *SoC) RAMIndexRead(core int, req uint64, el int) (uint64, bool) {
 		return v, false
 	}
 	if s.Opts.TrustZone && target.SecureLineAt(way, word) && !c.CPU.Secure() {
-		s.Env.Logf("tz", "RAMINDEX to secure line denied (core %d, way %d, word %d)", core, way, word) //voltvet:ignore VV-HOT004 diagnostic logging on a TrustZone denial, not the steady state; campaigns attach no log
 		return 0, true
 	}
 	v, err := target.RAMIndexData(way, word)

@@ -21,8 +21,8 @@ func poweredSoC(t testing.TB, spec DeviceSpec, opts Options) (*SoC, *sim.Env) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corePSU := power.NewBenchSupply(env, "test-core", spec.CoreVolts, 10)
-	memPSU := power.NewBenchSupply(env, "test-mem", spec.MemVolts, 10)
+	corePSU := power.NewBenchSupply("test-core", spec.CoreVolts, 10)
+	memPSU := power.NewBenchSupply("test-mem", spec.MemVolts, 10)
 	corePSU.AttachTo(s.CoreDom)
 	memPSU.AttachTo(s.MemDom)
 	return s, env
@@ -423,8 +423,8 @@ func TestDomainSeparatedRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corePSU := power.NewBenchSupply(env, "core", s.Spec.CoreVolts, 10)
-	memPSU := power.NewBenchSupply(env, "mem", s.Spec.MemVolts, 10)
+	corePSU := power.NewBenchSupply("core", s.Spec.CoreVolts, 10)
+	memPSU := power.NewBenchSupply("mem", s.Spec.MemVolts, 10)
 	corePSU.AttachTo(s.CoreDom)
 	memPSU.AttachTo(s.MemDom)
 
@@ -560,10 +560,10 @@ func TestTCGResetSkipsWipeAfterOrderlyShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.WriteDRAM(0x1000, []byte("persist across clean reboot"))
-	// Flush the shared L2 so the data reaches physical DRAM — dirty L2
-	// lines would otherwise be destroyed by the VideoCore's boot-time
+	// Flush the line from the shared L2 so the data reaches physical
+	// DRAM — dirty L2 lines would otherwise be destroyed by the VideoCore's boot-time
 	// clobber before ever being written back.
-	if err := s.L2.CleanInvalidateAll(); err != nil {
+	if err := s.L2.CleanInvalidateVA(0x1000); err != nil {
 		t.Fatal(err)
 	}
 	s.OrderlyShutdown()
@@ -575,7 +575,7 @@ func TestTCGResetSkipsWipeAfterOrderlyShutdown(t *testing.T) {
 	}
 	// But a second boot with no shutdown in between wipes.
 	s.WriteDRAM(0x1000, []byte("gone after forced reboot!!!"))
-	if err := s.L2.CleanInvalidateAll(); err != nil {
+	if err := s.L2.CleanInvalidateVA(0x1000); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Boot(nil); err != nil {

@@ -1,9 +1,6 @@
 package sram
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // This file models the data-imprinting ("burn-in") effect behind the
 // §9.2 related-work attacks: when a cell holds the same logic value for
@@ -85,24 +82,6 @@ func (a *Array) Age(years float64) {
 		}
 		st.imprinted[w], st.value[w] = imprinted, value
 	}
-	a.env.Logf("sram", "%s: aged %.1f years (imprint onset p=%.2f)", a.name, years, p)
-}
-
-// ImprintedFraction reports the fraction of cells currently imprinted,
-// population-counted per packed word.
-func (a *Array) ImprintedFraction() float64 {
-	if a.imprint == nil {
-		return 0
-	}
-	n := 0
-	full := a.n >> 6
-	for w := 0; w < full; w++ {
-		n += bits.OnesCount64(a.imprint.imprinted[w])
-	}
-	if rem := uint(a.n) & 63; rem != 0 {
-		n += bits.OnesCount64(a.imprint.imprinted[full] & (uint64(1)<<rem - 1))
-	}
-	return float64(n) / float64(a.n)
 }
 
 // imprintPowerUp returns (value, true) when cell i's power-up is decided

@@ -34,9 +34,7 @@ package sram
 
 import (
 	"math"
-	"math/bits"
 
-	"repro/internal/sim"
 	"repro/internal/xrand"
 )
 
@@ -342,7 +340,6 @@ func (a *Array) resolveDecay() {
 	// draws), so skipping them cannot shift any stream.
 	checkDRV := drvSumMax >= 0
 	checkRet := retSumMin <= maxFieldSum
-	lost := 0
 	ig := uint64(0) // i·gamma, maintained incrementally
 	if !checkDRV && !checkRet && !hasAging && a.n&63 == 0 {
 		// Full-decay fast path: both survival gates are degenerate — the
@@ -352,8 +349,6 @@ func (a *Array) resolveDecay() {
 		// the old contents, so it is deferred (pend) exactly like a first
 		// power-up; a pending resample it replaces was never read.
 		a.pend()
-		a.env.Logf("sram", "%s: %d/%d cells decayed over %s at %.2fV held",
-			a.name, a.n, a.n, sim.Time(elapsed), a.heldVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	if a.pending {
@@ -404,12 +399,7 @@ func (a *Array) resolveDecay() {
 		}
 		if decayMask != 0 {
 			a.bits[w] = (a.bits[w] &^ decayMask) | newBits
-			lost += bits.OnesCount64(decayMask)
 		}
-	}
-	if lost > 0 {
-		a.env.Logf("sram", "%s: %d/%d cells decayed over %s at %.2fV held",
-			a.name, lost, a.n, sim.Time(elapsed), a.heldVolts) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 	}
 }
 
@@ -426,7 +416,6 @@ func (a *Array) resolveDecay() {
 func (a *Array) powerUpAll() {
 	if a.n&63 == 0 {
 		a.pend()
-		a.env.Logf("sram", "%s: power-up into fingerprint state (%d bits)", a.name, a.n) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 		return
 	}
 	rng, cellState := a.rng, a.cellSeed
@@ -456,5 +445,4 @@ func (a *Array) powerUpAll() {
 			a.bits[w] = (a.bits[w] &^ mask) | newBits
 		}
 	}
-	a.env.Logf("sram", "%s: power-up into fingerprint state (%d bits)", a.name, a.n) //voltvet:ignore VV-HOT004 diagnostic logging on a power/decay event, not the per-instruction steady state; campaigns attach no log
 }

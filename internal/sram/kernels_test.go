@@ -541,7 +541,7 @@ func repend(a *Array) {
 // and the mark-dirty branch, and a deferred invalidate on pending and
 // drawn pages.
 func TestMaterializeZeroAlloc(t *testing.T) {
-	env := sim.NewQuietEnv()
+	env := sim.NewEnv()
 	a := NewArray(env, "alloc", 64*1024*8, 3)
 	small := NewArray(env, "regs", 96*64, 4)
 	a.SetRail(0.8)

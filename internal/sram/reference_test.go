@@ -1,7 +1,8 @@
 package sram
 
 import (
-	"repro/internal/sim"
+	"math/bits"
+
 	"repro/internal/xrand"
 )
 
@@ -77,7 +78,6 @@ func (a *Array) cellStatics(i int) (drv, logRetention float64, biased, preferred
 func (a *Array) resolveDecayScalar() {
 	elapsed := float64(a.env.Now() - a.belowSince)
 	logThreshold := a.logDecayThreshold(elapsed)
-	lost := 0
 	for i := 0; i < a.n; i++ {
 		drv, logRet, biased, preferred := a.cellStatics(i)
 		if a.heldVolts >= drv {
@@ -87,11 +87,6 @@ func (a *Array) resolveDecayScalar() {
 			continue // charge survived the gap
 		}
 		a.powerUpCellWith(i, biased, preferred)
-		lost++
-	}
-	if lost > 0 {
-		a.env.Logf("sram", "%s: %d/%d cells decayed over %s at %.2fV held",
-			a.name, lost, a.n, sim.Time(elapsed), a.heldVolts)
 	}
 }
 
@@ -101,7 +96,6 @@ func (a *Array) powerUpAllScalar() {
 		_, _, biased, preferred := a.cellStatics(i)
 		a.powerUpCellWith(i, biased, preferred)
 	}
-	a.env.Logf("sram", "%s: power-up into fingerprint state (%d bits)", a.name, a.n)
 }
 
 // powerUpCellWith samples the power-up value for cell i from its bias,
@@ -121,4 +115,67 @@ func (a *Array) powerUpCellWith(i int, biased, preferred bool) {
 		v = a.rng.Bool()
 	}
 	a.setBit(i, v)
+}
+
+// The single-bit and whole-array accessors below serve the tests only:
+// the machine reads and writes SRAM in bytes and words.
+
+func (a *Array) setBit(i int, v bool) {
+	if v {
+		a.bits[i>>6] |= 1 << (uint(i) & 63)
+	} else {
+		a.bits[i>>6] &^= 1 << (uint(i) & 63)
+	}
+}
+
+func (a *Array) bit(i int) bool {
+	return a.bits[i>>6]>>(uint(i)&63)&1 == 1
+}
+
+// WriteBit stores one bit. Accessing an unpowered array is a programming
+// error (real hardware cannot either) and panics.
+func (a *Array) WriteBit(i int, v bool) {
+	a.checkAccess("WriteBit", i>>6, i>>6)
+	a.gen++
+	a.markSnapPages(i>>6, i>>6)
+	a.setBit(i, v)
+}
+
+// ReadBit loads one bit.
+func (a *Array) ReadBit(i int) bool {
+	a.checkAccess("ReadBit", i>>6, i>>6)
+	return a.bit(i)
+}
+
+// FractionOnes returns the fraction of 1 bits currently stored, counted
+// with a population-count per packed word (the trailing partial word, if
+// any, is masked to the live n bits).
+func (a *Array) FractionOnes() float64 {
+	a.checkAccess("FractionOnes", 0, len(a.bits)-1)
+	ones := 0
+	full := a.n >> 6
+	for w := 0; w < full; w++ {
+		ones += bits.OnesCount64(a.bits[w])
+	}
+	if rem := uint(a.n) & 63; rem != 0 {
+		ones += bits.OnesCount64(a.bits[full] & (uint64(1)<<rem - 1))
+	}
+	return float64(ones) / float64(a.n)
+}
+
+// ImprintedFraction reports the fraction of cells currently imprinted,
+// population-counted per packed word.
+func (a *Array) ImprintedFraction() float64 {
+	if a.imprint == nil {
+		return 0
+	}
+	n := 0
+	full := a.n >> 6
+	for w := 0; w < full; w++ {
+		n += bits.OnesCount64(a.imprint.imprinted[w])
+	}
+	if rem := uint(a.n) & 63; rem != 0 {
+		n += bits.OnesCount64(a.imprint.imprinted[full] & (uint64(1)<<rem - 1))
+	}
+	return float64(n) / float64(a.n)
 }

@@ -38,7 +38,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -242,18 +241,6 @@ func (a *Array) SetRail(volts float64) {
 	}
 }
 
-func (a *Array) setBit(i int, v bool) {
-	if v {
-		a.bits[i>>6] |= 1 << (uint(i) & 63)
-	} else {
-		a.bits[i>>6] &^= 1 << (uint(i) & 63)
-	}
-}
-
-func (a *Array) bit(i int) bool {
-	return a.bits[i>>6]>>(uint(i)&63)&1 == 1
-}
-
 // DrawnBits returns how many bits the array has drawn from deferred
 // power-up resamples since it was built (see kernels.go). Restores do
 // not rewind it.
@@ -297,21 +284,6 @@ func (a *Array) dropPending() {
 	a.pending = false
 	a.pendInval = invalMasks{}
 	clear(a.pendPages)
-}
-
-// WriteBit stores one bit. Accessing an unpowered array is a programming
-// error (real hardware cannot either) and panics.
-func (a *Array) WriteBit(i int, v bool) {
-	a.checkAccess("WriteBit", i>>6, i>>6)
-	a.gen++
-	a.markSnapPages(i>>6, i>>6)
-	a.setBit(i, v)
-}
-
-// ReadBit loads one bit.
-func (a *Array) ReadBit(i int) bool {
-	a.checkAccess("ReadBit", i>>6, i>>6)
-	return a.bit(i)
 }
 
 // storeByte stores value v into byte slot j of the packed words. Byte j
@@ -602,20 +574,4 @@ func (a *Array) Snapshot() []byte {
 //voltvet:hotpath root
 func (a *Array) SnapshotInto(dst []byte) {
 	a.ReadBytesInto(0, dst)
-}
-
-// FractionOnes returns the fraction of 1 bits currently stored, counted
-// with a population-count per packed word (the trailing partial word, if
-// any, is masked to the live n bits).
-func (a *Array) FractionOnes() float64 {
-	a.checkAccess("FractionOnes", 0, len(a.bits)-1)
-	ones := 0
-	full := a.n >> 6
-	for w := 0; w < full; w++ {
-		ones += bits.OnesCount64(a.bits[w])
-	}
-	if rem := uint(a.n) & 63; rem != 0 {
-		ones += bits.OnesCount64(a.bits[full] & (uint64(1)<<rem - 1))
-	}
-	return float64(ones) / float64(a.n)
 }

@@ -333,14 +333,6 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// Contains reports whether key is indexed, without touching LRU state.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Put appends one record. A key that is already indexed is a no-op:
 // the store is content-addressed, so the bytes are the same by
 // construction.

@@ -262,8 +262,8 @@ func FuzzStoreReplay(f *testing.F) {
 		}
 		var put string
 		for i := 0; put == ""; i++ {
-			if k := testKey(i); !s.Contains(k) {
-				put = k
+			if _, ok := s.index[testKey(i)]; !ok {
+				put = testKey(i)
 			}
 		}
 		want[put] = testVal(put, 33)

@@ -39,8 +39,8 @@ func victimSoCCached(tb testing.TB, rounds int, pt [16]byte, caches bool) (*soc.
 	if err != nil {
 		tb.Fatal(err)
 	}
-	power.NewBenchSupply(env, "bench-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
-	power.NewBenchSupply(env, "bench-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
+	power.NewBenchSupply("bench-core", spec.CoreVolts, 10).AttachTo(s.CoreDom)
+	power.NewBenchSupply("bench-mem", spec.MemVolts, 10).AttachTo(s.MemDom)
 	v, err := trace.BuildAESVictim(soc.PayloadBase, tStateAddr, tKeyAddr, tSBoxAddr, tOutAddr, rounds)
 	if err != nil {
 		tb.Fatal(err)

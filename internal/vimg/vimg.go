@@ -89,23 +89,6 @@ func (b *Bitmap) PBM() []byte {
 	return out
 }
 
-// FractionSet returns the fraction of set pixels.
-func (b *Bitmap) FractionSet() float64 {
-	ones, total := 0, 0
-	for y := 0; y < b.Height; y++ {
-		for x := 0; x < b.Width; x++ {
-			if b.Get(x, y) {
-				ones++
-			}
-			total++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ones) / float64(total)
-}
-
 // ToBytes flattens the bitmap back to a little-endian-bit memory image,
 // the inverse of FromBits.
 func (b *Bitmap) ToBytes() []byte {

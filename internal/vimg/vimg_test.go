@@ -173,3 +173,21 @@ func TestSparklineDownsamples(t *testing.T) {
 		t.Fatalf("downsampled peak missing: %q", s)
 	}
 }
+
+// FractionSet returns the fraction of set pixels, the density oracle
+// of TestTestPattern512Properties.
+func (b *Bitmap) FractionSet() float64 {
+	ones, total := 0, 0
+	for y := 0; y < b.Height; y++ {
+		for x := 0; x < b.Width; x++ {
+			if b.Get(x, y) {
+				ones++
+			}
+			total++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(ones) / float64(total)
+}

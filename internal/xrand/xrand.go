@@ -117,23 +117,12 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 bits from the stream.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
 }
 
 // Float64 returns a uniform float64 in [0, 1). The scale by 2⁻⁵³ is a
@@ -215,33 +204,6 @@ func (r *Rand) FillNormFloat32(dst []float32, scale float64) {
 			r.haveSpare = true
 		}
 	}
-}
-
-// Normal returns a normal variate with the given mean and standard
-// deviation.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
-}
-
-// LogNormal returns a lognormal variate such that the *median* of the
-// distribution is median and the shape parameter (stddev of the underlying
-// normal in log space) is sigma. Medians parameterize retention times more
-// intuitively than means for heavy-tailed distributions.
-func (r *Rand) LogNormal(median, sigma float64) float64 {
-	if median <= 0 {
-		return 0
-	}
-	return median * math.Exp(sigma*r.NormFloat64())
-}
-
-// Exp returns an exponential variate with the given mean.
-func (r *Rand) Exp(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	u := r.Float64()
-	// Float64 is in [0,1); guard the log argument.
-	return -mean * math.Log(1-u)
 }
 
 // Perm fills a permutation of [0, n) using the Fisher–Yates shuffle.

@@ -111,7 +111,7 @@ func TestNormalMoments(t *testing.T) {
 	const n = 200000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		v := r.Normal(5, 2)
+		v := 5 + 2*r.NormFloat64()
 		sum += v
 		sumSq += v * v
 	}
@@ -287,4 +287,25 @@ func TestFillNormFloat32SpareCarryIn(t *testing.T) {
 			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
+}
+
+// LogNormal returns a lognormal variate such that the *median* of the
+// distribution is median and the shape parameter (stddev of the underlying
+// normal in log space) is sigma. It and Exp below serve only their own
+// tests.
+func (r *Rand) LogNormal(median, sigma float64) float64 {
+	if median <= 0 {
+		return 0
+	}
+	return median * math.Exp(sigma*r.NormFloat64())
+}
+
+// Exp returns an exponential variate with the given mean.
+func (r *Rand) Exp(mean float64) float64 {
+	if mean <= 0 {
+		return 0
+	}
+	u := r.Float64()
+	// Float64 is in [0,1); guard the log argument.
+	return -mean * math.Log(1-u)
 }

@@ -4,8 +4,8 @@
 # single-core CI machine still exercises multi-worker execution), the
 # differential oracles (among them, that a power trace ignores predecode,
 # superblock and cache state and that a capture stops when its window is
-# full), the catalog digests, a short fuzz pass over the byte decoders
-# and the CPA attack, a one-iteration smoke over the micro-benchmarks
+# full), the catalog digests, a short fuzz pass over the byte decoders,
+# the CPA attack and the job body, a one-iteration smoke over the micro-benchmarks
 # and the allocation-free gates. Each stage that names its tests or
 # benchmarks first checks that every name still matches one, so a
 # rename cannot leave a stage running nothing. `make check` runs this
@@ -125,13 +125,14 @@ run_named 'TestCPAMatchesReference' ./internal/sca/
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 run_named 'TestCatalogDigests' ./internal/registry/
 
-echo "==> fuzz the byte decoders, the CPA attack and parameter canonicalization (10s per target)"
+echo "==> fuzz the byte decoders, the CPA attack, parameter canonicalization and the job body (10s per target)"
 fuzz_named FuzzDecodeSet ./internal/trace/
 fuzz_named FuzzDecodeDisassemble ./internal/isa/
 fuzz_named FuzzAssemble ./internal/isa/
 fuzz_named FuzzStoreReplay ./internal/store/
 fuzz_named FuzzAttack ./internal/sca/
 fuzz_named FuzzResolve ./internal/registry/
+fuzz_named FuzzSubmitBody ./internal/api/
 
 echo "==> benchmark smoke (1 iteration)"
 bench_named 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' ./internal/sram/ ./internal/analysis/
