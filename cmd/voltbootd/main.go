@@ -76,7 +76,7 @@ func main() {
 		workers       = flag.Int("workers", runtime.GOMAXPROCS(0), "campaign worker pool size")
 		queueDepth    = flag.Int("queue", 64, "submission queue depth (backpressure bound)")
 		memEntries    = flag.Int("mem-entries", 0, "in-memory result cache bound (0 = default)")
-		jobRetention  = flag.Int("retain-jobs", 0, "finished jobs kept queryable before the oldest are forgotten (0 = default 1024)")
+		jobRetention  = flag.Int("retain-jobs", 0, "finished jobs kept queryable before the oldest are forgotten, and 64 times as many runs across them (0 = default 1024)")
 		storeDir      = flag.String("store-dir", "", "disk result store directory (empty = memory cache only)")
 		storeMaxBytes = flag.Int64("store-max-bytes", 0, "disk store size cap before segment eviction (0 = default 1 GiB)")
 		storeSync     = flag.Bool("store-sync", false, "fsync the store after every append")

@@ -186,17 +186,6 @@ func TestShannonEntropy(t *testing.T) {
 	}
 }
 
-func TestByteHistogramTop(t *testing.T) {
-	data := []byte{5, 5, 5, 9, 9, 1}
-	top := ByteHistogramTop(data, 2)
-	if len(top) != 2 || top[0].Value != 5 || top[0].Count != 3 || top[1].Value != 9 {
-		t.Fatalf("top = %+v", top)
-	}
-	if got := ByteHistogramTop(nil, 3); len(got) != 0 {
-		t.Fatal("empty data")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean")
@@ -315,38 +304,6 @@ func TestAlignedElementSetMatchesCount(t *testing.T) {
 	if empty.Contains(make([]byte, 8)) {
 		t.Error("empty image must contain nothing")
 	}
-}
-
-// ByteHistogramTop returns the k most frequent byte values with counts,
-// most frequent first — a quick fingerprint of an extracted image. It
-// and FlipDirections below serve only their own tests.
-func ByteHistogramTop(data []byte, k int) []ByteCount {
-	var hist [256]int
-	for _, b := range data {
-		hist[b]++
-	}
-	out := make([]ByteCount, 0, 256)
-	for v, c := range hist {
-		if c > 0 {
-			out = append(out, ByteCount{Value: byte(v), Count: c})
-		}
-	}
-	// insertion sort by count desc (256 entries max)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Count > out[j-1].Count; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// ByteCount pairs a byte value with its frequency.
-type ByteCount struct {
-	Value byte
-	Count int
 }
 
 // FlipDirections counts bit transitions from `before` to `after`:

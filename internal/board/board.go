@@ -28,8 +28,6 @@ type Board struct {
 	PMIC *power.PMIC
 	// Pads are the probe-able test points, keyed by silkscreen name.
 	Pads map[string]power.Pad
-
-	mainConnected bool
 }
 
 // New builds the platform described by spec, with countermeasure options
@@ -82,10 +80,9 @@ func (b *Board) PadByName(name string) (power.Pad, error) {
 // ConnectMain plugs in the main supply: the PMIC sequences every domain
 // up.
 func (b *Board) ConnectMain() {
-	if b.mainConnected {
+	if b.PMIC.InputPresent() {
 		return
 	}
-	b.mainConnected = true
 	b.PMIC.ConnectInput()
 }
 
@@ -95,10 +92,9 @@ func (b *Board) ConnectMain() {
 // (§6: "a power supply capable of supplying sufficient current is
 // essential").
 func (b *Board) DisconnectMain() {
-	if !b.mainConnected {
+	if !b.PMIC.InputPresent() {
 		return
 	}
-	b.mainConnected = false
 	b.PMIC.DisconnectInput(power.Surge{
 		Amps:     b.Spec().DisconnectSurgeAmps,
 		Duration: 5 * sim.Microsecond,

@@ -44,7 +44,7 @@ func TestIdempotentConnects(t *testing.T) {
 	b.ConnectMain()
 	b.DisconnectMain()
 	b.DisconnectMain()
-	if b.mainConnected {
+	if b.PMIC.InputPresent() {
 		t.Fatal("should be disconnected")
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Snapshot is the captured state of a whole evaluation platform: the SoC
-// (memories, cores, caches, power domains, clock — see soc.Snapshot),
-// the PMIC channel configuration, and the main-supply plug state.
+// (memories, cores, caches, power domains, clock — see soc.Snapshot)
+// and the PMIC's input, which is the main-supply plug state.
 // Capture once after the shared prefix of a sweep (boot, victim fill),
 // then restore before each trial: the board is bit-identical to the
 // capture instant, so trial tails replay exactly as on a fresh board
@@ -16,7 +16,6 @@ type Snapshot struct {
 	b    *Board
 	soc  *soc.Snapshot
 	pmic power.PMICSnapshot
-	main bool
 }
 
 // CaptureSnapshot records the full board state and arms copy-on-write
@@ -27,7 +26,6 @@ func (b *Board) CaptureSnapshot() *Snapshot {
 		b:    b,
 		soc:  b.SoC.CaptureSnapshot(),
 		pmic: b.PMIC.CaptureSnapshot(),
-		main: b.mainConnected,
 	}
 }
 
@@ -39,5 +37,4 @@ func (b *Board) RestoreSnapshot(s *Snapshot) {
 	}
 	b.SoC.RestoreSnapshot(s.soc)
 	b.PMIC.RestoreSnapshot(s.pmic)
-	b.mainConnected = s.main
 }

@@ -52,7 +52,7 @@ func TestPowerSequencingInvariants(t *testing.T) {
 				b.ConnectMain()
 			case 2:
 				d := sim.Time(rng.Intn(20)+1) * sim.Millisecond
-				if !b.mainConnected {
+				if !b.PMIC.InputPresent() {
 					unheldDownFor += d
 				}
 				env.Advance(d)

@@ -150,13 +150,10 @@ func (m *Manager) ServeRun(ctx context.Context, rs RunSpec, key string) (json.Ra
 		}
 
 		rec, err := m.computeRun(ctx, rs, key)
-		if err != nil && (ctx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, ErrRunTimeout)) {
-			// Cancelled or timed out mid-run: the result never
-			// materialized, so the key must not be poisoned. Unlink and
-			// wake waiters to retry (one of them becomes the next
-			// leader). A timeout is not deterministic — it depends on
-			// the node's wall clock — so unlike a run failure it is
-			// never cached in any tier.
+		if err != nil && (ctx.Err() != nil || errors.Is(err, context.Canceled)) {
+			// Cancelled mid-run: the result never materialized, so the
+			// key must not be poisoned. Unlink and wake waiters to
+			// retry (one of them becomes the next leader).
 			m.mu.Lock()
 			delete(m.cache, key)
 			e.aborted = true
@@ -209,25 +206,13 @@ func (m *Manager) evictMemLocked() {
 }
 
 // computeRun simulates one run and marshals its deterministic record.
-// With RunTimeout configured, the experiment runs under a child
-// deadline; blowing it — while the parent context is still live — is
-// reported as ErrRunTimeout, distinct from a caller cancellation.
 func (m *Manager) computeRun(ctx context.Context, rs RunSpec, key string) (json.RawMessage, error) {
 	exp, ok := m.reg.Lookup(rs.Experiment)
 	if !ok {
 		return nil, fmt.Errorf("campaign: unknown experiment %q", rs.Experiment)
 	}
-	runCtx := ctx
-	if m.runTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, m.runTimeout)
-		defer cancel()
-	}
-	res, err := exp.Run(runCtx, registry.Request{Seed: rs.Seed, Params: rs.Params})
+	res, err := exp.Run(ctx, registry.Request{Seed: rs.Seed, Params: rs.Params})
 	if err != nil {
-		if m.runTimeout > 0 && errors.Is(runCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
-			return nil, fmt.Errorf("%w (%v): %v", ErrRunTimeout, m.runTimeout, err)
-		}
 		return nil, err
 	}
 	rec := RunRecord{

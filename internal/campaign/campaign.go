@@ -77,11 +77,6 @@ var (
 	ErrDraining    = errors.New("campaign: manager is draining")
 	ErrNotFound    = errors.New("campaign: no such job")
 	ErrNotFinished = errors.New("campaign: job has not finished")
-	// ErrRunTimeout marks a run that exceeded Config.RunTimeout. It is a
-	// distinct failed-state reason, not a cancellation: the job fails,
-	// and the timed-out key is never cached (a rerun with more budget —
-	// or on a faster node — may well succeed).
-	ErrRunTimeout = errors.New("campaign: run exceeded its wall-clock timeout")
 )
 
 // RunSpec is one experiment run inside a campaign. Params may be partial
@@ -252,16 +247,12 @@ type Config struct {
 	// completed entries); the disk store backs whatever falls out.
 	MemEntries int
 	// JobRetention bounds how many finished jobs stay queryable
-	// (default 1024). Beyond the cap the oldest-finished jobs are
+	// (default 1024), and with it the runs they hold: at most
+	// JobRetention × 64. Beyond either cap the oldest-finished jobs are
 	// forgotten — their status and result endpoints return not-found —
 	// so a long-running daemon's job table cannot grow without bound.
 	// Results themselves outlive the job record in the result cache.
 	JobRetention int
-	// RunTimeout bounds one run's wall-clock simulation time (default
-	// 0: no limit). A run that exceeds it fails with ErrRunTimeout —
-	// failing its job with that distinct reason — and its result is
-	// never cached in any tier.
-	RunTimeout time.Duration
 }
 
 // memKey is one completed in-memory cache entry in completion order,
@@ -274,17 +265,17 @@ type memKey struct {
 // Manager owns the queue, the worker pool, the job table and the
 // tiered result cache.
 type Manager struct {
-	reg        *registry.Registry
-	store      *store.Store
-	exec       SweepExecutor
-	queue      chan *job
-	runTimeout time.Duration // 0 = unlimited
-	wg         sync.WaitGroup
+	reg   *registry.Registry
+	store *store.Store
+	exec  SweepExecutor
+	queue chan *job
+	wg    sync.WaitGroup
 
 	mu       sync.Mutex
 	jobs     map[string]*job
 	order    []string
 	done     []string // terminal job ids in completion order, for retention trimming
+	doneRuns int      // runs held by the jobs in done
 	cache    map[string]*cacheEntry
 	fifo     []memKey
 	memCap   int
@@ -315,15 +306,14 @@ func New(cfg Config) *Manager {
 		jobCap = 1024
 	}
 	m := &Manager{
-		reg:        cfg.Registry,
-		store:      cfg.Store,
-		exec:       cfg.Sweep,
-		queue:      make(chan *job, depth),
-		jobs:       make(map[string]*job),
-		cache:      make(map[string]*cacheEntry),
-		memCap:     memCap,
-		jobCap:     jobCap,
-		runTimeout: cfg.RunTimeout,
+		reg:    cfg.Registry,
+		store:  cfg.Store,
+		exec:   cfg.Sweep,
+		queue:  make(chan *job, depth),
+		jobs:   make(map[string]*job),
+		cache:  make(map[string]*cacheEntry),
+		memCap: memCap,
+		jobCap: jobCap,
 	}
 	for i := 0; i < workers; i++ {
 		m.wg.Add(1)
@@ -759,16 +749,29 @@ func (m *Manager) finalizeLocked(j *job, s State, err error) {
 	m.retireLocked(j)
 }
 
+// retainedRunsPerJob sets the bound on the runs the retained finished
+// jobs hold together: JobRetention × 64. A job holds about 1 KiB per run
+// (its per-run statuses, events and result body), and a 1 MiB body can
+// name some 47,000 runs, so a count of jobs alone does not bound the
+// table. The fleet-mix benchmark's largest jobs are 64-run sweeps, so
+// there the job count binds first.
+const retainedRunsPerJob = 64
+
 // retireLocked records a terminal job for retention and forgets the
-// oldest finished jobs beyond the cap, so the job table — result bodies,
-// event logs and all — stays bounded no matter how long the daemon runs.
+// oldest finished jobs beyond the cap, or while the finished jobs kept
+// hold more than JobRetention × retainedRunsPerJob runs, so the job
+// table — result bodies, event logs and all — stays bounded no matter
+// how long the daemon runs. The job that just finished is never
+// forgotten.
 func (m *Manager) retireLocked(j *job) {
 	// The resolved spec (with its canonical params maps) and key list
 	// only matter while the job executes; RunStatus carries what status
 	// queries need. Dropping them here keeps retained jobs light.
 	j.spec, j.keys = nil, nil
 	m.done = append(m.done, j.id)
-	for len(m.done) > m.jobCap {
+	m.doneRuns += len(j.runs)
+	for len(m.done) > m.jobCap || len(m.done) > 1 && m.doneRuns > m.jobCap*retainedRunsPerJob {
+		m.doneRuns -= len(m.jobs[m.done[0]].runs)
 		delete(m.jobs, m.done[0])
 		m.done = m.done[1:]
 	}

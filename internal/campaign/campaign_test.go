@@ -205,7 +205,8 @@ func TestCacheHitByteIdentical(t *testing.T) {
 }
 
 // TestCancelFreesWorker: DELETE mid-run releases the only worker, which
-// then serves the next job.
+// then serves the next job, and the cancelled run is never cached: the
+// same run submitted again recomputes.
 func TestCancelFreesWorker(t *testing.T) {
 	reg, _, release := testRegistry()
 	m := New(Config{Registry: reg, Workers: 1, QueueDepth: 8})
@@ -235,6 +236,15 @@ func TestCancelFreesWorker(t *testing.T) {
 	}
 	if final := waitState(t, m, next.ID, terminal); final.State != StateDone {
 		t.Fatalf("post-cancel job state = %s, want done", final.State)
+	}
+
+	release()
+	again, err := m.Submit(Spec{Runs: []RunSpec{{Experiment: "gate", Seed: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitState(t, m, again.ID, terminal); final.State != StateDone || final.Cached {
+		t.Fatalf("resubmitted cancelled run: state %s (%s), cached=%v; want a fresh, done run", final.State, final.Error, final.Cached)
 	}
 }
 
@@ -522,85 +532,57 @@ func TestJobRetention(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutFailsDistinctlyAndIsNotCached pins the per-run
-// wall-clock budget: a run that blows Config.RunTimeout fails its job
-// with the distinct ErrRunTimeout reason (not a cancellation), and the
-// timed-out key is not cached in any tier — unlike deterministic run
-// failures, a timeout depends on the node's clock, so a resubmission
-// must actually recompute (and may succeed).
-func TestRunTimeoutFailsDistinctlyAndIsNotCached(t *testing.T) {
-	var instant atomic.Bool
-	var runs atomic.Int64
-	reg := registry.New(&registry.Experiment{
-		Name: "slow", Doc: "blocks until its context fires, unless flipped fast",
-		ArtifactKinds: []string{"text"},
-		Run: func(ctx context.Context, _ registry.Request) (*registry.Result, error) {
-			runs.Add(1)
-			if instant.Load() {
-				return &registry.Result{Text: "fast\n"}, nil
-			}
-			<-ctx.Done()
-			return nil, ctx.Err()
-		},
-	})
-	m := New(Config{Registry: reg, Workers: 1, QueueDepth: 8, RunTimeout: 30 * time.Millisecond})
+// TestJobRetentionBoundsRuns: the finished jobs kept hold at most
+// JobRetention × retainedRunsPerJob runs. Under a job-count cap of 2,
+// two 100-run jobs cross the 128-run bound, so the older one is
+// forgotten; a job larger than the whole bound stays while it is the
+// newest.
+func TestJobRetentionBoundsRuns(t *testing.T) {
+	reg, _, _ := testRegistry()
+	m := New(Config{Registry: reg, Workers: 1, QueueDepth: 8, JobRetention: 2})
 	defer m.Drain(context.Background())
 
-	spec := Spec{Runs: []RunSpec{{Experiment: "slow", Seed: 1}}}
-	st, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(first uint64, n int) string {
+		t.Helper()
+		var spec Spec
+		for i := range n {
+			spec.Runs = append(spec.Runs, RunSpec{Experiment: "echo", Seed: first + uint64(i)})
+		}
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final := waitState(t, m, st.ID, terminal); final.State != StateDone {
+			t.Fatalf("job %s: state %s (%s), want done", st.ID, final.State, final.Error)
+		}
+		return st.ID
 	}
-	final := waitState(t, m, st.ID, terminal)
-	if final.State != StateFailed {
-		t.Fatalf("state = %s (%s), want failed", final.State, final.Error)
+	gone := func(id string) {
+		t.Helper()
+		if _, err := m.Get(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%s): err = %v, want ErrNotFound", id, err)
+		}
+		if _, err := m.Result(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Result(%s): err = %v, want ErrNotFound", id, err)
+		}
 	}
-	if !strings.Contains(final.Error, ErrRunTimeout.Error()) {
-		t.Fatalf("job error %q does not carry the timeout reason", final.Error)
-	}
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("experiment ran %d times, want 1", got)
+	kept := func(id string) {
+		t.Helper()
+		if _, err := m.Get(id); err != nil {
+			t.Fatalf("Get(%s): %v", id, err)
+		}
+		if _, err := m.Result(id); err != nil {
+			t.Fatalf("Result(%s): %v", id, err)
+		}
 	}
 
-	// Same spec, now fast: must recompute (no poisoned cache) and pass.
-	instant.Store(true)
-	st2, err := m.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final2 := waitState(t, m, st2.ID, terminal)
-	if final2.State != StateDone {
-		t.Fatalf("resubmission state = %s (%s), want done", final2.State, final2.Error)
-	}
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("experiment ran %d times total, want 2 (timeout must not be cached)", got)
-	}
-	if final2.Cached {
-		t.Fatal("resubmission reported cached; the timed-out key leaked into a cache tier")
-	}
-}
-
-// TestRunTimeoutOffByDefault: without RunTimeout the same blocking run
-// is bounded only by its caller.
-func TestRunTimeoutOffByDefault(t *testing.T) {
-	reg, _, release := testRegistry()
-	m := New(Config{Registry: reg, Workers: 1, QueueDepth: 8})
-	defer m.Drain(context.Background())
-
-	st, err := m.Submit(Spec{Runs: []RunSpec{{Experiment: "gate", Seed: 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Longer than any default anyone might accidentally introduce being
-	// measured in milliseconds; the gate holds the run open across it.
-	time.Sleep(50 * time.Millisecond)
-	if got, _ := m.Get(st.ID); got.State != StateRunning {
-		t.Fatalf("state = %s, want still running with no timeout configured", got.State)
-	}
-	release()
-	if final := waitState(t, m, st.ID, terminal); final.State != StateDone {
-		t.Fatalf("state = %s (%s), want done", final.State, final.Error)
-	}
+	a := sweep(1, 100)
+	b := sweep(1000, 100)
+	gone(a)
+	kept(b)
+	c := sweep(2000, 3*retainedRunsPerJob)
+	gone(b)
+	kept(c)
 }
 
 // TestManagerServesAfterOutOfRangeJob: over the real catalog, a float

@@ -35,8 +35,6 @@ type ProbeSpec struct {
 	// supply; the ablation sweeps this down until the disconnect surge
 	// defeats the attack.
 	MaxAmps float64
-	// PadName overrides the Table 3 default pad when non-empty.
-	PadName string
 }
 
 // DefaultProbe matches the paper's apparatus.
@@ -119,9 +117,6 @@ func (t *stepTracer) add(format string, args ...any) {
 func powerCycle(b *board.Board, cfg AttackConfig, tr *stepTracer) (*power.BenchSupply, error) {
 	spec := b.Spec()
 	pad := spec.TestPad
-	if cfg.Probe.PadName != "" {
-		pad = cfg.Probe.PadName
-	}
 	var psu *power.BenchSupply
 	if cfg.Probe.MaxAmps > 0 {
 		p, err := b.PadByName(pad)

@@ -73,19 +73,20 @@ type Config struct {
 	// Client issues forward requests (default: no-timeout client;
 	// cancellation travels through contexts, simulations can be slow).
 	Client *http.Client
-	// RetryAfter is how long a peer stays marked down after its first
-	// failed forward (default 5s). Consecutive failures double the
-	// window — a flapping or dead peer is probed ever less often —
-	// until RetryMax caps it; any successful exchange resets the
-	// backoff to RetryAfter.
-	RetryAfter time.Duration
-	// RetryMax caps the exponential peer-down backoff (default 2m).
-	RetryMax time.Duration
 	// Now is the clock the down-window gating reads (default
 	// time.Now). Injectable so backoff behavior is testable without
 	// real sleeps.
 	Now func() time.Time
 }
+
+// A peer stays marked down for retryAfter after its first failed
+// forward. Consecutive failures double the window — a flapping or dead
+// peer is probed ever less often — until retryMax caps it; any
+// successful exchange resets the backoff to retryAfter.
+const (
+	retryAfter = 5 * time.Second
+	retryMax   = 2 * time.Minute
+)
 
 // peerState is the node's live view of one remote member.
 type peerState struct {
@@ -151,15 +152,6 @@ type Node struct {
 func New(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("fabric: Config.Self is required")
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 5 * time.Second
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 2 * time.Minute
-	}
-	if cfg.RetryMax < cfg.RetryAfter {
-		cfg.RetryMax = cfg.RetryAfter
 	}
 	n := &Node{
 		cfg:    cfg,
@@ -275,7 +267,7 @@ func (n *Node) Refresh(ctx context.Context) error {
 // probe checks one peer's /v1/ring. Transport failures are reported but
 // do NOT mark the peer down: fleets start simultaneously, so a startup
 // probe routinely races a peer's listener coming up, and poisoning the
-// routing table for RetryAfter would send the first sweep's every shard
+// routing table for retryAfter would send the first sweep's every shard
 // to local fallback. A genuinely dead peer costs one refused connection
 // on the first forward, which is where down-marking belongs.
 func (n *Node) probe(ctx context.Context, p *peerState) error {
@@ -316,14 +308,14 @@ func (n *Node) markDown(id string) {
 	n.mu.Lock()
 	if p, ok := n.peers[id]; ok {
 		p.failures++
-		p.downUntil = n.now().Add(backoffWindow(n.cfg.RetryAfter, n.cfg.RetryMax, p.failures))
+		p.downUntil = n.now().Add(backoffWindow(p.failures))
 	}
 	n.mu.Unlock()
 }
 
 // markUp records a successful exchange with a peer: the consecutive-
 // failure count and any pending down-window are cleared, so the next
-// failure starts the backoff from RetryAfter again.
+// failure starts the backoff from retryAfter again.
 func (n *Node) markUp(id string) {
 	n.mu.Lock()
 	if p, ok := n.peers[id]; ok {
@@ -334,17 +326,14 @@ func (n *Node) markUp(id string) {
 }
 
 // backoffWindow is the down-window after the failures-th consecutive
-// failure: base doubled per failure, capped at max.
-func backoffWindow(base, max time.Duration, failures int) time.Duration {
-	w := base
+// failure: retryAfter doubled per failure, capped at retryMax.
+func backoffWindow(failures int) time.Duration {
+	w := retryAfter
 	for i := 1; i < failures; i++ {
-		if w >= max/2 {
-			return max
+		if w >= retryMax/2 {
+			return retryMax
 		}
 		w *= 2
-	}
-	if w > max {
-		return max
 	}
 	return w
 }
@@ -528,49 +517,34 @@ func (n *Node) ExecuteSweep(ctx context.Context, shards []campaign.Shard,
 // per-shard connection attempts.
 func (n *Node) runShard(ctx context.Context, id string, sh campaign.Shard,
 	localRun campaign.LocalRunFunc) campaign.ShardResult {
-	if id == n.cfg.Self {
-		rec, tier, err := localRun(ctx, sh.Run, sh.Key)
-		return campaign.ShardResult{
-			Rec: rec, Tier: tier,
-			Cached: err == nil && (tier == campaign.TierMem || tier == campaign.TierDisk),
-			Err:    err,
+	if id != n.cfg.Self {
+		if n.routable(id) {
+			rec, peerTier, err := n.forward(ctx, id, sh)
+			switch {
+			case err == nil:
+				return campaign.ShardResult{
+					Rec: rec, Tier: campaign.TierForward,
+					Cached: peerTier == campaign.TierMem || peerTier == campaign.TierDisk,
+				}
+			case errors.As(err, new(*runError)):
+				// The run executed on the peer and failed deterministically:
+				// same bytes-in, same failure anywhere. Propagate, don't rerun.
+				return campaign.ShardResult{Tier: campaign.TierForward, Err: err}
+			case ctx.Err() != nil:
+				return campaign.ShardResult{Err: context.Canceled}
+			}
 		}
-	}
-	if !n.routable(id) {
+		// Down or incompatible owner, transport failure, draining peer,
+		// or catalog disagreement: the shard is handed back and runs here.
 		n.mu.Lock()
 		n.stats.Handbacks++
 		n.mu.Unlock()
-		rec, tier, lerr := localRun(ctx, sh.Run, sh.Key)
-		return campaign.ShardResult{
-			Rec: rec, Tier: tier,
-			Cached: lerr == nil && (tier == campaign.TierMem || tier == campaign.TierDisk),
-			Err:    lerr,
-		}
 	}
-	rec, peerTier, err := n.forward(ctx, id, sh)
-	switch {
-	case err == nil:
-		return campaign.ShardResult{
-			Rec: rec, Tier: campaign.TierForward,
-			Cached: peerTier == campaign.TierMem || peerTier == campaign.TierDisk,
-		}
-	case errors.As(err, new(*runError)):
-		// The run executed on the peer and failed deterministically:
-		// same bytes-in, same failure anywhere. Propagate, don't rerun.
-		return campaign.ShardResult{Tier: campaign.TierForward, Err: err}
-	case ctx.Err() != nil:
-		return campaign.ShardResult{Err: context.Canceled}
-	}
-	// Transport failure, draining peer, or catalog disagreement: the
-	// shard is handed back and runs here.
-	n.mu.Lock()
-	n.stats.Handbacks++
-	n.mu.Unlock()
-	rec, tier, lerr := localRun(ctx, sh.Run, sh.Key)
+	rec, tier, err := localRun(ctx, sh.Run, sh.Key)
 	return campaign.ShardResult{
 		Rec: rec, Tier: tier,
-		Cached: lerr == nil && (tier == campaign.TierMem || tier == campaign.TierDisk),
-		Err:    lerr,
+		Cached: err == nil && (tier == campaign.TierMem || tier == campaign.TierDisk),
+		Err:    err,
 	}
 }
 

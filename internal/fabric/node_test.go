@@ -307,28 +307,29 @@ func TestStealPreservesOwner(t *testing.T) {
 	}
 }
 
+// backoffLadder is the peer-down window after each of seven consecutive
+// failures: retryAfter doubled per failure until retryMax caps it.
+var backoffLadder = []time.Duration{
+	5 * time.Second, 10 * time.Second, 20 * time.Second,
+	40 * time.Second, 80 * time.Second, 2 * time.Minute, 2 * time.Minute,
+}
+
 // TestPeerDownBackoff pins the capped exponential peer-down window:
-// consecutive failed forwards double the routing blackout from
-// RetryAfter up to RetryMax, a successful exchange resets it, and all
+// consecutive failed forwards walk the routing blackout up the ladder
+// from retryAfter to retryMax, a successful exchange resets it, and all
 // of it is observable through routable with an injected clock — no
 // real sleeps.
 func TestPeerDownBackoff(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	node, err := New(Config{
-		Self:       "self",
-		Peers:      []Peer{{ID: "p", Addr: "http://p.invalid"}},
-		RetryAfter: time.Second,
-		RetryMax:   8 * time.Second,
-		Now:        func() time.Time { return now },
+		Self:  "self",
+		Peers: []Peer{{ID: "p", Addr: "http://p.invalid"}},
+		Now:   func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := []time.Duration{
-		1 * time.Second, 2 * time.Second, 4 * time.Second,
-		8 * time.Second, 8 * time.Second, // capped
-	}
-	for i, w := range windows {
+	for i, w := range backoffLadder {
 		node.markDown("p")
 		if node.routable("p") {
 			t.Fatalf("failure %d: peer routable immediately after markDown", i+1)
@@ -345,28 +346,23 @@ func TestPeerDownBackoff(t *testing.T) {
 	// A successful exchange resets the ladder to the base window.
 	node.markUp("p")
 	node.markDown("p")
-	now = now.Add(time.Second)
+	now = now.Add(retryAfter)
 	if !node.routable("p") {
-		t.Fatal("post-reset window exceeds RetryAfter: backoff did not reset")
+		t.Fatal("post-reset window exceeds retryAfter: backoff did not reset")
 	}
 }
 
-// TestBackoffWindowCap: doubling clamps exactly at RetryMax even when
-// the cap is not a power-of-two multiple of the base, and never
-// overflows for absurd failure counts.
+// TestBackoffWindowCap: doubling clamps exactly at retryMax, which is
+// not a power-of-two multiple of retryAfter, and never overflows for
+// absurd failure counts.
 func TestBackoffWindowCap(t *testing.T) {
-	base, max := 5*time.Second, 2*time.Minute
-	want := []time.Duration{
-		5 * time.Second, 10 * time.Second, 20 * time.Second,
-		40 * time.Second, 80 * time.Second, 2 * time.Minute, 2 * time.Minute,
-	}
-	for i, w := range want {
-		if got := backoffWindow(base, max, i+1); got != w {
+	for i, w := range backoffLadder {
+		if got := backoffWindow(i + 1); got != w {
 			t.Errorf("backoffWindow(failures=%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if got := backoffWindow(base, max, 1000); got != max {
-		t.Errorf("backoffWindow(failures=1000) = %v, want cap %v", got, max)
+	if got := backoffWindow(1000); got != retryMax {
+		t.Errorf("backoffWindow(failures=1000) = %v, want cap %v", got, retryMax)
 	}
 }
 

@@ -4,18 +4,19 @@
 // or branch the wrong way while the rail is inside the pulse).
 //
 // A Glitcher is bound to one CPU and one power domain. Arm gives it a
-// trigger (instruction count since arming, a fetch address, or an
-// absolute cycle count) and a pulse (offset from the trigger, width,
-// and depth, all in instructions ≈ core-clock nanoseconds and volts).
-// From then on it rides CPU.ExecDecoded through the isa.FaultInjector
-// hook: it counts instructions toward the trigger, drives the domain
-// rail down at the pulse's leading edge (power.Domain.PulseDown, which
-// every load on the domain observes), and while the rail is inside the
-// pulse each stepped instruction faults with a voltage-dependent
-// probability drawn from the glitcher's own RNG. The trailing edge
-// advances the simulation clock by the pulse width and re-resolves the
-// rail. One shot per Arm: after the pulse closes the glitcher detaches
-// from the CPU, so the rest of the run executes at full speed.
+// trigger (the first fetch of a code address, as a campaign times its
+// pulse from a known point in the target's code) and a pulse (offset
+// from the trigger, width, and depth, all in instructions ≈ core-clock
+// nanoseconds and volts). From then on it rides CPU.ExecDecoded through
+// the isa.FaultInjector hook: it watches each fetch for the trigger
+// address, counts instructions from there, drives the domain rail down
+// at the pulse's leading edge (power.Domain.PulseDown, which every load
+// on the domain observes), and while the rail is inside the pulse each
+// stepped instruction faults with a voltage-dependent probability drawn
+// from the glitcher's own RNG. The trailing edge advances the
+// simulation clock by the pulse width and re-resolves the rail. One
+// shot per Arm: after the pulse closes the glitcher detaches from the
+// CPU, so the rest of the run executes at full speed.
 //
 // Determinism: the glitcher owns a private xrand stream seeded at Arm —
 // the simulation's env carries no RNG — so a trial is a pure function
@@ -35,44 +36,22 @@ import (
 	"repro/internal/xrand"
 )
 
-// TriggerKind selects what event starts the offset countdown.
+// TriggerKind names a trigger's event. The first fetch of Trigger.Addr
+// is the only one; TriggerKind, TriggerFetchAddr and Trigger.Kind stay
+// only because perfbench names them.
 type TriggerKind uint8
 
-const (
-	// TriggerInstrCount fires when Count instructions have retired since
-	// Arm — the "wait N instructions after reset" oscilloscope setup.
-	TriggerInstrCount TriggerKind = iota
-	// TriggerFetchAddr fires on the first fetch of Addr — a breakpoint-
-	// style trigger on a known code address.
-	TriggerFetchAddr
-	// TriggerCycle fires when the core's cycle counter (Instret — the
-	// model retires one instruction per cycle, MRS CNT reads the same
-	// counter) reaches Cycle.
-	TriggerCycle
-)
+// TriggerFetchAddr fires on the first fetch of Trigger.Addr — a
+// breakpoint-style trigger on a known code address.
+const TriggerFetchAddr TriggerKind = 1
 
-func (k TriggerKind) String() string {
-	switch k {
-	case TriggerInstrCount:
-		return "instr-count"
-	case TriggerFetchAddr:
-		return "fetch-addr"
-	case TriggerCycle:
-		return "cycle"
-	default:
-		return "unknown"
-	}
-}
-
-// Trigger describes the event that starts the pulse offset countdown.
+// Trigger describes the event that starts the pulse offset countdown:
+// the first fetch of Addr.
 type Trigger struct {
+	// Kind is ignored; see TriggerKind.
 	Kind TriggerKind
-	// Count is the retired-instruction count since Arm (TriggerInstrCount).
-	Count uint64
-	// Addr is the fetch address to match (TriggerFetchAddr).
+	// Addr is the fetch address to match.
 	Addr uint64
-	// Cycle is the absolute cycle/Instret value (TriggerCycle).
-	Cycle uint64
 }
 
 // Pulse parameterizes the glitch waveform. Offset and Width are in
@@ -144,9 +123,7 @@ type Glitcher struct {
 	armed   bool
 	fired   bool // trigger seen
 	inPulse bool
-	// armInstret is Instret at Arm (TriggerInstrCount base);
 	// trigInstret is Instret when the trigger fired (offset base).
-	armInstret  uint64
 	trigInstret uint64
 
 	// floor is the lowest rail the pulse physically drives. Nanosecond
@@ -188,7 +165,6 @@ func (g *Glitcher) Arm(t Trigger, p Pulse, seed uint64) {
 	g.armed = true
 	g.fired = false
 	g.inPulse = false
-	g.armInstret = g.cpu.Instret
 	g.trigInstret = 0
 	g.faults = g.faults[:0]
 	g.cpu.AttachFault(g)
@@ -230,31 +206,17 @@ func (g *Glitcher) closePulse() {
 	g.dom.PulseEnd(sim.Time(g.pulse.Width) * sim.Nanosecond)
 }
 
-// triggerHit evaluates the trigger against the pre-instruction CPU
-// state (PC at the instruction about to execute, Instret counting its
-// retired predecessors).
-func (g *Glitcher) triggerHit(c *isa.CPU) bool {
-	switch g.trig.Kind {
-	case TriggerInstrCount:
-		return c.Instret-g.armInstret >= g.trig.Count
-	case TriggerFetchAddr:
-		return c.PC == g.trig.Addr
-	case TriggerCycle:
-		return c.Instret >= g.trig.Cycle
-	default:
-		return false
-	}
-}
-
 // OnInstr implements isa.FaultInjector: the per-instruction state
-// machine. Instruction i (counted from the trigger instruction as 0) is
-// inside the pulse iff Offset <= i < Offset+Width.
+// machine. The trigger is checked against the pre-instruction state (PC
+// at the instruction about to execute), and instruction i (counted from
+// the trigger instruction as 0) is inside the pulse iff
+// Offset <= i < Offset+Width.
 func (g *Glitcher) OnInstr(c *isa.CPU, in isa.Instr) isa.FaultDecision {
 	if !g.armed {
 		return isa.FaultDecision{}
 	}
 	if !g.fired {
-		if !g.triggerHit(c) {
+		if c.PC != g.trig.Addr {
 			return isa.FaultDecision{}
 		}
 		g.fired = true

@@ -93,7 +93,17 @@ func unreachedExports(mod *Module) map[string]bool {
 // line below names one function; fix the list by hand.
 func TestUnreachedExportsGolden(t *testing.T) {
 	mod := loadRepoModule(t)
-	data, err := os.ReadFile(filepath.Join("testdata", "unreached_exports.txt"))
+	for _, d := range goldenDiff(unreachedExports(mod), readReasonedGolden(t, "unreached_exports.txt")) {
+		t.Errorf("the exports no production code reaches differ from testdata/unreached_exports.txt: %s", d)
+	}
+}
+
+// readReasonedGolden reads testdata/<file>, one sorted name per line, a
+// tab and the reason the name stays, and returns the set of names. A
+// line with no reason, or out of order, fails the test.
+func readReasonedGolden(t *testing.T, file string) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +112,13 @@ func TestUnreachedExportsGolden(t *testing.T) {
 	for i, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 		name, reason, _ := strings.Cut(line, "\t")
 		if strings.TrimSpace(reason) == "" {
-			t.Errorf("testdata/unreached_exports.txt:%d: %q gives no reason after a tab", i+1, name)
+			t.Errorf("testdata/%s:%d: %q gives no reason after a tab", file, i+1, name)
 		}
 		if name <= prev {
-			t.Errorf("testdata/unreached_exports.txt:%d: %q is out of order or repeated; keep the list sorted", i+1, name)
+			t.Errorf("testdata/%s:%d: %q is out of order or repeated; keep the list sorted", file, i+1, name)
 		}
 		prev = name
 		want[name] = true
 	}
-	for _, d := range goldenDiff(unreachedExports(mod), want) {
-		t.Errorf("the exports no production code reaches differ from testdata/unreached_exports.txt: %s", d)
-	}
+	return want
 }

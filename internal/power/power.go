@@ -214,23 +214,21 @@ func (d *Domain) PulseEnd(width sim.Time) {
 	d.Reresolve()
 }
 
-// Regulator is one output channel of the PMIC. It offers the domain's
-// nominal voltage while both the PMIC input supply is present and the
-// channel is enabled.
+// Regulator is one output channel of the PMIC. It offers its domain's
+// nominal voltage while the PMIC input supply is present.
 type Regulator struct {
-	pmic    *PMIC
-	kind    RegulatorKind
-	name    string
-	volts   float64
-	enabled bool
+	pmic *PMIC
+	kind RegulatorKind
+	name string
+	dom  *Domain
 	// maxAmps is the channel's rated output current.
 	maxAmps float64
 }
 
 // OfferedVolts implements Source.
 func (r *Regulator) OfferedVolts() float64 {
-	if r.enabled && r.pmic.inputPresent {
-		return r.volts
+	if r.pmic.inputPresent {
+		return r.dom.nominal
 	}
 	return 0
 }
@@ -249,15 +247,13 @@ func (r *Regulator) Kind() RegulatorKind { return r.kind }
 type PMIC struct {
 	name         string
 	inputPresent bool
-	//voltvet:nosnap restored element-wise through the channel pointers; the slice itself is wiring
+	//voltvet:nosnap channel wiring built at board assembly; no channel changes after AddChannel
 	channels []*Regulator
-	//voltvet:nosnap channel-to-domain wiring built at board assembly; never changes afterwards
-	domains map[*Regulator]*Domain
 }
 
 // NewPMIC creates a PMIC with no channels; input power starts absent.
 func NewPMIC(name string) *PMIC {
-	return &PMIC{name: name, domains: map[*Regulator]*Domain{}}
+	return &PMIC{name: name}
 }
 
 // Name returns the PMIC part name.
@@ -266,9 +262,8 @@ func (p *PMIC) Name() string { return p.name }
 // AddChannel creates a regulator channel driving the given domain and
 // wires it as a source of that domain.
 func (p *PMIC) AddChannel(name string, kind RegulatorKind, maxAmps float64, d *Domain) *Regulator {
-	r := &Regulator{pmic: p, kind: kind, name: name, volts: d.NominalVolts(), enabled: true, maxAmps: maxAmps}
+	r := &Regulator{pmic: p, kind: kind, name: name, dom: d, maxAmps: maxAmps}
 	p.channels = append(p.channels, r)
-	p.domains[r] = d
 	d.AddSource(r)
 	return r
 }
@@ -281,17 +276,23 @@ func (p *PMIC) Channels() []*Regulator {
 }
 
 // DomainOf returns the domain a channel drives.
-func (p *PMIC) DomainOf(r *Regulator) *Domain { return p.domains[r] }
+func (p *PMIC) DomainOf(r *Regulator) *Domain { return r.dom }
 
 // InputPresent reports whether the PMIC's input supply is connected.
 func (p *PMIC) InputPresent() bool { return p.inputPresent }
 
-// ConnectInput applies input power: every enabled channel comes up.
+// ConnectInput applies input power: every channel comes up.
 // Real PMICs sequence domains over microseconds; the ordering does not
 // affect any of the paper's results, so channels come up together.
 func (p *PMIC) ConnectInput() {
 	p.inputPresent = true
-	p.reresolveAll()
+	seen := map[*Domain]bool{}
+	for _, r := range p.channels {
+		if !seen[r.dom] {
+			seen[r.dom] = true
+			r.dom.Reresolve()
+		}
+	}
 }
 
 // DisconnectInput abruptly cuts input power: every channel output
@@ -303,7 +304,7 @@ func (p *PMIC) DisconnectInput(surge Surge) {
 	p.inputPresent = false
 	seen := map[*Domain]bool{}
 	for _, r := range p.channels {
-		d := p.domains[r]
+		d := r.dom
 		if seen[d] {
 			continue
 		}
@@ -329,16 +330,6 @@ func strongestLimit(d *Domain) float64 {
 		}
 	}
 	return best
-}
-
-func (p *PMIC) reresolveAll() {
-	seen := map[*Domain]bool{}
-	for _, r := range p.channels {
-		if d := p.domains[r]; !seen[d] {
-			seen[d] = true
-			d.Reresolve()
-		}
-	}
 }
 
 // Surge describes the transient current demand when the main supply is

@@ -156,21 +156,6 @@ func TestDoubleAttachPanics(t *testing.T) {
 	probe.AttachTo(mem)
 }
 
-func TestRegulatorGating(t *testing.T) {
-	env := sim.NewEnv()
-	pmic, core, _, _, _ := newRig(env)
-	pmic.ConnectInput()
-	reg := pmic.Channels()[0]
-	reg.SetEnabled(false)
-	if core.Volts() != 0 {
-		t.Fatalf("gated domain = %v, want 0", core.Volts())
-	}
-	reg.SetEnabled(true)
-	if core.Volts() != 0.8 {
-		t.Fatalf("re-enabled domain = %v, want 0.8", core.Volts())
-	}
-}
-
 func TestReconnectRestoresRails(t *testing.T) {
 	env := sim.NewEnv()
 	pmic, core, mem, _, _ := newRig(env)
@@ -283,11 +268,4 @@ func TestDomainDrawDefaults(t *testing.T) {
 // defaultSurge matches the paper's Raspberry Pi 4 observations.
 func defaultSurge() Surge {
 	return Surge{Amps: 2.5, Duration: 5 * sim.Microsecond, SagVolts: 0.05}
-}
-
-// SetEnabled switches the channel on or off (runtime power gating) and
-// re-resolves its domain. Only TestRegulatorGating gates a channel.
-func (r *Regulator) SetEnabled(on bool) {
-	r.enabled = on
-	r.pmic.reresolveAll()
 }

@@ -33,28 +33,17 @@ func (d *Domain) RestoreSnapshot(s DomainSnapshot) {
 	d.sources = append(d.sources[:0], s.sources...)
 }
 
-// PMICSnapshot is the captured state of a PMIC: input presence plus each
-// channel's enable and setpoint.
+// PMICSnapshot is the captured state of a PMIC: its input presence. No
+// channel changes after AddChannel, so the channels hold nothing to
+// capture.
 type PMICSnapshot struct {
 	p            *PMIC
 	inputPresent bool
-	enabled      []bool
-	volts        []float64
 }
 
-// CaptureSnapshot records the PMIC's input and channel state.
+// CaptureSnapshot records the PMIC's input presence.
 func (p *PMIC) CaptureSnapshot() PMICSnapshot {
-	s := PMICSnapshot{
-		p:            p,
-		inputPresent: p.inputPresent,
-		enabled:      make([]bool, len(p.channels)),
-		volts:        make([]float64, len(p.channels)),
-	}
-	for i, r := range p.channels {
-		s.enabled[i] = r.enabled
-		s.volts[i] = r.volts
-	}
-	return s
+	return PMICSnapshot{p: p, inputPresent: p.inputPresent}
 }
 
 // RestoreSnapshot silently rewinds the PMIC: no domain reresolve, no
@@ -64,8 +53,4 @@ func (p *PMIC) RestoreSnapshot(s PMICSnapshot) {
 		panic("power: RestoreSnapshot onto a different PMIC")
 	}
 	p.inputPresent = s.inputPresent
-	for i, r := range p.channels {
-		r.enabled = s.enabled[i]
-		r.volts = s.volts[i]
-	}
 }

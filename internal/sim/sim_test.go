@@ -22,15 +22,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestTimeConversions(t *testing.T) {
-	if got := (2 * Second).Seconds(); got != 2 {
-		t.Errorf("Seconds() = %v", got)
-	}
-	if got := (5 * Millisecond).Milliseconds(); got != 5 {
-		t.Errorf("Milliseconds() = %v", got)
-	}
-}
-
 func TestCelsiusToKelvin(t *testing.T) {
 	if got := CelsiusToKelvin(-40); math.Abs(got-233.15) > 1e-9 {
 		t.Errorf("CelsiusToKelvin(-40) = %v", got)
@@ -74,12 +65,3 @@ func TestEnvTemperature(t *testing.T) {
 		t.Fatalf("TemperatureK = %v", e.TemperatureK())
 	}
 }
-
-// Seconds and Milliseconds serve only TestTimeConversions; the simulator
-// renders times with String.
-
-// Seconds returns the timestamp expressed in seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Milliseconds returns the timestamp expressed in milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }

@@ -73,17 +73,9 @@ type DeviceSpec struct {
 	// TargetMemories lists what the paper attacks on this platform.
 	TargetMemories []string
 
-	// L1InCoreDomain is true when L1 caches and registers draw from the
-	// core domain (the Broadcom parts); the i.MX53's iRAM instead sits in
-	// the memory domain (VDDAL1).
-	L1InCoreDomain bool
-
 	// HasVideoCore marks SoCs whose boot-time video core clobbers the
 	// shared L2 (§6.2: Broadcom parts).
 	HasVideoCore bool
-	// InternalBoot marks SoCs that boot from mask ROM without external
-	// media (i.MX53), leaving a JTAG window.
-	InternalBoot bool
 	// HasJTAG enables the debug port used to dump iRAM.
 	HasJTAG bool
 	// BootROMClobbers are iRAM ranges the boot ROM uses as scratchpad and
@@ -127,7 +119,6 @@ func BCM2711() DeviceSpec {
 		TestPad:        "TP15",
 		PadDomain:      CoreDomain,
 		TargetMemories: []string{"L1D", "L1I", "registers"},
-		L1InCoreDomain: true,
 
 		HasVideoCore:        true,
 		DisconnectSurgeAmps: 2.5,
@@ -159,7 +150,6 @@ func BCM2837() DeviceSpec {
 		TestPad:        "PP58",
 		PadDomain:      CoreDomain,
 		TargetMemories: []string{"L1D", "L1I", "registers"},
-		L1InCoreDomain: true,
 
 		HasVideoCore:        true,
 		DisconnectSurgeAmps: 2.0,
@@ -197,10 +187,8 @@ func IMX53() DeviceSpec {
 		TestPad:        "SH13",
 		PadDomain:      MemoryDomain,
 		TargetMemories: []string{"iRAM"},
-		L1InCoreDomain: true,
 
-		InternalBoot: true,
-		HasJTAG:      true,
+		HasJTAG: true,
 		BootROMClobbers: []ByteRange{
 			{Start: 0x083C, End: 0x18CC},              // boot ROM scratchpad (Fig 10)
 			{Start: 128*1024 - 2048, End: 128 * 1024}, // boot stack at the top
@@ -243,10 +231,8 @@ func GenericMCU() DeviceSpec {
 		TestPad:        "C12",
 		PadDomain:      MemoryDomain,
 		TargetMemories: []string{"SRAM (main memory)"},
-		L1InCoreDomain: true,
 
-		InternalBoot: true,
-		HasJTAG:      true, // SWD, architecturally equivalent here
+		HasJTAG: true, // SWD, architecturally equivalent here
 		BootROMClobbers: []ByteRange{
 			{Start: 0, End: 2048}, // §6.2: "they usually clobber 2KB SRAM at the boot phase"
 		},

@@ -128,15 +128,13 @@ type predecEntry struct {
 
 // BootImage is a payload offered to the boot chain (a kernel on USB mass
 // storage for the Pis; irrelevant for i.MX53-style internal boot, whose
-// attack path is JTAG).
+// attack path is JTAG). Firmware loads it at PayloadBase, the Raspberry
+// Pi's kernel load address, and every core enters it there.
 type BootImage struct {
-	// Words is the machine code, loaded at LoadAddr.
+	// Words is the machine code, loaded at PayloadBase.
 	Words []uint32
-	// LoadAddr and Entry default to PayloadBase when zero.
-	LoadAddr uint64
-	Entry    uint64
 	// EnableCaches asks the image's startup stub to invalidate and enable
-	// the L1 caches before Entry runs. Victim software wants this;
+	// the L1 caches before the payload runs. Victim software wants this;
 	// extraction payloads leave it false so retained cache contents stay
 	// untouched (§6.1 step 3A).
 	EnableCaches bool
@@ -275,15 +273,12 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 		core.CPU = isa.NewCPU(i, regArr, s, s)
 		s.Cores = append(s.Cores, core)
 
-		dom := s.CoreDom
-		if !spec.L1InCoreDomain {
-			dom = s.MemDom
-		}
+		// L1 caches, registers, TLB and BTB all draw from the core domain.
 		for _, a := range l1d.Arrays() {
-			dom.Attach(a)
+			s.CoreDom.Attach(a)
 		}
 		for _, a := range l1i.Arrays() {
-			dom.Attach(a)
+			s.CoreDom.Attach(a)
 		}
 		s.CoreDom.Attach(regArr)
 		s.CoreDom.Attach(core.TLB)
@@ -347,8 +342,6 @@ func (s *SoC) Powered() bool {
 // the legitimate vendor, not to the attacker.
 func (s *SoC) SignImage(img *BootImage) uint64 {
 	h := s.oemKey
-	h ^= img.LoadAddr * 0x9E3779B97F4A7C15
-	h ^= img.Entry * 0xC2B2AE3D27D4EB4F
 	for _, w := range img.Words {
 		h ^= uint64(w)
 		h *= 0x100000001B3
@@ -441,17 +434,9 @@ func (s *SoC) Boot(img *BootImage) error {
 		return nil
 	}
 
-	load := img.LoadAddr
-	if load == 0 {
-		load = PayloadBase
-	}
-	entry := img.Entry
-	if entry == 0 {
-		entry = load
-	}
 	// Firmware copies the payload into DRAM through the uncached path.
 	for i, w := range img.Words {
-		a := load + uint64(i)*4
+		a := PayloadBase + uint64(i)*4
 		if err := s.writeDRAMDirect(a, w); err != nil {
 			return fmt.Errorf("soc: loading payload: %w", err)
 		}
@@ -466,7 +451,7 @@ func (s *SoC) Boot(img *BootImage) error {
 		for i := 0; i < 31; i++ {
 			core.CPU.SetX(i, junk.Uint64())
 		}
-		core.CPU.Reset(entry)
+		core.CPU.Reset(PayloadBase)
 		core.CPU.NSLocked = s.Opts.TrustZone && !secureWorld
 		if img.EnableCaches {
 			core.L1D.InvalidateAll()

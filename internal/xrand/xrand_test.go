@@ -125,44 +125,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestLogNormalMedian(t *testing.T) {
-	r := New(8)
-	const n = 100001
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = r.LogNormal(100, 1.0)
-	}
-	// crude median via counting below/above
-	below := 0
-	for _, v := range vals {
-		if v < 100 {
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Fatalf("fraction below median parameter = %v, want ~0.5", frac)
-	}
-	for _, v := range vals {
-		if v <= 0 {
-			t.Fatal("lognormal variate must be positive")
-		}
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	r := New(9)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(42)
-	}
-	mean := sum / n
-	if math.Abs(mean-42) > 0.7 {
-		t.Fatalf("Exp mean = %v, want ~42", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(10)
 	for _, n := range []int{0, 1, 2, 17, 100} {
@@ -287,25 +249,4 @@ func TestFillNormFloat32SpareCarryIn(t *testing.T) {
 			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
-}
-
-// LogNormal returns a lognormal variate such that the *median* of the
-// distribution is median and the shape parameter (stddev of the underlying
-// normal in log space) is sigma. It and Exp below serve only their own
-// tests.
-func (r *Rand) LogNormal(median, sigma float64) float64 {
-	if median <= 0 {
-		return 0
-	}
-	return median * math.Exp(sigma*r.NormFloat64())
-}
-
-// Exp returns an exponential variate with the given mean.
-func (r *Rand) Exp(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	u := r.Float64()
-	// Float64 is in [0,1); guard the log argument.
-	return -mean * math.Log(1-u)
 }

@@ -1,15 +1,15 @@
 #!/bin/sh
-# CI gate: gofmt, vet, voltvet, build, race-enabled tests (the parallel
-# runner's determinism tests raise GOMAXPROCS themselves, so a
-# single-core CI machine still exercises multi-worker execution), the
-# differential oracles (among them, that a power trace ignores predecode,
-# superblock and cache state and that a capture stops when its window is
-# full), the catalog digests, a short fuzz pass over the byte decoders,
-# the CPA attack and the job body, a one-iteration smoke over the micro-benchmarks
-# and the allocation-free gates. Each stage that names its tests or
-# benchmarks first checks that every name still matches one, so a
-# rename cannot leave a stage running nothing. `make check` runs this
-# script.
+# CI gate: gofmt, vet, voltvet, the module goldens, build, race-enabled
+# tests (the parallel runner's determinism tests raise GOMAXPROCS
+# themselves, so a single-core CI machine still exercises multi-worker
+# execution), the differential oracles (among them, that a power trace
+# ignores predecode, superblock and cache state and that a capture stops
+# when its window is full), the catalog digests, a short fuzz pass over
+# the byte decoders, the CPA attack and the job body, a one-iteration
+# smoke over the micro-benchmarks and the allocation-free gates. Each
+# stage that names its tests or benchmarks first checks that every name
+# still matches one, so a rename cannot leave a stage running nothing.
+# `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -83,6 +83,9 @@ if [ "$vv_elapsed" -gt 15 ]; then
 	echo "error: voltvet took ${vv_elapsed}s, over its 15s CI budget; see BenchmarkVoltvetModule" >&2
 	exit 1
 fi
+
+echo "==> module goldens (hot-path closure, exports no production code reaches, fields no production code sets)"
+run_named 'TestHotpathClosureGolden|TestUnreachedExportsGolden|TestUnsetFieldsGolden' ./internal/lint/
 
 echo "==> go build ./..."
 go build ./...
