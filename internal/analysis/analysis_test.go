@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"encoding/binary"
 	"math"
-	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -217,62 +215,6 @@ func BenchmarkHammingDistance64KB(b *testing.B) {
 	}
 }
 
-func TestFlipDirections(t *testing.T) {
-	before := []byte{0b1111_0000}
-	after := []byte{0b1010_0101}
-	z2o, o2z := FlipDirections(before, after)
-	if z2o != 2 || o2z != 2 {
-		t.Fatalf("flips = %d/%d, want 2/2", z2o, o2z)
-	}
-	// Pure unidirectional decay toward zero.
-	z2o, o2z = FlipDirections([]byte{0xFF, 0xFF}, []byte{0x0F, 0x00})
-	if z2o != 0 || o2z != 12 {
-		t.Fatalf("decay flips = %d/%d, want 0/12", z2o, o2z)
-	}
-	// Identity.
-	z2o, o2z = FlipDirections([]byte{0xAA}, []byte{0xAA})
-	if z2o != 0 || o2z != 0 {
-		t.Fatal("identity must have no flips")
-	}
-}
-
-func TestFlipDirectionsDistinguishDecayRegimes(t *testing.T) {
-	r := xrand.New(31)
-	before := make([]byte, 4096)
-	r.Bytes(before)
-	// DRAM-style: set bits decay to 0 with p=0.3.
-	dram := append([]byte(nil), before...)
-	for i := range dram {
-		for k := 0; k < 8; k++ {
-			if dram[i]>>k&1 == 1 && r.Bernoulli(0.3) {
-				dram[i] &^= 1 << k
-			}
-		}
-	}
-	z2o, o2z := FlipDirections(before, dram)
-	if z2o != 0 || o2z == 0 {
-		t.Fatalf("dram regime: %d/%d", z2o, o2z)
-	}
-	// SRAM-style: decayed cells resample randomly.
-	sramImg := append([]byte(nil), before...)
-	for i := range sramImg {
-		for k := 0; k < 8; k++ {
-			if r.Bernoulli(0.3) {
-				if r.Bool() {
-					sramImg[i] |= 1 << k
-				} else {
-					sramImg[i] &^= 1 << k
-				}
-			}
-		}
-	}
-	z2o, o2z = FlipDirections(before, sramImg)
-	ratio := float64(z2o) / float64(o2z)
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Fatalf("sram regime should be balanced: %d/%d", z2o, o2z)
-	}
-}
-
 // TestAlignedElementSetMatchesCount pins the indexed membership test to
 // the scan it replaces in Table 4's inner loop.
 func TestAlignedElementSetMatchesCount(t *testing.T) {
@@ -304,29 +246,4 @@ func TestAlignedElementSetMatchesCount(t *testing.T) {
 	if empty.Contains(make([]byte, 8)) {
 		t.Error("empty image must contain nothing")
 	}
-}
-
-// FlipDirections counts bit transitions from `before` to `after`:
-// ZeroToOne and OneToZero. The ratio distinguishes decay regimes — DRAM
-// decays unidirectionally toward its ground state (one counter dominates)
-// while bistable SRAM loses bits both ways in equal measure (§5.1), which
-// is what defeats error-correcting post-processing on SRAM images.
-func FlipDirections(before, after []byte) (zeroToOne, oneToZero int) {
-	if len(before) != len(after) {
-		panic("analysis: length mismatch")
-	}
-	i := 0
-	for ; i+8 <= len(before); i += 8 {
-		x := binary.LittleEndian.Uint64(before[i:])
-		y := binary.LittleEndian.Uint64(after[i:])
-		diff := x ^ y
-		zeroToOne += bits.OnesCount64(diff & y)
-		oneToZero += bits.OnesCount64(diff & x)
-	}
-	for ; i < len(before); i++ {
-		diff := before[i] ^ after[i]
-		zeroToOne += bits.OnesCount8(diff & after[i])
-		oneToZero += bits.OnesCount8(diff & before[i])
-	}
-	return zeroToOne, oneToZero
 }

@@ -65,23 +65,6 @@ func TestFractionOnesTailLengths(t *testing.T) {
 	}
 }
 
-func TestFlipDirectionsTailLengths(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 9, 33} {
-		before := randomBytes(uint64(n)+51, n)
-		after := randomBytes(uint64(n)+52, n)
-		var wantZO, wantOZ int
-		for i := range before {
-			diff := before[i] ^ after[i]
-			wantZO += bits.OnesCount8(diff & after[i])
-			wantOZ += bits.OnesCount8(diff & before[i])
-		}
-		zo, oz := FlipDirections(before, after)
-		if zo != wantZO || oz != wantOZ {
-			t.Fatalf("n=%d: FlipDirections = (%d,%d), want (%d,%d)", n, zo, oz, wantZO, wantOZ)
-		}
-	}
-}
-
 // BenchmarkFractionalHD measures the Table 1 error metric over a 64 KB
 // image pair — the analysis-side hot path of every experiment.
 func BenchmarkFractionalHD(b *testing.B) {

@@ -47,6 +47,10 @@ const (
 	TierForward Tier = "forward"
 )
 
+// Hit reports whether a run served from t was simulated by no one: a
+// memory or disk hit.
+func (t Tier) Hit() bool { return t == TierMem || t == TierDisk }
+
 // cacheEntry is one key's slot in the in-memory result cache: pending
 // while a leader simulates, complete (rec or err) afterwards, or
 // aborted when the leader was cancelled before finishing. done closes

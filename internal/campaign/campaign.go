@@ -21,12 +21,14 @@
 //     coalesce: concurrent identical submissions share one execution,
 //     and the followers count as cache hits.
 //
-//   - *Horizontal fan-out.* With a SweepExecutor configured (the fabric
-//     layer, internal/fabric), a multi-run job splits into per-run
-//     shards routed across the peer ring by consistent hashing,
-//     dispatched from one shared queue with one slot per ring member,
-//     and reassembled index-ordered — the result body is byte-identical
-//     to a single-node run.
+//   - *One dispatch loop.* Every job runs down the same path. Its runs
+//     are placed first: all on this node without a fabric, on their
+//     ring owners with one (internal/fabric places and forwards). Then
+//     slots take them in index order from one shared cursor, one slot
+//     without a fabric and one per routable ring member with one. The
+//     first real failure cancels the runs not yet started, every run
+//     reports exactly once, and the records reassemble index-ordered, so
+//     the result body is byte-identical to a single-node run.
 //
 //   - *Cooperative cancellation.* Each job owns a context that Cancel
 //     fires. The context threads through registry.Experiment.Run into
@@ -49,6 +51,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/registry"
@@ -87,10 +90,9 @@ type RunSpec struct {
 	Params     map[string]string `json:"params,omitempty"`
 }
 
-// Spec is a campaign: an ordered list of runs. Without a fabric the
-// runs execute sequentially on one worker; with a SweepExecutor they
-// fan out as shards across the peer ring. Either way the result body
-// lists the run records in submission order.
+// Spec is a campaign: an ordered list of runs. One dispatch loop runs
+// them, on this node or, through a Fabric, on their ring owners; either
+// way the result body lists the run records in submission order.
 type Spec struct {
 	Runs []RunSpec `json:"runs"`
 }
@@ -157,48 +159,23 @@ type Event struct {
 // without re-marshaling anything.
 type ResultBody struct {
 	Body []byte
-	// Cached is true when no run was simulated for this job.
-	Cached bool
 	// Tier is the aggregate cache tier (the X-Cache value).
 	Tier Tier
 	// ETag is the strong entity tag: the quoted hex SHA-256 of Body.
 	ETag string
 }
 
-// Shard is one run of a sweep tagged with its position, so the fabric
-// can reassemble results index-ordered regardless of which peer
-// computed what.
-type Shard struct {
-	Index int
-	Run   RunSpec // resolved: params canonical
-	Key   string  // CacheKey of Run
-}
-
-// ShardResult is one shard's outcome as reported by a SweepExecutor.
-type ShardResult struct {
-	Rec json.RawMessage
-	// Tier is the layer that served the shard from the submitting
-	// node's perspective (TierForward for work executed by a peer).
-	Tier Tier
-	// Cached is true when no simulation happened anywhere for this
-	// shard — locally or on the peer that answered the forward.
-	Cached bool
-	Err    error
-}
-
-// LocalRunFunc executes one shard on the local node; Manager.ServeRun
-// is the implementation handed to the executor.
-type LocalRunFunc func(ctx context.Context, rs RunSpec, key string) (json.RawMessage, Tier, error)
-
-// SweepExecutor fans a multi-run job across the fabric as per-trial
-// shards. Implementations must call started at most once and done
-// exactly once per shard (from any goroutine), and must not return
-// until every callback has been delivered. A non-nil return means the
-// sweep itself aborted (typically ctx cancellation); per-shard
-// experiment failures travel in ShardResult.Err instead.
-type SweepExecutor interface {
-	ExecuteSweep(ctx context.Context, shards []Shard, local LocalRunFunc,
-		started func(i int, peer string), done func(i int, res ShardResult)) error
+// Fabric places a job's runs across a fleet and forwards the runs it
+// places on peers; internal/fabric.Node implements it.
+type Fabric interface {
+	// Place returns each key's executor, "" for this node, and how many
+	// of the job's runs the dispatch loop keeps in flight.
+	Place(keys []string) (owners []string, slots int)
+	// RunShard runs one resolved run on the peer Place chose, or through
+	// this node's ServeRun when that peer refuses it. tier is the layer
+	// that served the run as this node sees it (TierForward for a peer's
+	// answer); cached is true when nothing was simulated anywhere.
+	RunShard(ctx context.Context, owner string, rs RunSpec, key string) (rec json.RawMessage, tier Tier, cached bool, err error)
 }
 
 // job is the internal job record. All mutable fields are guarded by the
@@ -239,10 +216,10 @@ type Config struct {
 	// cache: lookups go memory hit → disk hit → compute, completed
 	// results persist across restarts.
 	Store *store.Store
-	// Sweep optionally fans multi-run jobs across fabric peers
-	// (internal/fabric.Node implements it). Nil runs jobs sequentially
-	// on the local worker.
-	Sweep SweepExecutor
+	// Sweep optionally places jobs' runs on their fabric peers and
+	// forwards them there (internal/fabric.Node implements it). Nil
+	// runs every run on this node, one at a time.
+	Sweep Fabric
 	// MemEntries bounds the in-memory result cache (default 65536
 	// completed entries); the disk store backs whatever falls out.
 	MemEntries int
@@ -262,14 +239,14 @@ type memKey struct {
 	e   *cacheEntry
 }
 
-// Manager owns the queue, the worker pool, the job table and the
-// tiered result cache.
+// Manager owns the queue, the worker pool, the dispatch loop, the job
+// table and the tiered result cache.
 type Manager struct {
-	reg   *registry.Registry
-	store *store.Store
-	exec  SweepExecutor
-	queue chan *job
-	wg    sync.WaitGroup
+	reg    *registry.Registry
+	store  *store.Store
+	fabric Fabric
+	queue  chan *job
+	wg     sync.WaitGroup
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -308,7 +285,7 @@ func New(cfg Config) *Manager {
 	m := &Manager{
 		reg:    cfg.Registry,
 		store:  cfg.Store,
-		exec:   cfg.Sweep,
+		fabric: cfg.Sweep,
 		queue:  make(chan *job, depth),
 		jobs:   make(map[string]*job),
 		cache:  make(map[string]*cacheEntry),
@@ -375,7 +352,11 @@ func (m *Manager) Submit(spec Spec) (JobStatus, error) {
 	// campaigns can never be bounced by a backlogged queue.
 	if records := m.warmRecordsLocked(j.keys); records != nil {
 		m.emitLocked(j, Event{State: StateQueued})
-		m.completeWarmLocked(j, records)
+		m.startLocked(j)
+		for i := range j.runs {
+			m.setRunStateLocked(j, i, StateDone, true, TierMem, nil)
+		}
+		m.finishLocked(j, records)
 		st := j.statusLocked()
 		m.mu.Unlock()
 		return st, nil
@@ -417,33 +398,6 @@ func (m *Manager) warmRecordsLocked(keys []string) []json.RawMessage {
 		records[i] = e.rec
 	}
 	return records
-}
-
-// completeWarmLocked drives a fully-cached job through its whole
-// lifecycle in one step, emitting the same event sequence the worker
-// path produces.
-func (m *Manager) completeWarmLocked(j *job, records []json.RawMessage) {
-	j.state = StateRunning
-	j.started = time.Now()
-	m.emitLocked(j, Event{State: StateRunning})
-	for i := range j.runs {
-		j.runs[i].State = StateDone
-		j.runs[i].Cached = true
-		j.runs[i].Tier = TierMem
-		j.progress.Done++
-		j.progress.CacheHits++
-		m.emitLocked(j, Event{
-			Run: j.spec[i].Experiment, RunState: StateDone,
-			Cached: true, Tier: TierMem, State: j.state,
-		})
-	}
-	body := assembleBody(records)
-	sum := sha256.Sum256(body)
-	j.result = body
-	j.etag = `"` + hex.EncodeToString(sum[:]) + `"`
-	j.tier = TierMem
-	j.cached = true
-	m.finalizeLocked(j, StateDone, nil)
 }
 
 // Get returns a job's status snapshot.
@@ -504,7 +458,7 @@ func (m *Manager) Result(id string) (ResultBody, error) {
 	}
 	switch j.state {
 	case StateDone:
-		return ResultBody{Body: j.result, Cached: j.cached, Tier: j.tier, ETag: j.etag}, nil
+		return ResultBody{Body: j.result, Tier: j.tier, ETag: j.etag}, nil
 	case StateFailed:
 		return ResultBody{}, j.err
 	default:
@@ -576,103 +530,112 @@ func (m *Manager) runJob(j *job) {
 		m.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
-	m.emitLocked(j, Event{State: StateRunning})
+	m.startLocked(j)
 	m.mu.Unlock()
 
 	records := make([]json.RawMessage, len(j.spec))
-	var err error
-	if m.exec != nil {
-		err = m.runSweep(j, records)
-	} else {
-		err = m.runSequential(j, records)
-	}
-	if err != nil {
-		if j.ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			m.finalize(j, StateCancelled, context.Canceled)
-		} else {
-			m.finalize(j, StateFailed, err)
-		}
-		return
-	}
-
-	// Reassemble index-ordered: the body lists records in submission
-	// order no matter which tier — or which peer — produced each one.
-	body := assembleBody(records)
-	sum := sha256.Sum256(body)
+	err := m.dispatch(j, records)
 	m.mu.Lock()
-	j.result = body
+	defer m.mu.Unlock()
+	switch {
+	case err == nil:
+		m.finishLocked(j, records)
+	case j.ctx.Err() != nil || errors.Is(err, context.Canceled):
+		m.finalizeLocked(j, StateCancelled, context.Canceled)
+	default:
+		m.finalizeLocked(j, StateFailed, err)
+	}
+}
+
+// dispatch runs a job's runs, each on the executor Place chose for it
+// (this node without a fabric). Slots take the runs in index order from
+// one shared cursor. The first real failure cancels the runs not yet
+// started, and every run reports exactly once: done, failed or
+// cancelled. It returns the first failure, else the job context's error.
+func (m *Manager) dispatch(j *job, records []json.RawMessage) error {
+	ctx, cancel := context.WithCancel(j.ctx)
+	defer cancel()
+	owners, slots := make([]string, len(records)), 1
+	if m.fabric != nil {
+		owners, slots = m.fabric.Place(j.keys)
+	}
+	var (
+		next     atomic.Int64
+		errOnce  sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	slot := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(records) {
+				return
+			}
+			if ctx.Err() != nil {
+				m.setRunState(j, i, StateCancelled, false, "", context.Canceled)
+				continue
+			}
+			m.setRunState(j, i, StateRunning, false, "", nil)
+			rec, tier, cached, err := m.serve(ctx, owners[i], j.spec[i], j.keys[i])
+			switch {
+			case err == nil:
+				records[i] = rec
+				m.setRunState(j, i, StateDone, cached, tier, nil)
+			case errors.Is(err, context.Canceled):
+				m.setRunState(j, i, StateCancelled, false, "", err)
+			default:
+				m.setRunState(j, i, StateFailed, cached, tier, err)
+				errOnce.Do(func() {
+					firstErr = fmt.Errorf("campaign: run %q: %w", j.spec[i].Experiment, err)
+				})
+				cancel()
+			}
+		}
+	}
+	// The worker's own goroutine is one of the slots.
+	for s := 1; s < slots; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			slot()
+		}()
+	}
+	slot()
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return j.ctx.Err()
+}
+
+// serve runs one run on its placed executor: this node's cache
+// hierarchy for "", else the fabric's forward.
+func (m *Manager) serve(ctx context.Context, owner string, rs RunSpec, key string) (json.RawMessage, Tier, bool, error) {
+	if owner != "" {
+		return m.fabric.RunShard(ctx, owner, rs, key)
+	}
+	rec, tier, err := m.ServeRun(ctx, rs, key)
+	return rec, tier, tier.Hit(), err
+}
+
+// startLocked moves a job from queued to running.
+func (m *Manager) startLocked(j *job) {
+	j.state = StateRunning
+	j.started = time.Now()
+	m.emitLocked(j, Event{State: StateRunning})
+}
+
+// finishLocked completes a job whose every run is done: the body lists
+// the records in submission order, whichever tier or peer produced each
+// one, and the job takes the body's strong ETag and the runs' aggregate
+// tier.
+func (m *Manager) finishLocked(j *job, records []json.RawMessage) {
+	j.result = assembleBody(records)
+	sum := sha256.Sum256(j.result)
 	j.etag = `"` + hex.EncodeToString(sum[:]) + `"`
 	j.tier = aggregateTier(j.runs)
 	j.cached = j.tier != TierMiss
 	m.finalizeLocked(j, StateDone, nil)
-	m.mu.Unlock()
-}
-
-// runSequential executes the runs in order on this worker — the
-// single-node path.
-func (m *Manager) runSequential(j *job, records []json.RawMessage) error {
-	for i := range j.spec {
-		if err := j.ctx.Err(); err != nil {
-			return err
-		}
-		m.setRunState(j, i, StateRunning, false, "", nil)
-		rec, tier, err := m.ServeRun(j.ctx, j.spec[i], j.keys[i])
-		cached := tier == TierMem || tier == TierDisk
-		if err != nil {
-			if j.ctx.Err() != nil || errors.Is(err, context.Canceled) {
-				m.setRunState(j, i, StateCancelled, false, "", err)
-				return context.Canceled
-			}
-			m.setRunState(j, i, StateFailed, cached, tier, err)
-			return fmt.Errorf("campaign: run %q: %w", j.spec[i].Experiment, err)
-		}
-		records[i] = rec
-		m.setRunState(j, i, StateDone, cached, tier, nil)
-	}
-	return nil
-}
-
-// runSweep fans the job's runs across the fabric as shards. Per-shard
-// experiment failures fail the job (like the sequential path); shards
-// the executor aborted after an earlier failure surface as cancelled
-// runs without overriding the first real error.
-func (m *Manager) runSweep(j *job, records []json.RawMessage) error {
-	shards := make([]Shard, len(j.spec))
-	for i := range j.spec {
-		shards[i] = Shard{Index: i, Run: j.spec[i], Key: j.keys[i]}
-	}
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	sweepErr := m.exec.ExecuteSweep(j.ctx, shards, m.ServeRun,
-		func(i int, peer string) {
-			m.setRunState(j, i, StateRunning, false, "", nil)
-		},
-		func(i int, res ShardResult) {
-			if res.Err != nil {
-				if errors.Is(res.Err, context.Canceled) {
-					m.setRunState(j, i, StateCancelled, false, "", res.Err)
-					return
-				}
-				m.setRunState(j, i, StateFailed, res.Cached, res.Tier, res.Err)
-				errOnce.Do(func() {
-					firstErr = fmt.Errorf("campaign: run %q: %w", j.spec[i].Experiment, res.Err)
-				})
-				return
-			}
-			records[i] = res.Rec
-			m.setRunState(j, i, StateDone, res.Cached, res.Tier, nil)
-		})
-	if firstErr != nil {
-		return firstErr
-	}
-	if sweepErr != nil {
-		return sweepErr
-	}
-	return j.ctx.Err()
 }
 
 // aggregateTier folds per-run tiers into the job-level X-Cache value:
@@ -706,7 +669,11 @@ func aggregateTier(runs []RunStatus) Tier {
 // setRunState records a per-run transition and emits its event.
 func (m *Manager) setRunState(j *job, i int, s State, cached bool, tier Tier, err error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.setRunStateLocked(j, i, s, cached, tier, err)
+	m.mu.Unlock()
+}
+
+func (m *Manager) setRunStateLocked(j *job, i int, s State, cached bool, tier Tier, err error) {
 	j.runs[i].State = s
 	j.runs[i].Cached = cached
 	j.runs[i].Tier = tier
@@ -724,12 +691,6 @@ func (m *Manager) setRunState(j *job, i int, s State, cached bool, tier Tier, er
 		ev.Error = err.Error()
 	}
 	m.emitLocked(j, ev)
-}
-
-func (m *Manager) finalize(j *job, s State, err error) {
-	m.mu.Lock()
-	m.finalizeLocked(j, s, err)
-	m.mu.Unlock()
 }
 
 // finalizeLocked moves a job to a terminal state exactly once.

@@ -114,9 +114,6 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rb.Cached {
-		t.Fatal("first-ever result reported cached")
-	}
 	if rb.Tier != TierMiss {
 		t.Fatalf("first-ever result tier = %s, want miss", rb.Tier)
 	}
@@ -159,8 +156,8 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 	waitState(t, m, st1.ID, terminal)
 	rb1, err := m.Result(st1.ID)
-	if err != nil || rb1.Cached {
-		t.Fatalf("first result: cached=%v err=%v", rb1.Cached, err)
+	if err != nil {
+		t.Fatalf("first result: %v", err)
 	}
 
 	// Same campaign, spelled with the default made explicit: must hit.
@@ -178,8 +175,8 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		t.Fatalf("cache hits = %d, want 1", final2.Progress.CacheHits)
 	}
 	rb2, err := m.Result(st2.ID)
-	if err != nil || !rb2.Cached {
-		t.Fatalf("second result: cached=%v err=%v", rb2.Cached, err)
+	if err != nil {
+		t.Fatalf("second result: %v", err)
 	}
 	if rb2.Tier != TierMem {
 		t.Fatalf("second result tier = %s, want hit-mem", rb2.Tier)
@@ -312,9 +309,12 @@ func TestQueueOverflow(t *testing.T) {
 }
 
 // TestConcurrentIdenticalSubmissions is the coalescing contract, run
-// under -race in CI: 8 concurrent clients submitting the same campaign
-// all get byte-identical bodies, exactly one execution happens, and at
-// least 7 are served from the cache.
+// under -race in CI: 8 concurrent clients submitting the same two-run
+// campaign all get byte-identical bodies, and each key is simulated
+// exactly once, so exactly 2 of the 16 runs are not served from a cache.
+// How those 2 misses spread over the 8 jobs depends on scheduling (a
+// follower can overtake a leader at the second key, leaving one miss in
+// each of two jobs), so the test counts runs, not jobs.
 func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	reg, echoRuns, _ := testRegistry()
 	m := New(Config{Registry: reg, Workers: 4, QueueDepth: 32})
@@ -339,7 +339,7 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	wg.Wait()
 
 	var bodies [][]byte
-	cachedCount := 0
+	uncached := 0
 	for c := 0; c < clients; c++ {
 		if errs[c] != nil {
 			t.Fatalf("client %d: %v", c, errs[c])
@@ -353,8 +353,10 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 			t.Fatal(err)
 		}
 		bodies = append(bodies, rb.Body)
-		if final.Cached {
-			cachedCount++
+		for _, r := range final.Runs {
+			if !r.Cached {
+				uncached++
+			}
 		}
 	}
 	for c := 1; c < clients; c++ {
@@ -362,11 +364,11 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 			t.Fatalf("client %d body differs from client 0", c)
 		}
 	}
-	if cachedCount < clients-1 {
-		t.Fatalf("%d/%d served from cache, want ≥ %d", cachedCount, clients, clients-1)
-	}
 	if n := echoRuns.Load(); n != 2 {
 		t.Fatalf("echo simulated %d times for %d clients × 2 runs, want 2", n, clients)
+	}
+	if uncached != 2 {
+		t.Fatalf("%d of %d runs not served from a cache, want 2 (one leader per key)", uncached, 2*clients)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/xrand"
 )
 
 func TestReadAfterWrite(t *testing.T) {
@@ -179,57 +178,6 @@ func TestLineInterface(t *testing.T) {
 	}
 }
 
-func TestScramblerRoundTrip(t *testing.T) {
-	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<14, 7)
-	s := NewScrambler(m)
-	s.NewBootKey(1234)
-	secret := []byte("the quick brown fox jumps over the lazy dog")
-	s.Write(100, secret)
-	if !bytes.Equal(s.Read(100, len(secret)), secret) {
-		t.Fatal("scrambler round trip failed")
-	}
-}
-
-func TestScramblerHidesPlaintextInCells(t *testing.T) {
-	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<14, 8)
-	s := NewScrambler(m)
-	s.NewBootKey(99)
-	secret := bytes.Repeat([]byte{0xAA}, 256)
-	s.Write(0, secret)
-	raw := m.Read(0, 256) // what a physical attacker extracts
-	if bytes.Equal(raw, secret) {
-		t.Fatal("physical cells contain plaintext despite scrambling")
-	}
-	// The scrambled image should look roughly balanced, not 0xAA.
-	matches := 0
-	for _, b := range raw {
-		if b == 0xAA {
-			matches++
-		}
-	}
-	if matches > 32 {
-		t.Fatalf("%d/256 scrambled bytes equal plaintext byte", matches)
-	}
-}
-
-func TestScramblerRekeyDefeatsOldImage(t *testing.T) {
-	env := sim.NewEnv()
-	m := NewModule(env, "ddr", 1<<14, 9)
-	s := NewScrambler(m)
-	s.NewBootKey(1)
-	secret := []byte("disk encryption key material....")
-	s.Write(0, secret)
-	// Reboot: controller draws a new key; the retained cells now
-	// descramble to garbage.
-	s.NewBootKey(2)
-	got := s.Read(0, len(secret))
-	if bytes.Equal(got, secret) {
-		t.Fatal("rekeyed read still returns the old plaintext")
-	}
-}
-
 func BenchmarkPowerCycle1MB(b *testing.B) {
 	env := sim.NewEnv()
 	m := NewModule(env, "ddr", 1<<20, 1)
@@ -277,61 +225,4 @@ func TestLeastFloat32SatisfyingExact(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Scrambler wraps a Module with DDR-style data scrambling, modelling the
-// DDR3/DDR4 session-key scrambling that modern memory controllers apply
-// (§2.2, §9.1): every byte is XORed with a keystream position derived
-// from a per-boot session key, so physically extracting the module's
-// cells yields scrambled data. No experiment scrambles; only the
-// TestScrambler* tests use it.
-type Scrambler struct {
-	mod *Module
-	key uint64
-}
-
-// NewScrambler wraps mod. Call NewBootKey before use.
-func NewScrambler(mod *Module) *Scrambler { return &Scrambler{mod: mod} }
-
-// Module returns the underlying physical module (what a cold boot
-// attacker rips out and reads).
-func (s *Scrambler) Module() *Module { return s.mod }
-
-// NewBootKey draws a fresh session key, as the memory controller does at
-// every boot. Data scrambled under a previous key becomes unintelligible.
-func (s *Scrambler) NewBootKey(seed uint64) {
-	st := seed
-	s.key = xrand.SplitMix64(&st)
-}
-
-func (s *Scrambler) keystream(off, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		pos := uint64(off+i) / 8
-		st := s.key ^ pos
-		word := xrand.SplitMix64(&st)
-		out[i] = byte(word >> (8 * (uint64(off+i) % 8)))
-	}
-	return out
-}
-
-// Write scrambles b and stores it.
-func (s *Scrambler) Write(off int, b []byte) {
-	ks := s.keystream(off, len(b))
-	enc := make([]byte, len(b))
-	for i := range b {
-		enc[i] = b[i] ^ ks[i]
-	}
-	s.mod.Write(off, enc)
-}
-
-// Read returns descrambled data — what the CPU sees through the
-// controller.
-func (s *Scrambler) Read(off, n int) []byte {
-	enc := s.mod.Read(off, n)
-	ks := s.keystream(off, n)
-	for i := range enc {
-		enc[i] ^= ks[i]
-	}
-	return enc
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -109,9 +108,10 @@ type NodeStats struct {
 	// Handbacks counts shards a peer refused (draining/down) that were
 	// re-executed locally.
 	Handbacks uint64 `json:"handbacks"`
-	// Steals is always 0: sweeps dispatch from one shared queue, so no
-	// shard is taken from another member's backlog. The field stays
-	// until the benchmark drops the fabric.steals metric that reads it.
+	// Steals is always 0: the campaign dispatch loop takes runs from
+	// one shared cursor, so no run is taken from another member's
+	// backlog. The field stays until the benchmark drops the
+	// fabric.steals metric that reads it.
 	Steals uint64 `json:"steals"`
 }
 
@@ -132,8 +132,9 @@ type Status struct {
 }
 
 // Node ties a local campaign.Manager into the fabric. It implements
-// campaign.SweepExecutor (fan-out side) and serves the forwarded-in
-// intake (peer side) behind the HTTP layer.
+// campaign.Fabric, placing each run on its ring owner and forwarding it
+// there, and it serves the forwarded-in intake (peer side) behind the
+// HTTP layer. The manager's dispatch loop decides when runs go.
 type Node struct {
 	cfg    Config
 	client *http.Client
@@ -170,9 +171,10 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Attach binds the local manager. The Node and Manager reference each
-// other (the Manager fans sweeps out through the Node, the Node serves
-// forwarded-in runs through the Manager), so construction is two-phase.
+// Attach binds the local manager, before it runs its first job. The
+// Node and Manager reference each other (the Manager places and
+// forwards runs through the Node, the Node serves forwarded-in and
+// handed-back runs through the Manager), so construction is two-phase.
 func (n *Node) Attach(mgr *campaign.Manager) {
 	n.mu.Lock()
 	n.mgr = mgr
@@ -348,28 +350,14 @@ func (n *Node) markIncompatible(id string) {
 
 // routable reports whether a peer is currently worth forwarding to.
 func (n *Node) routable(id string) bool {
-	if id == n.cfg.Self {
-		return true
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p, ok := n.peers[id]
-	return ok && !p.incompatible && !n.now().Before(p.downUntil)
+	return n.routableLocked(id)
 }
 
-// executorFor picks the executor a shard is initially queued on: the
-// first routable peer clockwise from the key (the owner, normally),
-// falling back to self when the whole remote ring is unreachable.
-func (n *Node) executorFor(key string) string {
-	n.mu.Lock()
-	succ := n.ring.Successors(key, len(n.ring.Peers()))
-	n.mu.Unlock()
-	for _, id := range succ {
-		if n.routable(id) {
-			return id
-		}
-	}
-	return n.cfg.Self
+func (n *Node) routableLocked(id string) bool {
+	p, ok := n.peers[id]
+	return ok && !p.incompatible && !n.now().Before(p.downUntil)
 }
 
 // ServeForwarded executes one forwarded-in run against the local cache
@@ -447,110 +435,69 @@ func (n *Node) Drain(ctx context.Context) error {
 	return mgr.Drain(ctx)
 }
 
-// ExecuteSweep implements campaign.SweepExecutor. Every shard is placed
-// on its executor first: its ring owner, or the next routable member
-// clockwise. Then one dispatch slot per routable member (self included)
-// takes shards in index order from one shared cursor and runs each on
-// its placed executor, so a sweep has as many shards in flight as the
-// ring has members, whichever members own them. Placement is where the
-// result is — or will be — cached, so a slot never re-homes a shard.
-// Local takeover happens only through the handback path: a shard whose
-// owner refuses it (draining, down, incompatible) is executed locally —
-// placement degrades, bytes never change. Every completion reports
-// through done.
-func (n *Node) ExecuteSweep(ctx context.Context, shards []campaign.Shard,
-	local campaign.LocalRunFunc, started func(i int, peer string), done func(i int, res campaign.ShardResult)) error {
-
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	owners := make([]string, len(shards))
-	for i, sh := range shards {
-		owners[i] = n.executorFor(sh.Key)
+// Place implements campaign.Fabric. Each key goes to the first routable
+// member clockwise from it on the ring: its owner, normally, and this
+// node ("") when no remote member before it is routable. A job keeps one
+// run in flight per routable member, self included, whichever members
+// own its runs. Placement is where a result is, or will be, cached, so a
+// slot never re-homes a run; local takeover happens only through
+// RunShard's handback.
+func (n *Node) Place(keys []string) ([]string, int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	owners := make([]string, len(keys))
+	for i, key := range keys {
+		for _, id := range n.ring.Successors(key, len(n.ring.Peers())) {
+			if id == n.cfg.Self {
+				break
+			}
+			if n.routableLocked(id) {
+				owners[i] = id
+				break
+			}
+		}
 	}
 	slots := 1
-	n.mu.Lock()
-	ringPeers := append([]string(nil), n.ring.Peers()...)
-	n.mu.Unlock()
-	for _, id := range ringPeers {
-		if id != n.cfg.Self && n.routable(id) {
+	for id := range n.peers {
+		if n.routableLocked(id) {
 			slots++
 		}
 	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for s := 0; s < slots; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(shards) {
-					return
-				}
-				sh := shards[i]
-				if sctx.Err() != nil {
-					// The sweep is cancelled; unrun shards still get
-					// their mandatory completion callback.
-					done(sh.Index, campaign.ShardResult{Err: context.Canceled})
-					continue
-				}
-				started(sh.Index, owners[i])
-				res := n.runShard(sctx, owners[i], sh, local)
-				done(sh.Index, res)
-				if res.Err != nil && !errors.Is(res.Err, context.Canceled) {
-					// First real failure: stop dispatching new shards,
-					// matching the sequential path's early exit.
-					cancel()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	return owners, slots
 }
 
-// runShard executes one shard on its assigned owner: locally for self,
-// else a forward with local handback on refusal. Owners that went down
-// or incompatible mid-sweep hand their whole backlog back without
-// per-shard connection attempts.
-func (n *Node) runShard(ctx context.Context, id string, sh campaign.Shard,
-	localRun campaign.LocalRunFunc) campaign.ShardResult {
-	if id != n.cfg.Self {
-		if n.routable(id) {
-			rec, peerTier, err := n.forward(ctx, id, sh)
-			switch {
-			case err == nil:
-				return campaign.ShardResult{
-					Rec: rec, Tier: campaign.TierForward,
-					Cached: peerTier == campaign.TierMem || peerTier == campaign.TierDisk,
-				}
-			case errors.As(err, new(*runError)):
-				// The run executed on the peer and failed deterministically:
-				// same bytes-in, same failure anywhere. Propagate, don't rerun.
-				return campaign.ShardResult{Tier: campaign.TierForward, Err: err}
-			case ctx.Err() != nil:
-				return campaign.ShardResult{Err: context.Canceled}
-			}
+// RunShard implements campaign.Fabric: it forwards one run to the peer
+// Place chose. A peer that refuses it (down, draining, incompatible,
+// unreachable, or disagreeing about the catalog) hands the run back, and
+// it runs here through the attached manager's ServeRun: placement
+// degrades, bytes never change. An owner that went down or incompatible
+// mid-sweep hands its remaining runs back without a connection attempt
+// each.
+func (n *Node) RunShard(ctx context.Context, owner string, rs campaign.RunSpec, key string) (json.RawMessage, campaign.Tier, bool, error) {
+	if n.routable(owner) {
+		rec, peerTier, err := n.forward(ctx, owner, rs, key)
+		switch {
+		case err == nil:
+			return rec, campaign.TierForward, peerTier.Hit(), nil
+		case errors.As(err, new(*runError)):
+			// The run executed on the peer and failed deterministically:
+			// same bytes-in, same failure anywhere. Propagate, don't rerun.
+			return nil, campaign.TierForward, false, err
+		case ctx.Err() != nil:
+			return nil, "", false, context.Canceled
 		}
-		// Down or incompatible owner, transport failure, draining peer,
-		// or catalog disagreement: the shard is handed back and runs here.
-		n.mu.Lock()
-		n.stats.Handbacks++
-		n.mu.Unlock()
 	}
-	rec, tier, err := localRun(ctx, sh.Run, sh.Key)
-	return campaign.ShardResult{
-		Rec: rec, Tier: tier,
-		Cached: err == nil && (tier == campaign.TierMem || tier == campaign.TierDisk),
-		Err:    err,
-	}
+	n.mu.Lock()
+	n.stats.Handbacks++
+	mgr := n.mgr
+	n.mu.Unlock()
+	rec, tier, err := mgr.ServeRun(ctx, rs, key)
+	return rec, tier, tier.Hit(), err
 }
 
-// forward POSTs one shard to a peer's /v1/fabric/run and returns the
+// forward POSTs one run to a peer's /v1/fabric/run and returns the
 // record plus the tier the peer served it from.
-func (n *Node) forward(ctx context.Context, id string, sh campaign.Shard) (json.RawMessage, campaign.Tier, error) {
+func (n *Node) forward(ctx context.Context, id string, rs campaign.RunSpec, key string) (json.RawMessage, campaign.Tier, error) {
 	n.mu.Lock()
 	p, ok := n.peers[id]
 	n.mu.Unlock()
@@ -558,7 +505,7 @@ func (n *Node) forward(ctx context.Context, id string, sh campaign.Shard) (json.
 		return nil, "", fmt.Errorf("fabric: unknown peer %q", id)
 	}
 	body, err := json.Marshal(ForwardRequest{
-		Experiment: sh.Run.Experiment, Seed: sh.Run.Seed, Params: sh.Run.Params, Key: sh.Key,
+		Experiment: rs.Experiment, Seed: rs.Seed, Params: rs.Params, Key: key,
 	})
 	if err != nil {
 		return nil, "", err

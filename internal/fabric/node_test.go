@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,25 +18,97 @@ import (
 	"repro/internal/registry"
 )
 
-// gateRegistry returns a registry whose single "gate" experiment blocks
-// until release is called (or its context fires) — the knob the drain
-// interlock test needs.
-func gateRegistry() (*registry.Registry, func()) {
+// testRegistry returns a registry of three experiments:
+//
+//   - "echo" returns a pure function of its seed and counts its runs;
+//   - "fail" always fails the same way;
+//   - "gate" blocks until release is called or its context fires, the
+//     knob the drain and cancel tests need.
+func testRegistry() (*registry.Registry, *atomic.Int64, func()) {
+	var echoRuns atomic.Int64
 	gate := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
-	reg := registry.New(&registry.Experiment{
-		Name: "gate", Doc: "blocks until released", ArtifactKinds: []string{"text"},
-		Run: func(ctx context.Context, _ registry.Request) (*registry.Result, error) {
-			select {
-			case <-gate:
-				return &registry.Result{Text: "opened\n"}, nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
+	reg := registry.New(
+		&registry.Experiment{
+			Name: "echo", Doc: "echoes its seed", ArtifactKinds: []string{"text"},
+			Run: func(_ context.Context, req registry.Request) (*registry.Result, error) {
+				echoRuns.Add(1)
+				return &registry.Result{Text: fmt.Sprintf("echo seed=%d\n", req.Seed)}, nil
+			},
 		},
+		&registry.Experiment{
+			Name: "fail", Doc: "always fails", ArtifactKinds: []string{"text"},
+			Run: func(context.Context, registry.Request) (*registry.Result, error) {
+				return nil, errors.New("deterministic boom")
+			},
+		},
+		&registry.Experiment{
+			Name: "gate", Doc: "blocks until released", ArtifactKinds: []string{"text"},
+			Run: func(ctx context.Context, _ registry.Request) (*registry.Result, error) {
+				select {
+				case <-gate:
+					return &registry.Result{Text: "opened\n"}, nil
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			},
+		},
+	)
+	return reg, &echoRuns, release
+}
+
+// fleetOfOne returns a manager whose jobs run through a one-member
+// fabric node.
+func fleetOfOne(t *testing.T, reg *registry.Registry) *campaign.Manager {
+	t.Helper()
+	node, err := New(Config{Self: "solo", Fingerprint: reg.Fingerprint()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := campaign.New(campaign.Config{Registry: reg, Workers: 1, QueueDepth: 4, Sweep: node})
+	node.Attach(mgr)
+	t.Cleanup(func() { _ = mgr.Drain(context.Background()) })
+	return mgr
+}
+
+// waitJob polls a job until ok accepts its status.
+func waitJob(t *testing.T, mgr *campaign.Manager, id string, ok func(campaign.JobStatus) bool) campaign.JobStatus {
+	t.Helper()
+	var st campaign.JobStatus
+	waitFor(t, "job "+id, func() bool {
+		var err error
+		if st, err = mgr.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		return ok(st)
 	})
-	return reg, release
+	return st
+}
+
+// runJob submits spec, waits for the job to end and returns its final
+// status and its whole event history.
+func runJob(t *testing.T, mgr *campaign.Manager, spec campaign.Spec) (campaign.JobStatus, []campaign.Event) {
+	t.Helper()
+	st, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitJob(t, mgr, st.ID, func(st campaign.JobStatus) bool { return st.State.Terminal() })
+	evs, _, _, err := mgr.EventsSince(st.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, evs
+}
+
+// runStates lists a job's run states in order.
+func runStates(st campaign.JobStatus) []campaign.State {
+	var out []campaign.State
+	for _, r := range st.Runs {
+		out = append(out, r.State)
+	}
+	return out
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -54,7 +127,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // its bytes before Drain returns, while new forwarded work is refused
 // with ErrDraining the moment draining starts.
 func TestDrainCoversForwardedRuns(t *testing.T) {
-	reg, release := gateRegistry()
+	reg, _, release := testRegistry()
 	node, err := New(Config{Self: "solo", Fingerprint: reg.Fingerprint()})
 	if err != nil {
 		t.Fatal(err)
@@ -115,195 +188,256 @@ func TestDrainCoversForwardedRuns(t *testing.T) {
 	}
 }
 
-// TestWorkStealingDrainsQueues: a sweep over a single-member ring drains
-// the shared queue: every shard executes exactly once, on self, and
-// reports its own index-ordered record.
-func TestWorkStealingDrainsQueues(t *testing.T) {
-	reg, _ := gateRegistry()
-	node, err := New(Config{Self: "solo", Fingerprint: reg.Fingerprint()})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSweepRunsEveryRunOnce: a 40-run job on a one-member fleet runs
+// every run exactly once, on this node, and its body lists the records
+// in submission order.
+func TestSweepRunsEveryRunOnce(t *testing.T) {
+	reg, echoRuns, _ := testRegistry()
+	mgr := fleetOfOne(t, reg)
 
-	const shardsN = 40
-	shards := make([]campaign.Shard, shardsN)
-	for i := range shards {
-		shards[i] = campaign.Shard{
-			Index: i,
-			Run:   campaign.RunSpec{Experiment: "x", Seed: uint64(i)},
-			Key:   fmt.Sprintf("%064d", i),
+	const runsN = 40
+	var spec campaign.Spec
+	for i := range runsN {
+		spec.Runs = append(spec.Runs, campaign.RunSpec{Experiment: "echo", Seed: uint64(i)})
+	}
+	st, evs := runJob(t, mgr, spec)
+	if st.State != campaign.StateDone || st.Progress.Done != runsN {
+		t.Fatalf("job %s (%s) with %d of %d runs done, want done", st.State, st.Error, st.Progress.Done, runsN)
+	}
+	if n := echoRuns.Load(); n != runsN {
+		t.Fatalf("echo ran %d times, want %d", n, runsN)
+	}
+	reported := map[campaign.State]int{}
+	for _, ev := range evs {
+		if ev.Run != "" {
+			reported[ev.RunState]++
 		}
 	}
-	var mu sync.Mutex
-	startedN := 0
-	doneSet := make(map[int]int)
-	local := campaign.LocalRunFunc(func(_ context.Context, rs campaign.RunSpec, _ string) (json.RawMessage, campaign.Tier, error) {
-		return json.RawMessage(fmt.Sprintf(`{"seed":%d}`, rs.Seed)), campaign.TierMiss, nil
-	})
-	err = node.ExecuteSweep(context.Background(), shards, local,
-		func(i int, peer string) {
-			mu.Lock()
-			startedN++
-			mu.Unlock()
-			if peer != "solo" {
-				t.Errorf("shard %d started on %q", i, peer)
-			}
-		},
-		func(i int, res campaign.ShardResult) {
-			mu.Lock()
-			doneSet[i]++
-			mu.Unlock()
-			if res.Err != nil {
-				t.Errorf("shard %d: %v", i, res.Err)
-			}
-			if want := fmt.Sprintf(`{"seed":%d}`, i); string(res.Rec) != want {
-				t.Errorf("shard %d record %s, want %s", i, res.Rec, want)
-			}
-		})
+	if want := (map[campaign.State]int{campaign.StateRunning: runsN, campaign.StateDone: runsN}); !reflect.DeepEqual(reported, want) {
+		t.Fatalf("run events %v, want %v", reported, want)
+	}
+	rb, err := mgr.Result(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if startedN != shardsN || len(doneSet) != shardsN {
-		t.Fatalf("started %d, done %d distinct, want %d", startedN, len(doneSet), shardsN)
+	var body struct{ Runs []campaign.RunRecord }
+	if err := json.Unmarshal(rb.Body, &body); err != nil || len(body.Runs) != runsN {
+		t.Fatalf("body holds %d records (%v), want %d", len(body.Runs), err, runsN)
 	}
-	for i, c := range doneSet {
-		if c != 1 {
-			t.Fatalf("shard %d completed %d times", i, c)
+	for i, r := range body.Runs {
+		if r.Seed != uint64(i) {
+			t.Fatalf("record %d holds seed %d, want %d", i, r.Seed, i)
 		}
 	}
 }
 
-// TestSweepFailureCancelsRemaining: the first real shard failure stops
-// dispatch; every shard still gets exactly one done callback (failed,
-// done, or cancelled).
+// TestSweepFailureCancelsRemaining: the first real failure stops
+// dispatch. The runs before it are done, the runs after it are
+// cancelled without running, and every run reports exactly once.
 func TestSweepFailureCancelsRemaining(t *testing.T) {
-	reg, _ := gateRegistry()
-	node, err := New(Config{Self: "solo", Fingerprint: reg.Fingerprint()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shardsN = 30
-	shards := make([]campaign.Shard, shardsN)
-	for i := range shards {
-		shards[i] = campaign.Shard{Index: i, Key: fmt.Sprintf("%064d", i)}
-	}
-	boom := errors.New("boom")
-	var mu sync.Mutex
-	outcomes := make(map[int]error)
-	local := campaign.LocalRunFunc(func(_ context.Context, _ campaign.RunSpec, key string) (json.RawMessage, campaign.Tier, error) {
-		if key == shards[3].Key {
-			return nil, campaign.TierMiss, boom
+	reg, echoRuns, _ := testRegistry()
+	mgr := fleetOfOne(t, reg)
+
+	const runsN, failAt = 30, 3
+	var spec campaign.Spec
+	for i := range runsN {
+		rs := campaign.RunSpec{Experiment: "echo", Seed: uint64(i)}
+		if i == failAt {
+			rs.Experiment = "fail"
 		}
-		return json.RawMessage(`{}`), campaign.TierMiss, nil
-	})
-	err = node.ExecuteSweep(context.Background(), shards, local,
-		func(int, string) {},
-		func(i int, res campaign.ShardResult) {
-			mu.Lock()
-			if _, dup := outcomes[i]; dup {
-				t.Errorf("shard %d reported twice", i)
-			}
-			outcomes[i] = res.Err
-			mu.Unlock()
-		})
-	if err != nil {
-		t.Fatalf("sweep error: %v (shard failures travel per-shard)", err)
+		spec.Runs = append(spec.Runs, rs)
 	}
-	if len(outcomes) != shardsN {
-		t.Fatalf("%d outcomes, want %d", len(outcomes), shardsN)
+	st, evs := runJob(t, mgr, spec)
+	if st.State != campaign.StateFailed || !strings.Contains(st.Error, "deterministic boom") {
+		t.Fatalf("job %s (%q), want failed on the failing run", st.State, st.Error)
 	}
-	if !errors.Is(outcomes[3], boom) {
-		t.Fatalf("failing shard outcome: %v", outcomes[3])
+	for i, s := range runStates(st) {
+		want := campaign.StateCancelled
+		switch {
+		case i < failAt:
+			want = campaign.StateDone
+		case i == failAt:
+			want = campaign.StateFailed
+		}
+		if s != want {
+			t.Errorf("run %d ended %s, want %s", i, s, want)
+		}
+	}
+	if n := echoRuns.Load(); n != failAt {
+		t.Fatalf("echo ran %d times, want %d: runs after the failure must not start", n, failAt)
+	}
+	terminal := 0
+	for _, ev := range evs {
+		if ev.Run != "" && ev.RunState.Terminal() {
+			terminal++
+		}
+	}
+	if terminal != runsN {
+		t.Fatalf("%d terminal run events, want one per run (%d)", terminal, runsN)
 	}
 }
 
-// TestStealPreservesOwner: a sweep whose shards all belong to one peer
-// keeps both its placement and its concurrency. With self, "a" and "b"
-// in the ring there are three dispatch slots, so three forwards to "a"
-// must be in flight at once, and every shard must still run on "a" —
-// a slot that re-homed its shard to itself would defeat cache placement,
-// and a pool that ran one shard at a time would leave a skewed sweep
-// serial.
-func TestStealPreservesOwner(t *testing.T) {
-	const slots, shardsN = 3, 6
+// TestSweepKeepsPlacementAndSlots: a job whose runs all belong to one
+// peer keeps both its placement and its concurrency. With self, "a" and
+// "b" in the ring there are three dispatch slots, so three forwards to
+// "a" must be in flight at once, and every run must still go to "a": a
+// slot that re-homed its run would defeat cache placement, and a pool
+// that ran one run at a time would leave a skewed sweep serial.
+func TestSweepKeepsPlacementAndSlots(t *testing.T) {
+	const slots, runsN = 3, 6
 	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	full := make(chan struct{})
 	var fill sync.Once
 	var mu sync.Mutex
 	inflight, peak := 0, 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req ForwardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		mu.Lock()
-		inflight++
-		if inflight > peak {
-			peak = inflight
-		}
-		if inflight == slots {
-			fill.Do(func() { close(full) })
-		}
-		mu.Unlock()
-		select {
-		case <-full:
-		case <-deadline.Done():
-		}
-		mu.Lock()
-		inflight--
-		mu.Unlock()
-		w.Header().Set("X-Cache", string(campaign.TierMiss))
-		fmt.Fprintf(w, `{"seed":%d}`, req.Seed)
-	}))
-	defer srv.Close()
+	hits := map[string]int{}
+	peer := func(id string) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req ForwardRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			hits[id]++
+			inflight++
+			peak = max(peak, inflight)
+			if inflight == slots {
+				fill.Do(func() { close(full) })
+			}
+			mu.Unlock()
+			select {
+			case <-full:
+			case <-deadline.Done():
+			}
+			mu.Lock()
+			inflight--
+			mu.Unlock()
+			w.Header().Set("X-Cache", string(campaign.TierMiss))
+			fmt.Fprintf(w, `{"seed":%d}`, req.Seed)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	a, b := peer("a"), peer("b")
 
-	node, err := New(Config{Self: "self", Peers: []Peer{{ID: "a", Addr: srv.URL}, {ID: "b", Addr: srv.URL}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shards []campaign.Shard
-	for i := 0; len(shards) < shardsN; i++ {
-		if key := fmt.Sprintf("%064d", i); node.ring.Owner(key) == "a" {
-			n := len(shards)
-			shards = append(shards, campaign.Shard{
-				Index: n, Run: campaign.RunSpec{Experiment: "x", Seed: uint64(n)}, Key: key,
-			})
-		}
-	}
-	local := campaign.LocalRunFunc(func(context.Context, campaign.RunSpec, string) (json.RawMessage, campaign.Tier, error) {
-		t.Error("a shard owned by a reachable peer ran locally")
-		return json.RawMessage(`{}`), campaign.TierMiss, nil
-	})
-	var doneMu sync.Mutex
-	doneN := make(map[int]int)
-	err = node.ExecuteSweep(context.Background(), shards, local,
-		func(i int, peer string) {
-			if peer != "a" {
-				t.Errorf("shard %d started on %q, want its owner a", i, peer)
-			}
+	reg := registry.New(&registry.Experiment{
+		Name: "x", Doc: "runs only on peers", ArtifactKinds: []string{"text"},
+		Run: func(context.Context, registry.Request) (*registry.Result, error) {
+			t.Error("a run owned by a reachable peer ran locally")
+			return &registry.Result{}, nil
 		},
-		func(i int, res campaign.ShardResult) {
-			doneMu.Lock()
-			doneN[i]++
-			doneMu.Unlock()
-			if want := fmt.Sprintf(`{"seed":%d}`, i); res.Err != nil || string(res.Rec) != want {
-				t.Errorf("shard %d: rec=%s err=%v, want %s", i, res.Rec, res.Err, want)
-			}
-		})
+	})
+	node, err := New(Config{Self: "self", Fingerprint: reg.Fingerprint(),
+		Peers: []Peer{{ID: "a", Addr: a.URL}, {ID: "b", Addr: b.URL}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < shardsN; i++ {
-		if doneN[i] != 1 {
-			t.Errorf("shard %d completed %d times", i, doneN[i])
+	mgr := campaign.New(campaign.Config{Registry: reg, Workers: 1, Sweep: node})
+	node.Attach(mgr)
+	defer mgr.Drain(context.Background())
+
+	var spec campaign.Spec
+	var records []string
+	for seed := uint64(0); len(spec.Runs) < runsN; seed++ {
+		rs := campaign.RunSpec{Experiment: "x", Seed: seed}
+		if _, key, err := mgr.ResolveRun(rs); err != nil {
+			t.Fatal(err)
+		} else if node.ring.Owner(key) == "a" {
+			spec.Runs = append(spec.Runs, rs)
+			records = append(records, fmt.Sprintf(`{"seed":%d}`, seed))
 		}
+	}
+	st, _ := runJob(t, mgr, spec)
+	if st.State != campaign.StateDone {
+		t.Fatalf("job %s (%s), want done", st.State, st.Error)
+	}
+	for i, r := range st.Runs {
+		if r.Tier != campaign.TierForward {
+			t.Errorf("run %d served from %q, want forward", i, r.Tier)
+		}
+	}
+	rb, err := mgr.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"runs":[` + strings.Join(records, ",") + `]}`; string(rb.Body) != want {
+		t.Fatalf("body %s, want %s", rb.Body, want)
 	}
 	mu.Lock()
 	defer mu.Unlock()
+	if !reflect.DeepEqual(hits, map[string]int{"a": runsN}) {
+		t.Fatalf("forwards per peer %v, want all %d on a", hits, runsN)
+	}
 	if peak != slots {
 		t.Fatalf("peak forwards in flight = %d, want %d (one per ring member)", peak, slots)
+	}
+}
+
+// TestOneJobPath: a standalone manager and a one-member fleet run jobs
+// down the same dispatch loop. The same failing 3-run job, its
+// resubmission (the failure now served from the memory tier) and a
+// 3-run job cancelled mid-run end with the same run states, cached
+// flags, tiers and event sequences on both.
+func TestOneJobPath(t *testing.T) {
+	reg, _, release := testRegistry()
+	standalone := campaign.New(campaign.Config{Registry: reg, Workers: 1, QueueDepth: 4})
+	t.Cleanup(func() { _ = standalone.Drain(context.Background()) })
+	fleet := fleetOfOne(t, reg)
+	t.Cleanup(release) // runs before the drains
+
+	failing := campaign.Spec{Runs: []campaign.RunSpec{
+		{Experiment: "fail", Seed: 1}, {Experiment: "echo", Seed: 1}, {Experiment: "echo", Seed: 2},
+	}}
+	gated := campaign.Spec{Runs: []campaign.RunSpec{
+		{Experiment: "gate", Seed: 1}, {Experiment: "echo", Seed: 3}, {Experiment: "echo", Seed: 4},
+	}}
+	afterFailure := []campaign.State{campaign.StateFailed, campaign.StateCancelled, campaign.StateCancelled}
+	allCancelled := []campaign.State{campaign.StateCancelled, campaign.StateCancelled, campaign.StateCancelled}
+
+	type outcome struct {
+		runs   []campaign.RunStatus
+		events []campaign.Event
+	}
+	drive := func(mgr *campaign.Manager) []outcome {
+		var out []outcome
+		for pass := 0; pass < 2; pass++ {
+			st, evs := runJob(t, mgr, failing)
+			if st.State != campaign.StateFailed || !reflect.DeepEqual(runStates(st), afterFailure) {
+				t.Fatalf("pass %d: job %s with runs %v, want failed with %v", pass, st.State, runStates(st), afterFailure)
+			}
+			if r := st.Runs[0]; pass == 1 && (!r.Cached || r.Tier != campaign.TierMem) {
+				t.Fatalf("resubmitted failure: cached=%v tier=%q, want a memory hit", r.Cached, r.Tier)
+			}
+			out = append(out, outcome{st.Runs, evs})
+		}
+		st, err := mgr.Submit(gated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, mgr, st.ID, func(st campaign.JobStatus) bool { return st.Runs[0].State == campaign.StateRunning })
+		if _, err := mgr.Cancel(st.ID); err != nil {
+			t.Fatal(err)
+		}
+		st = waitJob(t, mgr, st.ID, func(st campaign.JobStatus) bool { return st.State.Terminal() })
+		if st.State != campaign.StateCancelled || !reflect.DeepEqual(runStates(st), allCancelled) {
+			t.Fatalf("cancelled job %s with runs %v, want cancelled with %v", st.State, runStates(st), allCancelled)
+		}
+		evs, _, _, err := mgr.EventsSince(st.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(out, outcome{st.Runs, evs})
+	}
+	solo, onFleet := drive(standalone), drive(fleet)
+	for i, name := range []string{"failing job", "resubmitted failing job", "cancelled job"} {
+		if !reflect.DeepEqual(solo[i].runs, onFleet[i].runs) {
+			t.Errorf("%s: runs differ\nstandalone %+v\nfleet      %+v", name, solo[i].runs, onFleet[i].runs)
+		}
+		if !reflect.DeepEqual(solo[i].events, onFleet[i].events) {
+			t.Errorf("%s: events differ\nstandalone %+v\nfleet      %+v", name, solo[i].events, onFleet[i].events)
+		}
 	}
 }
 
@@ -472,7 +606,7 @@ func TestRefreshHungPeerSparesOthers(t *testing.T) {
 
 // TestRefreshProbesPeers pins the start-up probe: a peer serving the
 // same catalog fingerprint reads ready; one serving another reads
-// incompatible, Refresh reports it, and executorFor never picks it; an
+// incompatible, Refresh reports it, and Place never picks it; an
 // unreachable peer makes Refresh fail but stays ready, not down, so the
 // first sweep still routes to it (see probe).
 func TestRefreshProbesPeers(t *testing.T) {
@@ -529,8 +663,8 @@ func TestRefreshProbesPeers(t *testing.T) {
 		if node.ring.Owner(key) == "other" {
 			owned++
 		}
-		if got := node.executorFor(key); got == "other" {
-			t.Fatalf("executorFor(%s) chose the incompatible peer", key)
+		if owners, _ := node.Place([]string{key}); owners[0] == "other" {
+			t.Fatalf("Place(%s) chose the incompatible peer", key)
 		}
 	}
 	if owned == 0 {

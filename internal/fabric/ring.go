@@ -1,13 +1,13 @@
 // Package fabric turns N voltbootd processes into one result-serving
-// fleet: a consistent-hash ring routes every content-addressed run key
-// to an owner peer, multi-run sweeps split into per-trial shards that
-// one shared queue dispatches to their owners, and a minimal
-// readiness/drain protocol lets a peer leave without dropping in-flight
-// forwarded work.
+// fleet: a consistent-hash ring places every content-addressed run key
+// on an owner peer, the node forwards each run the campaign manager's
+// dispatch loop hands it to that owner (and runs it locally when the
+// owner refuses), and a minimal readiness/drain protocol lets a peer
+// leave without dropping in-flight forwarded work.
 //
 // The fabric trades placement, never correctness: every run record is a
 // deterministic pure function of its key, so any peer (or the local
-// node, when a forward fails) can compute any shard and the reassembled
+// node, when a forward fails) can compute any run and the reassembled
 // result body is byte-identical to a single-node run.
 package fabric
 

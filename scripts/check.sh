@@ -2,11 +2,14 @@
 # CI gate: gofmt, vet, voltvet, the module goldens, build, race-enabled
 # tests (the parallel runner's determinism tests raise GOMAXPROCS
 # themselves, so a single-core CI machine still exercises multi-worker
-# execution), the differential oracles (among them, that a power trace
-# ignores predecode, superblock and cache state and that a capture stops
-# when its window is full), the catalog digests, a short fuzz pass over
-# the byte decoders, the CPA attack and the job body, a one-iteration
-# smoke over the micro-benchmarks and the allocation-free gates. Each
+# execution), a stress stage that runs the scheduling-dependent service
+# tests 100 times each under -race (so a bound that holds only for some
+# schedules fails the gate almost every time, not now and then), the
+# differential oracles (among them, that a power trace ignores
+# predecode, superblock and cache state and that a capture stops when
+# its window is full), the catalog digests, a short fuzz pass over the
+# byte decoders, the CPA attack and the job body, a one-iteration smoke
+# over the micro-benchmarks and the allocation-free gates. Each
 # stage that names its tests or benchmarks first checks that every name
 # still matches one, so a rename cannot leave a stage running nothing.
 # `make check` runs this script.
@@ -103,6 +106,12 @@ echo "==> fabric: N-node harness under -race (sharded sweeps, restart, drain han
 go test -race -count=1 ./internal/fabric/
 require_named Test 'TestFabric' ./internal/api/
 go test -race -count=1 -run 'TestFabric' ./internal/api/
+
+echo "==> scheduling-dependent service tests: 100 runs each under -race (single-flight coalescing, one job path standalone and on a fleet)"
+require_named Test '^TestConcurrentIdenticalSubmissions$' ./internal/campaign/
+go test -race -count=100 -run '^TestConcurrentIdenticalSubmissions$' ./internal/campaign/
+require_named Test '^TestOneJobPath$' ./internal/fabric/
+go test -race -count=100 -run '^TestOneJobPath$' ./internal/fabric/
 
 echo "==> glitch engine: full -race pass (triggers, faults, snapshots refused while armed, cross-domain isolation)"
 go test -race -count=1 ./internal/glitch/
