@@ -503,3 +503,57 @@ func TestFabricSCACPAByteIdentical(t *testing.T) {
 		t.Fatalf("trace artifact differs across the fabric (%d vs %d bytes)", len(soloArt), len(fleetArt))
 	}
 }
+
+// TestFabricCachedFailureReadsCached: a deterministic failure that its
+// owner serves again from its own cache reads cached on the submitter,
+// as it does on a standalone node. The peer's 422 carries its X-Cache
+// tier, and the submitter reports the run cached when that tier is a hit.
+func TestFabricCachedFailureReadsCached(t *testing.T) {
+	var fails atomic.Int64
+	fleet := startFleetReg(t, 3, nil, func() *registry.Registry {
+		return registry.New(&registry.Experiment{
+			Name: "fail", Doc: "always fails", ArtifactKinds: []string{"text"},
+			Run: func(context.Context, registry.Request) (*registry.Result, error) {
+				fails.Add(1)
+				return nil, fmt.Errorf("deterministic failure")
+			},
+		})
+	})
+	// A seed whose run the submitter places on a peer.
+	seed := -1
+	for s := 0; s < 64 && seed < 0; s++ {
+		_, key, err := fleet[0].mgr.ResolveRun(campaign.RunSpec{Experiment: "fail", Seed: uint64(s)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owners, _ := fleet[0].node.Place([]string{key}); owners[0] != "" {
+			seed = s
+		}
+	}
+	if seed < 0 {
+		t.Fatal("no seed below 64 is placed on a peer")
+	}
+	body := fmt.Sprintf(`{"wait":true,"runs":[{"experiment":"fail","seed":%d}]}`, seed)
+	for pass, wantCached := range []bool{false, true} {
+		resp, err := http.Post(fleet[0].ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st campaign.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != campaign.StateFailed || len(st.Runs) != 1 || st.Runs[0].State != campaign.StateFailed {
+			t.Fatalf("pass %d: job %s with runs %+v, want one failed run", pass, st.State, st.Runs)
+		}
+		if r := st.Runs[0]; r.Cached != wantCached || r.Tier != campaign.TierForward {
+			t.Fatalf("pass %d: failed run cached=%v tier=%q, want cached=%v tier=%q",
+				pass, r.Cached, r.Tier, wantCached, campaign.TierForward)
+		}
+	}
+	if n := fails.Load(); n != 1 {
+		t.Fatalf("the failing run was simulated %d times, want once", n)
+	}
+}

@@ -406,7 +406,9 @@ func (s *Server) handleFabricRun(w http.ResponseWriter, r *http.Request) {
 		return
 	case err != nil:
 		// The run executed here and failed deterministically; the sender
-		// propagates this instead of retrying elsewhere.
+		// propagates this instead of retrying elsewhere. The tier tells it
+		// whether the failure came from this node's cache.
+		w.Header().Set("X-Cache", string(tier))
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}

@@ -482,7 +482,7 @@ func (n *Node) RunShard(ctx context.Context, owner string, rs campaign.RunSpec, 
 		case errors.As(err, new(*runError)):
 			// The run executed on the peer and failed deterministically:
 			// same bytes-in, same failure anywhere. Propagate, don't rerun.
-			return nil, campaign.TierForward, false, err
+			return nil, campaign.TierForward, peerTier.Hit(), err
 		case ctx.Err() != nil:
 			return nil, "", false, context.Canceled
 		}
@@ -496,7 +496,8 @@ func (n *Node) RunShard(ctx context.Context, owner string, rs campaign.RunSpec, 
 }
 
 // forward POSTs one run to a peer's /v1/fabric/run and returns the
-// record plus the tier the peer served it from.
+// record, or the peer's deterministic failure as a *runError, plus the
+// tier the peer served it from.
 func (n *Node) forward(ctx context.Context, id string, rs campaign.RunSpec, key string) (json.RawMessage, campaign.Tier, error) {
 	n.mu.Lock()
 	p, ok := n.peers[id]
@@ -545,7 +546,7 @@ func (n *Node) forward(ctx context.Context, id string, rs campaign.RunSpec, key 
 		if derr := json.NewDecoder(resp.Body).Decode(&e); derr != nil || e.Error == "" {
 			e.Error = "peer reported a run failure"
 		}
-		return nil, "", &runError{msg: e.Error}
+		return nil, campaign.Tier(resp.Header.Get("X-Cache")), &runError{msg: e.Error}
 	case http.StatusServiceUnavailable:
 		// Peer is draining: it hands the shard back to the ring.
 		n.markDown(id)

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -100,13 +101,11 @@ func Assemble(base uint64, src string) ([]uint32, error) {
 				return nil, &AsmError{it.line, "duplicate label " + it.label}
 			}
 			labels[it.label] = pc
-			continue
+		} else if mn, _ := splitMnemonic(it.text); mn == "LDIMM" {
+			pc += 16
+		} else {
+			pc += 4
 		}
-		n, err := wordCount(it.text)
-		if err != nil {
-			return nil, &AsmError{it.line, err.Error()}
-		}
-		pc += uint64(n) * 4
 	}
 
 	// Pass 2: encode.
@@ -124,17 +123,6 @@ func Assemble(base uint64, src string) ([]uint32, error) {
 		pc += uint64(len(words)) * 4
 	}
 	return out, nil
-}
-
-// wordCount returns how many 32-bit words a source line assembles to.
-func wordCount(text string) (int, error) {
-	mn, _ := splitMnemonic(text)
-	switch mn {
-	case "LDIMM":
-		return 4, nil
-	default:
-		return 1, nil
-	}
 }
 
 func splitMnemonic(text string) (mnemonic, rest string) {
@@ -175,45 +163,35 @@ func parseXReg(s string) (int, error) {
 	if u == "XZR" {
 		return XZR, nil
 	}
-	if strings.HasPrefix(u, "X") {
-		n, err := strconv.Atoi(u[1:])
-		if err == nil && n >= 0 && n <= 30 {
-			return n, nil
-		}
+	digits, ok := strings.CutPrefix(u, "X")
+	if n, err := strconv.Atoi(digits); ok && err == nil && n >= 0 && n <= 30 {
+		return n, nil
 	}
 	return 0, fmt.Errorf("bad X register %q", s)
 }
 
 func parseVReg(s string) (int, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	if strings.HasPrefix(u, "V") {
-		n, err := strconv.Atoi(u[1:])
-		if err == nil && n >= 0 && n <= 31 {
-			return n, nil
-		}
+	digits, ok := strings.CutPrefix(strings.ToUpper(strings.TrimSpace(s)), "V")
+	if n, err := strconv.Atoi(digits); ok && err == nil && n >= 0 && n <= 31 {
+		return n, nil
 	}
 	return 0, fmt.Errorf("bad V register %q", s)
 }
 
 func parseImm(s string) (int64, error) {
-	u := strings.TrimSpace(s)
-	if !strings.HasPrefix(u, "#") {
+	u, ok := strings.CutPrefix(strings.TrimSpace(s), "#")
+	if !ok {
 		return 0, fmt.Errorf("immediate must start with '#': %q", s)
 	}
-	u = strings.TrimPrefix(u, "#")
-	neg := strings.HasPrefix(u, "-")
-	if neg {
-		u = u[1:]
-	}
-	v, err := strconv.ParseUint(u, 0, 64)
+	digits, neg := strings.CutPrefix(u, "-")
+	v, err := strconv.ParseUint(digits, 0, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad immediate %q: %v", s, err)
 	}
-	iv := int64(v)
 	if neg {
-		iv = -iv
+		return -int64(v), nil
 	}
-	return iv, nil
+	return int64(v), nil
 }
 
 // parseMem parses "[Xn]" or "[Xn, #off]".
@@ -222,19 +200,11 @@ func parseMem(s string) (rn int, off int64, err error) {
 	if !strings.HasPrefix(u, "[") || !strings.HasSuffix(u, "]") {
 		return 0, 0, fmt.Errorf("bad memory operand %q", s)
 	}
-	inner := strings.TrimSpace(u[1 : len(u)-1])
-	parts := strings.SplitN(inner, ",", 2)
-	rn, err = parseXReg(parts[0])
-	if err != nil {
-		return 0, 0, err
+	base, offset, hasOffset := strings.Cut(u[1:len(u)-1], ",")
+	if rn, err = parseXReg(base); err == nil && hasOffset {
+		off, err = parseImm(offset)
 	}
-	if len(parts) == 2 {
-		off, err = parseImm(parts[1])
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	return rn, off, nil
+	return rn, off, err
 }
 
 // branchTarget resolves a label or ".+n"/".-n" relative target to a word
@@ -252,451 +222,173 @@ func branchTarget(s string, pc uint64, labels map[string]uint64) (int64, error) 
 	if !ok {
 		return 0, fmt.Errorf("undefined label %q", u)
 	}
-	diff := int64(addr) - int64(pc)
-	if diff%4 != 0 {
-		return 0, fmt.Errorf("misaligned branch target %q", u)
-	}
-	return diff / 4, nil
+	// Every line assembles to whole words, so labels and pc are both
+	// base plus a multiple of 4.
+	return (int64(addr) - int64(pc)) / 4, nil
 }
 
+// encodeLine assembles one source line: a pseudo-op, or one instruction
+// of the op table.
 func encodeLine(text string, pc uint64, labels map[string]uint64) ([]uint32, error) {
 	mn, rest := splitMnemonic(text)
-	ops := operands(rest)
-	one := func(in Instr) ([]uint32, error) { return []uint32{in.Encode()}, nil }
-
-	need := func(n int) error {
-		if len(ops) != n {
-			return fmt.Errorf("%s expects %d operands, got %d", mn, n, len(ops))
-		}
-		return nil
-	}
-
+	args := operands(rest)
 	switch mn {
 	case ".WORD":
-		if err := need(1); err != nil {
-			return nil, err
+		if len(args) != 1 {
+			return nil, fmt.Errorf(".word expects 1 operand, got %d", len(args))
 		}
-		v, err := strconv.ParseUint(strings.TrimPrefix(ops[0], "#"), 0, 32)
+		v, err := strconv.ParseUint(strings.TrimPrefix(args[0], "#"), 0, 32)
 		if err != nil {
-			return nil, fmt.Errorf("bad .word value %q", ops[0])
+			return nil, fmt.Errorf("bad .word value %q", args[0])
 		}
 		return []uint32{uint32(v)}, nil
 
-	case "MOVZ", "MOVK", "MOVN":
-		if len(ops) != 2 && len(ops) != 3 {
-			return nil, fmt.Errorf("%s expects Xd, #imm16 [, LSL #shift]", mn)
-		}
-		rd, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := parseImm(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		hw := 0
-		if len(ops) == 3 {
-			fields := strings.Fields(strings.ToUpper(ops[2]))
-			if len(fields) != 2 || fields[0] != "LSL" {
-				return nil, fmt.Errorf("%s: third operand must be 'LSL #shift', got %q", mn, ops[2])
-			}
-			shift, err := parseImm(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			if shift%16 != 0 || shift < 0 || shift > 48 {
-				return nil, fmt.Errorf("%s shift must be 0/16/32/48, got %d", mn, shift)
-			}
-			hw = int(shift / 16)
-		}
-		op := map[string]Op{"MOVZ": OpMOVZ, "MOVK": OpMOVK, "MOVN": OpMOVN}[mn]
-		if imm < 0 || imm > 0xFFFF {
-			return nil, fmt.Errorf("%s immediate out of 16-bit range: %d", mn, imm)
-		}
-		return one(Instr{Op: op, Rd: rd, Imm: imm, Hw: hw})
-
 	case "LDIMM":
-		if err := need(2); err != nil {
-			return nil, err
+		if len(args) != 2 {
+			return nil, fmt.Errorf("LDIMM expects 2 operands, got %d", len(args))
 		}
-		rd, err := parseXReg(ops[0])
+		rd, err := parseXReg(args[0])
 		if err != nil {
 			return nil, err
 		}
-		var val uint64
-		if strings.HasPrefix(strings.TrimSpace(ops[1]), "#") {
-			imm, err := parseImm(ops[1])
+		val, ok := labels[strings.TrimSpace(args[1])] // labels never contain '#'
+		if !ok {
+			imm, err := parseImm(args[1])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("LDIMM operand must be #imm or label: %w", err)
 			}
 			val = uint64(imm)
-		} else if addr, ok := labels[strings.TrimSpace(ops[1])]; ok {
-			val = addr
-		} else {
-			return nil, fmt.Errorf("LDIMM operand must be #imm or label, got %q", ops[1])
 		}
-		words := make([]uint32, 0, 4)
-		words = append(words, Instr{Op: OpMOVZ, Rd: rd, Imm: int64(val & 0xFFFF)}.Encode())
+		words := []uint32{Instr{Op: OpMOVZ, Rd: rd, Imm: int64(val & 0xFFFF)}.Encode()}
 		for hw := 1; hw < 4; hw++ {
-			chunk := int64(val >> (16 * uint(hw)) & 0xFFFF)
-			words = append(words, Instr{Op: OpMOVK, Rd: rd, Imm: chunk, Hw: hw}.Encode())
+			words = append(words, Instr{Op: OpMOVK, Rd: rd, Imm: int64(val >> (16 * hw) & 0xFFFF), Hw: hw}.Encode())
 		}
 		return words, nil
 
-	case "MOV":
-		if err := need(2); err != nil {
-			return nil, err
+	case "MOV", "CMP", "CMPI":
+		// Pseudo-ops that spell one table instruction.
+		if len(args) != 2 {
+			return nil, fmt.Errorf("%s expects 2 operands, got %d", mn, len(args))
 		}
-		rd, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasPrefix(strings.TrimSpace(ops[1]), "#") {
-			imm, err := parseImm(ops[1])
-			if err != nil {
-				return nil, err
-			}
-			if imm < 0 || imm > 0xFFFF {
-				return nil, fmt.Errorf("MOV immediate out of 16-bit range; use LDIMM")
-			}
-			return one(Instr{Op: OpMOVZ, Rd: rd, Imm: imm})
-		}
-		rm, err := parseXReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return one(Instr{Op: OpORR, Rd: rd, Rn: XZR, Rm: rm})
-
-	case "ADD", "SUB", "AND", "ORR", "EOR", "LSL", "LSR", "MUL", "SUBS", "ADDS":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rn, err := parseXReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		rm, err := parseXReg(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		op := map[string]Op{
-			"ADD": OpADD, "SUB": OpSUB, "AND": OpAND, "ORR": OpORR, "EOR": OpEOR,
-			"LSL": OpLSLV, "LSR": OpLSRV, "MUL": OpMUL, "SUBS": OpSUBS, "ADDS": OpADDS,
-		}[mn]
-		return one(Instr{Op: op, Rd: rd, Rn: rn, Rm: rm})
-
-	case "VEOR":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		vd, err := parseVReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		vn, err := parseVReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		vm, err := parseVReg(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		return one(Instr{Op: OpVEOR, Rd: vd, Rn: vn, Rm: vm})
-
-	case "ADDI", "SUBI", "SUBSI":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rn, err := parseXReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := parseImm(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		if imm < 0 || imm > 0xFFF {
-			return nil, fmt.Errorf("%s immediate out of 12-bit range: %d", mn, imm)
-		}
-		op := map[string]Op{"ADDI": OpADDI, "SUBI": OpSUBI, "SUBSI": OpSUBSI}[mn]
-		return one(Instr{Op: op, Rd: rd, Rn: rn, Imm: imm})
-
-	case "CMP":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rn, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rm, err := parseXReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return one(Instr{Op: OpSUBS, Rd: XZR, Rn: rn, Rm: rm})
-
-	case "CMPI":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rn, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := parseImm(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if imm < 0 || imm > 0xFFF {
-			return nil, fmt.Errorf("CMPI immediate out of 12-bit range: %d", imm)
-		}
-		return one(Instr{Op: OpSUBSI, Rd: XZR, Rn: rn, Imm: imm})
-
-	case "LDR", "STR", "LDRW", "STRW", "LDRB", "STRB":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rt, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rn, off, err := parseMem(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		op := map[string]Op{
-			"LDR": OpLDR, "STR": OpSTR, "LDRW": OpLDRW,
-			"STRW": OpSTRW, "LDRB": OpLDRB, "STRB": OpSTRB,
-		}[mn]
-		sz := int64(accessSize(op))
-		if off%sz != 0 || off < 0 || off/sz > 0xFFF {
-			return nil, fmt.Errorf("%s offset %d invalid (must be 0..%d in steps of %d)", mn, off, 0xFFF*sz, sz)
-		}
-		return one(Instr{Op: op, Rd: rt, Rn: rn, Imm: off})
-
-	case "VLDR", "VSTR":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		vt, err := parseVReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rn, off, err := parseMem(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		op := OpVLDR
-		if mn == "VSTR" {
-			op = OpVSTR
-		}
-		if off%16 != 0 || off < 0 || off/16 > 0xFFF {
-			return nil, fmt.Errorf("%s offset %d invalid (16-byte aligned)", mn, off)
-		}
-		return one(Instr{Op: op, Rd: vt, Rn: rn, Imm: off})
-
-	case "B.EQ", "B.NE", "B.LT", "B.GE", "B.LO", "B.HS", "B.GT", "B.LE":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		var cond Cond
-		for c, name := range condNames {
-			if name == strings.TrimPrefix(mn, "B.") {
-				cond = c
-			}
-		}
-		disp, err := branchTarget(ops[0], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		return one(Instr{Op: OpBCond, Cond: cond, Imm: disp})
-
-	case "B", "BL":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		disp, err := branchTarget(ops[0], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		op := OpB
-		if mn == "BL" {
-			op = OpBL
-		}
-		return one(Instr{Op: op, Imm: disp})
-
-	case "CBZ", "CBNZ":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rt, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		disp, err := branchTarget(ops[1], pc, labels)
-		if err != nil {
-			return nil, err
-		}
-		op := OpCBZ
-		if mn == "CBNZ" {
-			op = OpCBNZ
-		}
-		return one(Instr{Op: op, Rd: rt, Imm: disp})
-
-	case "RET":
-		rn := 30
-		if len(ops) == 1 {
-			var err error
-			rn, err = parseXReg(ops[0])
-			if err != nil {
-				return nil, err
-			}
-		} else if len(ops) != 0 {
-			return nil, fmt.Errorf("RET takes at most one register")
-		}
-		return one(Instr{Op: OpRET, Rn: rn})
-
-	case "NOP":
-		return one(Instr{Op: OpNOP})
-	case "DSB":
-		return one(Instr{Op: OpDSB})
-	case "ISB":
-		return one(Instr{Op: OpISB})
-
-	case "HLT":
-		imm := int64(0)
-		if len(ops) == 1 {
-			var err error
-			imm, err = parseImm(ops[0])
-			if err != nil {
-				return nil, err
-			}
-		}
-		return one(Instr{Op: OpHLT, Imm: imm})
-
-	case "MRS":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		sys, ok := SysRegByName(strings.ToUpper(strings.TrimSpace(ops[1])))
-		if !ok {
-			return nil, fmt.Errorf("unknown system register %q", ops[1])
-		}
-		return one(Instr{Op: OpMRS, Rd: rd, Sys: sys})
-
-	case "MSR":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		sys, ok := SysRegByName(strings.ToUpper(strings.TrimSpace(ops[0])))
-		if !ok {
-			return nil, fmt.Errorf("unknown system register %q", ops[0])
-		}
-		rt, err := parseXReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return one(Instr{Op: OpMSR, Rd: rt, Sys: sys})
-
-	case "DC":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		kind := strings.ToUpper(strings.TrimSpace(ops[0]))
-		rt, err := parseXReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case "ZVA":
-			return one(Instr{Op: OpDCZVA, Rd: rt})
-		case "CIVAC":
-			return one(Instr{Op: OpDCCIVAC, Rd: rt})
+		switch {
+		case mn == "CMP":
+			mn, args = "SUBS", []string{"XZR", args[0], args[1]}
+		case mn == "CMPI":
+			mn, args = "SUBSI", []string{"XZR", args[0], args[1]}
+		case strings.HasPrefix(strings.TrimSpace(args[1]), "#"):
+			mn = "MOVZ"
 		default:
-			return nil, fmt.Errorf("unsupported DC operation %q", kind)
+			mn, args = "ORR", []string{args[0], "XZR", args[1]}
 		}
-
-	case "IC":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if strings.ToUpper(strings.TrimSpace(ops[0])) != "IALLU" {
-			return nil, fmt.Errorf("unsupported IC operation %q", ops[0])
-		}
-		return one(Instr{Op: OpICIALLU})
-
-	case "VMOVI":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		vd, err := parseVReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := parseImm(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if imm < 0 || imm > 0xFF {
-			return nil, fmt.Errorf("VMOVI immediate out of byte range: %d", imm)
-		}
-		return one(Instr{Op: OpVMOVI, Rd: vd, Imm: imm})
-
-	case "UMOV":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := parseXReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		vn, err := parseVReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		idx, err := parseImm(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		if idx < 0 || idx > 1 {
-			return nil, fmt.Errorf("UMOV lane must be 0 or 1")
-		}
-		return one(Instr{Op: OpUMOV, Rd: rd, Rn: vn, Idx: int(idx)})
-
-	case "INS":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		vd, err := parseVReg(ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rn, err := parseXReg(ops[1])
-		if err != nil {
-			return nil, err
-		}
-		idx, err := parseImm(ops[2])
-		if err != nil {
-			return nil, err
-		}
-		if idx < 0 || idx > 1 {
-			return nil, fmt.Errorf("INS lane must be 0 or 1")
-		}
-		return one(Instr{Op: OpINS, Rd: vd, Rn: rn, Idx: int(idx)})
-
-	default:
-		return nil, fmt.Errorf("unknown mnemonic %q", mn)
 	}
+	in, err := parseInstr(mn, args, pc, labels)
+	if err != nil {
+		return nil, err
+	}
+	return []uint32{in.Encode()}, nil
+}
+
+// parseInstr assembles one table instruction. Two ops share a mnemonic
+// only where the source tells them apart: B and B.cond by the condition
+// suffix, DC ZVA and DC CIVAC by the operation name.
+func parseInstr(mn string, args []string, pc uint64, labels map[string]uint64) (Instr, error) {
+	base, suffix, dotted := strings.Cut(mn, ".")
+	var s *opSpec
+	var op Op
+	for i := range ops {
+		var first operand
+		if len(ops[i].args) > 0 {
+			first = ops[i].args[0]
+		}
+		named := first.syn != synName || len(args) > 0 && strings.ToUpper(strings.TrimSpace(args[0])) == first.name
+		if ops[i].mn == base && (first.syn == synCond) == dotted && named {
+			s, op = &ops[i], Op(i)
+			break
+		}
+	}
+	if s == nil {
+		return Instr{}, fmt.Errorf("unknown mnemonic %q", mn)
+	}
+	in := Instr{Op: op}
+	next := 0
+	for i, a := range s.args {
+		var x int64
+		var err error
+		switch {
+		case a.syn == synCond:
+			x, err = a.parse(suffix, pc, labels)
+		case a.syn == synOff:
+			_, x, err = parseMem(args[next-1]) // the preceding memory operand
+		case next < len(args):
+			x, err = a.parse(args[next], pc, labels)
+			next++
+		case a.opt == required:
+			err = errors.New("missing")
+		default:
+			x = a.def
+		}
+		if err == nil {
+			err = a.f.check(x)
+		}
+		if err != nil {
+			return Instr{}, fmt.Errorf("%s operand %d: %w", mn, i+1, err)
+		}
+		in.set(a.f.to, x)
+	}
+	if next < len(args) {
+		return Instr{}, fmt.Errorf("%s takes %d operands, got %d", mn, next, len(args))
+	}
+	return in, nil
+}
+
+// parse reads one source operand.
+func (a *operand) parse(tok string, pc uint64, labels map[string]uint64) (int64, error) {
+	var r int
+	var err error
+	switch a.syn {
+	case synX:
+		r, err = parseXReg(tok)
+	case synV:
+		r, err = parseVReg(tok)
+	case synMem:
+		r, _, err = parseMem(tok)
+	case synHex, synDec:
+		return parseImm(tok)
+	case synShift:
+		f := strings.Fields(strings.ToUpper(tok))
+		if len(f) != 2 || f[0] != "LSL" {
+			return 0, fmt.Errorf("shift must be 'LSL #n', got %q", tok)
+		}
+		v, err := parseImm(f[1])
+		if err == nil && v%16 != 0 {
+			err = fmt.Errorf("shift must be 0/16/32/48, got %d", v)
+		}
+		return v / 16, err
+	case synTarget:
+		return branchTarget(tok, pc, labels)
+	case synCond:
+		c, ok := byName(condNames, tok)
+		if !ok {
+			return 0, fmt.Errorf("unknown condition %q", tok)
+		}
+		return int64(c), nil
+	case synSys:
+		id, ok := byName(sysregNames, strings.ToUpper(strings.TrimSpace(tok)))
+		if !ok {
+			return 0, fmt.Errorf("unknown system register %q", tok)
+		}
+		return int64(id), nil
+	}
+	return int64(r), err // synName: matched when the op was chosen
+}
+
+// byName returns the key names maps to name.
+func byName[K comparable](names map[K]string, name string) (K, bool) {
+	for k, n := range names {
+		if n == name {
+			return k, true
+		}
+	}
+	var none K
+	return none, false
 }

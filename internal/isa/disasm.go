@@ -8,88 +8,60 @@ import (
 // Disassemble renders a decoded instruction in assembler syntax. The
 // output round-trips through Assemble for every encodable instruction.
 func Disassemble(in Instr) string {
-	x := func(r int) string {
-		if r == XZR {
-			return "XZR"
-		}
-		return fmt.Sprintf("X%d", r)
-	}
-	v := func(r int) string { return fmt.Sprintf("V%d", r) }
-	switch in.Op {
-	case OpMOVZ, OpMOVK, OpMOVN:
-		name := map[Op]string{OpMOVZ: "MOVZ", OpMOVK: "MOVK", OpMOVN: "MOVN"}[in.Op]
-		if in.Hw == 0 {
-			return fmt.Sprintf("%s %s, #%#x", name, x(in.Rd), in.Imm)
-		}
-		return fmt.Sprintf("%s %s, #%#x, LSL #%d", name, x(in.Rd), in.Imm, in.Hw*16)
-	case OpADD, OpSUB, OpAND, OpORR, OpEOR, OpLSLV, OpLSRV, OpMUL, OpSUBS, OpADDS:
-		name := map[Op]string{
-			OpADD: "ADD", OpSUB: "SUB", OpAND: "AND", OpORR: "ORR", OpEOR: "EOR",
-			OpLSLV: "LSL", OpLSRV: "LSR", OpMUL: "MUL", OpSUBS: "SUBS", OpADDS: "ADDS",
-		}[in.Op]
-		return fmt.Sprintf("%s %s, %s, %s", name, x(in.Rd), x(in.Rn), x(in.Rm))
-	case OpVEOR:
-		return fmt.Sprintf("VEOR %s, %s, %s", v(in.Rd), v(in.Rn), v(in.Rm))
-	case OpADDI, OpSUBI, OpSUBSI:
-		name := map[Op]string{OpADDI: "ADDI", OpSUBI: "SUBI", OpSUBSI: "SUBSI"}[in.Op]
-		return fmt.Sprintf("%s %s, %s, #%d", name, x(in.Rd), x(in.Rn), in.Imm)
-	case OpLDR, OpSTR, OpLDRW, OpSTRW, OpLDRB, OpSTRB:
-		name := map[Op]string{
-			OpLDR: "LDR", OpSTR: "STR", OpLDRW: "LDRW", OpSTRW: "STRW",
-			OpLDRB: "LDRB", OpSTRB: "STRB",
-		}[in.Op]
-		if in.Imm == 0 {
-			return fmt.Sprintf("%s %s, [%s]", name, x(in.Rd), x(in.Rn))
-		}
-		return fmt.Sprintf("%s %s, [%s, #%d]", name, x(in.Rd), x(in.Rn), in.Imm)
-	case OpVLDR, OpVSTR:
-		name := map[Op]string{OpVLDR: "VLDR", OpVSTR: "VSTR"}[in.Op]
-		if in.Imm == 0 {
-			return fmt.Sprintf("%s %s, [%s]", name, v(in.Rd), x(in.Rn))
-		}
-		return fmt.Sprintf("%s %s, [%s, #%d]", name, v(in.Rd), x(in.Rn), in.Imm)
-	case OpB:
-		return fmt.Sprintf("B .%+d", in.Imm)
-	case OpBL:
-		return fmt.Sprintf("BL .%+d", in.Imm)
-	case OpBCond:
-		return fmt.Sprintf("B.%s .%+d", in.Cond, in.Imm)
-	case OpCBZ:
-		return fmt.Sprintf("CBZ %s, .%+d", x(in.Rd), in.Imm)
-	case OpCBNZ:
-		return fmt.Sprintf("CBNZ %s, .%+d", x(in.Rd), in.Imm)
-	case OpRET:
-		if in.Rn == 30 {
-			return "RET"
-		}
-		return fmt.Sprintf("RET %s", x(in.Rn))
-	case OpNOP:
-		return "NOP"
-	case OpHLT:
-		return fmt.Sprintf("HLT #%d", in.Imm)
-	case OpDSB:
-		return "DSB"
-	case OpISB:
-		return "ISB"
-	case OpMRS:
-		return fmt.Sprintf("MRS %s, %s", x(in.Rd), SysRegName(in.Sys))
-	case OpMSR:
-		return fmt.Sprintf("MSR %s, %s", SysRegName(in.Sys), x(in.Rd))
-	case OpDCZVA:
-		return fmt.Sprintf("DC ZVA, %s", x(in.Rd))
-	case OpDCCIVAC:
-		return fmt.Sprintf("DC CIVAC, %s", x(in.Rd))
-	case OpICIALLU:
-		return "IC IALLU"
-	case OpVMOVI:
-		return fmt.Sprintf("VMOVI %s, #%#x", v(in.Rd), in.Imm)
-	case OpUMOV:
-		return fmt.Sprintf("UMOV %s, %s, #%d", x(in.Rd), v(in.Rn), in.Idx)
-	case OpINS:
-		return fmt.Sprintf("INS %s, %s, #%d", v(in.Rd), x(in.Rn), in.Idx)
-	default:
+	s := in.Op.spec()
+	if s.mn == "" {
 		return fmt.Sprintf(".word %#08x", uint32(in.Op)<<opShift)
 	}
+	v := in.values()
+	var b strings.Builder
+	b.WriteString(s.mn)
+	sep := " "
+	for _, a := range s.args {
+		x := v[a.f.to]
+		switch {
+		case a.syn == synCond:
+			b.WriteString("." + Cond(x).String())
+			continue
+		case a.syn == synOff:
+			if x != 0 {
+				fmt.Fprintf(&b, ", #%d", x)
+			}
+			b.WriteString("]")
+			continue
+		case a.opt == elided && x == a.def:
+			continue
+		}
+		b.WriteString(sep)
+		sep = ", "
+		switch a.syn {
+		case synX:
+			b.WriteString(xName(x))
+		case synV:
+			fmt.Fprintf(&b, "V%d", x)
+		case synHex:
+			fmt.Fprintf(&b, "#%#x", x)
+		case synDec:
+			fmt.Fprintf(&b, "#%d", x)
+		case synShift:
+			fmt.Fprintf(&b, "LSL #%d", x*16)
+		case synMem:
+			b.WriteString("[" + xName(x))
+		case synTarget:
+			fmt.Fprintf(&b, ".%+d", x)
+		case synSys:
+			b.WriteString(SysRegName(uint32(x)))
+		case synName:
+			b.WriteString(a.name)
+		}
+	}
+	return b.String()
+}
+
+func xName(r int64) string {
+	if r == XZR {
+		return "XZR"
+	}
+	return fmt.Sprintf("X%d", r)
 }
 
 // DisassembleWord decodes and renders one machine word.

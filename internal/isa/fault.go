@@ -71,26 +71,11 @@ type FaultInjector interface {
 
 // HasGPRDest reports whether op writes a general-purpose destination
 // register (Rd) — the ops FaultCorrupt can visibly disturb.
-func HasGPRDest(op Op) bool {
-	switch op {
-	case OpMOVZ, OpMOVK, OpMOVN,
-		OpADD, OpSUB, OpAND, OpORR, OpEOR, OpLSLV, OpLSRV, OpMUL,
-		OpSUBS, OpADDS, OpADDI, OpSUBI, OpSUBSI,
-		OpLDR, OpLDRW, OpLDRB, OpMRS, OpUMOV:
-		return true
-	}
-	return false
-}
+func HasGPRDest(op Op) bool { return op.Class()&ClassGPRDest != 0 }
 
 // IsBranch reports whether op can redirect the PC — the ops
 // FaultWrongBranch can invert.
-func IsBranch(op Op) bool {
-	switch op {
-	case OpB, OpBL, OpBCond, OpCBZ, OpCBNZ, OpRET:
-		return true
-	}
-	return false
-}
+func IsBranch(op Op) bool { return op.Class()&ClassBranch != 0 }
 
 // execFaulted retires one instruction under an injected fault. Every
 // path retires exactly one instruction (PC advances, Instret++), so a

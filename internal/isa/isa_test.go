@@ -221,6 +221,36 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// TestAssembleRejectsUnencodable: operands no field can hold, and
+// operands an op does not take, are source errors, not panics in Encode
+// or silently dropped words.
+func TestAssembleRejectsUnencodable(t *testing.T) {
+	cases := []string{
+		"B .+33554432",
+		"BL .-33554433",
+		"B.NE .+131072",
+		"CBZ X1, .-1048577",
+		"HLT #65536",
+		"HLT #-1",
+		"HLT #1, #2",
+		"NOP X1",
+		"DSB #0",
+		"RET X1, X2",
+	}
+	for _, src := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Assemble(%q) panicked: %v", src, r)
+				}
+			}()
+			if words, err := Assemble(0, src); err == nil {
+				t.Errorf("Assemble(%q) = %x, want an error", src, words)
+			}
+		}()
+	}
+}
+
 func TestAssembleCommentsAndLabelsOnSameLine(t *testing.T) {
 	src := "start: NOP ; trailing comment\n// full line comment\nB start\n"
 	words, err := Assemble(0, src)

@@ -47,7 +47,7 @@ type DeviceSpec struct {
 
 	// L1D and L1I are the per-core cache geometries.
 	L1D, L1I cache.Config
-	// L2 is the shared cache geometry; Ways == 0 means no L2 is modelled.
+	// L2 is the shared cache geometry.
 	L2 cache.Config
 
 	// IRAMBytes is the on-chip RAM size (0 if none); IRAMBase its bus

@@ -232,15 +232,13 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 	s.DRAM.PowerOff() // until the memory domain comes up
 	s.MemDom.Attach(&dramLoad{mod: s.DRAM, minVolts: spec.MemVolts * 0.9})
 
-	if spec.L2.Ways > 0 {
-		l2, err := cache.New(env, spec.L2, seed, s.DRAM)
-		if err != nil {
-			return nil, err
-		}
-		s.L2 = l2
-		for _, a := range l2.Arrays() {
-			s.MemDom.Attach(a)
-		}
+	l2, err := cache.New(env, spec.L2, seed, s.DRAM)
+	if err != nil {
+		return nil, err
+	}
+	s.L2 = l2
+	for _, a := range l2.Arrays() {
+		s.MemDom.Attach(a)
 	}
 
 	if spec.IRAMBytes > 0 {
@@ -248,21 +246,17 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 		s.MemDom.Attach(s.IRAM)
 	}
 
-	var l1Backing cache.Backing = s.DRAM
-	if s.L2 != nil {
-		l1Backing = s.L2
-	}
 	for i := 0; i < spec.Cores; i++ {
 		l1dCfg := spec.L1D
 		l1dCfg.Name = fmt.Sprintf("core%d.%s", i, spec.L1D.Name)
 		l1iCfg := spec.L1I
 		l1iCfg.Name = fmt.Sprintf("core%d.%s", i, spec.L1I.Name)
 		coreSeed := seed + uint64(i)*0x1000
-		l1d, err := cache.New(env, l1dCfg, coreSeed, l1Backing)
+		l1d, err := cache.New(env, l1dCfg, coreSeed, s.L2)
 		if err != nil {
 			return nil, err
 		}
-		l1i, err := cache.New(env, l1iCfg, coreSeed+1, l1Backing)
+		l1i, err := cache.New(env, l1iCfg, coreSeed+1, s.L2)
 		if err != nil {
 			return nil, err
 		}
@@ -295,10 +289,8 @@ func New(env *sim.Env, spec DeviceSpec, opts Options, seed uint64) (*SoC, error)
 		s.arrays = append(s.arrays, c.CPU.Regs, c.TLB, c.BTB)
 		s.caches = append(s.caches, c.L1D, c.L1I)
 	}
-	if s.L2 != nil {
-		s.arrays = append(s.arrays, s.L2.Arrays()...)
-		s.caches = append(s.caches, s.L2)
-	}
+	s.arrays = append(s.arrays, s.L2.Arrays()...)
+	s.caches = append(s.caches, s.L2)
 	if s.IRAM != nil {
 		s.arrays = append(s.arrays, s.IRAM)
 	}
@@ -392,7 +384,7 @@ func (s *SoC) Boot(img *BootImage) error {
 
 	// VideoCore initialization (Broadcom): the video core runs its own
 	// firmware out of the shared L2, clobbering whatever it held (§6.2).
-	if s.Spec.HasVideoCore && s.L2 != nil && s.MemDom.Volts() > 0 {
+	if s.Spec.HasVideoCore && s.MemDom.Volts() > 0 {
 		junk := xrand.Derive(s.seed+uint64(s.bootCount), "videocore")
 		buf := make([]byte, s.L2.WayBytes())
 		arrs := s.L2.Arrays()
@@ -422,11 +414,9 @@ func (s *SoC) Boot(img *BootImage) error {
 	// orderly. Abrupt disconnects and forced warm reboots both trip it.
 	if s.Opts.TCGReset && !s.orderlyDown && s.DRAM.Powered() {
 		s.DRAM.Write(0, make([]byte, s.Spec.DRAMBytes))
-		if s.L2 != nil {
-			// The wipe goes through the memory system; stale L2 lines
-			// would resurrect old data, so firmware flushes it too.
-			s.L2.InvalidateAll()
-		}
+		// The wipe goes through the memory system; stale L2 lines would
+		// resurrect old data, so firmware flushes it too.
+		s.L2.InvalidateAll()
 	}
 	s.orderlyDown = false
 
@@ -647,7 +637,7 @@ func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, 
 			}
 			c.L1I.MarkFetched(way, set)
 			mode = predecL1I
-		case s.L2 != nil && s.L2.Enabled():
+		case s.L2.Enabled():
 			var ok bool
 			if way, set, ok = s.L2.ResidentWaySet(addr); !ok {
 				return
@@ -760,7 +750,7 @@ func (s *SoC) access(core int, addr uint64, size int, write bool, wdata uint64, 
 			// the next level: the L2 when enabled, else memory. (Routing
 			// here rather than through the cache's line-granular bypass
 			// keeps uncached extraction payloads fast.)
-			if s.L2 != nil && s.L2.Enabled() {
+			if s.L2.Enabled() {
 				return s.L2.Access(addr, size, write, wdata, c.CPU.Secure())
 			}
 			if write {
@@ -949,20 +939,16 @@ func (s *SoC) JTAGWriteIRAM(off int, data []byte) error {
 	return nil
 }
 
-// ReadDRAM reads main memory through the shared L2 when one is present,
-// and from the module otherwise. It sees the L2's lines, dirty ones
-// included, but not the cores' L1Ds: a line a core stored to and still
-// holds dirty in its L1D reads as the older copy in the L2 or the
-// module, so a caller that needs a core's stores cleans that core's L1D
-// first. With the L2 enabled, each read allocates and touches L2 lines
-// as a load does. This is
-// the experiment harness's view of what a payload exfiltrated; real
-// attackers pull the same bytes over UART/SD. For the *physical* cell
-// contents (cold boot experiments) read s.DRAM directly.
+// ReadDRAM reads main memory through the shared L2. It sees the L2's
+// lines, dirty ones included, but not the cores' L1Ds: a line a core
+// stored to and still holds dirty in its L1D reads as the older copy in
+// the L2 or the module, so a caller that needs a core's stores cleans
+// that core's L1D first. With the L2 enabled, each read allocates and
+// touches L2 lines as a load does. This is the experiment harness's view
+// of what a payload exfiltrated; real attackers pull the same bytes over
+// UART/SD. For the *physical* cell contents (cold boot experiments) read
+// s.DRAM directly.
 func (s *SoC) ReadDRAM(off, n int) []byte {
-	if s.L2 == nil {
-		return s.DRAM.Read(off, n)
-	}
 	out := make([]byte, n)
 	// 8-byte chunks aligned to the address keep each Access inside one
 	// cache line; consecutive touches of the same line collapse, which
@@ -985,18 +971,12 @@ func (s *SoC) ReadDRAM(off, n int) []byte {
 	return out
 }
 
-// WriteDRAM writes main memory through the shared L2 when one is
-// present (allocating the written lines dirty while it is enabled), and
-// to the module otherwise (used by the harness to stage victim data). It
-// neither
-// updates nor invalidates the cores' L1Ds: a core holding one of the
-// written lines keeps reading its stale copy until the line leaves its
-// L1D.
+// WriteDRAM writes main memory through the shared L2, allocating the
+// written lines dirty while it is enabled (used by the harness to stage
+// victim data). It neither updates nor invalidates the cores' L1Ds: a
+// core holding one of the written lines keeps reading its stale copy
+// until the line leaves its L1D.
 func (s *SoC) WriteDRAM(off int, b []byte) {
-	if s.L2 == nil {
-		s.DRAM.Write(off, b)
-		return
-	}
 	for i := 0; i < len(b); {
 		a := off + i
 		size := 8 - a&7

@@ -69,16 +69,10 @@ type sblock struct {
 }
 
 // sbTerminal reports whether op ends superblock formation: anything that
-// can redirect the PC. The terminal instruction is *included* in the
-// block — the dispatch loop detects the redirect (or halt) after
+// can redirect the PC, and HLT. The terminal instruction is *included* in
+// the block — the dispatch loop detects the redirect (or halt) after
 // executing it.
-func sbTerminal(op isa.Op) bool {
-	switch op {
-	case isa.OpB, isa.OpBL, isa.OpBCond, isa.OpCBZ, isa.OpCBNZ, isa.OpRET, isa.OpHLT:
-		return true
-	}
-	return false
-}
+func sbTerminal(op isa.Op) bool { return op.Class()&isa.ClassEndsBlock != 0 }
 
 // sbRecheck reports whether executing op can move a counter in the
 // generation sum guarding a block of the given mode, requiring the
@@ -95,21 +89,18 @@ func sbTerminal(op isa.Op) bool {
 //     or evict a line some predecode entry was fetched from
 //     (cache.MarkFetched).
 //
-// Stores, maintenance ops and MSR are flagged for every non-ROM mode
-// rather than split per counter: they are rare in hot loops, and one
-// spurious recheck costs a handful of adds.
+// Stores and system ops (MSR and cache maintenance) are flagged for
+// every non-ROM mode rather than split per counter: they are rare in hot
+// loops, and one spurious recheck costs a handful of adds.
 func sbRecheck(op isa.Op, mode uint8) bool {
-	if mode == predecROM {
+	c := op.Class()
+	switch {
+	case mode == predecROM:
 		return false
-	}
-	switch op {
-	case isa.OpSTR, isa.OpSTRW, isa.OpSTRB, isa.OpVSTR,
-		isa.OpMSR, isa.OpDCZVA, isa.OpDCCIVAC, isa.OpICIALLU:
+	case c&(isa.ClassStore|isa.ClassSystem) != 0:
 		return true
-	case isa.OpLDR, isa.OpLDRW, isa.OpLDRB, isa.OpVLDR:
-		return mode == predecL2
 	}
-	return false
+	return c&isa.ClassLoad != 0 && mode == predecL2
 }
 
 // buildSuperblock (re)captures the block starting at pc from the core's

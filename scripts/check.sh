@@ -6,8 +6,10 @@
 # tests 100 times each under -race (so a bound that holds only for some
 # schedules fails the gate almost every time, not now and then), the
 # differential oracles (among them, that a power trace ignores
-# predecode, superblock and cache state and that a capture stops when
-# its window is full), the catalog digests, a short fuzz pass over the
+# predecode, superblock and cache state, that a capture stops when its
+# window is full, and that the ISA's op table decodes, renders and
+# assembles as the hand-written per-format code it replaced did, with
+# every program builder's words pinned), the catalog digests, a short fuzz pass over the
 # byte decoders, the CPA attack and the job body, a one-iteration smoke
 # over the micro-benchmarks and the allocation-free gates. Each
 # stage that names its tests or benchmarks first checks that every name
@@ -122,7 +124,7 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 run_named 'TestSCACPARecoversKey' ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, restores that keep the generation only when they rewound nothing, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the five dispatch paths, a glitched core and their traces across snapshot restores, restores refused while observers are attached, warm-snapshot captures against cold and plain-fetch ones and the window stop, transformed CPA sums)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, restores that keep the generation only when they rewound nothing, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the five dispatch paths, a glitched core and their traces across snapshot restores, restores refused while observers are attached, warm-snapshot captures against cold and plain-fetch ones and the window stop, transformed CPA sums, the op table's decoder and disassembler against the per-format reference, the program builders' pinned words)"
 run_named 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 run_named 'TestWordKernels|TestPending|TestSnapshot|TestSnapshotRestoreRetiresOnlyRewound|TestPageDrawsMatchWholeArray|TestDeferredInvalidateMatchesEagerLoop' ./internal/sram/
 run_named 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
@@ -133,6 +135,8 @@ run_named 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore
 run_named 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
 run_named 'TestCaptureIgnoresDerivedState|TestCaptureStopsAtWindow' ./internal/experiments/
 run_named 'TestCPAMatchesReference' ./internal/sca/
+run_named 'TestDecodeMatchesReference|TestDisassembleMatchesReference' ./internal/isa/
+run_named 'TestProgramWordsPinned' ./internal/core/
 
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 run_named 'TestCatalogDigests' ./internal/registry/
