@@ -6,14 +6,8 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/cache"
-	"repro/internal/isa"
 	"repro/internal/soc"
 )
-
-// plainBus exposes only the SoC's isa.Bus methods. A CPU built over it
-// does not see the predecoded i-stream (isa.DecodedBus), so it fetches
-// and decodes every instruction through the full bus path.
-type plainBus struct{ isa.Bus }
 
 // dumpRunState is everything the cache-dump payload's execution can
 // leave behind that the differential compares.
@@ -97,8 +91,8 @@ func captureDumpRun(t *testing.T, b *board.Board) dumpRunState {
 // extraction payload's fetch path. With the L1s off and the L2 on, the
 // payload runs from L2-predecoded instructions and superblocks while its
 // stores stream into the dump region. A reference run of the same
-// payload on an identical board rebuilds each core's CPU over a bus that
-// hides the predecoded i-stream and steps it one instruction at a time.
+// payload on an identical board steps each core with cpu.Step, which
+// fetches and decodes every instruction through the full bus path.
 // Registers, retired-instruction counts, TLB/BTB history, the L2's
 // statistics and tag RAM, the dump and the DRAM cells must all agree.
 func TestDumpPayloadFetchPathsAgree(t *testing.T) {
@@ -117,9 +111,7 @@ func TestDumpPayloadFetchPathsAgree(t *testing.T) {
 	ref := bootDumpPayload(t, spec)
 	s := ref.SoC
 	for _, c := range s.Cores {
-		cpu := isa.NewCPU(c.ID, c.CPU.Regs, plainBus{s}, s)
-		cpu.RestoreState(c.CPU.CaptureState())
-		c.CPU = cpu
+		cpu := c.CPU
 		for !cpu.Halted {
 			if cpu.Instret >= budget {
 				t.Fatalf("reference core %d did not halt within %d instructions", c.ID, budget)

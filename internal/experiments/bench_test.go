@@ -62,16 +62,18 @@ func BenchmarkTable4ArraySweep(b *testing.B) {
 
 // BenchmarkGlitchSearch times the default Monte-Carlo glitch campaign:
 // 81 (offset × width × depth) cells × 6 trials, each trial a snapshot
-// restore + armed boot of the secure-boot ROM. In a CPU profile of 200
-// iterations on a 2-vCPU VM, the trials are 53% (armed stepping 36%,
-// restores 13%, two thirds of that the SRAM arrays' dirty pages) and
-// the per-worker rig builds 35% (board construction 20%, mostly
-// allocating and zeroing the cache arrays' words, which the rigs never
-// draw; snapshot capture 11%, mostly copying SRAM words). DRAM and the
-// cache LRU clocks are under 3% each, since DRAM holds only the pages
-// something wrote, ground-filled at memory speed, and an LRU restore
-// rewinds only the entries a trial touched. Before, building, copying
-// and restoring whole DRAM images and LRU clocks took half the time.
+// restore + armed boot of the secure-boot ROM, which the SoC dispatcher
+// runs in superblocks that re-validate after every instruction while
+// the glitcher is attached. In a CPU profile of 200 iterations on a
+// 2-vCPU VM, the trials are 56% (armed block execution 42%, restores
+// 11%) and the per-worker rig builds 22% (board construction 8%,
+// mostly allocating and zeroing the cache arrays' words, which the rigs
+// never draw; snapshot capture 12%, mostly copying SRAM words). DRAM
+// and the cache LRU clocks are under 3% each, since DRAM holds only the
+// pages something wrote, ground-filled at memory speed, and an LRU
+// restore rewinds only the entries a trial touched. Before, building,
+// copying and restoring whole DRAM images and LRU clocks took half the
+// time.
 func BenchmarkGlitchSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := glitchSearch(testSeed); err != nil {

@@ -39,12 +39,12 @@ func pct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }
 
 // newHeldSupply attaches an ideal bench supply to the named pad and
 // returns it; callers detach it when the hold should end.
-func newHeldSupply(b *board.Board, padName string) *power.BenchSupply {
+func newHeldSupply(b *board.Board, padName string) (*power.BenchSupply, error) {
 	psu := power.NewBenchSupply("hold-"+padName, 0, 10)
 	if err := b.AttachProbe(padName, psu); err != nil {
-		panic(fmt.Sprintf("experiments: attaching supply to %s: %v", padName, err))
+		return nil, fmt.Errorf("experiments: attaching supply to %s: %w", padName, err)
 	}
-	return psu
+	return psu, nil
 }
 
 // capitalize upper-cases the first byte of an ASCII word.

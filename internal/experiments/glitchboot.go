@@ -26,6 +26,8 @@ const (
 	// across all of DRAM, and the budget turns those into fast,
 	// classifiable hangs.
 	glitchRunBudget = uint64(50_000)
+	// glitchAttempts is how many shots each bypass scenario fires.
+	glitchAttempts = 24
 )
 
 // GlitchOutcome classifies one glitched secure-boot trial.
@@ -127,22 +129,28 @@ func (r *glitchRig) run(t glitch.Trigger, p glitch.Pulse, seed uint64) (GlitchOu
 	r.g.Arm(t, p, seed)
 	err := r.b.SoC.RunCore(0, glitchRunBudget)
 	r.g.Finish()
+	return r.classify(err), r.g.Faults()
+}
+
+// classify scores a finished shot from the run's error and the boot
+// status the ROM left in memory.
+func (r *glitchRig) classify(err error) GlitchOutcome {
 	if err != nil {
 		var runaway *isa.RunawayError
 		if errors.As(err, &runaway) {
-			return GlitchHang, r.g.Faults()
+			return GlitchHang
 		}
-		return GlitchCrash, r.g.Faults()
+		return GlitchCrash
 	}
 	status := r.readU64(glitchStatusAddr)
 	proof := r.readU64(glitchProofAddr)
 	switch {
 	case status == glitch.BootMagic && proof == glitch.ProofMagic:
-		return GlitchBypass, r.g.Faults()
+		return GlitchBypass
 	case status == glitch.LockMagic:
-		return GlitchLockdown, r.g.Faults()
+		return GlitchLockdown
 	default:
-		return GlitchCrash, r.g.Faults()
+		return GlitchCrash
 	}
 }
 
@@ -189,7 +197,7 @@ func (r *GlitchScenarioResult) String() string {
 // triggerPC — re-arming with fresh per-attempt seeds, like an attacker
 // re-triggering until the fault lands — and reports the first attempt
 // whose injected fault has the wanted kind AND bypasses the boot.
-func glitchScenario(seed uint64, name string, attempts int,
+func glitchScenario(seed uint64, name string,
 	pcOf func(*glitch.BootROM) uint64, want isa.FaultKind) (*GlitchScenarioResult, error) {
 	rig, err := newGlitchRig(seed)
 	if err != nil {
@@ -201,7 +209,7 @@ func glitchScenario(seed uint64, name string, attempts int,
 	res := &GlitchScenarioResult{
 		Scenario:  name,
 		TriggerPC: pcOf(rig.rom),
-		Attempts:  attempts,
+		Attempts:  glitchAttempts,
 		SuccessAt: -1,
 		Lockdown:  ctl == GlitchLockdown,
 	}
@@ -210,7 +218,7 @@ func glitchScenario(seed uint64, name string, attempts int,
 	// the p == 1 threshold, so the target instruction always faults and
 	// only the mode draw varies per attempt.
 	pulse := glitch.Pulse{Offset: 0, Width: 1, Depth: 0.5}
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < glitchAttempts; i++ {
 		out, faults := rig.run(trig, pulse, runner.SeedFor(seed, "glitchboot-"+name, i))
 		res.Tally[out]++
 		if res.SuccessAt < 0 && out == GlitchBypass &&
@@ -226,7 +234,7 @@ func glitchScenario(seed uint64, name string, attempts int,
 // verifier's final CMP inherits the Z flag still set from the hash
 // loop's exit compare, so the mismatch branch falls through.
 func GlitchBootCheckSkip(seed uint64) (*GlitchScenarioResult, error) {
-	return glitchScenario(seed, "check-skip", 24,
+	return glitchScenario(seed, "check-skip",
 		func(r *glitch.BootROM) uint64 { return r.CheckPC }, isa.FaultSkip)
 }
 
@@ -234,7 +242,7 @@ func GlitchBootCheckSkip(seed uint64) (*GlitchScenarioResult, error) {
 // mismatch is fully computed, and the wrong-branch fault inverts the
 // B.NE so the lock-down path is never taken.
 func GlitchBootVerifyBypass(seed uint64) (*GlitchScenarioResult, error) {
-	return glitchScenario(seed, "verify-bypass", 24,
+	return glitchScenario(seed, "verify-bypass",
 		func(r *glitch.BootROM) uint64 { return r.BranchPC }, isa.FaultWrongBranch)
 }
 

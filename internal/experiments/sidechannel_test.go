@@ -183,35 +183,26 @@ func TestArmedTracingDoesNotPerturbGoldens(t *testing.T) {
 	}
 }
 
-// plainBus exposes only the SoC's isa.Bus methods. A CPU built over it
-// does not see the predecoded i-stream (isa.DecodedBus), so it fetches
-// and decodes every instruction through FetchInstr.
-type plainBus struct{ isa.Bus }
-
 // capturePlainFetch captures one trial from a restore of the rig's
-// snapshot with core 0 stepping over plainBus: no predecode table, no
-// superblocks, every fetch through FetchInstr.
+// snapshot with core 0 stepping through cpu.Step: no predecode entry, no
+// superblock, every fetch through FetchInstr.
 func capturePlainFetch(t *testing.T, r *scaRig, pt [16]byte) []float32 {
 	t.Helper()
 	s := r.b.SoC
 	r.b.RestoreSnapshot(r.snap)
 	s.WriteDRAM(int(scaStateAddr), pt[:])
-	orig := s.Cores[0].CPU
-	plain := isa.NewCPU(0, orig.Regs, plainBus{s}, s)
-	plain.RestoreState(orig.CaptureState())
-	s.Cores[0].CPU = plain
-	defer func() { s.Cores[0].CPU = orig }()
+	cpu := s.Cores[0].CPU
 	c, err := trace.New(s, 0, r.cap.Capacity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := plain.Instret
+	start := cpu.Instret
 	c.Arm()
-	for !plain.Halted && len(c.Samples()) < c.Capacity() {
-		if plain.Instret-start >= r.budget {
+	for !cpu.Halted && len(c.Samples()) < c.Capacity() {
+		if cpu.Instret-start >= r.budget {
 			t.Fatalf("plain-fetch victim did not halt within %d instructions", r.budget)
 		}
-		if err := plain.Step(); err != nil {
+		if err := cpu.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,8 +288,9 @@ func TestSCARigDrawsTouchedPages(t *testing.T) {
 // bit-identical samples: (a) the rig's capture from its warm snapshot,
 // whose predecode entries, superblocks and cache lines persist across
 // restores, (b) a capture from a cold snapshot of a core that has never
-// run, and (c) a core with no predecode table at all. Predecode,
-// superblock and cache state differ across the three; the samples may
+// run, and (c) the warm rig's core stepped through cpu.Step, which reads
+// no predecode entry or superblock. Predecode, superblock and cache
+// state differ across the three; the samples may
 // not. A warm snapshot that kept the victim's state line in the L1D
 // would serve (a) and (c) the warm-up's bytes in every trial, and (b)
 // the plaintext.

@@ -500,14 +500,15 @@ func Accessibility(seed uint64) (*AccessibilityResult, error) {
 		// Hold BOTH domains (ideal attacker) so only boot-phase software
 		// effects remain.
 		cfg := core.DefaultAttackConfig()
-		psuMem, err := b.PadByName("C_MEM")
+		memPSU, err := newHeldSupply(b, "C_MEM")
 		if err != nil {
 			return nil, err
 		}
-		_ = psuMem
-		memPSU := newHeldSupply(b, "C_MEM")
 		defer memPSU.Detach()
-		corePSU := newHeldSupply(b, b.Spec().TestPad)
+		corePSU, err := newHeldSupply(b, b.Spec().TestPad)
+		if err != nil {
+			return nil, err
+		}
 		defer corePSU.Detach()
 		b.DisconnectMain()
 		env.Advance(cfg.OffTime)
@@ -550,7 +551,10 @@ func Accessibility(seed uint64) (*AccessibilityResult, error) {
 		if err := b.SoC.JTAGWriteIRAM(0, pattern); err != nil {
 			return nil, err
 		}
-		psu := newHeldSupply(b, b.Spec().TestPad)
+		psu, err := newHeldSupply(b, b.Spec().TestPad)
+		if err != nil {
+			return nil, err
+		}
 		defer psu.Detach()
 		b.DisconnectMain()
 		env.Advance(2 * sim.Second)

@@ -12,7 +12,7 @@
 // address, counts instructions from there, drives the domain rail down
 // at the pulse's leading edge (power.Domain.PulseDown, which every load
 // on the domain observes), and while the rail is inside the pulse each
-// stepped instruction faults with a voltage-dependent probability drawn
+// instruction faults with a voltage-dependent probability drawn
 // from the glitcher's own RNG. The trailing edge advances the
 // simulation clock by the pulse width and re-resolves the rail. One
 // shot per Arm: after the pulse closes the glitcher detaches from the
@@ -150,11 +150,12 @@ func New(dom *power.Domain, cpu *isa.CPU) *Glitcher {
 
 // Arm programs one shot: trigger, pulse, and the seed for this shot's
 // fault draws. The glitcher attaches itself to the CPU's hooks
-// (isa.CPU.AttachFault), which makes the SoC's superblock dispatcher
-// single-step the core so the pulse edges land between exact
-// instructions. It detaches again when the pulse closes, on Finish, or
-// on Disarm; a trace capturer attached to the same core stays attached
-// either way.
+// (isa.CPU.AttachFault); the SoC's superblock dispatcher still runs the
+// core in blocks, consulting the glitcher before every instruction and
+// re-validating each block after every one, so the pulse edges land
+// between exact instructions. It detaches again when the pulse closes,
+// on Finish, or on Disarm; a trace capturer attached to the same core
+// stays attached either way.
 func (g *Glitcher) Arm(t Trigger, p Pulse, seed uint64) {
 	if p.Width == 0 {
 		p.Width = 1

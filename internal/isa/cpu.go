@@ -22,18 +22,6 @@ type Bus interface {
 	Store128(core int, addr uint64, v [2]uint64) error
 }
 
-// DecodedBus is an optional Bus extension: a bus that can serve fetches
-// as already-decoded instructions from a predecode cache. Implementations
-// must be architecturally invisible — a FetchDecoded call has exactly the
-// side effects and result of FetchInstr followed by Decode, just without
-// re-decoding (or even re-reading the RAMs) on the hot path. The SoC
-// implements it with a generation-checked predecoded i-stream.
-type DecodedBus interface {
-	// FetchDecoded returns the decoded instruction and the raw word at
-	// addr (the word feeds the undefined-instruction diagnostics).
-	FetchDecoded(core int, addr uint64) (Instr, uint32, error)
-}
-
 // SysOps provides the system operations that reach beyond the register
 // file: cache maintenance and the RAMINDEX debug path. The SoC implements
 // this against its real cache models.
@@ -81,9 +69,6 @@ type CPU struct {
 	Regs    *sram.Array
 	BusPort Bus
 	Sys     SysOps
-	// decBus is BusPort's DecodedBus view when it has one, captured once
-	// at construction so Step avoids a per-instruction type assertion.
-	decBus DecodedBus
 
 	// Hooks is the one instrumentation seam the step path tests (see
 	// hooks.go): it points at hooks while a fault injector or a trace
@@ -122,17 +107,12 @@ const (
 )
 
 // NewCPU builds a core over the register array regs (at least
-// RegFileBytes bytes). A bus that also implements DecodedBus gets its
-// predecoded fetch path used by Step.
+// RegFileBytes bytes).
 func NewCPU(id int, regs *sram.Array, bus Bus, sys SysOps) *CPU {
 	if regs.Bytes() < RegFileBytes {
 		panic("isa: register array too small")
 	}
-	c := &CPU{ID: id, EL: 3, Regs: regs, BusPort: bus, Sys: sys}
-	if db, ok := bus.(DecodedBus); ok {
-		c.decBus = db
-	}
-	return c
+	return &CPU{ID: id, EL: 3, Regs: regs, BusPort: bus, Sys: sys}
 }
 
 // Reset prepares the core to run from entry at EL3 with cleared flags.
@@ -245,32 +225,22 @@ func (c *CPU) setFlagsSub(a, b uint64) uint64 {
 	return r
 }
 
-// Step fetches, decodes and executes one instruction. It returns an error
-// on memory faults or undefined instructions; the core keeps its state so
-// callers can inspect the failure.
+// Step fetches, decodes and executes one instruction: the plain
+// reference every faster dispatch path is checked against. It holds no
+// derived state; each call fetches through the bus's FetchInstr. It
+// returns an error on memory faults or undefined instructions; the core
+// keeps its state so callers can inspect the failure.
 //
 //voltvet:hotpath root
 func (c *CPU) Step() error {
 	if c.Halted {
 		return nil
 	}
-	var in Instr
-	var word uint32
-	if c.decBus != nil {
-		var err error
-		in, word, err = c.decBus.FetchDecoded(c.ID, c.PC) //voltvet:ignore VV-HOT006 CPU-to-SoC bus seam: the ISA layer cannot import soc without an import cycle; resolves to *soc.SoC in every build
-		if err != nil {
-			return fmt.Errorf("fetch at PC %#x: %w", c.PC, err)
-		}
-	} else {
-		w, err := c.BusPort.FetchInstr(c.ID, c.PC) //voltvet:ignore VV-HOT006 CPU-to-SoC bus seam: the ISA layer cannot import soc without an import cycle; resolves to *soc.SoC in every build
-		if err != nil {
-			return fmt.Errorf("fetch at PC %#x: %w", c.PC, err)
-		}
-		word = w
-		in = Decode(word)
+	word, err := c.BusPort.FetchInstr(c.ID, c.PC) //voltvet:ignore VV-HOT006 CPU-to-SoC bus seam: the ISA layer cannot import soc without an import cycle; resolves to *soc.SoC in every build
+	if err != nil {
+		return fmt.Errorf("fetch at PC %#x: %w", c.PC, err)
 	}
-	return c.ExecDecoded(in, word)
+	return c.ExecDecoded(Decode(word), word)
 }
 
 // ExecDecoded executes one already-fetched-and-decoded instruction: the

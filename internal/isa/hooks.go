@@ -11,9 +11,11 @@ package isa
 //     loads and stores; instruction fetches stay off the tap.
 //
 // Every hooked instruction runs through execHooked, whether a step or
-// the SoC's superblock dispatcher executes it. The dispatcher
-// single-steps a core with a fault injector, whose pulse edges must land
-// between instructions, and runs a core with only a sink in blocks.
+// the SoC's superblock dispatcher executes it. The dispatcher runs a
+// hooked core in blocks too; a block run that starts with a fault
+// injector attached re-validates its predecode stamp after every
+// instruction, since the injector's pulse edges may change the i-side
+// between two instructions.
 //
 // Observers are not machine state. A trial restores its snapshot first
 // and arms its observers after; the SoC refuses to capture or restore a

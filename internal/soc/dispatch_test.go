@@ -15,38 +15,36 @@ import (
 // The dispatch oracle. Random well-formed programs run on identically
 // built and booted SoCs, each dispatching core 0 a different way:
 //
-//  1. ref: a CPU over a bus that hides isa.DecodedBus, so every fetch
-//     goes through FetchInstr and Decode (the plain reference);
-//  2. predecode: cpu.Step through the predecoded i-stream;
-//  3. superblock: RunCoreQuantum over random quantum sizes;
-//  4. hooked: an attached fault injector that never faults and an armed
-//     trace sink, dispatched one instruction at a time through
-//     RunCoreQuantum;
-//  5. traced: an armed trace sink alone, dispatched through
-//     RunCoreQuantum over random quantum sizes, so in superblocks.
+//  1. ref: cpu.Step, which fetches and decodes every instruction through
+//     FetchInstr (the plain reference);
+//  2. superblock: RunCoreQuantum;
+//  3. hooked: RunCoreQuantum with an attached fault injector that never
+//     faults and an armed trace sink;
+//  4. traced: RunCoreQuantum with an armed trace sink alone.
 //
 // The reference carries an armed trace sink too. A second lane pairs a
 // glitched path with a plain reference of its own, both with a fault
-// injector that never faults but invalidates the L1I before every n-th
-// instruction, as a glitcher's pulse edge changes the machine between
-// two instructions; the glitched path runs RunCoreQuantum over random
-// quantum sizes, which must single-step it.
+// injector that never faults but changes the machine between two
+// instructions, as a glitcher's pulse edges do: it invalidates the L1I
+// before every n-th instruction and drives a depth-0 pulse on the core
+// domain, a rail event, before every m-th. The glitched path's block
+// runs must re-validate after every instruction.
 //
-// Stepped paths are compared with their reference after every
-// instruction, the others at every quantum boundary: PC, flags, Instret,
-// halt state, barrier count, every cache's statistics and every SRAM
-// array's bytes, and for traced paths the power-trace samples as well: a
-// sample may not depend on whether its fetch went through the predecode
-// table or a superblock. An array whose generation moved on neither side
-// since the last comparison holds what it held then, so only moved
-// arrays are re-read.
+// Every path but the reference runs RunCoreQuantum over random quantum
+// sizes, so in superblocks, and is compared with its reference at every
+// quantum boundary: PC, flags, Instret, halt state, barrier count, every
+// cache's statistics and every SRAM array's bytes, and for traced paths
+// the power-trace samples as well: a sample may not depend on whether
+// its fetch went through FetchInstr or a superblock. An array whose
+// generation moved on neither side since the last comparison holds what
+// it held then, so only moved arrays are re-read.
 //
 // Every side captures a snapshot a few hundred instructions in, runs to
 // the halt, restores it and runs to the halt again, twice. A restore
 // keeps the predecode entries and superblocks of every cache line it did
-// not rewind; the plain references hold no such state, so any entry a
-// restore should have retired shows as a divergence. Each program ends
-// with a comparison of the DRAM cells.
+// not rewind; the references hold no such state, so any entry a restore
+// should have retired shows as a divergence. Each program ends with a
+// comparison of the DRAM cells.
 
 // Register roles in generated programs. Random instructions write only
 // X0–X9. X10–X12 hold data bases, X13 a maintenance address, X17 the
@@ -63,25 +61,29 @@ const (
 	oracleDataC = oracleData + 0x10000
 )
 
-// oracleBus exposes only the SoC's isa.Bus methods.
-type oracleBus struct{ isa.Bus }
-
 // noFault is a fault injector that never faults. It counts the
 // instructions it was consulted on, which must be every one. With every
-// set, it invalidates its core's L1I before each every-th of them: a
-// change to the i-side between two instructions, like a glitcher's
-// pulse edge. A dispatcher that ran such a core in a superblock would
-// run the rest of the block from the lines the invalidate dropped.
+// set, it invalidates its core's L1I before each every-th of them, and
+// with pulse set, it drives a depth-0 pulse on the core domain before
+// each pulse-th: changes to the i-side between two instructions, like a
+// glitcher's pulse edges. A block run that did not re-validate after
+// each instruction would run the rest of the block from the lines the
+// invalidate dropped.
 type noFault struct {
-	seen  uint64
-	s     *SoC
-	every uint64
+	seen         uint64
+	s            *SoC
+	every, pulse uint64
 }
 
 func (f *noFault) OnInstr(c *isa.CPU, _ isa.Instr) isa.FaultDecision {
 	f.seen++
 	if f.every != 0 && f.seen%f.every == 0 {
 		f.s.ICIALLU(c.ID)
+	}
+	if f.pulse != 0 && f.seen%f.pulse == 0 {
+		d := f.s.CoreDom
+		d.PulseDown(d.NominalVolts())
+		d.PulseEnd(0)
 	}
 	return isa.FaultDecision{}
 }
@@ -302,9 +304,6 @@ type oracleSide struct {
 	cpu  *isa.CPU
 	arrs []*sram.Array
 	bufs [][]byte
-	// single makes a one-instruction advance go through RunCoreQuantum
-	// instead of cpu.Step.
-	single bool
 	// sink is the armed trace sink on core 0, nil on untraced sides;
 	// inj is core 0's fault injector, nil on sides without one.
 	sink *isa.TraceSink
@@ -322,10 +321,10 @@ func (o *oracleSide) armTrace(n int) {
 }
 
 // attachFault attaches a never-faulting injector to the side's core 0
-// that invalidates the L1I before every every-th instruction, or never
-// when every is 0.
-func (o *oracleSide) attachFault(every uint64) {
-	o.inj = &noFault{s: o.s, every: every}
+// that invalidates the L1I before every every-th instruction and pulses
+// the core domain before every pulse-th; a zero period never does.
+func (o *oracleSide) attachFault(every, pulse uint64) {
+	o.inj = &noFault{s: o.s, every: every, pulse: pulse}
 	o.cpu.AttachFault(o.inj)
 }
 
@@ -348,23 +347,6 @@ func (o *oracleSide) fork() {
 	}
 	if o.sink != nil {
 		o.cpu.AttachTrace(o.sink)
-	}
-}
-
-// step advances the side by one instruction.
-func (o *oracleSide) step(t *testing.T, prog int, name string) {
-	t.Helper()
-	var err error
-	if o.single {
-		var n uint64
-		n, err = o.s.RunCoreQuantum(0, 1)
-		o.retired += n
-	} else {
-		err = o.cpu.Step()
-		o.retired++
-	}
-	if err != nil {
-		t.Fatalf("program %d, %s path: %v", prog, name, err)
 	}
 }
 
@@ -393,17 +375,6 @@ func newOracleSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
 	for _, a := range o.arrs {
 		o.bufs = append(o.bufs, make([]byte, a.Bytes()))
 	}
-	return o
-}
-
-// newPlainSide is newOracleSide with core 0 replaced by a CPU over
-// oracleBus: a plain reference.
-func newPlainSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
-	t.Helper()
-	o := newOracleSide(t, words, m)
-	plain := isa.NewCPU(0, o.cpu.Regs, oracleBus{o.s}, o.s)
-	plain.RestoreState(o.cpu.CaptureState())
-	o.s.Cores[0].CPU, o.cpu = plain, plain
 	return o
 }
 
@@ -475,22 +446,17 @@ func lastSamplesDiffer(a, b *isa.TraceSink) bool {
 	return false
 }
 
-// oracleLane is a plain reference and the paths compared with it:
-// stepped paths after every instruction, quantum paths at every quantum
-// boundary.
+// oracleLane is a plain reference and the paths compared with it at
+// every quantum boundary.
 type oracleLane struct {
-	ref     *oracleSide
-	stepped []*oraclePair
-	quantum []*oraclePair
+	ref   *oracleSide
+	paths []*oraclePair
 }
 
 // sides returns the lane's reference and paths.
 func (l *oracleLane) sides() []*oracleSide {
 	out := []*oracleSide{l.ref}
-	for _, p := range l.stepped {
-		out = append(out, p.got)
-	}
-	for _, p := range l.quantum {
+	for _, p := range l.paths {
 		out = append(out, p.got)
 	}
 	return out
@@ -498,10 +464,7 @@ func (l *oracleLane) sides() []*oracleSide {
 
 func (l *oracleLane) compare(t *testing.T, prog int) {
 	t.Helper()
-	for _, p := range l.stepped {
-		p.compare(t, prog)
-	}
-	for _, p := range l.quantum {
+	for _, p := range l.paths {
 		p.compare(t, prog)
 	}
 }
@@ -531,13 +494,12 @@ func (l *oracleLane) run(t *testing.T, prog int, r *xrand.Rand, capAt, maxInstr 
 				if ref.cpu.Instret-start >= maxInstr {
 					t.Fatalf("program %d did not halt within %d instructions", prog, maxInstr)
 				}
-				ref.step(t, prog, "reference")
-				for _, p := range l.stepped {
-					p.got.step(t, prog, p.name)
-					p.compare(t, prog)
+				if err := ref.cpu.Step(); err != nil {
+					t.Fatalf("program %d, reference: %v", prog, err)
 				}
+				ref.retired++
 			}
-			for _, p := range l.quantum {
+			for _, p := range l.paths {
 				got := p.got
 				n, err := got.s.RunCoreQuantum(0, uint64(k))
 				got.retired += n
@@ -597,37 +559,30 @@ func TestDispatchPathsAgree(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			for prog := 0; prog < programs; prog++ {
 				words := mustAsm(t, PayloadBase, randomProgram(r, blocks, mode.alias))
-				ref := newPlainSide(t, words, mode)
+				ref := newOracleSide(t, words, mode)
 				ref.armTrace(arena)
-				pre := newOracleSide(t, words, mode)
 				sb := newOracleSide(t, words, mode)
 				hooked := newOracleSide(t, words, mode)
-				hooked.single = true
-				hooked.attachFault(0)
+				hooked.attachFault(0, 0)
 				hooked.armTrace(arena)
 				traced := newOracleSide(t, words, mode)
 				traced.armTrace(arena)
-				main := &oracleLane{
-					ref: ref,
-					stepped: []*oraclePair{
-						newOraclePair("predecode", ref, pre),
-						newOraclePair("hooked", ref, hooked),
-					},
-					quantum: []*oraclePair{
-						newOraclePair("superblock", ref, sb),
-						newOraclePair("traced", ref, traced),
-					},
-				}
+				main := &oracleLane{ref: ref, paths: []*oraclePair{
+					newOraclePair("superblock", ref, sb),
+					newOraclePair("hooked", ref, hooked),
+					newOraclePair("traced", ref, traced),
+				}}
 				main.run(t, prog, r, ref.cpu.Instret+50+uint64(r.Intn(500)), maxInstr)
 
 				every := 5 + uint64(r.Intn(60))
-				gref := newPlainSide(t, words, mode)
-				gref.attachFault(every)
+				pulse := 5 + uint64(r.Intn(60))
+				gref := newOracleSide(t, words, mode)
+				gref.attachFault(every, pulse)
 				gref.armTrace(arena)
 				glitched := newOracleSide(t, words, mode)
-				glitched.attachFault(every)
+				glitched.attachFault(every, pulse)
 				glitched.armTrace(arena)
-				lane := &oracleLane{ref: gref, quantum: []*oraclePair{newOraclePair("glitched", gref, glitched)}}
+				lane := &oracleLane{ref: gref, paths: []*oraclePair{newOraclePair("glitched", gref, glitched)}}
 				lane.run(t, prog, r, gref.cpu.Instret+50+uint64(r.Intn(500)), maxInstr)
 			}
 		})

@@ -83,8 +83,9 @@ type Core struct {
 	// SoC.predecGen). Purely derived microarchitectural state — it holds
 	// no content a fetch could not re-derive, lives outside the SRAM
 	// retention physics, and is invalidated wholesale by generation
-	// bumps rather than being snooped. Allocated by the core's first
-	// FetchDecoded, so a core that never runs costs nothing.
+	// bumps rather than being snooped. Allocated with sblocks by the
+	// core's first RunCoreQuantum, so a core that never runs costs
+	// nothing.
 	predec *[predecEntries]predecEntry
 
 	// sblocks is the per-core superblock cache built over predec: straight-
@@ -207,7 +208,6 @@ type SoC struct {
 }
 
 var _ isa.Bus = (*SoC)(nil)
-var _ isa.DecodedBus = (*SoC)(nil)
 var _ isa.SysOps = (*SoC)(nil)
 
 // New builds an SoC from its spec. All SRAM arrays are created and
@@ -578,45 +578,6 @@ func (s *SoC) writeDRAMDirect(addr uint64, w uint32) error {
 func (s *SoC) FetchInstr(core int, addr uint64) (uint32, error) {
 	v, err := s.access(core, addr, 4, false, 0, true)
 	return uint32(v), err
-}
-
-// FetchDecoded implements isa.DecodedBus: the predecoded i-stream fast
-// path. A hit returns the cached decode while replaying exactly the side
-// effects the full fetch would have had — the TLB/BTB history writes and
-// the serving cache's hit counter and LRU touch — so the architectural
-// and microarchitectural state evolve bit-identically to FetchInstr +
-// Decode. The generation stamp guarantees the hit is sound: if no
-// guarding counter moved since install, the same level would serve the
-// same word from the same (way, set) today.
-func (s *SoC) FetchDecoded(core int, addr uint64) (isa.Instr, uint32, error) {
-	if core < 0 || core >= len(s.Cores) {
-		return isa.Instr{}, 0, fmt.Errorf("soc: core %d out of range", core)
-	}
-	c := s.Cores[core]
-	if c.predec == nil {
-		c.predec = new([predecEntries]predecEntry)
-	}
-	e := &c.predec[(addr>>2)&(predecEntries-1)]
-	if e.mode != predecNone && e.addr == addr && e.gen == s.predecGen(c, e.mode) {
-		switch e.mode {
-		case predecL1I:
-			s.updateHistoryBuffers(c, addr, true)
-			c.L1I.TouchFetchHit(int(e.way), int(e.set))
-		case predecL2:
-			s.updateHistoryBuffers(c, addr, true)
-			s.L2.TouchFetchHit(int(e.way), int(e.set))
-		case predecROM:
-			// ROM fetches have no history-buffer or cache side effects.
-		}
-		return e.in, e.word, nil
-	}
-	word, err := s.FetchInstr(core, addr)
-	if err != nil {
-		return isa.Instr{}, 0, err
-	}
-	in := isa.Decode(word)
-	s.installPredec(c, e, addr, in, word)
-	return in, word, nil
 }
 
 // installPredec records a freshly fetched-and-decoded instruction in the

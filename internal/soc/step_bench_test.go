@@ -4,9 +4,10 @@ import "testing"
 
 // steppingSoC boots a cached, never-halting load/increment/store loop and
 // warms it until the execution state is steady: instruction lines resident
-// in the L1I and predecoded, the data line resident in the L1D, the TLB
-// slot memoized. Step then exercises the full fast path — predecoded
-// fetch, zero-copy cache hit load, zero-copy hit store — with no misses.
+// in the L1I, the data line resident in the L1D, the TLB slot memoized.
+// Step then exercises the plain reference path — an L1I hit fetch and a
+// decode, a zero-copy cache hit load, a zero-copy hit store — with no
+// misses.
 func steppingSoC(tb testing.TB) *SoC {
 	s, _ := poweredSoC(tb, BCM2711(), Options{})
 	words := mustAsm(tb, PayloadBase, `
@@ -28,11 +29,13 @@ loop:   LDR X2, [X1]
 	return s
 }
 
-// BenchmarkCPUStep measures steady-state instruction execution on the
-// fast path and reports throughput in instructions per second. This is
-// the execution-pipeline headline number for the predecoded i-stream and
-// zero-copy cache refactor: every op is one retired instruction of a
-// cache-hit load/store loop.
+// BenchmarkCPUStep measures steady-state execution through cpu.Step and
+// reports throughput in instructions per second: every op is one
+// retired instruction of a cache-hit load/store loop. Step is the plain
+// fetch-and-decode reference the dispatch oracles compare against; no
+// experiment runs it, since RunCoreQuantum dispatches every core in
+// superblocks (BenchmarkRunQuantumTraceArmed and
+// BenchmarkRunQuantumGlitchArmed time that path).
 func BenchmarkCPUStep(b *testing.B) {
 	s := steppingSoC(b)
 	cpu := s.Cores[0].CPU
@@ -46,10 +49,11 @@ func BenchmarkCPUStep(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// TestStepSteadyStateZeroAlloc pins the allocation-free contract: once
-// the loop is warm, CPU.Step with cache-hit loads and stores must not
-// allocate at all. A regression here silently costs every experiment
-// tens of millions of allocations.
+// TestStepSteadyStateZeroAlloc pins the allocation-free contract on the
+// plain reference: once the loop is warm, CPU.Step with cache-hit loads
+// and stores must not allocate at all. Its fetch, load, store and
+// execute paths are the ones the superblock dispatcher's fallback and
+// block loop use.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	s := steppingSoC(t)
 	cpu := s.Cores[0].CPU

@@ -1,27 +1,30 @@
-// Superblock dispatch: the predecoded i-stream (see FetchDecoded) turned
-// into straight-line blocks executed in a tight inner loop.
+// Superblock dispatch: the predecoded i-stream turned into straight-line
+// blocks executed in a tight inner loop.
 //
-// FetchDecoded already removes the fetch/decode work from the hot path,
-// but it still pays the full per-instruction entry cost: the table index,
-// the address compare, and — dominating — the generation recompute
-// (predecGen sums one to three monotonic counters per fetch). A
-// superblock hoists that validation to block entry: a straight-line run
-// of already-predecoded instructions is captured as a unit, stamped with
-// the generation that guards all of them, and then executed back to back
-// with only the per-instruction *side-effect replay* (TLB/BTB history
-// writes, serving-cache hit counter and LRU touch) and the execute step
-// itself inside the loop.
+// A fetch served from the predecode table (see installPredec) still pays
+// a per-instruction entry cost: the table index, the address compare,
+// and — dominating — the generation recompute (predecGen sums one to
+// three monotonic counters per fetch). A superblock hoists that
+// validation to block entry: a straight-line run of already-predecoded
+// instructions is captured as a unit, stamped with the generation that
+// guards all of them, and then executed back to back with only the
+// per-instruction *side-effect replay* (TLB/BTB history writes,
+// serving-cache hit counter and LRU touch) and the execute step itself
+// inside the loop.
 //
 // The hoist is sound because the interpreter is single-threaded: between
-// two instructions of one block, the only agent that can move a guarding
-// counter is the in-block instruction that just executed. Instructions
-// that can do so (stores, cache maintenance, system-register writes, and
-// — for blocks fetched through the L2 — loads, which can trigger L2
-// fills) are flagged at build time and re-validate the block generation
-// after executing; a mismatch ends the block and falls back to the
-// per-instruction path, exactly as a generation bump retires predecode
-// entries. External mutations (JTAG pokes, rail events) happen between
-// RunCore calls, never inside a quantum.
+// two instructions of one block, the only agents that can move a
+// guarding counter are the in-block instruction that just executed and
+// a fault injector attached to the core. Instructions that can do so
+// (stores, cache maintenance, system-register writes, and — for blocks
+// fetched through the L2 — loads, which can trigger L2 fills) are
+// flagged at build time and re-validate the block generation after
+// executing; a block run that starts with a fault injector attached
+// re-validates after every instruction, since the injector's pulse
+// edges are rail events. A mismatch ends the block and the dispatcher
+// falls back to a full fetch, exactly as a generation bump retires
+// predecode entries. Other external mutations (JTAG pokes, power
+// cycles) happen between RunCore calls, never inside a quantum.
 //
 // Blocks are purely derived microarchitectural state, like predec: they
 // hold nothing a fetch could not re-derive, live outside the SRAM
@@ -38,7 +41,7 @@ import (
 // Superblock geometry: a direct-mapped per-core block cache keyed on
 // word-aligned start PC. 256 slots × 32 instructions reaches any loop
 // body the experiments run; the tables are lazily allocated on the first
-// RunCoreQuantum call so cores that only ever single-step pay nothing.
+// RunCoreQuantum call so cores that never run pay nothing.
 const (
 	sbSlots  = 256
 	sbMaxLen = 32
@@ -81,8 +84,9 @@ func sbTerminal(op isa.Op) bool { return op.Class()&isa.ClassEndsBlock != 0 }
 // Per mode (see predecGen):
 //   - predecROM: gen is constantly 0; nothing to re-validate.
 //   - predecL1I: L1I content gen (ICIALLU, cache-enable MSRs) + mutGen,
-//     which no instruction inside a block moves (its events happen
-//     between quanta).
+//     which no instruction moves (rail events, boots and shutdowns; a
+//     fault injector's pulse edges are covered by the hooked
+//     re-validation in runSuperblock).
 //   - predecL2: additionally the L2 content gen, which *loads* can move
 //     too — a data-side miss can fill the L2 — as can the writebacks of
 //     DC ZVA / DC CIVAC. Stores and fills move it only when they land in
@@ -105,15 +109,11 @@ func sbRecheck(op isa.Op, mode uint8) bool {
 
 // buildSuperblock (re)captures the block starting at pc from the core's
 // currently-valid predecode entries. It never fetches: a PC whose
-// predecode entry is missing or stale, or a core with no predecode
-// table yet, leaves the slot empty and the caller falls back to
-// cpu.Step, which installs entries for the next attempt (uncached DRAM
-// and iRAM fetches never get one).
+// predecode entry is missing or stale leaves the slot empty and the
+// caller falls back to step, which installs entries for the next
+// attempt (uncached DRAM and iRAM fetches never get one).
 func (s *SoC) buildSuperblock(c *Core, b *sblock, pc uint64) {
 	b.n = 0
-	if c.predec == nil {
-		return
-	}
 	e := &c.predec[(pc>>2)&(predecEntries-1)]
 	if e.mode == predecNone || e.addr != pc {
 		return
@@ -150,14 +150,22 @@ func (s *SoC) buildSuperblock(c *Core, b *sblock, pc uint64) {
 }
 
 // runSuperblock executes up to limit instructions of the validated block
-// b, replaying for each one exactly the side effects the per-instruction
-// FetchDecoded hit path would have had, in the same order (history
-// buffers and cache touch before execute). It returns on block end,
-// taken branch, halt, budget exhaustion, self-invalidation, or error.
+// b, replaying for each one exactly the side effects a full fetch from
+// the serving level would have had, in the same order (history buffers
+// and cache touch before execute). It returns on block end, taken
+// branch, halt, budget exhaustion, invalidation, or error.
+//
+// A run that starts with a fault injector attached re-validates the
+// block after every instruction: the injector may change the i-side
+// between two instructions (a glitcher's pulse edges are rail events).
+// The flag is read once, here: a glitcher detaches itself at its
+// trailing edge, inside the block, and the rest of the run must still
+// re-validate.
 //
 //voltvet:hotpath root
 func (s *SoC) runSuperblock(c *Core, b *sblock, limit uint64) (uint64, error) {
 	cpu := c.CPU
+	hooked := cpu.Hooks != nil && cpu.Hooks.Fault != nil
 	var n uint64
 	addr := b.addr
 	for i := int32(0); i < b.n && n < limit; i++ {
@@ -183,8 +191,8 @@ func (s *SoC) runSuperblock(c *Core, b *sblock, limit uint64) (uint64, error) {
 		if cpu.PC != addr {
 			return n, nil // taken branch: the block ends here
 		}
-		if e.recheck && b.gen != s.predecGen(c, b.mode) {
-			return n, nil // the instruction invalidated i-side state
+		if (hooked || e.recheck) && b.gen != s.predecGen(c, b.mode) {
+			return n, nil // i-side state moved since the block was stamped
 		}
 	}
 	return n, nil
@@ -196,8 +204,10 @@ func (s *SoC) runSuperblock(c *Core, b *sblock, limit uint64) (uint64, error) {
 // predecode entries superblocks are built from) where it does not. It
 // returns the number of instructions retired. Architectural and
 // microarchitectural state evolve bit-identically to maxInstr calls of
-// cpu.Step, and so does an attached trace sink's record. A core with a
-// fault injector attached single-steps.
+// cpu.Step, and so does an attached observer's record: a fault
+// injector is consulted, and a trace sink fed, through ExecDecoded
+// exactly as in a step, and the block loop's fetch replay, like a full
+// fetch, never reaches the sink's bus tap.
 func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 	if id < 0 || id >= len(s.Cores) {
 		return 0, fmt.Errorf("soc: core %d out of range", id)
@@ -206,23 +216,10 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 	cpu := c.CPU
 	if c.sblocks == nil {
 		c.sblocks = make([]sblock, sbSlots)
+		c.predec = new([predecEntries]predecEntry)
 	}
 	var n uint64
 	for !cpu.Halted && n < maxInstr {
-		// A core with a fault injector single-steps: a glitcher's pulse
-		// edges are rail events, which the superblock soundness
-		// argument assumes happen between quanta, never inside a
-		// block. A trace sink alone runs blocks: ExecDecoded feeds it
-		// through the hooked body, writeX and the SoC's bus tap exactly
-		// as a step does, and the block loop's fetch replay, like a
-		// predecode hit, never reaches the tap.
-		if h := cpu.Hooks; h != nil && h.Fault != nil {
-			if err := cpu.Step(); err != nil {
-				return n, err
-			}
-			n++
-			continue
-		}
 		b := &c.sblocks[(cpu.PC>>2)&(sbSlots-1)]
 		if b.n == 0 || b.addr != cpu.PC || b.gen != s.predecGen(c, b.mode) {
 			s.buildSuperblock(c, b, cpu.PC)
@@ -237,10 +234,26 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 		}
 		// No block available at this PC: take one full step, which
 		// installs the predecode entry for the next formation attempt.
-		if err := cpu.Step(); err != nil {
+		if err := s.step(c); err != nil {
 			return n, err
 		}
 		n++
 	}
 	return n, nil
+}
+
+// step is the dispatcher's fallback: cpu.Step's fetch, decode and
+// execute, with the decoded instruction installed in the core's
+// predecode table, before it executes, for the next block formation.
+//
+//voltvet:hotpath root
+func (s *SoC) step(c *Core) error {
+	cpu := c.CPU
+	word, err := s.FetchInstr(c.ID, cpu.PC)
+	if err != nil {
+		return fmt.Errorf("fetch at PC %#x: %w", cpu.PC, err)
+	}
+	in := isa.Decode(word)
+	s.installPredec(c, &c.predec[(cpu.PC>>2)&(predecEntries-1)], cpu.PC, in, word)
+	return cpu.ExecDecoded(in, word)
 }

@@ -54,9 +54,11 @@ loop:   LDR X2, [X1]
 }
 
 // BenchmarkCPUStepTraceDisarmed is BenchmarkCPUStep with the trace
-// capturer present but disarmed. The acceptance bar: within noise of
-// the plain BenchmarkCPUStep number — the disarmed hook is one nil
-// check on the retire path and one on the bus path.
+// capturer present but disarmed: it times cpu.Step, the plain reference
+// the dispatch oracles compare against, which no experiment runs. The
+// acceptance bar: within noise of the plain BenchmarkCPUStep number —
+// the disarmed hook is one nil check on the retire path and one on the
+// bus path.
 func BenchmarkCPUStepTraceDisarmed(b *testing.B) {
 	s, _ := steppingBench(b, 1<<16)
 	cpu := s.Cores[0].CPU
@@ -70,10 +72,11 @@ func BenchmarkCPUStepTraceDisarmed(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
-// BenchmarkCPUStepTraceArmed measures the armed per-step cost: Hamming
-// weights, rail reads, and the arena store, on top of the plain step.
-// The arena is re-armed whenever it fills so the steady-state path
-// (bounded store) is what dominates the measurement.
+// BenchmarkCPUStepTraceArmed measures the armed cost on the plain
+// reference, cpu.Step, which no capture runs: Hamming weights, rail
+// reads, and the arena store, on top of the plain step. The arena is
+// re-armed whenever it fills so the steady-state path (bounded store)
+// is what dominates the measurement.
 func BenchmarkCPUStepTraceArmed(b *testing.B) {
 	const arena = 1 << 16
 	s, c := steppingBench(b, arena)
@@ -95,8 +98,8 @@ func BenchmarkCPUStepTraceArmed(b *testing.B) {
 
 // BenchmarkRunQuantumTraceArmed is BenchmarkCPUStepTraceArmed
 // dispatched the way a capture runs, through RunCoreQuantum, which runs
-// a core with only a trace sink attached in superblocks. One op is one
-// retired instruction, so ns/op is ns per armed instruction.
+// the traced core in superblocks. One op is one retired instruction, so
+// ns/op is ns per armed instruction.
 func BenchmarkRunQuantumTraceArmed(b *testing.B) {
 	const arena = 1 << 16
 	s, c := steppingBench(b, arena)
@@ -142,9 +145,9 @@ func BenchmarkTraceCapture(b *testing.B) {
 	b.ReportMetric(float64(b.N*v.RunLength())/b.Elapsed().Seconds(), "samples/s")
 }
 
-// TestStepTraceDisarmedZeroAlloc pins the disarmed contract: steady-
-// state Step with a constructed-and-disarmed capturer allocates
-// nothing.
+// TestStepTraceDisarmedZeroAlloc pins the disarmed contract on the
+// plain reference: steady-state Step with a constructed-and-disarmed
+// capturer allocates nothing.
 func TestStepTraceDisarmedZeroAlloc(t *testing.T) {
 	s, _ := steppingBench(t, 1<<16)
 	cpu := s.Cores[0].CPU
@@ -162,9 +165,10 @@ func TestStepTraceDisarmedZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStepTraceArmedZeroAlloc pins the armed contract: the whole
-// sample-emit path — retire probe, bus probe, Hamming arithmetic, rail
-// reads, arena store — allocates nothing in steady state.
+// TestStepTraceArmedZeroAlloc pins the armed contract on the plain
+// reference: the whole sample-emit path — retire probe, bus probe,
+// Hamming arithmetic, rail reads, arena store — allocates nothing in
+// steady-state Step.
 func TestStepTraceArmedZeroAlloc(t *testing.T) {
 	s, c := steppingBench(t, 1<<16)
 	cpu := s.Cores[0].CPU

@@ -102,9 +102,9 @@ func New(s *soc.SoC, core int, samples int) (*Capturer, error) {
 // is resolved from the live rails, and the sink attaches to the core's
 // hooks (isa.CPU.AttachTrace), where the retire, writeback and bus taps
 // read it. While armed, the SoC dispatcher still runs the traced core
-// in superblocks, and the sink records the same samples a single-stepped
-// core would; only a glitcher on the core makes it single-step. A
-// glitcher attached to the same core stays attached.
+// in superblocks, glitched or not, and the sink records the same samples
+// a core stepped through cpu.Step would. A glitcher attached to the same
+// core stays attached.
 func (c *Capturer) Arm() {
 	c.armed = true
 	c.sink.N = 0

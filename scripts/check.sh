@@ -6,7 +6,8 @@
 # tests 100 times each under -race (so a bound that holds only for some
 # schedules fails the gate almost every time, not now and then), the
 # differential oracles (among them, that a power trace ignores
-# predecode, superblock and cache state, that a capture stops when its
+# predecode, superblock and cache state, that every glitch-campaign
+# trial run in blocks matches cpu.Step, that a capture stops when its
 # window is full, and that the ISA's op table decodes, renders and
 # assembles as the hand-written per-format code it replaced did, with
 # every program builder's words pinned), the catalog digests, a short fuzz pass over the
@@ -124,7 +125,7 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 run_named 'TestSCACPARecoversKey' ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, restores that keep the generation only when they rewound nothing, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the five dispatch paths, a glitched core and their traces across snapshot restores, restores refused while observers are attached, warm-snapshot captures against cold and plain-fetch ones and the window stop, transformed CPA sums, the op table's decoder and disassembler against the per-format reference, the program builders' pinned words)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, restores that keep the generation only when they rewound nothing, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the dispatch paths against cpu.Step, a glitched core in blocks and their traces across snapshot restores, every glitch-campaign trial in blocks against cpu.Step, restores refused while observers are attached, warm-snapshot captures against cold and plain-fetch ones and the window stop, transformed CPA sums, the op table's decoder and disassembler against the per-format reference, the program builders' pinned words)"
 run_named 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 run_named 'TestWordKernels|TestPending|TestSnapshot|TestSnapshotRestoreRetiresOnlyRewound|TestPageDrawsMatchWholeArray|TestDeferredInvalidateMatchesEagerLoop' ./internal/sram/
 run_named 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
@@ -133,7 +134,7 @@ run_named 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc
 run_named 'TestDumpPayloadFetchPathsAgree' ./internal/core/
 run_named 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
 run_named 'TestRestoreBeforeArmDetachesCapturer' ./internal/trace/
-run_named 'TestCaptureIgnoresDerivedState|TestCaptureStopsAtWindow' ./internal/experiments/
+run_named 'TestCaptureIgnoresDerivedState|TestCaptureStopsAtWindow|TestGlitchTrialsMatchStepReference' ./internal/experiments/
 run_named 'TestCPAMatchesReference' ./internal/sca/
 run_named 'TestDecodeMatchesReference|TestDisassembleMatchesReference' ./internal/isa/
 run_named 'TestProgramWordsPinned' ./internal/core/
@@ -155,14 +156,14 @@ bench_named 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' 
 bench_named 'RandJump' ./internal/xrand/
 bench_named 'ModuleCaptureWriteRestore' ./internal/dram/
 bench_named 'CPUStep|CacheAccessHit|CacheAccessMiss|OSWorkloadIPS' ./internal/soc/ ./internal/cache/ ./internal/kernel/
-bench_named 'CPUStepGlitchDisarmed' ./internal/glitch/
+bench_named 'CPUStepGlitchDisarmed|RunQuantumGlitchArmed' ./internal/glitch/
 bench_named 'CPUStepTraceDisarmed|CPUStepTraceArmed|RunQuantumTraceArmed' ./internal/trace/
 bench_named 'CPACorrelate' ./internal/sca/
 bench_named 'Figure7ColdBoot|Figure8OSScenario|Table4ArraySweep|TraceCapture1000|GlitchSearch' ./internal/experiments/
 
 echo "==> allocation-free fast-path gates"
 run_named 'StepSteadyStateZeroAlloc' ./internal/soc/
-run_named 'StepGlitchDisarmedZeroAlloc' ./internal/glitch/
+run_named 'StepGlitchDisarmedZeroAlloc|RunQuantumGlitchArmedZeroAlloc' ./internal/glitch/
 run_named 'StepTraceArmedZeroAlloc|StepTraceDisarmedZeroAlloc|RunQuantumTraceArmedZeroAlloc' ./internal/trace/
 run_named 'AccessHitPathAllocFree|LineTransferAllocFree' ./internal/cache/
 run_named 'MaterializeZeroAlloc' ./internal/sram/
