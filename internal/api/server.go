@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -97,14 +98,22 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeBody decodes r's JSON body into v, rejecting unknown fields and
-// bodies over maxBodyBytes. On error it returns the status to answer
-// with: 413 for an oversize body, 400 for any other bad body.
+// decodeBody decodes r's JSON body, one JSON value and nothing after it
+// but whitespace, into v, rejecting unknown fields and bodies over
+// maxBodyBytes. On error it returns the status to answer with: 413 for
+// an oversize body, 400 for any other bad body.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return 0, nil
+		} else if !errors.As(err, &tooBig) {
+			err = errors.New("data after the JSON value")
+		}
+	}
 	if errors.As(err, &tooBig) {
 		return http.StatusRequestEntityTooLarge, err
 	}

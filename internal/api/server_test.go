@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/fabric"
 	"repro/internal/registry"
 )
 
@@ -495,6 +496,90 @@ func TestSubmitBodyCap(t *testing.T) {
 	}
 }
 
+// echoFailSeed is the seed newSoloFabricServer's echo experiment fails
+// on, deterministically.
+const echoFailSeed = 13
+
+// newSoloFabricServer builds a server whose fabric is a one-member node
+// attached to a manager over a registry of one instant experiment:
+// echo, whose output is a pure function of its seed and tag, and whose
+// run at echoFailSeed fails, so /v1/fabric/run can answer each of its
+// statuses. The manager keeps no store, so a run is served from memory
+// or computed.
+func newSoloFabricServer(tb testing.TB) (http.Handler, *campaign.Manager) {
+	tb.Helper()
+	reg := registry.New(&registry.Experiment{
+		Name: "echo", Doc: "test echo", ArtifactKinds: []string{"text"},
+		Params: []registry.ParamSpec{{Name: "tag", Kind: registry.StringListKind,
+			Default: "a", Enum: []string{"a", "b"}}},
+		Run: func(_ context.Context, req registry.Request) (*registry.Result, error) {
+			if req.Seed == echoFailSeed {
+				return nil, fmt.Errorf("echo: seed %d fails", req.Seed)
+			}
+			return &registry.Result{Text: fmt.Sprintf("echo seed=%d tag=%s\n", req.Seed, req.Params["tag"])}, nil
+		},
+	})
+	node, err := fabric.New(fabric.Config{Self: "solo", Fingerprint: reg.Fingerprint()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Few retained jobs and cached results keep a fuzzer's memory
+	// bounded.
+	mgr := campaign.New(campaign.Config{Registry: reg, Workers: 2, QueueDepth: 8,
+		Sweep: node, MemEntries: 1024, JobRetention: 16})
+	node.Attach(mgr)
+	tb.Cleanup(func() { _ = mgr.Drain(context.Background()) })
+	return New(mgr, reg, node), mgr
+}
+
+// serve posts body to path on srv and returns the recorded response.
+func serve(srv http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// TestBodyEndsAfterOneValue: a POST body is one JSON value. Whitespace
+// may follow it, up to the body cap; anything else, a second value
+// included, is answered 400 on both endpoints that take a body, and a
+// refused job body creates no job.
+func TestBodyEndsAfterOneValue(t *testing.T) {
+	srv, mgr := newSoloFabricServer(t)
+	for _, ep := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/v1/jobs", `{"runs":[{"experiment":"echo"}]}`, http.StatusAccepted},
+		{"/v1/fabric/run", `{"experiment":"echo","seed":1}`, http.StatusOK},
+	} {
+		for _, tail := range []struct {
+			text string
+			want int
+		}{
+			{"", ep.ok},
+			{"\n", ep.ok},
+			{" \r\n\t ", ep.ok},
+			{"garbage", http.StatusBadRequest},
+			{ep.body, http.StatusBadRequest},
+			{"\n" + ep.body, http.StatusBadRequest},
+			{"{", http.StatusBadRequest},
+			{"]", http.StatusBadRequest},
+			{"0", http.StatusBadRequest},
+			{strings.Repeat(" ", maxBodyBytes), http.StatusRequestEntityTooLarge},
+		} {
+			jobs := len(mgr.List())
+			body := ep.body + tail.text
+			rec := serve(srv, ep.path, []byte(body))
+			if rec.Code != tail.want {
+				t.Errorf("POST %s %.80q → %d %s, want %d", ep.path, body, rec.Code, rec.Body, tail.want)
+			}
+			if ep.path == "/v1/jobs" && tail.want != ep.ok && len(mgr.List()) != jobs {
+				t.Errorf("POST %s %.80q must be refused, yet it created a job", ep.path, body)
+			}
+		}
+	}
+}
+
 // FuzzSubmitBody posts arbitrary bytes as a job body. Whatever the body,
 // the server answers 200, 202, 400, 413 or 429, never a 5xx, and does not
 // panic. The one server is built once, over a registry whose only
@@ -524,13 +609,63 @@ func FuzzSubmitBody(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		rec := serve(srv, "/v1/jobs", body)
 		switch rec.Code {
 		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest,
 			http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
 		default:
 			t.Fatalf("POST /v1/jobs %.200q → %d %s", body, rec.Code, rec.Body)
+		}
+	})
+}
+
+// FuzzFabricRunBody posts arbitrary bytes as a forwarded run to a
+// one-member fleet. Whatever the body, the node answers 200, 400, 409,
+// 413 or 422, never a 5xx, and does not panic. A 200 body is a
+// RunRecord whose key re-resolves from its own experiment, seed and
+// params, and every 200 and 422 says which tier served it: hit-mem or
+// miss, since the node keeps no store.
+func FuzzFabricRunBody(f *testing.F) {
+	srv, mgr := newSoloFabricServer(f)
+	_, key, err := mgr.ResolveRun(campaign.RunSpec{Experiment: "echo", Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"experiment":"echo","seed":3,"params":{"tag":"b"}}`,
+		`{"experiment":"echo","seed":5,"key":"` + key + `"}`,
+		`{"experiment":"echo","seed":6,"key":"` + key + `"}`,
+		fmt.Sprintf(`{"experiment":"echo","seed":%d}`, echoFailSeed),
+		`{"experiment":"nonesuch","seed":1}`,
+		`{"experiment":"echo","params":{"tag":"z"}}`,
+		`{"experiment":"echo","bogus":1}`,
+		`{"experiment":"echo","seed":18446744073709551616}`,
+		`{"experiment":"echo","seed":2}garbage`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serve(srv, "/v1/fabric/run", body)
+		switch rec.Code {
+		case http.StatusOK, http.StatusUnprocessableEntity:
+			if tier := rec.Header().Get("X-Cache"); tier != string(campaign.TierMem) && tier != string(campaign.TierMiss) {
+				t.Fatalf("POST /v1/fabric/run %.200q → %d with X-Cache %q", body, rec.Code, tier)
+			}
+		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("POST /v1/fabric/run %.200q → %d %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var run campaign.RunRecord
+		if err := json.Unmarshal(rec.Body.Bytes(), &run); err != nil {
+			t.Fatalf("POST /v1/fabric/run %.200q → 200 with a body that is no RunRecord: %v", body, err)
+		}
+		_, key, err := mgr.ResolveRun(campaign.RunSpec{Experiment: run.Experiment, Seed: run.Seed, Params: run.Params})
+		if err != nil || key != run.Key {
+			t.Fatalf("POST /v1/fabric/run %.200q → a record keyed %s that re-resolves to %s (%v)", body, run.Key, key, err)
 		}
 	})
 }

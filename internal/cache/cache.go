@@ -180,21 +180,20 @@ type Cache struct {
 
 	// contentGen counts every event that can change what a predecoded
 	// fetch through this cache observes: maintenance ops, enable toggles,
-	// and fills and data writes into a line that served a predecoded
-	// fetch in the current generation (see fetchMark). The
-	// SoC's predecoded i-stream keys its entries on this counter (plus its
-	// own mutation counter), so any such event invalidates all predecoded
-	// instructions served through this cache. LRU touches do not bump it —
-	// they change replacement order, not content — which is what lets
-	// straight-line loops keep their predecode entries hot. Monotonic,
-	// derived state, never stored in SRAM.
+	// and fills and data writes into a line a predecoded block was read
+	// from in the current generation (see fetchMark). The SoC's
+	// superblocks are stamped with this counter (plus its own mutation
+	// counter), so any such event invalidates every block served through
+	// this cache. LRU touches do not bump it — they change replacement
+	// order, not content — which is what lets straight-line loops keep
+	// their blocks hot. Monotonic, derived state, never stored in SRAM.
 	contentGen uint64
-	// fetchMark[way·sets+set] == contentGen+1 marks a line that served a
-	// predecoded fetch since the last contentGen bump (MarkFetched). A
-	// predecode entry stays valid only while contentGen does not move, so
-	// a data write into an unmarked line, or a fill that replaces one,
-	// cannot reach the content or residency of any valid entry and leaves
-	// the generation alone; a write into a marked line, or a fill that
+	// fetchMark[way·sets+set] == contentGen+1 marks a line a block was
+	// read from since the last contentGen bump (MarkFetched). A block
+	// stays valid only while contentGen does not move, so a data write
+	// into an unmarked line, or a fill that replaces one, cannot reach
+	// the content or residency of any valid block and leaves the
+	// generation alone; a write into a marked line, or a fill that
 	// evicts one, bumps it. Any bump clears every mark at once, so the
 	// stamps never need resetting.
 	//voltvet:nosnap epoch stamps against contentGen; a restore that rewinds the cache's arrays bumps contentGen, which clears every mark at once, and one that does not leaves marks of unchanged lines
@@ -270,7 +269,7 @@ func (c *Cache) Enabled() bool { return c.enabled }
 
 // SetEnabled turns allocation on or off. Disabling does not flush: that
 // is the software's job (and the attacker's opportunity). Toggling
-// changes fetch routing, so it invalidates predecoded instructions.
+// changes fetch routing, so it invalidates predecoded blocks.
 func (c *Cache) SetEnabled(on bool) {
 	c.enabled = on
 	c.contentGen++
@@ -354,33 +353,47 @@ func (c *Cache) touch(way, set int) {
 
 // TouchFetchHit replays the microarchitectural side effects of a hit at
 // (way, set) — the hit counter and the LRU touch — without re-reading
-// the RAMs. The SoC's predecoded i-stream calls it on a predecode hit so
-// replacement order and event counters stay bit-identical to the full
-// fetch path it short-circuits.
+// the RAMs. The SoC's superblocks call it for each instruction they run,
+// so replacement order and event counters stay bit-identical to the full
+// fetch path they short-circuit.
 func (c *Cache) TouchFetchHit(way, set int) {
 	c.stats.Hits++
 	c.touch(way, set)
 }
 
 // ResidentWaySet probes, without side effects, whether addr is resident
-// and in which (way, set). The predecoded i-stream keys its entries on
-// the answer.
+// and in which (way, set). The SoC's superblock builder reads each block
+// word from the answer (FetchWord).
 func (c *Cache) ResidentWaySet(addr uint64) (way, set int, ok bool) {
 	tag, s, _ := c.index(addr)
 	w := c.lookup(tag, s)
 	return w, s, w >= 0
 }
 
-// MarkFetched records that the line at (way, set) served a fetch the
-// predecoded i-stream cached: until the next content-generation bump, a
-// data write into it bumps the generation (see fetchMark).
+// FetchWord returns the instruction word at the word-aligned addr in the
+// resident line at (way, set), as a 4-byte fetch hit there reads it:
+// with inline ECC undone. Unlike Access it counts no hit and touches no
+// LRU entry, so the superblock builder can read a block ahead of its
+// execution; the block replays each hit with TouchFetchHit as it runs.
+func (c *Cache) FetchWord(way, set int, addr uint64) uint32 {
+	off := set*c.cfg.LineBytes + int(addr)&(c.cfg.LineBytes-1)
+	w := uint32(c.dataRAM[way].ReadUintN(off, 4))
+	if c.cfg.InlineECC {
+		return ECCDecodeWord(w)
+	}
+	return w
+}
+
+// MarkFetched records that a superblock was read from the line at
+// (way, set): until the next content-generation bump, a data write into
+// it, or a fill that evicts it, bumps the generation (see fetchMark).
 func (c *Cache) MarkFetched(way, set int) {
 	c.fetchMark[way*c.sets+set] = c.contentGen + 1
 }
 
 // dataWritten accounts for a data write or a fill into (way, set): it
-// bumps the content generation only if the line there served a
-// predecoded fetch in the current generation.
+// bumps the content generation only if a superblock was read from the
+// line there in the current generation.
 func (c *Cache) dataWritten(way, set int) {
 	if c.fetchMark[way*c.sets+set] == c.contentGen+1 {
 		c.contentGen++

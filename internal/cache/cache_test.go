@@ -2,10 +2,12 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/xrand"
 )
 
 // flatBacking is a simple memory backing for cache tests.
@@ -717,10 +719,10 @@ func TestInlineECCWritebackDecodes(t *testing.T) {
 }
 
 // TestDataWritesBumpOnlyFetchedLines pins the content-generation contract
-// the predecoded i-stream relies on: a data write — a store, an ECC
-// store, or a full-line writeback from an inner cache — bumps the
-// generation only if its line served a predecoded fetch (MarkFetched)
-// since the last bump, and every bump clears all marks at once. A
+// the SoC's superblocks rely on: a data write — a store, an ECC store,
+// or a full-line writeback from an inner cache — bumps the generation
+// only if a block was read from its line (MarkFetched) since the last
+// bump, and every bump clears all marks at once. A
 // RestoreAux bumps only if the cache's arrays moved since the capture
 // or the last restore, so one that rewinds nothing keeps the marks. A
 // fill follows the data-write rule for the line it replaces: a fill
@@ -821,6 +823,81 @@ func TestDataWritesBumpOnlyFetchedLines(t *testing.T) {
 		}
 		if c.ContentGen() != g+1 {
 			t.Errorf("ecc=%v: a fill that evicted a fetched line moved the generation by %d, want 1", ecc, c.ContentGen()-g)
+		}
+	}
+}
+
+// TestFetchWordReadsLikeAHit pins the read the SoC's superblock builder
+// takes its words with. After random fills, evictions and stores, at
+// every word of every resident line, FetchWord must return what a
+// 4-byte Access read there returns, inline ECC undone, and must count
+// no hit and touch no LRU entry: the builder reads a block ahead of its
+// run, and the run replays each hit as its instruction executes.
+func TestFetchWordReadsLikeAHit(t *testing.T) {
+	for _, ecc := range []bool{false, true} {
+		cfg := paperL1D()
+		cfg.InlineECC = ecc
+		c, back, _ := newTestCache(t, cfg)
+		r := xrand.New(0xFE7C)
+		for i := 0; i < 3*cfg.SizeBytes/cfg.LineBytes; i++ {
+			addr := uint64(r.Intn(1<<20)) &^ uint64(cfg.LineBytes-1)
+			if _, ok := back.mem[addr]; !ok {
+				line := make([]byte, cfg.LineBytes)
+				r.Bytes(line)
+				back.mem[addr] = line
+			}
+			size := 1 << r.Intn(4)
+			a := addr + uint64(size*r.Intn(cfg.LineBytes/size))
+			if _, err := c.Access(a, size, r.Bool(), r.Uint64(), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		type word struct {
+			addr uint64
+			v    uint32
+		}
+		var words []word
+		stats, tick := c.Stats(), c.useTick
+		lastUse := make([][]uint64, len(c.lastUse))
+		for w := range c.lastUse {
+			lastUse[w] = slices.Clone(c.lastUse[w])
+		}
+		for w := 0; w < cfg.Ways; w++ {
+			for set := 0; set < cfg.Sets(); set++ {
+				li := c.Line(w, set)
+				if !li.Valid {
+					continue
+				}
+				for off := 0; off < cfg.LineBytes; off += 4 {
+					a := li.Addr + uint64(off)
+					words = append(words, word{a, c.FetchWord(w, set, a)})
+				}
+			}
+		}
+		if len(words) < cfg.SizeBytes/8 {
+			t.Fatalf("ecc=%v: only %d words resident; the fills left the cache mostly empty", ecc, len(words))
+		}
+		if c.Stats() != stats || c.useTick != tick {
+			t.Errorf("ecc=%v: FetchWord moved the stats to %+v (tick %d), from %+v (tick %d)", ecc, c.Stats(), c.useTick, stats, tick)
+		}
+		for w := range lastUse {
+			if !slices.Equal(c.lastUse[w], lastUse[w]) {
+				t.Errorf("ecc=%v: FetchWord touched LRU entries of way %d", ecc, w)
+			}
+		}
+		for _, wd := range words {
+			misses := c.Stats().Misses
+			v, err := c.Access(wd.addr, 4, false, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Stats().Misses != misses {
+				t.Fatalf("ecc=%v: the read at %#x missed a resident line", ecc, wd.addr)
+			}
+			if uint32(v) != wd.v {
+				t.Fatalf("ecc=%v: FetchWord at %#x = %#08x, a 4-byte read = %#08x", ecc, wd.addr, wd.v, uint32(v))
+			}
 		}
 	}
 }

@@ -19,9 +19,10 @@ package cache
 // observes: when the enable bit changes back, or when one of the
 // cache's arrays moved its generation since the last capture or
 // restore (the SoC restores the arrays first, so an array its own
-// restore rewound has already bumped). The bump retires every predecode
-// stamp issued since and clears every fetch mark. Without it the marks
-// stay valid: they still describe lines whose content did not change.
+// restore rewound has already bumped). The bump retires every
+// superblock stamp issued since and clears every fetch mark. Without it
+// the marks stay valid: they still describe lines whose content did not
+// change.
 // The memo is simply dropped (its re-resolution is invisible to
 // replacement order, stats, and contents).
 

@@ -87,8 +87,8 @@ func BenchmarkGlitchSearch(b *testing.B) {
 // snapshot restore and one armed run, in superblocks, that stops when
 // the window is full, 256 of the victim's 1,491 instructions. The rig's
 // snapshot is taken after one unarmed victim run, and restores keep the
-// predecode entries and L1I lines no trial rewinds, so trials neither
-// refetch nor refill the victim's code. Building each worker's rig
+// superblocks and L1I lines no trial rewinds, so trials neither rebuild
+// nor refill the victim's code. Building each worker's rig
 // accounts for most of the allocation. In CPU profiles of 2 × 150
 // iterations on a 2-vCPU VM, the trials are 61% (exec 29%, noise 10%,
 // restores 6%, fetch path 4%) and the rig builds 33%: SRAM page draws

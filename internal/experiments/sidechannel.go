@@ -56,7 +56,7 @@ func buildSCAVictim() (*trace.AESVictim, error) {
 // newSCARig builds a rig whose snapshot is warm. After the cold build
 // it runs the victim once, unarmed, so that the snapshot holds the
 // victim's code lines in the L1I, its tables in the L1D, and its
-// predecode entries and superblocks, all of which restores keep (see
+// superblocks, all of which restores keep (see
 // soc.SoC.RestoreSnapshot). A trace depends on none of them. It does
 // depend on the state line: SoC.WriteDRAM stages each trial's plaintext
 // through the L2 only, so a state line left in the L1D would serve the
@@ -123,9 +123,9 @@ func (r *scaRig) snapshot() {
 // capture forks the snapshot, stages one plaintext and runs the armed
 // victim once, until it halts or the arena is full. The bus tap sees no
 // instruction fetches, so the trace depends only on the committed
-// instructions and their data, not on what the predecode table, the
-// superblocks or the caches hold after a restore; the armed core runs
-// in superblocks like an unarmed one. The returned trace carries
+// instructions and their data, not on what the superblocks or the
+// caches hold after a restore; the armed core runs in superblocks like
+// an unarmed one. The returned trace carries
 // deterministic Gaussian noise of the given sigma (one derived rng
 // stream per trial covers plaintext and noise).
 func (r *scaRig) capture(pt [16]byte, sigma float64, rng *xrand.Rand) ([]float32, error) {

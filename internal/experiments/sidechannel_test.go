@@ -184,8 +184,8 @@ func TestArmedTracingDoesNotPerturbGoldens(t *testing.T) {
 }
 
 // capturePlainFetch captures one trial from a restore of the rig's
-// snapshot with core 0 stepping through cpu.Step: no predecode entry, no
-// superblock, every fetch through FetchInstr.
+// snapshot with core 0 stepping through cpu.Step: no superblock, every
+// fetch through FetchInstr.
 func capturePlainFetch(t *testing.T, r *scaRig, pt [16]byte) []float32 {
 	t.Helper()
 	s := r.b.SoC
@@ -286,14 +286,13 @@ func TestSCARigDrawsTouchedPages(t *testing.T) {
 // committed instructions and their data alone. Successive trials with
 // different plaintexts, each recorded three ways, must give
 // bit-identical samples: (a) the rig's capture from its warm snapshot,
-// whose predecode entries, superblocks and cache lines persist across
-// restores, (b) a capture from a cold snapshot of a core that has never
-// run, and (c) the warm rig's core stepped through cpu.Step, which reads
-// no predecode entry or superblock. Predecode, superblock and cache
-// state differ across the three; the samples may
-// not. A warm snapshot that kept the victim's state line in the L1D
-// would serve (a) and (c) the warm-up's bytes in every trial, and (b)
-// the plaintext.
+// whose superblocks and cache lines persist across restores, (b) a
+// capture from a cold snapshot of a core that has never run, and (c)
+// the warm rig's core stepped through cpu.Step, which reads no
+// superblock. Superblock and cache state differ across the three; the
+// samples may not. A warm snapshot that kept the victim's state line in
+// the L1D would serve (a) and (c) the warm-up's bytes in every trial,
+// and (b) the plaintext.
 func TestCaptureIgnoresDerivedState(t *testing.T) {
 	key := mustKey(t)
 	v, err := buildSCAVictim()

@@ -53,7 +53,8 @@ loop:   LDR X2, [X1]
 
 // BenchmarkCPUStepGlitchDisarmed is BenchmarkCPUStep with the glitch
 // engine present but disarmed: it times cpu.Step, the plain reference
-// the dispatch oracles compare against, which no experiment runs. The
+// the dispatch oracles compare against, which experiments run only on
+// a block miss. The
 // acceptance bar: within noise of the plain BenchmarkCPUStep number —
 // the disarmed hook is one nil check.
 func BenchmarkCPUStepGlitchDisarmed(b *testing.B) {

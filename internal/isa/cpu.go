@@ -226,10 +226,12 @@ func (c *CPU) setFlagsSub(a, b uint64) uint64 {
 }
 
 // Step fetches, decodes and executes one instruction: the plain
-// reference every faster dispatch path is checked against. It holds no
-// derived state; each call fetches through the bus's FetchInstr. It
-// returns an error on memory faults or undefined instructions; the core
-// keeps its state so callers can inspect the failure.
+// reference every faster dispatch path is checked against, and the
+// step the SoC's superblock dispatcher takes where no block forms. It
+// holds no derived state; each call fetches through the bus's
+// FetchInstr. It returns an error on memory faults or undefined
+// instructions; the core keeps its state so callers can inspect the
+// failure.
 //
 //voltvet:hotpath root
 func (c *CPU) Step() error {

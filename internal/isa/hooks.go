@@ -13,7 +13,7 @@ package isa
 // Every hooked instruction runs through execHooked, whether a step or
 // the SoC's superblock dispatcher executes it. The dispatcher runs a
 // hooked core in blocks too; a block run that starts with a fault
-// injector attached re-validates its predecode stamp after every
+// injector attached re-validates its generation stamp after every
 // instruction, since the injector's pulse edges may change the i-side
 // between two instructions.
 //

@@ -97,9 +97,10 @@ func (c *Config) DeterministicImportAllowed(dep string) bool {
 // formerHotpathChain is the hand-maintained annotation list this repo
 // carried before closure inference, frozen as test data: the functions
 // accumulated by reading call chains off benchmarks and transcribing
-// them by hand, 36 of the original 38 (DRAM's markSnapRange was deleted
-// with its dirty-page bitmap, and soc's predecoded per-instruction fetch
-// with the second dispatch path). It survives as a lower bound under the
+// them by hand, 35 of the original 38 (DRAM's markSnapRange was deleted
+// with its dirty-page bitmap, soc's predecoded per-instruction fetch
+// with the second dispatch path, and its predecode install with the
+// predecode table). It survives as a lower bound under the
 // hand-edited testdata/hotpath_closure.txt: editing that list to match a
 // shrunken closure cannot drop one of these functions out of the
 // allocation checks without a second, deliberate edit here. It is never
@@ -116,7 +117,6 @@ var formerHotpathChain = []string{
 	"(*repro/internal/soc.SoC).Load",
 	"(*repro/internal/soc.SoC).Store",
 	"(*repro/internal/soc.SoC).access",
-	"(*repro/internal/soc.SoC).installPredec",
 	"(*repro/internal/soc.SoC).predecGen",
 	"(*repro/internal/soc.SoC).runSuperblock",
 	"(*repro/internal/soc.SoC).updateHistoryBuffers",

@@ -41,9 +41,9 @@ import (
 //
 // Every side captures a snapshot a few hundred instructions in, runs to
 // the halt, restores it and runs to the halt again, twice. A restore
-// keeps the predecode entries and superblocks of every cache line it did
-// not rewind; the references hold no such state, so any entry a restore
-// should have retired shows as a divergence. Each program ends with a
+// keeps the superblocks of every cache line it did not rewind; the
+// references hold no such state, so any block a restore should have
+// retired shows as a divergence. Each program ends with a
 // comparison of the DRAM cells.
 
 // Register roles in generated programs. Random instructions write only
@@ -249,10 +249,10 @@ func (g *progGen) smcLoop() {
 // aliasLoop emits a loop whose passes each walk 18 lines that share an
 // L2 set with the loop's first line (the L2's way stride is 64 KiB),
 // loading from some and storing to others. The walk runs from the next
-// line on, so the 16-way set evicts the loop's first line, fetched and
-// predecoded on this pass, and the next pass's fetch of it misses: an
-// L2 fill that evicts a line a predecode entry was fetched from must
-// retire the entry, and fills into other slots must not disturb it. The
+// line on, so the 16-way set evicts the loop's first line, read into a
+// superblock on this pass, and the next pass's fetch of it misses: an
+// L2 fill that evicts a line a block was read from must retire the
+// block, and fills into other slots must not disturb it. The
 // walk's addresses share the loop label's word alignment, so it loads
 // and stores words: a doubleword at a label 4 bytes before a line end
 // would cross the line, which the caches reject.
@@ -351,17 +351,23 @@ func (o *oracleSide) fork() {
 }
 
 // oracleMode is one cache configuration the oracle runs programs under:
-// l1 enables the L1s at boot, l2 keeps the L2 on after it, and alias
-// adds aliasing loops to the programs.
+// l1 enables the L1s at boot, l2 keeps the L2 on after it, alias adds
+// aliasing loops to the programs, and ecc runs them on a BCM2837, whose
+// L1I stores its lines with inline ECC, instead of a BCM2711.
 type oracleMode struct {
 	name   string
 	l1, l2 bool
 	alias  bool
+	ecc    bool
 }
 
 func newOracleSide(t *testing.T, words []uint32, m oracleMode) *oracleSide {
 	t.Helper()
-	s, _ := poweredSoC(t, BCM2711(), Options{})
+	spec := BCM2711()
+	if m.ecc {
+		spec = BCM2837()
+	}
+	s, _ := poweredSoC(t, spec, Options{})
 	if err := s.Boot(&BootImage{Words: words, EnableCaches: m.l1}); err != nil {
 		t.Fatal(err)
 	}
@@ -538,15 +544,17 @@ func (l *oracleLane) run(t *testing.T, prog int, r *xrand.Rand, capAt, maxInstr 
 // across a snapshot restore, with the L1s on (fetches served by the
 // L1I), with only the L2 on (the extraction payloads' configuration,
 // whose programs add aliasing loops that make L2 fills evict fetched
-// lines) and with both off (every fetch read from DRAM), and requires
-// every path to match its plain reference at every comparison point.
+// lines), with both off (every fetch read from DRAM) and with the L1s on
+// over an inline-ECC L1I (blocks read words that the RAM holds encoded),
+// and requires every path to match its plain reference at every
+// comparison point.
 func TestDispatchPathsAgree(t *testing.T) {
 	const (
 		blocks   = 24
 		maxInstr = 200_000
 		arena    = 3 * maxInstr // three runs to the halt
 	)
-	programs := 6 // about 150k instructions per lane over the three modes
+	programs := 6 // about 135k instructions per lane over the four modes
 	if testing.Short() {
 		programs = 1 // keeps the -race -short pass fast; the full run is tier-1
 	}
@@ -555,6 +563,7 @@ func TestDispatchPathsAgree(t *testing.T) {
 		{name: "L1I", l1: true, l2: true},
 		{name: "L2-only", l2: true, alias: true},
 		{name: "uncached"},
+		{name: "L1I-ECC", l1: true, l2: true, ecc: true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			for prog := 0; prog < programs; prog++ {

@@ -19,16 +19,16 @@
 // replays exactly as it would on a freshly built board that ran the same
 // prefix — the golden-pinned experiments exercise this equivalence on
 // every run. The derived-state exceptions are the generation counters
-// and the views they guard: the predecode and superblock tables, the
-// cache way memos and the TLB write memo, none of which the restore
+// and the views they guard: the superblocks, the cache way memos and
+// the TLB write memo, none of which the restore
 // touches. The counters stay monotonic, and a restore retires only what
 // it rewound: an array bumps its generation only if its content moved
 // since the last capture or restore, a cache bumps its content
 // generation only if one of its arrays did or its enable bit changes
 // back, and mutGen is left alone. A trial that changed no cache line a
-// fetch reads therefore keeps every predecode entry and superblock, and
-// its successor starts warm; anything a stale entry could misread has
-// moved a generation, so it rebuilds with no architectural side effects.
+// fetch reads therefore keeps every superblock, and its successor
+// starts warm; anything a stale block could misread has moved a
+// generation, so it rebuilds with no architectural side effects.
 package soc
 
 import (

@@ -73,25 +73,20 @@ type Core struct {
 	// stamp is the TLB array's own content generation (taken after our
 	// write), so any other write, fill, power-up or decay event — anything
 	// that could make the slot differ from what we last wrote — forces the
-	// write again. Derived state, like predec.
+	// write again. Derived state, like sblocks.
 	tlbLastPage uint64
 	tlbLastGen  uint64
 
-	// predec is the per-core predecoded i-stream: a direct-mapped table
-	// of already-decoded instructions keyed by fetch address, each entry
-	// stamped with the generation of the state that produced it (see
-	// SoC.predecGen). Purely derived microarchitectural state — it holds
-	// no content a fetch could not re-derive, lives outside the SRAM
-	// retention physics, and is invalidated wholesale by generation
-	// bumps rather than being snooped. Allocated with sblocks by the
-	// core's first RunCoreQuantum, so a core that never runs costs
-	// nothing.
-	predec *[predecEntries]predecEntry
-
-	// sblocks is the per-core superblock cache built over predec: straight-
-	// line runs executed as a unit with validation hoisted to block entry
-	// (see superblock.go). Lazily allocated by RunCoreQuantum; derived
-	// state with the same invalidation story as predec.
+	// sblocks is the per-core predecoded i-stream: a direct-mapped cache
+	// of straight-line runs read from the lines that serve their fetches,
+	// decoded once and executed as a unit with validation hoisted to block
+	// entry (see superblock.go). Each block is stamped with the generation
+	// of the state it was read from (see SoC.predecGen). Purely derived
+	// microarchitectural state — it holds no content a fetch could not
+	// re-derive, lives outside the SRAM retention physics, and is
+	// invalidated wholesale by generation bumps rather than being snooped.
+	// Allocated by the core's first RunCoreQuantum, so a core that never
+	// runs costs nothing.
 	sblocks []sblock
 }
 
@@ -101,31 +96,15 @@ const (
 	btbEntries = 256
 )
 
-// predecEntries sizes the per-core predecode table: direct-mapped on
-// word-aligned PC, 4096 entries = 16 KB of code reach, comfortably more
-// than any experiment payload.
-const predecEntries = 4096
-
-// Predecode entry service modes: which level answered the install-time
-// fetch, and therefore which generation counters guard the entry.
-// Uncached DRAM and iRAM fetches install no entry: across the catalog,
-// no such entry was ever hit.
+// Superblock modes: which level serves a block's fetches, and therefore
+// which generation counters guard it. Uncached DRAM and iRAM fetches
+// form no block (DESIGN.md §6, rule 1).
 const (
-	predecNone = uint8(iota) // empty slot
-	predecL1I                // enabled L1I hit at (way, set)
-	predecL2                 // L1I off, enabled L2 hit at (way, set)
-	predecROM                // mask ROM fetch (immutable)
+	predecNone = uint8(iota) // no block
+	predecL1I                // enabled L1I hits at (way, set)
+	predecL2                 // L1I off, enabled L2 hits at (way, set)
+	predecROM                // mask ROM fetches (immutable)
 )
-
-type predecEntry struct {
-	addr uint64 // fetch address
-	gen  uint64 // predecGen(mode) at install time
-	in   isa.Instr
-	word uint32
-	mode uint8
-	way  int32 // resident way/set for cache-served entries
-	set  int32
-}
 
 // BootImage is a payload offered to the boot chain (a kernel on USB mass
 // storage for the Pis; irrelevant for i.MX53-style internal boot, whose
@@ -196,14 +175,14 @@ type SoC struct {
 	caches []*cache.Cache
 
 	// mutGen counts SoC-level events that can mutate instruction memory
-	// behind the predecode cache's back: boots (ROM scratchpad, MBIST,
+	// behind the superblocks' back: boots (ROM scratchpad, MBIST,
 	// VideoCore, payload load), orderly shutdowns, and every rail change
 	// on the core or memory domain (power cycles scramble SRAM-resident
 	// code). It feeds predecGen for the L1I and L2 modes, so any such
 	// event invalidates every predecoded instruction but the mask-ROM
 	// ones. A snapshot restore does not bump it: a restore that rewinds a
 	// cache's arrays bumps that cache's content generation instead.
-	//voltvet:nosnap derived-state generation, monotonic across rewinds: boots, orderly shutdowns and rail watchers bump it, and a restore's rewound cache arrays retire entries through the caches' content generations
+	//voltvet:nosnap derived-state generation, monotonic across rewinds: boots, orderly shutdowns and rail watchers bump it, and a restore's rewound cache arrays retire blocks through the caches' content generations
 	mutGen uint64
 }
 
@@ -315,7 +294,7 @@ func (d *dramLoad) SetRail(v float64) {
 }
 
 // railWatcher bumps a generation counter on every rail change pushed to
-// its domain — the predecode cache's view of power events.
+// its domain — the superblocks' view of power events.
 type railWatcher struct {
 	name string
 	gen  *uint64
@@ -351,7 +330,7 @@ func (s *SoC) Boot(img *BootImage) error {
 		return ErrUnpowered
 	}
 	s.bootCount++
-	s.mutGen++ // boots rewrite code memory in several ways; drop all predecode
+	s.mutGen++ // boots rewrite code memory in several ways; drop all blocks
 
 	if s.Opts.PowerToggleReset {
 		// The SoC gates each SRAM macro's internal supply off and on
@@ -474,19 +453,10 @@ func (s *SoC) ProgramROM(words []uint32) error {
 		s.rom[off+2] = byte(w >> 16)
 		s.rom[off+3] = byte(w >> 24)
 	}
-	// ROM-mode derived state is stamped with the constant generation 0
+	// ROM-mode blocks are stamped with the constant generation 0
 	// (predecGen treats the mask ROM as immutable), so rewriting the ROM
-	// must drop stale entries by hand — a generation bump cannot retire
-	// them.
+	// must drop them by hand — a generation bump cannot retire them.
 	for _, c := range s.Cores {
-		if c.predec == nil {
-			continue // the core never fetched: no entries, and every block is empty
-		}
-		for i := range c.predec {
-			if c.predec[i].mode == predecROM {
-				c.predec[i] = predecEntry{}
-			}
-		}
 		for i := range c.sblocks {
 			if c.sblocks[i].mode == predecROM {
 				c.sblocks[i].n = 0
@@ -580,55 +550,7 @@ func (s *SoC) FetchInstr(core int, addr uint64) (uint32, error) {
 	return uint32(v), err
 }
 
-// installPredec records a freshly fetched-and-decoded instruction in the
-// core's predecode table, classified by the level that served it. The
-// generation is sampled *after* the fetch, so a fill triggered by the
-// fetch itself guards the entry correctly. Uncached DRAM, iRAM and
-// unmapped fetches install nothing.
-func (s *SoC) installPredec(c *Core, e *predecEntry, addr uint64, in isa.Instr, word uint32) {
-	mode := predecNone
-	var way, set int
-	switch {
-	case s.inDRAM(addr):
-		switch {
-		case c.L1I.Enabled():
-			var ok bool
-			if way, set, ok = c.L1I.ResidentWaySet(addr); !ok {
-				return // fetch raced a maintenance op; skip caching
-			}
-			c.L1I.MarkFetched(way, set)
-			mode = predecL1I
-		case s.L2.Enabled():
-			var ok bool
-			if way, set, ok = s.L2.ResidentWaySet(addr); !ok {
-				return
-			}
-			// From here on a data write into this line (a store, or an L1D
-			// writeback), or a fill that evicts it, bumps the L2's content
-			// generation and retires the entry; writes into and fills of
-			// slots no entry was fetched from do not.
-			s.L2.MarkFetched(way, set)
-			mode = predecL2
-		default:
-			return
-		}
-	case s.inROM(addr):
-		mode = predecROM
-	default:
-		return
-	}
-	// Field by field: a composite literal would be built in a temporary
-	// and block-copied into the table.
-	e.addr = addr
-	e.gen = s.predecGen(c, mode)
-	e.in = in
-	e.word = word
-	e.mode = mode
-	e.way = int32(way)
-	e.set = int32(set)
-}
-
-// predecGen returns the current generation guarding entries of the given
+// predecGen returns the current generation guarding blocks of the given
 // mode for core c: the sum of every monotonic counter whose movement
 // could change what a fetch in that mode observes or which level serves
 // it. Sums of monotonic counters are monotonic, so a stamp comparison
@@ -644,9 +566,9 @@ func (s *SoC) predecGen(c *Core, mode uint8) uint64 {
 	case predecL2:
 		// L1I's counter is included because re-enabling the L1I reroutes
 		// fetches away from the L2. The L2's counter moves on stores and
-		// fills only when they land in or evict a line an entry was
-		// fetched from (see installPredec), so a payload streaming loads
-		// and stores through data lines keeps its predecoded loop.
+		// fills only when they land in or evict a line a block was built
+		// from (see buildSuperblock), so a payload streaming loads and
+		// stores through data lines keeps its predecoded loop.
 		return c.L1I.ContentGen() + s.L2.ContentGen() + s.mutGen
 	case predecROM:
 		return 0 // mask ROM is immutable
@@ -693,8 +615,9 @@ func (s *SoC) access(core int, addr uint64, size int, write bool, wdata uint64, 
 		// The power-trace bus tap: the issuing core's sink sees its
 		// data-side traffic, loads and stores, without touching cache,
 		// history or memory state. Instruction fetches stay off it: a
-		// predecode hit never reaches this path, so counting the misses
-		// would make a trace depend on derived state (DESIGN.md §6).
+		// superblock never fetches through this path, so counting the
+		// block misses would make a trace depend on derived state
+		// (DESIGN.md §6).
 		h.Sink.BusAccess(addr, size, write, wdata)
 	}
 	if s.inDRAM(addr) || s.inIRAM(addr) {

@@ -1,16 +1,13 @@
-// Superblock dispatch: the predecoded i-stream turned into straight-line
+// Superblock dispatch: the predecoded i-stream, held as straight-line
 // blocks executed in a tight inner loop.
 //
-// A fetch served from the predecode table (see installPredec) still pays
-// a per-instruction entry cost: the table index, the address compare,
-// and — dominating — the generation recompute (predecGen sums one to
-// three monotonic counters per fetch). A superblock hoists that
-// validation to block entry: a straight-line run of already-predecoded
-// instructions is captured as a unit, stamped with the generation that
-// guards all of them, and then executed back to back with only the
-// per-instruction *side-effect replay* (TLB/BTB history writes,
-// serving-cache hit counter and LRU touch) and the execute step itself
-// inside the loop.
+// A block is built by reading its words straight from the level that
+// serves its fetches (the L1I, the L2 with the L1I off, or the mask ROM)
+// and decoding them once. It is stamped with the generation that guards
+// all of them (predecGen sums one to three monotonic counters), so
+// validation is paid once at block entry, and the loop runs with only
+// the per-instruction *side-effect replay* (TLB/BTB history writes,
+// serving-cache hit counter and LRU touch) and the execute step itself.
 //
 // The hoist is sound because the interpreter is single-threaded: between
 // two instructions of one block, the only agents that can move a
@@ -21,20 +18,21 @@
 // flagged at build time and re-validate the block generation after
 // executing; a block run that starts with a fault injector attached
 // re-validates after every instruction, since the injector's pulse
-// edges are rail events. A mismatch ends the block and the dispatcher
-// falls back to a full fetch, exactly as a generation bump retires
-// predecode entries. Other external mutations (JTAG pokes, power
-// cycles) happen between RunCore calls, never inside a quantum.
+// edges are rail events. A mismatch ends the block, and the dispatcher
+// rebuilds it from the lines as they now are. Other external mutations
+// (JTAG pokes, power cycles) happen between RunCore calls, never inside
+// a quantum.
 //
-// Blocks are purely derived microarchitectural state, like predec: they
-// hold nothing a fetch could not re-derive, live outside the SRAM
-// retention physics, and are (re)built only from currently-valid
-// predecode entries, so building has no architectural side effects.
+// Blocks are purely derived microarchitectural state: they hold nothing
+// a fetch could not re-derive, live outside the SRAM retention physics,
+// and are built by reads that count no hit and touch no LRU entry, so
+// building has no architectural side effects.
 package soc
 
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/isa"
 )
 
@@ -59,10 +57,10 @@ type sbInstr struct {
 	recheck bool
 }
 
-// sblock is a captured straight-line run starting at addr. All entries
-// share one predecode mode (formation stops at a mode change), so a
-// single generation stamp guards the whole block. n == 0 marks an empty
-// or unbuildable slot.
+// sblock is a captured straight-line run starting at addr. All its
+// instructions are served by one level (formation stops at the end of
+// its region), so a single generation stamp guards the whole block.
+// n == 0 marks an empty or unbuildable slot.
 type sblock struct {
 	addr  uint64
 	gen   uint64
@@ -90,8 +88,7 @@ func sbTerminal(op isa.Op) bool { return op.Class()&isa.ClassEndsBlock != 0 }
 //   - predecL2: additionally the L2 content gen, which *loads* can move
 //     too — a data-side miss can fill the L2 — as can the writebacks of
 //     DC ZVA / DC CIVAC. Stores and fills move it only when they land in
-//     or evict a line some predecode entry was fetched from
-//     (cache.MarkFetched).
+//     or evict a line some block was built from (cache.MarkFetched).
 //
 // Stores and system ops (MSR and cache maintenance) are flagged for
 // every non-ROM mode rather than split per counter: they are rare in hot
@@ -107,44 +104,71 @@ func sbRecheck(op isa.Op, mode uint8) bool {
 	return c&isa.ClassLoad != 0 && mode == predecL2
 }
 
-// buildSuperblock (re)captures the block starting at pc from the core's
-// currently-valid predecode entries. It never fetches: a PC whose
-// predecode entry is missing or stale leaves the slot empty and the
-// caller falls back to step, which installs entries for the next
-// attempt (uncached DRAM and iRAM fetches never get one).
+// buildSuperblock (re)captures the block starting at pc by reading its
+// words from the level that serves its fetches: for DRAM, the L1I when
+// it is enabled, else the L2; the mask ROM itself. It marks every cache
+// line it reads (cache.MarkFetched), so a data write into the line, or
+// a fill that evicts it, moves the block's generation. Its reads count
+// no hit and touch no LRU entry; runSuperblock replays both as each
+// instruction runs. Formation stops after a terminal instruction, at
+// sbMaxLen, at the end of the region, or at a line the serving level
+// does not hold. A misaligned pc, a pc served uncached and one whose
+// line is not resident leave the slot empty, and the caller takes one
+// cpu.Step, whose fetch fills the line for the next attempt.
+//
+//voltvet:hotpath root
 func (s *SoC) buildSuperblock(c *Core, b *sblock, pc uint64) {
 	b.n = 0
-	e := &c.predec[(pc>>2)&(predecEntries-1)]
-	if e.mode == predecNone || e.addr != pc {
+	if pc&3 != 0 {
 		return
 	}
-	mode := e.mode
-	gen := s.predecGen(c, mode)
-	if e.gen != gen {
+	var mode uint8
+	var ch *cache.Cache
+	switch {
+	case s.inDRAM(pc) && c.L1I.Enabled():
+		mode, ch = predecL1I, c.L1I
+	case s.inDRAM(pc) && s.L2.Enabled():
+		mode, ch = predecL2, s.L2
+	case s.inROM(pc):
+		mode = predecROM
+	default:
 		return
 	}
 	b.addr = pc
 	b.mode = mode
-	b.gen = gen
+	b.gen = s.predecGen(c, mode)
 	n := int32(0)
-	addr := pc
-	for n < sbMaxLen {
-		pe := &c.predec[(addr>>2)&(predecEntries-1)]
-		if pe.mode != mode || pe.addr != addr || pe.gen != gen {
-			break
+	for addr := pc; n < sbMaxLen; addr += 4 {
+		var word uint32
+		var way, set int
+		if ch != nil {
+			var ok bool
+			if !s.inDRAM(addr) {
+				break
+			}
+			if way, set, ok = ch.ResidentWaySet(addr); !ok {
+				break
+			}
+			ch.MarkFetched(way, set)
+			word = ch.FetchWord(way, set, addr)
+		} else {
+			if !s.inROM(addr) {
+				break
+			}
+			word, _ = s.FetchInstr(c.ID, addr) // a ROM read cannot fail
 		}
-		b.instr[n] = sbInstr{
-			in:      pe.in,
-			word:    pe.word,
-			way:     pe.way,
-			set:     pe.set,
-			recheck: sbRecheck(pe.in.Op, mode),
-		}
+		// Field by field: a composite literal would be built in a
+		// temporary and block-copied into the slot.
+		e := &b.instr[n]
+		e.in = isa.Decode(word)
+		e.word = word
+		e.way = int32(way)
+		e.set = int32(set)
+		e.recheck = sbRecheck(e.in.Op, mode)
 		n++
-		if sbTerminal(pe.in.Op) {
+		if sbTerminal(e.in.Op) {
 			break
 		}
-		addr += 4
 	}
 	b.n = n
 }
@@ -199,9 +223,9 @@ func (s *SoC) runSuperblock(c *Core, b *sblock, limit uint64) (uint64, error) {
 }
 
 // RunCoreQuantum executes core id for up to maxInstr instructions or
-// until it halts, dispatching through superblocks where the predecoded
-// i-stream allows and falling back to single steps (which install the
-// predecode entries superblocks are built from) where it does not. It
+// until it halts, dispatching through superblocks where the serving
+// level holds the code and taking single cpu.Steps (whose fetches fill
+// the lines the next blocks are built from) where it does not. It
 // returns the number of instructions retired. Architectural and
 // microarchitectural state evolve bit-identically to maxInstr calls of
 // cpu.Step, and so does an attached observer's record: a fault
@@ -216,7 +240,6 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 	cpu := c.CPU
 	if c.sblocks == nil {
 		c.sblocks = make([]sblock, sbSlots)
-		c.predec = new([predecEntries]predecEntry)
 	}
 	var n uint64
 	for !cpu.Halted && n < maxInstr {
@@ -232,28 +255,11 @@ func (s *SoC) RunCoreQuantum(id int, maxInstr uint64) (uint64, error) {
 			}
 			continue
 		}
-		// No block available at this PC: take one full step, which
-		// installs the predecode entry for the next formation attempt.
-		if err := s.step(c); err != nil {
+		// No block at this PC: take one reference step.
+		if err := cpu.Step(); err != nil {
 			return n, err
 		}
 		n++
 	}
 	return n, nil
-}
-
-// step is the dispatcher's fallback: cpu.Step's fetch, decode and
-// execute, with the decoded instruction installed in the core's
-// predecode table, before it executes, for the next block formation.
-//
-//voltvet:hotpath root
-func (s *SoC) step(c *Core) error {
-	cpu := c.CPU
-	word, err := s.FetchInstr(c.ID, cpu.PC)
-	if err != nil {
-		return fmt.Errorf("fetch at PC %#x: %w", cpu.PC, err)
-	}
-	in := isa.Decode(word)
-	s.installPredec(c, &c.predec[(cpu.PC>>2)&(predecEntries-1)], cpu.PC, in, word)
-	return cpu.ExecDecoded(in, word)
 }

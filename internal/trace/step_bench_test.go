@@ -55,7 +55,8 @@ loop:   LDR X2, [X1]
 
 // BenchmarkCPUStepTraceDisarmed is BenchmarkCPUStep with the trace
 // capturer present but disarmed: it times cpu.Step, the plain reference
-// the dispatch oracles compare against, which no experiment runs. The
+// the dispatch oracles compare against, which experiments run only on
+// a block miss. The
 // acceptance bar: within noise of the plain BenchmarkCPUStep number —
 // the disarmed hook is one nil check on the retire path and one on the
 // bus path.
@@ -73,10 +74,10 @@ func BenchmarkCPUStepTraceDisarmed(b *testing.B) {
 }
 
 // BenchmarkCPUStepTraceArmed measures the armed cost on the plain
-// reference, cpu.Step, which no capture runs: Hamming weights, rail
-// reads, and the arena store, on top of the plain step. The arena is
-// re-armed whenever it fills so the steady-state path (bounded store)
-// is what dominates the measurement.
+// reference, cpu.Step, which a capture runs only on a block miss:
+// Hamming weights, rail reads, and the arena store, on top of the plain
+// step. The arena is re-armed whenever it fills so the steady-state
+// path (bounded store) is what dominates the measurement.
 func BenchmarkCPUStepTraceArmed(b *testing.B) {
 	const arena = 1 << 16
 	s, c := steppingBench(b, arena)

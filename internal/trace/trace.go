@@ -11,8 +11,8 @@
 // the toggles on the address bus between consecutive data accesses
 // (which subsumes cache-line-to-line traffic — line index bits are
 // address bits), and a per-byte transfer cost. Instruction fetches are
-// not counted. The simulator serves most of them from its predecode
-// table without a bus access, so counting the rest would make a sample
+// not counted. The simulator serves most of them from its superblocks
+// without a bus access, so counting the rest would make a sample
 // depend on interpreter state rather than on the committed instructions
 // and their data. With data-independent control flow, as in the AES
 // victim, the fetch term would be the same in every trial and leak

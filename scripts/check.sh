@@ -6,12 +6,16 @@
 # tests 100 times each under -race (so a bound that holds only for some
 # schedules fails the gate almost every time, not now and then), the
 # differential oracles (among them, that a power trace ignores
-# predecode, superblock and cache state, that every glitch-campaign
-# trial run in blocks matches cpu.Step, that a capture stops when its
-# window is full, and that the ISA's op table decodes, renders and
-# assembles as the hand-written per-format code it replaced did, with
-# every program builder's words pinned), the catalog digests, a short fuzz pass over the
-# byte decoders, the CPA attack and the job body, a one-iteration smoke
+# superblock and cache state, that the dispatch paths match cpu.Step on
+# every cache model, an inline-ECC L1I lane included, that the cache
+# read superblocks are built with returns what a fetch hit reads, on
+# plain and inline-ECC lines, and moves no hit count or LRU entry, that
+# every glitch-campaign trial run in blocks matches cpu.Step, that a
+# capture stops when its window is full, and that the ISA's op table
+# decodes, renders and assembles as the hand-written per-format code it
+# replaced did, with every program builder's words pinned), the catalog
+# digests, a short fuzz pass over the byte decoders, the CPA attack, the
+# job body and the fabric's forward body, a one-iteration smoke
 # over the micro-benchmarks and the allocation-free gates. Each
 # stage that names its tests or benchmarks first checks that every name
 # still matches one, so a rename cannot leave a stage running nothing.
@@ -125,11 +129,11 @@ go test -race -count=1 ./internal/trace/ ./internal/sca/
 echo "==> sca-cpa smoke (full 16-byte AES key recovery at the documented trace count)"
 run_named 'TestSCACPARecoversKey' ./internal/experiments/
 
-echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, restores that keep the generation only when they rewound nothing, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, L2 predecode, the dispatch paths against cpu.Step, a glitched core in blocks and their traces across snapshot restores, every glitch-campaign trial in blocks against cpu.Step, restores refused while observers are attached, warm-snapshot captures against cold and plain-fetch ones and the window stop, transformed CPA sums, the op table's decoder and disassembler against the per-format reference, the program builders' pinned words)"
+echo "==> differential oracles (rng jump/skip, deferred SRAM resamples drawn per page, deferred tag invalidates, restores that keep the generation only when they rewound nothing, on-demand DRAM retention and copy-on-write DRAM pages, touched-only LRU restores, TestFetchWordReadsLikeAHit: the superblock builder's cache read against 4-byte fetch hits on plain and inline-ECC lines, L2 predecode, the dispatch paths against cpu.Step on every cache model with the L1I-ECC lane among them, a glitched core in blocks and their traces across snapshot restores, every glitch-campaign trial in blocks against cpu.Step, restores refused while observers are attached, warm-snapshot captures against cold and plain-fetch ones and the window stop, transformed CPA sums, the op table's decoder and disassembler against the per-format reference, the program builders' pinned words)"
 run_named 'TestJump|TestSkipNormFloat32' ./internal/xrand/
 run_named 'TestWordKernels|TestPending|TestSnapshot|TestSnapshotRestoreRetiresOnlyRewound|TestPageDrawsMatchWholeArray|TestDeferredInvalidateMatchesEagerLoop' ./internal/sram/
 run_named 'TestRetentionChunks|TestLazyModule|TestGroundBytesDrawNoRetention|TestPartialTable|TestModuleSnapshot' ./internal/dram/
-run_named 'TestDataWritesBumpOnlyFetchedLines|TestRestoreAuxMatchesFullCopy' ./internal/cache/
+run_named 'TestDataWritesBumpOnlyFetchedLines|TestRestoreAuxMatchesFullCopy|TestFetchWordReadsLikeAHit' ./internal/cache/
 run_named 'TestSelfModifyingCodeThroughL2|TestDispatchPathsAgree' ./internal/soc/
 run_named 'TestDumpPayloadFetchPathsAgree' ./internal/core/
 run_named 'TestRestoreBeforeArmDetachesGlitcher|TestGlitcherAndCapturerShareCore' ./internal/glitch/
@@ -142,7 +146,7 @@ run_named 'TestProgramWordsPinned' ./internal/core/
 echo "==> catalog output digests (every experiment at seed 0x5EED, slow ones included)"
 run_named 'TestCatalogDigests' ./internal/registry/
 
-echo "==> fuzz the byte decoders, the CPA attack, parameter canonicalization and the job body (10s per target)"
+echo "==> fuzz the byte decoders, the CPA attack, parameter canonicalization, the job body and the forward body (10s per target)"
 fuzz_named FuzzDecodeSet ./internal/trace/
 fuzz_named FuzzDecodeDisassemble ./internal/isa/
 fuzz_named FuzzAssemble ./internal/isa/
@@ -150,6 +154,7 @@ fuzz_named FuzzStoreReplay ./internal/store/
 fuzz_named FuzzAttack ./internal/sca/
 fuzz_named FuzzResolve ./internal/registry/
 fuzz_named FuzzSubmitBody ./internal/api/
+fuzz_named FuzzFabricRunBody ./internal/api/
 
 echo "==> benchmark smoke (1 iteration)"
 bench_named 'ResolveDecay|PowerUpAll|FractionalHD|FractionOnes|SnapshotRestore' ./internal/sram/ ./internal/analysis/
